@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"syscall"
 	"time"
 
 	"repro/internal/ipres"
@@ -51,6 +52,24 @@ func rtrChurnSet(base []rov.VRP, round int) []rov.VRP {
 	out = append(out, rov.VRP{
 		Prefix: ipres.MustParsePrefix("192.168.0.0/24"), MaxLength: 24, ASN: ipres.ASN(65000 + round)})
 	return out
+}
+
+// dialSmallWindow connects with SO_RCVBUF set before the handshake. The
+// receive window is advertised at connect (tcp_rmem's default, 128 KiB on
+// Linux 6.x) and SetReadBuffer on the connected socket does not take it
+// back, so only a pre-connect setting keeps the snapshot from draining into
+// the attacker's kernel buffer whatever the host's defaults are.
+func dialSmallWindow(addr string, rcvbuf int) (net.Conn, error) {
+	d := net.Dialer{Control: func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, rcvbuf)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	return d.Dial("tcp", addr)
 }
 
 func runRTRSlowConsumer(e *Env) {
@@ -92,14 +111,11 @@ func runRTRSlowConsumer(e *Env) {
 	}
 
 	// The attacker: request the snapshot, then read one byte per second.
-	stalled, err := net.Dial("tcp", addr)
+	stalled, err := dialSmallWindow(addr, 2<<10)
 	if err != nil {
 		e.Fatalf("attacker dial: %v", err)
 	}
 	e.Cleanup(func() { _ = stalled.Close() })
-	if tc, ok := stalled.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(2 << 10)
-	}
 	if err := stalled.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		e.Fatalf("attacker write deadline: %v", err)
 	}

@@ -403,6 +403,16 @@ func (r *Registry) CollectGauges(name, help string, labelNames []string, collect
 	f.collect = collect
 }
 
+// CollectCounters is CollectGauges for counters: a labeled family whose
+// series are read at scrape time from counts the source already keeps.
+func (r *Registry) CollectCounters(name, help string, labelNames []string, collect func(emit Emit)) {
+	if r == nil {
+		return
+	}
+	f := r.register(name, help, kindCounterCollect, nil, labelNames)
+	f.collect = collect
+}
+
 func validName(name string) bool {
 	if name == "" {
 		return false

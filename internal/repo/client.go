@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,11 +25,12 @@ import (
 // parties set Retry and Breakers so that flaky repositories converge and
 // dead ones fail fast (see internal/rp for the last-known-good layer above).
 type Client struct {
-	// Timeout bounds each request/response exchange — one LIST, GET or
-	// STAT, including the dial for its connection (default 10s). It is a
-	// per-request deadline, so one slow object can no longer starve the
-	// rest of a fetch; FetchAll and SyncIncremental layer SyncTimeout on
-	// top.
+	// Timeout bounds each request/response exchange (default 10s): a dial,
+	// the write of one window of pipelined request lines, or the wait for
+	// and transfer of one reply. It is re-armed for every reply, so it is
+	// a per-request deadline — never window × Timeout — and one slow object
+	// cannot starve the rest of a fetch; FetchAll and SyncIncremental layer
+	// SyncTimeout on top.
 	Timeout time.Duration
 	// SyncTimeout bounds a whole FetchAll or SyncIncremental call,
 	// retries included (default 10× Timeout).
@@ -39,9 +39,10 @@ type Client struct {
 	// experiments to make reachability depend on BGP route validity.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Concurrency is the number of parallel connections FetchAll spreads
-	// its GETs across (default 1). Each connection is reused for its whole
-	// shard of objects — the per-object cost is one pipelined
-	// request/response, not a dial. Results are merged deterministically.
+	// its GETs across (default 1), the first being the one that carried the
+	// LIST. Each connection is reused for its whole shard of objects — the
+	// per-object cost is one pipelined request/response, not a dial.
+	// Results are merged deterministically.
 	Concurrency int
 	// Retry governs per-request retries of transport failures.
 	Retry RetryPolicy
@@ -56,6 +57,10 @@ type Client struct {
 	// fetchedBytes counts object content bytes received (exposed at scrape
 	// time by Instrument).
 	fetchedBytes atomic.Int64
+	// dials counts connections dialed and requests the request lines written,
+	// per verb (both exposed at scrape time by Instrument).
+	dials    atomic.Int64
+	requests [len(verbs)]atomic.Int64
 	// rec receives retry events when the client is instrumented (nil
 	// otherwise). Set once by Instrument before the client serves requests.
 	rec *obs.FlightRecorder
@@ -113,19 +118,51 @@ func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
+// verb is one of the protocol's three requests.
+type verb uint8
+
+const (
+	verbList verb = iota
+	verbStat
+	verbGet
+)
+
+// verbs holds each verb's wire spelling.
+var verbs = [...]string{verbList: "LIST", verbStat: "STAT", verbGet: "GET"}
+
+// pipelineWindow is the number of request lines written before their
+// replies are read. A new window is written only after the previous one is
+// fully read, and 64 lines (≈5 KB) fit the socket buffers, so the client never
+// blocks in Write while the server blocks writing replies nobody reads; should
+// both ever block (absurd names, tiny buffers) the armed deadline ends it.
+const pipelineWindow = 64
+
 // pointConn is one reusable connection to a publication point, with
-// per-request deadlines, breaker gating at (re)dial, and retry with
+// per-exchange deadlines, breaker gating at (re)dial, and retry with
 // exponential backoff on transport failures. Context cancellation closes the
 // live connection immediately, so a sync aborts promptly even mid-read.
 type pointConn struct {
 	c    *Client
 	uri  URI
+	key  string // breaker key: uri.String(), rendered once
 	conn net.Conn
 	r    *bufio.Reader
 	stop func() bool // cancels the ctx→Close watcher
 }
 
-func (pc *pointConn) key() string { return pc.uri.String() }
+func (c *Client) pointConn(uri URI) *pointConn {
+	return &pointConn{c: c, uri: uri, key: uri.String()}
+}
+
+// deadline is the per-exchange deadline: Timeout from now, clipped to the
+// context's overall deadline.
+func (c *Client) deadline(ctx context.Context) time.Time {
+	d := time.Now().Add(c.timeout())
+	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
+		d = dl
+	}
+	return d
+}
 
 // ensure dials the point if no connection is live. The circuit breaker is
 // consulted here: every transport failure drops the connection, so gating
@@ -134,51 +171,30 @@ func (pc *pointConn) ensure(ctx context.Context) error {
 	if pc.conn != nil {
 		return nil
 	}
-	if err := pc.c.Breakers.Allow(pc.key()); err != nil {
+	if err := pc.c.Breakers.Allow(pc.key); err != nil {
 		return err
 	}
+	pc.c.dials.Add(1)
 	dctx, cancel := context.WithTimeout(ctx, pc.c.timeout())
 	defer cancel()
 	conn, err := pc.c.dial(dctx, pc.uri.Host)
 	if err != nil {
-		pc.c.Breakers.Failure(pc.key())
+		pc.c.Breakers.Failure(pc.key)
 		return fmt.Errorf("repo: dial %s: %w", pc.uri.Host, err)
 	}
-	// Arm a deadline before anything wraps or touches the conn: even a
-	// caller that skips arm() can never do unbounded I/O on it, and a conn
-	// that refuses its deadline is discarded instead of trusted.
-	d := time.Now().Add(pc.c.timeout())
-	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
-		d = dl
-	}
-	if err := conn.SetDeadline(d); err != nil {
+	// Arm a deadline before anything wraps or touches the conn: no path can
+	// do unbounded I/O on it, and a conn that refuses its deadline is
+	// discarded instead of trusted.
+	if err := conn.SetDeadline(pc.c.deadline(ctx)); err != nil {
 		_ = conn.Close()
-		pc.c.Breakers.Failure(pc.key())
+		pc.c.Breakers.Failure(pc.key)
 		return fmt.Errorf("repo: arming deadline on %s: %w", pc.uri.Host, err)
 	}
 	pc.conn = conn
 	pc.r = bufio.NewReader(conn)
 	// A canceled context must interrupt a blocked read, not wait out the
-	// per-request deadline.
+	// per-exchange deadline.
 	pc.stop = context.AfterFunc(ctx, func() { _ = conn.Close() })
-	return nil
-}
-
-// arm sets the per-request deadline on the live connection: Timeout from
-// now, clipped to the context's overall deadline. A connection that
-// refuses its deadline is dropped — an unarmed conn must never be used,
-// because unbounded I/O is exactly the slow-loris surface the deadline
-// exists to close.
-func (pc *pointConn) arm(ctx context.Context) error {
-	d := time.Now().Add(pc.c.timeout())
-	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
-		d = dl
-	}
-	if err := pc.conn.SetDeadline(d); err != nil {
-		pc.c.Breakers.Failure(pc.key())
-		pc.drop()
-		return fmt.Errorf("repo: arming deadline: %w", err)
-	}
 	return nil
 }
 
@@ -195,51 +211,95 @@ func (pc *pointConn) drop() {
 	}
 }
 
-// request runs one request/response exchange: op is invoked with a live,
-// deadline-armed connection. Transport failures drop the connection, count
-// against the breaker and retry with backoff up to Retry.MaxRetries;
-// protocol rejections (permanent errors) keep the connection and return
-// immediately — the server answered.
-func (pc *pointConn) request(ctx context.Context, op func() error) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+// pipeline sends one request of verb v per name — request lines written a
+// window at a time, each window's replies read back in request order by read
+// — and returns how many requests were answered. read returns nil, a
+// permanent error (the server answered and said no: the request counts as
+// answered, the connection is kept, and what the rejection means is read's to
+// record) or a transport error. A transport failure drops the connection,
+// counts against the breaker and spends one retry of the first unanswered
+// request, where a fresh dial resumes; every answered request counts a
+// breaker success and resets the retry budget. The deadline is armed before
+// the window's write and again before each reply, so Timeout bounds one
+// request/response, never a window; a conn that refuses a deadline is dropped
+// unused — unbounded I/O is exactly the slow-loris surface deadlines close.
+// The error is non-nil iff names[answered] could not be asked: retries
+// exhausted, or — failing fast, without backoff — circuit open or context dead.
+func (pc *pointConn) pipeline(ctx context.Context, v verb, names []string, read func(r *bufio.Reader, name string) error) (int, error) {
+	arm := func() error {
+		if err := pc.conn.SetDeadline(pc.c.deadline(ctx)); err != nil {
+			return fmt.Errorf("repo: arming deadline: %w", err)
+		}
+		return nil
+	}
+	policy := pc.c.retryPolicy()
+	var window []byte
+	answered, attempt := 0, 0
+	for answered < len(names) {
 		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return lastErr
-			}
-			return err
+			return answered, err
 		}
 		err := pc.ensure(ctx)
-		if err == nil {
-			err = pc.arm(ctx)
+		if err != nil && !Retryable(err) {
+			return answered, err
 		}
 		if err == nil {
-			err = op()
+			end := min(answered+pipelineWindow, len(names))
+			window = window[:0]
+			for _, name := range names[answered:end] {
+				window = append(append(window, verbs[v]...), ' ')
+				window = append(window, pc.uri.Module...)
+				if name != "" {
+					window = append(append(window, ' '), name...)
+				}
+				window = append(window, '\n')
+			}
+			pc.c.requests[v].Add(int64(end - answered))
+			if err = arm(); err == nil {
+				if _, err = pc.conn.Write(window); err != nil {
+					err = fmt.Errorf("repo: sending %s: %w", verbs[v], err)
+				}
+			}
+			for err == nil && answered < end {
+				if err = arm(); err != nil {
+					break
+				}
+				if err = read(pc.r, names[answered]); err == nil || !Retryable(err) {
+					pc.c.Breakers.Success(pc.key)
+					answered, attempt, err = answered+1, 0, nil
+				}
+			}
 			if err == nil {
-				pc.c.Breakers.Success(pc.key())
-				return nil
+				continue
 			}
-			if !Retryable(err) {
-				// The exchange completed; the server is alive and said no.
-				pc.c.Breakers.Success(pc.key())
-				return err
-			}
-			pc.c.Breakers.Failure(pc.key())
+			pc.c.Breakers.Failure(pc.key)
 			pc.drop()
-		} else if !Retryable(err) {
-			// Circuit open (or context dead): fail fast, no backoff.
-			return err
 		}
-		lastErr = err
-		if attempt >= pc.c.retryPolicy().MaxRetries {
-			return lastErr
+		if attempt >= policy.MaxRetries {
+			return answered, err
 		}
 		pc.c.retries.Add(1)
-		pc.c.recordRetry(pc.key(), lastErr)
-		if werr := pc.c.retryPolicy().wait(ctx, attempt); werr != nil {
-			return lastErr
+		pc.c.recordRetry(pc.key, err)
+		if policy.wait(ctx, attempt) != nil {
+			return answered, err
 		}
+		attempt++
 	}
+	return answered, nil
+}
+
+// one is a pipeline of one request; unlike pipeline it returns the reply
+// and, when the server rejected the request, that rejection.
+func one[T any](ctx context.Context, pc *pointConn, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
+	var reply T
+	var verdict error
+	if _, err := pc.pipeline(ctx, v, []string{name}, func(r *bufio.Reader, _ string) error {
+		reply, verdict = read(r)
+		return verdict
+	}); err != nil {
+		return reply, err
+	}
+	return reply, verdict
 }
 
 func (c *Client) retryPolicy() RetryPolicy {
@@ -249,12 +309,8 @@ func (c *Client) retryPolicy() RetryPolicy {
 	return c.Retry
 }
 
-// listOnce performs one LIST exchange on a live connection.
-func listOnce(conn net.Conn, r *bufio.Reader, module string) (map[string]int, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "LIST %s", module); err != nil {
-		return nil, fmt.Errorf("repo: sending LIST: %w", err)
-	}
+// readList parses a LIST reply.
+func readList(r *bufio.Reader) (map[string]int, error) {
 	header, err := readLine(r)
 	if err != nil {
 		return nil, fmt.Errorf("repo: reading LIST response: %w", err)
@@ -282,12 +338,8 @@ func listOnce(conn net.Conn, r *bufio.Reader, module string) (map[string]int, er
 	return out, nil
 }
 
-// getOnce performs one GET exchange on a live connection.
-func getOnce(conn net.Conn, r *bufio.Reader, module, name string) ([]byte, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "GET %s %s", module, name); err != nil {
-		return nil, fmt.Errorf("repo: sending GET: %w", err)
-	}
+// readBody parses a GET reply.
+func readBody(r *bufio.Reader) ([]byte, error) {
 	header, err := readLine(r)
 	if err != nil {
 		return nil, fmt.Errorf("repo: reading GET response: %w", err)
@@ -303,12 +355,8 @@ func getOnce(conn net.Conn, r *bufio.Reader, module, name string) ([]byte, error
 	return content, nil
 }
 
-// statOnce performs one STAT exchange on a live connection.
-func statOnce(conn net.Conn, r *bufio.Reader, module, name string) (ObjectInfo, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "STAT %s %s", module, name); err != nil {
-		return ObjectInfo{}, fmt.Errorf("repo: sending STAT: %w", err)
-	}
+// readStat parses a STAT reply.
+func readStat(r *bufio.Reader) (ObjectInfo, error) {
 	line, err := readLine(r)
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("repo: reading STAT response: %w", err)
@@ -316,107 +364,87 @@ func statOnce(conn net.Conn, r *bufio.Reader, module, name string) (ObjectInfo, 
 	return parseStatLine(line)
 }
 
-// list is List without the overall deadline (callers wrap their own).
-func (c *Client) list(ctx context.Context, uri URI) (map[string]int, error) {
-	pc := &pointConn{c: c, uri: uri}
+// single runs one exchange on a connection of its own, under the overall
+// SyncTimeout.
+func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
+	defer cancel()
+	pc := c.pointConn(uri)
 	defer pc.drop()
-	var out map[string]int
-	err := pc.request(ctx, func() error {
-		m, err := listOnce(pc.conn, pc.r, uri.Module)
-		if err == nil {
-			out = m
-		}
-		return err
-	})
-	return out, err
+	return one(ctx, pc, v, name, read)
 }
 
 // List returns the object names and sizes available in the module.
 func (c *Client) List(ctx context.Context, uri URI) (map[string]int, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
-	defer cancel()
-	return c.list(ctx, uri)
+	return single(ctx, c, uri, verbList, "", readList)
 }
 
 // Get fetches one object from the module.
 func (c *Client) Get(ctx context.Context, uri URI, name string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
-	defer cancel()
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
-	var content []byte
-	err := pc.request(ctx, func() error {
-		b, err := getOnce(pc.conn, pc.r, uri.Module, name)
-		if err == nil {
-			content = b
-			c.countBytes(len(b))
-		}
-		return err
-	})
+	content, err := single(ctx, c, uri, verbGet, name, readBody)
+	c.countBytes(len(content))
 	return content, err
 }
 
 // Stat fetches an object's size and hash without its content.
 func (c *Client) Stat(ctx context.Context, uri URI, name string) (ObjectInfo, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
-	defer cancel()
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
-	var info ObjectInfo
-	err := pc.request(ctx, func() error {
-		i, err := statOnce(pc.conn, pc.r, uri.Module, name)
-		if err == nil {
-			info = i
-		}
-		return err
-	})
-	return info, err
+	return single(ctx, c, uri, verbStat, name, readStat)
 }
 
-// FetchAll lists the module and downloads every object, pipelining GETs
-// over up to Concurrency reused connections, returning name → content.
-// Objects that fail mid-fetch are reported via the error; partial results
-// are returned so a relying party can reason about incomplete information
-// (Side Effect 6). The first error is chosen deterministically (smallest
-// affected object name) regardless of connection scheduling.
-func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
-	defer cancel()
-	names, err := c.list(ctx, uri)
-	if err != nil {
-		return nil, err
-	}
+// sortedNames returns the keys of a listing in name order.
+func sortedNames(names map[string]int) []string {
 	ordered := make([]string, 0, len(names))
 	for name := range names {
 		ordered = append(ordered, name)
 	}
 	sort.Strings(ordered)
-	if len(ordered) == 0 {
-		return make(map[string][]byte), nil
-	}
+	return ordered
+}
 
-	shards := c.concurrency()
-	if shards > len(ordered) {
-		shards = len(ordered)
+// shardResult is one FetchAll connection's share of the module.
+type shardResult struct {
+	files map[string][]byte
+	// errName orders errors canonically: the smallest object name the
+	// shard's error applies to.
+	errName string
+	err     error
+}
+
+// FetchAll lists the module and downloads every object, pipelining GETs
+// over up to Concurrency reused connections (the first is the one that
+// carried the LIST), returning name → content. Objects that fail mid-fetch
+// are reported via the error; partial results are returned so a relying
+// party can reason about incomplete information (Side Effect 6). The first
+// error is chosen deterministically (smallest affected object name)
+// regardless of connection scheduling.
+func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
+	defer cancel()
+	first := c.pointConn(uri)
+	defer first.drop()
+	names, err := one(ctx, first, verbList, "", readList)
+	if err != nil {
+		return nil, err
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	type shardResult struct {
-		files map[string][]byte
-		// errName orders errors canonically: the smallest object name the
-		// shard's error applies to.
-		errName string
-		err     error
-	}
+	ordered := sortedNames(names)
+	shards := min(c.concurrency(), len(ordered))
 	results := make([]shardResult, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		// Round-robin over sorted names: shard s fetches ordered[s::shards].
+		mine := make([]string, 0, len(ordered)/shards+1)
+		for i := s; i < len(ordered); i += shards {
+			mine = append(mine, ordered[i])
+		}
+		pc := first
+		if s > 0 {
+			pc = c.pointConn(uri)
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s] = c.fetchShard(ctx, uri, ordered, s, shards)
+			defer pc.drop()
+			results[s] = pc.fetchShard(ctx, mine)
 		}(s)
 	}
 	wg.Wait()
@@ -435,48 +463,29 @@ func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, erro
 	return out, firstErr
 }
 
-// fetchShard downloads every shards-th name starting at offset s, reusing
-// one connection and redialing (with retries per the RetryPolicy) when it
-// fails. A protocol-level ERR for an object is recorded and the shard
-// continues; an exhausted transport failure or an open breaker aborts the
-// shard with its partial results.
-func (c *Client) fetchShard(ctx context.Context, uri URI, ordered []string, s, shards int) (res struct {
-	files   map[string][]byte
-	errName string
-	err     error
-}) {
-	res.files = make(map[string][]byte)
+// fetchShard downloads names (sorted) over the connection. A protocol-level
+// ERR for an object is recorded and the shard continues; an exhausted
+// transport failure, an open breaker or a dead context aborts the shard with
+// its partial results — the point is unhealthy, stop burning attempts on it.
+func (pc *pointConn) fetchShard(ctx context.Context, names []string) shardResult {
+	res := shardResult{files: make(map[string][]byte, len(names))}
 	fail := func(name string, err error) {
-		if res.err == nil || name < res.errName {
-			res.errName, res.err = name, err
+		if res.err == nil {
+			res.errName, res.err = name, fmt.Errorf("repo: object %q: %w", name, err)
 		}
 	}
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
-	for i := s; i < len(ordered); i += shards {
-		name := ordered[i]
-		if err := ctx.Err(); err != nil {
-			fail(name, err)
-			return res
-		}
-		err := pc.request(ctx, func() error {
-			content, err := getOnce(pc.conn, pc.r, uri.Module, name)
-			if err == nil {
-				res.files[name] = content
-				c.countBytes(len(content))
-			}
-			return err
-		})
+	n, err := pc.pipeline(ctx, verbGet, names, func(r *bufio.Reader, name string) error {
+		content, err := readBody(r)
 		if err == nil {
-			continue
+			res.files[name] = content
+			pc.c.countBytes(len(content))
+		} else if !Retryable(err) {
+			fail(name, err)
 		}
-		fail(name, fmt.Errorf("repo: object %q: %w", name, err))
-		if Retryable(err) || errors.Is(err, ErrCircuitOpen) || ctx.Err() != nil {
-			// Retries exhausted or the point is circuit-broken: the point
-			// is unhealthy, stop burning attempts on this shard.
-			return res
-		}
-		// Protocol-level rejection of this one object: keep going.
+		return err
+	})
+	if err != nil {
+		fail(names[n], err)
 	}
 	return res
 }
@@ -536,65 +545,54 @@ type SyncResult struct {
 func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][]byte) (*SyncResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
-	names, err := c.list(ctx, uri)
+	pc := c.pointConn(uri)
+	defer pc.drop()
+	names, err := one(ctx, pc, verbList, "", readList)
 	if err != nil {
 		return nil, err
 	}
 	res := &SyncResult{Files: make(map[string][]byte, len(names))}
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
+	ordered := sortedNames(names)
 
-	ordered := make([]string, 0, len(names))
-	for name := range names {
-		ordered = append(ordered, name)
-	}
-	sort.Strings(ordered)
+	// Pass 1: objects held at the listed size are confirmed by STAT before
+	// the download is skipped. A rejected STAT leaves the object to pass 2.
+	held := make([]string, 0, len(ordered))
 	for _, name := range ordered {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if old, have := prev[name]; have && len(old) == names[name] {
+			held = append(held, name)
 		}
-		old, have := prev[name]
-		if have && len(old) == names[name] {
-			// Sizes match: confirm with STAT before skipping the download.
-			var info ObjectInfo
-			err := pc.request(ctx, func() error {
-				i, err := statOnce(pc.conn, pc.r, uri.Module, name)
-				if err == nil {
-					info = i
-				}
-				return err
-			})
-			switch {
-			case err == nil && info.Hash == sha256.Sum256(old):
-				res.Files[name] = old
-				res.Reused++
-				continue
-			case err != nil && (Retryable(err) || errors.Is(err, ErrCircuitOpen)):
-				return nil, fmt.Errorf("repo: STAT %q: %w", name, err)
-			}
-			// STAT rejected or hash changed: fall through to the download.
+	}
+	n, err := pc.pipeline(ctx, verbStat, held, func(r *bufio.Reader, name string) error {
+		info, err := readStat(r)
+		if old := prev[name]; err == nil && info.Hash == sha256.Sum256(old) {
+			res.Files[name] = old
+			res.Reused++
 		}
-		// Download (new, resized, or hash-changed object).
-		var content []byte
-		var gotIt bool
-		err := pc.request(ctx, func() error {
-			b, err := getOnce(pc.conn, pc.r, uri.Module, name)
-			if err == nil {
-				content, gotIt = b, true
-				c.countBytes(len(b))
-			}
-			return err
-		})
-		if err != nil {
-			if Retryable(err) || errors.Is(err, ErrCircuitOpen) {
-				return nil, fmt.Errorf("repo: fetching %q: %w", name, err)
-			}
-			continue // vanished between LIST and GET; treat as absent
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repo: STAT %q: %w", held[n], err)
+	}
+
+	// Pass 2: download what is new, resized or hash-changed. A rejected GET
+	// means the object vanished between LIST and GET: treat it as absent.
+	wanted := make([]string, 0, len(ordered)-res.Reused)
+	for _, name := range ordered {
+		if _, reused := res.Files[name]; !reused {
+			wanted = append(wanted, name)
 		}
-		if gotIt {
+	}
+	n, err = pc.pipeline(ctx, verbGet, wanted, func(r *bufio.Reader, name string) error {
+		content, err := readBody(r)
+		if err == nil {
 			res.Files[name] = content
 			res.Downloaded++
+			c.countBytes(len(content))
 		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repo: fetching %q: %w", wanted[n], err)
 	}
 	for name := range prev {
 		if _, still := res.Files[name]; !still {

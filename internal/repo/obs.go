@@ -6,6 +6,8 @@ package repo
 // retries, breaker transitions and fast-fails.
 
 import (
+	"strings"
+
 	"repro/internal/obs"
 )
 
@@ -19,8 +21,8 @@ var breakerEventKinds = map[BreakerState]obs.EventKind{
 	BreakerHalfOpen: obs.EventBreakerHalfOpen,
 }
 
-// Instrument attaches the observability plane to the client: retry,
-// breaker-trip, fast-fail and bytes-fetched series are read from the
+// Instrument attaches the observability plane to the client: retry, dial,
+// request, breaker-trip, fast-fail and bytes-fetched series are read from the
 // client's existing atomic counters at scrape time (zero added cost per
 // request), per-point breaker states are collected on scrape, and every
 // retry and breaker transition drops an event into the flight recorder.
@@ -37,6 +39,16 @@ func (c *Client) Instrument(hub *obs.Hub) {
 	r.CounterFunc("rpki_repo_fetched_bytes_total",
 		"Object bytes fetched from repositories.",
 		func() float64 { return float64(c.fetchedBytes.Load()) })
+	r.CounterFunc("rpki_repo_dials_total",
+		"Connections dialed to publication points (dials per sync is what connection reuse saves).",
+		func() float64 { return float64(c.dials.Load()) })
+	r.CollectCounters("rpki_repo_requests_total",
+		"Request lines sent to publication points, by verb.",
+		[]string{"verb"}, func(emit obs.Emit) {
+			for v, name := range verbs {
+				emit(float64(c.requests[v].Load()), strings.ToLower(name))
+			}
+		})
 	r.CounterFunc("rpki_repo_breaker_trips_total",
 		"Circuit-breaker transitions to open.",
 		func() float64 { return float64(c.Breakers.Trips()) })

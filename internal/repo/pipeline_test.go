@@ -1,0 +1,409 @@
+package repo
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// wire records what a Client puts on the network: dials, Write calls, and
+// every request line, in order, per connection. It counts at the Client.Dial
+// seam, below everything the client does, so a check that was skipped to
+// save a round trip shows up as a missing line.
+type wire struct {
+	mu     sync.Mutex
+	conns  [][]string // request lines per dialed connection
+	writes int
+}
+
+func (w *wire) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.conns = append(w.conns, nil)
+	return &wireConn{Conn: conn, w: w, id: len(w.conns) - 1}, nil
+}
+
+type wireConn struct {
+	net.Conn
+	w  *wire
+	id int
+}
+
+func (c *wireConn) Write(p []byte) (int, error) {
+	c.w.mu.Lock()
+	c.w.writes++
+	c.w.conns[c.id] = append(c.w.conns[c.id], strings.Split(strings.TrimSuffix(string(p), "\n"), "\n")...)
+	c.w.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// counts returns dials, client writes, and request lines per verb since the
+// last reset.
+func (w *wire) counts() (dials, writes int, verbs map[string]int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	verbs = map[string]int{}
+	for _, lines := range w.conns {
+		for _, line := range lines {
+			verbs[strings.Fields(line)[0]]++
+		}
+	}
+	return len(w.conns), w.writes, verbs
+}
+
+func (w *wire) reset() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.conns, w.writes = nil, 0
+}
+
+// lines returns the request lines written on the i-th dialed connection.
+func (w *wire) lines(i int) []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]string(nil), w.conns[i]...)
+}
+
+// moduleOf builds k objects named so that name order is index order.
+func moduleOf(k, size int) map[string][]byte {
+	files := make(map[string][]byte, k)
+	for i := 0; i < k; i++ {
+		files[fmt.Sprintf("obj%05d.roa", i)] = bytes.Repeat([]byte{byte(i), byte(i >> 8)}, size/2)
+	}
+	return files
+}
+
+func wantWire(t *testing.T, w *wire, dials, maxWrites, list, stat, get int) {
+	t.Helper()
+	d, writes, verbs := w.counts()
+	if d != dials || verbs["LIST"] != list || verbs["STAT"] != stat || verbs["GET"] != get {
+		t.Errorf("wire: %d dials, %d LIST, %d STAT, %d GET; want %d, %d, %d, %d",
+			d, verbs["LIST"], verbs["STAT"], verbs["GET"], dials, list, stat, get)
+	}
+	if writes > maxWrites {
+		t.Errorf("wire: %d client writes, want at most %d", writes, maxWrites)
+	}
+}
+
+// TestPipelinedSyncWireShape pins the fetch shape: one connection per
+// publication point, one LIST, one STAT line per object held at the listed
+// size (no check skipped), a GET only for what changed — in a handful of
+// writes rather than one per line.
+func TestPipelinedSyncWireShape(t *testing.T) {
+	const k = 150 // three windows: 64 + 64 + 22
+	windows := (k + pipelineWindow - 1) / pipelineWindow
+	uri, store, _ := startTestServer(t, moduleOf(k, 64))
+	w := &wire{}
+	c := &Client{Timeout: 5 * time.Second, Dial: w.dial}
+	ctx := context.Background()
+
+	cold, err := c.SyncIncremental(ctx, uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Downloaded != k || cold.Unchanged {
+		t.Errorf("cold sync: downloaded %d unchanged %v", cold.Downloaded, cold.Unchanged)
+	}
+	wantWire(t, w, 1, 1+windows, 1, 0, k)
+
+	w.reset()
+	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Unchanged || warm.Reused != k {
+		t.Errorf("warm sync: %+v", warm)
+	}
+	wantWire(t, w, 1, 2+windows, 1, k, 0)
+
+	// One object changes at the same size: every object is still STATed,
+	// exactly one is downloaded.
+	w.reset()
+	changed := "obj00077.roa"
+	store.Put(changed, bytes.Repeat([]byte{0xEE}, 64))
+	delta, err := c.SyncIncremental(ctx, uri, warm.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Unchanged || delta.Reused != k-1 || delta.Downloaded != 1 || !bytes.Equal(delta.Files[changed], bytes.Repeat([]byte{0xEE}, 64)) {
+		t.Errorf("delta sync: reused %d downloaded %d unchanged %v", delta.Reused, delta.Downloaded, delta.Unchanged)
+	}
+	wantWire(t, w, 1, 3+windows, 1, k, 1)
+	lines := w.lines(0)
+	if last := lines[len(lines)-1]; last != "GET test "+changed {
+		t.Errorf("last request line = %q, want the GET of the changed object after all STATs", last)
+	}
+
+	// A resized object is downloaded without a STAT; a new one likewise.
+	w.reset()
+	store.Put(changed, []byte("resized"))
+	store.Put("zz-new.roa", []byte("new"))
+	grown, err := c.SyncIncremental(ctx, uri, delta.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Downloaded != 2 || grown.Reused != k-1 {
+		t.Errorf("resize sync: %+v", grown)
+	}
+	wantWire(t, w, 1, 3+windows, 1, k-1, 2)
+
+	// FetchAll: shard 0 rides the LIST connection, so Concurrency dials.
+	w.reset()
+	c.Concurrency = 3
+	all, err := c.FetchAll(ctx, uri)
+	if err != nil || len(all) != k+1 {
+		t.Fatalf("FetchAll: %d objects, err %v", len(all), err)
+	}
+	wantWire(t, w, 3, 1+3*windows, 1, 0, k+1)
+
+	// The single-shot calls are pipelines of one.
+	w.reset()
+	if _, err := c.Stat(ctx, uri, changed); err != nil {
+		t.Fatal(err)
+	}
+	wantWire(t, w, 1, 1, 0, 1, 0)
+}
+
+// TestPipelinedRequestMetrics: the dials-per-sync ratio and the per-verb
+// request counts are on /metrics, as counters read at scrape time.
+func TestPipelinedRequestMetrics(t *testing.T) {
+	const k = 70
+	uri, _, _ := startTestServer(t, moduleOf(k, 32))
+	hub := obs.NewHub(time.Now)
+	c := &Client{Timeout: 5 * time.Second}
+	c.Instrument(hub)
+	cold, err := c.SyncIncremental(context.Background(), uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SyncIncremental(context.Background(), uri, cold.Files); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := hub.Registry().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE rpki_repo_dials_total counter",
+		"rpki_repo_dials_total 2",
+		"# TYPE rpki_repo_requests_total counter",
+		`rpki_repo_requests_total{verb="list"} 2`,
+		fmt.Sprintf(`rpki_repo_requests_total{verb="stat"} %d`, k),
+		fmt.Sprintf(`rpki_repo_requests_total{verb="get"} %d`, k),
+	} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
+// TestPipelinedLargeModule: many windows and bodies far beyond any socket
+// buffer complete, byte for byte — the window discipline (write a window
+// only after the previous one is fully read) cannot deadlock against a
+// server blocked writing bodies.
+func TestPipelinedLargeModule(t *testing.T) {
+	const k = 5000
+	files := moduleOf(k, 4096) // 20 MB in all
+	uri, _, _ := startTestServer(t, files)
+	c := &Client{Timeout: 10 * time.Second}
+	ctx := context.Background()
+	cold, err := c.SyncIncremental(ctx, uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Files) != k {
+		t.Fatalf("got %d objects, want %d", len(cold.Files), k)
+	}
+	for name, want := range files {
+		if !bytes.Equal(cold.Files[name], want) {
+			t.Fatalf("%s differs", name)
+		}
+	}
+	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
+	if err != nil || !warm.Unchanged || warm.Reused != k {
+		t.Fatalf("warm sync of the large module: %v %+v", err, warm)
+	}
+}
+
+// TestPipelinedResumeAfterDrop: the connection dies after the j-th reply of
+// a window. The client redials once, spends one retry, and resumes at
+// request j+1: nothing already answered is asked again.
+func TestPipelinedResumeAfterDrop(t *testing.T) {
+	const k, j = 10, 4
+	uri, _, faults := startTestServer(t, moduleOf(k, 32))
+	w := &wire{}
+	c := &Client{Timeout: 5 * time.Second, Retry: fastRetry(2), Dial: w.dial}
+	ctx := context.Background()
+	cold, err := c.SyncIncremental(ctx, uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Request 1 is the LIST, requests 2.. are the STATs in name order: drop
+	// on the (j+1)-th STAT, once.
+	var served atomic.Int64
+	faults.SetScript(func(n int) FaultAction {
+		if n == 1+j+1 {
+			return ActDropConn
+		}
+		served.Add(1)
+		return ActNone
+	})
+	w.reset()
+	before := c.Stats().Retries
+	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Unchanged || warm.Reused != k {
+		t.Errorf("resumed sync: %+v", warm)
+	}
+	if d := c.Stats().Retries - before; d != 1 {
+		t.Errorf("retries = %d, want 1", d)
+	}
+	if dials, _, _ := w.counts(); dials != 2 {
+		t.Fatalf("dials = %d, want 2 (one redial)", dials)
+	}
+	second := w.lines(1)
+	if len(second) != k-j || second[0] != fmt.Sprintf("STAT test obj%05d.roa", j) {
+		t.Errorf("redial sent %d lines starting %q; want %d starting at object %d", len(second), second[0], k-j, j)
+	}
+	// LIST + k STATs answered, each exactly once.
+	if n := served.Load(); n != 1+k {
+		t.Errorf("server answered %d requests, want %d", n, 1+k)
+	}
+}
+
+// TestPipelinedDeadlineIsPerExchange: a reply slower than Timeout in the
+// middle of a window fails after about one Timeout — the deadline is re-armed
+// per reply, it is not Timeout for the window nor window × Timeout.
+func TestPipelinedDeadlineIsPerExchange(t *testing.T) {
+	const k = pipelineWindow
+	const timeout = 150 * time.Millisecond
+	uri, _, faults := startTestServer(t, moduleOf(k, 32))
+	c := &Client{Timeout: timeout}
+	ctx := context.Background()
+	cold, err := c.SyncIncremental(ctx, uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.DelayObject("obj00002.roa", 5*timeout)
+	start := time.Now()
+	_, err = c.SyncIncremental(ctx, uri, cold.Files)
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), `STAT "obj00002.roa"`) {
+		t.Fatalf("err = %v, want the third STAT to time out", err)
+	}
+	if elapsed < timeout || elapsed > 4*timeout {
+		t.Errorf("failed after %v, want about one Timeout (%v)", elapsed, timeout)
+	}
+
+	// The other direction: every reply is slow but within Timeout. A
+	// deadline armed once per window would expire; per reply it holds.
+	uri, _, faults = startTestServer(t, moduleOf(10, 32))
+	if cold, err = c.SyncIncremental(ctx, uri, nil); err != nil {
+		t.Fatal(err)
+	}
+	faults.SetDelay(timeout / 5)
+	res, err := c.SyncIncremental(ctx, uri, cold.Files)
+	if err != nil {
+		t.Fatalf("10 replies of Timeout/5 each must not trip a per-exchange deadline: %v", err)
+	}
+	if res.Reused != 10 {
+		t.Errorf("reused %d, want 10", res.Reused)
+	}
+}
+
+// TestPipelinedTruncatedStatFailsSync: a STAT reply torn mid-window fails the
+// incremental sync (so the relying party falls back to a clean full fetch)
+// and the objects answered before it are not stitched into a partial result.
+func TestPipelinedTruncatedStatFailsSync(t *testing.T) {
+	uri, _, faults := startTestServer(t, moduleOf(10, 32))
+	c := &Client{Timeout: 5 * time.Second, Retry: fastRetry(1)}
+	ctx := context.Background()
+	cold, err := c.SyncIncremental(ctx, uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.TruncateStat("obj00005.roa")
+	before := c.Stats().Retries
+	res, err := c.SyncIncremental(ctx, uri, cold.Files)
+	if err == nil || res != nil {
+		t.Fatalf("torn STAT must fail the sync, got %+v, %v", res, err)
+	}
+	if !Retryable(err) {
+		t.Errorf("a torn reply is a transport failure, got permanent %v", err)
+	}
+	if d := c.Stats().Retries - before; d != 1 {
+		t.Errorf("retries = %d, want 1", d)
+	}
+	if all, err := c.FetchAll(ctx, uri); err != nil || len(all) != 10 {
+		t.Errorf("the full-fetch fallback must still work: %d objects, %v", len(all), err)
+	}
+}
+
+// TestPipelinedOpenBreakerDialsNothing: with the point's breaker open, a sync
+// fails fast with ErrCircuitOpen and never reaches the network.
+func TestPipelinedOpenBreakerDialsNothing(t *testing.T) {
+	uri, _, _ := startTestServer(t, moduleOf(5, 32))
+	w := &wire{}
+	c := &Client{
+		Timeout:  time.Second,
+		Retry:    fastRetry(3),
+		Dial:     w.dial,
+		Breakers: NewBreakerSet(BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}),
+	}
+	c.Breakers.Failure(uri.String())
+	before := c.Stats()
+	if _, err := c.SyncIncremental(context.Background(), uri, nil); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("err = %v, want ErrCircuitOpen", err)
+	}
+	if _, err := c.FetchAll(context.Background(), uri); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("FetchAll err = %v, want ErrCircuitOpen", err)
+	}
+	if dials, _, _ := w.counts(); dials != 0 {
+		t.Errorf("open breaker dialed %d times", dials)
+	}
+	after := c.Stats()
+	if after.Retries != before.Retries || after.BreakerFastFails-before.BreakerFastFails != 2 {
+		t.Errorf("open breaker: retries %d -> %d, fast-fails %d -> %d; want no retry, 2 fast-fails",
+			before.Retries, after.Retries, before.BreakerFastFails, after.BreakerFastFails)
+	}
+}
+
+// TestPipelinedCancelMidWindow: cancelling the context while the client
+// waits for a reply in the middle of a window returns promptly, not after
+// the per-exchange deadline.
+func TestPipelinedCancelMidWindow(t *testing.T) {
+	uri, _, faults := startTestServer(t, moduleOf(20, 32))
+	c := &Client{Timeout: 10 * time.Second, Retry: fastRetry(3)}
+	cold, err := c.SyncIncremental(context.Background(), uri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.DelayObject("obj00007.roa", 2*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = c.SyncIncremental(ctx, uri, cold.Files)
+	if err == nil {
+		t.Fatal("a canceled sync must fail")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancellation took %v to take effect", elapsed)
+	}
+}

@@ -28,6 +28,17 @@ import (
 //
 // STAT lets a client skip re-downloading unchanged objects — the delta
 // behavior that makes rsync rsync.
+//
+// Requests may be pipelined: a client may write up to pipelineWindow request
+// lines before reading, the server answers them strictly in request order
+// (flushing each reply), and the client writes its next window only after
+// reading every reply of the previous one — so neither side can block
+// writing while the other blocks writing. Deadlines are per reply, not per
+// window: the client re-arms Timeout before each reply it reads, the server
+// re-arms ReadTimeout for each request it serves. When a connection dies
+// mid-window the replies already read stand, and the requests that were
+// written but not answered were never acted on by anyone: the client asks
+// them again on a fresh connection.
 const (
 	maxLineLen = 4096
 	// MaxObjectSize bounds a single fetched object (defense against a

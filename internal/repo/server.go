@@ -226,28 +226,19 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 		_ = writeLine(w, "ERR %v", err)
 		return true
 	}
-	snapshot := m.Store.Snapshot()
-	names := make([]string, 0, len(snapshot))
-	for name := range snapshot {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type entry struct {
-		name string
-		size int
-	}
-	var entries []entry
-	for _, name := range names {
-		if m.Faults.dropped(name) {
-			continue
+	sizes := m.Store.Sizes()
+	entries := make([]string, 0, len(sizes))
+	for name := range sizes {
+		if !m.Faults.dropped(name) {
+			entries = append(entries, name)
 		}
-		entries = append(entries, entry{name, len(snapshot[name])})
 	}
+	sort.Strings(entries)
 	if err := writeLine(w, "OK %d", len(entries)); err != nil {
 		return false
 	}
-	for _, e := range entries {
-		if err := writeLine(w, "%s %d", e.name, e.size); err != nil {
+	for _, name := range entries {
+		if err := writeLine(w, "%s %d", name, sizes[name]); err != nil {
 			return false
 		}
 	}
@@ -335,9 +326,10 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 	return true
 }
 
-// serveStat answers a STAT query with the object's size and SHA-256 hash,
-// after applying the same fault plan as GET (a corrupted object reports the
-// corrupted hash — the client must not be able to detect faults for free).
+// serveStat answers a STAT query with the object's size and SHA-256 hash as
+// the store recorded them at publication, after applying the same fault plan
+// as GET (a corrupted object reports the corrupted hash — the client must not
+// be able to detect faults for free).
 func (s *Server) serveStat(w *bufio.Writer, module, name string) bool {
 	m, keep, err := s.moduleFor(module)
 	if !keep {
@@ -357,24 +349,28 @@ func (s *Server) serveStat(w *bufio.Writer, module, name string) bool {
 	if m.Faults.shouldFail(name) {
 		return false
 	}
-	content, ok := m.Store.Get(name)
+	info, ok := m.Store.Stat(name)
 	if !ok || m.Faults.dropped(name) {
 		_ = writeLine(w, "ERR no such object %q", name)
 		return true
 	}
 	if m.Faults.corrupted(name) || m.Faults.shouldCorrupt(name) {
+		// Only this path hashes per request: the digest must be that of the
+		// bytes a GET would serve, not of what the store holds.
+		content, _ := m.Store.Get(name)
 		content = corruptBytes(content)
+		info = ObjectInfo{Size: len(content), Hash: sha256.Sum256(content)}
 	}
-	sum := sha256.Sum256(content)
+	line := fmt.Sprintf("OK %d %s\n", info.Size, hex.EncodeToString(info.Hash[:]))
 	if m.Faults.statTruncated(name) {
 		// Tear the response line in half and drop the connection: the
 		// incremental protocol fails while GET still serves cleanly.
-		line := fmt.Sprintf("OK %d %s", len(content), hex.EncodeToString(sum[:]))
 		_, _ = w.WriteString(line[:len(line)/2])
 		_ = w.Flush()
 		return false
 	}
-	return writeLine(w, "OK %d %s", len(content), hex.EncodeToString(sum[:])) == nil
+	_, err = w.WriteString(line)
+	return err == nil
 }
 
 // Serve is a convenience for tests: start a server for a single module on

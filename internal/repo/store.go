@@ -13,6 +13,7 @@
 package repo
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
@@ -48,8 +49,20 @@ type Store struct {
 
 type storeShard struct {
 	mu sync.RWMutex
-	// files maps object name to content. guarded by mu.
-	files map[string][]byte
+	// files maps object name to content and digest. guarded by mu.
+	files map[string]object
+}
+
+// object is one published file with the SHA-256 of its content, computed
+// once when it is published so STAT never re-hashes what did not change.
+type object struct {
+	content []byte
+	sum     [sha256.Size]byte
+}
+
+// newObject copies content (the caller keeps its slice) and digests it.
+func newObject(content []byte) object {
+	return object{content: append([]byte(nil), content...), sum: sha256.Sum256(content)}
 }
 
 // NewStore returns an empty publication point.
@@ -57,7 +70,7 @@ func NewStore() *Store {
 	s := &Store{}
 	for i := range s.shards {
 		//lint:ignore guardedby the store is not yet published to any other goroutine
-		s.shards[i].files = make(map[string][]byte)
+		s.shards[i].files = make(map[string]object)
 	}
 	return s
 }
@@ -77,7 +90,7 @@ func (s *Store) Put(name string, content []byte) {
 	sh := &s.shards[shardIndex(name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.files[name] = append([]byte(nil), content...)
+	sh.files[name] = newObject(content)
 	s.version.Add(1)
 }
 
@@ -97,11 +110,34 @@ func (s *Store) Get(name string) ([]byte, bool) {
 	sh := &s.shards[shardIndex(name)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	content, ok := sh.files[name]
+	obj, ok := sh.files[name]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), content...), true
+	return append([]byte(nil), obj.content...), true
+}
+
+// Stat returns an object's size and SHA-256 without copying its content.
+func (s *Store) Stat(name string) (ObjectInfo, bool) {
+	sh := &s.shards[shardIndex(name)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	obj, ok := sh.files[name]
+	return ObjectInfo{Size: len(obj.content), Hash: obj.sum}, ok
+}
+
+// Sizes returns every published object's size, without copying contents.
+func (s *Store) Sizes() map[string]int {
+	out := make(map[string]int, s.Len())
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for name, obj := range sh.files {
+			out[name] = len(obj.content)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // List returns the sorted names of all published objects.
@@ -144,37 +180,35 @@ func (s *Store) Snapshot() map[string][]byte {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for name, content := range sh.files {
-			out[name] = append([]byte(nil), content...)
+		for name, obj := range sh.files {
+			out[name] = append([]byte(nil), obj.content...)
 		}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// Replace atomically replaces the entire contents of the store. All shard
-// locks are held for the duration, so no reader observes a mix of old and
-// new contents.
+// Replace atomically replaces the entire contents of the store. The new
+// namespace is copied and digested before any lock is taken; all shard locks
+// are then held for the swap, so no reader observes a mix of old and new
+// contents.
 func (s *Store) Replace(files map[string][]byte) {
+	var next [storeShardCount]map[string]object
+	for i := range next {
+		next[i] = make(map[string]object, len(files)/storeShardCount+1)
+	}
+	for name, content := range files {
+		next[shardIndex(name)][name] = newObject(content)
+	}
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	s.replaceContentsLocked(files)
+	for i := range s.shards {
+		s.shards[i].files = next[i]
+	}
 	s.version.Add(1)
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
-	}
-}
-
-// replaceContentsLocked rebuilds every shard's namespace from files. All
-// shard locks must be held.
-func (s *Store) replaceContentsLocked(files map[string][]byte) {
-	for i := range s.shards {
-		s.shards[i].files = make(map[string][]byte, len(files)/storeShardCount+1)
-	}
-	for name, content := range files {
-		sh := &s.shards[shardIndex(name)]
-		sh.files[name] = append([]byte(nil), content...)
 	}
 }
 

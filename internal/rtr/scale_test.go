@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,6 +22,24 @@ func manyVRPs(n int) []rov.VRP {
 		out = append(out, rov.VRP{Prefix: p, MaxLength: 24, ASN: ipres.ASN(64500 + i)})
 	}
 	return out
+}
+
+// dialSmallWindow connects with SO_RCVBUF set before the handshake. The
+// receive window is advertised at connect (tcp_rmem's default, 128 KiB on
+// Linux 6.x) and SetReadBuffer on the connected socket does not take it
+// back, so only a pre-connect setting makes a stalled reader independent of
+// kernel defaults.
+func dialSmallWindow(addr string, rcvbuf int) (net.Conn, error) {
+	d := net.Dialer{Control: func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, rcvbuf)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	return d.Dial("tcp", addr)
 }
 
 // TestSlowConsumerEvicted: a client that requests the snapshot and then
@@ -52,14 +71,11 @@ func TestSlowConsumerEvicted(t *testing.T) {
 	// Stalled client: asks for the snapshot, reads nothing. Its receive
 	// buffer is pinned small so the unread snapshot wedges the server's
 	// write instead of draining into kernel buffering.
-	stalled, err := net.Dial("tcp", addr)
+	stalled, err := dialSmallWindow(addr, 2<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	if tc, ok := stalled.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(2 << 10)
-	}
 	if err := WritePDU(stalled, &PDU{Type: TypeResetQuery}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +102,58 @@ func TestSlowConsumerEvicted(t *testing.T) {
 	assertVRPsEqual(t, healthy, cache)
 }
 
+// TestDisconnectIsNotEviction: a router that syncs and then simply hangs
+// up is not a slow consumer. The writer must notice the reader's exit on its
+// own — releasing the subscriber slot before any further delta is published
+// — and neither the hang-up nor the next delta may count an eviction.
+func TestDisconnectIsNotEviction(t *testing.T) {
+	cache := NewCache(7)
+	cache.SetVRPs(manyVRPs(10))
+	srv := NewServer(cache)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	router := NewClient(addr)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = router.Run(ctx)
+	}()
+	if !router.WaitSerial(cache.Serial(), 5*time.Second) {
+		t.Fatal("router never synced")
+	}
+	if n := cache.subscriberCount(); n != 1 {
+		t.Fatalf("subscriberCount = %d with one router connected, want 1", n)
+	}
+	cancel()
+	<-done
+
+	deadline := time.Now().Add(5 * time.Second)
+	for cache.subscriberCount() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := cache.subscriberCount(); n != 0 {
+		t.Fatalf("subscriber slot still held after the router hung up (%d subscribers)", n)
+	}
+	cache.SetVRPs(manyVRPs(11))
+	if n := srv.Evictions(); n != 0 {
+		t.Errorf("Evictions() = %d after a plain disconnect and a delta, want 0", n)
+	}
+}
+
 // TestQueueFullEviction: a client that floods queries without draining
 // responses fills its bounded send queue and is evicted rather than
 // buffered without bound.
 func TestQueueFullEviction(t *testing.T) {
+	// Small answers: the few the writer gets out before the verdict fit any
+	// kernel's socket buffers, so the writer is never wedged in a write
+	// (under the 30 s deadline below) when the eviction is posted.
 	cache := NewCache(7)
-	cache.SetVRPs(manyVRPs(2000))
+	cache.SetVRPs(manyVRPs(100))
 
 	srv := NewServer(cache)
 	srv.SendQueue = 1
@@ -108,12 +170,18 @@ func TestQueueFullEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Flood reset queries, never read: the writer wedges on the first big
-	// snapshot, the queue holds the second, the third overflows.
-	for i := 0; i < 10; i++ {
-		if err := WritePDU(conn, &PDU{Type: TypeResetQuery}); err != nil {
-			break
-		}
+	// Flood reset queries in one segment, never read: the reader answers
+	// them back to back from its buffer, far faster than the writer can put
+	// one answer on the socket, so the one-slot queue overflows.
+	var flood []byte
+	for i := 0; i < 100; i++ {
+		flood = append(flood, mustMarshal(&PDU{Type: TypeResetQuery})...)
+	}
+	if err := conn.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(flood); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Evictions() == 0 && time.Now().Before(deadline) {

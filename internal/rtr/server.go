@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,7 +211,7 @@ func (s *Server) handle(conn net.Conn) {
 		readErr <- s.readLoop(conn, sendq, evictq)
 	}()
 
-	s.writeLoop(conn, sub, sendq, evictq)
+	s.writeLoop(conn, sub, sendq, evictq, readErr)
 
 	// Unblock and collect the reader: closing the conn (deferred above
 	// fires on return, but the reader may be mid-read now) fails its read.
@@ -264,35 +265,46 @@ func (s *Server) requestEvict(evictq chan string, reason string) {
 
 // writeLoop owns all socket writes: query responses from the send queue
 // and coalesced serial notifies from the subscriber doorbell. Every batch
-// is deadline-armed; a write error or timeout means the consumer stalled
-// and the connection is evicted.
-func (s *Server) writeLoop(conn net.Conn, sub *subscriber, sendq chan response, evictq chan string) {
+// is deadline-armed; a write that times out means the consumer stalled and
+// the connection is evicted. A router that disconnected is not a slow
+// consumer: the reader's exit with an error, or a write that fails for any
+// reason but its deadline, ends the loop (freeing the subscriber slot)
+// without counting an eviction.
+func (s *Server) writeLoop(conn net.Conn, sub *subscriber, sendq chan response, evictq chan string, readErr <-chan error) {
 	w := bufio.NewWriterSize(conn, 1024)
 	timeout := s.writeTimeout()
+	// writeBatch reports success; on a stalled write it evicts first.
 	writeBatch := func(segs [][]byte) bool {
-		if conn.SetWriteDeadline(time.Now().Add(timeout)) != nil {
-			return false
+		err := conn.SetWriteDeadline(time.Now().Add(timeout))
+		for i := 0; err == nil && i < len(segs); i++ {
+			_, err = w.Write(segs[i])
 		}
-		for _, seg := range segs {
-			if _, err := w.Write(seg); err != nil {
-				return false
-			}
+		if err == nil {
+			err = w.Flush()
 		}
-		return w.Flush() == nil
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.evict(conn, w, evictWriteStall)
+		}
+		return err == nil
 	}
 	for {
 		select {
 		case <-s.closed:
 			return
+		case err := <-readErr:
+			if err != nil {
+				return
+			}
+			// The reader stopped on its own verdict (fatal query answered,
+			// or eviction requested): that verdict is still queued for us.
+			readErr = nil
 		case err := <-evictq:
 			s.evict(conn, w, err)
 			return
 		case <-sub.wake:
 			serial := sub.pending.Load()
-			ok := writeBatch([][]byte{mustMarshal(&PDU{
-				Type: TypeSerialNotify, Session: s.cache.Session(), Serial: serial})})
-			if !ok {
-				s.evict(conn, w, evictWriteStall)
+			if !writeBatch([][]byte{mustMarshal(&PDU{
+				Type: TypeSerialNotify, Session: s.cache.Session(), Serial: serial})}) {
 				return
 			}
 			// The notify reached the client's socket: one propagation
@@ -300,7 +312,6 @@ func (s *Server) writeLoop(conn net.Conn, sub *subscriber, sendq chan response, 
 			s.cache.observePropagation(serial)
 		case resp := <-sendq:
 			if !writeBatch(resp.segs) {
-				s.evict(conn, w, evictWriteStall)
 				return
 			}
 			if resp.drop {
