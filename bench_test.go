@@ -14,7 +14,9 @@ package rpkirisk
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,24 +123,85 @@ func BenchmarkValidateModelWorld(b *testing.B) {
 	}
 }
 
-// BenchmarkROVClassify measures route classification against the model
-// VRP set.
-func BenchmarkROVClassify(b *testing.B) {
-	w, err := NewModelWorld(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := Validate(context.Background(), w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := res.Index()
-	route := rov.Route{Prefix: MustParsePrefix("63.174.17.0/24"), Origin: 17054}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := ix.State(route); s != rov.Invalid {
-			b.Fatalf("state = %v", s)
+// liveSizeVRPs is a seeded VRP set of live-RPKI size and shape: 80 % IPv4
+// /16–/24, 20 % IPv6 /32–/48, so nesting and equal prefixes both occur.
+// The result is canonical.
+func liveSizeVRPs(n int) []rov.VRP {
+	rng := rand.New(rand.NewSource(7))
+	vrps := make([]rov.VRP, 0, n)
+	for i := 0; i < n; i++ {
+		var p ipres.Prefix
+		limit := 24
+		if i%5 == 0 {
+			var a [16]byte
+			a[0], a[1] = 0x20, 0x01
+			rng.Read(a[2:6])
+			p, limit = ipres.MustPrefixFrom(ipres.AddrFrom16(a), 32+rng.Intn(17)), 48
+		} else {
+			p = ipres.MustPrefixFrom(ipres.AddrFromUint32(rng.Uint32()), 16+rng.Intn(9))
 		}
+		vrps = append(vrps, rov.VRP{Prefix: p, MaxLength: p.Bits() + rng.Intn(limit-p.Bits()+1), ASN: ipres.ASN(1 + rng.Intn(400_000))})
+	}
+	rov.SortVRPs(vrps)
+	return slices.Compact(vrps)
+}
+
+// BenchmarkROVClassify measures route classification against the model
+// VRP set and against a set of live-RPKI size.
+func BenchmarkROVClassify(b *testing.B) {
+	b.Run("model", func(b *testing.B) {
+		w, err := NewModelWorld(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := Validate(context.Background(), w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix := res.Index()
+		route := rov.Route{Prefix: MustParsePrefix("63.174.17.0/24"), Origin: 17054}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s := ix.State(route); s != rov.Invalid {
+				b.Fatalf("state = %v", s)
+			}
+		}
+	})
+	b.Run("200k", func(b *testing.B) {
+		vrps := liveSizeVRPs(200_000)
+		ix := rov.NewIndex(vrps...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Every VRP's own prefix announced by its own AS is valid.
+			v := vrps[i*7919%len(vrps)]
+			if s := ix.State(rov.Route{Prefix: v.Prefix, Origin: v.ASN}); s != rov.Valid {
+				b.Fatalf("state of %v = %v", v, s)
+			}
+		}
+	})
+}
+
+// BenchmarkROVIndexBuild measures building the index over 200,000 VRPs
+// from canonical input (what rp and the RTR client hand over: a copy and
+// one linear pass) and from shuffled input (sort and dedupe first).
+func BenchmarkROVIndexBuild(b *testing.B) {
+	canonical := liveSizeVRPs(200_000)
+	shuffled := slices.Clone(canonical)
+	rand.New(rand.NewSource(11)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, tc := range []struct {
+		name string
+		in   []rov.VRP
+	}{{"canonical", canonical}, {"shuffled", shuffled}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ix := rov.NewIndex(tc.in...); ix.Len() != len(canonical) {
+					b.Fatalf("index holds %d VRPs, want %d", ix.Len(), len(canonical))
+				}
+			}
+		})
 	}
 }
 

@@ -90,11 +90,13 @@ func Figure3() (*Result, error) {
 	}
 	events := watcher.Observe("sprint", w.Stores["sprint"].Snapshot())
 	alerts := monitor.Filter(events, monitor.Alert)
+	afterIx := after.Index()
+	targetAfter, bystanderAfter := afterIx.State(target), afterIx.State(bystander)
 
 	var sb strings.Builder
 	sb.WriteString(plan.String())
-	fmt.Fprintf(&sb, "\ntarget   %v: %v → %v\n", target, stateBefore, after.Index().State(target))
-	fmt.Fprintf(&sb, "bystander %v: %v (via reissued ROA)\n", bystander, after.Index().State(bystander))
+	fmt.Fprintf(&sb, "\ntarget   %v: %v → %v\n", target, stateBefore, targetAfter)
+	fmt.Fprintf(&sb, "bystander %v: %v (via reissued ROA)\n", bystander, bystanderAfter)
 	fmt.Fprintf(&sb, "monitor alerts: %d\n", len(alerts))
 	for _, e := range alerts {
 		fmt.Fprintf(&sb, "  %v\n", e)
@@ -104,8 +106,8 @@ func Figure3() (*Result, error) {
 	r.metric("collateral_roas", float64(len(plan.Collateral)))
 	r.metric("monitor_alerts", float64(len(alerts)))
 	r.check("method_is_make_before_break", plan.Method == core.MethodMakeBeforeBreak, "method = %v", plan.Method)
-	r.check("target_whacked", after.Index().State(target) == rov.Invalid, "target = %v", after.Index().State(target))
-	r.check("bystander_survives", after.Index().State(bystander) == rov.Valid, "bystander = %v", after.Index().State(bystander))
+	r.check("target_whacked", targetAfter == rov.Invalid, "target = %v", targetAfter)
+	r.check("bystander_survives", bystanderAfter == rov.Valid, "bystander = %v", bystanderAfter)
 	r.check("no_crl_trace", !plan.CRLVisible, "CRL visible = %v", plan.CRLVisible)
 	r.check("detectable_by_reissue", len(alerts) > 0, "the paper: 'easier to detect, due to the suspiciously-reissued ROA'")
 	return r, nil

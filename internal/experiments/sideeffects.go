@@ -221,18 +221,21 @@ func SideEffect6() (*Result, error) {
 		return nil, err
 	}
 
+	beforeIx, afterIx := before.Index(), after.Index()
+	targetAfter := afterIx.State(target)
+
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "route %v: %v → %v (covering /20 ROA remains)\n",
-		target, before.Index().State(target), after.Index().State(target))
+		target, beforeIx.State(target), targetAfter)
 	fmt.Fprintf(&sb, "route %v: %v → %v (never had a covering ROA)\n",
-		outside, before.Index().State(outside), after.Index().State(outside))
+		outside, beforeIx.State(outside), afterIx.State(outside))
 	r.Text = sb.String()
 
 	r.check("missing_roa_invalid_not_unknown",
-		after.Index().State(target) == rov.Invalid,
-		"unlike DNSSEC or the web PKI, absence ⇒ invalid when covered: %v", after.Index().State(target))
+		targetAfter == rov.Invalid,
+		"unlike DNSSEC or the web PKI, absence ⇒ invalid when covered: %v", targetAfter)
 	r.check("uncovered_stays_unknown",
-		after.Index().State(outside) == rov.Unknown,
+		afterIx.State(outside) == rov.Unknown,
 		"absence without coverage is merely unknown")
 	return r, nil
 }
@@ -375,7 +378,8 @@ func Figure1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.SetSharedIndex(res2.Index())
+	ix2 := res2.Index()
+	n.SetSharedIndex(ix2)
 	withoutROA, err := n.CanReach(1, ipres.MustParseAddr("63.174.23.0"), 17054)
 	if err != nil {
 		return nil, err
@@ -383,12 +387,12 @@ func Figure1() (*Result, error) {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "edge 1 (RPKI → validity):  ROA present: %v = %v;  ROA whacked: %v\n",
-		route, ix.State(route), res2.Index().State(route))
+		route, ix.State(route), ix2.State(route))
 	fmt.Fprintf(&sb, "edge 2 (validity → BGP):   reachable with ROA: %v;  without: %v\n", withROA, withoutROA)
 	fmt.Fprintf(&sb, "edge 3 (BGP → RPKI):       the repository at 63.174.23.0 serves the RPKI itself —\n")
 	fmt.Fprintf(&sb, "                           losing the route means losing future RPKI updates (see se7)\n")
 	r.Text = sb.String()
-	r.check("validity_flips", ix.State(route) == rov.Valid && res2.Index().State(route) == rov.Invalid,
+	r.check("validity_flips", ix.State(route) == rov.Valid && ix2.State(route) == rov.Invalid,
 		"valid → invalid when the ROA is whacked (covering /12-13 ROA remains)")
 	r.check("reachability_flips", withROA && !withoutROA,
 		"drop-invalid turns the validity flip into an outage")

@@ -1,0 +1,243 @@
+package rov
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/ipres"
+)
+
+// oracleClassify is the reference the index is differenced against: a linear
+// scan applying Covers and Matches to every distinct valid VRP. Evidence is
+// ordered as Classify documents it: most specific prefix first (the covering
+// prefixes of one route are nested, so lengths are distinct), canonical
+// within a prefix.
+func oracleClassify(vrps []VRP, r Route) (State, []VRP) {
+	var evidence []VRP
+	state := Unknown
+	seen := make(map[VRP]bool)
+	for _, v := range vrps {
+		if !v.Prefix.IsValid() || seen[v] || !v.Covers(r.Prefix) {
+			continue
+		}
+		seen[v] = true
+		evidence = append(evidence, v)
+		if v.Matches(r) {
+			state = Valid
+		} else if state == Unknown {
+			state = Invalid
+		}
+	}
+	slices.SortFunc(evidence, func(a, b VRP) int {
+		if a.Prefix.Bits() != b.Prefix.Bits() {
+			return b.Prefix.Bits() - a.Prefix.Bits()
+		}
+		return a.Compare(b)
+	})
+	return state, evidence
+}
+
+// oracleSet is the distinct valid VRPs in canonical order.
+func oracleSet(vrps []VRP) []VRP {
+	seen := make(map[VRP]bool)
+	var out []VRP
+	for _, v := range vrps {
+		if v.Prefix.IsValid() && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	slices.SortFunc(out, VRP.Compare)
+	return out
+}
+
+// checkAgainstOracle compares everything the index exposes for one route.
+func checkAgainstOracle(t *testing.T, ix *Index, vrps []VRP, r Route) {
+	t.Helper()
+	want, wantEv := oracleClassify(vrps, r)
+	got, gotEv := ix.Classify(r)
+	if got != want || !slices.Equal(gotEv, wantEv) {
+		t.Fatalf("Classify%v = %v %v, oracle %v %v (set %v)", r, got, gotEv, want, wantEv, vrps)
+	}
+	if want == Unknown && gotEv != nil {
+		t.Fatalf("Classify%v: Unknown carries evidence %v", r, gotEv)
+	}
+	if s := ix.State(r); s != want {
+		t.Fatalf("State%v = %v, oracle %v (set %v)", r, s, want, vrps)
+	}
+}
+
+// anchorPrefix is the length-bits prefix of a seeded address: prefixes cut
+// from one anchor nest, which is what the enclosing chain is about.
+func anchorPrefix(fam ipres.Family, seed uint32, bits int) ipres.Prefix {
+	if fam == ipres.IPv4 {
+		return ipres.MustPrefixFrom(ipres.AddrFromUint32(seed), bits)
+	}
+	var b [16]byte
+	for i := range b {
+		b[i] = byte(seed >> (8 * (i % 4)))
+	}
+	return ipres.MustPrefixFrom(ipres.AddrFrom16(b), bits)
+}
+
+func TestIndexMatchesLinearScanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 400; trial++ {
+		anchors := make([]uint32, 1+rng.Intn(4))
+		for i := range anchors {
+			anchors[i] = rng.Uint32()
+		}
+		// A prefix of an anchor (or of an anchor with one bit flipped: a
+		// neighbour that shares a chain up to that bit), at any length from
+		// /0 to the host route.
+		pick := func() ipres.Prefix {
+			fam := ipres.IPv4
+			if rng.Intn(3) == 0 {
+				fam = ipres.IPv6
+			}
+			seed := anchors[rng.Intn(len(anchors))]
+			if rng.Intn(3) == 0 {
+				seed ^= 1 << rng.Intn(32)
+			}
+			bits := rng.Intn(fam.Width() + 1)
+			switch rng.Intn(8) {
+			case 0:
+				bits = 0
+			case 1:
+				bits = fam.Width()
+			}
+			return anchorPrefix(fam, seed, bits)
+		}
+		var vrps []VRP
+		for n := rng.Intn(40); len(vrps) < n; {
+			p := pick()
+			v := VRP{Prefix: p, MaxLength: p.Bits() + rng.Intn(p.Family().Width()-p.Bits()+1), ASN: ipres.ASN(rng.Intn(4))}
+			vrps = append(vrps, v)
+			switch rng.Intn(6) {
+			case 0: // exact duplicate
+				vrps = append(vrps, v)
+			case 1: // same prefix, other ASN and maxLength
+				vrps = append(vrps, VRP{Prefix: p, MaxLength: p.Bits(), ASN: v.ASN + 1})
+			case 2: // invalid zero prefix
+				vrps = append(vrps, VRP{ASN: v.ASN})
+			}
+		}
+		input := slices.Clone(vrps)
+		if trial%2 == 0 {
+			input = oracleSet(vrps) // canonical input: the copy-only path
+			if !IsCanonical(input) {
+				t.Fatalf("oracle set not canonical: %v", input)
+			}
+		} else {
+			rng.Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
+		}
+		ix := NewIndex(input...)
+		// The index owns its data: scribbling over the argument afterwards
+		// changes nothing.
+		for i := range input {
+			input[i] = VRP{Prefix: ipres.MustParsePrefix("0.0.0.0/0"), MaxLength: 32, ASN: 99}
+		}
+		if want := oracleSet(vrps); !slices.Equal(ix.VRPs(), want) || ix.Len() != len(want) {
+			t.Fatalf("VRPs() = %v (Len %d), oracle %v", ix.VRPs(), ix.Len(), want)
+		}
+		for j := 0; j < 60; j++ {
+			r := Route{Prefix: pick(), Origin: ipres.ASN(rng.Intn(5))}
+			if j == 0 {
+				r.Prefix = ipres.Prefix{} // an invalid route prefix is covered by nothing
+			}
+			checkAgainstOracle(t, ix, vrps, r)
+		}
+	}
+}
+
+func TestIsCanonical(t *testing.T) {
+	a := VRP{Prefix: ipres.MustParsePrefix("10.0.0.0/8"), MaxLength: 8, ASN: 1}
+	b := VRP{Prefix: ipres.MustParsePrefix("10.0.0.0/8"), MaxLength: 9, ASN: 1}
+	c := VRP{Prefix: ipres.MustParsePrefix("2001:db8::/32"), MaxLength: 48, ASN: 1}
+	for _, tc := range []struct {
+		name string
+		in   []VRP
+		want bool
+	}{
+		{"empty", nil, true},
+		{"one", []VRP{a}, true},
+		{"ascending", []VRP{a, b, c}, true},
+		{"duplicate", []VRP{a, a}, false},
+		{"descending", []VRP{b, a}, false},
+		{"invalid prefix", []VRP{{ASN: 1}, a}, false},
+	} {
+		if got := IsCanonical(tc.in); got != tc.want {
+			t.Errorf("%s: IsCanonical = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestIndexOfNothing(t *testing.T) {
+	ix := NewIndex()
+	if ix.Len() != 0 || len(ix.VRPs()) != 0 {
+		t.Fatalf("empty index holds %v", ix.VRPs())
+	}
+	if s, ev := ix.Classify(route("10.0.0.0/8", 1)); s != Unknown || ev != nil {
+		t.Fatalf("empty index: %v %v", s, ev)
+	}
+}
+
+func TestStateDoesNotAllocate(t *testing.T) {
+	ix := NewIndex(figure2VRPs()...)
+	routes := []Route{
+		route("63.174.16.0/22", 7341),  // valid
+		route("63.174.17.0/24", 17054), // invalid
+		route("8.0.0.0/8", 3356),       // unknown
+	}
+	for _, r := range routes {
+		if n := testing.AllocsPerRun(100, func() { ix.State(r) }); n != 0 {
+			t.Errorf("State%v allocates %v times", r, n)
+		}
+	}
+}
+
+// fuzzRecord is the size of one VRP (or the route) in FuzzIndexState's
+// input: flags, four address bytes, length, maxLength slack, ASN.
+const fuzzRecord = 8
+
+// decodeFuzzVRP maps eight arbitrary bytes onto a VRP that is well-formed by
+// construction (or the invalid zero prefix), with small ASNs and addresses
+// cut from a 32-bit seed so nesting, equal prefixes and matches are common.
+func decodeFuzzVRP(b []byte) VRP {
+	asn := ipres.ASN(b[7] % 4)
+	if b[0] >= 0xC0 {
+		return VRP{ASN: asn}
+	}
+	fam := ipres.IPv4
+	if b[0]&1 == 1 {
+		fam = ipres.IPv6
+	}
+	seed := uint32(b[1])<<24 | uint32(b[2])<<16 | uint32(b[3])<<8 | uint32(b[4])
+	bits := int(b[5]) % (fam.Width() + 1)
+	return VRP{
+		Prefix:    anchorPrefix(fam, seed, bits),
+		MaxLength: bits + int(b[6])%(fam.Width()-bits+1),
+		ASN:       asn,
+	}
+}
+
+// FuzzIndexState reads the input as a VRP set followed by one route and
+// requires the index to agree with the linear-scan oracle.
+func FuzzIndexState(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 63, 174, 16, 0, 20, 0, 1, 0, 63, 174, 17, 0, 24, 0, 2})                                               // covered, unmatched
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 16, 1, 0, 10, 0, 0, 0, 8, 0, 2, 0xC0, 0, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 0, 16, 0, 1}) // equal prefixes, an invalid one, a match
+	f.Add([]byte{1, 0x20, 0x01, 0x0d, 0xb8, 128, 0, 3, 0, 0, 0, 0, 0, 0, 32, 3, 1, 0x20, 0x01, 0x0d, 0xb8, 128, 0, 3})    // host route, /0, two families
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < fuzzRecord {
+			return
+		}
+		var vrps []VRP
+		for ; len(data) >= 2*fuzzRecord; data = data[fuzzRecord:] {
+			vrps = append(vrps, decodeFuzzVRP(data))
+		}
+		last := decodeFuzzVRP(data)
+		checkAgainstOracle(t, NewIndex(vrps...), vrps, Route{Prefix: last.Prefix, Origin: last.ASN})
+	})
+}

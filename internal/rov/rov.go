@@ -13,7 +13,7 @@ package rov
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ipres"
@@ -96,8 +96,18 @@ func (v VRP) Compare(o VRP) int {
 }
 
 // SortVRPs sorts vrps in place into canonical order (see VRP.Compare).
-func SortVRPs(vrps []VRP) {
-	sort.Slice(vrps, func(i, j int) bool { return vrps[i].Compare(vrps[j]) < 0 })
+func SortVRPs(vrps []VRP) { slices.SortFunc(vrps, VRP.Compare) }
+
+// IsCanonical reports whether vrps is in the form a VRP set crosses every
+// boundary in: strictly ascending under VRP.Compare (sorted, duplicate-free)
+// with every prefix valid.
+func IsCanonical(vrps []VRP) bool {
+	for i, v := range vrps {
+		if !v.Prefix.IsValid() || i > 0 && vrps[i-1].Compare(v) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // DiffVRPs computes the set difference between two canonically sorted,
@@ -143,36 +153,52 @@ func FromROA(r *roa.ROA) []VRP {
 
 // Index classifies routes against a VRP set. It is immutable once built and
 // safe for concurrent use.
+//
+// The index is the canonical slice itself. Canonical order sorts prefixes by
+// (family, address, length), which is a pre-order walk of the containment
+// forest: a prefix is followed by everything it covers. So for a route
+// prefix p, let g be the last distinct VRP prefix ordered at or before p;
+// any VRP prefix c covering p satisfies c ≤ g ≤ p in that order, g therefore
+// lies inside c, and c is g or one of g's enclosing prefixes. A lookup is one
+// binary search for g and a walk up g's enclosing chain.
 type Index struct {
-	// byPrefix maps each distinct VRP prefix to its VRPs.
-	byPrefix map[ipres.Prefix][]VRP
-	vrps     []VRP
+	vrps []VRP
+	// first[g] is the position in vrps of the g-th distinct prefix, with
+	// len(vrps) as a final sentinel; up[g] is the nearest distinct prefix
+	// enclosing the g-th, or -1.
+	first, up []int32
 }
 
-// NewIndex builds a classification index over the given VRPs. Duplicates
-// are tolerated.
+// NewIndex builds a classification index over the given VRPs. Duplicates,
+// invalid prefixes and any input order are tolerated; canonical input (see
+// IsCanonical) is only copied. The index never aliases its argument.
 //
 //taint:sink the VRP index route-origin decisions are checked against
 func NewIndex(vrps ...VRP) *Index {
-	ix := &Index{byPrefix: make(map[ipres.Prefix][]VRP, len(vrps))}
-	seen := make(map[VRP]bool, len(vrps))
-	for _, v := range vrps {
-		if !v.Prefix.IsValid() || seen[v] {
+	own := slices.Clone(vrps)
+	if !IsCanonical(own) {
+		own = slices.DeleteFunc(own, func(v VRP) bool { return !v.Prefix.IsValid() })
+		SortVRPs(own)
+		own = slices.Compact(own)
+	}
+	ix := &Index{vrps: own, first: make([]int32, 0, len(own)+1), up: make([]int32, 0, len(own))}
+	var chain []int32 // the enclosing chain of the previous distinct prefix, outermost first
+	for i, v := range own {
+		if i > 0 && v.Prefix == own[i-1].Prefix {
 			continue
 		}
-		seen[v] = true
-		ix.byPrefix[v.Prefix] = append(ix.byPrefix[v.Prefix], v)
-		ix.vrps = append(ix.vrps, v)
+		for len(chain) > 0 && !own[ix.first[chain[len(chain)-1]]].Covers(v.Prefix) {
+			chain = chain[:len(chain)-1]
+		}
+		parent := int32(-1)
+		if len(chain) > 0 {
+			parent = chain[len(chain)-1]
+		}
+		chain = append(chain, int32(len(ix.up)))
+		ix.first = append(ix.first, int32(i))
+		ix.up = append(ix.up, parent)
 	}
-	sort.Slice(ix.vrps, func(i, j int) bool {
-		if c := ix.vrps[i].Prefix.Cmp(ix.vrps[j].Prefix); c != 0 {
-			return c < 0
-		}
-		if ix.vrps[i].ASN != ix.vrps[j].ASN {
-			return ix.vrps[i].ASN < ix.vrps[j].ASN
-		}
-		return ix.vrps[i].MaxLength < ix.vrps[j].MaxLength
-	})
+	ix.first = append(ix.first, int32(len(own)))
 	return ix
 }
 
@@ -184,40 +210,50 @@ func (ix *Index) VRPs() []VRP { return ix.vrps }
 func (ix *Index) Len() int { return len(ix.vrps) }
 
 // Classify returns the validation state of a route, plus the covering VRPs
-// that determined it (nil for Unknown).
+// that determined it (nil for Unknown): most specific prefix first, in
+// canonical order within a prefix.
 func (ix *Index) Classify(r Route) (State, []VRP) {
 	var covering []VRP
-	matched := false
-	// Every covering VRP's prefix is an ancestor of (or equal to) the
-	// route's prefix, so walk the prefix chain upward.
-	p := r.Prefix
-	for {
-		for _, v := range ix.byPrefix[p] {
-			covering = append(covering, v)
-			if v.Matches(r) {
-				matched = true
-			}
-		}
-		parent, ok := p.Parent()
-		if !ok {
-			break
-		}
-		p = parent
-	}
-	switch {
-	case matched:
-		return Valid, covering
-	case len(covering) > 0:
-		return Invalid, covering
-	default:
-		return Unknown, nil
-	}
+	return ix.classify(r, &covering), covering
 }
 
-// State is shorthand for Classify without the evidence.
-func (ix *Index) State(r Route) State {
-	s, _ := ix.Classify(r)
-	return s
+// State is shorthand for Classify without the evidence. It does not
+// allocate.
+func (ix *Index) State(r Route) State { return ix.classify(r, nil) }
+
+// classify walks the enclosing chain of the last distinct prefix ordered at
+// or before the route's. Without evidence to collect it stops at the first
+// match.
+func (ix *Index) classify(r Route, evidence *[]VRP) State {
+	g, found := slices.BinarySearchFunc(ix.first[:len(ix.up)], r.Prefix, func(i int32, p ipres.Prefix) int {
+		return ix.vrps[i].Prefix.Cmp(p)
+	})
+	if !found {
+		g--
+	}
+	state := Unknown
+	for g := int32(g); g >= 0; g = ix.up[g] {
+		group := ix.vrps[ix.first[g]:ix.first[g+1]]
+		// Once one prefix on the chain covers the route, all above it do.
+		if state == Unknown {
+			if !group[0].Covers(r.Prefix) {
+				continue
+			}
+			state = Invalid
+		}
+		for i := range group {
+			if group[i].ASN == r.Origin && r.Prefix.Bits() <= group[i].MaxLength {
+				if evidence == nil {
+					return Valid
+				}
+				state = Valid
+			}
+		}
+		if evidence != nil {
+			*evidence = append(*evidence, group...)
+		}
+	}
+	return state
 }
 
 // GridCell is one aggregated row of a validity grid: a run of consecutive

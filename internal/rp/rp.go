@@ -389,7 +389,9 @@ func (r *Result) Health() obs.HealthState {
 	return obs.HealthDegraded
 }
 
-// Index builds a route-validation index from the result's VRPs.
+// Index builds a route-validation index from the result's VRPs. Every call
+// builds a new one (a copy and one linear pass): hold it in a local when
+// classifying more than one route.
 func (r *Result) Index() *rov.Index { return rov.NewIndex(r.VRPs...) }
 
 func (r *Result) diag(kind DiagKind, module, object string, err error) {

@@ -3,6 +3,7 @@ package rtr
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,23 +254,32 @@ func normalizeVRPs(vrps []rov.VRP) []rov.VRP {
 	return dedup
 }
 
-// SetVRPs replaces the cache contents. The input is normalized (copied,
-// sorted canonically, deduplicated), diffed against the previous state in
-// one linear merge, and — only if anything changed — the serial is bumped,
-// the delta and snapshot frames are serialized once, and subscribed
-// connections are notified. An unchanged set is a true no-op: no
-// allocation, no serial bump, no notification, which is what makes the
-// relying party's steady-state polling loop end in silence here.
+// SetVRPs replaces the cache contents. Canonical input (rov.IsCanonical:
+// what rp hands over) is diffed as it stands; anything else is normalized
+// first (copied, sorted canonically, deduplicated). The diff against the
+// previous state is one linear merge, and — only if anything changed — the
+// cache stores its own copy of the set, the serial is bumped, the delta and
+// snapshot frames are serialized once, and subscribed connections are
+// notified. An unchanged canonical set is a true no-op: no allocation, no
+// serial bump, no notification, which is what makes the relying party's
+// steady-state polling loop end in silence here. The caller keeps ownership
+// of vrps either way.
 func (c *Cache) SetVRPs(vrps []rov.VRP) {
-	next := normalizeVRPs(vrps)
+	canonical := rov.IsCanonical(vrps)
+	if !canonical {
+		vrps = normalizeVRPs(vrps)
+	}
 
 	c.mu.Lock()
-	announced, withdrawn := rov.DiffVRPs(c.vrps, next)
+	announced, withdrawn := rov.DiffVRPs(c.vrps, vrps)
 	if len(announced) == 0 && len(withdrawn) == 0 {
 		c.mu.Unlock()
 		return
 	}
-	serial := c.commitLocked(c.serial+1, next, announced, withdrawn)
+	if canonical {
+		vrps = slices.Clone(vrps) // still the caller's slice
+	}
+	serial := c.commitLocked(c.serial+1, vrps, announced, withdrawn)
 	c.mu.Unlock()
 	c.notifyAll(serial)
 }

@@ -59,7 +59,9 @@ func (c *Client) OnSerial(fn func(uint32)) {
 	c.onSerial = fn
 }
 
-// VRPs returns the current VRP set, in canonical order.
+// VRPs returns the VRP set as of the last End of Data (the set the cache
+// held at Serial()), in canonical order; a response in progress is not
+// visible.
 func (c *Client) VRPs() []rov.VRP {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -144,9 +146,12 @@ func (c *Client) Run(ctx context.Context) error {
 			return fmt.Errorf("rtr: reset query: %w", err)
 		}
 	}
-	// staging holds the set being rebuilt during a full reload; incremental
-	// responses apply in place (idempotently) instead of copying the set.
-	var staging map[rov.VRP]bool
+	// pending holds the current response's prefix PDUs in arrival order.
+	// They reach c.vrps only at End of Data, under one lock, so VRPs() never
+	// returns a set the cache did not hold: not the half of a delta between
+	// a withdraw and its announce, not a response cut short. Applying them
+	// in order keeps the last PDU per VRP the winner, as before.
+	var pending []prefixOp
 	inResponse := false
 	fullReload := !resume
 
@@ -164,44 +169,36 @@ func (c *Client) Run(ctx context.Context) error {
 			c.mu.Lock()
 			c.session = p.Session
 			c.mu.Unlock()
-			if fullReload {
-				staging = make(map[rov.VRP]bool)
-			} else {
-				staging = nil
-			}
+			pending = nil
 
 		case TypeIPv4Prefix, TypeIPv6Prefix:
 			if !inResponse {
 				return fmt.Errorf("rtr: prefix PDU outside cache response")
 			}
-			if staging != nil {
-				if p.Flags&FlagAnnounce != 0 {
-					staging[p.VRP] = true
-				} else {
-					delete(staging, p.VRP)
-				}
-			} else {
-				c.mu.Lock()
-				if p.Flags&FlagAnnounce != 0 {
-					c.vrps[p.VRP] = true
-				} else {
-					delete(c.vrps, p.VRP)
-				}
-				c.mu.Unlock()
-			}
+			pending = append(pending, prefixOp{vrp: p.VRP, announce: p.Flags&FlagAnnounce != 0})
 
 		case TypeEndOfData:
 			if !inResponse {
 				return fmt.Errorf("rtr: end of data outside cache response")
 			}
 			inResponse = false
+			var reloaded map[rov.VRP]bool
+			if fullReload {
+				// Built before the lock is taken: readers keep the old set
+				// until the swap.
+				reloaded = make(map[rov.VRP]bool, len(pending))
+				applyOps(reloaded, pending)
+			}
 			c.mu.Lock()
-			if staging != nil {
-				c.vrps = staging
+			if reloaded != nil {
+				c.vrps = reloaded
 				c.reloads++
-			} else if resume {
-				c.resumes++
-				resume = false // count the resumption once
+			} else {
+				applyOps(c.vrps, pending)
+				if resume {
+					c.resumes++
+					resume = false // count the resumption once
+				}
 			}
 			fullReload = false
 			c.serial = p.Serial
@@ -209,13 +206,13 @@ func (c *Client) Run(ctx context.Context) error {
 			cbSync := c.onSync
 			cbSerial := c.onSerial
 			c.mu.Unlock()
+			pending = nil // a snapshot's or a whacked subtree's worth of ops is not worth keeping
 			if cbSerial != nil {
 				cbSerial(p.Serial)
 			}
 			if cbSync != nil {
 				cbSync(c.VRPs())
 			}
-			staging = nil
 
 		case TypeSerialNotify:
 			c.mu.Lock()
@@ -246,6 +243,24 @@ func (c *Client) Run(ctx context.Context) error {
 
 		default:
 			return fmt.Errorf("rtr: unexpected PDU type %d", p.Type)
+		}
+	}
+}
+
+// prefixOp is one staged prefix PDU: announce sets the VRP, withdraw deletes
+// it.
+type prefixOp struct {
+	vrp      rov.VRP
+	announce bool
+}
+
+// applyOps replays staged prefix PDUs onto set in arrival order.
+func applyOps(set map[rov.VRP]bool, ops []prefixOp) {
+	for _, op := range ops {
+		if op.announce {
+			set[op.vrp] = true
+		} else {
+			delete(set, op.vrp)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package rtr
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -231,6 +233,94 @@ func TestPDUQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClientAppliesResponseAtEndOfData: until End of Data arrives, VRPs() and
+// Serial() are the state before the response. A scripted cache withdraws one
+// VRP and announces its replacement, then stalls: a router reading its table
+// in that gap must not see the withdrawn route's ROA gone with nothing in
+// its place (a transient Invalid of the Side Effect 6 kind).
+func TestClientAppliesResponseAtEndOfData(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	keep, old, replacement := vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 16, 2), vrp("10.1.0.0/16", 24, 2)
+	const session = 9
+	prefix := func(v rov.VRP, flags uint8) *PDU { return &PDU{Type: TypeIPv4Prefix, Flags: flags, VRP: v} }
+
+	midResponse := make(chan struct{}) // closed once the client has read the whole delta but no End of Data
+	finish := make(chan struct{})      // closed to let the cache send End of Data
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			send := func(pdus ...*PDU) error {
+				for _, p := range pdus {
+					if err := WritePDU(conn, p); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeResetQuery {
+				return fmt.Errorf("want reset query, got %+v, %v", q, err)
+			}
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				prefix(keep, FlagAnnounce), prefix(old, FlagAnnounce),
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 1},
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 2}); err != nil {
+				return err
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
+				return fmt.Errorf("want serial query at 1, got %+v, %v", q, err)
+			}
+			// The delta, then a notify the client answers with a query: the
+			// client reads PDUs in order, so once that query is here it has
+			// consumed the withdraw and the announce.
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				prefix(old, 0), prefix(replacement, FlagAnnounce),
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 3}); err != nil {
+				return err
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
+				return fmt.Errorf("mid-response the client should still be at serial 1, got %+v, %v", q, err)
+			}
+			close(midResponse)
+			<-finish
+			return send(&PDU{Type: TypeEndOfData, Session: session, Serial: 2})
+		}()
+	}()
+
+	client := NewClient(ln.Addr().String())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = client.Run(ctx) }()
+
+	select {
+	case <-midResponse:
+	case err := <-srvErr:
+		t.Fatalf("scripted cache: %v", err)
+	}
+	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep, old}) || client.Serial() != 1 {
+		t.Errorf("mid-response: serial %d, VRPs %v; want the old set %v at serial 1", client.Serial(), got, []rov.VRP{keep, old})
+	}
+	close(finish)
+	if err := <-srvErr; err != nil {
+		t.Fatalf("scripted cache: %v", err)
+	}
+	if !client.WaitSerial(2, 3*time.Second) {
+		t.Fatal("End of Data never applied")
+	}
+	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep, replacement}) {
+		t.Errorf("after End of Data: %v, want %v", got, []rov.VRP{keep, replacement})
+	}
+}
+
 func TestClientRecoversFromOutOfWindowSerial(t *testing.T) {
 	cache := NewCache(5)
 	cache.maxHist = 1 // tiny history window
@@ -325,6 +415,38 @@ func TestSetVRPsCanonicalNoOp(t *testing.T) {
 	}
 	if entries, _, _ := c.HistoryStats(); entries != 1 {
 		t.Errorf("history entries = %d, want 1", entries)
+	}
+}
+
+// TestSetVRPsUnchangedCanonicalAllocatesNothing: the set rp hands over is
+// canonical, and handing over the same one again costs no allocation.
+func TestSetVRPsUnchangedCanonicalAllocatesNothing(t *testing.T) {
+	c := NewCache(1)
+	set := []rov.VRP{vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 24, 2), vrp("2001:db8::/32", 48, 3)}
+	if !rov.IsCanonical(set) {
+		t.Fatal("test set is not canonical")
+	}
+	c.SetVRPs(set)
+	if n := testing.AllocsPerRun(100, func() { c.SetVRPs(set) }); n != 0 {
+		t.Errorf("SetVRPs of the unchanged canonical set allocates %v times", n)
+	}
+	if c.Serial() != 1 {
+		t.Errorf("serial = %d, want 1", c.Serial())
+	}
+}
+
+// TestSetVRPsDoesNotAliasCaller: the canonical path diffs the caller's slice
+// in place, but what the cache stores is its own copy.
+func TestSetVRPsDoesNotAliasCaller(t *testing.T) {
+	c := NewCache(1)
+	set := []rov.VRP{vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 24, 2)}
+	c.SetVRPs(set)
+	want := c.StateDigest()
+	set[1] = vrp("192.0.2.0/24", 24, 666) // the caller reuses its slice
+	// Against an aliased store this set would now differ from the cache's.
+	c.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 24, 2)})
+	if got := c.StateDigest(); got != want || c.Serial() != 1 {
+		t.Errorf("caller's write reached the cache: serial %d, digest %x, want 1, %x", c.Serial(), got[:6], want[:6])
 	}
 }
 
