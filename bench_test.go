@@ -440,6 +440,61 @@ func BenchmarkRTRFanOut(b *testing.B) {
 	}
 }
 
+// BenchmarkRTRSetVRPs measures the cache update alone at live-RPKI size
+// (200,000 VRPs): the same canonical set again (the polling loop's no-op),
+// ten VRPs spread over the set flipping, and a contiguous 20,000-VRP subtree
+// whacked and restored. Allocation per op is the O(delta) signal: a few
+// chunks for delta10, the whacked run for whack20k, nothing for unchanged.
+func BenchmarkRTRSetVRPs(b *testing.B) {
+	full := liveSizeVRPs(200_000)
+	without := func(drop func(i int) bool) []rov.VRP {
+		out := make([]rov.VRP, 0, len(full))
+		for i, v := range full {
+			if !drop(i) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for _, bc := range []struct {
+		name  string
+		other []rov.VRP
+	}{
+		{"unchanged", full},
+		{"delta10", without(func(i int) bool { return i%(len(full)/10) == 7 && i < len(full)/10*10 })},
+		{"whack20k", without(func(i int) bool { return i >= 60_000 && i < 80_000 })},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cache := rtr.NewCache(1)
+			cache.SetVRPs(full)
+			changes := uint32(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					cache.SetVRPs(bc.other)
+				} else {
+					cache.SetVRPs(full)
+				}
+				if len(bc.other) != len(full) {
+					changes++
+				}
+			}
+			b.StopTimer()
+			if got := cache.Serial(); got != 1+changes {
+				b.Fatalf("serial %d after %d changes", got, changes)
+			}
+			want := len(full)
+			if b.N%2 == 1 {
+				want = len(bc.other)
+			}
+			if cache.Len() != want {
+				b.Fatalf("cache holds %d VRPs, want %d", cache.Len(), want)
+			}
+		})
+	}
+}
+
 // BenchmarkGeoSynthetic measures the jurisdiction model generation and
 // analysis at production scale.
 func BenchmarkGeoSynthetic(b *testing.B) {

@@ -81,13 +81,14 @@ type propEntry struct {
 
 // Cache is the server-side VRP database with serial-numbered history.
 //
-// Serving is zero-copy: each serial's full snapshot and each delta carry a
-// precomputed, immutable frame of serialized prefix PDUs, built once per
-// update and written verbatim to every client — N routers asking for the
-// same data cost N writes, not N serializations. The delta history is
-// bounded by entry count, total VRP count, and total frame bytes, so a
-// long-lived server's memory stays flat no matter how many updates it has
-// seen; a client whose serial predates the retained window gets a Cache
+// Serving is zero-copy: the current set and each delta carry precomputed,
+// immutable frames of serialized prefix PDUs, built once and written
+// verbatim to every client — N routers asking for the same data cost N
+// writes, not N serializations. The set is held as chunks (see chunk), so an
+// update rebuilds and re-serializes only the chunks it touches. The delta
+// history is bounded by entry count, total VRP count, and total frame bytes,
+// so a long-lived server's memory stays flat no matter how many updates it
+// has seen; a client whose serial predates the retained window gets a Cache
 // Reset and reloads the snapshot.
 //
 // The subscriber table is sharded numSubShards ways: SetVRPs walks N small
@@ -99,12 +100,11 @@ type Cache struct {
 	// Session and serial state. guarded by mu.
 	session uint16
 	serial  uint32
-	// vrps is the current set in canonical order (rov.SortVRPs), duplicate-
-	// free; snapFrame is its precomputed wire encoding. Both are replaced,
-	// never mutated, so connections may hold the retrieved slices outside
-	// the lock; the fields themselves are guarded by mu.
-	vrps      []rov.VRP
-	snapFrame []byte
+	// chunks is the current set: canonical order (rov.SortVRPs), duplicate-
+	// free, every entry encodable, cut into immutable chunks. The list is
+	// replaced, never mutated, so connections may hold it and the chunks'
+	// frames outside the lock; the field itself is guarded by mu.
+	chunks []*chunk
 	// Delta history and its size accounting. guarded by mu.
 	history   []delta
 	histVRPs  int
@@ -196,11 +196,16 @@ func (c *Cache) Session() uint16 {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.vrps)
+	n := 0
+	for _, ch := range c.chunks {
+		n += len(ch.vrps)
+	}
+	return n
 }
 
 // StateDigest hashes the cache's externally visible state — session,
-// serial, and the serialized snapshot frame. Two caches with equal digests
+// serial, and the serialized snapshot (the chunk frames in order, so where
+// the set happens to be cut does not show). Two caches with equal digests
 // serve byte-identical snapshots under the same session and serial; the
 // bench equivalence gate compares a replica frontend against its primary
 // with exactly this.
@@ -212,94 +217,206 @@ func (c *Cache) StateDigest() [32]byte {
 	binary.BigEndian.PutUint16(hdr[0:], c.session)
 	binary.BigEndian.PutUint32(hdr[2:], c.serial)
 	h.Write(hdr[:])
-	h.Write(c.snapFrame)
+	for _, ch := range c.chunks {
+		h.Write(ch.frame)
+	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
 
+// chunkVRPs is the most VRPs one chunk holds: rebuilding a chunk (≈ 48 KiB
+// of VRPs, ≈ 20 KiB of frame) is cheap next to one walk of a live-RPKI-sized
+// set, and the chunk list of such a set stays a couple of hundred pointers.
+const chunkVRPs = 1024
+
+// chunk is one run of the canonical set with its wire encoding (Announce
+// prefix PDUs, in order). Immutable after creation: an update that touches a
+// chunk replaces it, so its frame may be written outside the cache lock.
+//
+// Only the last chunk of a list may hold fewer than chunkVRPs/2 VRPs
+// (rebuildChunks keeps it so); none is empty.
+type chunk struct {
+	vrps  []rov.VRP
+	frame []byte
+}
+
+// newChunk copies vrps and serializes them into a frame of exactly their
+// wire size.
+func newChunk(vrps []rov.VRP) *chunk {
+	return &chunk{vrps: slices.Clone(vrps), frame: encodeVRPs(make([]byte, 0, prefixPDUsLen(vrps)), vrps, FlagAnnounce)}
+}
+
+// appendChunks cuts vrps into the fewest evenly sized chunks and appends them
+// to out. Even cuts keep every piece of a run of chunkVRPs/2 or more at
+// chunkVRPs/2 or more.
+func appendChunks(out []*chunk, vrps []rov.VRP) []*chunk {
+	pieces := (len(vrps) + chunkVRPs - 1) / chunkVRPs
+	out = slices.Grow(out, pieces)
+	for i := 0; i < pieces; i++ {
+		out = append(out, newChunk(vrps[i*len(vrps)/pieces:(i+1)*len(vrps)/pieces]))
+	}
+	return out
+}
+
+// prefixPDUsLen is the exact wire size of vrps' prefix PDUs.
+func prefixPDUsLen(vrps []rov.VRP) int {
+	n := 0
+	for _, v := range vrps {
+		n += prefixPDULen(v)
+	}
+	return n
+}
+
 // encodeVRPs appends the prefix PDUs for vrps (with the given flags) to buf.
+// Every VRP must be encodable, which is checked before a set is stored.
 func encodeVRPs(buf []byte, vrps []rov.VRP, flags uint8) []byte {
 	for _, v := range vrps {
-		typ := uint8(TypeIPv4Prefix)
-		if v.Prefix.Family().Width() == 128 {
-			typ = TypeIPv6Prefix
-		}
-		b, err := (&PDU{Type: typ, Flags: flags, VRP: v}).Marshal()
-		if err != nil {
-			continue // unencodable VRP (cannot happen for valid prefixes)
-		}
-		buf = append(buf, b...)
+		buf = appendPrefixPDU(buf, flags, v)
 	}
 	return buf
 }
 
 // normalizeVRPs copies, canonically sorts, and deduplicates vrps, dropping
-// invalid prefixes.
+// those no prefix PDU can carry (invalid prefix, maxLength out of range).
 func normalizeVRPs(vrps []rov.VRP) []rov.VRP {
 	next := make([]rov.VRP, 0, len(vrps))
 	for _, v := range vrps {
-		if v.Prefix.IsValid() {
+		if encodable(v) {
 			next = append(next, v)
 		}
 	}
 	rov.SortVRPs(next)
-	// Deduplicate (canonical order makes duplicates adjacent).
-	dedup := next[:0]
-	for i, v := range next {
-		if i == 0 || v.Compare(next[i-1]) != 0 {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	return slices.Compact(next)
 }
 
-// SetVRPs replaces the cache contents. Canonical input (rov.IsCanonical:
-// what rp hands over) is diffed as it stands; anything else is normalized
-// first (copied, sorted canonically, deduplicated). The diff against the
-// previous state is one linear merge, and — only if anything changed — the
-// cache stores its own copy of the set, the serial is bumped, the delta and
-// snapshot frames are serialized once, and subscribed connections are
-// notified. An unchanged canonical set is a true no-op: no allocation, no
-// serial bump, no notification, which is what makes the relying party's
-// steady-state polling loop end in silence here. The caller keeps ownership
-// of vrps either way.
-func (c *Cache) SetVRPs(vrps []rov.VRP) {
-	canonical := rov.IsCanonical(vrps)
-	if !canonical {
-		vrps = normalizeVRPs(vrps)
+// diffChunks diffs the cached set against in with one merge pass: announced
+// holds what is in in but not cached, withdrawn the reverse, both canonical
+// and freshly allocated. A chunk equal to its run of in is passed over with
+// one slices.Equal; only chunks that differ are walked entry by entry. An
+// unchanged set yields two nil slices without allocating.
+//
+// The same pass checks that in is canonical and encodable, and reports
+// ok=false if not. The cached set is both by invariant, so an entry of in
+// equal to a cached entry needs no check of its own: every earlier entry of
+// in was either matched to an earlier cached entry or announced because it
+// ordered below one, and so orders below this one too. Only an announced
+// entry is tested, for encodability and against its predecessor in in.
+func diffChunks(chunks []*chunk, in []rov.VRP) (announced, withdrawn []rov.VRP, ok bool) {
+	announce := func(j int) bool {
+		if !encodable(in[j]) || j > 0 && in[j-1].Compare(in[j]) >= 0 {
+			return false
+		}
+		announced = append(announced, in[j])
+		return true
 	}
+	j := 0
+	for _, ch := range chunks {
+		if n := len(ch.vrps); n <= len(in)-j && slices.Equal(ch.vrps, in[j:j+n]) {
+			j += n
+			continue
+		}
+		i := 0
+		for i < len(ch.vrps) && j < len(in) {
+			switch c := ch.vrps[i].Compare(in[j]); {
+			case c == 0:
+				i++
+				j++
+			case c < 0:
+				withdrawn = append(withdrawn, ch.vrps[i])
+				i++
+			default:
+				if !announce(j) {
+					return nil, nil, false
+				}
+				j++
+			}
+		}
+		withdrawn = append(withdrawn, ch.vrps[i:]...)
+	}
+	for ; j < len(in); j++ {
+		if !announce(j) {
+			return nil, nil, false
+		}
+	}
+	return announced, withdrawn, true
+}
 
+// rebuildChunks returns the chunk list of (chunks \ withdrawn) ∪ announced,
+// both canonical. A chunk's share of the delta is what orders below the next
+// chunk's head (everything left, for the last chunk). A chunk with no share
+// is kept by pointer; the others are merged into a run that is cut into new
+// chunks once it holds chunkVRPs/2 or more. A shorter run takes in the
+// following chunk as well, share or not, so small chunks cannot accumulate.
+// The cost is the chunks touched plus one pointer per chunk, not the set.
+func rebuildChunks(chunks []*chunk, announced, withdrawn []rov.VRP) []*chunk {
+	if len(chunks) == 0 {
+		return appendChunks(nil, announced)
+	}
+	out := make([]*chunk, 0, len(chunks)+len(announced)/chunkVRPs+1)
+	var run []rov.VRP // merged, not yet cut
+	for k, ch := range chunks {
+		if len(run) >= chunkVRPs/2 {
+			out = appendChunks(out, run)
+			run = run[:0]
+		}
+		na, nw := len(announced), len(withdrawn)
+		if k+1 < len(chunks) {
+			head := chunks[k+1].vrps[0]
+			na, _ = slices.BinarySearchFunc(announced, head, rov.VRP.Compare)
+			nw, _ = slices.BinarySearchFunc(withdrawn, head, rov.VRP.Compare)
+		}
+		if na+nw == 0 && len(run) == 0 {
+			out = append(out, ch)
+			continue
+		}
+		run = mergeApply(run, ch.vrps, announced[:na], withdrawn[:nw])
+		announced, withdrawn = announced[na:], withdrawn[nw:]
+	}
+	return appendChunks(out, run)
+}
+
+// SetVRPs replaces the cache contents. The diff against the cached set is
+// one merge pass that also verifies the input is canonical (what rp hands
+// over; see diffChunks); input that is not is normalized (copied, sorted
+// canonically, deduplicated, unencodable VRPs dropped) and diffed again.
+// Only if anything changed are the chunks the delta touches rebuilt from the
+// cache's own copies, the serial bumped, the delta frame serialized once,
+// and subscribed connections notified. An unchanged canonical set is a true
+// no-op: no allocation, no serial bump, no notification, which is what makes
+// the relying party's steady-state polling loop end in silence here. The
+// caller keeps ownership of vrps either way.
+func (c *Cache) SetVRPs(vrps []rov.VRP) {
 	c.mu.Lock()
-	announced, withdrawn := rov.DiffVRPs(c.vrps, vrps)
+	announced, withdrawn, ok := diffChunks(c.chunks, vrps)
+	if !ok {
+		c.mu.Unlock() // sort outside the lock; the set may move meanwhile, so diff afresh
+		vrps = normalizeVRPs(vrps)
+		c.mu.Lock()
+		announced, withdrawn, _ = diffChunks(c.chunks, vrps)
+	}
 	if len(announced) == 0 && len(withdrawn) == 0 {
 		c.mu.Unlock()
 		return
 	}
-	if canonical {
-		vrps = slices.Clone(vrps) // still the caller's slice
-	}
-	serial := c.commitLocked(c.serial+1, vrps, announced, withdrawn)
+	serial := c.commitLocked(c.serial+1, announced, withdrawn)
 	c.mu.Unlock()
 	c.notifyAll(serial)
 }
 
-// commitLocked installs next as the current set at the given serial,
-// appends the delta to the bounded history, and rebuilds the shared
-// snapshot frame. Callers hold c.mu; they must call notifyAll(serial)
-// after unlocking.
-func (c *Cache) commitLocked(serial uint32, next, announced, withdrawn []rov.VRP) uint32 {
+// commitLocked applies the delta to the chunks at the given serial and
+// appends it to the bounded history. announced and withdrawn are canonical,
+// encodable and owned by the cache. Callers hold c.mu; they must call
+// notifyAll(serial) after unlocking.
+func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint32 {
 	c.serial = serial
 	d := delta{serial: serial, announced: announced, withdrawn: withdrawn, createdAt: time.Now()}
 	if met := c.met.Load(); met != nil {
 		met.updates.Inc()
 	}
-	frame := make([]byte, 0, 20*d.vrpCount())
-	frame = encodeVRPs(frame, announced, FlagAnnounce)
-	frame = encodeVRPs(frame, withdrawn, 0)
-	d.frame = frame
-	c.vrps = next
-	c.snapFrame = encodeVRPs(make([]byte, 0, 20*len(next)), next, FlagAnnounce)
+	frame := make([]byte, 0, prefixPDUsLen(announced)+prefixPDUsLen(withdrawn))
+	d.frame = encodeVRPs(encodeVRPs(frame, announced, FlagAnnounce), withdrawn, 0)
+	c.chunks = rebuildChunks(c.chunks, announced, withdrawn)
 	c.history = append(c.history, d)
 	c.histVRPs += d.vrpCount()
 	c.histBytes += len(d.frame)
@@ -314,23 +431,22 @@ func (c *Cache) commitLocked(serial uint32, next, announced, withdrawn []rov.VRP
 // predate its own snapshot — out-of-window routers get Cache Reset), and
 // subscribers are notified of the new serial.
 func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
-	next := normalizeVRPs(vrps)
+	chunks := appendChunks(nil, normalizeVRPs(vrps))
 	c.mu.Lock()
 	c.session = session
 	c.serial = serial
-	c.vrps = next
-	c.snapFrame = encodeVRPs(make([]byte, 0, 20*len(next)), next, FlagAnnounce)
+	c.chunks = chunks
 	c.history = nil
 	c.histVRPs, c.histBytes = 0, 0
 	c.mu.Unlock()
 	c.notifyAll(serial)
 }
 
-// applyDelta installs one replicated delta. The serial must be exactly the
-// next one (ok=false otherwise — the follower missed a frame and must
-// resynchronize); a serial at or below the current one is a duplicate
-// replay and is ignored (ok=true), which is what makes reconnect replays
-// harmless.
+// applyDelta installs one replicated delta, rebuilding only the chunks it
+// falls in. The serial must be exactly the next one (ok=false otherwise —
+// the follower missed a frame and must resynchronize); a serial at or below
+// the current one is a duplicate replay and is ignored (ok=true), which is
+// what makes reconnect replays harmless.
 func (c *Cache) applyDelta(serial uint32, announced, withdrawn []rov.VRP) bool {
 	announced = normalizeVRPs(announced)
 	withdrawn = normalizeVRPs(withdrawn)
@@ -343,18 +459,16 @@ func (c *Cache) applyDelta(serial uint32, announced, withdrawn []rov.VRP) bool {
 		c.mu.Unlock()
 		return false
 	}
-	next := mergeApply(c.vrps, announced, withdrawn)
-	c.commitLocked(serial, next, announced, withdrawn)
+	c.commitLocked(serial, announced, withdrawn)
 	c.mu.Unlock()
 	c.notifyAll(serial)
 	return true
 }
 
-// mergeApply computes (base \ withdrawn) ∪ announced in one linear pass.
-// All three inputs are canonically sorted and duplicate-free; the result is
-// too.
-func mergeApply(base, announced, withdrawn []rov.VRP) []rov.VRP {
-	out := make([]rov.VRP, 0, len(base)+len(announced))
+// mergeApply appends (base \ withdrawn) ∪ announced to dst in one linear
+// pass. All three inputs are canonically sorted and duplicate-free; so is
+// what is appended.
+func mergeApply(dst, base, announced, withdrawn []rov.VRP) []rov.VRP {
 	i, w := 0, 0
 	for _, v := range base {
 		for w < len(withdrawn) && withdrawn[w].Compare(v) < 0 {
@@ -364,16 +478,15 @@ func mergeApply(base, announced, withdrawn []rov.VRP) []rov.VRP {
 			continue // withdrawn
 		}
 		for i < len(announced) && announced[i].Compare(v) < 0 {
-			out = append(out, announced[i])
+			dst = append(dst, announced[i])
 			i++
 		}
 		if i < len(announced) && announced[i].Compare(v) == 0 {
 			i++ // replaced by identical announce
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	out = append(out, announced[i:]...)
-	return out
+	return append(dst, announced[i:]...)
 }
 
 // evictLocked drops the oldest deltas until the history fits every bound.
@@ -388,21 +501,12 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// snapshotFrame returns the current serial, session, and the shared
-// serialized snapshot frame. The frame is immutable; callers write it
-// as-is.
-func (c *Cache) snapshotFrame() (frame []byte, serial uint32, session uint16) {
+// snapshot returns the current chunk list (immutable; replaced wholesale on
+// update), serial, and session. Callers write the chunks' frames as they are.
+func (c *Cache) snapshot() (chunks []*chunk, serial uint32, session uint16) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.snapFrame, c.serial, c.session
-}
-
-// snapshotVRPs returns the current canonical VRP slice (immutable; replaced
-// wholesale on update), serial, and session.
-func (c *Cache) snapshotVRPs() (vrps []rov.VRP, serial uint32, session uint16) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vrps, c.serial, c.session
+	return c.chunks, c.serial, c.session
 }
 
 // deltaFrames returns the shared serialized frames of every delta after
@@ -449,30 +553,6 @@ func (c *Cache) deltaEntries(serial uint32) (entries []delta, current uint32, ok
 		return nil, c.serial, false
 	}
 	return entries, c.serial, true
-}
-
-// deltasSince returns the concatenated deltas after serial, or ok=false if
-// that serial has aged out of the history window.
-func (c *Cache) deltasSince(serial uint32) (announced, withdrawn []rov.VRP, current uint32, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if serial == c.serial {
-		return nil, nil, c.serial, true
-	}
-	found := false
-	for _, d := range c.history {
-		if found || d.serial == serial+1 {
-			found = true
-			announced = append(announced, d.announced...)
-			withdrawn = append(withdrawn, d.withdrawn...)
-		}
-	}
-	// The requested serial must be exactly one before the first delta we
-	// replayed; otherwise the client is out of window.
-	if !found {
-		return nil, nil, c.serial, false
-	}
-	return announced, withdrawn, c.serial, true
 }
 
 // subscribe registers a notification handle for one connection.

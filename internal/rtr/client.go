@@ -34,11 +34,19 @@ type Client struct {
 	reloads  uint64
 	onSync   func([]rov.VRP)
 	onSerial func(uint32)
+
+	// responseCap is maxResponsePDUs (tests lower it). Set before Run.
+	responseCap int
 }
+
+// maxResponsePDUs caps the prefix PDUs of one cache response (≈ 6× today's
+// RPKI). A cache that never sends End of Data would otherwise grow the
+// client's staging slice without bound.
+const maxResponsePDUs = 1 << 22
 
 // NewClient creates a client for the RTR server at addr.
 func NewClient(addr string) *Client {
-	return &Client{addr: addr, vrps: make(map[rov.VRP]bool)}
+	return &Client{addr: addr, vrps: make(map[rov.VRP]bool), responseCap: maxResponsePDUs}
 }
 
 // OnSync registers a callback invoked with the full VRP set after every
@@ -126,7 +134,7 @@ func (c *Client) Run(ctx context.Context) error {
 	armWrite := func() error {
 		return conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
-	r := bufio.NewReader(conn)
+	r := pduReader{r: bufio.NewReader(conn)}
 	if err := armWrite(); err != nil {
 		return fmt.Errorf("rtr: arming write deadline: %w", err)
 	}
@@ -156,7 +164,7 @@ func (c *Client) Run(ctx context.Context) error {
 	fullReload := !resume
 
 	for {
-		p, err := ReadPDU(r)
+		p, err := r.next() // p is reused: valid until the next call
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -174,6 +182,9 @@ func (c *Client) Run(ctx context.Context) error {
 		case TypeIPv4Prefix, TypeIPv6Prefix:
 			if !inResponse {
 				return fmt.Errorf("rtr: prefix PDU outside cache response")
+			}
+			if len(pending) >= c.responseCap {
+				return fmt.Errorf("rtr: cache response exceeds the cap of %d prefix PDUs without End of Data", c.responseCap)
 			}
 			pending = append(pending, prefixOp{vrp: p.VRP, announce: p.Flags&FlagAnnounce != 0})
 

@@ -78,30 +78,14 @@ func (p *PDU) Marshal() ([]byte, error) {
 		buf := make([]byte, headerLen)
 		putHeader(buf, p.Type, p.Session, headerLen)
 		return buf, nil
-	case TypeIPv4Prefix:
-		if p.VRP.Prefix.Family() != ipres.IPv4 {
-			return nil, fmt.Errorf("rtr: IPv4 prefix PDU with %v prefix", p.VRP.Prefix.Family())
+	case TypeIPv4Prefix, TypeIPv6Prefix:
+		if prefixPDUType(p.VRP) != p.Type {
+			return nil, fmt.Errorf("rtr: prefix PDU type %d with %v prefix", p.Type, p.VRP.Prefix.Family())
 		}
-		buf := make([]byte, headerLen+12)
-		putHeader(buf, p.Type, 0, uint32(len(buf)))
-		buf[headerLen] = p.Flags
-		buf[headerLen+1] = uint8(p.VRP.Prefix.Bits())
-		buf[headerLen+2] = uint8(p.VRP.MaxLength)
-		copy(buf[headerLen+4:], p.VRP.Prefix.Addr().Bytes())
-		binary.BigEndian.PutUint32(buf[headerLen+8:], uint32(p.VRP.ASN))
-		return buf, nil
-	case TypeIPv6Prefix:
-		if p.VRP.Prefix.Family() != ipres.IPv6 {
-			return nil, fmt.Errorf("rtr: IPv6 prefix PDU with %v prefix", p.VRP.Prefix.Family())
+		if !encodable(p.VRP) {
+			return nil, fmt.Errorf("rtr: no prefix PDU can carry %v (invalid prefix or max length %d out of range)", p.VRP.Prefix, p.VRP.MaxLength)
 		}
-		buf := make([]byte, headerLen+24)
-		putHeader(buf, p.Type, 0, uint32(len(buf)))
-		buf[headerLen] = p.Flags
-		buf[headerLen+1] = uint8(p.VRP.Prefix.Bits())
-		buf[headerLen+2] = uint8(p.VRP.MaxLength)
-		copy(buf[headerLen+4:], p.VRP.Prefix.Addr().Bytes())
-		binary.BigEndian.PutUint32(buf[headerLen+20:], uint32(p.VRP.ASN))
-		return buf, nil
+		return appendPrefixPDU(make([]byte, 0, prefixPDULen(p.VRP)), p.Flags, p.VRP), nil
 	case TypeErrorReport:
 		text := []byte(p.ErrText)
 		// Encapsulated PDU omitted (length 0) + error text.
@@ -122,15 +106,76 @@ func putHeader(buf []byte, typ uint8, session uint16, length uint32) {
 	binary.BigEndian.PutUint32(buf[4:], length)
 }
 
+// encodable reports whether v fits a prefix PDU: a valid prefix and a
+// maxLength within [prefix length, family width]. Anything else would be
+// truncated to a byte on the wire and rejected by every router that reads it.
+func encodable(v rov.VRP) bool {
+	return v.Prefix.IsValid() && v.MaxLength >= v.Prefix.Bits() && v.MaxLength <= v.Prefix.Family().Width()
+}
+
+// prefixPDUType is the PDU type that carries v.
+func prefixPDUType(v rov.VRP) uint8 {
+	if v.Prefix.Family() == ipres.IPv6 {
+		return TypeIPv6Prefix
+	}
+	return TypeIPv4Prefix
+}
+
+// prefixPDULen is the wire size of v's prefix PDU.
+func prefixPDULen(v rov.VRP) int {
+	if v.Prefix.Family() == ipres.IPv6 {
+		return headerLen + 24
+	}
+	return headerLen + 12
+}
+
+// appendPrefixPDU appends v's prefix PDU to buf without allocating beyond
+// buf's growth. It is the one prefix encoder; v must be encodable.
+func appendPrefixPDU(buf []byte, flags uint8, v rov.VRP) []byte {
+	buf = append(buf, Version, prefixPDUType(v), 0, 0, 0, 0, 0, uint8(prefixPDULen(v)),
+		flags, uint8(v.Prefix.Bits()), uint8(v.MaxLength), 0)
+	if v.Prefix.Family() == ipres.IPv6 {
+		a := v.Prefix.Addr().As16()
+		buf = append(buf, a[:]...)
+	} else {
+		a := v.Prefix.Addr().As4()
+		buf = append(buf, a[:]...)
+	}
+	return binary.BigEndian.AppendUint32(buf, uint32(v.ASN))
+}
+
 // maxPDULen bounds a single PDU read (error text included).
 const maxPDULen = 64 << 10
+
+// pduReader decodes PDUs from one stream. Header and fixed-size bodies land
+// in buf and the decoded PDU in pdu, both reused from call to call, so a
+// 200,000-prefix response costs no allocation per PDU; only an Error Report
+// (variable length, ends the session) allocates its body.
+type pduReader struct {
+	r   io.Reader
+	buf [headerLen + 24]byte
+	pdu PDU
+}
 
 // ReadPDU reads and decodes one PDU from r.
 //
 //taint:source bytes a router or spoofed peer sends on the RTR socket
 func ReadPDU(r io.Reader) (*PDU, error) {
-	var header [headerLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	d := pduReader{r: r}
+	p, err := d.next()
+	if err != nil {
+		return nil, err
+	}
+	out := *p // the caller's PDU must not pin the reader
+	return &out, nil
+}
+
+// next reads and decodes one PDU. The result is valid until the next call.
+//
+//taint:source bytes a router or spoofed peer sends on the RTR socket
+func (d *pduReader) next() (*PDU, error) {
+	header := d.buf[:headerLen]
+	if _, err := io.ReadFull(d.r, header); err != nil {
 		return nil, err
 	}
 	if header[0] != Version {
@@ -140,11 +185,17 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 	if length < headerLen || length > maxPDULen {
 		return nil, fmt.Errorf("rtr: PDU length %d out of range", length)
 	}
-	body := make([]byte, length-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	p := &d.pdu
+	*p = PDU{Type: header[1], Session: binary.BigEndian.Uint16(header[2:])}
+	var body []byte
+	if n := int(length - headerLen); n <= len(d.buf)-headerLen {
+		body = d.buf[headerLen : headerLen+n]
+	} else {
+		body = make([]byte, n)
+	}
+	if _, err := io.ReadFull(d.r, body); err != nil {
 		return nil, err
 	}
-	p := &PDU{Type: header[1], Session: binary.BigEndian.Uint16(header[2:])}
 	switch p.Type {
 	case TypeSerialNotify, TypeSerialQuery, TypeEndOfData:
 		if len(body) != 4 {

@@ -126,7 +126,7 @@ func (r *Replica) follow(ctx context.Context) error {
 	}
 	hello := ReplHello{HaveState: r.primed.Load()}
 	if hello.HaveState {
-		_, hello.Serial, hello.Session = r.cache.snapshotVRPs()
+		_, hello.Serial, hello.Session = r.cache.snapshot()
 	}
 	if _, err := conn.Write(AppendHelloFrame(nil, hello)); err != nil {
 		return fmt.Errorf("rtr: replica hello: %w", err)

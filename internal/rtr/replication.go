@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,14 +125,26 @@ func encodedVRPsLen(vrps []rov.VRP) int {
 
 // AppendSnapshotFrame appends an encoded snapshot frame to dst.
 func AppendSnapshotFrame(dst []byte, session uint16, serial uint32, vrps []rov.VRP) []byte {
-	dst = appendReplHeader(dst, ReplTypeSnapshot, 10+encodedVRPsLen(vrps))
+	return appendSnapshotFrame(dst, session, serial, []*chunk{{vrps: vrps}})
+}
+
+// appendSnapshotFrame appends the snapshot frame of a chunked set to dst.
+func appendSnapshotFrame(dst []byte, session uint16, serial uint32, chunks []*chunk) []byte {
+	count, size := 0, 10
+	for _, ch := range chunks {
+		count += len(ch.vrps)
+		size += encodedVRPsLen(ch.vrps)
+	}
+	dst = appendReplHeader(slices.Grow(dst, replHeaderLen+size), ReplTypeSnapshot, size)
 	var hdr [10]byte
 	binary.BigEndian.PutUint16(hdr[0:], session)
 	binary.BigEndian.PutUint32(hdr[2:], serial)
-	binary.BigEndian.PutUint32(hdr[6:], uint32(len(vrps)))
+	binary.BigEndian.PutUint32(hdr[6:], uint32(count))
 	dst = append(dst, hdr[:]...)
-	for _, v := range vrps {
-		dst = appendReplRecord(dst, v)
+	for _, ch := range chunks {
+		for _, v := range ch.vrps {
+			dst = appendReplRecord(dst, v)
+		}
 	}
 	return dst
 }
@@ -426,8 +439,8 @@ func (s *ReplicationServer) handle(conn net.Conn) {
 		}
 	}
 	if !resumed {
-		vrps, serial, session := s.cache.snapshotVRPs()
-		if !writeFrame(AppendSnapshotFrame(nil, session, serial, vrps)) {
+		chunks, serial, session := s.cache.snapshot()
+		if !writeFrame(appendSnapshotFrame(nil, session, serial, chunks)) {
 			return
 		}
 		lastSent = serial
@@ -466,8 +479,8 @@ func (s *ReplicationServer) handle(conn net.Conn) {
 			_ = sub.pending.Load() // coalesced; we stream from lastSent regardless
 			entries, current, ok := s.cache.deltaEntries(lastSent)
 			if !ok {
-				vrps, serial, session := s.cache.snapshotVRPs()
-				if !writeFrame(AppendSnapshotFrame(nil, session, serial, vrps)) {
+				chunks, serial, session := s.cache.snapshot()
+				if !writeFrame(appendSnapshotFrame(nil, session, serial, chunks)) {
 					return
 				}
 				lastSent = serial

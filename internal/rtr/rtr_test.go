@@ -1,11 +1,13 @@
 package rtr
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,20 +84,20 @@ func TestCacheDeltas(t *testing.T) {
 		t.Error("identical update must not bump serial")
 	}
 	c.SetVRPs([]rov.VRP{v2})
-	ann, wd, serial, ok := c.deltasSince(1)
-	if !ok || serial != 2 || len(ann) != 1 || len(wd) != 1 {
-		t.Fatalf("delta: %v %v %d %v", ann, wd, serial, ok)
+	entries, serial, ok := c.deltaEntries(1)
+	if !ok || serial != 2 || len(entries) != 1 || len(entries[0].announced) != 1 || len(entries[0].withdrawn) != 1 {
+		t.Fatalf("delta: %+v %d %v", entries, serial, ok)
 	}
-	if ann[0] != v2 || wd[0] != v1 {
+	if entries[0].announced[0] != v2 || entries[0].withdrawn[0] != v1 {
 		t.Error("delta content wrong")
 	}
 	// Current serial: empty delta, still ok.
-	ann, wd, _, ok = c.deltasSince(2)
-	if !ok || len(ann) != 0 || len(wd) != 0 {
+	entries, _, ok = c.deltaEntries(2)
+	if !ok || len(entries) != 0 {
 		t.Error("no-op delta wrong")
 	}
 	// Out-of-window serial: not ok.
-	if _, _, _, ok := c.deltasSince(99); ok {
+	if _, _, ok := c.deltaEntries(99); ok {
 		t.Error("future serial should be out of window")
 	}
 }
@@ -318,6 +320,79 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 	}
 	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep, replacement}) {
 		t.Errorf("after End of Data: %v, want %v", got, []rov.VRP{keep, replacement})
+	}
+}
+
+// TestClientCapsUnendingResponse: a cache that opens a response and streams
+// announces without ever sending End of Data must not grow the router's
+// staging slice without bound. Past the cap Run returns an error naming it
+// (the caller reconnects), and the router still holds the last End-of-Data
+// state.
+func TestClientCapsUnendingResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	keep := vrp("10.0.0.0/8", 8, 1)
+	const session, limit = 9, 1000
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeResetQuery {
+				return fmt.Errorf("want reset query, got %+v, %v", q, err)
+			}
+			w := bufio.NewWriter(conn)
+			for _, p := range []*PDU{
+				{Type: TypeCacheResponse, Session: session},
+				{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: keep},
+				{Type: TypeEndOfData, Session: session, Serial: 1},
+				{Type: TypeSerialNotify, Session: session, Serial: 2},
+			} {
+				if err := WritePDU(w, p); err != nil {
+					return err
+				}
+			}
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
+				return fmt.Errorf("want serial query at 1, got %+v, %v", q, err)
+			}
+			if err := WritePDU(w, &PDU{Type: TypeCacheResponse, Session: session}); err != nil {
+				return err
+			}
+			for i := uint32(0); ; i++ { // until the router hangs up
+				v := rov.VRP{Prefix: ipres.MustPrefixFrom(ipres.AddrFromUint32(11<<24|i<<8), 24), MaxLength: 24, ASN: 2}
+				if WritePDU(w, &PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: v}) != nil {
+					return nil
+				}
+				if i > 100*limit {
+					return fmt.Errorf("router still reading after %d announces", i)
+				}
+			}
+		}()
+	}()
+
+	client := NewClient(ln.Addr().String())
+	client.responseCap = limit
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = client.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), fmt.Sprintf("cap of %d prefix PDUs", limit)) {
+		t.Fatalf("Run returned %v, want an error naming the cap of %d", err, limit)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("scripted cache: %v", err)
+	}
+	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep}) || client.Serial() != 1 {
+		t.Errorf("after the capped response: serial %d, VRPs %v; want %v at serial 1", client.Serial(), got, []rov.VRP{keep})
 	}
 }
 

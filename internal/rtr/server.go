@@ -359,12 +359,14 @@ func mustMarshal(p *PDU) []byte {
 func (s *Server) answer(q *PDU, firstQuery bool) (response, bool) {
 	switch q.Type {
 	case TypeResetQuery:
-		frame, serial, session := s.cache.snapshotFrame()
-		return response{segs: [][]byte{
-			mustMarshal(&PDU{Type: TypeCacheResponse, Session: session}),
-			frame,
-			mustMarshal(&PDU{Type: TypeEndOfData, Session: session, Serial: serial}),
-		}}, true
+		chunks, serial, session := s.cache.snapshot()
+		segs := make([][]byte, 0, len(chunks)+2)
+		segs = append(segs, mustMarshal(&PDU{Type: TypeCacheResponse, Session: session}))
+		for _, ch := range chunks {
+			segs = append(segs, ch.frame)
+		}
+		segs = append(segs, mustMarshal(&PDU{Type: TypeEndOfData, Session: session, Serial: serial}))
+		return response{segs: segs}, true
 
 	case TypeSerialQuery:
 		session := s.cache.Session()
