@@ -28,7 +28,6 @@ import (
 	"repro/internal/repo"
 	"repro/internal/roa"
 	"repro/internal/rov"
-	"repro/internal/rp"
 	"repro/internal/rtr"
 )
 
@@ -289,42 +288,10 @@ func BenchmarkValidateSyntheticParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkValidateSyntheticWarmCache measures a re-sync of an unchanged
-// synthetic world on a relying party whose verification cache is already
-// populated — with module reuse disabled, so the numbers isolate the
-// signature-cache layer: all verifications are cache hits, but hashing,
-// manifest cross-checks and the time/CRL/containment validation still run.
-func BenchmarkValidateSyntheticWarmCache(b *testing.B) {
-	w, err := NewSyntheticWorld(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	relying := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, DisableModuleReuse: true}, w.Anchor())
-	if _, err := relying.Sync(ctx); err != nil { // cold pass populates the cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := relying.Sync(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ROAsAccepted < 1200 {
-			b.Fatalf("ROAs = %d", res.ROAsAccepted)
-		}
-		if res.VerifyCacheMisses != 0 {
-			b.Fatalf("warm re-sync re-verified %d objects", res.VerifyCacheMisses)
-		}
-	}
-}
-
-// BenchmarkValidateSyntheticWarmReuse is the steady state of this PR: a
-// re-sync of an unchanged synthetic world with module-level memoization
-// enabled. Every publication point proves itself unchanged and reuses its
-// validated outputs wholesale — no hashing, no manifest cross-checks, no
-// chain walks. Compare against BenchmarkValidateSyntheticWarmCache (the
-// verify-cache-only baseline) for the speedup.
+// BenchmarkValidateSyntheticWarmReuse is the steady state: a re-sync of an
+// unchanged synthetic world. Every publication point proves itself unchanged
+// and reuses its validated outputs wholesale — no hashing, no manifest
+// cross-checks, no chain walks.
 func BenchmarkValidateSyntheticWarmReuse(b *testing.B) {
 	w, err := NewSyntheticWorld(1)
 	if err != nil {

@@ -13,8 +13,8 @@
 //
 //   - The micro suite (-micro, on by default) covers the steady-state
 //     polling pipeline end to end: cold validation of the production-sized
-//     synthetic world, warm re-syncs with and without module memoization,
-//     the same warm re-sync with full observability attached (the report
+//     synthetic world, the warm re-sync of an unchanged world, the same
+//     warm re-sync with full observability attached (the report
 //     records the overhead percentage), the one-module-changed incremental
 //     sync, the VRP set diff, the RTR fan-out of a one-VRP delta to 100
 //     concurrent router clients, and the internal/obs metric hot paths —
@@ -22,13 +22,14 @@
 //     allocates.
 //
 //   - The scaling suite (-tiers) generates seeded on-disk worlds at each
-//     tier (ROA count) and measures, per tier: generation, cold streaming
-//     validation, warm streaming re-sync, and cold non-streaming (baseline)
-//     validation. Each phase runs in a fresh subprocess (the binary re-execs
-//     itself) so peak RSS — read from /proc/self/status VmHWM — isolates
-//     that phase alone. The harness fails if the streaming and baseline
-//     paths disagree on the VRP set (byte-level digest compare), or if a
-//     streaming phase exceeds -rss-budget-mb.
+//     tier (ROA count) and measures, per tier: generation, cold
+//     validation, and the warm re-sync. Each phase runs in a fresh
+//     subprocess (the binary re-execs itself) so peak RSS — read from
+//     /proc/self/status VmHWM — isolates that phase alone. The harness
+//     fails if the cold and warm passes disagree on the VRP set
+//     (byte-level digest compare), if a tier with a recorded golden digest
+//     (the 10k tier at -seed 1) does not reproduce it, or if a validation
+//     phase exceeds -rss-budget-mb.
 //
 //   - The rtr-scale suite (-rtr-scale) measures the router-fleet fan-out:
 //     per client tier (e.g. 1k/5k/10k concurrent RTR clients), one fresh
@@ -144,8 +145,9 @@ type report struct {
 	Scale     []scaleResult    `json:"scale,omitempty"`
 	RTRScale  []rtrScaleResult `json:"rtr_scale,omitempty"`
 	// ObsOverheadPct is the warm re-sync cost of full instrumentation:
-	// (warm_resync_instrumented - warm_resync_module_reuse) / baseline,
-	// as a percentage. Nil when the micro suite did not run.
+	// (warm_resync_instrumented - warm_resync_module_reuse) /
+	// warm_resync_module_reuse, as a percentage. Nil when the micro suite
+	// did not run.
 	ObsOverheadPct *float64 `json:"obs_warm_resync_overhead_pct,omitempty"`
 }
 
@@ -157,7 +159,7 @@ func main() {
 	workers := flag.Int("workers", 4, "generation/validation worker count for the scaling suite")
 	seed := flag.Int64("seed", 1, "world-generation seed for the scaling suite")
 	worlddir := flag.String("worlddir", "", "keep/reuse generated worlds under this directory (default: per-tier temp dirs)")
-	rssBudgetMB := flag.Int("rss-budget-mb", 0, "fail if a streaming validation phase's peak RSS exceeds this many MiB (0: no budget)")
+	rssBudgetMB := flag.Int("rss-budget-mb", 0, "fail if a validation phase's peak RSS exceeds this many MiB (0: no budget)")
 	rtrScale := flag.String("rtr-scale", "", "comma-separated concurrent-client tiers for the rtr-scale suite (e.g. 1000,5000,10000)")
 	rtrDeltas := flag.Int("rtr-deltas", 10, "cache updates to propagate per rtr-scale tier")
 	rtrVRPs := flag.Int("rtr-vrps", 2000, "base VRP count served by the rtr-scale cache")
@@ -284,7 +286,8 @@ func runPhase(phase string, tier int, dir string, seed int64, workers int) error
 		CPUs:      runtime.GOMAXPROCS(0),
 	}
 
-	sync := func(streaming bool) (*rp.Result, error) {
+	// open builds a relying party over the world in dir.
+	open := func() (*rp.RelyingParty, error) {
 		w, err := modelgen.OpenScaled(dir)
 		if err != nil {
 			return nil, err
@@ -293,21 +296,16 @@ func runPhase(phase string, tier int, dir string, seed int64, workers int) error
 		if err != nil {
 			return nil, err
 		}
-		v := rp.New(rp.Config{
-			Fetcher:   w.Fetcher(),
-			Clock:     w.Clock(),
-			Workers:   workers,
-			Streaming: streaming,
-		}, anchor)
 		rec.Modules = w.Meta.Modules
-		res, err := v.Sync(ctx)
-		if err != nil {
-			return nil, err
-		}
+		return rp.New(rp.Config{Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers}, anchor), nil
+	}
+	record := func(res *rp.Result) error {
 		if len(res.Diagnostics) > 0 {
-			return nil, fmt.Errorf("tier %d: %d diagnostics, first: %v", tier, len(res.Diagnostics), res.Diagnostics[0])
+			return fmt.Errorf("tier %d: %d diagnostics, first: %v", tier, len(res.Diagnostics), res.Diagnostics[0])
 		}
-		return res, nil
+		rec.VRPs = len(res.VRPs)
+		rec.VRPDigest = digestVRPs(res.VRPs)
+		return nil
 	}
 
 	start := time.Now()
@@ -320,29 +318,26 @@ func runPhase(phase string, tier int, dir string, seed int64, workers int) error
 			return err
 		}
 		rec.Modules = w.Meta.Modules
-	case "cold_streaming", "cold_baseline":
-		res, err := sync(phase == "cold_streaming")
+	case "cold_streaming":
+		v, err := open()
 		if err != nil {
 			return err
 		}
-		rec.VRPs = len(res.VRPs)
-		rec.VRPDigest = digestVRPs(res.VRPs)
+		res, err := v.Sync(ctx)
+		if err != nil {
+			return err
+		}
+		if err := record(res); err != nil {
+			return err
+		}
 	case "warm_resync":
-		// Run the cold streaming pass untimed, then time the warm re-sync;
-		// peak RSS still covers the whole process (cold + warm), which is
-		// the honest number for a long-lived polling relying party.
-		w, err := modelgen.OpenScaled(dir)
+		// Run the cold pass untimed, then time the warm re-sync; peak RSS
+		// still covers the whole process (cold + warm), which is the honest
+		// number for a long-lived polling relying party.
+		v, err := open()
 		if err != nil {
 			return err
 		}
-		anchor, err := w.Anchor()
-		if err != nil {
-			return err
-		}
-		v := rp.New(rp.Config{
-			Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers, Streaming: true,
-		}, anchor)
-		rec.Modules = w.Meta.Modules
 		if _, err := v.Sync(ctx); err != nil {
 			return err
 		}
@@ -354,11 +349,9 @@ func runPhase(phase string, tier int, dir string, seed int64, workers int) error
 		if res.ModulesRevalidated != 0 {
 			return fmt.Errorf("warm re-sync revalidated %d modules, want 0", res.ModulesRevalidated)
 		}
-		if len(res.Diagnostics) > 0 {
-			return fmt.Errorf("warm re-sync produced %d diagnostics", len(res.Diagnostics))
+		if err := record(res); err != nil {
+			return err
 		}
-		rec.VRPs = len(res.VRPs)
-		rec.VRPDigest = digestVRPs(res.VRPs)
 	default:
 		return fmt.Errorf("unknown phase %q", phase)
 	}
@@ -376,6 +369,13 @@ func runPhase(phase string, tier int, dir string, seed int64, workers int) error
 	}
 	fmt.Println(string(data))
 	return nil
+}
+
+// goldenDigests are the recorded vrp_digest values of the seed-1 worlds, by
+// tier (BENCH_PR6.json): with one walk left there is no second path to
+// compare against, so the record is the reference.
+var goldenDigests = map[int]string{
+	modelgen.Tier10k: "3ab6f62e1a143b4c51b8a8654ed96601493ffb06de74229fcb378d2698fe85dc",
 }
 
 // runScale drives the scaling suite: per tier, generate (or reuse) the world
@@ -452,7 +452,7 @@ func runScale(rep *report, tiersCSV, worlddir string, seed int64, workers, rssBu
 			}
 		}
 
-		streaming, err := spawn("cold_streaming", tier, dir)
+		cold, err := spawn("cold_streaming", tier, dir)
 		if err != nil {
 			return err
 		}
@@ -460,25 +460,21 @@ func runScale(rep *report, tiersCSV, worlddir string, seed int64, workers, rssBu
 		if err != nil {
 			return err
 		}
-		baseline, err := spawn("cold_baseline", tier, dir)
-		if err != nil {
-			return err
+
+		// Correctness gate: the warm re-sync must reproduce the cold VRP set
+		// bit for bit, and a tier with a recorded golden must reproduce that.
+		if warm.VRPDigest != cold.VRPDigest || warm.VRPs != cold.VRPs {
+			return fmt.Errorf("tier %d: warm re-sync VRP set (%d, %s) != cold (%d, %s)",
+				tier, warm.VRPs, warm.VRPDigest, cold.VRPs, cold.VRPDigest)
+		}
+		if golden, ok := goldenDigests[tier]; ok && seed == 1 && cold.VRPDigest != golden {
+			return fmt.Errorf("tier %d: VRP digest %s != recorded golden %s", tier, cold.VRPDigest, golden)
 		}
 
-		// Correctness gate: the streaming walk must reproduce the baseline
-		// VRP set bit for bit, cold and warm.
-		if streaming.VRPDigest != baseline.VRPDigest || streaming.VRPs != baseline.VRPs {
-			return fmt.Errorf("tier %d: streaming VRP set (%d, %s) != baseline (%d, %s)",
-				tier, streaming.VRPs, streaming.VRPDigest, baseline.VRPs, baseline.VRPDigest)
-		}
-		if warm.VRPDigest != baseline.VRPDigest {
-			return fmt.Errorf("tier %d: warm re-sync VRP set diverged from baseline", tier)
-		}
-
-		// Memory gate: streaming phases must fit the budget.
+		// Memory gate: both validation phases must fit the budget.
 		if rssBudgetMB > 0 {
 			budget := int64(rssBudgetMB) << 20
-			for _, rec := range []scaleResult{streaming, warm} {
+			for _, rec := range []scaleResult{cold, warm} {
 				if rec.PeakRSSBytes > budget {
 					return fmt.Errorf("%s: peak RSS %d bytes exceeds budget %d MiB",
 						rec.Name, rec.PeakRSSBytes, rssBudgetMB)
@@ -534,23 +530,6 @@ func runMicro(rep *report) {
 		}
 	})
 
-	run("warm_resync_verify_cache", func(b *testing.B) {
-		relying := rp.New(rp.Config{Fetcher: world.Stores, Clock: world.Clock, DisableModuleReuse: true}, world.Anchor())
-		if _, err := relying.Sync(ctx); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := relying.Sync(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.VerifyCacheMisses != 0 {
-				b.Fatalf("re-verified %d objects", res.VerifyCacheMisses)
-			}
-		}
-	})
-
 	run("warm_resync_module_reuse", func(b *testing.B) {
 		relying := rpkirisk.NewRelyingParty(world, 0)
 		if _, err := relying.Sync(ctx); err != nil {
@@ -595,23 +574,6 @@ func runMicro(rep *report) {
 		rep.ObsOverheadPct = &pct
 		fmt.Printf("%-32s %+.2f%%\n", "obs overhead (warm re-sync)", pct)
 	}
-
-	run("warm_resync_streaming", func(b *testing.B) {
-		relying := rp.New(rp.Config{Fetcher: world.Stores, Clock: world.Clock, Streaming: true}, world.Anchor())
-		if _, err := relying.Sync(ctx); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := relying.Sync(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.ModulesRevalidated != 0 {
-				b.Fatalf("re-validated %d modules", res.ModulesRevalidated)
-			}
-		}
-	})
 
 	run("one_module_changed", func(b *testing.B) {
 		relying := rpkirisk.NewRelyingParty(world, 0)

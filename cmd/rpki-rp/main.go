@@ -7,7 +7,7 @@
 //
 //	rpki-rp -tal arin.tal -server 127.0.0.1:8873 [-poll 30s] [-rtr 127.0.0.1:8282] [-policy best-effort|drop-pubpoint] [-workers N]
 //	        [-max-retries N] [-request-timeout D] [-stale-ttl D] [-breaker-threshold N] [-breaker-cooldown D]
-//	        [-no-module-reuse] [-ops-listen 127.0.0.1:9090] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	        [-ops-listen 127.0.0.1:9090] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	        [-rtr-max-clients N] [-rtr-send-queue N] [-rtr-write-timeout D] [-rtr-replication-listen addr]
 //	rpki-rp -rtr-replica-of primary:8283 -rtr 127.0.0.1:8282   (stateless RTR frontend, no TAL, no validation)
 //
@@ -15,10 +15,9 @@
 // are incremental: object snapshots are cached so unchanged objects are
 // proven by hash (STAT) instead of re-downloaded, and publication points
 // whose bytes are provably unchanged within their validity epoch reuse their
-// previous validated outputs wholesale (-no-module-reuse disables that
-// second layer). When -rtr is set, each poll feeds the validated VRP set to
-// the RTR cache, which computes a minimal delta and notifies routers only
-// when something actually changed.
+// previous validated outputs wholesale. When -rtr is set, each poll feeds
+// the validated VRP set to the RTR cache, which computes a minimal delta and
+// notifies routers only when something actually changed.
 //
 // The resilience flags tune how the daemon degrades under misbehaving
 // repositories: transport failures retry with backoff (-max-retries), each
@@ -78,7 +77,6 @@ func main() {
 	staleTTL := flag.Duration("stale-ttl", time.Hour, "serve an unreachable point's last-known-good snapshot up to this age (0: disabled)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that open a point's circuit breaker (must be >= 1)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker refuses requests before probing")
-	noModuleReuse := flag.Bool("no-module-reuse", false, "re-validate every publication point on every poll, even provably unchanged ones")
 	opsListen := flag.String("ops-listen", "", "serve /metrics, /healthz, /readyz, /debug/* on this address (empty: disabled)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (one-shot runs; live daemons: /debug/pprof on -ops-listen)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit (one-shot runs; live daemons: /debug/pprof on -ops-listen)")
@@ -161,13 +159,12 @@ func main() {
 		fmt.Printf("ops server on %s\n", ops.Addr())
 	}
 	relying := rp.New(rp.Config{
-		Fetcher:            client,
-		Policy:             missing,
-		Workers:            *workers,
-		StaleTTL:           *staleTTL,
-		CacheSnapshots:     true,
-		DisableModuleReuse: *noModuleReuse,
-		Obs:                hub,
+		Fetcher:        client,
+		Policy:         missing,
+		Workers:        *workers,
+		StaleTTL:       *staleTTL,
+		CacheSnapshots: true,
+		Obs:            hub,
 	}, anchor)
 
 	var syncs uint64

@@ -410,3 +410,72 @@ func TestSyncIncrementalLKGDegradation(t *testing.T) {
 		t.Error("route should stay Valid via LKG on the incremental path")
 	}
 }
+
+// flakyStores is an in-process VersionedFetcher whose named points can be
+// taken offline between syncs: an offline point fails its fetch and reports
+// no store version.
+type flakyStores struct {
+	StoreFetcher
+	offline map[string]bool
+}
+
+func (f *flakyStores) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
+	if f.offline[uri.Module] {
+		return nil, errors.New("publication point offline")
+	}
+	return f.StoreFetcher.FetchAll(ctx, uri)
+}
+
+func (f *flakyStores) SnapshotVersion(uri repo.URI) (uint64, bool) {
+	if f.offline[uri.Module] {
+		return 0, false
+	}
+	return f.StoreFetcher.SnapshotVersion(uri)
+}
+
+func TestLKGAgeRefreshedByVersionReuse(t *testing.T) {
+	// A snapshot's age counts from the last sync that proved it current, by
+	// whatever reuse tier — here the cheapest, the store version, which
+	// never touches the bytes. Ageing it from its first validation instead
+	// would drop a point minutes after it was last seen healthy: the
+	// Stalloris downgrade, self-inflicted.
+	arin, _, _, stores := buildFigure2(t)
+	fetcher := &flakyStores{StoreFetcher: stores, offline: map[string]bool{}}
+	now := testEpoch
+	relying := New(Config{
+		Fetcher:  fetcher,
+		Clock:    func() time.Time { return now },
+		StaleTTL: time.Hour,
+	}, TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
+	first := syncReuse(t, relying)
+	if first.Incomplete() {
+		t.Fatalf("clean sync: %v", first.Diagnostics)
+	}
+
+	now = testEpoch.Add(50 * time.Minute)
+	second := syncReuse(t, relying)
+	if second.Incomplete() || second.ModulesReused != first.PubPointsVisited {
+		t.Fatalf("warm sync: reused %d of %d modules, diags %v", second.ModulesReused, first.PubPointsVisited, second.Diagnostics)
+	}
+
+	// 70 minutes after the first validation, 20 after the last clean sync.
+	fetcher.offline["continental"] = true
+	now = testEpoch.Add(70 * time.Minute)
+	third := syncReuse(t, relying)
+	if third.StaleFallbacks != 1 || !hasDiag(third, DiagStaleFallback, "continental") {
+		t.Fatalf("want the 20-minute-old snapshot served, got StaleFallbacks=%d diags %v", third.StaleFallbacks, third.Diagnostics)
+	}
+	if !reflect.DeepEqual(third.VRPs, first.VRPs) {
+		t.Error("stale fallback should reproduce the snapshot's VRPs")
+	}
+
+	// The bound still holds: past last-proven-current + StaleTTL it expires.
+	now = testEpoch.Add(50*time.Minute + time.Hour + time.Minute)
+	fourth := syncReuse(t, relying)
+	if fourth.StaleFallbacks != 0 || !hasDiag(fourth, DiagFetchFailure, "continental") {
+		t.Fatalf("want the snapshot expired, got StaleFallbacks=%d diags %v", fourth.StaleFallbacks, fourth.Diagnostics)
+	}
+	if len(fourth.VRPs) >= len(first.VRPs) {
+		t.Errorf("expired point's VRPs must drop: %d -> %d", len(first.VRPs), len(fourth.VRPs))
+	}
+}

@@ -17,8 +17,10 @@
 //  2. the incremental fetch protocol reports every object's STAT hash
 //     unchanged (repo.SyncResult.Unchanged) — network round-trips but no
 //     object transfer and no local re-validation;
-//  3. the fetched bytes compare equal to the entry's snapshot — a memcmp,
-//     still far cheaper than hashing plus signature verification.
+//  3. the fetched bytes hash to the per-object SHA-256 digests the entry
+//     recorded — every byte re-hashed, but nothing re-parsed and no
+//     signature re-verified. The entry keeps digests, never bytes, so the
+//     memo's size does not grow with object size.
 //
 // Reuse is safe only inside the entry's temporal epoch: the intersection of
 // every validated certificate's validity window, the manifest's nextUpdate,
@@ -36,11 +38,12 @@
 // forces a full re-validation.
 //
 // Only clean validations are cached — a module that produced any diagnostic
-// deletes its entry — so reuse can never replay a degraded result.
+// deletes its entry — so reuse can never replay a degraded result. Entries
+// live in the per-point state (state.go), next to the snapshot they were
+// validated from.
 package rp
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"sync"
 	"time"
@@ -85,10 +88,8 @@ type moduleEntry struct {
 	// (valid only when hasVersion).
 	version    uint64
 	hasVersion bool
-	// files is the exact snapshot the entry was validated from. In
-	// streaming mode it is nil and digests carries the per-object SHA-256
-	// of that snapshot instead — same reuse guarantee, none of the bytes.
-	files   map[string][]byte
+	// digests is the per-object SHA-256 of the exact snapshot the entry was
+	// validated from.
 	digests map[string][32]byte
 	// notBefore/notAfter bound the epoch inside which the cached verdicts
 	// are time-invariant: max of all validated certs' notBefore, and min of
@@ -119,78 +120,8 @@ func (e *moduleEntry) within(now time.Time) bool {
 	return true
 }
 
-// moduleMemo holds moduleEntry values across Sync calls, keyed by module
-// name. Nil when DisableModuleReuse is set.
-type moduleMemo struct {
-	mu sync.Mutex
-	// entries maps module name to cached outcome. guarded by mu.
-	entries map[string]*moduleEntry
-}
-
-func newModuleMemo() *moduleMemo {
-	return &moduleMemo{entries: make(map[string]*moduleEntry)}
-}
-
-func (m *moduleMemo) get(module string) *moduleEntry {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.entries[module]
-}
-
-// put commits a memoized module outcome.
-//
-//taint:sink memoized validation verdicts reused across runs
-func (m *moduleMemo) put(module string, e *moduleEntry) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries[module] = e
-}
-
-func (m *moduleMemo) delete(module string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.entries, module)
-}
-
-// refreshVersion updates an entry's recorded store version after a reuse
-// that proved unchanged-ness by tier 2 or 3, so the next sync can take the
-// cheaper tier-1 path.
-func (m *moduleMemo) refreshVersion(module string, version uint64, hasVersion bool) {
-	if m == nil || !hasVersion {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[module]; ok {
-		e.version, e.hasVersion = version, true
-	}
-}
-
-// sameFiles reports whether two snapshots are byte-identical (tier 3).
-func sameFiles(a, b map[string][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, ac := range a {
-		bc, ok := b[name]
-		if !ok || !bytes.Equal(ac, bc) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameDigests reports whether a snapshot's per-object hashes match a
-// digest-only memo entry (tier 3, streaming flavor).
+// sameDigests reports whether a snapshot's per-object hashes match a memo
+// entry's (tier 3).
 func sameDigests(hashes, digests map[string][32]byte) bool {
 	if len(hashes) != len(digests) {
 		return false
@@ -216,13 +147,9 @@ type moduleBuild struct {
 	memoizable bool
 	version    uint64
 	hasVersion bool
-	files      map[string][]byte
 	// hashes is the per-object digest map computed by the walk's hashing
-	// pass; in streaming mode it becomes the memo entry's digest snapshot.
+	// pass; a clean commit keeps it as the memo entry's digest snapshot.
 	hashes map[string][32]byte
-	// holdsSlot marks that the walk acquired an in-flight-module slot
-	// (streaming mode) which commitModule must release.
-	holdsSlot bool
 	// span is the module's walk trace span and verifySpan its verify child
 	// (nil when tracing is off); the committer ends both. Written by the
 	// walk goroutine before the committer is spawned.

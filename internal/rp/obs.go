@@ -69,8 +69,8 @@ func newRPMetrics(hub *obs.Hub) *rpMetrics {
 		vrps:         r.Gauge("rpki_vrps", "VRPs in the validated cache after the last sync."),
 		roas:         r.Gauge("rpki_roas_accepted", "ROAs accepted in the last sync."),
 		certs:        r.Gauge("rpki_certs_accepted", "CA certificates accepted in the last sync."),
-		verifyHits:   r.Counter("rpki_verify_cache_hits_total", "Persistent verification-cache hits."),
-		verifyMisses: r.Counter("rpki_verify_cache_misses_total", "Persistent verification-cache misses."),
+		verifyHits:   r.Counter("rpki_verify_cache_hits_total", "Signature-verdict cache hits."),
+		verifyMisses: r.Counter("rpki_verify_cache_misses_total", "Signature-verdict cache misses: chain or CRL signatures actually verified."),
 		modulesReused: r.Counter("rpki_modules_reused_total",
 			"Publication points whose validated outputs were reused wholesale (provably unchanged)."),
 		modulesRevalid: r.Counter("rpki_modules_revalidated_total", "Publication points fully re-validated."),
@@ -83,7 +83,7 @@ func newRPMetrics(hub *obs.Hub) *rpMetrics {
 		objectsDown:   r.Counter("rpki_objects_downloaded_total", "Objects transferred by incremental syncs."),
 		objectsReused: r.Counter("rpki_objects_reused_total", "Objects kept from previous snapshots by incremental syncs."),
 		inflightModules: r.Gauge("rpki_streaming_modules_inflight",
-			"Streaming-mode module slots currently holding raw object bytes."),
+			"Module-window slots taken: publication points between the start of their fetch and their commit."),
 		lastSyncUnixtime: r.Gauge("rpki_last_sync_unixtime", "Injected-clock time the last sync finished."),
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cert"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/repo"
+	"repro/internal/roa"
 	"repro/internal/rov"
 )
 
@@ -190,27 +190,16 @@ type Config struct {
 	MaxDepth int
 	// CacheSnapshots keeps per-publication-point snapshots between Sync
 	// calls and uses the Fetcher's incremental mode when available.
+	// Without it (and without StaleTTL) a point's bytes are released the
+	// moment its module commits.
 	CacheSnapshots bool
-	// Workers bounds the validation worker pool: sibling publication
-	// points are fetched concurrently and object hashing/chain validation
-	// fans out across this many goroutines. 0 means runtime.GOMAXPROCS(0);
-	// 1 is the sequential baseline. Results are identical at any setting.
+	// Workers bounds the validation worker pool: object hashing and chain
+	// validation fan out across this many goroutines, and at most
+	// 2×Workers publication points are between the start of their fetch
+	// and their commit — a fetch in flight, or raw bytes held for
+	// validation — at a time. 0 means runtime.GOMAXPROCS(0); 1 is the
+	// sequential baseline. Results are identical at any setting.
 	Workers int
-	// Streaming bounds the relying party's memory so Internet-scale worlds
-	// validate in a resident set sized by the in-flight window, not the
-	// world: per-module object bytes are released once the module commits,
-	// at most MaxInflightModules modules hold raw bytes at a time, parsed
-	// objects are not retained across syncs, and the module memo keeps
-	// per-object digests instead of byte snapshots (so warm re-syncs still
-	// skip re-validating provably unchanged modules, at the cost of
-	// re-hashing their bytes). VRP output is identical to the non-streaming
-	// path at any worker count. Combining Streaming with CacheSnapshots or
-	// StaleTTL reintroduces byte retention for those features.
-	Streaming bool
-	// MaxInflightModules bounds how many publication points' raw bytes are
-	// resident at once in streaming mode (default 2×Workers). Ignored when
-	// Streaming is false.
-	MaxInflightModules int
 	// StaleTTL enables last-known-good fallback: when a publication point
 	// cannot be fetched, its most recent cleanly-validated snapshot — no
 	// older than StaleTTL — is validated in its place, with DiagStaleFallback
@@ -219,19 +208,6 @@ type Config struct {
 	// assumes. The TTL bounds how long a dead (or coerced-offline) authority
 	// can pin the relying party's view of its subtree.
 	StaleTTL time.Duration
-	// DisableVerifyCache turns off the persistent verification cache that
-	// lets repeated Sync calls skip re-verifying CMS envelopes and
-	// certificate-chain signatures for unchanged objects. The cache is
-	// keyed by object content hash (plus issuer SKI for chain checks), so
-	// republished objects never return stale verdicts; time, revocation
-	// and resource-containment checks are always re-evaluated.
-	DisableVerifyCache bool
-	// DisableModuleReuse turns off module-level validation memoization (see
-	// modmemo.go): with it set, every sync re-validates every publication
-	// point even when its bytes are provably unchanged. The knob exists for
-	// baseline benchmarking and for callers that want the per-object verify
-	// cache's behavior in isolation.
-	DisableModuleReuse bool
 	// Obs attaches the observability plane (see internal/obs): metric
 	// handles are registered once at construction, every diagnostic and
 	// fallback drops an event into the flight recorder, and each Sync
@@ -247,31 +223,20 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) maxInflightModules() int {
-	if c.MaxInflightModules > 0 {
-		return c.MaxInflightModules
-	}
-	return 2 * c.workers()
-}
-
 // RelyingParty validates RPKI hierarchies into VRP sets. It is safe for use
 // from one goroutine at a time; a single Sync call parallelizes internally.
 type RelyingParty struct {
 	cfg     Config
 	anchors []TrustAnchor
-	snapMu  sync.Mutex
-	// snapshots holds per-module contents cached across Sync calls when
-	// CacheSnapshots is enabled. guarded by snapMu.
-	snapshots map[string]map[string][]byte
-	// cache persists verification verdicts across Sync calls (nil when
-	// disabled).
-	cache *objectCache
-	// lkg holds last-known-good snapshots across Sync calls (nil when
-	// StaleTTL is 0).
-	lkg *lkgStore
-	// memo holds module-level validation outcomes across Sync calls (nil
-	// when DisableModuleReuse is set).
-	memo *moduleMemo
+	// sigs memoizes chain and CRL signature verdicts across Sync calls, keyed
+	// by (object hash, issuer SKI), so republished objects never return stale
+	// verdicts; time, revocation and resource-containment checks are always
+	// re-evaluated.
+	sigs *cert.VerifyCache
+	mu   sync.Mutex
+	// points is everything retained per publication point between Sync
+	// calls (see state.go). guarded by mu.
+	points map[string]*pointState
 	// met holds the metric handles registered on Config.Obs (nil when
 	// observability is off; every update is then a nil-receiver no-op).
 	met *rpMetrics
@@ -282,25 +247,13 @@ func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 32
 	}
-	rp := &RelyingParty{
-		cfg:       cfg,
-		anchors:   anchors,
-		snapshots: make(map[string]map[string][]byte),
+	return &RelyingParty{
+		cfg:     cfg,
+		anchors: anchors,
+		sigs:    cert.NewVerifyCache(),
+		points:  make(map[string]*pointState),
+		met:     newRPMetrics(cfg.Obs),
 	}
-	if !cfg.DisableVerifyCache {
-		// Streaming mode keeps the signature-verdict cache (small, fixed-size
-		// entries) but not the parsed-object cache, whose retained decodings
-		// would grow with the world.
-		rp.cache = newObjectCache(!cfg.Streaming)
-	}
-	if cfg.StaleTTL > 0 {
-		rp.lkg = newLKGStore()
-	}
-	if !cfg.DisableModuleReuse {
-		rp.memo = newModuleMemo()
-	}
-	rp.met = newRPMetrics(cfg.Obs)
-	return rp
 }
 
 func (rp *RelyingParty) now() time.Time {
@@ -328,9 +281,10 @@ type Result struct {
 	// relying party runs in incremental mode (zero otherwise).
 	ObjectsDownloaded, ObjectsReused int
 	// VerifyCacheHits and VerifyCacheMisses count lookups in the
-	// persistent verification cache during this sync (both zero when the
-	// cache is disabled). A warm re-sync of an unchanged world shows all
-	// hits: no CMS or certificate signature is re-verified.
+	// persistent signature-verdict cache during this sync: a miss is a
+	// chain or CRL signature actually verified, a hit one answered from an
+	// earlier verdict on the same bytes. Exact at any worker count. A sync
+	// that reuses every module does no lookups at all.
 	VerifyCacheHits, VerifyCacheMisses int
 	// Retries, BreakerTrips and BreakerFastFails count the fetcher's
 	// resilience events during this sync (zero unless the Fetcher reports
@@ -413,21 +367,17 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	if reporter != nil {
 		statsBefore = reporter.Stats()
 	}
+	hitsBefore, missesBefore := rp.sigs.Stats()
 	st := &syncState{
-		rp:   rp,
-		ctx:  ctx,
-		res:  res,
-		sem:  make(chan struct{}, rp.cfg.workers()),
-		span: trace.Root(),
+		rp:       rp,
+		ctx:      ctx,
+		now:      now,
+		res:      res,
+		sem:      make(chan struct{}, rp.cfg.workers()),
+		fetchSem: make(chan struct{}, 2*rp.cfg.workers()),
+		span:     trace.Root(),
 	}
-	if rp.cfg.Streaming {
-		st.fetchSem = make(chan struct{}, rp.cfg.maxInflightModules())
-	}
-	if rp.lkg != nil {
-		st.mu.Lock()
-		st.fetched = make(map[string]map[string][]byte)
-		st.mu.Unlock()
-	}
+	var walks []func()
 	for _, ta := range rp.anchors {
 		anchor, err := cert.Parse(ta.CertDER)
 		if err != nil {
@@ -441,36 +391,23 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		}
 		res.CertsAccepted++
 		uri := ta.URI
-		st.spawn(func() { st.walk(anchor, resources, uri, rp.cfg.MaxDepth) })
+		walks = append(walks, func() { st.walk(anchor, resources, uri, rp.cfg.MaxDepth) })
+	}
+	// Start walking only once every anchor is accounted for: from here on
+	// res belongs to the walks, under st.mu.
+	for _, walk := range walks {
+		st.spawn(walk)
 	}
 	st.wg.Wait()
 	if err := st.firstErr(); err != nil {
 		trace.Finish()
 		return nil, err
 	}
-	// Commit LKG snapshots for points that validated without a single
-	// diagnostic: "verified objects", so a corrupted point can never
-	// overwrite the clean snapshot its own fallback may need (Side Effect 7
-	// recovery depends on this).
-	if rp.lkg != nil {
-		tainted := make(map[string]bool, len(res.Diagnostics))
-		for _, d := range res.Diagnostics {
-			tainted[d.Module] = true
-		}
-		// Every walk goroutine is done (wg.Wait above), but fetched is
-		// lock-disciplined like every other access to it.
-		st.mu.Lock()
-		for module, files := range st.fetched {
-			if !tainted[module] {
-				rp.lkg.put(module, files, now)
-			}
-		}
-		st.mu.Unlock()
-	}
 	rov.SortVRPs(res.VRPs)
 	sortDiagnostics(res.Diagnostics)
-	res.VerifyCacheHits = int(st.cacheHits.Load())
-	res.VerifyCacheMisses = int(st.cacheMisses.Load())
+	hits, misses := rp.sigs.Stats()
+	res.VerifyCacheHits = int(hits - hitsBefore)
+	res.VerifyCacheMisses = int(misses - missesBefore)
 	if reporter != nil {
 		after := reporter.Stats()
 		res.Retries = int(after.Retries - statsBefore.Retries)
@@ -521,11 +458,14 @@ func sortDiagnostics(diags []Diagnostic) {
 type syncState struct {
 	rp  *RelyingParty
 	ctx context.Context
+	// now is the sync's start time on the injected clock: the stamp every
+	// last-known-good commit and refresh of this pass carries.
+	now time.Time
 	sem chan struct{}
-	// fetchSem bounds how many modules hold raw object bytes at once in
-	// streaming mode (nil otherwise). A slot is held from just before the
-	// module's fetch until its commit releases the bytes. Holders always
-	// make progress — a module's commit waits only on its own object tasks
+	// fetchSem is the module window: a slot is held from just before a
+	// module's fetch until its commit releases the bytes, so it bounds both
+	// the fetches in flight and the raw bytes resident. Holders always make
+	// progress — a module's commit waits only on its own object tasks
 	// (worker slots, never fetch slots), not on child walks — so the bound
 	// cannot deadlock.
 	fetchSem chan struct{}
@@ -540,12 +480,6 @@ type syncState struct {
 	// err is the first hard failure (context cancellation); it aborts the
 	// sync instead of becoming a diagnostic. guarded by mu.
 	err error
-	// fetched records each point's cleanly-fetched files for the LKG commit
-	// at the end of Sync (nil when LKG is disabled). guarded by mu.
-	fetched map[string]map[string][]byte
-
-	// Atomic counters; not covered by mu.
-	cacheHits, cacheMisses atomic.Int64
 }
 
 func (st *syncState) setErr(err error) {
@@ -582,22 +516,18 @@ func (st *syncState) run(f func()) {
 	<-st.sem
 }
 
-// acquireModule takes an in-flight-module slot in streaming mode (no-op
-// otherwise). Callers must pair it with exactly one releaseModule, reached
-// either directly on an early walk exit or via the module's commit.
+// acquireModule takes an in-flight-module slot. Callers must pair it with
+// exactly one releaseModule, reached either directly on an early walk exit
+// or via the module's commit.
 func (st *syncState) acquireModule() {
-	if st.fetchSem != nil {
-		st.fetchSem <- struct{}{}
-		st.rp.met.inflightModules.Inc()
-	}
+	st.fetchSem <- struct{}{}
+	st.rp.met.inflightModules.Inc()
 }
 
-// releaseModule returns an in-flight-module slot (no-op outside streaming).
+// releaseModule returns an in-flight-module slot.
 func (st *syncState) releaseModule() {
-	if st.fetchSem != nil {
-		st.rp.met.inflightModules.Dec()
-		<-st.fetchSem
-	}
+	st.rp.met.inflightModules.Dec()
+	<-st.fetchSem
 }
 
 func (st *syncState) diag(kind DiagKind, module, object string, err error) {
@@ -627,6 +557,13 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	st.mu.Unlock()
 	now := st.rp.now()
 
+	// What the last syncs left behind for this point. The memo entry is
+	// usable only under the same authority and effective set and inside its
+	// epoch — the guard every reuse tier below sits behind.
+	p := st.rp.point(uri.Module)
+	e := p.memo
+	usable := e != nil && e.matches(authority, effective) && e.within(now)
+
 	// Reuse tier 1: the fetcher can prove the backing store unchanged, so
 	// the fetch itself is skipped. The version is read before any fetch: a
 	// store mutating concurrently costs a re-validation, never a stale reuse.
@@ -635,21 +572,18 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	// rpki_modules_reused_total metric instead of traced one by one.
 	var storeVersion uint64
 	var hasVersion bool
-	if vf, ok := st.rp.cfg.Fetcher.(VersionedFetcher); ok && st.rp.memo != nil {
+	if vf, ok := st.rp.cfg.Fetcher.(VersionedFetcher); ok {
 		storeVersion, hasVersion = vf.SnapshotVersion(uri)
 	}
-	if hasVersion {
-		if e := st.rp.memo.get(uri.Module); e != nil && e.hasVersion && e.version == storeVersion &&
-			e.matches(authority, effective) && e.within(now) {
-			st.reuseModule(e, uri, depth)
-			return
-		}
+	if usable && hasVersion && e.hasVersion && e.version == storeVersion {
+		st.reuseModule(e, uri, depth, storeVersion, hasVersion)
+		return
 	}
 
 	wsp := st.span.Child("walk", uri.Module)
 	st.acquireModule()
 	fsp := wsp.Child("fetch", uri.Module)
-	files, unchanged, err := st.rp.fetch(st.ctx, st, uri)
+	files, unchanged, err := st.rp.fetch(st.ctx, st, uri, p.last)
 	fsp.End()
 	if err != nil && st.ctx.Err() != nil {
 		// Cancellation is an abort, not incompleteness: no diagnostic.
@@ -659,11 +593,18 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 		wsp.End()
 		return
 	}
-	mb := &moduleBuild{memoizable: err == nil, version: storeVersion, hasVersion: hasVersion, holdsSlot: st.fetchSem != nil}
-	mb.span = wsp
+	// reuseFetched ends a walk whose fetched bytes were proven identical to
+	// the ones the memo entry was validated from: the bytes are dropped.
+	reuseFetched := func(detail string) {
+		st.releaseModule()
+		wsp.SetDetail(detail)
+		wsp.End()
+		st.reuseModule(e, uri, depth, storeVersion, hasVersion)
+	}
+	mb := &moduleBuild{memoizable: err == nil, version: storeVersion, hasVersion: hasVersion, span: wsp}
 	switch {
 	case err != nil && len(files) == 0:
-		if files = st.lkgFallback(uri, err); files == nil {
+		if files = st.lkgFallback(uri, p, err); files == nil {
 			st.releaseModule()
 			wsp.SetDetail("unreachable, no fallback")
 			wsp.End()
@@ -672,30 +613,17 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 		wsp.SetDetail("serving last-known-good")
 	case err != nil:
 		mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", err))
-	default:
-		st.recordFetched(uri.Module, files)
-		// Reuse tiers 2 and 3: fetched, but byte-identical to the cached
-		// entry's snapshot — either every STAT hash matched server-side
-		// (unchanged) or the bytes compare equal locally (the byte snapshot
-		// exists only outside streaming mode; sameFiles of a digest-only
-		// entry is false and the digest comparison below decides instead).
-		if e := st.rp.memo.get(uri.Module); e != nil && e.matches(authority, effective) && e.within(now) &&
-			(unchanged || sameFiles(files, e.files)) {
-			st.rp.memo.refreshVersion(uri.Module, storeVersion, hasVersion)
-			st.releaseModule()
-			wsp.SetDetail("reused: bytes unchanged")
-			wsp.End()
-			st.reuseModule(e, uri, depth)
-			return
-		}
+	case usable && unchanged:
+		// Reuse tier 2: fetched, and every STAT hash matched server-side.
+		reuseFetched("reused: bytes unchanged")
+		return
 	}
-	mb.files = files
 
 	// Hash every fetched object exactly once, in parallel chunks. The
-	// digests drive the manifest cross-check, per-object admission, the
-	// verification-cache keys, and (in streaming mode) the digest-level
-	// reuse check below. The scratch slice is pooled: its values are copied
-	// into the hashes map, so nothing retains it after Put.
+	// digests drive the manifest cross-check, per-object admission and the
+	// digest-level reuse check below, and a clean commit keeps them as the
+	// memo entry's snapshot. The scratch slice is pooled: its values are
+	// copied into the hashes map, so nothing retains it after Put.
 	names := make([]string, 0, len(files))
 	for name := range files {
 		names = append(names, name)
@@ -740,31 +668,21 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	}
 	mb.hashes = hashes
 
-	// Reuse tier 3, streaming flavor: the memo kept per-object digests
-	// rather than a byte snapshot, so unchanged-ness is decided here, after
-	// hashing — the module's bytes are re-hashed but nothing is re-parsed
-	// or re-verified.
-	if mb.memoizable {
-		if e := st.rp.memo.get(uri.Module); e != nil && e.digests != nil &&
-			e.matches(authority, effective) && e.within(now) && sameDigests(hashes, e.digests) {
-			st.rp.memo.refreshVersion(uri.Module, storeVersion, hasVersion)
-			st.releaseModule()
-			wsp.SetDetail("reused: digests unchanged")
-			wsp.End()
-			st.reuseModule(e, uri, depth)
-			return
-		}
+	// Reuse tier 3: the memo keeps per-object digests, not bytes, so
+	// unchanged-ness is decided here, after hashing — the module's bytes are
+	// re-hashed but nothing is re-parsed or re-verified. Only a faithful
+	// fetch consults the memo; degraded sources never do.
+	if mb.memoizable && usable && sameDigests(hashes, e.digests) {
+		reuseFetched("reused: digests unchanged")
+		return
 	}
 	st.mu.Lock()
 	st.res.ModulesRevalidated++
 	st.mu.Unlock()
 	// A memo entry that survives to this point was refused by the reuse
 	// guard: record why (authority swap, epoch expiry, or changed bytes).
-	// Only a clean fetch consults the memo, so degraded sources don't count.
-	if mb.memoizable {
-		if e := st.rp.memo.get(uri.Module); e != nil {
-			st.reuseRejection(e, authority, effective, uri.Module)
-		}
+	if mb.memoizable && e != nil {
+		st.reuseRejection(e, authority, effective, uri.Module)
 	}
 	mb.verifySpan = wsp.Child("verify", uri.Module)
 
@@ -773,7 +691,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	var mft *manifest.Manifest
 	if raw, ok := files[mftName]; ok {
 		st.run(func() {
-			signed, err := st.rp.cache.parseManifest(st, hashes[mftName], raw)
+			signed, err := manifest.ParseSigned(raw)
 			if err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
 			} else if _, err := cert.ValidateChild(authority, effective, signed.EE, st.vctx(now, nil)); err != nil {
@@ -795,7 +713,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	}
 	if mft == nil && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("no usable manifest"))
-		st.commitModule(uri, authority, effective, mb)
+		st.commitModule(uri, authority, effective, mb, files)
 		return
 	}
 
@@ -821,7 +739,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	}
 	if !manifestOK && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("manifest inconsistency"))
-		st.commitModule(uri, authority, effective, mb)
+		st.commitModule(uri, authority, effective, mb, files)
 		return
 	}
 
@@ -834,12 +752,12 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 		}
 		raw := files[name]
 		st.run(func() {
-			parsed, err := st.rp.cache.parseCRL(st, hashes[name], raw)
+			parsed, err := cert.ParseCRL(raw)
 			if err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 				return
 			}
-			if err := st.rp.sigCache().VerifyCRL(authority, parsed); err != nil {
+			if err := st.rp.sigs.VerifyCRL(authority, parsed); err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 				return
 			}
@@ -874,23 +792,22 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	// deadlock the pool.
 	st.spawn(func() {
 		mb.wg.Wait()
-		st.commitModule(uri, authority, effective, mb)
+		st.commitModule(uri, authority, effective, mb, files)
 	})
 }
 
 // reuseModule merges a cached module entry's outputs into the sync result
-// without re-validating anything, and re-spawns the module's child walks
-// (each child decides reuse for itself).
-func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int) {
+// without re-validating anything, records that the point was just proven
+// unchanged (at version, when the fetcher reports one), and re-spawns the
+// module's child walks (each child decides reuse for itself).
+func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, version uint64, hasVersion bool) {
 	st.mu.Lock()
 	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
 	st.res.CertsAccepted += e.certs
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
-	if e.files != nil { // digest-only (streaming) entries keep no snapshot
-		st.recordFetched(uri.Module, e.files)
-	}
+	st.rp.markReused(uri.Module, version, hasVersion, st.now)
 	for _, ch := range e.children {
 		ch := ch
 		st.spawn(func() { st.walk(ch.cert, ch.effective, ch.uri, depth-1) })
@@ -898,16 +815,15 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int) {
 }
 
 // commitModule merges a fully-validated module's outputs into the sync
-// result and updates the memo: a clean validation of a faithfully-fetched
-// snapshot commits an entry, any diagnostic deletes the stale one. Degraded
-// sources (LKG fallback, partial fetch) merge without touching the memo —
-// their bytes do not correspond to the point's current snapshot.
-func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, effective ipres.Set, mb *moduleBuild) {
-	// Committing releases the module's raw bytes: drop the in-flight slot
-	// (streaming) once the memo decision below no longer needs them.
-	if mb.holdsSlot {
-		defer st.releaseModule()
-	}
+// result, commits the point's retained state and releases the module's
+// in-flight slot — after it returns nothing but that state references the
+// module's raw bytes. A clean validation of a faithfully-fetched snapshot
+// commits a memo entry and the last-known-good snapshot; any diagnostic
+// deletes the stale entry and leaves the snapshot alone. Degraded sources
+// (LKG fallback, partial fetch) merge without touching either — their bytes
+// do not correspond to the point's current snapshot.
+func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
+	defer st.releaseModule()
 	mb.verifySpan.End()
 	csp := mb.span.Child("commit", uri.Module)
 	defer func() {
@@ -922,73 +838,54 @@ func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, ef
 	st.res.CertsAccepted += mb.certs
 	st.res.VRPs = append(st.res.VRPs, mb.vrps...)
 	st.mu.Unlock()
-	if !mb.memoizable || st.rp.memo == nil {
+	if !mb.memoizable {
 		return
 	}
-	if !clean {
-		st.rp.memo.delete(uri.Module)
-		return
+	var entry *moduleEntry
+	if clean {
+		entry = &moduleEntry{
+			authorityHash: authorityDigest(authority),
+			effective:     effective,
+			version:       mb.version,
+			hasVersion:    mb.hasVersion,
+			digests:       mb.hashes,
+			notBefore:     mb.notBefore,
+			notAfter:      mb.notAfter,
+			vrps:          mb.vrps,
+			roas:          mb.roas,
+			certs:         mb.certs,
+			children:      mb.children,
+		}
 	}
-	entry := &moduleEntry{
-		authorityHash: authorityDigest(authority),
-		effective:     effective,
-		version:       mb.version,
-		hasVersion:    mb.hasVersion,
-		notBefore:     mb.notBefore,
-		notAfter:      mb.notAfter,
-		vrps:          mb.vrps,
-		roas:          mb.roas,
-		certs:         mb.certs,
-		children:      mb.children,
-	}
-	if st.rp.cfg.Streaming {
-		// Keep digests only: unchanged-ness is re-proven by re-hashing, and
-		// the module's bytes become collectable the moment the walk drops
-		// them.
-		entry.digests = mb.hashes
-	} else {
-		entry.files = mb.files
-	}
-	st.rp.memo.put(uri.Module, entry)
-}
-
-// recordFetched remembers a point's cleanly-fetched files for the LKG
-// commit at the end of Sync (no-op when LKG is disabled).
-func (st *syncState) recordFetched(module string, files map[string][]byte) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.fetched == nil {
-		return
-	}
-	st.fetched[module] = files
+	st.rp.commitPoint(uri.Module, entry, files, st.now)
 }
 
 // lkgFallback handles a publication point that could not be fetched at all.
-// With LKG enabled and a fresh-enough snapshot on hand it returns the
-// snapshot's files (diagnosing the substitution); otherwise it returns nil
-// and the point's subtree drops out of the validated cache — Side Effect 6.
-func (st *syncState) lkgFallback(uri repo.URI, ferr error) map[string][]byte {
-	if st.rp.lkg == nil {
+// With LKG enabled and a fresh-enough clean snapshot in the point's state p
+// it returns the snapshot's files (diagnosing the substitution); otherwise
+// it returns nil and the point's subtree drops out of the validated cache —
+// Side Effect 6.
+func (st *syncState) lkgFallback(uri repo.URI, p pointState, ferr error) map[string][]byte {
+	ttl := st.rp.cfg.StaleTTL
+	if ttl <= 0 {
 		st.diag(DiagFetchFailure, uri.Module, "", ferr)
 		return nil
 	}
 	st.diag(DiagPointUnreachable, uri.Module, "", ferr)
-	entry, ok := st.rp.lkg.get(uri.Module)
-	now := st.rp.now()
-	ttl := st.rp.cfg.StaleTTL
-	if !ok {
+	if p.clean == nil {
 		st.diag(DiagFetchFailure, uri.Module, "", fmt.Errorf("no last-known-good snapshot"))
 		return nil
 	}
-	if age := now.Sub(entry.at); age > ttl {
+	age := st.rp.now().Sub(p.cleanAt)
+	if age > ttl {
 		st.diag(DiagFetchFailure, uri.Module, "", fmt.Errorf("last-known-good snapshot expired (age %v > stale-ttl %v)", age, ttl))
 		return nil
 	}
-	st.diag(DiagStaleFallback, uri.Module, "", fmt.Errorf("serving %d objects from snapshot aged %v (stale-ttl %v)", len(entry.files), now.Sub(entry.at), ttl))
+	st.diag(DiagStaleFallback, uri.Module, "", fmt.Errorf("serving %d objects from snapshot aged %v (stale-ttl %v)", len(p.clean), age, ttl))
 	st.mu.Lock()
 	st.res.StaleFallbacks++
 	st.mu.Unlock()
-	return entry.files
+	return p.clean
 }
 
 // processObject admits one fetched object: manifest admission, then ROA
@@ -1006,7 +903,7 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 	ctxV := st.vctx(now, crl)
 	switch {
 	case strings.HasSuffix(name, ".roa"):
-		signed, err := st.rp.cache.parseROA(st, hash, raw)
+		signed, err := roa.ParseSigned(raw)
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
@@ -1019,7 +916,7 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 		mb.addROA(rov.FromROA(signed.ROA))
 
 	case strings.HasSuffix(name, ".cer"):
-		child, err := st.rp.cache.parseCert(st, hash, raw)
+		child, err := cert.Parse(raw)
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
@@ -1050,31 +947,20 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 
 // vctx builds a chain-validation context wired to the signature cache.
 func (st *syncState) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext {
-	return cert.ValidationContext{Now: now, CRL: crl, Cache: st.rp.sigCache()}
-}
-
-// sigCache returns the persistent signature-verification cache (nil when
-// caching is disabled — the cert package treats a nil cache as a no-op).
-func (rp *RelyingParty) sigCache() *cert.VerifyCache {
-	if rp.cache == nil {
-		return nil
-	}
-	return rp.cache.sigs
+	return cert.ValidationContext{Now: now, CRL: crl, Cache: st.rp.sigs}
 }
 
 // fetch retrieves a publication point, using the fetcher's incremental
-// mode when snapshot caching is enabled and supported. The second return
-// reports whether the incremental protocol proved every object's hash
-// unchanged since the previous snapshot (reuse tier 2).
-func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI) (map[string][]byte, bool, error) {
+// mode against prev — the point's previous snapshot — when snapshot caching
+// is enabled and supported. The second return reports whether the
+// incremental protocol proved every object's hash unchanged since prev
+// (reuse tier 2).
+func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, prev map[string][]byte) (map[string][]byte, bool, error) {
 	inc, ok := rp.cfg.Fetcher.(IncrementalFetcher)
 	if !rp.cfg.CacheSnapshots || !ok {
 		files, err := rp.cfg.Fetcher.FetchAll(ctx, uri)
 		return files, false, err
 	}
-	rp.snapMu.Lock()
-	prev := rp.snapshots[uri.Module]
-	rp.snapMu.Unlock()
 	sync, err := inc.SyncIncremental(ctx, uri, prev)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1089,9 +975,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI) 
 		if ferr != nil {
 			return nil, false, ferr
 		}
-		rp.snapMu.Lock()
-		rp.snapshots[uri.Module] = files
-		rp.snapMu.Unlock()
+		rp.setLast(uri.Module, files)
 		st.mu.Lock()
 		st.res.IncrementalFallbacks++
 		st.res.ObjectsDownloaded += len(files)
@@ -1100,9 +984,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI) 
 			"incremental sync failed (%v); recovered with a full fetch", err)
 		return files, false, nil
 	}
-	rp.snapMu.Lock()
-	rp.snapshots[uri.Module] = sync.Files
-	rp.snapMu.Unlock()
+	rp.setLast(uri.Module, sync.Files)
 	st.mu.Lock()
 	st.res.ObjectsDownloaded += sync.Downloaded
 	st.res.ObjectsReused += sync.Reused

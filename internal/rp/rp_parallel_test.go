@@ -1,6 +1,7 @@
 package rp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -108,34 +109,58 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmCacheResync checks the verification cache: a second sync of an
-// unchanged world performs zero fresh verifications (all cache hits) and
-// produces identical output. Module reuse is disabled so the per-object
-// cache layer is exercised in isolation (with it on, a warm sync would not
-// look objects up at all).
+// TestWarmCacheResync checks the signature-verdict cache through the
+// per-sync counters: a cold sync verifies (misses), a warm sync of an
+// unchanged world reuses every module and looks nothing up, and a warm sync
+// after one ROA is replaced re-validates that one module — verifying only
+// the objects whose bytes changed and answering its unchanged siblings from
+// the cache.
 func TestWarmCacheResync(t *testing.T) {
-	arin, _, _, stores := buildFigure2(t)
-	relying := New(Config{Fetcher: stores, Clock: clock, Workers: 4, DisableModuleReuse: true},
+	arin, _, continental, stores := buildFigure2(t)
+	relying := New(Config{Fetcher: stores, Clock: clock, Workers: 4},
 		TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
-	cold, err := relying.Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := syncReuse(t, relying)
 	if cold.VerifyCacheMisses == 0 {
 		t.Fatal("cold sync should populate the cache")
 	}
-	warm, err := relying.Sync(context.Background())
-	if err != nil {
+
+	idle := syncReuse(t, relying)
+	if idle.ModulesRevalidated != 0 || idle.VerifyCacheHits != 0 || idle.VerifyCacheMisses != 0 {
+		t.Errorf("unchanged warm sync: revalidated=%d hits=%d misses=%d, want no lookups at all",
+			idle.ModulesRevalidated, idle.VerifyCacheHits, idle.VerifyCacheMisses)
+	}
+	if got, want := fingerprint(idle), fingerprint(cold); got != want {
+		t.Errorf("warm resync diverged:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+
+	before := stores["continental"].Snapshot()
+	if err := continental.DeleteROA("cont-22"); err != nil {
 		t.Fatal(err)
 	}
-	if warm.VerifyCacheMisses != 0 {
-		t.Errorf("warm sync re-verified %d objects", warm.VerifyCacheMisses)
+	mustROA(t, continental, "cont-22", 7341, "63.174.16.0/22")
+	changed, unchanged := 0, 0
+	for name, raw := range stores["continental"].Snapshot() {
+		if bytes.Equal(raw, before[name]) {
+			unchanged++
+		} else {
+			changed++
+		}
 	}
-	if warm.VerifyCacheHits != cold.VerifyCacheHits+cold.VerifyCacheMisses {
-		t.Errorf("warm hits = %d, want %d", warm.VerifyCacheHits, cold.VerifyCacheHits+cold.VerifyCacheMisses)
+	if unchanged == 0 {
+		t.Fatal("replacing one ROA should leave its siblings' bytes alone")
 	}
-	if got, want := fingerprint(warm), fingerprint(cold); got != want {
-		t.Errorf("warm resync diverged:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	warm := syncReuse(t, relying)
+	if warm.ModulesRevalidated != 1 {
+		t.Errorf("revalidated %d modules, want 1", warm.ModulesRevalidated)
+	}
+	if warm.VerifyCacheMisses != changed {
+		t.Errorf("warm sync verified %d signatures, want %d (one per changed object)", warm.VerifyCacheMisses, changed)
+	}
+	if warm.VerifyCacheHits < unchanged {
+		t.Errorf("warm sync hit the cache %d times, want at least %d (one per unchanged sibling)", warm.VerifyCacheHits, unchanged)
+	}
+	if got, want := fingerprint(warm), fingerprint(syncWithWorkers(t, arin, stores, 4)); got != want {
+		t.Errorf("warm sync after replacement diverged from fresh:\n--- warm ---\n%s--- fresh ---\n%s", got, want)
 	}
 }
 
@@ -164,24 +189,6 @@ func TestWarmCacheSeesMutations(t *testing.T) {
 	}
 	if warm.ROAsAccepted != 7 {
 		t.Errorf("ROAs after deletion = %d, want 7", warm.ROAsAccepted)
-	}
-}
-
-// TestVerifyCacheDisabled checks that DisableVerifyCache produces the same
-// validation outcome with zero cache accounting.
-func TestVerifyCacheDisabled(t *testing.T) {
-	arin, _, _, stores := buildFigure2(t)
-	relying := New(Config{Fetcher: stores, Clock: clock, DisableVerifyCache: true},
-		TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
-	res, err := relying.Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.VerifyCacheHits != 0 || res.VerifyCacheMisses != 0 {
-		t.Errorf("disabled cache counted hits=%d misses=%d", res.VerifyCacheHits, res.VerifyCacheMisses)
-	}
-	if got, want := fingerprint(res), fingerprint(syncWithWorkers(t, arin, stores, 1)); got != want {
-		t.Errorf("uncached sync diverged:\n--- uncached ---\n%s--- cached ---\n%s", got, want)
 	}
 }
 

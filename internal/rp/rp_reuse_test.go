@@ -74,27 +74,29 @@ func TestModuleReuseOneModuleChanged(t *testing.T) {
 	}
 }
 
-// TestModuleReuseOutputEquivalence: the VRP set and diagnostics are
-// byte-identical with and without module reuse, at any worker count, on
-// both cold and warm syncs.
+// TestModuleReuseOutputEquivalence: the VRP set and diagnostics of a
+// relying party that reuses modules are byte-identical, at any worker
+// count, to those of a fresh one — no memo, empty verdict cache — on the
+// same world, before and after a mutation.
 func TestModuleReuseOutputEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		arin, _, continental, stores := buildFigure2(t)
-		mk := func(disable bool) *RelyingParty {
-			return New(Config{Fetcher: stores, Clock: clock, Workers: workers, DisableModuleReuse: disable},
-				TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
+		warm := New(Config{Fetcher: stores, Clock: clock, Workers: workers},
+			TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
+		if got, want := fingerprint(syncReuse(t, warm)), fingerprint(syncWithWorkers(t, arin, stores, workers)); got != want {
+			t.Errorf("workers=%d cold sync diverged:\n--- reuse ---\n%s--- fresh ---\n%s", workers, got, want)
 		}
-		with, without := mk(false), mk(true)
-		if got, want := fingerprint(syncReuse(t, with)), fingerprint(syncReuse(t, without)); got != want {
-			t.Errorf("workers=%d cold sync diverged:\n--- reuse ---\n%s--- no reuse ---\n%s", workers, got, want)
-		}
-		// Mutate, then compare the warm syncs (one reuses 3 modules, the
-		// other re-validates all 4).
+		// Mutate, then compare: the warm relying party reuses 3 modules,
+		// the fresh one validates all 4.
 		if err := continental.DeleteROA("cont-26"); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := fingerprint(syncReuse(t, with)), fingerprint(syncReuse(t, without)); got != want {
-			t.Errorf("workers=%d warm sync diverged:\n--- reuse ---\n%s--- no reuse ---\n%s", workers, got, want)
+		res := syncReuse(t, warm)
+		if res.ModulesReused != 3 {
+			t.Errorf("workers=%d: reused %d modules, want 3", workers, res.ModulesReused)
+		}
+		if got, want := fingerprint(res), fingerprint(syncWithWorkers(t, arin, stores, workers)); got != want {
+			t.Errorf("workers=%d warm sync diverged:\n--- reuse ---\n%s--- fresh ---\n%s", workers, got, want)
 		}
 	}
 }
@@ -164,24 +166,6 @@ func TestModuleReuseAuthorityChange(t *testing.T) {
 	}
 	if len(warm.VRPs) >= len(cold.VRPs) {
 		t.Errorf("whacking should shrink the VRP set: %d -> %d", len(cold.VRPs), len(warm.VRPs))
-	}
-}
-
-// TestModuleReuseDisabled: the knob really disables the memo.
-func TestModuleReuseDisabled(t *testing.T) {
-	arin, _, _, stores := buildFigure2(t)
-	relying := New(Config{Fetcher: stores, Clock: clock, Workers: 4, DisableModuleReuse: true},
-		TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
-	cold := syncReuse(t, relying)
-	warm := syncReuse(t, relying)
-	if warm.ModulesReused != 0 {
-		t.Errorf("reused %d modules with reuse disabled", warm.ModulesReused)
-	}
-	if warm.ModulesRevalidated != cold.PubPointsVisited {
-		t.Errorf("revalidated %d, want %d", warm.ModulesRevalidated, cold.PubPointsVisited)
-	}
-	if got, want := fingerprint(warm), fingerprint(cold); got != want {
-		t.Errorf("warm resync diverged:\n--- warm ---\n%s--- cold ---\n%s", got, want)
 	}
 }
 

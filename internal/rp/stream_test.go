@@ -1,16 +1,28 @@
 package rp_test
 
-// Streaming-mode equivalence: the memory-bounded walk (Config.Streaming)
-// must produce VRP sets identical to the default path on the same world, at
-// any worker count — the correctness bar for the whole memory-bounded
-// validation rework. The test package is external because the worlds come
-// from modelgen, which itself imports rp.
+// Oracles for the module-windowed walk that need no second walk to compare
+// against: ground truth read straight from the publication points, a
+// recorded golden digest, and the window bound itself. The test package is
+// external because the worlds come from modelgen, which itself imports rp.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/ca"
+	"repro/internal/ipres"
 	"repro/internal/modelgen"
+	"repro/internal/obs"
+	"repro/internal/repo"
+	"repro/internal/roa"
+	"repro/internal/rov"
 	"repro/internal/rp"
 )
 
@@ -27,21 +39,65 @@ func syncOnce(t *testing.T, v *rp.RelyingParty) *rp.Result {
 	return res
 }
 
-// assertSameVRPs compares two canonically sorted results element-wise.
-func assertSameVRPs(t *testing.T, want, got *rp.Result, label string) {
-	t.Helper()
-	if len(want.VRPs) != len(got.VRPs) {
-		t.Fatalf("%s: %d VRPs, want %d", label, len(got.VRPs), len(want.VRPs))
+// truth accumulates the ground-truth VRP set of a clean world: every .roa
+// of every publication point, parsed with no relying party involved.
+type truth struct {
+	t    *testing.T
+	vrps []rov.VRP
+	roas int
+}
+
+func (g *truth) add(files map[string][]byte) {
+	g.t.Helper()
+	for name, raw := range files {
+		if !strings.HasSuffix(name, ".roa") {
+			continue
+		}
+		signed, err := roa.ParseSigned(raw)
+		if err != nil {
+			g.t.Fatalf("ground truth: %s: %v", name, err)
+		}
+		g.vrps = append(g.vrps, rov.FromROA(signed.ROA)...)
+		g.roas++
 	}
-	for i := range want.VRPs {
-		if want.VRPs[i].Compare(got.VRPs[i]) != 0 {
-			t.Fatalf("%s: VRP %d = %+v, want %+v", label, i, got.VRPs[i], want.VRPs[i])
+}
+
+// check compares a result against the accumulated truth in canonical order.
+// Result.VRPs is a multiset — two ROAs authorizing the same payload yield
+// it twice (the 10k tier: 10,000 entries, 5,976 distinct) — so the truth is
+// sorted, not deduplicated.
+func (g *truth) check(res *rp.Result, label string) {
+	g.t.Helper()
+	rov.SortVRPs(g.vrps)
+	if res.ROAsAccepted != g.roas {
+		g.t.Fatalf("%s: accepted %d ROAs, the stores hold %d", label, res.ROAsAccepted, g.roas)
+	}
+	if len(res.VRPs) != len(g.vrps) {
+		g.t.Fatalf("%s: %d VRPs, ground truth has %d", label, len(res.VRPs), len(g.vrps))
+	}
+	for i := range g.vrps {
+		if g.vrps[i].Compare(res.VRPs[i]) != 0 {
+			g.t.Fatalf("%s: VRP %d = %+v, ground truth %+v", label, i, res.VRPs[i], g.vrps[i])
 		}
 	}
-	if want.ROAsAccepted != got.ROAsAccepted || want.CertsAccepted != got.CertsAccepted {
-		t.Fatalf("%s: accepted (roas=%d, certs=%d), want (roas=%d, certs=%d)",
-			label, got.ROAsAccepted, got.CertsAccepted, want.ROAsAccepted, want.CertsAccepted)
+}
+
+// checkColdAndWarm syncs v twice against the truth: the cold pass
+// validates every module, the warm pass must reuse every one of them and
+// reproduce the same set.
+func (g *truth) checkColdAndWarm(v *rp.RelyingParty, modules int, label string) {
+	g.t.Helper()
+	cold := syncOnce(g.t, v)
+	if cold.ModulesRevalidated != modules {
+		g.t.Fatalf("%s cold: revalidated %d modules, want %d", label, cold.ModulesRevalidated, modules)
 	}
+	g.check(cold, label+" cold")
+	warm := syncOnce(g.t, v)
+	if warm.ModulesRevalidated != 0 || warm.ModulesReused != modules {
+		g.t.Fatalf("%s warm: revalidated %d, reused %d modules, want 0 and %d",
+			label, warm.ModulesRevalidated, warm.ModulesReused, modules)
+	}
+	g.check(warm, label+" warm")
 }
 
 func TestStreamingEquivalenceSynthetic(t *testing.T) {
@@ -49,15 +105,28 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := syncOnce(t, rp.New(rp.Config{
-		Fetcher: w.Stores, Clock: w.Clock, Workers: 1,
-	}, w.Anchor()))
-	for _, workers := range []int{1, 4} {
-		streamed := syncOnce(t, rp.New(rp.Config{
-			Fetcher: w.Stores, Clock: w.Clock, Workers: workers, Streaming: true,
-		}, w.Anchor()))
-		assertSameVRPs(t, baseline, streamed, "streaming synthetic")
+	g := &truth{t: t}
+	for _, store := range w.Stores {
+		g.add(store.Snapshot())
 	}
+	for _, workers := range []int{1, 4} {
+		v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: workers}, w.Anchor())
+		g.checkColdAndWarm(v, len(w.Stores), fmt.Sprintf("synthetic workers=%d", workers))
+	}
+}
+
+// golden10kDigest is the 10k tier's VRP digest at seed 1, as recorded in
+// BENCH_PR6.json and reproduced by every walk this repository has had.
+const golden10kDigest = "3ab6f62e1a143b4c51b8a8654ed96601493ffb06de74229fcb378d2698fe85dc"
+
+// digestVRPs is cmd/rpki-bench's vrp_digest: SHA-256 over one
+// "prefix|maxlen|asn" line per VRP of the canonically sorted set.
+func digestVRPs(vrps []rov.VRP) string {
+	h := sha256.New()
+	for _, v := range vrps {
+		fmt.Fprintf(h, "%s|%d|%d\n", v.Prefix, v.MaxLength, v.ASN)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func TestStreamingEquivalence10k(t *testing.T) {
@@ -65,7 +134,7 @@ func TestStreamingEquivalence10k(t *testing.T) {
 		t.Skip("10k tier generation in -short mode")
 	}
 	w, err := modelgen.GenerateScaled(modelgen.ScaleConfig{
-		Seed: 99, ROAs: modelgen.Tier10k, Dir: t.TempDir(),
+		Seed: 1, ROAs: modelgen.Tier10k, Dir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,35 +143,113 @@ func TestStreamingEquivalence10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baseline *rp.Result
+	packs, err := filepath.Glob(filepath.Join(w.Dir, "*.pp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packs) != w.Meta.Modules {
+		t.Fatalf("%d pack files, world.json says %d modules", len(packs), w.Meta.Modules)
+	}
+	g := &truth{t: t}
+	for _, pack := range packs {
+		files, err := repo.ReadPackFile(pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.add(files)
+	}
+	if g.roas != modelgen.Tier10k {
+		t.Fatalf("the packs hold %d ROAs, want %d", g.roas, modelgen.Tier10k)
+	}
 	for _, workers := range []int{1, 4} {
-		plain := syncOnce(t, rp.New(rp.Config{
-			Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers,
-		}, anchor))
-		if baseline == nil {
-			baseline = plain
-			if plain.ROAsAccepted != modelgen.Tier10k {
-				t.Fatalf("baseline accepted %d ROAs, want %d", plain.ROAsAccepted, modelgen.Tier10k)
+		v := rp.New(rp.Config{Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers}, anchor)
+		g.checkColdAndWarm(v, w.Meta.Modules, fmt.Sprintf("10k workers=%d", workers))
+	}
+	if got := digestVRPs(g.vrps); got != golden10kDigest {
+		t.Fatalf("10k tier vrp_digest = %s, golden %s", got, golden10kDigest)
+	}
+}
+
+// windowProbe is a fetcher that samples the in-flight-module gauge on every
+// fetch — the moment a walk has just taken its slot.
+type windowProbe struct {
+	rp.StoreFetcher
+	inflight *obs.Gauge
+
+	mu sync.Mutex
+	// peak is the largest gauge value seen. guarded by mu.
+	peak float64
+}
+
+func (p *windowProbe) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
+	v := p.inflight.Value()
+	p.mu.Lock()
+	if v > p.peak {
+		p.peak = v
+	}
+	p.mu.Unlock()
+	return p.StoreFetcher.FetchAll(ctx, uri)
+}
+
+// TestModuleWindowBoundsInflight: on a hierarchy both wider and deeper than
+// the window, a single-worker sync still completes — a module waiting for a
+// slot never holds one, so parents cannot starve their children — and no
+// more than 2×Workers modules are ever between fetch and commit.
+func TestModuleWindowBoundsInflight(t *testing.T) {
+	const width, depth, workers = 50, 10, 1
+	epoch := time.Date(2013, 11, 21, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return epoch }
+	stores := rp.StoreFetcher{}
+	newStore := func(module string) (*repo.Store, repo.URI) {
+		s := repo.NewStore()
+		stores[module] = s
+		return s, repo.URI{Host: module + ".example:8873", Module: module}
+	}
+	store, uri := newStore("ta")
+	ta, err := ca.NewTrustAnchor("ta", ipres.MustParseSet("10.0.0.0/8"), store, uri, ca.Config{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spine := ta
+	for d := 0; d < depth; d++ {
+		for i := 0; i < width; i++ {
+			prefix := fmt.Sprintf("10.%d.%d.0/24", d, i)
+			store, uri := newStore(fmt.Sprintf("leaf-%d-%d", d, i))
+			leaf, err := spine.CreateChild(uri.Module, ipres.MustParseSet(prefix), store, uri)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			assertSameVRPs(t, baseline, plain, "baseline workers=4")
+			if _, err := leaf.IssueROA("r", ipres.ASN(64512+i), roa.MustParsePrefix(prefix)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		store, uri := newStore(fmt.Sprintf("spine-%d", d))
+		if spine, err = spine.CreateChild(uri.Module, ipres.MustParseSet("10.0.0.0/8"), store, uri); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-		v := rp.New(rp.Config{
-			Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers, Streaming: true,
-		}, anchor)
-		streamed := syncOnce(t, v)
-		assertSameVRPs(t, baseline, streamed, "streaming 10k")
-
-		// Warm re-sync: the digest-only memo must prove every module
-		// unchanged (re-hash, no re-validation) and reproduce the VRPs.
-		warm := syncOnce(t, v)
-		if warm.ModulesRevalidated != 0 {
-			t.Fatalf("warm streaming re-sync revalidated %d modules, want 0", warm.ModulesRevalidated)
-		}
-		if warm.ModulesReused != w.Meta.Modules {
-			t.Fatalf("warm streaming re-sync reused %d modules, want %d", warm.ModulesReused, w.Meta.Modules)
-		}
-		assertSameVRPs(t, baseline, warm, "warm streaming 10k")
+	hub := obs.NewHub(clock)
+	probe := &windowProbe{
+		StoreFetcher: stores,
+		inflight:     hub.Registry().Gauge("rpki_streaming_modules_inflight", ""),
+	}
+	v := rp.New(rp.Config{Fetcher: probe, Clock: clock, Workers: workers, Obs: hub},
+		rp.TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI})
+	res := syncOnce(t, v)
+	if want := width * depth; res.ROAsAccepted != want {
+		t.Fatalf("accepted %d ROAs, want %d", res.ROAsAccepted, want)
+	}
+	if res.PubPointsVisited != len(stores) {
+		t.Fatalf("visited %d points, want %d", res.PubPointsVisited, len(stores))
+	}
+	probe.mu.Lock()
+	peak := probe.peak
+	probe.mu.Unlock()
+	if peak < 1 || peak > 2*workers {
+		t.Fatalf("peak modules in flight = %v, want within [1, %d]", peak, 2*workers)
+	}
+	if now := probe.inflight.Value(); now != 0 {
+		t.Fatalf("%v module slots still held after the sync", now)
 	}
 }
