@@ -69,7 +69,6 @@ func main() {
 	server := flag.String("server", "127.0.0.1:8873", "rsynclite server address")
 	rtrAddr := flag.String("rtr", "", "serve RTR on this address (empty: disabled)")
 	policy := flag.String("policy", "best-effort", "missing-information policy: best-effort or drop-pubpoint")
-	interval := flag.Duration("interval", 0, "resync interval (deprecated alias for -poll)")
 	poll := flag.Duration("poll", 0, "steady-state poll interval (0: sync once and exit unless -rtr)")
 	workers := flag.Int("workers", 0, "validation workers (0: GOMAXPROCS, 1: sequential)")
 	maxRetries := flag.Int("max-retries", 3, "transport-failure retries per request (0: fail on first fault)")
@@ -95,10 +94,6 @@ func main() {
 	if err := validateRTRFlags(*rtrAddr, *rtrMaxClients, *rtrSendQueue, *rtrWriteTimeout, *rtrReplicaOf, *rtrReplicationListen); err != nil {
 		fatal(err)
 	}
-	if *poll != 0 {
-		*interval = *poll
-	}
-
 	// File profiles and /debug/pprof share the helper in internal/obs; files
 	// suit one-shot runs, the HTTP surface suits a long-lived daemon.
 	stopCPU, err := obs.StartCPUProfile(*cpuProfile)
@@ -209,7 +204,7 @@ func main() {
 	}
 
 	result := sync()
-	if *rtrAddr == "" && *interval == 0 {
+	if *rtrAddr == "" && *poll == 0 {
 		return
 	}
 
@@ -242,10 +237,10 @@ func main() {
 		updateCache = func(r *rp.Result) { cache.SetVRPs(r.VRPs) }
 	}
 
-	if *interval == 0 {
-		*interval = 30 * time.Second
+	if *poll == 0 {
+		*poll = 30 * time.Second
 	}
-	tick := time.NewTicker(*interval)
+	tick := time.NewTicker(*poll)
 	defer tick.Stop()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

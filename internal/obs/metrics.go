@@ -17,8 +17,9 @@
 //  1. The hot path must be provably free: a counter/gauge update is one
 //     atomic RMW, a histogram observation is two — zero allocations, no
 //     locks, no map lookups. Callers obtain handles once at construction
-//     and hold them. Benchmarked in rpki-bench (BENCH_PR7.json): warm
-//     re-sync overhead with full instrumentation is bounded at 2%.
+//     and hold them. TestZeroAllocUpdates holds the handles to that, and
+//     rp's TestWarmSyncInstrumentationCost holds a fully instrumented warm
+//     re-sync to 8 allocations more than a bare one.
 //  2. Uninstrumented use must cost nothing: every handle method is
 //     nil-receiver safe, so a component without a registry skips the work
 //     on one predictable branch.

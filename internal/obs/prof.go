@@ -4,9 +4,9 @@ package obs
 // through:
 //
 //   - File profiles (StartCPUProfile / WriteHeapProfile) suit batch runs —
-//     rpki-bench, a one-shot `rpki-rp` sync — where the process exits and
-//     there is no server to query. The daemon's -cpuprofile/-memprofile
-//     flags land here.
+//     a one-shot `rpki-rp` sync — where the process exits and there is no
+//     server to query. The daemon's -cpuprofile/-memprofile flags land
+//     here.
 //   - HTTP profiles (/debug/pprof on the ops server) suit the polling
 //     daemon: attach `go tool pprof http://host/debug/pprof/profile` to a
 //     live process without restarting it, sample exactly the window you

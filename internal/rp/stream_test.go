@@ -9,10 +9,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -115,12 +117,12 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 	}
 }
 
-// golden10kDigest is the 10k tier's VRP digest at seed 1, as recorded in
-// BENCH_PR6.json and reproduced by every walk this repository has had.
+// golden10kDigest is the 10k tier's VRP digest at seed 1, first recorded at
+// PR 6 and reproduced by every walk this repository has had.
 const golden10kDigest = "3ab6f62e1a143b4c51b8a8654ed96601493ffb06de74229fcb378d2698fe85dc"
 
-// digestVRPs is cmd/rpki-bench's vrp_digest: SHA-256 over one
-// "prefix|maxlen|asn" line per VRP of the canonically sorted set.
+// digestVRPs is the vrp_digest the golden was recorded with: SHA-256 over
+// one "prefix|maxlen|asn" line per VRP of the canonically sorted set.
 func digestVRPs(vrps []rov.VRP) string {
 	h := sha256.New()
 	for _, v := range vrps {
@@ -167,6 +169,58 @@ func TestStreamingEquivalence10k(t *testing.T) {
 	}
 	if got := digestVRPs(g.vrps); got != golden10kDigest {
 		t.Fatalf("10k tier vrp_digest = %s, golden %s", got, golden10kDigest)
+	}
+	// The memory budget of the tier. Maxrss is the high-water mark of the
+	// whole test binary (KiB on Linux), every test that ran before this one
+	// included: 58 MiB plain, 291 MiB under -race.
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("peak RSS %d MiB", ru.Maxrss>>10)
+	if ru.Maxrss > 512<<10 {
+		t.Errorf("peak RSS %d MiB after the 10k tier, budget 512 MiB", ru.Maxrss>>10)
+	}
+}
+
+// TestWarmSyncInstrumentationCost is the exact gate on what observability
+// costs the steady state. A warm re-sync of the unchanged synthetic world
+// with metrics, tracer and flight recorder attached may allocate at most 8
+// times more than the bare one (measured: 4, once per sync), and its trace
+// is the root span alone: tier-1 reuse emits no span. A per-module span or a
+// heap-allocating metric update on the warm path costs at least one
+// allocation per module, 721 here.
+func TestWarmSyncInstrumentationCost(t *testing.T) {
+	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmAllocs := func(hub *obs.Hub) float64 {
+		v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Obs: hub}, w.Anchor())
+		syncOnce(t, v)
+		return testing.AllocsPerRun(5, func() {
+			if res := syncOnce(t, v); res.ModulesRevalidated != 0 {
+				t.Fatalf("warm re-sync revalidated %d modules", res.ModulesRevalidated)
+			}
+		})
+	}
+	hub := obs.NewHub(w.Clock)
+	bare, instrumented := warmAllocs(nil), warmAllocs(hub)
+	t.Logf("warm sync allocations: bare %.0f, instrumented %.0f", bare, instrumented)
+	if instrumented-bare > 8 {
+		t.Errorf("instrumented warm sync: %.0f allocations, bare %.0f: %.0f more, budget 8",
+			instrumented, bare, instrumented-bare)
+	}
+	raw, err := json.Marshal(hub.Tracer().Last())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct{ Spans int }
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Spans != 1 {
+		t.Errorf("warm sync trace holds %d spans, want 1 (the root)", trace.Spans)
 	}
 }
 

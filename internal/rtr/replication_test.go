@@ -219,9 +219,11 @@ func TestReplicaOutOfWindowGetsSnapshot(t *testing.T) {
 
 	rep := NewReplica(addr, NewCache(0))
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { _ = rep.FollowOnce(ctx) }()
+	gone := make(chan struct{})
+	go func() { defer close(gone); _ = rep.FollowOnce(ctx) }()
 	waitSerial(t, rep.Cache(), 1, 5*time.Second)
 	cancel()
+	<-gone // or the dying connection follows the churn live and the reconnect is in window
 
 	// Enough churn that serial 1 ages out of the 1-entry history window.
 	for i := 0; i < 4; i++ {

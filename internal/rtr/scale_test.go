@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -40,6 +41,15 @@ func dialSmallWindow(addr string, rcvbuf int) (net.Conn, error) {
 		return serr
 	}}
 	return d.Dial("tcp", addr)
+}
+
+// awaitEviction polls until the server has evicted a slow consumer.
+func awaitEviction(srv *Server, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for srv.Evictions() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return srv.Evictions() > 0
 }
 
 // TestSlowConsumerEvicted: a client that requests the snapshot and then
@@ -87,11 +97,7 @@ func TestSlowConsumerEvicted(t *testing.T) {
 		cache.SetVRPs(churn)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Evictions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if srv.Evictions() == 0 {
+	if !awaitEviction(srv, 5*time.Second) {
 		t.Fatal("stalled client never evicted")
 	}
 
@@ -100,6 +106,93 @@ func TestSlowConsumerEvicted(t *testing.T) {
 		t.Fatalf("healthy client stuck at %d, cache at %d", healthy.Serial(), cache.Serial())
 	}
 	assertVRPsEqual(t, healthy, cache)
+}
+
+// TestFleetScale1000 holds the piecewise guarantees together at fleet size:
+// 1,000 routers, a replica frontend and one stalled connection share a cache
+// while ten single-announcement deltas go out, each awaited on every router
+// so no two serials coalesce. At the end the stalled connection has been
+// evicted, every router holds exactly the cache's set, the replica's state
+// digest is the primary's, and the whole fleet, still connected, fits the
+// heap budget — clients included, so the server's share is less (measured:
+// 262 MiB, almost all of it the routers' own VRP maps).
+func TestFleetScale1000(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,000-router fleet in -short mode")
+	}
+	const routers, deltas = 1000, 10
+	base := manyVRPs(2000)
+	cache := NewCache(7)
+	cache.SetVRPs(base)
+	srv := NewServer(cache)
+	srv.WriteTimeout = 2 * time.Second
+	srv.WriteBuffer = 8 << 10 // a stalled router stalls the write, not server memory
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, raddr := startReplication(t, cache)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	replica := NewReplica(raddr, NewCache(0))
+	go func() { _ = replica.Run(ctx) }()
+	fleet := make([]*Client, 0, routers)
+	awaitFleet := func() {
+		t.Helper()
+		for i, c := range fleet {
+			if !c.WaitSerial(cache.Serial(), 30*time.Second) {
+				t.Fatalf("router %d stuck at serial %d, cache at %d (%d evictions)",
+					i, c.Serial(), cache.Serial(), srv.Evictions())
+			}
+		}
+	}
+	// The fleet connects in waves of 100. All at once, a thousand routers
+	// parsing their snapshots can keep a writer goroutine off two cores past
+	// WriteTimeout under -race, and a healthy router is evicted for it.
+	for len(fleet) < routers {
+		c := NewClient(addr)
+		go func() { _ = c.Run(ctx) }()
+		if fleet = append(fleet, c); len(fleet)%100 == 0 {
+			awaitFleet()
+		}
+	}
+
+	// The stalled router asks for the snapshot and never reads it.
+	stalled, err := dialSmallWindow(addr, 2<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := WritePDU(stalled, &PDU{Type: TypeResetQuery}); err != nil {
+		t.Fatal(err)
+	}
+
+	for d := 1; d <= deltas; d++ {
+		base = append(base, vrp(fmt.Sprintf("198.18.%d.0/24", d), 24, ipres.ASN(64900+d)))
+		cache.SetVRPs(base)
+		awaitFleet()
+	}
+
+	if !awaitEviction(srv, 10*time.Second) {
+		t.Error("stalled router never evicted")
+	}
+	for _, c := range fleet {
+		assertVRPsEqual(t, c, cache)
+	}
+	waitSerial(t, replica.Cache(), cache.Serial(), 10*time.Second)
+	if replica.Cache().StateDigest() != cache.StateDigest() {
+		t.Error("replica state digest diverged from primary")
+	}
+
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("HeapInuse %d MiB with the fleet connected, %d evictions", ms.HeapInuse>>20, srv.Evictions())
+	if ms.HeapInuse > 512<<20 {
+		t.Errorf("HeapInuse %d MiB with the fleet connected, budget 512 MiB", ms.HeapInuse>>20)
+	}
 }
 
 // TestDisconnectIsNotEviction: a router that syncs and then simply hangs
@@ -183,11 +276,7 @@ func TestQueueFullEviction(t *testing.T) {
 	if _, err := conn.Write(flood); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Evictions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if srv.Evictions() == 0 {
+	if !awaitEviction(srv, 5*time.Second) {
 		t.Fatal("query-flooding client never evicted")
 	}
 }

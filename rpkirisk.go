@@ -70,8 +70,6 @@ type (
 	Watcher = monitor.Watcher
 	// Network is the BGP simulator.
 	Network = bgp.Network
-	// RelyingParty validates RPKI hierarchies into VRP sets.
-	RelyingParty = rp.RelyingParty
 	// Result is a relying-party sync outcome.
 	Result = rp.Result
 	// Experiment reproduces one paper artifact.
@@ -107,26 +105,10 @@ func NewLiveSyntheticWorld(seed int64) (*World, error) {
 
 // Validate syncs a relying party over the world's repositories in-process
 // and returns the validated cache. Validation parallelizes across
-// runtime.GOMAXPROCS workers; use ValidateParallel for an explicit count.
+// runtime.GOMAXPROCS workers.
 func Validate(ctx context.Context, w *World) (*rp.Result, error) {
-	return ValidateParallel(ctx, w, 0)
-}
-
-// ValidateParallel is Validate with an explicit validation worker count:
-// 1 is the sequential baseline, 0 means runtime.GOMAXPROCS. Results are
-// identical (and deterministic) at any setting.
-func ValidateParallel(ctx context.Context, w *World, workers int) (*rp.Result, error) {
-	relying := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: workers}, w.Anchor())
+	relying := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock}, w.Anchor())
 	return relying.Sync(ctx)
-}
-
-// NewRelyingParty builds a reusable relying party over the world's stores
-// with the given worker count. Unlike Validate, repeated Sync calls on the
-// returned relying party share its verification cache, so re-syncing an
-// unchanged world skips all CMS and certificate signature re-verification —
-// the monitor's polling loop in one object.
-func NewRelyingParty(w *World, workers int) *RelyingParty {
-	return rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: workers}, w.Anchor())
 }
 
 // Experiments returns the harness regenerating every table and figure of

@@ -11,16 +11,30 @@ import (
 )
 
 func TestNewModelWorldAndValidate(t *testing.T) {
-	w, err := NewModelWorld(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Validate(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ROAsAccepted != 8 || res.Incomplete() {
-		t.Errorf("ROAs=%d incomplete=%v", res.ROAsAccepted, res.Incomplete())
+	for _, tc := range []struct {
+		name             string
+		build            func() (*World, error)
+		minROAs, maxROAs int
+	}{
+		{"figure2", func() (*World, error) { return NewModelWorld(false) }, 8, 8},
+		{"synthetic", func() (*World, error) { return NewSyntheticWorld(1) }, 1200, 1400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Validate(context.Background(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ROAsAccepted < tc.minROAs || res.ROAsAccepted > tc.maxROAs {
+				t.Errorf("ROAs = %d, want within [%d, %d]", res.ROAsAccepted, tc.minROAs, tc.maxROAs)
+			}
+			if res.Incomplete() {
+				t.Errorf("diagnostics: %v", res.Diagnostics)
+			}
+		})
 	}
 }
 
