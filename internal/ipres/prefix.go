@@ -139,6 +139,23 @@ func (p Prefix) Cmp(q Prefix) int {
 	return 0
 }
 
+// Lead packs the family and the leading address bits into one integer that
+// never decreases along Cmp order: p.Cmp(q) < 0 implies p.Lead() <= q.Lead().
+// The top bit is the family (IPv4 below IPv6); the 63 below it are the most
+// significant address bits — all 32 of an IPv4 address, the first 63 of an
+// IPv6 one. Shifted right it buckets prefixes in Cmp order, which is what
+// rov.Index's directory is. The invalid Prefix, which Cmp orders first,
+// yields 0.
+func (p Prefix) Lead() uint64 {
+	switch p.addr.family {
+	case IPv4:
+		return p.addr.value.lo << 31
+	case IPv6:
+		return 1<<63 | p.addr.value.hi>>1
+	}
+	return 0
+}
+
 // Halves splits the prefix into its two immediate subprefixes. It returns
 // ok=false if the prefix is a single host address.
 func (p Prefix) Halves() (lo, hi Prefix, ok bool) {

@@ -181,3 +181,50 @@ func TestPrefixCmp(t *testing.T) {
 		t.Error("prefix ordering wrong")
 	}
 }
+
+// TestPrefixLeadFollowsCmp: Lead never decreases along Cmp order, across
+// families, lengths and the invalid prefix, and separates addresses that
+// differ in their leading bits — at any shift, which is how rov.Index's
+// directory buckets prefixes.
+func TestPrefixLeadFollowsCmp(t *testing.T) {
+	ps := []Prefix{
+		{}, // invalid: Cmp orders it first
+		MustParsePrefix("0.0.0.0/0"),
+		MustParsePrefix("0.0.0.0/8"),
+		MustParsePrefix("0.0.0.1/32"),
+		MustParsePrefix("10.0.0.0/8"),
+		MustParsePrefix("10.0.0.0/9"),
+		MustParsePrefix("10.128.0.0/9"),
+		MustParsePrefix("127.255.255.255/32"),
+		MustParsePrefix("128.0.0.0/1"),
+		MustParsePrefix("255.255.255.255/32"),
+		MustParsePrefix("::/0"),
+		MustParsePrefix("::1/128"),
+		MustParsePrefix("2001:db8::/32"),
+		MustParsePrefix("2001:db8::/48"),
+		MustParsePrefix("2001:db8:0:1::/64"),
+		MustParsePrefix("8000::/1"),
+		MustParsePrefix("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"),
+	}
+	for i, p := range ps {
+		for j, q := range ps {
+			if c := p.Cmp(q); (c < 0) != (i < j) || (c == 0) != (i == j) {
+				t.Fatalf("test table out of Cmp order at %v, %v", p, q)
+			}
+			for _, shift := range []uint{0, 31, 47, 63} {
+				if i < j && p.Lead()>>shift > q.Lead()>>shift {
+					t.Errorf("%v orders before %v but Lead>>%d is %#x > %#x", p, q, shift, p.Lead()>>shift, q.Lead()>>shift)
+				}
+			}
+		}
+	}
+	if v4, v6 := MustParsePrefix("255.255.255.255/32").Lead(), MustParsePrefix("::/0").Lead(); v4>>63 != 0 || v6>>63 != 1 {
+		t.Errorf("family bit: last IPv4 %#x, first IPv6 %#x", v4, v6)
+	}
+	if a, b := MustParsePrefix("10.0.0.0/32").Lead(), MustParsePrefix("10.0.0.1/32").Lead(); a == b {
+		t.Error("Lead drops the last bit of an IPv4 address")
+	}
+	if a, b := MustParsePrefix("2001:db8::/33").Lead(), MustParsePrefix("2001:db8:8000::/33").Lead(); a == b {
+		t.Error("Lead does not reach bit 33 of an IPv6 address")
+	}
+}

@@ -1,7 +1,10 @@
 package rov
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -151,6 +154,118 @@ func TestIndexMatchesLinearScanOracle(t *testing.T) {
 	}
 }
 
+// leadAddr is an address whose Prefix.Lead() is lead: the first such address,
+// or the last one when last is set.
+func leadAddr(lead uint64, last bool) ipres.Addr {
+	if lead>>63 == 0 {
+		return ipres.AddrFromUint32(uint32(lead >> 31))
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], lead<<1)
+	if last {
+		b[7] |= 1
+		for i := 8; i < 16; i++ {
+			b[i] = 0xFF
+		}
+	}
+	return ipres.AddrFrom16(b)
+}
+
+// TestIndexDirectoryEdges aims at what the directory can get wrong and the
+// random anchors of TestIndexMatchesLinearScanOracle seldom hit: covering
+// prefixes shorter than the directory's bits whose routes lie many buckets
+// away, routes in empty buckets before the first and after the last prefix
+// of a family, one-family sets, the first and last address of every bucket,
+// and sets of no, one and two distinct prefixes.
+func TestIndexDirectoryEdges(t *testing.T) {
+	mk := func(asn ipres.ASN, ps ...string) []VRP {
+		var out []VRP
+		for _, p := range ps {
+			pp := ipres.MustParsePrefix(p)
+			out = append(out, VRP{Prefix: pp, MaxLength: pp.Family().Width(), ASN: asn})
+		}
+		return out
+	}
+	// Specifics in two islands per family, nothing in between.
+	var islands4, islands6 []VRP
+	for i := 0; i < 40; i++ {
+		islands4 = append(islands4, mk(ipres.ASN(i%3), fmt.Sprintf("10.%d.0.0/16", i), fmt.Sprintf("200.1.%d.0/24", i))...)
+		islands6 = append(islands6, mk(ipres.ASN(i%3), fmt.Sprintf("2001:db8:%x::/48", i), fmt.Sprintf("2a00:%x::/32", i))...)
+	}
+	short4 := mk(1, "0.0.0.0/0", "128.0.0.0/1", "10.0.0.0/8", "200.0.0.0/7")
+	short6 := mk(2, "::/0", "8000::/1", "2000::/3", "2a00::/8")
+	sets := map[string][]VRP{
+		"empty":                nil,
+		"one prefix":           mk(1, "10.0.0.0/8"),
+		"one prefix two VRPs":  append(mk(1, "10.0.0.0/8"), mk(2, "10.0.0.0/8")...),
+		"two prefixes":         mk(1, "0.0.0.0/0", "200.1.0.0/16"),
+		"two families":         mk(1, "10.0.0.0/8", "2001:db8::/32"),
+		"v4 islands":           islands4,
+		"v6 islands":           islands6,
+		"v4 short over island": append(slices.Clone(short4), islands4...),
+		"v6 short over island": append(slices.Clone(short6), islands6...),
+		"everything":           slices.Concat(short4, short6, islands4, islands6),
+		"host routes at the ends": mk(3, "0.0.0.0/32", "255.255.255.255/32",
+			"::/128", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"),
+	}
+	for name, vrps := range sets {
+		ix := NewIndex(vrps...)
+		var routes []Route
+		add := func(a ipres.Addr, lens ...int) {
+			for _, bits := range lens {
+				for origin := ipres.ASN(0); origin < 4; origin++ {
+					routes = append(routes, Route{Prefix: ipres.MustPrefixFrom(a, bits), Origin: origin})
+				}
+			}
+		}
+		routes = append(routes, Route{Origin: 1}) // the invalid prefix: its bucket is 0
+		for k := uint64(0); k < uint64(len(ix.dir)-1); k++ {
+			first, last := k<<ix.shift, (k+1)<<ix.shift-1 // the last bucket's end wraps to all ones
+			for _, a := range []ipres.Addr{leadAddr(first, false), leadAddr(last, true)} {
+				if a.Family() == ipres.IPv4 {
+					add(a, 0, 1, 8, 24, 32)
+				} else {
+					add(a, 0, 1, 3, 32, 48, 128)
+				}
+			}
+		}
+		// Every VRP prefix itself, its last address, and the address after it.
+		for _, v := range vrps {
+			w := v.Prefix.Family().Width()
+			hi := v.Prefix.Range().Hi()
+			add(v.Prefix.Addr(), v.Prefix.Bits(), w)
+			add(hi, w)
+			if next, ok := hi.Next(); ok {
+				add(next, w)
+			}
+		}
+		for _, r := range routes {
+			checkAgainstOracle(t, ix, vrps, r)
+		}
+		t.Logf("%s: %d VRPs, %d buckets, %d routes", name, len(vrps), len(ix.dir)-1, len(routes))
+	}
+}
+
+// TestNewIndexSmallBudget: the directory follows the size of the set, so the
+// 1–8-VRP indexes that experiments, core.CircularSim and the examples build
+// by the thousand stay a handful of small allocations (before the directory:
+// 5 allocations, 552 B).
+func TestNewIndexSmallBudget(t *testing.T) {
+	vrps := figure2VRPs()
+	SortVRPs(vrps)
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { NewIndex(vrps...) })
+	runtime.ReadMemStats(&after)
+	if allocs > 6 {
+		t.Errorf("NewIndex of %d VRPs allocates %v times, want <= 6", len(vrps), allocs)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); per >= 2<<10 {
+		t.Errorf("NewIndex of %d VRPs allocates %d B, want < 2 KiB", len(vrps), per)
+	}
+}
+
 func TestIsCanonical(t *testing.T) {
 	a := VRP{Prefix: ipres.MustParsePrefix("10.0.0.0/8"), MaxLength: 8, ASN: 1}
 	b := VRP{Prefix: ipres.MustParsePrefix("10.0.0.0/8"), MaxLength: 9, ASN: 1}
@@ -229,6 +344,14 @@ func FuzzIndexState(f *testing.F) {
 	f.Add([]byte{0, 63, 174, 16, 0, 20, 0, 1, 0, 63, 174, 17, 0, 24, 0, 2})                                               // covered, unmatched
 	f.Add([]byte{0, 10, 0, 0, 0, 8, 16, 1, 0, 10, 0, 0, 0, 8, 0, 2, 0xC0, 0, 0, 0, 0, 0, 0, 0, 0, 10, 1, 0, 0, 16, 0, 1}) // equal prefixes, an invalid one, a match
 	f.Add([]byte{1, 0x20, 0x01, 0x0d, 0xb8, 128, 0, 3, 0, 0, 0, 0, 0, 0, 32, 3, 1, 0x20, 0x01, 0x0d, 0xb8, 128, 0, 3})    // host route, /0, two families
+	// What the directory can get wrong: short covering prefixes with the route
+	// many buckets away; a route before the first and after the last prefix of
+	// its family; one family only; the invalid route prefix.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 128, 0, 0, 0, 1, 0, 2, 0, 10, 0, 0, 0, 8, 0, 1, 0, 10, 1, 0, 0, 16, 0, 1, 0, 250, 1, 2, 3, 32, 0, 2})
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 0, 1, 0, 200, 1, 0, 0, 16, 0, 1, 0, 9, 255, 255, 255, 32, 0, 1})
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 0, 1, 0, 200, 1, 0, 0, 16, 0, 1, 0, 200, 2, 0, 0, 24, 0, 1})
+	f.Add([]byte{1, 0x20, 0x01, 0x0d, 0xb8, 32, 0, 1, 1, 0x2a, 0, 0, 0, 16, 0, 2, 1, 0, 0, 0, 0, 1, 0, 3, 1, 0xff, 0xff, 0xff, 0xff, 128, 0, 1})
+	f.Add([]byte{0, 10, 0, 0, 0, 8, 0, 1, 1, 0x20, 0x01, 0x0d, 0xb8, 32, 0, 1, 0xC0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < fuzzRecord {
 			return

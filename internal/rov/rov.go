@@ -13,6 +13,7 @@ package rov
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -160,13 +161,22 @@ func FromROA(r *roa.ROA) []VRP {
 // prefix p, let g be the last distinct VRP prefix ordered at or before p;
 // any VRP prefix c covering p satisfies c ≤ g ≤ p in that order, g therefore
 // lies inside c, and c is g or one of g's enclosing prefixes. A lookup is one
-// binary search for g and a walk up g's enclosing chain.
+// binary search for g, narrowed by the directory to the distinct prefixes
+// that share p's leading bits, and a walk up g's enclosing chain.
 type Index struct {
 	vrps []VRP
 	// first[g] is the position in vrps of the g-th distinct prefix, with
 	// len(vrps) as a final sentinel; up[g] is the nearest distinct prefix
 	// enclosing the g-th, or -1.
 	first, up []int32
+	// dir[k] is the first distinct prefix whose bucket, Prefix.Lead() >>
+	// shift, is k or higher (len(up) when there is none); one entry per
+	// bucket plus a sentinel. Lead never decreases along canonical order, so
+	// bucket k is the run dir[k]..dir[k+1] of distinct prefixes, everything
+	// before it orders below every prefix of the bucket and everything after
+	// it above.
+	dir   []int32
+	shift uint
 }
 
 // NewIndex builds a classification index over the given VRPs. Duplicates,
@@ -175,17 +185,45 @@ type Index struct {
 //
 //taint:sink the VRP index route-origin decisions are checked against
 func NewIndex(vrps ...VRP) *Index {
-	own := slices.Clone(vrps)
-	if !IsCanonical(own) {
-		own = slices.DeleteFunc(own, func(v VRP) bool { return !v.Prefix.IsValid() })
-		SortVRPs(own)
-		own = slices.Compact(own)
+	// The directory has between one and two buckets per VRP, and there are no
+	// more distinct prefixes than VRPs: a lookup searches a bucket of a few,
+	// and an index of a handful costs a handful of words.
+	dirBits := bits.Len(uint(len(vrps)))
+	ix := &Index{
+		vrps:  slices.Clone(vrps),
+		first: make([]int32, 0, len(vrps)+1),
+		up:    make([]int32, 0, len(vrps)),
+		dir:   make([]int32, 1<<dirBits+1),
+		shift: uint(64 - dirBits),
 	}
-	ix := &Index{vrps: own, first: make([]int32, 0, len(own)+1), up: make([]int32, 0, len(own))}
+	if !ix.build() {
+		ix.vrps = slices.DeleteFunc(ix.vrps, func(v VRP) bool { return !v.Prefix.IsValid() })
+		SortVRPs(ix.vrps)
+		ix.vrps = slices.Compact(ix.vrps)
+		ix.build()
+	}
+	return ix
+}
+
+// build fills first, up and dir from vrps in one pass with a stack of the
+// open (enclosing) distinct prefixes. The same pass is the IsCanonical
+// check: it stops and reports false at the first entry that is invalid or
+// not above its predecessor.
+func (ix *Index) build() bool {
+	own := ix.vrps
+	ix.first, ix.up = ix.first[:0], ix.up[:0]
 	var chain []int32 // the enclosing chain of the previous distinct prefix, outermost first
+	filled := 0       // dir[:filled] is final
 	for i, v := range own {
-		if i > 0 && v.Prefix == own[i-1].Prefix {
-			continue
+		if i > 0 {
+			if own[i-1].Compare(v) >= 0 {
+				return false
+			}
+			if v.Prefix == own[i-1].Prefix {
+				continue
+			}
+		} else if !v.Prefix.IsValid() {
+			return false // a later one would order below its predecessor
 		}
 		for len(chain) > 0 && !own[ix.first[chain[len(chain)-1]]].Covers(v.Prefix) {
 			chain = chain[:len(chain)-1]
@@ -194,12 +232,19 @@ func NewIndex(vrps ...VRP) *Index {
 		if len(chain) > 0 {
 			parent = chain[len(chain)-1]
 		}
-		chain = append(chain, int32(len(ix.up)))
+		g := int32(len(ix.up))
+		for bucket := int(v.Prefix.Lead() >> ix.shift); filled <= bucket; filled++ {
+			ix.dir[filled] = g
+		}
+		chain = append(chain, g)
 		ix.first = append(ix.first, int32(i))
 		ix.up = append(ix.up, parent)
 	}
+	for ; filled < len(ix.dir); filled++ {
+		ix.dir[filled] = int32(len(ix.up))
+	}
 	ix.first = append(ix.first, int32(len(own)))
-	return ix
+	return true
 }
 
 // VRPs returns the indexed VRPs in canonical order. The slice must not be
@@ -222,17 +267,20 @@ func (ix *Index) Classify(r Route) (State, []VRP) {
 func (ix *Index) State(r Route) State { return ix.classify(r, nil) }
 
 // classify walks the enclosing chain of the last distinct prefix ordered at
-// or before the route's. Without evidence to collect it stops at the first
-// match.
+// or before the route's, searched for in the route's directory bucket only.
+// Without evidence to collect it stops at the first match.
 func (ix *Index) classify(r Route, evidence *[]VRP) State {
-	g, found := slices.BinarySearchFunc(ix.first[:len(ix.up)], r.Prefix, func(i int32, p ipres.Prefix) int {
+	bucket := r.Prefix.Lead() >> ix.shift
+	lo, hi := ix.dir[bucket], ix.dir[bucket+1]
+	at, found := slices.BinarySearchFunc(ix.first[lo:hi], r.Prefix, func(i int32, p ipres.Prefix) int {
 		return ix.vrps[i].Prefix.Cmp(p)
 	})
+	g := lo + int32(at)
 	if !found {
-		g--
+		g-- // nothing at or before the route in its bucket: the last prefix before the bucket
 	}
 	state := Unknown
-	for g := int32(g); g >= 0; g = ix.up[g] {
+	for ; g >= 0; g = ix.up[g] {
 		group := ix.vrps[ix.first[g]:ix.first[g+1]]
 		// Once one prefix on the chain covers the route, all above it do.
 		if state == Unknown {

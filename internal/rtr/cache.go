@@ -230,9 +230,11 @@ func (c *Cache) StateDigest() [32]byte {
 // set, and the chunk list of such a set stays a couple of hundred pointers.
 const chunkVRPs = 1024
 
-// chunk is one run of the canonical set with its wire encoding (Announce
-// prefix PDUs, in order). Immutable after creation: an update that touches a
-// chunk replaces it, so its frame may be written outside the cache lock.
+// chunk is one run of the canonical set, in a cache with its wire encoding
+// (Announce prefix PDUs, in order). A cache's chunk is immutable after
+// creation: an update that touches it replaces it, so its frame may be written
+// outside the cache lock. A router's chunks (Client) are the same runs with
+// no frame, and the router's alone: rebuildChunks reuses their storage.
 //
 // Only the last chunk of a list may hold fewer than chunkVRPs/2 VRPs
 // (rebuildChunks keeps it so); none is empty.
@@ -241,20 +243,38 @@ type chunk struct {
 	frame []byte
 }
 
-// newChunk copies vrps and serializes them into a frame of exactly their
-// wire size.
-func newChunk(vrps []rov.VRP) *chunk {
-	return &chunk{vrps: slices.Clone(vrps), frame: encodeVRPs(make([]byte, 0, prefixPDUsLen(vrps)), vrps, FlagAnnounce)}
+// newChunk makes vrps, which the caller gives up, a chunk, serialized if
+// framed into a frame of exactly its wire size.
+func newChunk(vrps []rov.VRP, framed bool) *chunk {
+	ch := &chunk{vrps: vrps}
+	if framed {
+		ch.frame = encodeVRPs(make([]byte, 0, prefixPDUsLen(vrps)), vrps, FlagAnnounce)
+	}
+	return ch
 }
 
-// appendChunks cuts vrps into the fewest evenly sized chunks and appends them
-// to out. Even cuts keep every piece of a run of chunkVRPs/2 or more at
+// appendChunks copies vrps into the fewest evenly sized chunks and appends
+// them to out. Even cuts keep every piece of a run of chunkVRPs/2 or more at
 // chunkVRPs/2 or more.
-func appendChunks(out []*chunk, vrps []rov.VRP) []*chunk {
+func appendChunks(out []*chunk, vrps []rov.VRP, framed bool) []*chunk {
 	pieces := (len(vrps) + chunkVRPs - 1) / chunkVRPs
 	out = slices.Grow(out, pieces)
 	for i := 0; i < pieces; i++ {
-		out = append(out, newChunk(vrps[i*len(vrps)/pieces:(i+1)*len(vrps)/pieces]))
+		out = append(out, newChunk(slices.Clone(vrps[i*len(vrps)/pieces:(i+1)*len(vrps)/pieces]), framed))
+	}
+	return out
+}
+
+// flattenChunks returns the set the chunks hold as one freshly allocated
+// slice of exactly its size.
+func flattenChunks(chunks []*chunk) []rov.VRP {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch.vrps)
+	}
+	out := make([]rov.VRP, 0, n)
+	for _, ch := range chunks {
+		out = append(out, ch.vrps...)
 	}
 	return out
 }
@@ -343,22 +363,43 @@ func diffChunks(chunks []*chunk, in []rov.VRP) (announced, withdrawn []rov.VRP, 
 }
 
 // rebuildChunks returns the chunk list of (chunks \ withdrawn) ∪ announced,
-// both canonical. A chunk's share of the delta is what orders below the next
-// chunk's head (everything left, for the last chunk). A chunk with no share
-// is kept by pointer; the others are merged into a run that is cut into new
-// chunks once it holds chunkVRPs/2 or more. A shorter run takes in the
-// following chunk as well, share or not, so small chunks cannot accumulate.
-// The cost is the chunks touched plus one pointer per chunk, not the set.
-func rebuildChunks(chunks []*chunk, announced, withdrawn []rov.VRP) []*chunk {
+// both canonical, with frames if framed (chunks must have been built the same
+// way). A chunk's share of the delta is what orders below the next chunk's
+// head (everything left, for the last chunk). A chunk with no share is kept
+// by pointer; the others are merged into a run that becomes a new chunk once
+// it holds chunkVRPs/2 or more (several, cut evenly, if it outgrew one). A
+// shorter run takes in the following chunk as well, share or not, so small
+// chunks cannot accumulate. The cost is the chunks touched plus one pointer
+// per chunk, not the set. This is the one way a chunked set changes: the
+// primary's SetVRPs, a replica's applyDelta and a router's End of Data all
+// end here.
+//
+// Framed chunks are immutable and the old list stays valid. Unframed chunks
+// belong to a router, which is their only holder: the storage of a chunk
+// merged into a run is reused for the next run, so a scattered delta costs
+// one copy per chunk touched and one allocation in all. The old list is dead
+// once this returns; the caller keeps readers out meanwhile.
+func rebuildChunks(chunks []*chunk, announced, withdrawn []rov.VRP, framed bool) []*chunk {
 	if len(chunks) == 0 {
-		return appendChunks(nil, announced)
+		return appendChunks(nil, announced, framed)
 	}
 	out := make([]*chunk, 0, len(chunks)+len(announced)/chunkVRPs+1)
-	var run []rov.VRP // merged, not yet cut
+	var run []rov.VRP   // merged, not yet cut
+	var spare []rov.VRP // unframed only: the storage of the chunk merged last
+	// cut moves the run into out: as it stands if it makes one chunk (the
+	// usual case, a chunk merged with its few changes), copied into even
+	// pieces otherwise.
+	cut := func() {
+		if 0 < len(run) && len(run) <= chunkVRPs {
+			out = append(out, newChunk(run, framed))
+		} else {
+			out = appendChunks(out, run, framed)
+		}
+		run = nil
+	}
 	for k, ch := range chunks {
 		if len(run) >= chunkVRPs/2 {
-			out = appendChunks(out, run)
-			run = run[:0]
+			cut()
 		}
 		na, nw := len(announced), len(withdrawn)
 		if k+1 < len(chunks) {
@@ -370,10 +411,20 @@ func rebuildChunks(chunks []*chunk, announced, withdrawn []rov.VRP) []*chunk {
 			out = append(out, ch)
 			continue
 		}
+		if len(run) == 0 {
+			if need := len(ch.vrps) + na; cap(spare) < need {
+				spare = make([]rov.VRP, 0, need)
+			}
+			run, spare = spare, nil
+		}
 		run = mergeApply(run, ch.vrps, announced[:na], withdrawn[:nw])
 		announced, withdrawn = announced[na:], withdrawn[nw:]
+		if !framed {
+			spare = ch.vrps[:0]
+		}
 	}
-	return appendChunks(out, run)
+	cut()
+	return out
 }
 
 // SetVRPs replaces the cache contents. The diff against the cached set is
@@ -416,7 +467,7 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 	}
 	frame := make([]byte, 0, prefixPDUsLen(announced)+prefixPDUsLen(withdrawn))
 	d.frame = encodeVRPs(encodeVRPs(frame, announced, FlagAnnounce), withdrawn, 0)
-	c.chunks = rebuildChunks(c.chunks, announced, withdrawn)
+	c.chunks = rebuildChunks(c.chunks, announced, withdrawn, true)
 	c.history = append(c.history, d)
 	c.histVRPs += d.vrpCount()
 	c.histBytes += len(d.frame)
@@ -431,7 +482,7 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 // predate its own snapshot — out-of-window routers get Cache Reset), and
 // subscribers are notified of the new serial.
 func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
-	chunks := appendChunks(nil, normalizeVRPs(vrps))
+	chunks := appendChunks(nil, normalizeVRPs(vrps), true)
 	c.mu.Lock()
 	c.session = session
 	c.serial = serial
@@ -465,28 +516,51 @@ func (c *Cache) applyDelta(serial uint32, announced, withdrawn []rov.VRP) bool {
 	return true
 }
 
-// mergeApply appends (base \ withdrawn) ∪ announced to dst in one linear
-// pass. All three inputs are canonically sorted and duplicate-free; so is
-// what is appended.
+// mergeApply appends (base \ withdrawn) ∪ announced to dst. All three inputs
+// are canonically sorted and duplicate-free; so is what is appended. The
+// delta is walked entry by entry, base only where the delta falls: each entry
+// is located from the previous one by seek, and the run of base in between is
+// copied whole. A ten-VRP change to a chunk costs ten short searches and one
+// copy of the chunk; a whacked subtree, where every search ends at once, is
+// still a linear merge.
 func mergeApply(dst, base, announced, withdrawn []rov.VRP) []rov.VRP {
-	i, w := 0, 0
-	for _, v := range base {
-		for w < len(withdrawn) && withdrawn[w].Compare(v) < 0 {
-			w++
+	for len(announced) > 0 || len(withdrawn) > 0 {
+		// The lower head is next; a VRP heading both lists is announced.
+		announce := len(withdrawn) == 0 || len(announced) > 0 && announced[0].Compare(withdrawn[0]) <= 0
+		var v rov.VRP
+		if announce {
+			v, announced = announced[0], announced[1:]
+			if len(withdrawn) > 0 && withdrawn[0] == v {
+				withdrawn = withdrawn[1:]
+			}
+		} else {
+			v, withdrawn = withdrawn[0], withdrawn[1:]
 		}
-		if w < len(withdrawn) && withdrawn[w].Compare(v) == 0 {
-			continue // withdrawn
+		at := seek(base, v)
+		dst, base = append(dst, base[:at]...), base[at:]
+		if len(base) > 0 && base[0] == v {
+			base = base[1:]
 		}
-		for i < len(announced) && announced[i].Compare(v) < 0 {
-			dst = append(dst, announced[i])
-			i++
+		if announce {
+			dst = append(dst, v)
 		}
-		if i < len(announced) && announced[i].Compare(v) == 0 {
-			i++ // replaced by identical announce
-		}
-		dst = append(dst, v)
 	}
-	return append(dst, announced[i:]...)
+	return append(dst, base...)
+}
+
+// seek returns the position of the first entry of the canonical vrps that is
+// not below v, galloping from the front: O(log position), so a near entry is
+// found in a step or two and a far one without walking the entries between.
+func seek(vrps []rov.VRP, v rov.VRP) int {
+	hi := 1
+	for hi <= len(vrps) && vrps[hi-1].Compare(v) < 0 {
+		hi *= 2
+	}
+	// Everything before hi/2 is below v; the entry at hi-1, if there is one,
+	// is not.
+	lo := hi / 2
+	at, _ := slices.BinarySearchFunc(vrps[lo:min(hi-1, len(vrps))], v, rov.VRP.Compare)
+	return lo + at
 }
 
 // evictLocked drops the oldest deltas until the history fits every bound.

@@ -18,10 +18,21 @@ import (
 // serial, and session, for tests that compare a router with its cache.
 func (c *Cache) snapshotVRPs() (vrps []rov.VRP, serial uint32, session uint16) {
 	chunks, serial, session := c.snapshot()
-	for _, ch := range chunks {
-		vrps = append(vrps, ch.vrps...)
+	return flattenChunks(chunks), serial, session
+}
+
+// checkChunkSizes holds a chunk list, a cache's or a router's, to the size
+// invariant: none empty or above chunkVRPs, only the last below chunkVRPs/2.
+func checkChunkSizes(t testing.TB, chunks []*chunk) {
+	t.Helper()
+	for k, ch := range chunks {
+		if len(ch.vrps) == 0 || len(ch.vrps) > chunkVRPs {
+			t.Fatalf("chunk %d of %d holds %d VRPs", k, len(chunks), len(ch.vrps))
+		}
+		if len(ch.vrps) < chunkVRPs/2 && k != len(chunks)-1 {
+			t.Fatalf("chunk %d of %d is undersized (%d VRPs) and not the last", k, len(chunks), len(ch.vrps))
+		}
 	}
-	return vrps, serial, session
 }
 
 // oracleNormalize is the flat reference for what a cache stores of an
@@ -109,13 +120,8 @@ func checkState(t testing.TB, c *Cache, want []rov.VRP, wantFrame []byte) {
 	chunks, serial, session := c.snapshot()
 	var vrps []rov.VRP
 	var frame []byte
+	checkChunkSizes(t, chunks)
 	for k, ch := range chunks {
-		if len(ch.vrps) == 0 || len(ch.vrps) > chunkVRPs {
-			t.Fatalf("chunk %d of %d holds %d VRPs", k, len(chunks), len(ch.vrps))
-		}
-		if len(ch.vrps) < chunkVRPs/2 && k != len(chunks)-1 {
-			t.Fatalf("chunk %d of %d is undersized (%d VRPs) and not the last", k, len(chunks), len(ch.vrps))
-		}
 		if cap(ch.frame) != len(ch.frame) {
 			t.Fatalf("chunk %d frame has %d spare bytes", k, cap(ch.frame)-len(ch.frame))
 		}

@@ -140,3 +140,59 @@ func FuzzCacheSetVRPs(f *testing.F) {
 		checkStep(t, c, oracleNormalize(first), oracleNormalize(second), serial)
 	})
 }
+
+// FuzzClientResponse reads the input as records that script a cache: prefix
+// PDUs (single VRPs, or runs of fuzzBase's /24s announced or withdrawn whole)
+// and markers that end the response and say how the next one arrives — as a
+// delta, after a Cache Reset, or under a foreign session (dropped by the
+// router, which then reloads). A real Client that starts from a snapshot of
+// fuzzBase is played the script and held, after every End of Data, against
+// the map the chunked table replaced.
+func FuzzClientResponse(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x04, 0, 0, 2, 0, 16, 0, 1, 0x00, 0, 0, 2, 0, 16, 0, 1})                                // withdraw then announce of one VRP
+	f.Add([]byte{0x00, 0, 0, 2, 0, 16, 0, 1, 0x04, 0, 0, 2, 0, 16, 0, 1})                                // announce then withdraw
+	f.Add([]byte{0x09, 0, 0, 0, 0, 200, 0, 0, 0x0a, 0, 0, 0, 0, 0, 0, 0, 0x08, 0, 0, 0, 100, 255, 0, 0}) // a whack across chunks, then part of it back
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const delta, reload, foreign = 5, 6, 7 // the markers: how the next response arrives
+		s := newScriptedCache(t)
+		var ops []prefixOp
+		for _, v := range fuzzBase {
+			ops = append(ops, prefixOp{vrp: v, announce: true})
+		}
+		how := reload
+		end := func(next int) {
+			switch how {
+			case delta:
+				s.delta(ops)
+			case reload:
+				s.reload(ops)
+			case foreign:
+				s.foreign(ops)
+				next = reload
+			}
+			ops, how = nil, next
+		}
+		end(delta)
+		for ; len(data) >= fuzzRecord; data = data[fuzzRecord:] {
+			switch kind := int(data[0] >> 1 & 7); kind {
+			case 0, 1, 2, 3:
+				rec := [fuzzRecord]byte(data[:fuzzRecord])
+				rec[0] &= 1 // the family bit only: every VRP on this wire is encodable
+				ops = append(ops, prefixOp{vrp: decodeFuzzVRP(rec[:]), announce: kind < 2})
+			case 4:
+				lo := (int(data[3])<<8 | int(data[4])) % len(fuzzBase)
+				for i := lo; i < min(len(fuzzBase), lo+int(data[5])*8); i++ {
+					ops = append(ops, prefixOp{vrp: fuzzBase[i], announce: data[0]&1 == 0})
+				}
+			default:
+				end(kind)
+			}
+		}
+		end(reload)
+		if how == reload && s.afterForeign {
+			end(delta) // a script may not end on a dropped response: the reload it called for
+		}
+		s.play()
+	})
+}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -368,12 +370,20 @@ func TestClientCapsUnendingResponse(t *testing.T) {
 			if err := WritePDU(w, &PDU{Type: TypeCacheResponse, Session: session}); err != nil {
 				return err
 			}
-			for i := uint32(0); ; i++ { // until the router hangs up
+			// Until the router hangs up. The socket buffers in between take
+			// some megabytes after the router stopped reading, so the bound on
+			// "still reading" is 64 MiB of 20-byte PDUs, past anything they
+			// hold; a router that keeps the connection open without reading
+			// runs this writer into the deadline above instead.
+			for i := uint32(0); ; i++ {
 				v := rov.VRP{Prefix: ipres.MustPrefixFrom(ipres.AddrFromUint32(11<<24|i<<8), 24), MaxLength: 24, ASN: 2}
-				if WritePDU(w, &PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: v}) != nil {
+				if err := WritePDU(w, &PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: v}); err != nil {
+					if errors.Is(err, os.ErrDeadlineExceeded) {
+						return fmt.Errorf("router still connected after %d announces: %v", i, err)
+					}
 					return nil
 				}
-				if i > 100*limit {
+				if i > 64<<20/20 {
 					return fmt.Errorf("router still reading after %d announces", i)
 				}
 			}
