@@ -13,7 +13,7 @@
 //
 // With -poll the daemon re-syncs on the given interval. Steady-state polls
 // are incremental: object snapshots are cached so unchanged objects are
-// proven by hash (STAT) instead of re-downloaded, and publication points
+// proven by the digests in the point's listing instead of re-downloaded, and publication points
 // whose bytes are provably unchanged within their validity epoch reuse their
 // previous validated outputs wholesale. When -rtr is set, each poll feeds
 // the validated VRP set to the RTR cache, which computes a minimal delta and
@@ -72,7 +72,7 @@ func main() {
 	poll := flag.Duration("poll", 0, "steady-state poll interval (0: sync once and exit unless -rtr)")
 	workers := flag.Int("workers", 0, "validation workers (0: GOMAXPROCS, 1: sequential)")
 	maxRetries := flag.Int("max-retries", 3, "transport-failure retries per request (0: fail on first fault)")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline (one LIST/GET/STAT exchange)")
+	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline (one LIST or GET exchange)")
 	staleTTL := flag.Duration("stale-ttl", time.Hour, "serve an unreachable point's last-known-good snapshot up to this age (0: disabled)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that open a point's circuit breaker (must be >= 1)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long an open breaker refuses requests before probing")

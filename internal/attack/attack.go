@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -224,6 +226,29 @@ func (e *Env) RequireEvent(kind obs.EventKind) {
 	e.Failf("flight recorder captured no %s event", kind)
 }
 
+// RequireCounter asserts the unlabelled series name on the scenario's
+// /metrics reads at least min — the attack must be countable, not only
+// survivable.
+func (e *Env) RequireCounter(name string, min float64) {
+	e.mu.Lock()
+	hub := e.hub
+	e.mu.Unlock()
+	var text strings.Builder
+	if err := hub.Registry().WriteText(&text); err != nil {
+		e.Failf("RequireCounter(%s): %v", name, err)
+		return
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if value, ok := strings.CutPrefix(line, name+" "); ok {
+			if got, err := strconv.ParseFloat(value, 64); err != nil || got < min {
+				e.Failf("%s = %s, want at least %v", name, value, min)
+			}
+			return
+		}
+	}
+	e.Failf("/metrics has no series %s", name)
+}
+
 // eventKinds returns the sorted distinct event-kind names recorded so far.
 func (e *Env) eventKinds() []string {
 	e.mu.Lock()
@@ -349,12 +374,14 @@ func RunAll(ctx context.Context, scenarios []Scenario) []Verdict {
 }
 
 // Scenarios returns the full registered campaign, ordered by name within
-// each campaign group (stall games first, then exhaustion, then mutation).
+// each campaign group (stall games first, then exhaustion, then mutation,
+// then the RTR and listing campaigns).
 func Scenarios() []Scenario {
 	var all []Scenario
 	all = append(all, stallScenarios()...)
 	all = append(all, exhaustScenarios()...)
 	all = append(all, mutateScenarios()...)
 	all = append(all, rtrScenarios()...)
+	all = append(all, listingScenarios()...)
 	return all
 }

@@ -28,7 +28,7 @@ const (
 	// EventStaleFallback: an unreachable point was served from its
 	// last-known-good snapshot.
 	EventStaleFallback
-	// EventIncrementalFallback: an incremental (STAT-driven) sync failed
+	// EventIncrementalFallback: an incremental (digest-listing) sync failed
 	// mid-protocol and was replaced by a clean full fetch.
 	EventIncrementalFallback
 	// EventReuseRejected: a module-memo entry existed but was refused

@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,6 +59,9 @@ type Client struct {
 	// per verb (both exposed at scrape time by Instrument).
 	dials    atomic.Int64
 	requests [len(verbs)]atomic.Int64
+	// listingMismatches counts GET bodies that did not hash to the digest the
+	// point's listing promised (exposed at scrape time by Instrument).
+	listingMismatches atomic.Int64
 	// rec receives retry events when the client is instrumented (nil
 	// otherwise). Set once by Instrument before the client serves requests.
 	rec *obs.FlightRecorder
@@ -118,17 +119,16 @@ func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// verb is one of the protocol's three requests.
+// verb is one of the protocol's two requests.
 type verb uint8
 
 const (
 	verbList verb = iota
-	verbStat
 	verbGet
 )
 
 // verbs holds each verb's wire spelling.
-var verbs = [...]string{verbList: "LIST", verbStat: "STAT", verbGet: "GET"}
+var verbs = [...]string{verbList: "LIST", verbGet: "GET"}
 
 // pipelineWindow is the number of request lines written before their
 // replies are read. A new window is written only after the previous one is
@@ -309,8 +309,10 @@ func (c *Client) retryPolicy() RetryPolicy {
 	return c.Retry
 }
 
-// readList parses a LIST reply.
-func readList(r *bufio.Reader) (map[string]int, error) {
+// readList parses a LIST reply: exactly the announced number of entries, each
+// parsed in place from the reader's buffer. Two entries for one name are two
+// claims about one object, so a duplicate is malformed, not last-wins.
+func readList(r *bufio.Reader) (map[string]ObjectInfo, error) {
 	header, err := readLine(r)
 	if err != nil {
 		return nil, fmt.Errorf("repo: reading LIST response: %w", err)
@@ -319,21 +321,22 @@ func readList(r *bufio.Reader) (map[string]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]int, n)
+	// The header is a claim, not yet entries: a lying count must not size
+	// the map.
+	out := make(map[string]ObjectInfo, min(n, 1024))
 	for i := 0; i < n; i++ {
-		line, err := readLine(r)
+		line, err := readLineBytes(r)
 		if err != nil {
 			return nil, fmt.Errorf("repo: reading LIST entry: %w", err)
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, permanent(fmt.Errorf("repo: malformed LIST entry %q", line))
+		name, info, err := parseListEntry(line)
+		if err != nil {
+			return nil, err
 		}
-		size, err := strconv.Atoi(fields[1])
-		if err != nil || size < 0 || size > MaxObjectSize {
-			return nil, permanent(fmt.Errorf("repo: bad size in LIST entry %q", line))
+		if _, dup := out[name]; dup {
+			return nil, permanent(fmt.Errorf("repo: duplicate LIST entry %q", name))
 		}
-		out[fields[0]] = size
+		out[name] = info
 	}
 	return out, nil
 }
@@ -355,15 +358,6 @@ func readBody(r *bufio.Reader) ([]byte, error) {
 	return content, nil
 }
 
-// readStat parses a STAT reply.
-func readStat(r *bufio.Reader) (ObjectInfo, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return ObjectInfo{}, fmt.Errorf("repo: reading STAT response: %w", err)
-	}
-	return parseStatLine(line)
-}
-
 // single runs one exchange on a connection of its own, under the overall
 // SyncTimeout.
 func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
@@ -374,8 +368,8 @@ func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string,
 	return one(ctx, pc, v, name, read)
 }
 
-// List returns the object names and sizes available in the module.
-func (c *Client) List(ctx context.Context, uri URI) (map[string]int, error) {
+// List returns the size and SHA-256 of every object available in the module.
+func (c *Client) List(ctx context.Context, uri URI) (map[string]ObjectInfo, error) {
 	return single(ctx, c, uri, verbList, "", readList)
 }
 
@@ -386,13 +380,8 @@ func (c *Client) Get(ctx context.Context, uri URI, name string) ([]byte, error) 
 	return content, err
 }
 
-// Stat fetches an object's size and hash without its content.
-func (c *Client) Stat(ctx context.Context, uri URI, name string) (ObjectInfo, error) {
-	return single(ctx, c, uri, verbStat, name, readStat)
-}
-
 // sortedNames returns the keys of a listing in name order.
-func sortedNames(names map[string]int) []string {
+func sortedNames(names map[string]ObjectInfo) []string {
 	ordered := make([]string, 0, len(names))
 	for name := range names {
 		ordered = append(ordered, name)
@@ -422,11 +411,11 @@ func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, erro
 	defer cancel()
 	first := c.pointConn(uri)
 	defer first.drop()
-	names, err := one(ctx, first, verbList, "", readList)
+	listing, err := one(ctx, first, verbList, "", readList)
 	if err != nil {
 		return nil, err
 	}
-	ordered := sortedNames(names)
+	ordered := sortedNames(listing)
 	shards := min(c.concurrency(), len(ordered))
 	results := make([]shardResult, shards)
 	var wg sync.WaitGroup
@@ -490,34 +479,9 @@ func (pc *pointConn) fetchShard(ctx context.Context, names []string) shardResult
 	return res
 }
 
-// ObjectInfo is a STAT result.
-type ObjectInfo struct {
-	// Size is the object's size in bytes.
-	Size int
-	// Hash is the SHA-256 of the content as served (faults included).
-	Hash [32]byte
-}
-
-func parseStatLine(line string) (ObjectInfo, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 3 || fields[0] != "OK" {
-		if len(fields) > 0 && fields[0] == "ERR" {
-			return ObjectInfo{}, permanent(fmt.Errorf("repo: server error: %s", strings.TrimPrefix(line, "ERR ")))
-		}
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: malformed STAT response %q", line))
-	}
-	size, err := strconv.Atoi(fields[1])
-	if err != nil || size < 0 || size > MaxObjectSize {
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: bad size in %q", line))
-	}
-	hash, err := hex.DecodeString(fields[2])
-	if err != nil || len(hash) != 32 {
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: bad hash in %q", line))
-	}
-	info := ObjectInfo{Size: size}
-	copy(info.Hash[:], hash)
-	return info, nil
-}
+// ErrListingMismatch is returned (wrapped) by SyncIncremental when a
+// downloaded object does not hash to the digest the point's listing promised.
+var ErrListingMismatch = errors.New("served bytes do not match the listed digest")
 
 // SyncResult reports what an incremental sync did.
 type SyncResult struct {
@@ -530,78 +494,77 @@ type SyncResult struct {
 	// Removed counts objects that disappeared from the module.
 	Removed int
 	// Unchanged reports that the module is byte-identical to the previous
-	// snapshot: every object's server-reported STAT hash matched the local
+	// snapshot: every listed object's size and digest matched the local
 	// copy, nothing was downloaded, nothing was removed. False on a first
 	// sync (nil prev) even for an empty module.
 	Unchanged bool
 }
 
 // SyncIncremental brings prev (a previous FetchAll/SyncIncremental result;
-// may be nil) up to date, transferring only objects whose STAT hash differs
-// — the rsync-style delta mode. It returns the new complete snapshot.
-// Transport failures retry per the RetryPolicy (redialing as needed); an
-// exhausted failure fails the sync so the caller can fall back to its
+// may be nil) up to date, transferring only objects whose listed size or
+// digest differs from the held copy — the rsync-style delta mode — and
+// returns the new complete snapshot. An unchanged point costs one round
+// trip. Every downloaded body must hash to the digest the listing promised:
+// a mismatch (the point republished between LIST and GET, or lies) fails the
+// sync rather than stitch two states of the point together. Transport
+// failures retry per the RetryPolicy (redialing as needed); an exhausted
+// failure fails the sync so the caller can fall back to a full fetch or its
 // previous snapshot.
 func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][]byte) (*SyncResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
 	pc := c.pointConn(uri)
 	defer pc.drop()
-	names, err := one(ctx, pc, verbList, "", readList)
+	listing, err := one(ctx, pc, verbList, "", readList)
 	if err != nil {
 		return nil, err
 	}
-	res := &SyncResult{Files: make(map[string][]byte, len(names))}
-	ordered := sortedNames(names)
-
-	// Pass 1: objects held at the listed size are confirmed by STAT before
-	// the download is skipped. A rejected STAT leaves the object to pass 2.
-	held := make([]string, 0, len(ordered))
-	for _, name := range ordered {
-		if old, have := prev[name]; have && len(old) == names[name] {
-			held = append(held, name)
-		}
-	}
-	n, err := pc.pipeline(ctx, verbStat, held, func(r *bufio.Reader, name string) error {
-		info, err := readStat(r)
-		if old := prev[name]; err == nil && info.Hash == sha256.Sum256(old) {
+	res := &SyncResult{Files: make(map[string][]byte, len(listing))}
+	var wanted []string
+	for name, info := range listing {
+		if old, have := prev[name]; have && len(old) == info.Size && sha256.Sum256(old) == info.Hash {
 			res.Files[name] = old
 			res.Reused++
-		}
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("repo: STAT %q: %w", held[n], err)
-	}
-
-	// Pass 2: download what is new, resized or hash-changed. A rejected GET
-	// means the object vanished between LIST and GET: treat it as absent.
-	wanted := make([]string, 0, len(ordered)-res.Reused)
-	for _, name := range ordered {
-		if _, reused := res.Files[name]; !reused {
+		} else {
 			wanted = append(wanted, name)
 		}
 	}
-	n, err = pc.pipeline(ctx, verbGet, wanted, func(r *bufio.Reader, name string) error {
+	sort.Strings(wanted)
+
+	// Download what is new, resized or digest-changed. A rejected GET means
+	// the object vanished between LIST and GET: treat it as absent.
+	var mismatched string
+	n, err := pc.pipeline(ctx, verbGet, wanted, func(r *bufio.Reader, name string) error {
 		content, err := readBody(r)
-		if err == nil {
-			res.Files[name] = content
-			res.Downloaded++
-			c.countBytes(len(content))
+		if err != nil {
+			return err
 		}
-		return err
+		c.countBytes(len(content))
+		if sha256.Sum256(content) != listing[name].Hash {
+			c.listingMismatches.Add(1)
+			if mismatched == "" {
+				mismatched = name
+			}
+			return nil
+		}
+		res.Files[name] = content
+		res.Downloaded++
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repo: fetching %q: %w", wanted[n], err)
+	}
+	if mismatched != "" {
+		return nil, permanent(fmt.Errorf("repo: %w: object %q", ErrListingMismatch, mismatched))
 	}
 	for name := range prev {
 		if _, still := res.Files[name]; !still {
 			res.Removed++
 		}
 	}
-	// Downloaded == 0 means every listed object was hash-verified against
-	// the previous snapshot; Removed == 0 means nothing vanished — together
-	// they prove byte-identity with prev.
+	// Downloaded == 0 means every listed object matched the previous snapshot
+	// by size and digest; Removed == 0 means nothing vanished — together they
+	// prove byte-identity with prev.
 	res.Unchanged = prev != nil && res.Downloaded == 0 && res.Removed == 0
 	return res, nil
 }

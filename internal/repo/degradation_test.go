@@ -353,26 +353,28 @@ func TestSyncIncrementalFaultRetries(t *testing.T) {
 		"b.roa": []byte("roa b"),
 		"c.mft": []byte("manifest c"),
 	}
-	uri, _, faults := startTestServer(t, files)
+	uri, store, faults := startTestServer(t, files)
 	c := &Client{Timeout: time.Second, Retry: fastRetry(2)}
 	ctx := context.Background()
 	cold, err := c.SyncIncremental(ctx, uri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every other request fails: the delta sync still reuses everything.
+	// Every other request fails: the delta sync still reuses what it holds
+	// and downloads the one object that changed.
+	store.Put("b.roa", []byte("ROA B"))
 	faults.FailRate("", 1, 2)
 	before := c.Stats().Retries
 	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
 	if err != nil {
 		t.Fatalf("flaky delta sync should converge: %v", err)
 	}
-	if warm.Reused != 3 || warm.Downloaded != 0 {
+	if warm.Reused != 2 || warm.Downloaded != 1 {
 		t.Errorf("warm sync: %+v", warm)
 	}
-	// LIST + 3 STATs, each failing exactly once before succeeding.
-	if d := c.Stats().Retries - before; d != 4 {
-		t.Errorf("retries = %d, want 4", d)
+	// LIST + 1 GET, each failing exactly once before succeeding.
+	if d := c.Stats().Retries - before; d != 2 {
+		t.Errorf("retries = %d, want 2", d)
 	}
 }
 

@@ -46,10 +46,8 @@ type Faults struct {
 	// truncate serves named objects with half their body, then drops the
 	// connection.
 	truncate map[string]bool
-	// truncStat answers STAT for named objects with a torn response line
-	// (half the "OK <size> <hash>" reply), then drops the connection —
-	// the incremental sync protocol failing while plain GETs still work.
-	truncStat map[string]bool
+	// frozen, when set, is the listing LIST serves in the store's place.
+	frozen map[string]ObjectInfo
 	// failN/failM: fail the first failN of every failM requests touching
 	// a name ("" keys module-level request faults). reqCount is the
 	// per-name request counter driving the cycle.
@@ -76,7 +74,6 @@ func NewFaults() *Faults {
 		corrupt:      make(map[string]bool),
 		objDelay:     make(map[string]time.Duration),
 		truncate:     make(map[string]bool),
-		truncStat:    make(map[string]bool),
 		failN:        make(map[string]int),
 		failM:        make(map[string]int),
 		reqCount:     make(map[string]int),
@@ -114,7 +111,7 @@ func (f *Faults) SetDelay(d time.Duration) {
 	f.delay = d
 }
 
-// DelayObject postpones responses for name (GET and STAT) by d, so a single
+// DelayObject postpones GET responses for name by d, so a single
 // slow object can be injected without slowing the whole module — the case
 // that distinguishes per-request deadlines from whole-fetch ones.
 func (f *Faults) DelayObject(name string, d time.Duration) {
@@ -155,14 +152,15 @@ func (f *Faults) Truncate(name string) {
 	f.truncate[name] = true
 }
 
-// TruncateStat makes STAT responses for name tear mid-line (partial reply,
-// then a dropped connection) while leaving GET untouched — the fault that
-// breaks the incremental sync protocol specifically, so a client's
-// full-fetch fallback still succeeds.
-func (f *Faults) TruncateStat(name string) {
+// FreezeListing makes LIST keep answering with listing (typically the
+// store's Infos() at the moment of the call) whatever the authority publishes
+// afterwards, while GET serves the live store — the repository that answers
+// "nothing changed" forever, the cheapest way to hold a relying party on an
+// old world. nil unfreezes.
+func (f *Faults) FreezeListing(listing map[string]ObjectInfo) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.truncStat[name] = true
+	f.frozen = listing
 }
 
 // SetSlowLoris throttles every GET body to one byte per d — the Stalloris
@@ -184,11 +182,13 @@ func (f *Faults) SetBandwidth(bytesPerSec int) {
 	f.bandwidth = bytesPerSec
 }
 
-// CorruptRate makes the first n of every m requests touching name serve
-// corrupted bytes (GET bodies and STAT hashes alike), mirroring FailRate's
-// deterministic cycle — the intermittently flaky disk or proxy whose damage a
-// manifest-checking client must reject every time it appears. name "" is not
-// supported (corruption is per object). n<=0 or m<=0 clears the rate.
+// CorruptRate makes the first n of every m GETs of name serve corrupted
+// bytes, mirroring FailRate's deterministic cycle — the intermittently flaky
+// disk or proxy whose damage a manifest-checking client must reject every
+// time it appears. The damage is in flight: the listing keeps the store's
+// digest and does not advance the cycle, so an incremental sync sees a body
+// that contradicts its listing. name "" is not supported (corruption is per
+// object). n<=0 or m<=0 clears the rate.
 func (f *Faults) CorruptRate(name string, n, m int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -228,7 +228,7 @@ func (f *Faults) Restore(name string) {
 		f.delay = 0
 		f.objDelay = make(map[string]time.Duration)
 		f.truncate = make(map[string]bool)
-		f.truncStat = make(map[string]bool)
+		f.frozen = nil
 		f.failN = make(map[string]int)
 		f.failM = make(map[string]int)
 		f.reqCount = make(map[string]int)
@@ -245,7 +245,6 @@ func (f *Faults) Restore(name string) {
 	delete(f.corrupt, name)
 	delete(f.objDelay, name)
 	delete(f.truncate, name)
-	delete(f.truncStat, name)
 	delete(f.failN, name)
 	delete(f.failM, name)
 	delete(f.reqCount, name)
@@ -308,13 +307,13 @@ func (f *Faults) truncated(name string) bool {
 	return f.truncate[name]
 }
 
-func (f *Faults) statTruncated(name string) bool {
+func (f *Faults) frozenListing() map[string]ObjectInfo {
 	if f == nil {
-		return false
+		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.truncStat[name]
+	return f.frozen
 }
 
 func (f *Faults) slowLorisDelay() time.Duration {

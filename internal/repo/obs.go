@@ -22,9 +22,9 @@ var breakerEventKinds = map[BreakerState]obs.EventKind{
 }
 
 // Instrument attaches the observability plane to the client: retry, dial,
-// request, breaker-trip, fast-fail and bytes-fetched series are read from the
-// client's existing atomic counters at scrape time (zero added cost per
-// request), per-point breaker states are collected on scrape, and every
+// request, listing-mismatch, breaker-trip, fast-fail and bytes-fetched series
+// are read from the client's atomic counters at scrape time (zero added cost
+// per request), per-point breaker states are collected on scrape, and every
 // retry and breaker transition drops an event into the flight recorder.
 // Call once, before the client serves requests; a nil hub is a no-op.
 func (c *Client) Instrument(hub *obs.Hub) {
@@ -49,6 +49,9 @@ func (c *Client) Instrument(hub *obs.Hub) {
 				emit(float64(c.requests[v].Load()), strings.ToLower(name))
 			}
 		})
+	r.CounterFunc("rpki_repo_listing_mismatch_total",
+		"Downloaded objects that did not hash to the digest their point's listing promised (the point republished mid-sync, or lies).",
+		func() float64 { return float64(c.listingMismatches.Load()) })
 	r.CounterFunc("rpki_repo_breaker_trips_total",
 		"Circuit-breaker transitions to open.",
 		func() float64 { return float64(c.Breakers.Trips()) })

@@ -3,6 +3,7 @@ package repo
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net"
 	"reflect"
@@ -78,7 +79,7 @@ func phantomServer(t *testing.T, files map[string][]byte, phantoms []string) str
 						sort.Strings(names)
 						fmt.Fprintf(conn, "OK %d\n", len(names))
 						for _, name := range names {
-							fmt.Fprintf(conn, "%s %d\n", name, len(files[name]))
+							conn.Write(appendListEntry(nil, name, ObjectInfo{Size: len(files[name]), Hash: sha256.Sum256(files[name])}))
 						}
 					case len(fields) == 3 && fields[0] == "GET":
 						content, ok := files[fields[2]]
@@ -202,15 +203,12 @@ func TestServerReadTimeoutReArmsPerRequest(t *testing.T) {
 	// deadline would kill this after the second request.
 	for i := 0; i < 6; i++ {
 		time.Sleep(150 * time.Millisecond)
-		if _, err := fmt.Fprintf(conn, "STAT m a.cer\n"); err != nil {
+		if _, err := fmt.Fprintf(conn, "LIST m\n"); err != nil {
 			t.Fatalf("request %d write: %v", i, err)
 		}
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("request %d read: %v", i, err)
-		}
-		if !strings.HasPrefix(line, "OK") {
-			t.Fatalf("request %d response %q", i, line)
+		listing, err := readList(r)
+		if err != nil || len(listing) != 1 {
+			t.Fatalf("request %d: listing %v, err %v", i, listing, err)
 		}
 	}
 }

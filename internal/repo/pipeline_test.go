@@ -87,12 +87,18 @@ func moduleOf(k, size int) map[string][]byte {
 	return files
 }
 
-func wantWire(t *testing.T, w *wire, dials, maxWrites, list, stat, get int) {
+// wantWire checks dials and request lines exactly — any line that is neither
+// a LIST nor a GET counts as "other" and must not exist — and bounds writes.
+func wantWire(t *testing.T, w *wire, dials, maxWrites, list, get int) {
 	t.Helper()
 	d, writes, verbs := w.counts()
-	if d != dials || verbs["LIST"] != list || verbs["STAT"] != stat || verbs["GET"] != get {
-		t.Errorf("wire: %d dials, %d LIST, %d STAT, %d GET; want %d, %d, %d, %d",
-			d, verbs["LIST"], verbs["STAT"], verbs["GET"], dials, list, stat, get)
+	other := -verbs["LIST"] - verbs["GET"]
+	for _, n := range verbs {
+		other += n
+	}
+	if d != dials || verbs["LIST"] != list || verbs["GET"] != get || other != 0 {
+		t.Errorf("wire: %d dials, %d LIST, %d GET, %d other; want %d, %d, %d, 0",
+			d, verbs["LIST"], verbs["GET"], other, dials, list, get)
 	}
 	if writes > maxWrites {
 		t.Errorf("wire: %d client writes, want at most %d", writes, maxWrites)
@@ -100,9 +106,8 @@ func wantWire(t *testing.T, w *wire, dials, maxWrites, list, stat, get int) {
 }
 
 // TestPipelinedSyncWireShape pins the fetch shape: one connection per
-// publication point, one LIST, one STAT line per object held at the listed
-// size (no check skipped), a GET only for what changed — in a handful of
-// writes rather than one per line.
+// publication point, one LIST and nothing else when nothing changed, a GET
+// only for what changed — in a handful of writes rather than one per line.
 func TestPipelinedSyncWireShape(t *testing.T) {
 	const k = 150 // three windows: 64 + 64 + 22
 	windows := (k + pipelineWindow - 1) / pipelineWindow
@@ -118,7 +123,7 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if cold.Downloaded != k || cold.Unchanged {
 		t.Errorf("cold sync: downloaded %d unchanged %v", cold.Downloaded, cold.Unchanged)
 	}
-	wantWire(t, w, 1, 1+windows, 1, 0, k)
+	wantWire(t, w, 1, 1+windows, 1, k)
 
 	w.reset()
 	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
@@ -128,9 +133,9 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if !warm.Unchanged || warm.Reused != k {
 		t.Errorf("warm sync: %+v", warm)
 	}
-	wantWire(t, w, 1, 2+windows, 1, k, 0)
+	wantWire(t, w, 1, 1, 1, 0)
 
-	// One object changes at the same size: every object is still STATed,
+	// One object changes at the same size: only its digest tells, and
 	// exactly one is downloaded.
 	w.reset()
 	changed := "obj00077.roa"
@@ -142,13 +147,13 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if delta.Unchanged || delta.Reused != k-1 || delta.Downloaded != 1 || !bytes.Equal(delta.Files[changed], bytes.Repeat([]byte{0xEE}, 64)) {
 		t.Errorf("delta sync: reused %d downloaded %d unchanged %v", delta.Reused, delta.Downloaded, delta.Unchanged)
 	}
-	wantWire(t, w, 1, 3+windows, 1, k, 1)
+	wantWire(t, w, 1, 2, 1, 1)
 	lines := w.lines(0)
 	if last := lines[len(lines)-1]; last != "GET test "+changed {
-		t.Errorf("last request line = %q, want the GET of the changed object after all STATs", last)
+		t.Errorf("last request line = %q, want the GET of the changed object", last)
 	}
 
-	// A resized object is downloaded without a STAT; a new one likewise.
+	// A resized object is downloaded; a new one likewise.
 	w.reset()
 	store.Put(changed, []byte("resized"))
 	store.Put("zz-new.roa", []byte("new"))
@@ -159,7 +164,7 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if grown.Downloaded != 2 || grown.Reused != k-1 {
 		t.Errorf("resize sync: %+v", grown)
 	}
-	wantWire(t, w, 1, 3+windows, 1, k-1, 2)
+	wantWire(t, w, 1, 2, 1, 2)
 
 	// FetchAll: shard 0 rides the LIST connection, so Concurrency dials.
 	w.reset()
@@ -168,14 +173,14 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if err != nil || len(all) != k+1 {
 		t.Fatalf("FetchAll: %d objects, err %v", len(all), err)
 	}
-	wantWire(t, w, 3, 1+3*windows, 1, 0, k+1)
+	wantWire(t, w, 3, 1+3*windows, 1, k+1)
 
 	// The single-shot calls are pipelines of one.
 	w.reset()
-	if _, err := c.Stat(ctx, uri, changed); err != nil {
+	if _, err := c.Get(ctx, uri, changed); err != nil {
 		t.Fatal(err)
 	}
-	wantWire(t, w, 1, 1, 0, 1, 0)
+	wantWire(t, w, 1, 1, 0, 1)
 }
 
 // TestPipelinedRequestMetrics: the dials-per-sync ratio and the per-verb
@@ -202,12 +207,15 @@ func TestPipelinedRequestMetrics(t *testing.T) {
 		"rpki_repo_dials_total 2",
 		"# TYPE rpki_repo_requests_total counter",
 		`rpki_repo_requests_total{verb="list"} 2`,
-		fmt.Sprintf(`rpki_repo_requests_total{verb="stat"} %d`, k),
 		fmt.Sprintf(`rpki_repo_requests_total{verb="get"} %d`, k),
+		"rpki_repo_listing_mismatch_total 0",
 	} {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
 		}
+	}
+	if strings.Contains(sb.String(), `verb="stat"`) {
+		t.Error("/metrics still carries a stat verb")
 	}
 }
 
@@ -247,14 +255,9 @@ func TestPipelinedResumeAfterDrop(t *testing.T) {
 	uri, _, faults := startTestServer(t, moduleOf(k, 32))
 	w := &wire{}
 	c := &Client{Timeout: 5 * time.Second, Retry: fastRetry(2), Dial: w.dial}
-	ctx := context.Background()
-	cold, err := c.SyncIncremental(ctx, uri, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Request 1 is the LIST, requests 2.. are the STATs in name order: drop
-	// on the (j+1)-th STAT, once.
+	// Request 1 is the LIST, requests 2.. are the GETs in name order: drop
+	// on the (j+1)-th GET, once.
 	var served atomic.Int64
 	faults.SetScript(func(n int) FaultAction {
 		if n == 1+j+1 {
@@ -263,26 +266,24 @@ func TestPipelinedResumeAfterDrop(t *testing.T) {
 		served.Add(1)
 		return ActNone
 	})
-	w.reset()
-	before := c.Stats().Retries
-	warm, err := c.SyncIncremental(ctx, uri, cold.Files)
+	cold, err := c.SyncIncremental(context.Background(), uri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Unchanged || warm.Reused != k {
-		t.Errorf("resumed sync: %+v", warm)
+	if cold.Downloaded != k || len(cold.Files) != k {
+		t.Errorf("resumed sync: %+v", cold)
 	}
-	if d := c.Stats().Retries - before; d != 1 {
+	if d := c.Stats().Retries; d != 1 {
 		t.Errorf("retries = %d, want 1", d)
 	}
 	if dials, _, _ := w.counts(); dials != 2 {
 		t.Fatalf("dials = %d, want 2 (one redial)", dials)
 	}
 	second := w.lines(1)
-	if len(second) != k-j || second[0] != fmt.Sprintf("STAT test obj%05d.roa", j) {
+	if len(second) != k-j || second[0] != fmt.Sprintf("GET test obj%05d.roa", j) {
 		t.Errorf("redial sent %d lines starting %q; want %d starting at object %d", len(second), second[0], k-j, j)
 	}
-	// LIST + k STATs answered, each exactly once.
+	// LIST + k GETs answered, each exactly once.
 	if n := served.Load(); n != 1+k {
 		t.Errorf("server answered %d requests, want %d", n, 1+k)
 	}
@@ -297,16 +298,12 @@ func TestPipelinedDeadlineIsPerExchange(t *testing.T) {
 	uri, _, faults := startTestServer(t, moduleOf(k, 32))
 	c := &Client{Timeout: timeout}
 	ctx := context.Background()
-	cold, err := c.SyncIncremental(ctx, uri, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.DelayObject("obj00002.roa", 5*timeout)
 	start := time.Now()
-	_, err = c.SyncIncremental(ctx, uri, cold.Files)
+	_, err := c.SyncIncremental(ctx, uri, nil)
 	elapsed := time.Since(start)
-	if err == nil || !strings.Contains(err.Error(), `STAT "obj00002.roa"`) {
-		t.Fatalf("err = %v, want the third STAT to time out", err)
+	if err == nil || !strings.Contains(err.Error(), `fetching "obj00002.roa"`) {
+		t.Fatalf("err = %v, want the third GET to time out", err)
 	}
 	if elapsed < timeout || elapsed > 4*timeout {
 		t.Errorf("failed after %v, want about one Timeout (%v)", elapsed, timeout)
@@ -315,44 +312,47 @@ func TestPipelinedDeadlineIsPerExchange(t *testing.T) {
 	// The other direction: every reply is slow but within Timeout. A
 	// deadline armed once per window would expire; per reply it holds.
 	uri, _, faults = startTestServer(t, moduleOf(10, 32))
-	if cold, err = c.SyncIncremental(ctx, uri, nil); err != nil {
-		t.Fatal(err)
-	}
 	faults.SetDelay(timeout / 5)
-	res, err := c.SyncIncremental(ctx, uri, cold.Files)
+	res, err := c.SyncIncremental(ctx, uri, nil)
 	if err != nil {
-		t.Fatalf("10 replies of Timeout/5 each must not trip a per-exchange deadline: %v", err)
+		t.Fatalf("11 replies of Timeout/5 each must not trip a per-exchange deadline: %v", err)
 	}
-	if res.Reused != 10 {
-		t.Errorf("reused %d, want 10", res.Reused)
+	if res.Downloaded != 10 {
+		t.Errorf("downloaded %d, want 10", res.Downloaded)
 	}
 }
 
-// TestPipelinedTruncatedStatFailsSync: a STAT reply torn mid-window fails the
-// incremental sync (so the relying party falls back to a clean full fetch)
-// and the objects answered before it are not stitched into a partial result.
-func TestPipelinedTruncatedStatFailsSync(t *testing.T) {
-	uri, _, faults := startTestServer(t, moduleOf(10, 32))
+// TestPipelinedListingMismatchFailsSync: the point republishes an object
+// between the LIST and that object's GET, mid-window. The body contradicts
+// the listing, so the incremental sync fails (the relying party falls back to
+// a clean full fetch) and the objects answered around it are not stitched
+// into a partial result.
+func TestPipelinedListingMismatchFailsSync(t *testing.T) {
+	uri, store, faults := startTestServer(t, moduleOf(10, 32))
 	c := &Client{Timeout: 5 * time.Second, Retry: fastRetry(1)}
 	ctx := context.Background()
-	cold, err := c.SyncIncremental(ctx, uri, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Request 1 is the LIST, requests 2.. the GETs in name order: republish
+	// object 7 while object 4 is being served.
+	republished := bytes.Repeat([]byte{0xEE}, 32)
+	faults.SetScript(func(n int) FaultAction {
+		if n == 1+5 {
+			store.Put("obj00007.roa", republished)
+		}
+		return ActNone
+	})
+	res, err := c.SyncIncremental(ctx, uri, nil)
+	if !errors.Is(err, ErrListingMismatch) || res != nil {
+		t.Fatalf("a body contradicting its listing must fail the sync, got %+v, %v", res, err)
 	}
-	faults.TruncateStat("obj00005.roa")
-	before := c.Stats().Retries
-	res, err := c.SyncIncremental(ctx, uri, cold.Files)
-	if err == nil || res != nil {
-		t.Fatalf("torn STAT must fail the sync, got %+v, %v", res, err)
+	if !strings.Contains(err.Error(), `"obj00007.roa"`) {
+		t.Errorf("err = %v, want it to name the object", err)
 	}
-	if !Retryable(err) {
-		t.Errorf("a torn reply is a transport failure, got permanent %v", err)
+	if Retryable(err) || c.Stats().Retries != 0 {
+		t.Errorf("the server answered: nothing to retry (err %v, %d retries)", err, c.Stats().Retries)
 	}
-	if d := c.Stats().Retries - before; d != 1 {
-		t.Errorf("retries = %d, want 1", d)
-	}
-	if all, err := c.FetchAll(ctx, uri); err != nil || len(all) != 10 {
-		t.Errorf("the full-fetch fallback must still work: %d objects, %v", len(all), err)
+	faults.SetScript(nil)
+	if all, err := c.FetchAll(ctx, uri); err != nil || len(all) != 10 || !bytes.Equal(all["obj00007.roa"], republished) {
+		t.Errorf("the full-fetch fallback must serve the republished point: %d objects, %v", len(all), err)
 	}
 }
 
@@ -391,15 +391,11 @@ func TestPipelinedOpenBreakerDialsNothing(t *testing.T) {
 func TestPipelinedCancelMidWindow(t *testing.T) {
 	uri, _, faults := startTestServer(t, moduleOf(20, 32))
 	c := &Client{Timeout: 10 * time.Second, Retry: fastRetry(3)}
-	cold, err := c.SyncIncremental(context.Background(), uri, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.DelayObject("obj00007.roa", 2*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(100*time.Millisecond, cancel)
 	start := time.Now()
-	_, err = c.SyncIncremental(ctx, uri, cold.Files)
+	_, err := c.SyncIncremental(ctx, uri, nil)
 	if err == nil {
 		t.Fatal("a canceled sync must fail")
 	}

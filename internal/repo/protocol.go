@@ -2,6 +2,9 @@ package repo
 
 import (
 	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"strconv"
@@ -16,18 +19,20 @@ import (
 // delta encoding.
 //
 //	Request:  LIST <module>
-//	Response: OK <n>            then n lines: <name> <size>
+//	Response: OK <n>            then n lines: <name> <size> <sha256-hex>
 //
 //	Request:  GET <module> <name>
 //	Response: OK <size>         then <size> raw bytes
 //
-//	Request:  STAT <module> <name>
-//	Response: OK <size> <sha256-hex>
-//
 //	Any error: ERR <message>
 //
-// STAT lets a client skip re-downloading unchanged objects — the delta
-// behavior that makes rsync rsync.
+// A listing line is exactly three fields separated by single spaces: a name
+// validName accepts, a decimal size of at most MaxObjectSize, and the 64
+// lower-case hex digits of the SHA-256 of the bytes a GET would serve. Names
+// are unique within a listing. The digests are the delta behavior that makes
+// rsync rsync: a client keeps every object it holds at the listed size and
+// digest and GETs only the rest, and it holds the repository to its listing —
+// a GET body that does not hash to the listed digest fails the sync.
 //
 // Requests may be pipelined: a client may write up to pipelineWindow request
 // lines before reading, the server answers them strictly in request order
@@ -86,30 +91,37 @@ func (u URI) ObjectURI(name string) string {
 	return u.String() + "/" + name
 }
 
-// readLine reads one LF-terminated line, enforcing the length cap while
-// reading. The cap must be applied incrementally: ReadString would buffer an
-// entire newline-free stream before a post-hoc length check could reject it,
-// handing a malicious server an unbounded-memory primitive.
-func readLine(r *bufio.Reader) (string, error) {
+// readLineBytes reads one LF-terminated line, enforcing the length cap while
+// reading, and returns it without the LF. The cap must be applied
+// incrementally: ReadString would buffer an entire newline-free stream before
+// a post-hoc length check could reject it, handing a malicious server an
+// unbounded-memory primitive. The returned bytes usually alias r's buffer:
+// they are valid only until the next read from r.
+func readLineBytes(r *bufio.Reader) ([]byte, error) {
 	var buf []byte
 	for {
 		chunk, err := r.ReadSlice('\n')
 		if len(buf)+len(chunk) > maxLineLen {
-			return "", fmt.Errorf("repo: protocol line too long (> %d bytes)", maxLineLen)
+			return nil, fmt.Errorf("repo: protocol line too long (> %d bytes)", maxLineLen)
 		}
 		if err == nil {
-			if buf == nil {
-				return strings.TrimSuffix(string(chunk), "\n"), nil
+			if buf != nil {
+				chunk = append(buf, chunk...)
 			}
-			buf = append(buf, chunk...)
-			return strings.TrimSuffix(string(buf), "\n"), nil
+			return chunk[:len(chunk)-1], nil
 		}
 		if err == bufio.ErrBufferFull {
 			buf = append(buf, chunk...)
 			continue
 		}
-		return "", err
+		return nil, err
 	}
+}
+
+// readLine is readLineBytes with the line copied out of r's buffer.
+func readLine(r *bufio.Reader) (string, error) {
+	line, err := readLineBytes(r)
+	return string(line), err
 }
 
 // writeLine writes one LF-terminated line.
@@ -134,6 +146,49 @@ func parseOKCount(line string, bound int) (int, error) {
 		return 0, permanent(fmt.Errorf("repo: count %q out of range", fields[1]))
 	}
 	return n, nil
+}
+
+// ObjectInfo is what a listing says about one object.
+type ObjectInfo struct {
+	// Size is the object's size in bytes.
+	Size int
+	// Hash is the SHA-256 of the content as served (faults included).
+	Hash [sha256.Size]byte
+}
+
+// appendListEntry appends the listing line for one object, LF included.
+func appendListEntry(dst []byte, name string, info ObjectInfo) []byte {
+	dst = append(append(dst, name...), ' ')
+	dst = append(strconv.AppendInt(dst, int64(info.Size), 10), ' ')
+	return append(hex.AppendEncode(dst, info.Hash[:]), '\n')
+}
+
+// parseListEntry parses one listing line, strictly: anything but the three
+// fields the grammar above allows is a permanent error. It allocates only
+// the returned name, so a listing key never pins the line it was read from.
+func parseListEntry(line []byte) (string, ObjectInfo, error) {
+	malformed := func(what string) (string, ObjectInfo, error) {
+		return "", ObjectInfo{}, permanent(fmt.Errorf("repo: %s in LIST entry %q", what, line))
+	}
+	nameB, rest, _ := bytes.Cut(line, []byte{' '})
+	sizeB, hashB, _ := bytes.Cut(rest, []byte{' '})
+	name := string(nameB)
+	if !validName(name) {
+		return malformed("bad name")
+	}
+	// ParseUint admits no sign; the digest check admits no upper case.
+	size, err := strconv.ParseUint(string(sizeB), 10, 32)
+	if err != nil || size > MaxObjectSize {
+		return malformed("bad size")
+	}
+	info := ObjectInfo{Size: int(size)}
+	if len(hashB) != hex.EncodedLen(len(info.Hash)) || bytes.ContainsAny(hashB, "ABCDEF") {
+		return malformed("bad digest")
+	}
+	if _, err := hex.Decode(info.Hash[:], hashB); err != nil {
+		return malformed("bad digest")
+	}
+	return name, info, nil
 }
 
 // validName rejects names that could escape the module namespace or break

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestStoreBasics(t *testing.T) {
@@ -121,7 +124,7 @@ func TestClientListAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names["a.cer"] != len("certificate bytes") {
+	if len(names) != 2 || names["a.cer"].Size != len("certificate bytes") {
 		t.Errorf("list = %v", names)
 	}
 	content, err := c.Get(ctx, uri, "a.cer")
@@ -285,35 +288,35 @@ func TestMultiModuleServer(t *testing.T) {
 	}
 }
 
-func TestClientStat(t *testing.T) {
-	content := []byte("stat me please")
+// TestClientListDigests: the listing carries each object's size and SHA-256,
+// and a Corrupted object is listed with the digest of the bytes GET serves —
+// faults are not detectable from the listing alone.
+func TestClientListDigests(t *testing.T) {
+	content := []byte("list me please")
 	uri, _, faults := startTestServer(t, map[string][]byte{"obj.roa": content})
 	c := &Client{Timeout: 5 * time.Second}
 	ctx := context.Background()
 
-	info, err := c.Stat(ctx, uri, "obj.roa")
+	listing, err := c.List(ctx, uri)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size != len(content) || info.Hash != sha256.Sum256(content) {
-		t.Errorf("stat = %+v", info)
+	info, ok := listing["obj.roa"]
+	if !ok || len(listing) != 1 || info.Size != len(content) || info.Hash != sha256.Sum256(content) {
+		t.Errorf("listing = %+v", listing)
 	}
-	if _, err := c.Stat(ctx, uri, "missing"); err == nil {
-		t.Error("missing object must error")
-	}
-	// A corrupted object reports the corrupted hash: faults are not
-	// detectable via STAT alone.
 	faults.Corrupt("obj.roa")
-	info2, err := c.Stat(ctx, uri, "obj.roa")
+	listing, err = c.List(ctx, uri)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info2 := listing["obj.roa"]
 	if info2.Hash == info.Hash {
-		t.Error("corrupted STAT should expose a different hash")
+		t.Error("a corrupted object's listing should expose a different digest")
 	}
 	served, _ := c.Get(ctx, uri, "obj.roa")
-	if info2.Hash != sha256.Sum256(served) {
-		t.Error("STAT hash must match what GET serves")
+	if info2.Size != len(served) || info2.Hash != sha256.Sum256(served) {
+		t.Error("the listed digest must match what GET serves")
 	}
 }
 
@@ -373,28 +376,43 @@ func TestSyncIncremental(t *testing.T) {
 	}
 }
 
-func TestSyncIncrementalTruncatedStat(t *testing.T) {
-	// A torn STAT response line kills the incremental protocol, but plain
-	// GETs still work: a caller can always fall back to a clean full fetch.
-	uri, _, faults := startTestServer(t, map[string][]byte{"x.roa": []byte("content of x")})
-	c := &Client{
-		Timeout: time.Second,
-		Retry:   RetryPolicy{MaxRetries: 1, BaseDelay: time.Millisecond, Jitter: -1},
-	}
+func TestSyncIncrementalListingMismatch(t *testing.T) {
+	// A body that does not hash to the digest its listing promised kills the
+	// incremental sync, but plain GETs still work: a caller can always fall
+	// back to a clean full fetch.
+	uri, store, faults := startTestServer(t, map[string][]byte{
+		"x.roa": []byte("content of x"),
+		"y.roa": []byte("content of y"),
+	})
+	hub := obs.NewHub(time.Now)
+	c := &Client{Timeout: time.Second, Retry: fastRetry(1)}
+	c.Instrument(hub)
 	ctx := context.Background()
 	res, err := c.SyncIncremental(ctx, uri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.TruncateStat("x.roa")
-	if _, err := c.SyncIncremental(ctx, uri, res.Files); err == nil {
-		t.Fatal("torn STAT must fail the incremental sync, not silently reuse")
+	store.Put("x.roa", []byte("CONTENT OF X"))
+	faults.CorruptRate("x.roa", 1, 2) // the next GET is damaged in flight, the one after is clean
+	got, err := c.SyncIncremental(ctx, uri, res.Files)
+	if !errors.Is(err, ErrListingMismatch) || got != nil {
+		t.Fatalf("a body contradicting its listing must fail the sync, got %+v, %v", got, err)
+	}
+	if Retryable(err) || c.Stats().Retries != 0 {
+		t.Errorf("the server answered: nothing to retry (err %v, %d retries)", err, c.Stats().Retries)
+	}
+	var sb strings.Builder
+	if err := hub.Registry().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "rpki_repo_listing_mismatch_total 1\n") {
+		t.Error("/metrics lacks rpki_repo_listing_mismatch_total 1")
 	}
 	files, err := c.FetchAll(ctx, uri)
 	if err != nil {
-		t.Fatalf("full fetch must survive a STAT-only fault: %v", err)
+		t.Fatalf("full fetch must survive a listing mismatch: %v", err)
 	}
-	if string(files["x.roa"]) != "content of x" {
+	if string(files["x.roa"]) != "CONTENT OF X" {
 		t.Error("full fetch served wrong bytes")
 	}
 	// The fault clears: the incremental path recovers.
@@ -403,7 +421,7 @@ func TestSyncIncrementalTruncatedStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Reused != 1 || !res2.Unchanged {
+	if res2.Reused != 1 || res2.Downloaded != 1 || string(res2.Files["x.roa"]) != "CONTENT OF X" {
 		t.Errorf("recovered sync: %+v", res2)
 	}
 }
@@ -416,7 +434,7 @@ func TestSyncIncrementalSeesThroughFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corruption changes the served hash → incremental sync re-downloads
+	// Corruption changes the listed digest → incremental sync re-downloads
 	// and the relying party sees the corrupted (rejectable) bytes.
 	faults.Corrupt("x.roa")
 	res2, err := c.SyncIncremental(ctx, uri, res.Files)

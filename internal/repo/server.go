@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -170,14 +169,6 @@ func (s *Server) handle(conn net.Conn) {
 			if !s.serveGet(w, fields[1], fields[2]) {
 				return
 			}
-		case "STAT":
-			if len(fields) != 3 {
-				_ = writeLine(w, "ERR STAT wants 2 arguments")
-				return
-			}
-			if !s.serveStat(w, fields[1], fields[2]) {
-				return
-			}
 		case "QUIT":
 			return
 		default:
@@ -217,6 +208,11 @@ func (s *Server) moduleFor(name string) (*Module, bool, error) {
 	return m, true, nil
 }
 
+// serveList answers a LIST with every object's size and SHA-256 as the store
+// recorded them at publication, after applying the fault plan: a dropped
+// object is absent, a frozen listing is served in the store's place, and a
+// Corrupted object is listed with the digest of the bytes a GET would serve —
+// the client must not be able to detect that fault for free.
 func (s *Server) serveList(w *bufio.Writer, module string) bool {
 	m, keep, err := s.moduleFor(module)
 	if !keep {
@@ -226,9 +222,12 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 		_ = writeLine(w, "ERR %v", err)
 		return true
 	}
-	sizes := m.Store.Sizes()
-	entries := make([]string, 0, len(sizes))
-	for name := range sizes {
+	infos := m.Faults.frozenListing()
+	if infos == nil {
+		infos = m.Store.Infos()
+	}
+	entries := make([]string, 0, len(infos))
+	for name := range infos {
 		if !m.Faults.dropped(name) {
 			entries = append(entries, name)
 		}
@@ -237,8 +236,18 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 	if err := writeLine(w, "OK %d", len(entries)); err != nil {
 		return false
 	}
+	var line []byte
 	for _, name := range entries {
-		if err := writeLine(w, "%s %d", name, sizes[name]); err != nil {
+		info := infos[name]
+		if m.Faults.corrupted(name) {
+			// Only this path hashes per request: the digest must be that of
+			// the bytes a GET would serve, not of what the store holds.
+			content, _ := m.Store.Get(name)
+			content = corruptBytes(content)
+			info = ObjectInfo{Size: len(content), Hash: sha256.Sum256(content)}
+		}
+		line = appendListEntry(line[:0], name, info)
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 	}
@@ -324,53 +333,6 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 		return false
 	}
 	return true
-}
-
-// serveStat answers a STAT query with the object's size and SHA-256 hash as
-// the store recorded them at publication, after applying the same fault plan
-// as GET (a corrupted object reports the corrupted hash — the client must not
-// be able to detect faults for free).
-func (s *Server) serveStat(w *bufio.Writer, module, name string) bool {
-	m, keep, err := s.moduleFor(module)
-	if !keep {
-		return false
-	}
-	if err != nil {
-		_ = writeLine(w, "ERR %v", err)
-		return true
-	}
-	if !validName(name) {
-		_ = writeLine(w, "ERR invalid object name")
-		return true
-	}
-	if d := m.Faults.objectDelay(name); d > 0 {
-		time.Sleep(d)
-	}
-	if m.Faults.shouldFail(name) {
-		return false
-	}
-	info, ok := m.Store.Stat(name)
-	if !ok || m.Faults.dropped(name) {
-		_ = writeLine(w, "ERR no such object %q", name)
-		return true
-	}
-	if m.Faults.corrupted(name) || m.Faults.shouldCorrupt(name) {
-		// Only this path hashes per request: the digest must be that of the
-		// bytes a GET would serve, not of what the store holds.
-		content, _ := m.Store.Get(name)
-		content = corruptBytes(content)
-		info = ObjectInfo{Size: len(content), Hash: sha256.Sum256(content)}
-	}
-	line := fmt.Sprintf("OK %d %s\n", info.Size, hex.EncodeToString(info.Hash[:]))
-	if m.Faults.statTruncated(name) {
-		// Tear the response line in half and drop the connection: the
-		// incremental protocol fails while GET still serves cleanly.
-		_, _ = w.WriteString(line[:len(line)/2])
-		_ = w.Flush()
-		return false
-	}
-	_, err = w.WriteString(line)
-	return err == nil
 }
 
 // Serve is a convenience for tests: start a server for a single module on

@@ -54,7 +54,7 @@ type storeShard struct {
 }
 
 // object is one published file with the SHA-256 of its content, computed
-// once when it is published so STAT never re-hashes what did not change.
+// once when it is published so a listing never re-hashes what did not change.
 type object struct {
 	content []byte
 	sum     [sha256.Size]byte
@@ -117,23 +117,15 @@ func (s *Store) Get(name string) ([]byte, bool) {
 	return append([]byte(nil), obj.content...), true
 }
 
-// Stat returns an object's size and SHA-256 without copying its content.
-func (s *Store) Stat(name string) (ObjectInfo, bool) {
-	sh := &s.shards[shardIndex(name)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	obj, ok := sh.files[name]
-	return ObjectInfo{Size: len(obj.content), Hash: obj.sum}, ok
-}
-
-// Sizes returns every published object's size, without copying contents.
-func (s *Store) Sizes() map[string]int {
-	out := make(map[string]int, s.Len())
+// Infos returns every published object's size and SHA-256, without copying
+// or re-hashing contents.
+func (s *Store) Infos() map[string]ObjectInfo {
+	out := make(map[string]ObjectInfo, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for name, obj := range sh.files {
-			out[name] = len(obj.content)
+			out[name] = ObjectInfo{Size: len(obj.content), Hash: obj.sum}
 		}
 		sh.mu.RUnlock()
 	}

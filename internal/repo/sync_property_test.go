@@ -17,8 +17,9 @@ import (
 // after every random batch of Put / overwrite / Delete on the store, an
 // incremental sync from the previous result must return exactly the store's
 // contents, with Downloaded / Reused / Removed / Unchanged equal to what the
-// mutations imply, having sent one STAT per object held at its listed size;
-// and a full fetch must agree at Concurrency 1 and 4.
+// mutations imply, having sent one LIST and exactly one GET per changed or
+// new object — an unchanged point costs one dial, one LIST line and no other
+// request line; and a full fetch must agree at Concurrency 1 and 4.
 func TestPipelinedSyncPropertyUnderMutation(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -52,7 +53,7 @@ func TestPipelinedSyncPropertyUnderMutation(t *testing.T) {
 				case rng.Intn(4) == 0 && ok:
 					store.Delete(n)
 					delete(model, n)
-				case rng.Intn(3) == 0 && ok: // same size, new bytes: only STAT can tell
+				case rng.Intn(3) == 0 && ok: // same size, new bytes: only the digest can tell
 					b := append([]byte(nil), model[n]...)
 					b[rng.Intn(len(b))] ^= 0x5A
 					store.Put(n, b)
@@ -78,13 +79,9 @@ func TestPipelinedSyncPropertyUnderMutation(t *testing.T) {
 					}
 					store.Replace(model)
 				}
-				var wantDown, wantReused, wantRemoved, wantStat int
+				var wantDown, wantReused, wantRemoved int
 				for n, b := range model {
-					old, held := prev[n]
-					if held && len(old) == len(b) {
-						wantStat++
-					}
-					if held && bytes.Equal(old, b) {
+					if old, held := prev[n]; held && bytes.Equal(old, b) {
 						wantReused++
 					} else {
 						wantDown++
@@ -111,7 +108,14 @@ func TestPipelinedSyncPropertyUnderMutation(t *testing.T) {
 						round, res.Downloaded, res.Reused, res.Removed, res.Unchanged,
 						wantDown, wantReused, wantRemoved, wantUnchanged)
 				}
-				wantWire(t, w, 1, 1<<30, 1, wantStat, wantDown)
+				wantWire(t, w, 1, 1<<30, 1, wantDown)
+
+				w.reset()
+				again, err := c.SyncIncremental(ctx, uri, res.Files)
+				if err != nil || !again.Unchanged || again.Reused != len(model) {
+					t.Fatalf("round %d: re-sync of an unchanged point: %+v, %v", round, again, err)
+				}
+				wantWire(t, w, 1, 1, 1, 0)
 
 				for _, conc := range []int{1, 4} {
 					full := &Client{Timeout: 5 * time.Second, Concurrency: conc}
@@ -128,7 +132,7 @@ func TestPipelinedSyncPropertyUnderMutation(t *testing.T) {
 }
 
 // versioned is a self-describing object body: its size names its version,
-// so a reader holding only a Stat result can recompute the digest it must
+// so a reader holding only an ObjectInfo can recompute the digest it must
 // carry.
 func versioned(v int) []byte { return bytes.Repeat([]byte{byte(v)}, 1+v) }
 
@@ -146,43 +150,39 @@ func TestStoreDigestInvariant(t *testing.T) {
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
-		go func(r int) {
+		go func() {
 			defer readers.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				name := names[(i+r)%len(names)]
-				if info, ok := store.Stat(name); ok && info.Hash != sha256.Sum256(versioned(info.Size-1)) {
-					t.Errorf("reader: Stat(%s) size %d carries the digest of other bytes", name, info.Size)
-					return
-				}
-				for n, size := range store.Sizes() {
-					if size < 1 || size > 256 {
-						t.Errorf("reader: Sizes()[%s] = %d", n, size)
+				for n, info := range store.Infos() {
+					if info.Size < 1 || info.Size > 256 || info.Hash != sha256.Sum256(versioned(info.Size-1)) {
+						t.Errorf("reader: Infos()[%s] size %d carries the digest of other bytes", n, info.Size)
 						return
 					}
 				}
 			}
-		}(r)
+		}()
 	}
 
 	check := func(step int) {
 		t.Helper()
+		infos := store.Infos()
 		for _, name := range names {
 			content, have := store.Get(name)
-			info, ok := store.Stat(name)
+			info, ok := infos[name]
 			if ok != have {
-				t.Fatalf("step %d: Get and Stat disagree on whether %s exists", step, name)
+				t.Fatalf("step %d: Get and Infos disagree on whether %s exists", step, name)
 			}
 			if ok && (info.Size != len(content) || info.Hash != sha256.Sum256(content)) {
-				t.Fatalf("step %d: Stat(%s) is not the size and SHA-256 of Get", step, name)
+				t.Fatalf("step %d: Infos()[%s] is not the size and SHA-256 of Get", step, name)
 			}
 		}
-		if sizes := store.Sizes(); len(sizes) != store.Len() {
-			t.Fatalf("step %d: Sizes has %d entries, store %d", step, len(sizes), store.Len())
+		if len(infos) != store.Len() {
+			t.Fatalf("step %d: Infos has %d entries, store %d", step, len(infos), store.Len())
 		}
 	}
 	rng := rand.New(rand.NewSource(7))

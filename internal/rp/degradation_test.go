@@ -354,7 +354,7 @@ func TestSyncFaultCancellationReturnsCtxErr(t *testing.T) {
 }
 
 func TestSyncIncrementalLKGDegradation(t *testing.T) {
-	// The incremental (STAT-driven) path rides the same ladder: flaky points
+	// The incremental (digest-listing) path rides the same ladder: flaky points
 	// converge with retries and reuse, and a dead point falls back to LKG.
 	w := buildTCPWorld(t)
 	now := testEpoch

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/roa"
 	"repro/internal/rov"
@@ -20,50 +21,107 @@ func issueR2(t *testing.T, w *tcpWorld) {
 	}
 }
 
-// TestIncrementalTruncatedStatFallsBackToFullFetch: when the STAT protocol
-// tears mid-line, the relying party must replace the incremental sync with a
-// clean full fetch — and the result must reflect the server's CURRENT world,
-// not the cached snapshot.
-func TestIncrementalTruncatedStatFallsBackToFullFetch(t *testing.T) {
-	w := buildTCPWorld(t)
-	relying := New(Config{
-		Fetcher:        resilientClient(1),
-		Clock:          clock,
-		CacheSnapshots: true,
-	}, w.anchor)
-	first, err := relying.Sync(context.Background())
-	if err != nil || first.Incomplete() {
-		t.Fatalf("cold sync: %v %v", err, first.Diagnostics)
-	}
+// TestIncrementalListingMismatchFallsBackToFullFetch: when a downloaded
+// object contradicts the digest its listing promised — the point republished
+// between LIST and GET, or the body was damaged in flight — the relying party
+// must replace the incremental sync with a clean full fetch, and the result
+// must reflect the server's CURRENT world, not the cached snapshot nor a
+// stitched one.
+func TestIncrementalListingMismatchFallsBackToFullFetch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// breakListing arranges for the next incremental sync of the child
+		// module to download bytes its listing did not promise; the returned
+		// func undoes whatever would also damage a plain full fetch.
+		breakListing func(t *testing.T, w *tcpWorld) (heal func())
+		newROAs      int
+	}{
+		{
+			name: "republished between LIST and GET",
+			breakListing: func(t *testing.T, w *tcpWorld) func() {
+				// Request 1 is the LIST; the first GET (the CRL) is served
+				// after the authority has published once more.
+				var once sync.Once
+				w.childFaults.SetScript(func(requestN int) repo.FaultAction {
+					if requestN == 2 {
+						once.Do(func() {
+							if _, err := w.child.IssueROA("r3", 1239, roa.MustParsePrefix("63.164.0.0/14")); err != nil {
+								t.Error(err)
+							}
+						})
+					}
+					return repo.ActNone
+				})
+				return func() { w.childFaults.SetScript(nil) }
+			},
+			newROAs: 2,
+		},
+		{
+			name: "corrupted in flight",
+			breakListing: func(t *testing.T, w *tcpWorld) func() {
+				// The cycle advances on GET only: the incremental sync draws
+				// the damaged body, the fallback the clean one.
+				w.childFaults.CorruptRate("r2.roa", 1, 2)
+				return func() { w.childFaults.Restore("r2.roa") }
+			},
+			newROAs: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := buildTCPWorld(t)
+			hub := obs.NewHub(clock)
+			relying := New(Config{
+				Fetcher:        resilientClient(1),
+				Clock:          clock,
+				CacheSnapshots: true,
+				Obs:            hub,
+			}, w.anchor)
+			first, err := relying.Sync(context.Background())
+			if err != nil || first.Incomplete() {
+				t.Fatalf("cold sync: %v %v", err, first.Diagnostics)
+			}
 
-	// The world changes (a new ROA appears) AND the incremental protocol
-	// breaks on an unchanged object: a stale reuse would miss the new ROA.
-	issueR2(t, w)
-	w.childFaults.TruncateStat("r.roa")
-	second, err := relying.Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Incomplete() {
-		t.Fatalf("fallback sync should be clean, diags: %v", second.Diagnostics)
-	}
-	if second.IncrementalFallbacks != 1 {
-		t.Errorf("IncrementalFallbacks = %d, want 1", second.IncrementalFallbacks)
-	}
-	if second.Retries == 0 {
-		t.Error("the torn STAT should have been retried before falling back")
-	}
-	// The fallback must serve the new world: compare against a from-scratch
-	// full validation (which never STATs, so the fault is invisible to it).
-	fresh, err := New(Config{Fetcher: resilientClient(0), Clock: clock}, w.anchor).Sync(context.Background())
-	if err != nil || fresh.Incomplete() {
-		t.Fatalf("fresh baseline: %v %v", err, fresh.Diagnostics)
-	}
-	if !reflect.DeepEqual(second.VRPs, fresh.VRPs) {
-		t.Errorf("fallback diverged from fresh validation:\n%v\n%v", second.VRPs, fresh.VRPs)
-	}
-	if len(second.VRPs) != len(first.VRPs)+1 {
-		t.Errorf("new ROA missing after fallback: %d VRPs, want %d", len(second.VRPs), len(first.VRPs)+1)
+			// The world changes (a new ROA appears) AND the incremental
+			// protocol breaks: a stale reuse would miss the new ROA.
+			issueR2(t, w)
+			heal := tc.breakListing(t, w)
+			second, err := relying.Sync(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			heal()
+			if second.Incomplete() {
+				t.Fatalf("fallback sync should be clean, diags: %v", second.Diagnostics)
+			}
+			if second.IncrementalFallbacks != 1 {
+				t.Errorf("IncrementalFallbacks = %d, want 1", second.IncrementalFallbacks)
+			}
+			if second.Retries != 0 {
+				t.Errorf("retries = %d: a mismatch is an answer, not a transport failure", second.Retries)
+			}
+			var fallbacks int
+			for _, e := range hub.Recorder().Snapshot() {
+				if e.Kind == obs.EventIncrementalFallback && e.Module == "child" {
+					fallbacks++
+				}
+			}
+			if fallbacks != 1 {
+				t.Errorf("flight recorder holds %d incremental-fallback events for child, want 1", fallbacks)
+			}
+			// The fallback must serve the new world: compare against a
+			// from-scratch full validation (which reads no digests, so the
+			// fault is invisible to it).
+			fresh, err := New(Config{Fetcher: resilientClient(0), Clock: clock}, w.anchor).Sync(context.Background())
+			if err != nil || fresh.Incomplete() {
+				t.Fatalf("fresh baseline: %v %v", err, fresh.Diagnostics)
+			}
+			if !reflect.DeepEqual(second.VRPs, fresh.VRPs) {
+				t.Errorf("fallback diverged from fresh validation:\n%v\n%v", second.VRPs, fresh.VRPs)
+			}
+			if len(second.VRPs) != len(first.VRPs)+tc.newROAs {
+				t.Errorf("new ROAs missing after fallback: %d VRPs, want %d", len(second.VRPs), len(first.VRPs)+tc.newROAs)
+			}
+		})
 	}
 }
 
@@ -87,8 +145,8 @@ func TestIncrementalCorruptObjectNeverSilentlyStale(t *testing.T) {
 		t.Fatal("baseline route should be Valid")
 	}
 
-	// Corruption flips the served hash, so STAT disagrees with the cached
-	// copy and the sync downloads the corrupted bytes.
+	// Corruption flips the served hash, so the listing disagrees with the
+	// cached copy and the sync downloads the corrupted bytes.
 	w.childFaults.Corrupt("r.roa")
 	second, err := relying.Sync(context.Background())
 	if err != nil {
@@ -116,11 +174,12 @@ func TestIncrementalCorruptObjectNeverSilentlyStale(t *testing.T) {
 	}
 }
 
-// TestIncrementalHashFlipMidSync: the repository republishes between the
-// relying party's STAT requests, so the incremental sync assembles a torn
-// view — part old world, part new. The manifest cross-check must flag the
-// tear (missing or mismatched objects); a clean verdict over the torn set
-// would be silent staleness. The next sync then converges on the new world.
+// TestIncrementalHashFlipMidSync: the repository republishes in the middle of
+// the relying party's GETs, so what the sync could assemble is a torn view —
+// part old world, part new. The verdict is never clean-and-stale: either the
+// sync is clean and its VRPs are those of the point's current world (the body
+// that contradicted the listing sent the sync down the full-fetch fallback),
+// or the tear is diagnosed. The next sync then converges on the new world.
 func TestIncrementalHashFlipMidSync(t *testing.T) {
 	w := buildTCPWorld(t)
 	relying := New(Config{
@@ -133,16 +192,17 @@ func TestIncrementalHashFlipMidSync(t *testing.T) {
 		t.Fatalf("cold sync: %v %v", err, first.Diagnostics)
 	}
 
-	// The child module's warm sync issues LIST, then STATs objects in sorted
-	// order (child.crl, child.mft, r.roa). Republishing on request 3 lands
-	// the flip between two STATs: the CRL is reused from the old world while
-	// the manifest downloads from the new one.
+	// The child publishes r2, so its warm sync issues LIST, then GETs the
+	// changed objects in sorted order (child.crl, child.mft, r2.roa).
+	// Republishing on request 3 lands the flip between two GETs: the CRL was
+	// served from the listed world, the manifest comes from the next one.
+	issueR2(t, w)
 	var flipOnce sync.Once
 	var flipErr error
 	w.childFaults.SetScript(func(requestN int) repo.FaultAction {
 		if requestN == 3 {
 			flipOnce.Do(func() {
-				_, flipErr = w.child.IssueROA("r2", 1239, roa.MustParsePrefix("63.168.0.0/13"))
+				_, flipErr = w.child.IssueROA("r3", 1239, roa.MustParsePrefix("63.164.0.0/14"))
 			})
 		}
 		return repo.ActNone
@@ -155,10 +215,22 @@ func TestIncrementalHashFlipMidSync(t *testing.T) {
 		t.Fatal(flipErr)
 	}
 	w.childFaults.SetScript(nil)
-	if !second.Incomplete() {
-		t.Fatalf("a torn view must be diagnosed, got a clean result with %d VRPs", len(second.VRPs))
+	fresh, err := New(Config{Fetcher: resilientClient(0), Clock: clock}, w.anchor).Sync(context.Background())
+	if err != nil || fresh.Incomplete() {
+		t.Fatalf("fresh baseline: %v %v", err, fresh.Diagnostics)
 	}
-	if !hasDiag(second, DiagMissingObject, "child") && !hasDiag(second, DiagHashMismatch, "child") {
+	if len(fresh.VRPs) != len(first.VRPs)+2 {
+		t.Fatalf("the flipped world should hold %d VRPs, has %d", len(first.VRPs)+2, len(fresh.VRPs))
+	}
+	switch {
+	case !second.Incomplete():
+		if !reflect.DeepEqual(second.VRPs, fresh.VRPs) {
+			t.Errorf("clean and stale: a clean result must be the current world:\n%v\n%v", second.VRPs, fresh.VRPs)
+		}
+		if second.IncrementalFallbacks != 1 {
+			t.Errorf("IncrementalFallbacks = %d, want 1 (the only clean way through a mid-sync flip)", second.IncrementalFallbacks)
+		}
+	case !hasDiag(second, DiagMissingObject, "child") && !hasDiag(second, DiagHashMismatch, "child"):
 		t.Errorf("want missing-object or hash-mismatch on the torn module, got %v", second.Diagnostics)
 	}
 
@@ -171,14 +243,7 @@ func TestIncrementalHashFlipMidSync(t *testing.T) {
 	if third.Incomplete() {
 		t.Fatalf("post-flip sync should be clean, diags: %v", third.Diagnostics)
 	}
-	fresh, err := New(Config{Fetcher: resilientClient(0), Clock: clock}, w.anchor).Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(third.VRPs, fresh.VRPs) {
 		t.Errorf("converged sync diverged from fresh validation:\n%v\n%v", third.VRPs, fresh.VRPs)
-	}
-	if len(third.VRPs) != len(first.VRPs)+1 {
-		t.Errorf("new ROA missing after convergence: %d VRPs, want %d", len(third.VRPs), len(first.VRPs)+1)
 	}
 }

@@ -14,9 +14,9 @@
 //
 //  1. the fetcher reports a store version (VersionedFetcher) equal to the
 //     one recorded when the entry was validated — no fetch at all;
-//  2. the incremental fetch protocol reports every object's STAT hash
-//     unchanged (repo.SyncResult.Unchanged) — network round-trips but no
-//     object transfer and no local re-validation;
+//  2. the incremental fetch protocol finds every object's listed digest
+//     equal to the held copy's (repo.SyncResult.Unchanged) — one network
+//     round trip but no object transfer and no local re-validation;
 //  3. the fetched bytes hash to the per-object SHA-256 digests the entry
 //     recorded — every byte re-hashed, but nothing re-parsed and no
 //     signature re-verified. The entry keeps digests, never bytes, so the

@@ -60,7 +60,7 @@ type Fetcher interface {
 }
 
 // IncrementalFetcher is optionally implemented by fetchers that support
-// STAT-driven delta synchronization (*repo.Client does). A relying party
+// digest-listing delta synchronization (*repo.Client does). A relying party
 // with CacheSnapshots enabled uses it to skip re-downloading unchanged
 // objects across Sync calls — rsync's delta mode.
 type IncrementalFetcher interface {
@@ -301,7 +301,7 @@ type Result struct {
 	// steady-state poll of an unchanged world shows ModulesRevalidated==0.
 	ModulesReused, ModulesRevalidated int
 	// IncrementalFallbacks counts publication points whose incremental
-	// (STAT-driven) sync failed mid-protocol and was replaced by a clean
+	// (digest-listing) sync failed mid-protocol and was replaced by a clean
 	// full fetch — the never-silently-stale escape hatch.
 	IncrementalFallbacks int
 }
@@ -614,7 +614,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	case err != nil:
 		mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", err))
 	case usable && unchanged:
-		// Reuse tier 2: fetched, and every STAT hash matched server-side.
+		// Reuse tier 2: listed, and every listed digest matched the held copy.
 		reuseFetched("reused: bytes unchanged")
 		return
 	}
@@ -966,9 +966,9 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 		if ctx.Err() != nil {
 			return nil, false, err
 		}
-		// The incremental protocol failed mid-flight — truncated STAT,
-		// an object flipping hashes between STAT and GET, a torn
-		// connection. Never stitch a possibly-inconsistent view together:
+		// The incremental protocol failed mid-flight — a malformed
+		// listing, an object whose bytes changed between LIST and GET, a
+		// torn connection. Never stitch a possibly-inconsistent view together:
 		// fall back to one clean full fetch, and only if that too fails
 		// report the point unreachable.
 		files, ferr := inc.FetchAll(ctx, uri)

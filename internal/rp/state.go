@@ -7,7 +7,7 @@
 //
 //   - last is the snapshot the most recent successful fetch returned. It
 //     proves nothing about validity; it is only the prev the incremental
-//     (STAT-driven) fetch diffs against. Written by fetch, kept only with
+//     (digest-listing) fetch diffs against. Written by fetch, kept only with
 //     Config.CacheSnapshots.
 //   - clean is the last snapshot that validated without a single
 //     diagnostic, and cleanAt when it was last known to be the point's
