@@ -375,7 +375,7 @@ func RunAll(ctx context.Context, scenarios []Scenario) []Verdict {
 
 // Scenarios returns the full registered campaign, ordered by name within
 // each campaign group (stall games first, then exhaustion, then mutation,
-// then the RTR and listing campaigns).
+// then the RTR, listing and coalescing campaigns).
 func Scenarios() []Scenario {
 	var all []Scenario
 	all = append(all, stallScenarios()...)
@@ -383,5 +383,6 @@ func Scenarios() []Scenario {
 	all = append(all, mutateScenarios()...)
 	all = append(all, rtrScenarios()...)
 	all = append(all, listingScenarios()...)
+	all = append(all, coalesceScenarios()...)
 	return all
 }

@@ -36,7 +36,12 @@ type World struct {
 // NewWorld builds the standard world on the scenario's injected clock and
 // registers server shutdown with the Env. Construction failures abort the
 // scenario.
-func (e *Env) NewWorld() *World {
+func (e *Env) NewWorld() *World { return e.newWorld("") }
+
+// newWorld is NewWorld with the child's publication point named by a host of
+// its own ("" for the server's address, like the trust anchor's): a name the
+// client's dialer must resolve, and may resolve differently over time.
+func (e *Env) newWorld(childHost string) *World {
 	srv := repo.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -53,6 +58,9 @@ func (e *Env) NewWorld() *World {
 	}
 	childStore := repo.NewStore()
 	childURI := repo.URI{Host: addr, Module: "child"}
+	if childHost != "" {
+		childURI.Host = childHost
+	}
 	child, err := ta.CreateChild("child", ipres.MustParseSet("63.160.0.0/12"), childStore, childURI)
 	if err != nil {
 		e.Fatalf("world: child: %v", err)

@@ -33,8 +33,12 @@ type Client struct {
 	// SyncTimeout bounds a whole FetchAll or SyncIncremental call,
 	// retries included (default 10× Timeout).
 	SyncTimeout time.Duration
-	// Dial overrides the dialer; used by the circular-dependency
-	// experiments to make reachability depend on BGP route validity.
+	// Dial overrides the dialer: the seam where a URI's host name becomes a
+	// peer. rpkirisk.ClientFor and the benchmark hang on it to reach every
+	// publication point of a world at one listener, whatever host the
+	// certificates name; tests hang wire recorders on it. The client learns
+	// which peer a host reached from the connection Dial returns (its
+	// RemoteAddr), never from addr.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Concurrency is the number of parallel connections FetchAll spreads
 	// its GETs across (default 1), the first being the one that carried the
@@ -55,16 +59,35 @@ type Client struct {
 	// fetchedBytes counts object content bytes received (exposed at scrape
 	// time by Instrument).
 	fetchedBytes atomic.Int64
-	// dials counts connections dialed and requests the request lines written,
-	// per verb (both exposed at scrape time by Instrument).
-	dials    atomic.Int64
-	requests [len(verbs)]atomic.Int64
+	// dials counts connections dialed, reuses the fetches served on a parked
+	// connection instead, peerMoves the dials that reached another peer than
+	// the host's last one, and requests the request lines written, per verb
+	// (all exposed at scrape time by Instrument).
+	dials     atomic.Int64
+	reuses    atomic.Int64
+	peerMoves atomic.Int64
+	requests  [len(verbs)]atomic.Int64
 	// listingMismatches counts GET bodies that did not hash to the digest the
 	// point's listing promised (exposed at scrape time by Instrument).
 	listingMismatches atomic.Int64
 	// rec receives retry events when the client is instrumented (nil
 	// otherwise). Set once by Instrument before the client serves requests.
 	rec *obs.FlightRecorder
+
+	// mu guards the connection-reuse state (pool.go). It is a leaf: never
+	// held across I/O, a Breakers call or a Close.
+	mu sync.Mutex
+	// peerIDs interns the peer addresses real dials reached. guarded by mu.
+	peerIDs map[string]peerID
+	// hosts remembers, per URI host, the peer its last real dial reached and
+	// how many fetches have trusted that since. guarded by mu.
+	hosts map[string]hostPeer
+	// idle holds the parked connections, oldest first, at most poolSize.
+	// guarded by mu.
+	idle []idleConn
+	// noReuse is the test hook that forces the pool empty: nothing is parked,
+	// so every fetch dials. Set before the client serves requests.
+	noReuse bool
 }
 
 // DegradationStats counts the resilience events a Client has observed since
@@ -137,17 +160,27 @@ var verbs = [...]string{verbList: "LIST", verbGet: "GET"}
 // both ever block (absurd names, tiny buffers) the armed deadline ends it.
 const pipelineWindow = 64
 
-// pointConn is one reusable connection to a publication point, with
-// per-exchange deadlines, breaker gating at (re)dial, and retry with
-// exponential backoff on transport failures. Context cancellation closes the
-// live connection immediately, so a sync aborts promptly even mid-read.
+// pointConn is one fetch's connection to a publication point, with
+// per-exchange deadlines, breaker gating at every checkout or (re)dial, and
+// retry with exponential backoff on transport failures. Context cancellation
+// closes the live connection immediately, so a sync aborts promptly even
+// mid-read. The fetch owns the connection exclusively — nothing is
+// multiplexed — and hands it back through release.
 type pointConn struct {
 	c    *Client
 	uri  URI
 	key  string // breaker key: uri.String(), rendered once
 	conn net.Conn
 	r    *bufio.Reader
+	peer peerID
 	stop func() bool // cancels the ctx→Close watcher
+	// failed records a transport failure on this fetch: what follows dials,
+	// it does not try another parked connection.
+	failed bool
+	// dirty records a reply the client could not take at its word (malformed,
+	// or contradicting the listing): the stream is no longer known to sit
+	// between two exchanges, so the connection is never parked.
+	dirty bool
 }
 
 func (c *Client) pointConn(uri URI) *pointConn {
@@ -164,9 +197,11 @@ func (c *Client) deadline(ctx context.Context) time.Time {
 	return d
 }
 
-// ensure dials the point if no connection is live. The circuit breaker is
-// consulted here: every transport failure drops the connection, so gating
-// redials gates exactly the failure paths.
+// ensure gives the fetch a connection if none is live: a parked one to the
+// peer the host is known to reach, else a dial. The circuit breaker is
+// consulted first either way: every transport failure drops the connection,
+// so gating here gates exactly the failure paths, and an open breaker costs
+// neither a dial nor a checkout.
 func (pc *pointConn) ensure(ctx context.Context) error {
 	if pc.conn != nil {
 		return nil
@@ -174,13 +209,20 @@ func (pc *pointConn) ensure(ctx context.Context) error {
 	if err := pc.c.Breakers.Allow(pc.key); err != nil {
 		return err
 	}
-	pc.c.dials.Add(1)
-	dctx, cancel := context.WithTimeout(ctx, pc.c.timeout())
-	defer cancel()
-	conn, err := pc.c.dial(dctx, pc.uri.Host)
-	if err != nil {
-		pc.c.Breakers.Failure(pc.key)
-		return fmt.Errorf("repo: dial %s: %w", pc.uri.Host, err)
+	var ic idleConn
+	if !pc.failed {
+		ic = pc.c.checkout(pc.uri.Host)
+	}
+	conn := ic.conn
+	if conn == nil {
+		pc.c.dials.Add(1)
+		dctx, cancel := context.WithTimeout(ctx, pc.c.timeout())
+		defer cancel()
+		var err error
+		if conn, err = pc.c.dial(dctx, pc.uri.Host); err != nil {
+			pc.c.Breakers.Failure(pc.key)
+			return fmt.Errorf("repo: dial %s: %w", pc.uri.Host, err)
+		}
 	}
 	// Arm a deadline before anything wraps or touches the conn: no path can
 	// do unbounded I/O on it, and a conn that refuses its deadline is
@@ -190,8 +232,10 @@ func (pc *pointConn) ensure(ctx context.Context) error {
 		pc.c.Breakers.Failure(pc.key)
 		return fmt.Errorf("repo: arming deadline on %s: %w", pc.uri.Host, err)
 	}
-	pc.conn = conn
-	pc.r = bufio.NewReader(conn)
+	if ic.conn == nil {
+		ic.r, ic.peer = bufio.NewReader(conn), pc.c.learn(pc.uri.Host, conn.RemoteAddr())
+	}
+	pc.conn, pc.r, pc.peer = conn, ic.r, ic.peer
 	// A canceled context must interrupt a blocked read, not wait out the
 	// per-exchange deadline.
 	pc.stop = context.AfterFunc(ctx, func() { _ = conn.Close() })
@@ -209,6 +253,18 @@ func (pc *pointConn) drop() {
 		pc.conn = nil
 		pc.r = nil
 	}
+}
+
+// release ends the fetch's use of its connection. It is parked for the next
+// fetch only if every exchange on it completed at the protocol level, no
+// unread byte is buffered and the context watcher had not fired; anything
+// else is closed.
+func (pc *pointConn) release() {
+	if pc.conn != nil && !pc.dirty && pc.r.Buffered() == 0 && pc.stop() {
+		pc.c.park(pc.peer, pc.conn, pc.r)
+		pc.conn, pc.r, pc.stop = nil, nil, nil
+	}
+	pc.drop()
 }
 
 // pipeline sends one request of verb v per name — request lines written a
@@ -265,6 +321,11 @@ func (pc *pointConn) pipeline(ctx context.Context, v verb, names []string, read 
 					break
 				}
 				if err = read(pc.r, names[answered]); err == nil || !Retryable(err) {
+					// Only a well-formed ERR leaves the stream between two
+					// exchanges; any other reply the parser gave up on does not.
+					if err != nil && !errors.Is(err, errRejected) {
+						pc.dirty = true
+					}
 					pc.c.Breakers.Success(pc.key)
 					answered, attempt, err = answered+1, 0, nil
 				}
@@ -274,6 +335,7 @@ func (pc *pointConn) pipeline(ctx context.Context, v verb, names []string, read 
 			}
 			pc.c.Breakers.Failure(pc.key)
 			pc.drop()
+			pc.failed = true
 		}
 		if attempt >= policy.MaxRetries {
 			return answered, err
@@ -358,13 +420,13 @@ func readBody(r *bufio.Reader) ([]byte, error) {
 	return content, nil
 }
 
-// single runs one exchange on a connection of its own, under the overall
+// single runs one exchange on a connection it holds alone, under the overall
 // SyncTimeout.
 func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
 	pc := c.pointConn(uri)
-	defer pc.drop()
+	defer pc.release()
 	return one(ctx, pc, v, name, read)
 }
 
@@ -410,7 +472,7 @@ func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, erro
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
 	first := c.pointConn(uri)
-	defer first.drop()
+	defer first.release()
 	listing, err := one(ctx, first, verbList, "", readList)
 	if err != nil {
 		return nil, err
@@ -432,7 +494,7 @@ func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, erro
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			defer pc.drop()
+			defer pc.release()
 			results[s] = pc.fetchShard(ctx, mine)
 		}(s)
 	}
@@ -514,7 +576,7 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
 	pc := c.pointConn(uri)
-	defer pc.drop()
+	defer pc.release()
 	listing, err := one(ctx, pc, verbList, "", readList)
 	if err != nil {
 		return nil, err
@@ -542,6 +604,7 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 		c.countBytes(len(content))
 		if sha256.Sum256(content) != listing[name].Hash {
 			c.listingMismatches.Add(1)
+			pc.dirty = true
 			if mismatched == "" {
 				mismatched = name
 			}

@@ -48,6 +48,8 @@ type Faults struct {
 	truncate map[string]bool
 	// frozen, when set, is the listing LIST serves in the store's place.
 	frozen map[string]ObjectInfo
+	// echo, when positive, repeats every LIST reply unasked after this long.
+	echo time.Duration
 	// failN/failM: fail the first failN of every failM requests touching
 	// a name ("" keys module-level request faults). reqCount is the
 	// per-name request counter driving the cycle.
@@ -163,6 +165,16 @@ func (f *Faults) FreezeListing(listing map[string]ObjectInfo) {
 	f.frozen = listing
 }
 
+// EchoListing makes the server follow every LIST reply, d later, with a second
+// copy nobody asked for — the desynchronising peer: a client that has by then
+// handed the connection to its next fetch reads this module's listing as the
+// answer to another module's request. 0 disables.
+func (f *Faults) EchoListing(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.echo = d
+}
+
 // SetSlowLoris throttles every GET body to one byte per d — the Stalloris
 // pattern: the repository is "up" but a naive relying party stalls a worker
 // on it indefinitely. 0 disables.
@@ -229,6 +241,7 @@ func (f *Faults) Restore(name string) {
 		f.objDelay = make(map[string]time.Duration)
 		f.truncate = make(map[string]bool)
 		f.frozen = nil
+		f.echo = 0
 		f.failN = make(map[string]int)
 		f.failM = make(map[string]int)
 		f.reqCount = make(map[string]int)
@@ -314,6 +327,15 @@ func (f *Faults) frozenListing() map[string]ObjectInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.frozen
+}
+
+func (f *Faults) echoDelay() time.Duration {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.echo
 }
 
 func (f *Faults) slowLorisDelay() time.Duration {

@@ -22,9 +22,9 @@ var breakerEventKinds = map[BreakerState]obs.EventKind{
 }
 
 // Instrument attaches the observability plane to the client: retry, dial,
-// request, listing-mismatch, breaker-trip, fast-fail and bytes-fetched series
-// are read from the client's atomic counters at scrape time (zero added cost
-// per request), per-point breaker states are collected on scrape, and every
+// connection-reuse, peer-move, request, listing-mismatch, breaker-trip,
+// fast-fail and bytes-fetched series are read from the client's atomic
+// counters at scrape time (zero added cost per request), per-point breaker states are collected on scrape, and every
 // retry and breaker transition drops an event into the flight recorder.
 // Call once, before the client serves requests; a nil hub is a no-op.
 func (c *Client) Instrument(hub *obs.Hub) {
@@ -42,6 +42,12 @@ func (c *Client) Instrument(hub *obs.Hub) {
 	r.CounterFunc("rpki_repo_dials_total",
 		"Connections dialed to publication points (dials per sync is what connection reuse saves).",
 		func() float64 { return float64(c.dials.Load()) })
+	r.CounterFunc("rpki_repo_conn_reuses_total",
+		"Fetches served on a parked connection to the peer their host is known to reach, instead of a dial.",
+		func() float64 { return float64(c.reuses.Load()) })
+	r.CounterFunc("rpki_repo_peer_moves_total",
+		"Dials that reached another peer than their host's previous dial: the name moved, or is being steered.",
+		func() float64 { return float64(c.peerMoves.Load()) })
 	r.CollectCounters("rpki_repo_requests_total",
 		"Request lines sent to publication points, by verb.",
 		[]string{"verb"}, func(emit obs.Emit) {

@@ -16,13 +16,23 @@ import (
 )
 
 // wire records what a Client puts on the network: dials, Write calls, and
-// every request line, in order, per connection. It counts at the Client.Dial
-// seam, below everything the client does, so a check that was skipped to
-// save a round trip shows up as a missing line.
+// every request line, in order, with the connection that carried it. It
+// counts at the Client.Dial seam, below everything the client does, so a
+// check that was skipped to save a round trip shows up as a missing line.
+// Connections outlive a fetch (the client parks clean ones), so they are
+// numbered for the life of the fixture and reset forgets lines, not
+// connections.
 type wire struct {
 	mu     sync.Mutex
-	conns  [][]string // request lines per dialed connection
+	opened int // connections dialed, ever: the next connection's number
+	dials  int // connections dialed since the last reset
 	writes int
+	sent   []wireLine
+}
+
+type wireLine struct {
+	conn int
+	text string
 }
 
 func (w *wire) dial(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -33,8 +43,9 @@ func (w *wire) dial(ctx context.Context, network, addr string) (net.Conn, error)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.conns = append(w.conns, nil)
-	return &wireConn{Conn: conn, w: w, id: len(w.conns) - 1}, nil
+	w.opened++
+	w.dials++
+	return &wireConn{Conn: conn, w: w, id: w.opened}, nil
 }
 
 type wireConn struct {
@@ -46,37 +57,53 @@ type wireConn struct {
 func (c *wireConn) Write(p []byte) (int, error) {
 	c.w.mu.Lock()
 	c.w.writes++
-	c.w.conns[c.id] = append(c.w.conns[c.id], strings.Split(strings.TrimSuffix(string(p), "\n"), "\n")...)
+	for _, line := range strings.Split(strings.TrimSuffix(string(p), "\n"), "\n") {
+		c.w.sent = append(c.w.sent, wireLine{c.id, line})
+	}
 	c.w.mu.Unlock()
 	return c.Conn.Write(p)
 }
 
-// counts returns dials, client writes, and request lines per verb since the
-// last reset.
-func (w *wire) counts() (dials, writes int, verbs map[string]int) {
+// byConn returns the request lines since the last reset, grouped by
+// connection in order of first use.
+func (w *wire) byConn() [][]string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out [][]string
+	slot := map[int]int{}
+	for _, l := range w.sent {
+		i, seen := slot[l.conn]
+		if !seen {
+			i = len(out)
+			slot[l.conn], out = i, append(out, nil)
+		}
+		out[i] = append(out[i], l.text)
+	}
+	return out
+}
+
+// counts returns dials, connections used (dialed or taken from the client's
+// pool), client writes, and request lines per verb since the last reset.
+func (w *wire) counts() (dials, used, writes int, verbs map[string]int) {
+	conns := w.byConn()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	verbs = map[string]int{}
-	for _, lines := range w.conns {
-		for _, line := range lines {
-			verbs[strings.Fields(line)[0]]++
-		}
+	for _, l := range w.sent {
+		verbs[strings.Fields(l.text)[0]]++
 	}
-	return len(w.conns), w.writes, verbs
+	return w.dials, len(conns), w.writes, verbs
 }
 
 func (w *wire) reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.conns, w.writes = nil, 0
+	w.sent, w.dials, w.writes = nil, 0, 0
 }
 
-// lines returns the request lines written on the i-th dialed connection.
-func (w *wire) lines(i int) []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.conns[i]...)
-}
+// lines returns the request lines written on the i-th connection used since
+// the last reset.
+func (w *wire) lines(i int) []string { return w.byConn()[i] }
 
 // moduleOf builds k objects named so that name order is index order.
 func moduleOf(k, size int) map[string][]byte {
@@ -87,18 +114,20 @@ func moduleOf(k, size int) map[string][]byte {
 	return files
 }
 
-// wantWire checks dials and request lines exactly — any line that is neither
-// a LIST nor a GET counts as "other" and must not exist — and bounds writes.
-func wantWire(t *testing.T, w *wire, dials, maxWrites, list, get int) {
+// wantWire checks connections used and request lines exactly — any line that
+// is neither a LIST nor a GET counts as "other" and must not exist — and
+// bounds writes. A used connection was dialed or came out of the pool: dials
+// may be fewer than conns, never more.
+func wantWire(t *testing.T, w *wire, conns, maxWrites, list, get int) {
 	t.Helper()
-	d, writes, verbs := w.counts()
+	d, used, writes, verbs := w.counts()
 	other := -verbs["LIST"] - verbs["GET"]
 	for _, n := range verbs {
 		other += n
 	}
-	if d != dials || verbs["LIST"] != list || verbs["GET"] != get || other != 0 {
-		t.Errorf("wire: %d dials, %d LIST, %d GET, %d other; want %d, %d, %d, 0",
-			d, verbs["LIST"], verbs["GET"], other, dials, list, get)
+	if used != conns || d > conns || verbs["LIST"] != list || verbs["GET"] != get || other != 0 {
+		t.Errorf("wire: %d connections (%d dialed), %d LIST, %d GET, %d other; want %d, %d, %d, 0",
+			used, d, verbs["LIST"], verbs["GET"], other, conns, list, get)
 	}
 	if writes > maxWrites {
 		t.Errorf("wire: %d client writes, want at most %d", writes, maxWrites)
@@ -166,7 +195,7 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	}
 	wantWire(t, w, 1, 2, 1, 2)
 
-	// FetchAll: shard 0 rides the LIST connection, so Concurrency dials.
+	// FetchAll: shard 0 rides the LIST connection, so Concurrency connections.
 	w.reset()
 	c.Concurrency = 3
 	all, err := c.FetchAll(ctx, uri)
@@ -183,8 +212,9 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	wantWire(t, w, 1, 1, 0, 1)
 }
 
-// TestPipelinedRequestMetrics: the dials-per-sync ratio and the per-verb
-// request counts are on /metrics, as counters read at scrape time.
+// TestPipelinedRequestMetrics: the dials-per-sync ratio, what reuse saved of
+// it and the per-verb request counts are on /metrics, as counters read at
+// scrape time. Two fetches used two connections: each was a dial or a reuse.
 func TestPipelinedRequestMetrics(t *testing.T) {
 	const k = 70
 	uri, _, _ := startTestServer(t, moduleOf(k, 32))
@@ -204,7 +234,10 @@ func TestPipelinedRequestMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE rpki_repo_dials_total counter",
-		"rpki_repo_dials_total 2",
+		fmt.Sprintf("rpki_repo_dials_total %d", c.dials.Load()),
+		"# TYPE rpki_repo_conn_reuses_total counter",
+		fmt.Sprintf("rpki_repo_conn_reuses_total %d", 2-c.dials.Load()),
+		"rpki_repo_peer_moves_total 0",
 		"# TYPE rpki_repo_requests_total counter",
 		`rpki_repo_requests_total{verb="list"} 2`,
 		fmt.Sprintf(`rpki_repo_requests_total{verb="get"} %d`, k),
@@ -276,8 +309,8 @@ func TestPipelinedResumeAfterDrop(t *testing.T) {
 	if d := c.Stats().Retries; d != 1 {
 		t.Errorf("retries = %d, want 1", d)
 	}
-	if dials, _, _ := w.counts(); dials != 2 {
-		t.Fatalf("dials = %d, want 2 (one redial)", dials)
+	if dials, used, _, _ := w.counts(); dials != 2 || used != 2 {
+		t.Fatalf("%d dials, %d connections used, want 2 and 2 (one redial)", dials, used)
 	}
 	second := w.lines(1)
 	if len(second) != k-j || second[0] != fmt.Sprintf("GET test obj%05d.roa", j) {
@@ -375,8 +408,8 @@ func TestPipelinedOpenBreakerDialsNothing(t *testing.T) {
 	if _, err := c.FetchAll(context.Background(), uri); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("FetchAll err = %v, want ErrCircuitOpen", err)
 	}
-	if dials, _, _ := w.counts(); dials != 0 {
-		t.Errorf("open breaker dialed %d times", dials)
+	if dials, used, _, _ := w.counts(); dials != 0 || used != 0 {
+		t.Errorf("open breaker dialed %d times and wrote on %d connections", dials, used)
 	}
 	after := c.Stats()
 	if after.Retries != before.Retries || after.BreakerFastFails-before.BreakerFastFails != 2 {

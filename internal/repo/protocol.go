@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,6 +45,21 @@ import (
 // mid-window the replies already read stand, and the requests that were
 // written but not answered were never acted on by anyone: the client asks
 // them again on a fresh connection.
+//
+// Connection lifetime. A connection is not bound to a module: every request
+// line names its module, and requests for different modules of one server may
+// follow each other on one connection. Either side may close it between
+// exchanges, at any time: the server after ReadTimeout of silence (and at
+// Close, at once), the client whenever it likes. A client may park a
+// connection — keep it open, unused, for a later fetch of any module it knows
+// to sit behind the same peer — only if every exchange on it ended at the
+// protocol level (an OK reply read to its last announced byte, or a one-line
+// ERR), nothing is buffered beyond that, and the bytes received were what the
+// listing promised; a reply it could not parse, a body that contradicts its
+// listing, a transport error or a cancelled context all close it. One fetch
+// owns a connection at a time: nothing is multiplexed. A parked connection
+// the server has meanwhile closed looks, to its next user, like any dropped
+// connection, and costs what one costs: a counted retry, on a fresh dial.
 const (
 	maxLineLen = 4096
 	// MaxObjectSize bounds a single fetched object (defense against a
@@ -130,6 +146,10 @@ func writeLine(w io.Writer, format string, args ...any) error {
 	return err
 }
 
+// errRejected marks a well-formed ERR reply: the server read the request,
+// said no in one line, and the stream sits at the next reply.
+var errRejected = errors.New("server error")
+
 // parseOKCount parses an "OK <n>" header with a bound. Its errors are
 // permanent: the server completed the exchange, retrying cannot change the
 // answer.
@@ -137,7 +157,7 @@ func parseOKCount(line string, bound int) (int, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 2 || fields[0] != "OK" {
 		if len(fields) > 0 && fields[0] == "ERR" {
-			return 0, permanent(fmt.Errorf("repo: server error: %s", strings.TrimPrefix(line, "ERR ")))
+			return 0, permanent(fmt.Errorf("repo: %w: %s", errRejected, strings.TrimPrefix(line, "ERR ")))
 		}
 		return 0, permanent(fmt.Errorf("repo: malformed response %q", line))
 	}

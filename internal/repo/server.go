@@ -36,14 +36,19 @@ type Server struct {
 	mu      sync.RWMutex
 	modules map[string]*Module
 	ln      net.Listener
-	wg      sync.WaitGroup
-	closed  chan struct{}
+	// conns holds every connection a handler is serving, so Close can wake
+	// the ones parked between requests. guarded by mu.
+	conns map[net.Conn]struct{}
+	// wg counts the accept loop and the handlers; closed is closed by Close.
+	wg     sync.WaitGroup
+	closed chan struct{}
 }
 
 // NewServer returns a server with no modules.
 func NewServer() *Server {
 	return &Server{
 		modules: make(map[string]*Module),
+		conns:   make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
 	}
 }
@@ -102,22 +107,51 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// Close stops the server and waits for in-flight connections.
+// Close stops the server and waits for its handlers. A connection idle
+// between requests — a client keeps clean connections parked — is woken by a
+// read deadline in the past rather than waited out for ReadTimeout; a reply
+// being written is finished first.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	ln := s.ln
-	s.mu.Unlock()
 	select {
 	case <-s.closed:
 	default:
 		close(s.closed)
 	}
+	// closed is closed before any deadline moves, and a handler looks at it
+	// right after re-arming its own: whichever deadline lands last, the
+	// handler leaves.
+	for conn := range s.conns {
+		if err := conn.SetReadDeadline(time.Unix(1, 0)); err != nil {
+			_ = conn.Close()
+		}
+	}
+	s.mu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
 	}
 	s.wg.Wait()
 	return err
+}
+
+// track registers or forgets a handler's connection.
+func (s *Server) track(conn net.Conn, live bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if live {
+		s.conns[conn] = struct{}{}
+	} else {
+		delete(s.conns, conn)
+	}
+}
+
+// liveConns is how many connections handlers are serving.
+func (s *Server) liveConns() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.conns)
 }
 
 func (s *Server) readTimeout() time.Duration {
@@ -132,6 +166,8 @@ func (s *Server) readTimeout() time.Duration {
 // accept loop or other clients.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	s.track(conn, true)
+	defer s.track(conn, false)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
@@ -142,6 +178,13 @@ func (s *Server) handle(conn net.Conn) {
 		// dropped rather than served unbounded.
 		if err := conn.SetDeadline(time.Now().Add(s.readTimeout())); err != nil {
 			return
+		}
+		// Close may have set its wake-up deadline just before this one
+		// replaced it (see Close).
+		select {
+		case <-s.closed:
+			return
+		default:
 		}
 		line, err := readLine(r)
 		if err != nil {
@@ -222,6 +265,18 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 		_ = writeLine(w, "ERR %v", err)
 		return true
 	}
+	if d := m.Faults.echoDelay(); d > 0 {
+		// The reply, then the same reply again, late and unasked.
+		if !writeListing(w, m) || w.Flush() != nil {
+			return false
+		}
+		time.Sleep(d)
+	}
+	return writeListing(w, m)
+}
+
+// writeListing writes one LIST reply for the module as its fault plan shows it.
+func writeListing(w *bufio.Writer, m *Module) bool {
 	infos := m.Faults.frozenListing()
 	if infos == nil {
 		infos = m.Store.Infos()
