@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -226,27 +224,26 @@ func (e *Env) RequireEvent(kind obs.EventKind) {
 	e.Failf("flight recorder captured no %s event", kind)
 }
 
-// RequireCounter asserts the unlabelled series name on the scenario's
-// /metrics reads at least min — the attack must be countable, not only
-// survivable.
-func (e *Env) RequireCounter(name string, min float64) {
+// Counter reads one series off the scenario's /metrics: name is the series
+// as exposed, labels included (`rpki_repo_requests_total{verb="list"}`). A
+// series that is not there fails the scenario and reads 0.
+func (e *Env) Counter(name string) float64 {
 	e.mu.Lock()
 	hub := e.hub
 	e.mu.Unlock()
-	var text strings.Builder
-	if err := hub.Registry().WriteText(&text); err != nil {
-		e.Failf("RequireCounter(%s): %v", name, err)
-		return
+	got, ok := hub.Registry().Sample(name)
+	if !ok {
+		e.Failf("/metrics has no series %s", name)
 	}
-	for _, line := range strings.Split(text.String(), "\n") {
-		if value, ok := strings.CutPrefix(line, name+" "); ok {
-			if got, err := strconv.ParseFloat(value, 64); err != nil || got < min {
-				e.Failf("%s = %s, want at least %v", name, value, min)
-			}
-			return
-		}
+	return got
+}
+
+// RequireCounter asserts the series name on the scenario's /metrics reads at
+// least min — the attack must be countable, not only survivable.
+func (e *Env) RequireCounter(name string, min float64) {
+	if got := e.Counter(name); got < min {
+		e.Failf("%s = %v, want at least %v", name, got, min)
 	}
-	e.Failf("/metrics has no series %s", name)
 }
 
 // eventKinds returns the sorted distinct event-kind names recorded so far.
@@ -375,7 +372,7 @@ func RunAll(ctx context.Context, scenarios []Scenario) []Verdict {
 
 // Scenarios returns the full registered campaign, ordered by name within
 // each campaign group (stall games first, then exhaustion, then mutation,
-// then the RTR, listing and coalescing campaigns).
+// then the RTR, listing, coalescing and feed campaigns).
 func Scenarios() []Scenario {
 	var all []Scenario
 	all = append(all, stallScenarios()...)
@@ -384,5 +381,6 @@ func Scenarios() []Scenario {
 	all = append(all, rtrScenarios()...)
 	all = append(all, listingScenarios()...)
 	all = append(all, coalesceScenarios()...)
+	all = append(all, feedScenarios()...)
 	return all
 }

@@ -40,6 +40,9 @@ const (
 	// EventHealthChange: the daemon's sync health state changed
 	// (clean/degraded/stale transitions).
 	EventHealthChange
+	// EventFeedLie: a repository's VERSIONS feed vouched that a point was
+	// unchanged, and the full listing that audits such skips found it was not.
+	EventFeedLie
 )
 
 func (k EventKind) String() string {
@@ -64,6 +67,8 @@ func (k EventKind) String() string {
 		return "diagnostic"
 	case EventHealthChange:
 		return "health-change"
+	case EventFeedLie:
+		return "feed-lie"
 	}
 	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }

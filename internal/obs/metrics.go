@@ -480,6 +480,25 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return err
 }
 
+// Sample reads one series off the exposition WriteText renders: series is
+// the sample as exposed, labels included
+// (`rpki_repo_requests_total{verb="list"}`). It is how tests and attack
+// scenarios assert on what an operator would scrape; false means no such
+// series.
+func (r *Registry) Sample(series string) (float64, bool) {
+	var text strings.Builder
+	if err := r.WriteText(&text); err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if value, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(value, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
+}
+
 func writeFamily(b *strings.Builder, f *family) {
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind.expoType())

@@ -76,6 +76,22 @@ func TestExpositionGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
+
+	// Sample reads single series off that same text: whole names only.
+	for series, want := range map[string]float64{
+		"rpki_syncs_total": 3,
+		`rpki_repo_retries_total{point="alpha.example"}`: 2,
+		"rpki_rtr_clients": 4,
+	} {
+		if v, ok := r.Sample(series); !ok || v != want {
+			t.Errorf("Sample(%s) = %v, %v; want %v", series, v, ok, want)
+		}
+	}
+	for _, series := range []string{"rpki_syncs", "rpki_repo_retries_total", "# HELP rpki_syncs_total Completed"} {
+		if v, ok := r.Sample(series); ok {
+			t.Errorf("Sample(%s) = %v, want no such series", series, v)
+		}
+	}
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {

@@ -67,9 +67,15 @@ type Client struct {
 	reuses    atomic.Int64
 	peerMoves atomic.Int64
 	requests  [len(verbs)]atomic.Int64
-	// listingMismatches counts GET bodies that did not hash to the digest the
-	// point's listing promised (exposed at scrape time by Instrument).
+	// listingMismatches counts GET replies that were not the object the
+	// point's listing promised — a body of another digest, or no well-formed
+	// reply at all (exposed at scrape time by Instrument).
 	listingMismatches atomic.Int64
+	// feedSkips counts the points returned unchanged on a VERSIONS feed's word,
+	// feedLies the audits that found one's word false (feed.go; both exposed at
+	// scrape time by Instrument).
+	feedSkips atomic.Int64
+	feedLies  atomic.Int64
 	// rec receives retry events when the client is instrumented (nil
 	// otherwise). Set once by Instrument before the client serves requests.
 	rec *obs.FlightRecorder
@@ -77,14 +83,22 @@ type Client struct {
 	// mu guards the connection-reuse state (pool.go). It is a leaf: never
 	// held across I/O, a Breakers call or a Close.
 	mu sync.Mutex
-	// peerIDs interns the peer addresses real dials reached. guarded by mu.
+	// peerIDs interns the peer addresses real dials reached, and peers holds
+	// what is kept about each, indexed by peerID. guarded by mu.
 	peerIDs map[string]peerID
+	peers   []peerState
 	// hosts remembers, per URI host, the peer its last real dial reached and
 	// how many fetches have trusted that since. guarded by mu.
 	hosts map[string]hostPeer
 	// idle holds the parked connections, oldest first, at most poolSize.
 	// guarded by mu.
 	idle []idleConn
+	// points remembers, per point (by URI), the snapshot SyncIncremental last
+	// returned under WithPoll and the token its listing carried, until a poll
+	// passes that does not fetch the point (feed.go). guarded by mu.
+	points map[string]pointMemo
+	// poll is the newest WithPoll context that fetched here. guarded by mu.
+	poll uint64
 	// noReuse is the test hook that forces the pool empty: nothing is parked,
 	// so every fetch dials. Set before the client serves requests.
 	noReuse bool
@@ -142,16 +156,17 @@ func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// verb is one of the protocol's two requests.
+// verb is one of the protocol's three requests.
 type verb uint8
 
 const (
 	verbList verb = iota
 	verbGet
+	verbVersions
 )
 
 // verbs holds each verb's wire spelling.
-var verbs = [...]string{verbList: "LIST", verbGet: "GET"}
+var verbs = [...]string{verbList: "LIST", verbGet: "GET", verbVersions: "VERSIONS"}
 
 // pipelineWindow is the number of request lines written before their
 // replies are read. A new window is written only after the previous one is
@@ -213,33 +228,42 @@ func (pc *pointConn) ensure(ctx context.Context) error {
 	if !pc.failed {
 		ic = pc.c.checkout(pc.uri.Host)
 	}
-	conn := ic.conn
-	if conn == nil {
-		pc.c.dials.Add(1)
-		dctx, cancel := context.WithTimeout(ctx, pc.c.timeout())
-		defer cancel()
-		var err error
-		if conn, err = pc.c.dial(dctx, pc.uri.Host); err != nil {
-			pc.c.Breakers.Failure(pc.key)
-			return fmt.Errorf("repo: dial %s: %w", pc.uri.Host, err)
-		}
-	}
-	// Arm a deadline before anything wraps or touches the conn: no path can
-	// do unbounded I/O on it, and a conn that refuses its deadline is
-	// discarded instead of trusted.
-	if err := conn.SetDeadline(pc.c.deadline(ctx)); err != nil {
-		_ = conn.Close()
+	ic, err := pc.c.open(ctx, pc.uri.Host, ic)
+	if err != nil {
 		pc.c.Breakers.Failure(pc.key)
-		return fmt.Errorf("repo: arming deadline on %s: %w", pc.uri.Host, err)
+		return err
 	}
-	if ic.conn == nil {
-		ic.r, ic.peer = bufio.NewReader(conn), pc.c.learn(pc.uri.Host, conn.RemoteAddr())
-	}
-	pc.conn, pc.r, pc.peer = conn, ic.r, ic.peer
+	pc.conn, pc.r, pc.peer = ic.conn, ic.r, ic.peer
 	// A canceled context must interrupt a blocked read, not wait out the
 	// per-exchange deadline.
-	pc.stop = context.AfterFunc(ctx, func() { _ = conn.Close() })
+	pc.stop = context.AfterFunc(ctx, func() { _ = ic.conn.Close() })
 	return nil
+}
+
+// open readies a connection to host for one owner: ic if it holds a parked
+// one, a dial otherwise — a real dial, so what it reached is learnt. Either
+// way a deadline is armed before anything wraps or touches the conn: no path
+// can do unbounded I/O on it, and a conn that refuses its deadline is
+// discarded instead of trusted.
+func (c *Client) open(ctx context.Context, host string, ic idleConn) (idleConn, error) {
+	parked := ic.conn != nil
+	if !parked {
+		c.dials.Add(1)
+		dctx, cancel := context.WithTimeout(ctx, c.timeout())
+		defer cancel()
+		var err error
+		if ic.conn, err = c.dial(dctx, host); err != nil {
+			return idleConn{}, fmt.Errorf("repo: dial %s: %w", host, err)
+		}
+	}
+	if err := ic.conn.SetDeadline(c.deadline(ctx)); err != nil {
+		_ = ic.conn.Close()
+		return idleConn{}, fmt.Errorf("repo: arming deadline on %s: %w", host, err)
+	}
+	if !parked {
+		ic.r, ic.peer = bufio.NewReader(ic.conn), c.learn(host, ic.conn.RemoteAddr())
+	}
+	return ic, nil
 }
 
 // drop closes and forgets the connection.
@@ -255,16 +279,13 @@ func (pc *pointConn) drop() {
 	}
 }
 
-// release ends the fetch's use of its connection. It is parked for the next
-// fetch only if every exchange on it completed at the protocol level, no
-// unread byte is buffered and the context watcher had not fired; anything
-// else is closed.
+// release ends the fetch's use of its connection: parked for the next fetch if
+// it settles clean (pool.go), closed otherwise.
 func (pc *pointConn) release() {
-	if pc.conn != nil && !pc.dirty && pc.r.Buffered() == 0 && pc.stop() {
-		pc.c.park(pc.peer, pc.conn, pc.r)
+	if pc.conn != nil {
+		pc.c.settle(pc.peer, pc.conn, pc.r, pc.stop, !pc.dirty)
 		pc.conn, pc.r, pc.stop = nil, nil, nil
 	}
-	pc.drop()
 }
 
 // pipeline sends one request of verb v per name — request lines written a
@@ -371,17 +392,24 @@ func (c *Client) retryPolicy() RetryPolicy {
 	return c.Retry
 }
 
-// readList parses a LIST reply: exactly the announced number of entries, each
-// parsed in place from the reader's buffer. Two entries for one name are two
-// claims about one object, so a duplicate is malformed, not last-wins.
-func readList(r *bufio.Reader) (map[string]ObjectInfo, error) {
+// listing is a LIST reply: what the point holds, and the token the server
+// put on that ("" when it sent none).
+type listing struct {
+	objects map[string]ObjectInfo
+	token   string
+}
+
+// readListing parses a LIST reply: exactly the announced number of entries,
+// each parsed in place from the reader's buffer. Two entries for one name are
+// two claims about one object, so a duplicate is malformed, not last-wins.
+func readListing(r *bufio.Reader) (listing, error) {
 	header, err := readLine(r)
 	if err != nil {
-		return nil, fmt.Errorf("repo: reading LIST response: %w", err)
+		return listing{}, fmt.Errorf("repo: reading LIST response: %w", err)
 	}
-	n, err := parseOKCount(header, MaxListEntries)
+	n, token, err := parseListHeader(header)
 	if err != nil {
-		return nil, err
+		return listing{}, err
 	}
 	// The header is a claim, not yet entries: a lying count must not size
 	// the map.
@@ -389,18 +417,24 @@ func readList(r *bufio.Reader) (map[string]ObjectInfo, error) {
 	for i := 0; i < n; i++ {
 		line, err := readLineBytes(r)
 		if err != nil {
-			return nil, fmt.Errorf("repo: reading LIST entry: %w", err)
+			return listing{}, fmt.Errorf("repo: reading LIST entry: %w", err)
 		}
 		name, info, err := parseListEntry(line)
 		if err != nil {
-			return nil, err
+			return listing{}, err
 		}
 		if _, dup := out[name]; dup {
-			return nil, permanent(fmt.Errorf("repo: duplicate LIST entry %q", name))
+			return listing{}, permanent(fmt.Errorf("repo: duplicate LIST entry %q", name))
 		}
 		out[name] = info
 	}
-	return out, nil
+	return listing{objects: out, token: token}, nil
+}
+
+// readList is readListing for callers that want the objects alone.
+func readList(r *bufio.Reader) (map[string]ObjectInfo, error) {
+	l, err := readListing(r)
+	return l.objects, err
 }
 
 // readBody parses a GET reply.
@@ -566,24 +600,38 @@ type SyncResult struct {
 // may be nil) up to date, transferring only objects whose listed size or
 // digest differs from the held copy — the rsync-style delta mode — and
 // returns the new complete snapshot. An unchanged point costs one round
-// trip. Every downloaded body must hash to the digest the listing promised:
-// a mismatch (the point republished between LIST and GET, or lies) fails the
-// sync rather than stitch two states of the point together. Transport
+// trip, or — under WithPoll, when prev is the snapshot this client last
+// returned for the point and the peer's VERSIONS feed still vouches for the
+// token that snapshot was listed under — none: prev itself comes back (feed.go
+// has the rules). Every downloaded body must hash to the digest the listing
+// promised: a mismatch (the point republished between LIST and GET, or lies)
+// fails the sync rather than stitch two states of the point together, and so
+// does a GET reply that is neither an object nor a well-formed ERR. Transport
 // failures retry per the RetryPolicy (redialing as needed); an exhausted
 // failure fails the sync so the caller can fall back to a full fetch or its
 // previous snapshot.
 func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][]byte) (*SyncResult, error) {
+	pc := c.pointConn(uri)
+	// The skip consults neither the breaker nor the pool: Allow has side
+	// effects (a counted fast-fail, the half-open probe) that belong to
+	// fetches that touch the point.
+	p, _ := ctx.Value(pollKey{}).(*poll)
+	memo, vouched := c.vouched(ctx, p, pc, prev)
+	if vouched && c.trust(pc, memo) {
+		c.feedSkips.Add(1)
+		return &SyncResult{Files: prev, Reused: len(prev), Unchanged: true}, nil
+	}
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
-	pc := c.pointConn(uri)
 	defer pc.release()
-	listing, err := one(ctx, pc, verbList, "", readList)
+	listed, err := one(ctx, pc, verbList, "", readListing)
 	if err != nil {
 		return nil, err
 	}
-	res := &SyncResult{Files: make(map[string][]byte, len(listing))}
+	listedBy := pc.peer
+	res := &SyncResult{Files: make(map[string][]byte, len(listed.objects))}
 	var wanted []string
-	for name, info := range listing {
+	for name, info := range listed.objects {
 		if old, have := prev[name]; have && len(old) == info.Size && sha256.Sum256(old) == info.Hash {
 			res.Files[name] = old
 			res.Reused++
@@ -593,20 +641,28 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 	}
 	sort.Strings(wanted)
 
-	// Download what is new, resized or digest-changed. A rejected GET means
-	// the object vanished between LIST and GET: treat it as absent.
-	var mismatched string
+	// Download what is new, resized or digest-changed. A well-formed ERR
+	// means the object vanished between LIST and GET: treat it as absent. Any
+	// other reply that is not the listed object fails the sync: the stream is
+	// no longer one this listing describes.
+	var broken error
 	n, err := pc.pipeline(ctx, verbGet, wanted, func(r *bufio.Reader, name string) error {
 		content, err := readBody(r)
 		if err != nil {
+			if !Retryable(err) && !errors.Is(err, errRejected) {
+				c.listingMismatches.Add(1)
+				if broken == nil {
+					broken = fmt.Errorf("repo: object %q: %w", name, err)
+				}
+			}
 			return err
 		}
 		c.countBytes(len(content))
-		if sha256.Sum256(content) != listing[name].Hash {
+		if sha256.Sum256(content) != listed.objects[name].Hash {
 			c.listingMismatches.Add(1)
 			pc.dirty = true
-			if mismatched == "" {
-				mismatched = name
+			if broken == nil {
+				broken = permanent(fmt.Errorf("repo: %w: object %q", ErrListingMismatch, name))
 			}
 			return nil
 		}
@@ -617,8 +673,8 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 	if err != nil {
 		return nil, fmt.Errorf("repo: fetching %q: %w", wanted[n], err)
 	}
-	if mismatched != "" {
-		return nil, permanent(fmt.Errorf("repo: %w: object %q", ErrListingMismatch, mismatched))
+	if broken != nil {
+		return nil, broken
 	}
 	for name := range prev {
 		if _, still := res.Files[name]; !still {
@@ -629,5 +685,13 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 	// by size and digest; Removed == 0 means nothing vanished — together they
 	// prove byte-identity with prev.
 	res.Unchanged = prev != nil && res.Downloaded == 0 && res.Removed == 0
+	if vouched && listed.token == memo.token && !res.Unchanged {
+		// This listing was the audit of a skip the feed had offered: same
+		// token, other content.
+		c.feedLied(pc.key, listedBy)
+	}
+	if p != nil {
+		c.remember(pc.key, pointMemo{files: res.Files, token: listed.token, peer: listedBy, seen: p.id})
+	}
 	return res, nil
 }

@@ -48,6 +48,10 @@ type Faults struct {
 	truncate map[string]bool
 	// frozen, when set, is the listing LIST serves in the store's place.
 	frozen map[string]ObjectInfo
+	// version, while versionFrozen, is the store version the module's tokens
+	// are rendered from in the live store's place.
+	version       uint64
+	versionFrozen bool
 	// echo, when positive, repeats every LIST reply unasked after this long.
 	echo time.Duration
 	// failN/failM: fail the first failN of every failM requests touching
@@ -165,6 +169,20 @@ func (f *Faults) FreezeListing(listing map[string]ObjectInfo) {
 	f.frozen = listing
 }
 
+// FreezeVersion makes every token the server hands out for the module — in
+// VERSIONS and in LIST headers alike — the one for store version v (typically
+// the store's Version() at the moment of the call, or an older one for a
+// rollback), whatever the authority publishes afterwards: the repository that
+// answers "unchanged" without even being asked for a listing. It is also the
+// one way a module with a fault plan is vouched for in VERSIONS at all: a plan
+// that does not say what to vouch leaves the module out, so its faults are met
+// on the listing path. Restore("") unfreezes.
+func (f *Faults) FreezeVersion(v uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.version, f.versionFrozen = v, true
+}
+
 // EchoListing makes the server follow every LIST reply, d later, with a second
 // copy nobody asked for — the desynchronising peer: a client that has by then
 // handed the connection to its next fetch reads this module's listing as the
@@ -241,6 +259,7 @@ func (f *Faults) Restore(name string) {
 		f.objDelay = make(map[string]time.Duration)
 		f.truncate = make(map[string]bool)
 		f.frozen = nil
+		f.version, f.versionFrozen = 0, false
 		f.echo = 0
 		f.failN = make(map[string]int)
 		f.failM = make(map[string]int)
@@ -327,6 +346,13 @@ func (f *Faults) frozenListing() map[string]ObjectInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.frozen
+}
+
+// frozenVersion is the version FreezeVersion pinned, if any. f is non-nil.
+func (f *Faults) frozenVersion() (uint64, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.version, f.versionFrozen
 }
 
 func (f *Faults) echoDelay() time.Duration {

@@ -113,6 +113,7 @@ func FuzzReadList(f *testing.F) {
 	good := entryLine("a.roa", []byte("a"))
 	f.Add([]byte("OK 1\n" + good))
 	f.Add([]byte("OK 2\n" + good + good))
+	f.Add([]byte("OK 1 n.1.7\n" + good))
 	f.Add([]byte("OK 0\n"))
 	f.Add([]byte("OK 3\nabc"))
 	f.Add([]byte("ERR no such module \"m\"\n"))

@@ -22,8 +22,8 @@ var breakerEventKinds = map[BreakerState]obs.EventKind{
 }
 
 // Instrument attaches the observability plane to the client: retry, dial,
-// connection-reuse, peer-move, request, listing-mismatch, breaker-trip,
-// fast-fail and bytes-fetched series are read from the client's atomic
+// connection-reuse, peer-move, request, listing-mismatch, feed-skip, feed-lie,
+// breaker-trip, fast-fail and bytes-fetched series are read from the client's atomic
 // counters at scrape time (zero added cost per request), per-point breaker states are collected on scrape, and every
 // retry and breaker transition drops an event into the flight recorder.
 // Call once, before the client serves requests; a nil hub is a no-op.
@@ -56,8 +56,14 @@ func (c *Client) Instrument(hub *obs.Hub) {
 			}
 		})
 	r.CounterFunc("rpki_repo_listing_mismatch_total",
-		"Downloaded objects that did not hash to the digest their point's listing promised (the point republished mid-sync, or lies).",
+		"GET replies that were not the object their point's listing promised: a body of another digest, or no well-formed reply (the point republished mid-sync, lies, or the stream is out of step).",
 		func() float64 { return float64(c.listingMismatches.Load()) })
+	r.CounterFunc("rpki_repo_feed_skips_total",
+		"Points returned unchanged, with no round trip, because their peer's VERSIONS feed vouched for the token of the snapshot held.",
+		func() float64 { return float64(c.feedSkips.Load()) })
+	r.CounterFunc("rpki_repo_feed_lies_total",
+		"Audit listings that found changed content under the token a peer's VERSIONS feed was vouching for: the peer says unchanged when it is not.",
+		func() float64 { return float64(c.feedLies.Load()) })
 	r.CounterFunc("rpki_repo_breaker_trips_total",
 		"Circuit-breaker transitions to open.",
 		func() float64 { return float64(c.Breakers.Trips()) })

@@ -195,14 +195,32 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	}
 	wantWire(t, w, 1, 2, 1, 2)
 
-	// FetchAll: shard 0 rides the LIST connection, so Concurrency connections.
+	// FetchAll: shard 0 rides the LIST connection, so Concurrency connections
+	// — exactly, on a client that parks nothing: every shard dials.
 	w.reset()
-	c.Concurrency = 3
-	all, err := c.FetchAll(ctx, uri)
+	plain := &Client{Timeout: 5 * time.Second, Dial: w.dial, Concurrency: 3, noReuse: true}
+	all, err := plain.FetchAll(ctx, uri)
 	if err != nil || len(all) != k+1 {
 		t.Fatalf("FetchAll: %d objects, err %v", len(all), err)
 	}
 	wantWire(t, w, 3, 1+3*windows, 1, k+1)
+	if dials, _, _, _ := w.counts(); dials != 3 {
+		t.Errorf("FetchAll dialed %d times with nothing parked, want 3", dials)
+	}
+	// With the pool, a shard that is done before another starts hands its
+	// connection on: the same lines on two or three connections (a single one
+	// would mean the shards ran in turn).
+	w.reset()
+	c.Concurrency = 3
+	all, err = c.FetchAll(ctx, uri)
+	if err != nil || len(all) != k+1 {
+		t.Fatalf("pooled FetchAll: %d objects, err %v", len(all), err)
+	}
+	_, used, _, _ := w.counts()
+	if used < 2 || used > 3 {
+		t.Errorf("pooled FetchAll used %d connections, want 2 or 3", used)
+	}
+	wantWire(t, w, used, 1+3*windows, 1, k+1)
 
 	// The single-shot calls are pipelines of one.
 	w.reset()

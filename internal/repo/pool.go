@@ -41,6 +41,17 @@ type hostPeer struct {
 	fetches uint32
 }
 
+// peerState is what the client keeps about one peer.
+type peerState struct {
+	// addr is the address real dials reached it at.
+	addr string
+	// points counts the remembered points whose listing it served (feed.go).
+	points int
+	// muted counts the polls left in which its VERSIONS feed is not asked for,
+	// after it answered the verb with ERR.
+	muted uint32
+}
+
 // idleConn is one parked connection: nothing in flight, nothing buffered.
 type idleConn struct {
 	peer peerID
@@ -62,21 +73,28 @@ func stagger(host string) uint32 {
 	return h % reproveEvery
 }
 
-// checkout returns a parked connection to the peer host is known to reach,
-// or the zero idleConn when the fetch must dial: the host is unknown, its memo
-// is due for re-proving, or nothing is parked for its peer.
-func (c *Client) checkout(host string) idleConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// trustLocked spends one fetch of host's re-proving budget and returns the
+// peer host is known to reach, or false when the fetch must dial for real:
+// the host is unknown, or its memo is due for re-proving. Every fetch that
+// takes the memo's word — by riding a parked connection or by not asking at
+// all (feed.go) — goes through here, so every reproveEvery-th is a real dial.
+// The caller holds c.mu.
+func (c *Client) trustLocked(host string) (peerID, bool) {
 	hp, known := c.hosts[host]
 	if !known || hp.fetches+1 >= reproveEvery {
-		return idleConn{}
+		return 0, false
 	}
 	hp.fetches++
 	c.hosts[host] = hp
+	return hp.peer, true
+}
+
+// takeLocked removes and returns a parked connection to peer, or the zero
+// idleConn when none is live. The caller holds c.mu.
+func (c *Client) takeLocked(peer peerID) idleConn {
 	for i := len(c.idle) - 1; i >= 0; i-- {
 		ic := c.idle[i]
-		if ic.peer != hp.peer {
+		if ic.peer != peer {
 			continue
 		}
 		c.idle = slices.Delete(c.idle, i, i+1)
@@ -87,6 +105,19 @@ func (c *Client) checkout(host string) idleConn {
 		// Past poolIdleAge: the timer is closing it.
 	}
 	return idleConn{}
+}
+
+// checkout returns a parked connection to the peer host is known to reach,
+// or the zero idleConn when the fetch must dial: the host is unknown, its memo
+// is due for re-proving, or nothing is parked for its peer.
+func (c *Client) checkout(host string) idleConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	peer, ok := c.trustLocked(host)
+	if !ok {
+		return idleConn{}
+	}
+	return c.takeLocked(peer)
 }
 
 // learn records the peer a real dial of host reached, and counts the dial as
@@ -100,8 +131,9 @@ func (c *Client) learn(host string, addr net.Addr) peerID {
 		if c.peerIDs == nil {
 			c.peerIDs, c.hosts = make(map[string]peerID), make(map[string]hostPeer)
 		}
-		peer = peerID(len(c.peerIDs))
+		peer = peerID(len(c.peers))
 		c.peerIDs[name] = peer
+		c.peers = append(c.peers, peerState{addr: name})
 	}
 	hp, known := c.hosts[host]
 	if !known {
@@ -115,6 +147,23 @@ func (c *Client) learn(host string, addr net.Addr) peerID {
 	hp.peer = peer
 	c.hosts[host] = hp
 	return peer
+}
+
+// settle ends an owner's use of conn, and is the one place that decides what a
+// used connection is worth: clean — every exchange on it completed at the
+// protocol level (the owner's claim), no unread byte is buffered and the
+// context watcher stop cancels had not fired — or not. A clean connection is
+// parked for the next fetch that reaches peer, anything else is closed; what
+// was read off a connection that did not settle clean is not to be believed
+// either.
+func (c *Client) settle(peer peerID, conn net.Conn, r *bufio.Reader, stop func() bool, completed bool) (clean bool) {
+	if completed && r.Buffered() == 0 && stop() {
+		c.park(peer, conn, r)
+		return true
+	}
+	stop()
+	_ = conn.Close()
+	return false
 }
 
 // park keeps a clean connection for the next fetch that reaches peer, pushing

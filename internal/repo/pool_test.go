@@ -33,11 +33,22 @@ func newHosted(t *testing.T, n int) *hosted { return newHostedIdle(t, n, 0) }
 
 // newHostedIdle is newHosted with the server's ReadTimeout set (0: default).
 func newHostedIdle(t *testing.T, n int, readTimeout time.Duration) *hosted {
+	return newHostedPlanned(t, n, readTimeout, func(int) bool { return true })
+}
+
+// newHostedPlanned is newHostedIdle with a fault plan attached only to the
+// modules planned picks; the others have nil faults, and are the ones the
+// server vouches for in VERSIONS.
+func newHostedPlanned(t *testing.T, n int, readTimeout time.Duration, planned func(i int) bool) *hosted {
 	t.Helper()
 	h := &hosted{srv: NewServer()}
 	h.srv.ReadTimeout = readTimeout
 	for i := 0; i < n; i++ {
-		store, faults := NewStore(), NewFaults()
+		store := NewStore()
+		var faults *Faults
+		if planned(i) {
+			faults = NewFaults()
+		}
 		for j := 0; j < 3; j++ {
 			store.Put(fmt.Sprintf("o%d.roa", j), []byte(fmt.Sprintf("module %d object %d", i, j)))
 		}

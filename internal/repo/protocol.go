@@ -20,10 +20,13 @@ import (
 // delta encoding.
 //
 //	Request:  LIST <module>
-//	Response: OK <n>            then n lines: <name> <size> <sha256-hex>
+//	Response: OK <n> <token>    then n lines: <name> <size> <sha256-hex>
 //
 //	Request:  GET <module> <name>
 //	Response: OK <size>         then <size> raw bytes
+//
+//	Request:  VERSIONS
+//	Response: OK <n>            then n lines: <module> <token>
 //
 //	Any error: ERR <message>
 //
@@ -34,6 +37,25 @@ import (
 // rsync rsync: a client keeps every object it holds at the listed size and
 // digest and GETs only the rest, and it holds the repository to its listing —
 // a GET body that does not hash to the listed digest fails the sync.
+//
+// Tokens. A token is 1 to maxTokenLen printable, space-free ASCII bytes the
+// server chose and the client only ever compares for equality. The server
+// promises one thing: two replies that carry the same token for a module
+// describe the same listing, byte for byte — so a client that holds the
+// snapshot a listing with token T produced, and is told by VERSIONS that the
+// module is still at T, holds what a LIST would describe and need not ask. A
+// token is never repeated for other content: not after the store changes, not
+// after the module is registered again, not after the server restarts (it
+// carries a per-boot nonce). A VERSIONS line is exactly two fields separated
+// by one space, modules are unique within a reply, and a server lists only
+// the modules it vouches for: it may leave any out (this one leaves out every
+// module with a fault plan that does not say what to vouch), and a server
+// that lacks the verb answers ERR and hangs up, as for any unknown command.
+// A LIST header may lack its token (a server that vouches for nothing); such
+// a listing is simply never skipped. What a token does not promise: that the
+// content is current, valid or complete. "Unchanged" is the cheapest lie a
+// repository can tell, so the client treats VERSIONS as a hint with an audit
+// behind it (feed.go, DESIGN.md §6), never as proof.
 //
 // Requests may be pipelined: a client may write up to pipelineWindow request
 // lines before reading, the server answers them strictly in request order
@@ -67,6 +89,10 @@ const (
 	MaxObjectSize = 8 << 20
 	// MaxListEntries bounds a module listing.
 	MaxListEntries = 1 << 20
+	// maxFeedEntries bounds a VERSIONS reply.
+	maxFeedEntries = 1 << 20
+	// maxTokenLen bounds a version token.
+	maxTokenLen = 128
 )
 
 // URI identifies a module on an rsynclite server, e.g.
@@ -166,6 +192,33 @@ func parseOKCount(line string, bound int) (int, error) {
 		return 0, permanent(fmt.Errorf("repo: count %q out of range", fields[1]))
 	}
 	return n, nil
+}
+
+// parseListHeader parses a LIST reply header, "OK <n>" or "OK <n> <token>",
+// and returns the token ("" when the server sent none).
+func parseListHeader(line string) (int, string, error) {
+	token := ""
+	if fields := strings.Fields(line); len(fields) == 3 && fields[0] == "OK" {
+		if token = fields[2]; !validToken(token) {
+			return 0, "", permanent(fmt.Errorf("repo: malformed token in response %q", line))
+		}
+		line = "OK " + fields[1]
+	}
+	n, err := parseOKCount(line, MaxListEntries)
+	return n, token, err
+}
+
+// validToken reports whether s may stand where the grammar wants a token.
+func validToken(s string) bool {
+	if s == "" || len(s) > maxTokenLen {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] <= ' ' || s[i] >= 0x7F {
+			return false
+		}
+	}
+	return true
 }
 
 // ObjectInfo is what a listing says about one object.

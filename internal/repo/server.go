@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,6 +19,29 @@ import (
 type Module struct {
 	Store  *Store
 	Faults *Faults
+	// tokenPrefix is "<boot nonce>.<registration>.": what makes this
+	// registration's tokens differ from every other's. Set by AddModule.
+	tokenPrefix string
+}
+
+// version returns the store version the module's tokens are rendered from —
+// the one its fault plan pinned, else the live store's — and whether VERSIONS
+// may list the module: a module with a fault plan is vouched for only if the
+// plan says what to vouch (Faults.FreezeVersion), so every other fault is met
+// on the listing path it was written for.
+func (m *Module) version() (v uint64, vouched bool) {
+	if m.Faults == nil {
+		return m.Store.Version(), true
+	}
+	if v, frozen := m.Faults.frozenVersion(); frozen {
+		return v, true
+	}
+	return m.Store.Version(), false
+}
+
+// appendToken appends the module's token for store version v.
+func (m *Module) appendToken(dst []byte, v uint64) []byte {
+	return strconv.AppendUint(append(dst, m.tokenPrefix...), v, 10)
 }
 
 // Server serves one or more publication points over the rsynclite protocol.
@@ -33,9 +58,14 @@ type Server struct {
 	// mid-sync. Default 30s. Set before Listen.
 	ReadTimeout time.Duration
 
+	// nonce tells this server's tokens from those of any other boot.
+	nonce string
+
 	mu      sync.RWMutex
 	modules map[string]*Module
-	ln      net.Listener
+	// registrations counts AddModule calls. guarded by mu.
+	registrations uint64
+	ln            net.Listener
 	// conns holds every connection a handler is serving, so Close can wake
 	// the ones parked between requests. guarded by mu.
 	conns map[net.Conn]struct{}
@@ -47,6 +77,7 @@ type Server struct {
 // NewServer returns a server with no modules.
 func NewServer() *Server {
 	return &Server{
+		nonce:   strconv.FormatUint(rand.Uint64(), 36),
 		modules: make(map[string]*Module),
 		conns:   make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
@@ -54,11 +85,14 @@ func NewServer() *Server {
 }
 
 // AddModule registers (or replaces) a module. A nil Faults means no
-// injected faults.
+// injected faults. A replaced module never repeats a token of the one it
+// replaced, whatever the two stores' versions.
 func (s *Server) AddModule(name string, store *Store, faults *Faults) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.modules[name] = &Module{Store: store, Faults: faults}
+	s.registrations++
+	prefix := s.nonce + "." + strconv.FormatUint(s.registrations, 10) + "."
+	s.modules[name] = &Module{Store: store, Faults: faults, tokenPrefix: prefix}
 }
 
 // Module returns a registered module.
@@ -212,6 +246,14 @@ func (s *Server) handle(conn net.Conn) {
 			if !s.serveGet(w, fields[1], fields[2]) {
 				return
 			}
+		case "VERSIONS":
+			if len(fields) != 1 {
+				_ = writeLine(w, "ERR VERSIONS wants no argument")
+				return
+			}
+			if !s.serveVersions(w) {
+				return
+			}
 		case "QUIT":
 			return
 		default:
@@ -275,8 +317,13 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 	return writeListing(w, m)
 }
 
-// writeListing writes one LIST reply for the module as its fault plan shows it.
+// writeListing writes one LIST reply for the module as its fault plan shows
+// it. The version is read before the listing is taken (store.go: version
+// equality then proves listing equality) and again after: a store that moved
+// in between may have shown the listing more than the first version counts, so
+// that reply goes out without a token rather than break the token's promise.
 func writeListing(w *bufio.Writer, m *Module) bool {
+	version, _ := m.version()
 	infos := m.Faults.frozenListing()
 	if infos == nil {
 		infos = m.Store.Infos()
@@ -288,10 +335,13 @@ func writeListing(w *bufio.Writer, m *Module) bool {
 		}
 	}
 	sort.Strings(entries)
-	if err := writeLine(w, "OK %d", len(entries)); err != nil {
+	line := strconv.AppendInt([]byte("OK "), int64(len(entries)), 10)
+	if after, _ := m.version(); after == version {
+		line = m.appendToken(append(line, ' '), version)
+	}
+	if _, err := w.Write(append(line, '\n')); err != nil {
 		return false
 	}
-	var line []byte
 	for _, name := range entries {
 		info := infos[name]
 		if m.Faults.corrupted(name) {
@@ -307,6 +357,26 @@ func writeListing(w *bufio.Writer, m *Module) bool {
 		}
 	}
 	return true
+}
+
+// serveVersions answers VERSIONS: one line per module the server vouches for.
+func (s *Server) serveVersions(w *bufio.Writer) bool {
+	s.mu.RLock()
+	lines := make([]byte, 0, 48*len(s.modules))
+	n := 0
+	for name, m := range s.modules {
+		if v, vouched := m.version(); vouched {
+			lines = append(append(lines, name...), ' ')
+			lines = append(m.appendToken(lines, v), '\n')
+			n++
+		}
+	}
+	s.mu.RUnlock()
+	if err := writeLine(w, "OK %d", n); err != nil {
+		return false
+	}
+	_, err := w.Write(lines)
+	return err == nil
 }
 
 func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {

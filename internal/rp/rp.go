@@ -359,6 +359,9 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	if rp.cfg.Fetcher == nil {
 		return nil, fmt.Errorf("rp: no fetcher configured")
 	}
+	// One Sync is one polling pass: a repository peer's VERSIONS feed may be
+	// taken once and believed until this call returns, never longer.
+	ctx = repo.WithPoll(ctx)
 	res := &Result{}
 	now := rp.now()
 	trace := rp.cfg.Obs.Tracer().StartTrace("sync")
