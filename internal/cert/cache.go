@@ -1,12 +1,17 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// VerifyCache memoizes signature verifications across validation passes.
+// VerifyCache memoizes signature verifications within one validation scope —
+// in the relying party, one validation of one publication point — and
+// carries them to the next validation of the same scope.
 //
 // A relying party that polls (the monitor loop, the Side Effect 7 timeline)
 // re-validates the same unchanged objects every tick; the public-key
@@ -16,13 +21,19 @@ import (
 // time-, CRL- and resource-containment checks, which must stay fresh and are
 // therefore never cached here.
 //
-// The cache is safe for concurrent use and grows without bound; it is keyed
-// by content hash, so republished (mutated) objects miss naturally rather
-// than returning stale verdicts. Entries are single-flight: concurrent
-// lookups of the same key block on one verification instead of duplicating
-// the public-key operation, which also keeps the hit/miss counters exact.
+// A cache holds exactly the verdicts looked up through it. It is created
+// over the Verdicts of the scope's previous validation (NewVerifyCache): a
+// lookup that misses consults those before verifying, and a verdict found
+// there is carried over, so a scope that keeps only its latest Verdicts
+// keeps only the verdicts its latest validation used. Keys are content
+// hashes, so republished (mutated) objects miss naturally rather than
+// returning stale verdicts. Entries are single-flight: concurrent lookups of
+// the same key block on one verification instead of duplicating the
+// public-key operation, which also keeps the hit/miss counters exact.
 type VerifyCache struct {
-	mu           sync.RWMutex
+	// prev is the previous validation's verdicts; read-only.
+	prev         Verdicts
+	mu           sync.Mutex
 	verdicts     map[verifyKey]*verdictEntry
 	hits, misses atomic.Uint64
 }
@@ -37,31 +48,82 @@ type verdictEntry struct {
 	err  error
 }
 
-// NewVerifyCache returns an empty cache.
-func NewVerifyCache() *VerifyCache {
-	return &VerifyCache{verdicts: make(map[verifyKey]*verdictEntry)}
+// Verdicts is the frozen outcome of a finished VerifyCache: what one
+// validation hands the next one of the same scope, kept as one sorted
+// slice — no map, no per-verdict allocation — because it is what a relying
+// party retains between syncs. The zero value holds nothing.
+type Verdicts struct {
+	sorted []verdict
+}
+
+type verdict struct {
+	key verifyKey
+	err error
+}
+
+func compareKeys(a, b verifyKey) int {
+	if c := bytes.Compare(a.object[:], b.object[:]); c != 0 {
+		return c
+	}
+	return strings.Compare(a.issuer, b.issuer)
+}
+
+// lookup returns the verdict held for key, if any.
+func (v Verdicts) lookup(key verifyKey) (verdict, bool) {
+	i, ok := slices.BinarySearchFunc(v.sorted, key, func(e verdict, k verifyKey) int { return compareKeys(e.key, k) })
+	if !ok {
+		return verdict{}, false
+	}
+	return v.sorted[i], true
+}
+
+// Len returns the number of verdicts held.
+func (v Verdicts) Len() int { return len(v.sorted) }
+
+// NewVerifyCache returns an empty cache whose misses consult prev — the
+// Verdicts of the scope's previous validation, or the zero Verdicts for
+// none — before verifying.
+func NewVerifyCache(prev Verdicts) *VerifyCache {
+	return &VerifyCache{prev: prev, verdicts: make(map[verifyKey]*verdictEntry)}
+}
+
+// Verdicts returns the verdicts looked up through c, and only those. Call
+// it once every lookup through c has returned.
+func (c *VerifyCache) Verdicts() Verdicts {
+	if c == nil {
+		return Verdicts{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sorted := make([]verdict, 0, len(c.verdicts))
+	for key, e := range c.verdicts {
+		sorted = append(sorted, verdict{key: key, err: e.err})
+	}
+	slices.SortFunc(sorted, func(a, b verdict) int { return compareKeys(a.key, b.key) })
+	return Verdicts{sorted: sorted}
 }
 
 // Memoize returns the cached verdict for (objectHash, issuer), running
-// verify exactly once per key across all goroutines. A nil cache runs
-// verify directly.
+// verify exactly once per key across all goroutines. A verdict the previous
+// validation holds counts as a hit. A nil cache runs verify directly.
 func (c *VerifyCache) Memoize(objectHash [32]byte, issuer *ResourceCert, verify func() error) error {
 	if c == nil {
 		return verify()
 	}
 	key := verifyKey{object: objectHash, issuer: issuer.SKIKey()}
-	c.mu.RLock()
+	c.mu.Lock()
 	e, ok := c.verdicts[key]
-	c.mu.RUnlock()
 	if !ok {
-		c.mu.Lock()
-		e, ok = c.verdicts[key]
-		if !ok {
-			e = &verdictEntry{}
-			c.verdicts[key] = e
+		e = &verdictEntry{}
+		if held, found := c.prev.lookup(key); found {
+			// Settled before anyone else can see the entry, so no
+			// concurrent lookup can run verify for it.
+			e.once.Do(func() { e.err = held.err })
+			ok = true
 		}
-		c.mu.Unlock()
+		c.verdicts[key] = e
 	}
+	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -92,17 +154,17 @@ func (c *VerifyCache) VerifyCRL(issuer *ResourceCert, crl *CRL) error {
 	})
 }
 
-// Len returns the number of cached verdicts.
+// Len returns the number of verdicts looked up through c so far.
 func (c *VerifyCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.verdicts)
 }
 
-// Stats returns the cumulative hit and miss counts.
+// Stats returns the hit and miss counts of the lookups through c.
 func (c *VerifyCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0

@@ -11,7 +11,7 @@ func TestVerifyCacheMemoizesChildSignature(t *testing.T) {
 	ta, taKey := newTestTA(t, "10.0.0.0/8")
 	child, _ := issueChild(t, ta, taKey, "child", "10.1.0.0/16", 2, true)
 
-	c := NewVerifyCache()
+	c := NewVerifyCache(Verdicts{})
 	for i := 0; i < 3; i++ {
 		if err := c.CheckChildSignature(ta, child); err != nil {
 			t.Fatalf("pass %d: %v", i, err)
@@ -30,7 +30,7 @@ func TestVerifyCacheCachesFailures(t *testing.T) {
 	other, _ := newTestTA(t, "10.0.0.0/8") // different key, same subject
 	child, _ := issueChild(t, ta, taKey, "child", "10.1.0.0/16", 2, false)
 
-	c := NewVerifyCache()
+	c := NewVerifyCache(Verdicts{})
 	if err := c.CheckChildSignature(other, child); err == nil {
 		t.Fatal("signature from wrong issuer verified")
 	}
@@ -53,7 +53,7 @@ func TestVerifyCacheCRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewVerifyCache()
+	c := NewVerifyCache(Verdicts{})
 	for i := 0; i < 2; i++ {
 		if err := c.VerifyCRL(ta, crl); err != nil {
 			t.Fatalf("pass %d: %v", i, err)
@@ -72,7 +72,7 @@ func TestVerifyCacheSingleFlight(t *testing.T) {
 	child, _ := issueChild(t, ta, taKey, "child", "10.1.0.0/16", 2, false)
 	hash := sha256.Sum256(child.Raw)
 
-	c := NewVerifyCache()
+	c := NewVerifyCache(Verdicts{})
 	var calls int
 	var mu sync.Mutex
 	verify := func() error {
@@ -101,6 +101,48 @@ func TestVerifyCacheSingleFlight(t *testing.T) {
 	hits, misses := c.Stats()
 	if misses != 1 || hits != goroutines-1 {
 		t.Errorf("hits=%d misses=%d, want %d/1", hits, misses, goroutines-1)
+	}
+}
+
+// TestVerifyCacheCarriesOnlyUsedVerdicts: a cache created over the previous
+// validation's verdicts answers them as hits without verifying again, and
+// hands on only the verdicts looked up through it — one the new validation
+// never asked for is dropped.
+func TestVerifyCacheCarriesOnlyUsedVerdicts(t *testing.T) {
+	ta, taKey := newTestTA(t, "10.0.0.0/8")
+	kept, _ := issueChild(t, ta, taKey, "kept", "10.1.0.0/16", 2, true)
+	dropped, _ := issueChild(t, ta, taKey, "dropped", "10.2.0.0/16", 3, true)
+	fresh, _ := issueChild(t, ta, taKey, "fresh", "10.3.0.0/16", 4, true)
+
+	first := NewVerifyCache(Verdicts{})
+	for _, c := range []*ResourceCert{kept, dropped} {
+		if err := first.CheckChildSignature(ta, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := first.Verdicts()
+	if prev.Len() != 2 {
+		t.Fatalf("first validation kept %d verdicts, want 2", prev.Len())
+	}
+
+	second := NewVerifyCache(prev)
+	if err := second.Memoize(sha256.Sum256(kept.Raw), ta, func() error {
+		t.Error("a verdict the previous validation holds was verified again")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.CheckChildSignature(ta, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := second.Stats(); hits != 1 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 1/1", hits, misses)
+	}
+	if got := second.Verdicts().Len(); got != 2 {
+		t.Errorf("second validation kept %d verdicts, want 2 (kept and fresh, not dropped)", got)
+	}
+	if prev.Len() != 2 {
+		t.Errorf("the previous verdicts changed under a later validation: %d", prev.Len())
 	}
 }
 

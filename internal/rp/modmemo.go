@@ -33,9 +33,17 @@
 // The authority matters as much as the bytes: a grandparent re-issuing a
 // shrunken child certificate (the paper's certificate-whacking, Side Effect
 // 2) changes a module's outcome without touching the module. Entries are
-// therefore keyed on the SHA-256 of the issuing authority's certificate and
-// on the effective resource set inherited down the chain; either changing
-// forces a full re-validation.
+// therefore keyed on the DER of the issuing authority's certificate —
+// compared byte for byte — and on the effective resource set inherited down
+// the chain; either changing forces a full re-validation.
+//
+// No parsed certificate is kept: an entry's child links hold each child CA
+// as the DER its parent validated, and a walk reached through a link parses
+// that DER only if its own point must be re-validated (a reused point never
+// parses). The DER aliases the parent's snapshot when the per-point state
+// keeps that snapshot anyway (CacheSnapshots over an incremental fetcher,
+// or StaleTTL); otherwise it is one private copy, shared by the link and
+// the child's own entry, so a memo never pins a fetch buffer.
 //
 // Only clean validations are cached — a module that produced any diagnostic
 // deletes its entry — so reuse can never replay a degraded result. Entries
@@ -44,7 +52,7 @@
 package rp
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"sync"
 	"time"
 
@@ -68,22 +76,33 @@ type VersionedFetcher interface {
 	SnapshotVersion(uri repo.URI) (uint64, bool)
 }
 
+// authority is the certificate a walk validates its publication point
+// under: the DER its parent validated, and the parsed form when the caller
+// already holds one — a trust anchor, or a child certificate just
+// validated. A walk reached through a memo link carries the DER alone.
+// Passed by value, so carrying one allocates nothing.
+type authority struct {
+	der  []byte
+	cert *cert.ResourceCert
+}
+
 // childLink records one validated child CA discovered in a module, enough
-// to re-spawn its publication-point walk on reuse.
+// to re-spawn its publication-point walk on reuse: the child's certificate
+// as the DER the module validated, not parsed.
 type childLink struct {
-	cert      *cert.ResourceCert
+	der       []byte
 	effective ipres.Set
 	uri       repo.URI
 }
 
 // moduleEntry is one module's cached validation outcome.
 type moduleEntry struct {
-	// authorityHash and effective identify the validation context: SHA-256
-	// of the issuing authority's DER certificate, and the effective resource
-	// set handed down the chain. A mismatch means the module must be
-	// re-validated even if its own bytes are unchanged.
-	authorityHash [32]byte
-	effective     ipres.Set
+	// authority and effective identify the validation context: the issuing
+	// authority's DER certificate, and the effective resource set handed
+	// down the chain. A mismatch means the module must be re-validated even
+	// if its own bytes are unchanged.
+	authority []byte
+	effective ipres.Set
 	// version is the fetcher-reported store version at validation time
 	// (valid only when hasVersion).
 	version    uint64
@@ -104,9 +123,9 @@ type moduleEntry struct {
 }
 
 // matches reports whether the entry was validated under the same issuing
-// authority and effective resource set.
-func (e *moduleEntry) matches(authority *cert.ResourceCert, effective ipres.Set) bool {
-	return e.authorityHash == authorityDigest(authority) && e.effective.Equal(effective)
+// authority certificate and effective resource set.
+func (e *moduleEntry) matches(authority []byte, effective ipres.Set) bool {
+	return bytes.Equal(e.authority, authority) && e.effective.Equal(effective)
 }
 
 // within reports whether now falls inside the entry's temporal epoch.
@@ -150,6 +169,9 @@ type moduleBuild struct {
 	// hashes is the per-object digest map computed by the walk's hashing
 	// pass; a clean commit keeps it as the memo entry's digest snapshot.
 	hashes map[string][32]byte
+	// sigs memoizes this validation's signature checks over the verdicts
+	// the point's previous validation used; the commit keeps what it holds.
+	sigs *cert.VerifyCache
 	// span is the module's walk trace span and verifySpan its verify child
 	// (nil when tracing is off); the committer ends both. Written by the
 	// walk goroutine before the committer is spawned.
@@ -216,8 +238,4 @@ func (mb *moduleBuild) addChild(link childLink) {
 	mb.mu.Lock()
 	mb.children = append(mb.children, link)
 	mb.mu.Unlock()
-}
-
-func authorityDigest(authority *cert.ResourceCert) [32]byte {
-	return sha256.Sum256(authority.Raw)
 }

@@ -7,7 +7,6 @@ package rp
 // branch per event and allocates nothing.
 
 import (
-	"repro/internal/cert"
 	"repro/internal/ipres"
 	"repro/internal/obs"
 )
@@ -130,7 +129,7 @@ func (st *syncState) obsDiag(kind DiagKind, module, object string, err error) {
 // reuseRejection explains why an existing memo entry could not be reused
 // for this walk — the unsafe-reuse guard's verdict, recorded so operators
 // can tell a benign byte change from an authority swap or epoch expiry.
-func (st *syncState) reuseRejection(e *moduleEntry, authority *cert.ResourceCert, effective ipres.Set, module string) {
+func (st *syncState) reuseRejection(e *moduleEntry, authority []byte, effective ipres.Set, module string) {
 	var reason string
 	switch {
 	case !e.matches(authority, effective):

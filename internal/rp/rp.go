@@ -23,6 +23,7 @@
 package rp
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -191,7 +192,10 @@ type Config struct {
 	// CacheSnapshots keeps per-publication-point snapshots between Sync
 	// calls and uses the Fetcher's incremental mode when available.
 	// Without it (and without StaleTTL) a point's bytes are released the
-	// moment its module commits.
+	// moment its module commits: what is kept is digests, VRPs, signature
+	// verdicts and a private copy of each child CA's certificate. With it,
+	// over an incremental fetcher, the memo's certificates are slices of the
+	// kept snapshots and cost nothing extra.
 	CacheSnapshots bool
 	// Workers bounds the validation worker pool: object hashing and chain
 	// validation fan out across this many goroutines, and at most
@@ -228,15 +232,21 @@ func (c Config) workers() int {
 type RelyingParty struct {
 	cfg     Config
 	anchors []TrustAnchor
-	// sigs memoizes chain and CRL signature verdicts across Sync calls, keyed
-	// by (object hash, issuer SKI), so republished objects never return stale
-	// verdicts; time, revocation and resource-containment checks are always
-	// re-evaluated.
-	sigs *cert.VerifyCache
-	mu   sync.Mutex
+	// keepsSnapshots is whether the per-point state keeps every point's
+	// fetched bytes anyway (last with CacheSnapshots over an incremental
+	// fetcher, clean with StaleTTL): a memo link may then alias them instead
+	// of copying its child's certificate.
+	keepsSnapshots bool
+	// vrpHint is the previous sync's VRP count, the next result's capacity.
+	// Touched only by Sync.
+	vrpHint int
+	mu      sync.Mutex
 	// points is everything retained per publication point between Sync
 	// calls (see state.go). guarded by mu.
 	points map[string]*pointState
+	// syncs numbers the syncs begun, so a completed one can tell the points
+	// it walked from those that left the tree. guarded by mu.
+	syncs uint64
 	// met holds the metric handles registered on Config.Obs (nil when
 	// observability is off; every update is then a nil-receiver no-op).
 	met *rpMetrics
@@ -247,12 +257,13 @@ func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 32
 	}
+	_, incremental := cfg.Fetcher.(IncrementalFetcher)
 	return &RelyingParty{
-		cfg:     cfg,
-		anchors: anchors,
-		sigs:    cert.NewVerifyCache(),
-		points:  make(map[string]*pointState),
-		met:     newRPMetrics(cfg.Obs),
+		cfg:            cfg,
+		anchors:        anchors,
+		keepsSnapshots: cfg.StaleTTL > 0 || (cfg.CacheSnapshots && incremental),
+		points:         make(map[string]*pointState),
+		met:            newRPMetrics(cfg.Obs),
 	}
 }
 
@@ -280,11 +291,12 @@ type Result struct {
 	// ObjectsDownloaded and ObjectsReused count transfer work when the
 	// relying party runs in incremental mode (zero otherwise).
 	ObjectsDownloaded, ObjectsReused int
-	// VerifyCacheHits and VerifyCacheMisses count lookups in the
-	// persistent signature-verdict cache during this sync: a miss is a
-	// chain or CRL signature actually verified, a hit one answered from an
-	// earlier verdict on the same bytes. Exact at any worker count. A sync
-	// that reuses every module does no lookups at all.
+	// VerifyCacheHits and VerifyCacheMisses count signature-verdict lookups
+	// during this sync: a miss is a chain or CRL signature actually
+	// verified, a hit one answered from an earlier verdict on the same bytes
+	// within the same validation or kept from the point's previous one.
+	// Exact at any worker count. A sync that reuses every module does no
+	// lookups at all.
 	VerifyCacheHits, VerifyCacheMisses int
 	// Retries, BreakerTrips and BreakerFastFails count the fetcher's
 	// resilience events during this sync (zero unless the Fetcher reports
@@ -362,7 +374,9 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	// One Sync is one polling pass: a repository peer's VERSIONS feed may be
 	// taken once and believed until this call returns, never longer.
 	ctx = repo.WithPoll(ctx)
-	res := &Result{}
+	// Sized from the last sync, with room for a small change, so a poll
+	// does not grow the VRP slice from nil.
+	res := &Result{VRPs: make([]rov.VRP, 0, rp.vrpHint+rp.vrpHint/64)}
 	now := rp.now()
 	trace := rp.cfg.Obs.Tracer().StartTrace("sync")
 	var statsBefore repo.DegradationStats
@@ -370,7 +384,7 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	if reporter != nil {
 		statsBefore = reporter.Stats()
 	}
-	hitsBefore, missesBefore := rp.sigs.Stats()
+	rp.beginSync()
 	st := &syncState{
 		rp:       rp,
 		ctx:      ctx,
@@ -394,7 +408,7 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		}
 		res.CertsAccepted++
 		uri := ta.URI
-		walks = append(walks, func() { st.walk(anchor, resources, uri, rp.cfg.MaxDepth) })
+		walks = append(walks, func() { st.walk(authority{der: anchor.Raw, cert: anchor}, resources, uri, rp.cfg.MaxDepth) })
 	}
 	// Start walking only once every anchor is accounted for: from here on
 	// res belongs to the walks, under st.mu.
@@ -406,11 +420,10 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		trace.Finish()
 		return nil, err
 	}
+	rp.dropDeparted()
+	rp.vrpHint = len(res.VRPs)
 	rov.SortVRPs(res.VRPs)
 	sortDiagnostics(res.Diagnostics)
-	hits, misses := rp.sigs.Stats()
-	res.VerifyCacheHits = int(hits - hitsBefore)
-	res.VerifyCacheMisses = int(misses - missesBefore)
 	if reporter != nil {
 		after := reporter.Stats()
 		res.Retries = int(after.Retries - statsBefore.Retries)
@@ -545,8 +558,8 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 // child certificate validates. A point provably unchanged since its last
 // clean validation (and still inside that validation's temporal epoch) is
 // not validated at all: its cached outputs are merged wholesale (see
-// modmemo.go).
-func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int) {
+// modmemo.go), and its authority is never parsed.
+func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, depth int) {
 	if depth <= 0 {
 		st.diag(DiagInvalidObject, uri.Module, "", fmt.Errorf("hierarchy too deep"))
 		return
@@ -565,7 +578,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	// epoch — the guard every reuse tier below sits behind.
 	p := st.rp.point(uri.Module)
 	e := p.memo
-	usable := e != nil && e.matches(authority, effective) && e.within(now)
+	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
 	// Reuse tier 1: the fetcher can prove the backing store unchanged, so
 	// the fetch itself is skipped. The version is read before any fetch: a
@@ -604,9 +617,12 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 		wsp.End()
 		st.reuseModule(e, uri, depth, storeVersion, hasVersion)
 	}
-	mb := &moduleBuild{memoizable: err == nil, version: storeVersion, hasVersion: hasVersion, span: wsp}
+	// A fetch error with bytes in hand is a partial fetch: validated, but
+	// diagnosed and never memoized. With no bytes the point is served from
+	// last-known-good or not at all.
+	faithful, partial := err == nil, err != nil && len(files) > 0
 	switch {
-	case err != nil && len(files) == 0:
+	case err != nil && !partial:
 		if files = st.lkgFallback(uri, p, err); files == nil {
 			st.releaseModule()
 			wsp.SetDetail("unreachable, no fallback")
@@ -614,90 +630,75 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 			return
 		}
 		wsp.SetDetail("serving last-known-good")
-	case err != nil:
-		mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", err))
-	case usable && unchanged:
+	case usable && unchanged && faithful:
 		// Reuse tier 2: listed, and every listed digest matched the held copy.
 		reuseFetched("reused: bytes unchanged")
 		return
 	}
 
-	// Hash every fetched object exactly once, in parallel chunks. The
-	// digests drive the manifest cross-check, per-object admission and the
-	// digest-level reuse check below, and a clean commit keeps them as the
-	// memo entry's snapshot. The scratch slice is pooled: its values are
-	// copied into the hashes map, so nothing retains it after Put.
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hashes := make(map[string][32]byte, len(names))
-	{
-		sumsP := sumsPool.Get().(*[][32]byte)
-		sums := *sumsP
-		if cap(sums) < len(names) {
-			sums = make([][32]byte, len(names))
-		} else {
-			sums = sums[:len(names)]
-		}
-		var hwg sync.WaitGroup
-		workers := cap(st.sem)
-		chunk := (len(names) + workers - 1) / workers
-		if chunk < 1 {
-			chunk = 1
-		}
-		for start := 0; start < len(names); start += chunk {
-			end := start + chunk
-			if end > len(names) {
-				end = len(names)
-			}
-			hwg.Add(1)
-			go func(lo, hi int) {
-				defer hwg.Done()
-				st.run(func() {
-					for i := lo; i < hi; i++ {
-						sums[i] = sha256.Sum256(files[names[i]])
-					}
-				})
-			}(start, end)
-		}
-		hwg.Wait()
-		for i, name := range names {
-			hashes[name] = sums[i]
-		}
-		*sumsP = sums
-		sumsPool.Put(sumsP)
-	}
-	mb.hashes = hashes
+	names, hashes := st.hashObjects(files)
 
 	// Reuse tier 3: the memo keeps per-object digests, not bytes, so
 	// unchanged-ness is decided here, after hashing — the module's bytes are
 	// re-hashed but nothing is re-parsed or re-verified. Only a faithful
 	// fetch consults the memo; degraded sources never do.
-	if mb.memoizable && usable && sameDigests(hashes, e.digests) {
+	if faithful && usable && sameDigests(hashes, e.digests) {
 		reuseFetched("reused: digests unchanged")
 		return
+	}
+
+	// From here on the point is validated: its build, its verdict cache and
+	// its parsed authority exist only on this path.
+	mb := &moduleBuild{
+		memoizable: faithful,
+		version:    storeVersion,
+		hasVersion: hasVersion,
+		hashes:     hashes,
+		sigs:       cert.NewVerifyCache(p.verdicts),
+		span:       wsp,
 	}
 	st.mu.Lock()
 	st.res.ModulesRevalidated++
 	st.mu.Unlock()
+	if partial {
+		mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", err))
+	}
 	// A memo entry that survives to this point was refused by the reuse
 	// guard: record why (authority swap, epoch expiry, or changed bytes).
-	if mb.memoizable && e != nil {
-		st.reuseRejection(e, authority, effective, uri.Module)
+	if faithful && e != nil {
+		st.reuseRejection(e, auth.der, effective, uri.Module)
 	}
 	mb.verifySpan = wsp.Child("verify", uri.Module)
+	st.validate(mb, auth, effective, uri, depth, now, files, names)
+}
+
+// validate checks a fetched point's objects under its authority — manifest,
+// CRL, then every object as its own task — and spawns the committer. It is
+// walk's second half, split off so that the fetch, which is the whole of a
+// warm walk, runs on a small stack frame.
+func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte, names []string) {
+	issuer := auth.cert
+	if issuer == nil {
+		// Reached through a memo link: the DER its parent validated, parsed
+		// only now that the point must be revalidated. A failure means the
+		// bytes changed under the relying party.
+		var err error
+		if issuer, err = cert.Parse(auth.der); err != nil {
+			mb.diag(st, DiagInvalidObject, uri.Module, "", fmt.Errorf("authority certificate: %w", err))
+			st.commitModule(uri, auth.der, effective, mb, files)
+			return
+		}
+	}
 
 	// Locate and validate the manifest named by the authority's SIA.
-	mftName := manifestName(authority, uri)
+	mftName := manifestName(issuer, uri)
 	var mft *manifest.Manifest
 	if raw, ok := files[mftName]; ok {
 		st.run(func() {
 			signed, err := manifest.ParseSigned(raw)
 			if err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
-			} else if _, err := cert.ValidateChild(authority, effective, signed.EE, st.vctx(now, nil)); err != nil {
+			} else if _, err := cert.ValidateChild(issuer, effective, signed.EE, mb.vctx(now, nil)); err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
 			} else {
 				mft = signed.Manifest
@@ -716,7 +717,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	}
 	if mft == nil && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("no usable manifest"))
-		st.commitModule(uri, authority, effective, mb, files)
+		st.commitModule(uri, auth.der, effective, mb, files)
 		return
 	}
 
@@ -727,7 +728,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	badObject := make(map[string]bool)
 	if mft != nil {
 		for _, name := range mft.Names() {
-			hash, ok := hashes[name]
+			hash, ok := mb.hashes[name]
 			if !ok {
 				mb.diag(st, DiagMissingObject, uri.Module, name, fmt.Errorf("listed on manifest, not served"))
 				manifestOK = false
@@ -742,7 +743,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	}
 	if !manifestOK && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("manifest inconsistency"))
-		st.commitModule(uri, authority, effective, mb, files)
+		st.commitModule(uri, auth.der, effective, mb, files)
 		return
 	}
 
@@ -760,7 +761,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 				return
 			}
-			if err := st.rp.sigs.VerifyCRL(authority, parsed); err != nil {
+			if err := mb.sigs.VerifyCRL(issuer, parsed); err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 				return
 			}
@@ -785,7 +786,7 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 		st.spawn(func() {
 			defer mb.wg.Done()
 			st.run(func() {
-				st.processObject(mb, authority, effective, uri, depth, now, crl, mft, mftName, name, files[name], hashes[name])
+				st.processObject(mb, issuer, effective, uri, depth, now, crl, mft, mftName, name, files[name], mb.hashes[name])
 			})
 		})
 	}
@@ -795,8 +796,58 @@ func (st *syncState) walk(authority *cert.ResourceCert, effective ipres.Set, uri
 	// deadlock the pool.
 	st.spawn(func() {
 		mb.wg.Wait()
-		st.commitModule(uri, authority, effective, mb, files)
+		st.commitModule(uri, auth.der, effective, mb, files)
 	})
+}
+
+// hashObjects hashes every fetched object exactly once, in parallel chunks,
+// and returns the sorted names with their digests. The digests drive the
+// manifest cross-check, per-object admission and the digest-level reuse
+// check, and a clean commit keeps them as the memo entry's snapshot. The
+// scratch slice is pooled: its values are copied into the hashes map, so
+// nothing retains it after Put.
+func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string][32]byte) {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sumsP := sumsPool.Get().(*[][32]byte)
+	sums := *sumsP
+	if cap(sums) < len(names) {
+		sums = make([][32]byte, len(names))
+	} else {
+		sums = sums[:len(names)]
+	}
+	var hwg sync.WaitGroup
+	workers := cap(st.sem)
+	chunk := (len(names) + workers - 1) / workers
+	if chunk < 1 {
+		chunk = 1
+	}
+	for start := 0; start < len(names); start += chunk {
+		end := start + chunk
+		if end > len(names) {
+			end = len(names)
+		}
+		hwg.Add(1)
+		go func(lo, hi int) {
+			defer hwg.Done()
+			st.run(func() {
+				for i := lo; i < hi; i++ {
+					sums[i] = sha256.Sum256(files[names[i]])
+				}
+			})
+		}(start, end)
+	}
+	hwg.Wait()
+	hashes := make(map[string][32]byte, len(names))
+	for i, name := range names {
+		hashes[name] = sums[i]
+	}
+	*sumsP = sums
+	sumsPool.Put(sumsP)
+	return names, hashes
 }
 
 // reuseModule merges a cached module entry's outputs into the sync result
@@ -813,19 +864,21 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, versio
 	st.rp.markReused(uri.Module, version, hasVersion, st.now)
 	for _, ch := range e.children {
 		ch := ch
-		st.spawn(func() { st.walk(ch.cert, ch.effective, ch.uri, depth-1) })
+		st.spawn(func() { st.walk(authority{der: ch.der}, ch.effective, ch.uri, depth-1) })
 	}
 }
 
 // commitModule merges a fully-validated module's outputs into the sync
 // result, commits the point's retained state and releases the module's
 // in-flight slot — after it returns nothing but that state references the
-// module's raw bytes. A clean validation of a faithfully-fetched snapshot
-// commits a memo entry and the last-known-good snapshot; any diagnostic
-// deletes the stale entry and leaves the snapshot alone. Degraded sources
-// (LKG fallback, partial fetch) merge without touching either — their bytes
-// do not correspond to the point's current snapshot.
-func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
+// module's raw bytes. Every validation hands on the signature verdicts it
+// used. A clean validation of a faithfully-fetched snapshot commits a memo
+// entry, recorded under the authority's DER, and the last-known-good
+// snapshot; any diagnostic deletes the stale entry and leaves the snapshot
+// alone. Degraded sources (LKG fallback, partial fetch) merge without
+// touching either — their bytes do not correspond to the point's current
+// snapshot.
+func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
 	defer st.releaseModule()
 	mb.verifySpan.End()
 	csp := mb.span.Child("commit", uri.Module)
@@ -836,28 +889,32 @@ func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, ef
 	mb.mu.Lock()
 	clean := mb.diags == 0
 	mb.mu.Unlock()
+	hits, misses := mb.sigs.Stats()
 	st.mu.Lock()
 	st.res.ROAsAccepted += mb.roas
 	st.res.CertsAccepted += mb.certs
 	st.res.VRPs = append(st.res.VRPs, mb.vrps...)
+	st.res.VerifyCacheHits += int(hits)
+	st.res.VerifyCacheMisses += int(misses)
 	st.mu.Unlock()
+	st.rp.keepVerdicts(uri.Module, mb.sigs.Verdicts())
 	if !mb.memoizable {
 		return
 	}
 	var entry *moduleEntry
 	if clean {
 		entry = &moduleEntry{
-			authorityHash: authorityDigest(authority),
-			effective:     effective,
-			version:       mb.version,
-			hasVersion:    mb.hasVersion,
-			digests:       mb.hashes,
-			notBefore:     mb.notBefore,
-			notAfter:      mb.notAfter,
-			vrps:          mb.vrps,
-			roas:          mb.roas,
-			certs:         mb.certs,
-			children:      mb.children,
+			authority:  authority,
+			effective:  effective,
+			version:    mb.version,
+			hasVersion: mb.hasVersion,
+			digests:    mb.hashes,
+			notBefore:  mb.notBefore,
+			notAfter:   mb.notAfter,
+			vrps:       mb.vrps,
+			roas:       mb.roas,
+			certs:      mb.certs,
+			children:   mb.children,
 		}
 	}
 	st.rp.commitPoint(uri.Module, entry, files, st.now)
@@ -894,7 +951,7 @@ func (st *syncState) lkgFallback(uri repo.URI, p pointState, ferr error) map[str
 // processObject admits one fetched object: manifest admission, then ROA
 // validation or child-CA chain validation. Runs under a worker slot. Its
 // outputs accumulate on the moduleBuild; the committer merges them.
-func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName, name string, raw []byte, hash [32]byte) {
+func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName, name string, raw []byte, hash [32]byte) {
 	if mft != nil && name != mftName {
 		if err := mft.VerifyHash(name, hash); err != nil {
 			// Unlisted object: reject it outright; a repository must not
@@ -903,7 +960,7 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 			return
 		}
 	}
-	ctxV := st.vctx(now, crl)
+	ctxV := mb.vctx(now, crl)
 	switch {
 	case strings.HasSuffix(name, ".roa"):
 		signed, err := roa.ParseSigned(raw)
@@ -911,7 +968,7 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
 		}
-		if _, err := cert.ValidateChild(authority, effective, signed.EE, ctxV); err != nil {
+		if _, err := cert.ValidateChild(issuer, effective, signed.EE, ctxV); err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
 		}
@@ -927,11 +984,11 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 		if !child.IsCA() {
 			return // EE certs are embedded in signed objects
 		}
-		if child.Cert.SubjectKeyId != nil && authority.Cert.SubjectKeyId != nil &&
-			string(child.Cert.SubjectKeyId) == string(authority.Cert.SubjectKeyId) {
+		if child.Cert.SubjectKeyId != nil && issuer.Cert.SubjectKeyId != nil &&
+			string(child.Cert.SubjectKeyId) == string(issuer.Cert.SubjectKeyId) {
 			return // the authority's own certificate republished
 		}
-		childEffective, err := cert.ValidateChild(authority, effective, child, ctxV)
+		childEffective, err := cert.ValidateChild(issuer, effective, child, ctxV)
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
@@ -943,14 +1000,23 @@ func (st *syncState) processObject(mb *moduleBuild, authority *cert.ResourceCert
 			mb.diag(st, DiagInvalidObject, uri.Module, name, fmt.Errorf("bad SIA: %w", err))
 			return
 		}
-		mb.addChild(childLink{cert: child, effective: childEffective, uri: childURI})
-		st.spawn(func() { st.walk(child, childEffective, childURI, depth-1) })
+		// The memo keeps the certificate as the DER just validated: the
+		// point's snapshot when the per-point state keeps it anyway,
+		// otherwise one copy, shared with the child's own memo entry, that
+		// pins no fetch buffer.
+		der := child.Raw
+		if !st.rp.keepsSnapshots {
+			der = bytes.Clone(der)
+		}
+		mb.addChild(childLink{der: der, effective: childEffective, uri: childURI})
+		st.spawn(func() { st.walk(authority{der: der, cert: child}, childEffective, childURI, depth-1) })
 	}
 }
 
-// vctx builds a chain-validation context wired to the signature cache.
-func (st *syncState) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext {
-	return cert.ValidationContext{Now: now, CRL: crl, Cache: st.rp.sigs}
+// vctx builds a chain-validation context wired to the module's signature
+// cache.
+func (mb *moduleBuild) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext {
+	return cert.ValidationContext{Now: now, CRL: crl, Cache: mb.sigs}
 }
 
 // fetch retrieves a publication point, using the fetcher's incremental

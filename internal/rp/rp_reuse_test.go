@@ -1,11 +1,15 @@
 package rp
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/ca"
 	"repro/internal/ipres"
+	"repro/internal/obs"
 )
 
 // syncReuse runs one Sync on an existing relying party and fails the test
@@ -166,6 +170,90 @@ func TestModuleReuseAuthorityChange(t *testing.T) {
 	}
 	if len(warm.VRPs) >= len(cold.VRPs) {
 		t.Errorf("whacking should shrink the VRP set: %d -> %d", len(cold.VRPs), len(warm.VRPs))
+	}
+}
+
+// TestMemoAuthorityAsDER pins the memo's child links holding certificates
+// as DER: a walk reached through a reused parent carries its authority as
+// bytes, is reused without parsing them when its own point is unchanged,
+// and parses them to revalidate when it is not. In every case the warm
+// relying party must agree with a cold one, at one worker and at several.
+func TestMemoAuthorityAsDER(t *testing.T) {
+	type counts struct{ reused, revalidated int }
+	cases := []struct {
+		name string
+		// change mutates the world; each returned count is what one warm
+		// sync after it must show.
+		change func(t *testing.T, sprint, continental *ca.Authority, stores StoreFetcher) []counts
+		// authorityChanged is how many reuse rejections must say so.
+		authorityChanged float64
+	}{{
+		// The bench's change op: one ROA at a leaf whose parent is reused,
+		// so the leaf's authority comes from the parent's memo as DER and
+		// is parsed only because the leaf revalidates.
+		name: "child changes under a reused parent",
+		change: func(t *testing.T, _, continental *ca.Authority, _ StoreFetcher) []counts {
+			if err := continental.DeleteROA("cont-22"); err != nil {
+				t.Fatal(err)
+			}
+			return []counts{{reused: 3, revalidated: 1}}
+		},
+	}, {
+		// The parent republishes with the child's certificate rewritten to
+		// a fresh buffer holding the same bytes: the parent revalidates, the
+		// child's memo entry matches byte for byte and the child is reused.
+		name: "parent reissues the child byte-identically",
+		change: func(t *testing.T, sprint, _ *ca.Authority, stores StoreFetcher) []counts {
+			der, ok := stores["sprint"].Get("continental.cer")
+			if !ok {
+				t.Fatal("sprint does not publish continental.cer")
+			}
+			stores["sprint"].Put("continental.cer", bytes.Clone(der))
+			mustROA(t, sprint, "sprint-171", 1239, "63.171.0.0/16")
+			return []counts{{reused: 3, revalidated: 1}}
+		},
+	}, {
+		// The whack: sprint shrinks continental below its ROAs. The first
+		// sync revalidates sprint and, under the freshly parsed certificate,
+		// continental (authority-changed, tainted, so no memo entry); the
+		// second reuses sprint and revalidates continental again under the
+		// certificate parsed from sprint's memo DER.
+		name: "shrink child",
+		change: func(t *testing.T, sprint, _ *ca.Authority, _ StoreFetcher) []counts {
+			if err := sprint.ShrinkChild("continental", ipres.MustParseSet("63.174.16.0/24")); err != nil {
+				t.Fatal(err)
+			}
+			return []counts{{reused: 2, revalidated: 2}, {reused: 3, revalidated: 1}}
+		},
+		authorityChanged: 1,
+	}}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				arin, sprint, continental, stores := buildFigure2(t)
+				hub := obs.NewHub(clock)
+				warm := New(Config{Fetcher: stores, Clock: clock, Workers: workers, Obs: hub},
+					TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
+				before := syncReuse(t, warm)
+				for i, want := range tc.change(t, sprint, continental, stores) {
+					res := syncReuse(t, warm)
+					if res.ModulesReused != want.reused || res.ModulesRevalidated != want.revalidated {
+						t.Errorf("sync %d: reused %d, revalidated %d modules, want %d and %d",
+							i, res.ModulesReused, res.ModulesRevalidated, want.reused, want.revalidated)
+					}
+					if got, want := fingerprint(res), fingerprint(syncWithWorkers(t, arin, stores, workers)); got != want {
+						t.Errorf("sync %d diverged from a cold one:\n--- warm ---\n%s--- cold ---\n%s", i, got, want)
+					}
+					if tc.authorityChanged > 0 && len(res.VRPs) >= len(before.VRPs) {
+						t.Errorf("sync %d: the whack left %d of %d VRPs", i, len(res.VRPs), len(before.VRPs))
+					}
+				}
+				got, _ := hub.Registry().Sample(`rpki_module_reuse_rejected_total{reason="authority-changed"}`)
+				if got != tc.authorityChanged {
+					t.Errorf("authority-changed rejections = %v, want %v", got, tc.authorityChanged)
+				}
+			})
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // Sync to the next, and therefore the one place to audit what it silently
 // keeps or drops when authorities misbehave (the paper's Side Effects 6–7).
 //
-// Three things are kept per publication point, each proving something
+// Four things are kept per publication point, each proving something
 // different and each written at exactly one moment:
 //
 //   - last is the snapshot the most recent successful fetch returned. It
@@ -21,7 +21,14 @@
 //     the relying party's world state forever by taking its repository
 //     offline. Kept only with StaleTTL > 0.
 //   - memo is the validated outcome of that same clean snapshot (see
-//     modmemo.go), holding per-object digests rather than bytes.
+//     modmemo.go), holding per-object digests rather than bytes, and each
+//     child CA as its certificate's DER, never parsed.
+//   - verdicts are the signature verdicts the point's latest validation
+//     used (cert.Verdicts), whatever its outcome: the next revalidation
+//     answers unchanged objects from them. Replaced at every validation, so
+//     they never outgrow the point's objects, and dropped when a completed
+//     sync did not reach the point — a point that leaves the tree takes its
+//     verdicts with it.
 //
 // clean and memo are committed together, at module commit, and only for a
 // faithfully fetched snapshot that validated clean — "verified objects" —
@@ -39,10 +46,15 @@
 // back prev's own slices for unchanged objects, so last and clean share
 // backing arrays: the bytes of an unchanged object are resident once, and
 // the garbage collector reclaims a replaced object when the last snapshot
-// naming it goes.
+// naming it goes. A memo's child links alias those same slices when either
+// snapshot is kept, and hold a private copy of the certificate otherwise.
 package rp
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/cert"
+)
 
 // pointState is what the relying party retains about one publication point
 // between syncs. Every field is read and written only with
@@ -50,30 +62,62 @@ import "time"
 // (a memo entry's recorded version excepted — markReused rewrites it under
 // the same lock).
 type pointState struct {
-	last    map[string][]byte
-	clean   map[string][]byte
-	cleanAt time.Time
-	memo    *moduleEntry
+	last     map[string][]byte
+	clean    map[string][]byte
+	cleanAt  time.Time
+	memo     *moduleEntry
+	verdicts cert.Verdicts
+	// seen is the number of the last sync that walked the point.
+	seen uint64
 }
 
 // pointLocked returns module's state, creating it on first use.
 func (rp *RelyingParty) pointLocked(module string) *pointState {
 	p := rp.points[module]
 	if p == nil {
-		p = &pointState{}
+		p = &pointState{seen: rp.syncs}
 		rp.points[module] = p
 	}
 	return p
 }
 
-// point returns a copy of module's state (zero when nothing is retained).
+// point records that the current sync walks module and returns a copy of
+// its state (zero when nothing is retained).
 func (rp *RelyingParty) point(module string) pointState {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if p := rp.points[module]; p != nil {
+		p.seen = rp.syncs
 		return *p
 	}
 	return pointState{}
+}
+
+// keepVerdicts replaces module's verdicts with those its latest validation
+// used.
+func (rp *RelyingParty) keepVerdicts(module string, v cert.Verdicts) {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	rp.pointLocked(module).verdicts = v
+}
+
+// beginSync numbers a new sync; the walks it reaches stamp their points.
+func (rp *RelyingParty) beginSync() {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	rp.syncs++
+}
+
+// dropDeparted ends a completed sync: a point it did not reach has left the
+// tree (or is unreachable through it), and its verdicts go.
+func (rp *RelyingParty) dropDeparted() {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for _, p := range rp.points {
+		if p.seen != rp.syncs {
+			p.verdicts = cert.Verdicts{}
+		}
+	}
 }
 
 // setLast records the snapshot an incremental-capable fetch just returned,

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -131,6 +132,10 @@ func digestVRPs(vrps []rov.VRP) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// retained10kBudgetMiB bounds the heap a warm relying party keeps over the
+// 10k tier without snapshots (see TestStreamingEquivalence10k).
+const retained10kBudgetMiB = 5.2
+
 func TestStreamingEquivalence10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k tier generation in -short mode")
@@ -164,8 +169,22 @@ func TestStreamingEquivalence10k(t *testing.T) {
 		t.Fatalf("the packs hold %d ROAs, want %d", g.roas, modelgen.Tier10k)
 	}
 	for _, workers := range []int{1, 4} {
+		base := liveHeapMiB()
 		v := rp.New(rp.Config{Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers}, anchor)
 		g.checkColdAndWarm(v, w.Meta.Modules, fmt.Sprintf("10k workers=%d", workers))
+		// What the warm relying party keeps, read as the benchmark reads
+		// it. Without snapshots no fetched byte may stay: 15.3 MiB when
+		// memo links held parsed certificates aliasing the zero-copy pack
+		// buffers and every verdict ever computed was kept, 4.5 MiB with
+		// the links held as private DER copies and each point's verdicts
+		// as one sorted slice.
+		retained := liveHeapMiB() - base
+		runtime.KeepAlive(v)
+		t.Logf("workers=%d: retained heap %.2f MiB", workers, retained)
+		if retained > retained10kBudgetMiB {
+			t.Errorf("workers=%d: a warm relying party over the 10k tier retains %.2f MiB, budget %.1f MiB",
+				workers, retained, retained10kBudgetMiB)
+		}
 	}
 	if got := digestVRPs(g.vrps); got != golden10kDigest {
 		t.Fatalf("10k tier vrp_digest = %s, golden %s", got, golden10kDigest)
