@@ -1,6 +1,7 @@
 package ipres
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -8,10 +9,29 @@ import (
 
 // Prefix is a CIDR prefix: an address plus a prefix length. Prefixes are
 // stored in canonical (masked) form; the bits below the prefix length are
-// zero. The zero Prefix is invalid.
+// zero, so == is prefix equality. The zero Prefix is invalid.
+//
+// The address value is held as two w64 halves of Addr's u128 rather than
+// the u128 itself: with 4-byte alignment the struct is 20 bytes instead of
+// 32, which is what every VRP and route embeds. Cmp, Covers and Lead work
+// on the words directly; Addr rebuilds the u128.
 type Prefix struct {
-	addr Addr
-	bits int
+	h, l   w64
+	family Family
+	bits   uint8
+}
+
+// w64 is a 64-bit word as two 32-bit halves, a the more significant.
+type w64 struct{ a, b uint32 }
+
+func splitW64(v uint64) w64 { return w64{uint32(v >> 32), uint32(v)} }
+
+func (w w64) u64() uint64 { return uint64(w.a)<<32 | uint64(w.b) }
+
+// prefixOf packs a canonical address and a length already checked
+// against its family's width.
+func prefixOf(a Addr, bits int) Prefix {
+	return Prefix{h: splitW64(a.value.hi), l: splitW64(a.value.lo), family: a.family, bits: uint8(bits)}
 }
 
 // PrefixFrom returns the canonical prefix containing addr with the given
@@ -28,7 +48,7 @@ func PrefixFrom(addr Addr, bits int) (Prefix, error) {
 	if addr.family == IPv4 {
 		m = mask128(bits).shr(uint(128 - 32)) // low 32 bits hold the value
 	}
-	return Prefix{addr: Addr{value: addr.value.and(m), family: addr.family}, bits: bits}, nil
+	return prefixOf(Addr{value: addr.value.and(m), family: addr.family}, bits), nil
 }
 
 // MustPrefixFrom is PrefixFrom that panics on error.
@@ -59,7 +79,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	if p.addr != addr {
+	if p.Addr() != addr {
 		return Prefix{}, fmt.Errorf("ipres: prefix %q has host bits set", s)
 	}
 	return p, nil
@@ -75,49 +95,56 @@ func MustParsePrefix(s string) Prefix {
 }
 
 // Addr returns the (masked) base address of the prefix.
-func (p Prefix) Addr() Addr { return p.addr }
+func (p Prefix) Addr() Addr {
+	return Addr{value: u128{p.h.u64(), p.l.u64()}, family: p.family}
+}
 
 // Bits returns the prefix length.
-func (p Prefix) Bits() int { return p.bits }
+func (p Prefix) Bits() int { return int(p.bits) }
 
 // Family returns the prefix's address family.
-func (p Prefix) Family() Family { return p.addr.family }
+func (p Prefix) Family() Family { return p.family }
 
 // IsValid reports whether p is a valid prefix.
-func (p Prefix) IsValid() bool { return p.addr.IsValid() }
-
-// valueMask returns the prefix's network mask as a u128 over the family's
-// value representation.
-func (p Prefix) valueMask() u128 {
-	if p.addr.family == IPv4 {
-		return mask128(p.bits).shr(96)
-	}
-	return mask128(p.bits)
-}
+func (p Prefix) IsValid() bool { return p.family.Valid() }
 
 // Range returns the inclusive address range spanned by the prefix.
 func (p Prefix) Range() Range {
-	m := p.valueMask()
-	last := Addr{value: p.addr.value.or(m.not()), family: p.addr.family}
-	if p.addr.family == IPv4 {
+	lo := p.Addr()
+	m := mask128(int(p.bits))
+	if p.family == IPv4 {
+		m = m.shr(96)
+	}
+	last := Addr{value: lo.value.or(m.not()), family: p.family}
+	if p.family == IPv4 {
 		last.value.hi = 0
 		last.value.lo &= 0xFFFFFFFF
 	}
-	return Range{lo: p.addr, hi: last}
+	return Range{lo: lo, hi: last}
 }
 
 // Contains reports whether the prefix contains addr.
 func (p Prefix) Contains(a Addr) bool {
-	if a.family != p.addr.family {
-		return false
-	}
-	return a.value.and(p.valueMask()).cmp(p.addr.value) == 0
+	return a.family == p.family && p.Covers(prefixOf(a, a.family.Width()))
 }
 
 // Covers reports whether p covers q in the sense of the paper: q's address
-// space is a subset of (or equal to) p's.
+// space is a subset of (or equal to) p's. It compares the leading p.Bits()
+// bits of the two addresses word by word; a shift by the full word width
+// yields zero, so /0 needs no special case.
 func (p Prefix) Covers(q Prefix) bool {
-	return p.addr.family == q.addr.family && p.bits <= q.bits && p.Contains(q.addr)
+	if p.family != q.family || p.bits > q.bits {
+		return false
+	}
+	n := uint(p.bits)
+	if p.family == IPv4 {
+		return (p.l.b^q.l.b)>>(32-n) == 0
+	}
+	x := p.h.u64() ^ q.h.u64()
+	if n <= 64 {
+		return x>>(64-n) == 0
+	}
+	return x == 0 && (p.l.u64()^q.l.u64())>>(128-n) == 0
 }
 
 // Overlaps reports whether p and q share any addresses.
@@ -127,16 +154,15 @@ func (p Prefix) Overlaps(q Prefix) bool {
 
 // Cmp orders prefixes by base address, then by length (shorter first).
 func (p Prefix) Cmp(q Prefix) int {
-	if c := p.addr.Cmp(q.addr); c != 0 {
-		return c
-	}
 	switch {
-	case p.bits < q.bits:
-		return -1
-	case p.bits > q.bits:
-		return 1
+	case p.family != q.family:
+		return cmp.Compare(p.family, q.family)
+	case p.h != q.h:
+		return cmp.Compare(p.h.u64(), q.h.u64())
+	case p.l != q.l:
+		return cmp.Compare(p.l.u64(), q.l.u64())
 	}
-	return 0
+	return cmp.Compare(p.bits, q.bits)
 }
 
 // Lead packs the family and the leading address bits into one integer that
@@ -147,11 +173,11 @@ func (p Prefix) Cmp(q Prefix) int {
 // rov.Index's directory is. The invalid Prefix, which Cmp orders first,
 // yields 0.
 func (p Prefix) Lead() uint64 {
-	switch p.addr.family {
+	switch p.family {
 	case IPv4:
-		return p.addr.value.lo << 31
+		return uint64(p.l.b) << 31
 	case IPv6:
-		return 1<<63 | p.addr.value.hi>>1
+		return 1<<63 | p.h.u64()>>1
 	}
 	return 0
 }
@@ -159,16 +185,16 @@ func (p Prefix) Lead() uint64 {
 // Halves splits the prefix into its two immediate subprefixes. It returns
 // ok=false if the prefix is a single host address.
 func (p Prefix) Halves() (lo, hi Prefix, ok bool) {
-	w := p.addr.family.Width()
-	if p.bits >= w {
+	w := p.family.Width()
+	if int(p.bits) >= w {
 		return Prefix{}, Prefix{}, false
 	}
-	nb := p.bits + 1
-	lo = Prefix{addr: p.addr, bits: nb}
-	step := u128FromUint64(1).shl(uint(w - nb))
-	v, _ := p.addr.value.add(step)
-	hi = Prefix{addr: Addr{value: v, family: p.addr.family}, bits: nb}
-	return lo, hi, true
+	nb := int(p.bits) + 1
+	lo = p
+	lo.bits++
+	a := p.Addr()
+	a.value, _ = a.value.add(u128FromUint64(1).shl(uint(w - nb)))
+	return lo, prefixOf(a, nb), true
 }
 
 // Parent returns the enclosing prefix one bit shorter, or ok=false at /0.
@@ -176,7 +202,7 @@ func (p Prefix) Parent() (Prefix, bool) {
 	if p.bits == 0 {
 		return Prefix{}, false
 	}
-	return MustPrefixFrom(p.addr, p.bits-1), true
+	return MustPrefixFrom(p.Addr(), int(p.bits)-1), true
 }
 
 // String renders the prefix in CIDR notation.
@@ -184,5 +210,5 @@ func (p Prefix) String() string {
 	if !p.IsValid() {
 		return "invalid/0"
 	}
-	return p.addr.String() + "/" + strconv.Itoa(p.bits)
+	return p.Addr().String() + "/" + strconv.Itoa(int(p.bits))
 }

@@ -55,11 +55,12 @@ type Route struct {
 func (r Route) String() string { return fmt.Sprintf("(%s, %s)", r.Prefix, r.Origin) }
 
 // VRP is a validated ROA payload: one (prefix, maxLength, ASN) triple
-// extracted from a valid ROA.
+// extracted from a valid ROA. ASN sits before MaxLength so that it fills
+// the 4 bytes after the 20-byte Prefix: a VRP is 32 bytes, not 40.
 type VRP struct {
 	Prefix    ipres.Prefix
-	MaxLength int
 	ASN       ipres.ASN
+	MaxLength int
 }
 
 func (v VRP) String() string {

@@ -83,8 +83,8 @@ func (c *Client) OnSerial(fn func(uint32)) {
 // VRPs returns the VRP set as of the last End of Data (the set the cache
 // held at Serial()), in canonical order; a response in progress is not
 // visible. The result is the caller's: one allocation and one copy of the
-// set, no sort. The copy is made under the client's lock (≈ 2 ms at 200,000
-// VRPs), which an End of Data arriving meanwhile waits for.
+// set, no sort. The copy is made under the client's lock (6.4 MB, ≈ 1.3 ms
+// at 200,000 VRPs), which an End of Data arriving meanwhile waits for.
 func (c *Client) VRPs() []rov.VRP {
 	c.mu.Lock()
 	defer c.mu.Unlock()
