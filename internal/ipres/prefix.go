@@ -169,9 +169,9 @@ func (p Prefix) Cmp(q Prefix) int {
 // never decreases along Cmp order: p.Cmp(q) < 0 implies p.Lead() <= q.Lead().
 // The top bit is the family (IPv4 below IPv6); the 63 below it are the most
 // significant address bits — all 32 of an IPv4 address, the first 63 of an
-// IPv6 one. Shifted right it buckets prefixes in Cmp order, which is what
-// rov.Index's directory is. The invalid Prefix, which Cmp orders first,
-// yields 0.
+// IPv6 one. Past the leading bits a run of prefixes shares, its next bits
+// bucket them in Cmp order, which is what rov.Index's directory is. The
+// invalid Prefix, which Cmp orders first, yields 0.
 func (p Prefix) Lead() uint64 {
 	switch p.family {
 	case IPv4:
