@@ -33,16 +33,12 @@ func Rules() []*Rule {
 		guardedByRule,
 		wallclockRule,
 		diagExhaustiveRule,
-		metricsCoverageRule,
-		poolHygieneRule,
 		boundedDecodeRule,
-		taintFlowRule,
 		lockOrderRule,
-		atomicMixRule,
 	}
 }
 
-// RulesByName resolves a comma-separated rule subset ("taintflow,lockorder")
+// RulesByName resolves a comma-separated rule subset ("guardedby,lockorder")
 // against the full suite, preserving canonical order. An empty or "all"
 // selector returns every rule.
 func RulesByName(selector string) ([]*Rule, error) {

@@ -109,28 +109,31 @@ func TestBoundedDecode(t *testing.T) {
 	})
 }
 
+// TestDiagExhaustive spans a plain diag package and one that imports obs:
+// only the second must give every enum an obs event-kind table.
 func TestDiagExhaustive(t *testing.T) {
-	rep := fixtureReport(t, "diag")
+	rep := fixtureReport(t, "diag", "diagobs")
 	checkGolden(t, findingStrings(rep), []string{
 		"diag/diag.go:27: [diagexhaustive] switch on fixturemod/diag.DiagKind has no default and misses: DiagStale — an unhandled diagnostic is a silent one",
 		"diag/diag.go:45: [diagexhaustive] table keyed by fixturemod/diag.DiagKind misses: DiagStale — an unmapped diagnostic renders as nothing when it matters most",
+		"diagobs/diagobs.go:19: [diagexhaustive] table keyed by fixturemod/diagobs.DiagKind misses: DiagStale — an unmapped diagnostic renders as nothing when it matters most",
+		"diagobs/diagobs.go:25: [diagexhaustive] observable enum BreakerState has no obs event-kind table: every state this package can enter must map to a metric or flight-recorder event",
 	})
 }
 
+// TestMetricsCoverage: the obs event-kind coverage check lives inside
+// diagexhaustive, so running that rule alone over the obs-importing fixture
+// must report both the table that misses a constant and the enum with no
+// table, and nothing for the fully covered FetchDiag.
 func TestMetricsCoverage(t *testing.T) {
-	rep := fixtureReport(t, "metricscoverage")
+	rules, err := RulesByName("diagexhaustive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Run(fixturePackages(t, "diagobs"), rules, fixtures.root)
 	checkGolden(t, findingStrings(rep), []string{
-		"metricscoverage/metricscoverage.go:19: [diagexhaustive] table keyed by fixturemod/metricscoverage.DiagKind misses: DiagStale — an unmapped diagnostic renders as nothing when it matters most",
-		"metricscoverage/metricscoverage.go:19: [metricscoverage] obs event-kind table keyed by DiagKind misses: DiagStale — a degraded state without an event is invisible to operators",
-		"metricscoverage/metricscoverage.go:25: [metricscoverage] observable enum BreakerState has no obs event-kind table: every state this package can enter must map to a metric or flight-recorder event",
-	})
-}
-
-func TestPoolHygiene(t *testing.T) {
-	rep := fixtureReport(t, "pool")
-	checkGolden(t, findingStrings(rep), []string{
-		"pool/pool.go:20: [poolhygiene] bp is returned to the pool but an alias of the pooled memory escapes leakReturn (returned at line 21): the next Get shares bytes with the escapee",
-		"pool/pool.go:32: [poolhygiene] bp is returned to the pool but an alias of the pooled memory escapes leakField (returned at line 33): the next Get shares bytes with the escapee",
+		"diagobs/diagobs.go:19: [diagexhaustive] table keyed by fixturemod/diagobs.DiagKind misses: DiagStale — an unmapped diagnostic renders as nothing when it matters most",
+		"diagobs/diagobs.go:25: [diagexhaustive] observable enum BreakerState has no obs event-kind table: every state this package can enter must map to a metric or flight-recorder event",
 	})
 }
 
@@ -156,25 +159,6 @@ func TestSuppressions(t *testing.T) {
 	}
 }
 
-// TestTaintFlow spans two fixture packages: the source, sink, and
-// sanitizers live in taint/wire while the flows cross taint's helpers —
-// only the whole-program call graph can connect them.
-func TestTaintFlow(t *testing.T) {
-	rep := fixtureReport(t, "taint/wire", "taint")
-	checkGolden(t, findingStrings(rep), []string{
-		"taint/taint.go:17: [taintflow] attacker-controlled bytes from wire.ReadFrame reach sink wire.Emit with no sanitizer on the path wire.ReadFrame → taint.relay → taint.forward → wire.Emit: misbehaving-authority input must be bounded and verified before it has routing consequences",
-		"taint/taint.go:35: [taintflow] attacker-controlled bytes from taint.FuzzParse reach sink wire.Emit with no sanitizer on the path taint.FuzzParse → wire.Emit: misbehaving-authority input must be bounded and verified before it has routing consequences",
-		"taint/taint.go:50: [taintflow] attacker-controlled bytes from taint.readConn reach sink wire.Emit with no sanitizer on the path taint.readConn → taint.connFlow → wire.Emit: misbehaving-authority input must be bounded and verified before it has routing consequences",
-		"taint/taint.go:65: [suppression] //lint:ignore taintflow has no reason: every exception must explain itself",
-		"taint/taint.go:66: [taintflow] attacker-controlled bytes from wire.ReadFrame reach sink wire.Emit with no sanitizer on the path wire.ReadFrame → taint.relayBad → taint.forwardBad → wire.Emit: misbehaving-authority input must be bounded and verified before it has routing consequences",
-		`taint/wire/wire.go:29: [taintflow] unknown taint marker "gadget": valid kinds are source, sink, sanitizer`,
-		"taint/wire/wire.go:34: [taintflow] //taint:source has no description: the taint surface must document what the source is",
-	})
-	if rep.Suppressed != 1 {
-		t.Errorf("Suppressed = %d, want 1 (only relayOK's directive may suppress)", rep.Suppressed)
-	}
-}
-
 func TestLockOrder(t *testing.T) {
 	rep := fixtureReport(t, "lockorder")
 	checkGolden(t, findingStrings(rep), []string{
@@ -186,16 +170,6 @@ func TestLockOrder(t *testing.T) {
 		"lockorder/lockorder.go:98: [lockorder] conn write while holding lockorder.D.mu: a peer that stalls this operation stalls every user of the lock",
 		"lockorder/lockorder.go:123: [suppression] //lint:ignore lockorder has no reason: every exception must explain itself",
 		"lockorder/lockorder.go:124: [lockorder] channel send while holding lockorder.D.mu: a peer that stalls this operation stalls every user of the lock",
-	})
-}
-
-func TestAtomicMix(t *testing.T) {
-	rep := fixtureReport(t, "atomicmix")
-	checkGolden(t, findingStrings(rep), []string{
-		"atomicmix/atomicmix.go:17: [atomicmix] atomicmix.Counter.n is accessed with sync/atomic in atomicmix.Counter.IncAtomic (atomicmix.go:14) but with a plain load/store in atomicmix.Counter.ReadPlain: mixed access synchronizes nothing",
-		"atomicmix/atomicmix.go:35: [atomicmix] atomicmix.total is accessed with sync/atomic in atomicmix.bumpTotal (atomicmix.go:32) but with a plain load/store in atomicmix.totalPlain: mixed access synchronizes nothing",
-		"atomicmix/atomicmix.go:46: [suppression] //lint:ignore atomicmix has no reason: every exception must explain itself",
-		"atomicmix/atomicmix.go:47: [atomicmix] atomicmix.Counter.n is accessed with sync/atomic in atomicmix.Counter.IncAtomic (atomicmix.go:14) but with a plain load/store in atomicmix.readBad: mixed access synchronizes nothing",
 	})
 }
 
@@ -226,12 +200,12 @@ func TestRulesByName(t *testing.T) {
 	if err != nil || len(all) != len(Rules()) {
 		t.Fatalf("RulesByName(\"\") = %d rules, err %v; want all %d", len(all), err, len(Rules()))
 	}
-	sub, err := RulesByName("taintflow,lockorder")
+	sub, err := RulesByName("lockorder,guardedby")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) != 2 || sub[0].Name != "taintflow" || sub[1].Name != "lockorder" {
-		t.Errorf("subset = %v", sub)
+	if len(sub) != 2 || sub[0].Name != "guardedby" || sub[1].Name != "lockorder" {
+		t.Errorf("subset = %v, want canonical order guardedby, lockorder", sub)
 	}
 	if _, err := RulesByName("nosuchrule"); err == nil {
 		t.Error("unknown rule name must error")
@@ -241,27 +215,29 @@ func TestRulesByName(t *testing.T) {
 // TestRuleSubsetRun: running a subset only reports that subset's findings
 // and still records timings for it (plus the shared call-graph build).
 func TestRuleSubsetRun(t *testing.T) {
-	rules, err := RulesByName("atomicmix")
+	rules, err := RulesByName("lockorder")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Run(fixturePackages(t, "atomicmix"), rules, fixtures.root)
+	// The guardedby fixture has findings of its own: a subset run must not
+	// report them.
+	rep := Run(fixturePackages(t, "lockorder", "guardedby"), rules, fixtures.root)
 	for _, f := range rep.Findings {
 		// Malformed //lint:ignore directives report under the suppression
-		// pseudo-rule in every run; anything else must be atomicmix.
-		if !strings.Contains(f.String(), "[atomicmix]") && !strings.Contains(f.String(), "[suppression]") {
+		// pseudo-rule in every run; anything else must be lockorder.
+		if !strings.Contains(f.String(), "[lockorder]") && !strings.Contains(f.String(), "[suppression]") {
 			t.Errorf("subset run leaked finding: %s", f)
 		}
 	}
 	if len(rep.Findings) == 0 {
-		t.Error("atomicmix subset should still find the fixture races")
+		t.Error("lockorder subset should still find the fixture deadlocks")
 	}
 	names := make(map[string]bool)
 	for _, tm := range rep.Timings {
 		names[tm.Rule] = true
 	}
-	if !names["atomicmix"] || !names["callgraph"] {
-		t.Errorf("timings = %v, want atomicmix and callgraph entries", names)
+	if len(names) != 2 || !names["lockorder"] || !names["callgraph"] {
+		t.Errorf("timings = %v, want exactly lockorder and callgraph entries", names)
 	}
 }
 

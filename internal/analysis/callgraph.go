@@ -5,21 +5,20 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// This file builds the whole-program view the interprocedural rules
-// (taintflow, lockorder, atomicmix) run on: a call graph over every
-// function of every analyzed package, resolved with class-hierarchy
-// analysis (CHA) so calls through interfaces fan out to every concrete
-// method in the program that could be behind them.
+// This file builds the whole-program view the interprocedural rule
+// (lockorder) runs on: a call graph over every function of every analyzed
+// package, resolved with class-hierarchy analysis (CHA) so calls through
+// interfaces fan out to every concrete method in the program that could be
+// behind them.
 //
-// The paper's propagation risk is interprocedural by nature — a byte slice
-// read off a repository connection crosses three helpers before it is
-// serialized to a router — so per-function syntactic rules cannot see it.
-// The Program is the shared substrate: built once per Run, handed to every
-// rule with a RunProgram hook, with a FactStore so rules publish and
-// consume per-function summaries instead of re-deriving them.
+// A deadlock is a property of how functions compose — lock A taken in one
+// helper while a caller three frames up holds B — so per-function
+// syntactic rules cannot see it. The Program is the shared substrate: built
+// once per Run, handed to every rule with a RunProgram hook, with a
+// FactStore so rules publish and consume per-function summaries instead of
+// re-deriving them.
 
 // Program is the whole-program view over one Run's packages.
 type Program struct {
@@ -63,11 +62,6 @@ type Call struct {
 	// immediately invoked (go statements, deferred closures, stored
 	// callbacks).
 	Async bool
-	// CarriesBytes marks calls whose callee can receive raw payload bytes
-	// through its signature — a parameter or receiver typed []byte, an
-	// io.Reader-shaped interface, or a container of either. Taint
-	// propagates only along such edges.
-	CarriesBytes bool
 }
 
 // Functions returns every function in the program in deterministic order
@@ -257,7 +251,7 @@ func resolveCall(prog *Program, cha *chaIndex, info *types.Info, call *ast.CallE
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return []Call{{Callee: fn, Pos: call.Pos(), Async: async, CarriesBytes: signatureCarriesBytes(fn)}}
+			return []Call{{Callee: fn, Pos: call.Pos(), Async: async}}
 		}
 	case *ast.SelectorExpr:
 		fn, ok := info.Uses[fun.Sel].(*types.Func)
@@ -269,96 +263,14 @@ func resolveCall(prog *Program, cha *chaIndex, info *types.Info, call *ast.CallE
 		// no in-program type implements it).
 		if sel, ok := info.Selections[fun]; ok {
 			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
-				out := []Call{{Callee: fn, Pos: call.Pos(), Async: async, CarriesBytes: signatureCarriesBytes(fn)}}
+				out := []Call{{Callee: fn, Pos: call.Pos(), Async: async}}
 				for _, impl := range cha.resolveInterface(iface, fn.Name()) {
-					out = append(out, Call{Callee: impl, Pos: call.Pos(), ViaInterface: true, Async: async, CarriesBytes: signatureCarriesBytes(impl)})
+					out = append(out, Call{Callee: impl, Pos: call.Pos(), ViaInterface: true, Async: async})
 				}
 				return out
 			}
 		}
-		return []Call{{Callee: fn, Pos: call.Pos(), Async: async, CarriesBytes: signatureCarriesBytes(fn)}}
+		return []Call{{Callee: fn, Pos: call.Pos(), Async: async}}
 	}
 	return nil
-}
-
-// signatureCarriesBytes reports whether fn can receive raw payload bytes
-// through its signature: a parameter or receiver that is byte-carrying.
-// What matters is the callee's declared view, not the call site's argument
-// types — handing a net.Conn to a func(io.Writer) gives the callee no way
-// to read attacker bytes from it. Plain strings and flat structs are
-// deliberately excluded: at function granularity, following every string or
-// struct argument would taint orchestration calls ("start this server",
-// "install these parsed VRPs") that move no payload.
-func signatureCarriesBytes(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return false
-	}
-	if recv := sig.Recv(); recv != nil && byteCarrying(recv.Type(), 0) {
-		return true
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if byteCarrying(sig.Params().At(i).Type(), 0) {
-			return true
-		}
-	}
-	return false
-}
-
-// byteCarrying reports whether t is []byte, an io.Reader-shaped interface,
-// or a container (slice, array, map, chan, pointer) of either.
-func byteCarrying(t types.Type, depth int) bool {
-	if depth > 4 {
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		if b, ok := u.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Uint8 {
-			return true
-		}
-		return byteCarrying(u.Elem(), depth+1)
-	case *types.Array:
-		return byteCarrying(u.Elem(), depth+1)
-	case *types.Map:
-		return byteCarrying(u.Key(), depth+1) || byteCarrying(u.Elem(), depth+1)
-	case *types.Chan:
-		return byteCarrying(u.Elem(), depth+1)
-	case *types.Pointer:
-		return byteCarrying(u.Elem(), depth+1)
-	case *types.Interface:
-		for i := 0; i < u.NumMethods(); i++ {
-			if u.Method(i).Name() == "Read" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// markerDirective is one "//taint:..."-style classification on a function
-// declaration.
-type markerDirective struct {
-	Kind   string // e.g. "source", "sink", "sanitizer"
-	Reason string
-	Pos    token.Pos
-}
-
-// funcMarkers parses "//<ns>:<kind> <reason>" directives from fd's doc
-// comment. Unknown kinds and missing reasons are NOT validated here — the
-// consuming rule reports them so the finding carries the rule name.
-func funcMarkers(fd *ast.FuncDecl, ns string) []markerDirective {
-	if fd.Doc == nil {
-		return nil
-	}
-	var out []markerDirective
-	prefix := "//" + ns + ":"
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, prefix)
-		if !ok {
-			continue
-		}
-		kind, reason, _ := strings.Cut(rest, " ")
-		out = append(out, markerDirective{Kind: kind, Reason: strings.TrimSpace(reason), Pos: c.Pos()})
-	}
-	return out
 }

@@ -7,30 +7,36 @@ import (
 	"strings"
 )
 
-// diagexhaustive: the relying party's Diag* constants are the vocabulary
-// in which degradation is made observable — the paper's whole point is
-// that what goes unreported goes unnoticed. A new DiagKind that is missing
-// from a diagnostic switch or string table silently renders as
-// "DiagKind(9)" (or not at all) exactly when it matters. The rule finds
-// every enum-like named type with two or more package-level Diag*
-// constants, and requires:
+// diagexhaustive: the relying party's Diag* constants and the fetch
+// breaker's Breaker* states are the vocabulary in which degradation is made
+// observable — the paper's whole point is that what goes unreported goes
+// unnoticed. A new DiagKind that is missing from a diagnostic switch or
+// string table silently renders as "DiagKind(9)" (or not at all) exactly
+// when it matters. The rule finds every enum-like named type with two or
+// more package-level Diag*- or Breaker*-prefixed constants, and requires:
 //
 //   - every switch over a value of that type with no default clause to
-//     handle every Diag* constant;
-//   - every map or keyed composite literal keyed by that type (a string
-//     table) to contain every Diag* constant.
+//     handle every such constant;
+//   - every map literal keyed by that type (a string table or an obs
+//     event-kind table) to contain every such constant;
+//   - in a package that imports an observability package (any package
+//     named "obs"), every such enum the package declares to key at least
+//     one map whose value type comes from obs: once a package has opted
+//     into instrumentation, a state with no metric or flight-recorder event
+//     degrades invisibly.
 //
 // A switch with a default clause is exempt — it has declared a fallback.
-// An intentionally-partial table needs a //lint:ignore with its reason.
+// An intentionally-partial table or unobserved enum needs a //lint:ignore
+// with its reason.
 var diagExhaustiveRule = &Rule{
 	Name: "diagexhaustive",
-	Doc:  "Diag* constant missing from a diagnostic switch or string table",
+	Doc:  "Diag*/Breaker* constant missing from a switch or table, or such an enum with no obs event-kind table",
 	Run:  runDiagExhaustive,
 }
 
-// diagConstants returns the names of package-level Diag*-prefixed
-// constants of the named type t, or nil if t is not a diag enum (fewer
-// than two such constants).
+// diagConstants returns the names of package-level Diag*- or
+// Breaker*-prefixed constants of the named type t, or nil if t is not a
+// diag enum (fewer than two such constants).
 func diagConstants(t types.Type) map[string]bool {
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
@@ -40,7 +46,7 @@ func diagConstants(t types.Type) map[string]bool {
 	out := make(map[string]bool)
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !strings.HasPrefix(name, "Diag") {
+		if !ok || !(strings.HasPrefix(name, "Diag") || strings.HasPrefix(name, "Breaker")) {
 			continue
 		}
 		if types.Identical(c.Type(), t) {
@@ -82,20 +88,28 @@ func constName(info *types.Info, e ast.Expr) string {
 	return ""
 }
 
+// fromObsPackage reports whether t is a named type declared in a package
+// named "obs".
+func fromObsPackage(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "obs"
+}
+
 func runDiagExhaustive(pass *Pass) {
-	info := pass.Pkg.Info
+	// observed collects the enums some obs-valued table is keyed by.
+	observed := make(map[types.Type]bool)
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SwitchStmt:
 				checkDiagSwitch(pass, n)
 			case *ast.CompositeLit:
-				checkDiagTable(pass, n)
+				checkDiagTable(pass, n, observed)
 			}
 			return true
 		})
 	}
-	_ = info
+	checkDiagObserved(pass, observed)
 }
 
 func checkDiagSwitch(pass *Pass, sw *ast.SwitchStmt) {
@@ -134,22 +148,23 @@ func checkDiagSwitch(pass *Pass, sw *ast.SwitchStmt) {
 	}
 }
 
-func checkDiagTable(pass *Pass, lit *ast.CompositeLit) {
+func checkDiagTable(pass *Pass, lit *ast.CompositeLit, observed map[types.Type]bool) {
 	info := pass.Pkg.Info
 	tv, ok := info.Types[lit]
 	if !ok || tv.Type == nil {
 		return
 	}
-	var keyType types.Type
-	switch t := tv.Type.Underlying().(type) {
-	case *types.Map:
-		keyType = t.Key()
-	default:
+	mt, ok := tv.Type.Underlying().(*types.Map)
+	if !ok {
 		return
 	}
+	keyType := mt.Key()
 	want := diagConstants(keyType)
 	if want == nil {
 		return
+	}
+	if fromObsPackage(mt.Elem()) {
+		observed[keyType] = true
 	}
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
@@ -167,4 +182,33 @@ func checkDiagTable(pass *Pass, lit *ast.CompositeLit) {
 			"table keyed by %s misses: %s — an unmapped diagnostic renders as nothing when it matters most",
 			keyType.String(), strings.Join(missing, ", "))
 	}
+}
+
+// checkDiagObserved reports, in a package that imports obs, every diag
+// enum the package declares that no obs-valued table is keyed by.
+func checkDiagObserved(pass *Pass, observed map[types.Type]bool) {
+	pkg := pass.Pkg.Types
+	if pkg == nil || !importsObs(pkg) {
+		return
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || observed[tn.Type()] || diagConstants(tn.Type()) == nil {
+			continue
+		}
+		pass.Reportf(tn.Pos(),
+			"observable enum %s has no obs event-kind table: every state this package can enter must map to a metric or flight-recorder event",
+			name)
+	}
+}
+
+// importsObs reports whether pkg imports any package named "obs".
+func importsObs(pkg *types.Package) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Name() == "obs" {
+			return true
+		}
+	}
+	return false
 }

@@ -7,11 +7,9 @@ import (
 
 // FactStore is the shared per-function summary cache of one Program. The
 // interprocedural rules publish derived facts here ("this function may
-// acquire these locks", "this function is a taint sanitizer") keyed by the
-// owning rule and function, so a summary is computed once per Run even
-// when several rules — or several fixpoint iterations of one rule — need
-// it. Facts are opaque to the framework; each rule defines its own value
-// types.
+// acquire these locks") keyed by the owning rule and function, so a
+// summary is computed once per Run even when several rules need it. Facts
+// are opaque to the framework; each rule defines its own value types.
 type FactStore struct {
 	mu sync.Mutex
 	// m holds the published facts. guarded by mu.
@@ -41,26 +39,4 @@ func (s *FactStore) Fact(fn *types.Func, key string) (any, bool) {
 	v, ok := s.m[factKey{fn, key}]
 	s.mu.Unlock()
 	return v, ok
-}
-
-// Memo returns the fact published about fn under key, computing and
-// publishing it with compute on a miss. compute runs outside the store's
-// lock; concurrent callers may race to compute but the first published
-// value wins and is returned to everyone.
-func (s *FactStore) Memo(fn *types.Func, key string, compute func() any) any {
-	s.mu.Lock()
-	if v, ok := s.m[factKey{fn, key}]; ok {
-		s.mu.Unlock()
-		return v
-	}
-	s.mu.Unlock()
-	v := compute()
-	s.mu.Lock()
-	if prior, ok := s.m[factKey{fn, key}]; ok {
-		s.mu.Unlock()
-		return prior
-	}
-	s.m[factKey{fn, key}] = v
-	s.mu.Unlock()
-	return v
 }

@@ -1,7 +1,7 @@
-// Package metricscoverage exercises the metricscoverage rule: DiagKind's
-// event table misses a constant, BreakerState has no table at all, and
-// FetchDiag is fully covered (no finding).
-package metricscoverage
+// Fixture for the diagexhaustive rule in a package that imports obs:
+// DiagKind's event table misses a constant, BreakerState has no event
+// table at all, and FetchDiag is fully covered (no finding).
+package diagobs
 
 import "fixturemod/obs"
 

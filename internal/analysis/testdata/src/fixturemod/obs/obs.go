@@ -1,5 +1,5 @@
 // Package obs is a minimal stand-in for the real observability package:
-// the metricscoverage rule keys on the package name and on value types
+// the diagexhaustive rule keys on the package name and on value types
 // declared here.
 package obs
 

@@ -147,7 +147,6 @@ func runMutateRTRStream(e *Env) {
 	}
 	var stream []byte
 	for _, p := range frames {
-		//lint:ignore taintflow this harness deliberately feeds unsanitized mutants to ReadPDU; the marshaled frames here are the corpus being corrupted, not router output
 		buf, err := p.Marshal()
 		if err != nil {
 			e.Fatalf("marshal frame: %v", err)

@@ -20,7 +20,6 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cert"
 )
@@ -289,36 +288,32 @@ func Parse(der []byte) (*SignedObject, error) {
 	}, nil
 }
 
-// setScratch pools the scratch buffers hashExplicitSetOf assembles the
-// explicit SET OF encoding into. Buffers never escape: the digest is copied
-// out before the buffer returns to the pool.
-var setScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // hashExplicitSetOf computes SHA-256 over the explicit DER SET OF encoding
 // (tag 0x31, definite length, content) of an implicitly tagged attribute
 // set, without re-marshaling through encoding/asn1. This runs once per
 // signed-object parse — the relying party's hot path — so the header is
-// written by hand into a pooled buffer instead of allocating a fresh copy of
-// the attributes for every verification.
+// written by hand on the stack and hashed ahead of the content instead of
+// copying the attributes behind it.
 func hashExplicitSetOf(content []byte) [32]byte {
-	bp := setScratch.Get().(*[]byte)
-	buf := append((*bp)[:0], 0x31)
+	var buf [5]byte
+	hdr := append(buf[:0], 0x31)
 	switch n := len(content); {
 	case n < 0x80:
-		buf = append(buf, byte(n))
+		hdr = append(hdr, byte(n))
 	case n < 0x100:
-		buf = append(buf, 0x81, byte(n))
+		hdr = append(hdr, 0x81, byte(n))
 	case n < 0x10000:
-		buf = append(buf, 0x82, byte(n>>8), byte(n))
+		hdr = append(hdr, 0x82, byte(n>>8), byte(n))
 	default:
 		// Unreachable for RPKI signed attributes (two short attrs), but keep
-		// the encoding correct for arbitrary input.
-		buf = append(buf, 0x83, byte(n>>16), byte(n>>8), byte(n))
+		// the encoding correct for anything under MaxObjectSize.
+		hdr = append(hdr, 0x83, byte(n>>16), byte(n>>8), byte(n))
 	}
-	buf = append(buf, content...)
-	sum := sha256.Sum256(buf)
-	*bp = buf
-	setScratch.Put(bp)
+	h := sha256.New()
+	h.Write(hdr)
+	h.Write(content)
+	var sum [32]byte
+	h.Sum(sum[:0])
 	return sum
 }
 

@@ -1,6 +1,8 @@
 package cms
 
 import (
+	"crypto/sha256"
+	"encoding/asn1"
 	"testing"
 	"time"
 
@@ -145,5 +147,29 @@ func TestSignDeterministicStructure(t *testing.T) {
 	}
 	if string(o1.Content) != string(o2.Content) {
 		t.Error("content must be identical")
+	}
+}
+
+// TestHashExplicitSetOfMatchesDER: the hand-written SET OF header must be
+// the one encoding/asn1 writes, on every length form — short, and long with
+// one, two and three length octets — so the signature check hashes exactly
+// the DER the signer signed.
+func TestHashExplicitSetOfMatchesDER(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 255, 256, 65535, 65536} {
+		content := make([]byte, n)
+		for i := range content {
+			content[i] = byte(i)
+		}
+		der, err := asn1.Marshal(asn1.RawValue{Class: asn1.ClassUniversal, Tag: asn1.TagSet, IsCompound: true, Bytes: content})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := hashExplicitSetOf(content), sha256.Sum256(der); got != want {
+			t.Errorf("%d-byte content: digest %x, want %x (header %x)", n, got, want, der[:len(der)-n])
+		}
+	}
+	attrs := make([]byte, 105)
+	if allocs := testing.AllocsPerRun(100, func() { hashExplicitSetOf(attrs) }); allocs != 0 {
+		t.Errorf("hashExplicitSetOf allocates %v times per call, want 0", allocs)
 	}
 }

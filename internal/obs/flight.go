@@ -10,7 +10,7 @@ import (
 // EventKind classifies one degraded event captured by the flight recorder.
 // This is the closed vocabulary of "something went wrong and the validator
 // coped": every DiagKind and every breaker state maps into it (mechanized
-// by the metricscoverage lint rule), so no degradation the relying party
+// by the diagexhaustive lint rule), so no degradation the relying party
 // can express is unrecordable.
 type EventKind uint8
 

@@ -12,7 +12,7 @@ import (
 )
 
 // breakerEventKinds maps every breaker state to the flight-recorder event
-// recorded when a breaker enters it — the rpki-lint metricscoverage rule
+// recorded when a breaker enters it — the rpki-lint diagexhaustive rule
 // keeps this table exhaustive, so adding a state without an event kind is
 // a build-time lint failure, not a silent observability gap.
 var breakerEventKinds = map[BreakerState]obs.EventKind{

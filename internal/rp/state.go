@@ -132,9 +132,9 @@ func (rp *RelyingParty) setLast(module string, files map[string][]byte) {
 // clean one hands in its outcome e, which becomes the point's memo entry,
 // and, with last-known-good fallback enabled, its bytes become the snapshot
 // served if the point goes dark. One with diagnostics hands in a nil e: the
-// memo entry goes, the last clean snapshot stays.
-//
-//taint:sink memoized validation verdicts reused across runs, and last-known-good snapshots served during authority outages
+// memo entry goes, the last clean snapshot stays. Both outlive the sync:
+// memoized verdicts are reused across runs, and last-known-good snapshots
+// are served during authority outages.
 func (rp *RelyingParty) commitPoint(module string, e *moduleEntry, files map[string][]byte, at time.Time) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()

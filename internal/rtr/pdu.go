@@ -64,9 +64,7 @@ type PDU struct {
 
 const headerLen = 8
 
-// Marshal encodes the PDU.
-//
-//taint:sink RTR frames routers act on
+// Marshal encodes the PDU into the frame a router acts on.
 func (p *PDU) Marshal() ([]byte, error) {
 	switch p.Type {
 	case TypeSerialNotify, TypeSerialQuery, TypeEndOfData:
@@ -157,9 +155,8 @@ type pduReader struct {
 	pdu PDU
 }
 
-// ReadPDU reads and decodes one PDU from r.
-//
-//taint:source bytes a router or spoofed peer sends on the RTR socket
+// ReadPDU reads and decodes one PDU from r: bytes a router or a spoofed
+// peer sends on the RTR socket.
 func ReadPDU(r io.Reader) (*PDU, error) {
 	d := pduReader{r: r}
 	p, err := d.next()
@@ -171,8 +168,6 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 }
 
 // next reads and decodes one PDU. The result is valid until the next call.
-//
-//taint:source bytes a router or spoofed peer sends on the RTR socket
 func (d *pduReader) next() (*PDU, error) {
 	header := d.buf[:headerLen]
 	if _, err := io.ReadFull(d.r, header); err != nil {

