@@ -2,7 +2,6 @@ package cert
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"slices"
 	"strings"
 	"sync"
@@ -19,7 +18,13 @@ import (
 // signed bytes and the signer's key, so its outcome can be cached under the
 // key (SHA-256 of the object, issuer subject-key-identifier) — unlike the
 // time-, CRL- and resource-containment checks, which must stay fresh and are
-// therefore never cached here.
+// therefore never cached here. Parse holds every identifier to the key it
+// names, so the issuer's identifier stands for the issuer's key.
+//
+// Each object gets one verdict. A certificate's or CRL's covers its
+// signature by the issuer; a signed object's (CheckSigned) covers both its
+// CMS envelope signature and its EE certificate's signature by the issuer,
+// so a miss on one costs two ECDSA verifications and a hit none.
 //
 // A cache holds exactly the verdicts looked up through it. It is created
 // over the Verdicts of the scope's previous validation (NewVerifyCache): a
@@ -36,6 +41,8 @@ type VerifyCache struct {
 	mu           sync.Mutex
 	verdicts     map[verifyKey]*verdictEntry
 	hits, misses atomic.Uint64
+	// verified counts the signatures the misses actually checked.
+	verified atomic.Uint64
 }
 
 type verifyKey struct {
@@ -134,24 +141,57 @@ func (c *VerifyCache) Memoize(objectHash [32]byte, issuer *ResourceCert, verify 
 }
 
 // CheckChildSignature is child.Cert.CheckSignatureFrom(issuer.Cert) with
-// memoization.
-func (c *VerifyCache) CheckChildSignature(issuer, child *ResourceCert) error {
-	if c == nil {
-		return child.Cert.CheckSignatureFrom(issuer.Cert)
-	}
-	return c.Memoize(sha256.Sum256(child.Raw), issuer, func() error {
+// memoization; digest is SHA-256 of child.Raw.
+func (c *VerifyCache) CheckChildSignature(issuer, child *ResourceCert, digest [32]byte) error {
+	return c.Memoize(digest, issuer, func() error {
+		c.count()
 		return child.Cert.CheckSignatureFrom(issuer.Cert)
 	})
 }
 
 // VerifyCRL is crl.VerifySignature(issuer) with memoization.
 func (c *VerifyCache) VerifyCRL(issuer *ResourceCert, crl *CRL) error {
-	if c == nil {
-		return crl.VerifySignature(issuer)
-	}
-	return c.Memoize(sha256.Sum256(crl.Raw), issuer, func() error {
+	return c.Memoize(crl.digest, issuer, func() error {
+		c.count()
 		return crl.VerifySignature(issuer)
 	})
+}
+
+// eeSignatureError is a signed object's verdict when its envelope signature
+// holds and its EE certificate's signature by the issuer does not.
+type eeSignatureError struct{ err error }
+
+func (e eeSignatureError) Error() string { return e.err.Error() }
+
+// CheckSigned is the verdict on a signed object whose SHA-256 is digest,
+// under issuer: verify, its CMS envelope signature by ee's key, and then
+// ee.Cert.CheckSignatureFrom(issuer.Cert), memoized as one. It returns the
+// two parts apart, because they fail at different steps: envelope fails the
+// object's parse, eeSig its chain validation (ValidateIssued). eeSig is nil
+// when envelope is not, as the EE is not checked then.
+func (c *VerifyCache) CheckSigned(digest [32]byte, issuer, ee *ResourceCert, verify func() error) (envelope, eeSig error) {
+	err := c.Memoize(digest, issuer, func() error {
+		c.count()
+		if err := verify(); err != nil {
+			return err
+		}
+		c.count()
+		if err := ee.Cert.CheckSignatureFrom(issuer.Cert); err != nil {
+			return eeSignatureError{err}
+		}
+		return nil
+	})
+	if e, ok := err.(eeSignatureError); ok {
+		return nil, e.err
+	}
+	return err, nil
+}
+
+// count records one signature verified on a miss.
+func (c *VerifyCache) count() {
+	if c != nil {
+		c.verified.Add(1)
+	}
 }
 
 // Len returns the number of verdicts looked up through c so far.
@@ -170,4 +210,14 @@ func (c *VerifyCache) Stats() (hits, misses uint64) {
 		return 0, 0
 	}
 	return c.hits.Load(), c.misses.Load()
+}
+
+// Verified returns the number of signatures the misses through c checked:
+// one per certificate or CRL miss, two per signed-object miss whose
+// envelope signature held, one per one whose envelope signature failed.
+func (c *VerifyCache) Verified() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.verified.Load()
 }

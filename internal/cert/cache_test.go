@@ -2,6 +2,7 @@ package cert
 
 import (
 	"crypto/sha256"
+	"errors"
 	"math/big"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ func TestVerifyCacheMemoizesChildSignature(t *testing.T) {
 
 	c := NewVerifyCache(Verdicts{})
 	for i := 0; i < 3; i++ {
-		if err := c.CheckChildSignature(ta, child); err != nil {
+		if err := c.CheckChildSignature(ta, child, sha256.Sum256(child.Raw)); err != nil {
 			t.Fatalf("pass %d: %v", i, err)
 		}
 	}
@@ -31,14 +32,14 @@ func TestVerifyCacheCachesFailures(t *testing.T) {
 	child, _ := issueChild(t, ta, taKey, "child", "10.1.0.0/16", 2, false)
 
 	c := NewVerifyCache(Verdicts{})
-	if err := c.CheckChildSignature(other, child); err == nil {
+	if err := c.CheckChildSignature(other, child, sha256.Sum256(child.Raw)); err == nil {
 		t.Fatal("signature from wrong issuer verified")
 	}
-	if err := c.CheckChildSignature(other, child); err == nil {
+	if err := c.CheckChildSignature(other, child, sha256.Sum256(child.Raw)); err == nil {
 		t.Fatal("cached verdict dropped the failure")
 	}
 	// The genuine issuer is a distinct cache key and must still succeed.
-	if err := c.CheckChildSignature(ta, child); err != nil {
+	if err := c.CheckChildSignature(ta, child, sha256.Sum256(child.Raw)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -116,7 +117,7 @@ func TestVerifyCacheCarriesOnlyUsedVerdicts(t *testing.T) {
 
 	first := NewVerifyCache(Verdicts{})
 	for _, c := range []*ResourceCert{kept, dropped} {
-		if err := first.CheckChildSignature(ta, c); err != nil {
+		if err := first.CheckChildSignature(ta, c, sha256.Sum256(c.Raw)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +133,7 @@ func TestVerifyCacheCarriesOnlyUsedVerdicts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := second.CheckChildSignature(ta, fresh); err != nil {
+	if err := second.CheckChildSignature(ta, fresh, sha256.Sum256(fresh.Raw)); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := second.Stats(); hits != 1 || misses != 1 {
@@ -150,7 +151,7 @@ func TestVerifyCacheNilSafe(t *testing.T) {
 	ta, taKey := newTestTA(t, "10.0.0.0/8")
 	child, _ := issueChild(t, ta, taKey, "child", "10.1.0.0/16", 2, false)
 	var c *VerifyCache
-	if err := c.CheckChildSignature(ta, child); err != nil {
+	if err := c.CheckChildSignature(ta, child, sha256.Sum256(child.Raw)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 0 {
@@ -158,5 +159,48 @@ func TestVerifyCacheNilSafe(t *testing.T) {
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("nil cache stats %d/%d", hits, misses)
+	}
+}
+
+// TestVerifyCacheCheckSigned: a signed object's one verdict covers its
+// envelope and its EE's signature by the issuer. A miss checks both (two
+// verifications), a hit neither; a failed envelope is returned as the
+// envelope part and skips the EE check, a bad EE signature comes back as
+// the EE part; and a nil cache checks the same way.
+func TestVerifyCacheCheckSigned(t *testing.T) {
+	ta, taKey := newTestTA(t, "10.0.0.0/8")
+	other, otherKey := newTestTA(t, "10.0.0.0/8")
+	ee, _ := issueChild(t, ta, taKey, "ee", "10.1.0.0/16", 2, false)
+	rogue, _ := issueChild(t, other, otherKey, "rogue", "10.1.0.0/16", 2, false)
+	errEnvelope := errors.New("envelope")
+	ok := func() error { return nil }
+	bad := func() error { return errEnvelope }
+
+	c := NewVerifyCache(Verdicts{})
+	for i := 0; i < 2; i++ {
+		if env, eeSig := c.CheckSigned(sha256.Sum256([]byte("good")), ta, ee, ok); env != nil || eeSig != nil {
+			t.Fatalf("pass %d: good object: %v / %v", i, env, eeSig)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 || c.Verified() != 2 {
+		t.Errorf("hits=%d misses=%d verified=%d, want 1/1/2", hits, misses, c.Verified())
+	}
+	if env, eeSig := c.CheckSigned(sha256.Sum256([]byte("forged")), ta, ee, bad); env != errEnvelope || eeSig != nil {
+		t.Errorf("forged envelope: %v / %v", env, eeSig)
+	}
+	if c.Verified() != 3 {
+		t.Errorf("a failed envelope cost %d verifications, want 1", c.Verified()-2)
+	}
+	for i := 0; i < 2; i++ {
+		if env, eeSig := c.CheckSigned(sha256.Sum256([]byte("rogue")), ta, rogue, ok); env != nil || eeSig == nil {
+			t.Errorf("pass %d: EE signed by another key: %v / %v", i, env, eeSig)
+		}
+	}
+	if c.Len() != 3 {
+		t.Errorf("Len = %d, want one verdict per object", c.Len())
+	}
+	var none *VerifyCache
+	if env, eeSig := none.CheckSigned([32]byte{}, ta, rogue, ok); env != nil || eeSig == nil {
+		t.Errorf("nil cache: %v / %v", env, eeSig)
 	}
 }

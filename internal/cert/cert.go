@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -190,11 +191,17 @@ func IssueForKey(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, subjec
 
 // Parse decodes a DER resource certificate and extracts its RPKI
 // extensions. Certificates without an IPAddrBlocks extension are rejected:
-// every RPKI certificate certifies resources.
+// every RPKI certificate certifies resources. So is one whose subject key
+// identifier is not the identifier of its own key: signature verdicts are
+// keyed by the issuer's identifier, so an identifier carried over to a new
+// key would answer for signatures the new key never made.
 func Parse(der []byte) (*ResourceCert, error) {
 	x, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, fmt.Errorf("cert: parsing certificate: %w", err)
+	}
+	if !bytes.Equal(x.SubjectKeyId, skiForSPKI(x.RawSubjectPublicKeyInfo)) {
+		return nil, fmt.Errorf("cert: %q subject key identifier %x does not identify its key", x.Subject.CommonName, x.SubjectKeyId)
 	}
 	rc := &ResourceCert{Raw: der, Cert: x, skiKey: string(x.SubjectKeyId)}
 	var sawIP bool

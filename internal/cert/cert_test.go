@@ -1,6 +1,9 @@
 package cert
 
 import (
+	"bytes"
+	"crypto/rand"
+	"crypto/x509"
 	"math/big"
 	"strings"
 	"testing"
@@ -349,5 +352,39 @@ func TestEffectiveResourcesMixedInherit(t *testing.T) {
 	eff := EffectiveResources(rc, ipres.MustParseSet("63.0.0.0/8, 2001:db8::/32"))
 	if !eff.Equal(ipres.MustParseSet("63.1.0.0/16")) {
 		t.Errorf("effective = %v", eff)
+	}
+}
+
+// TestParseRejectsForeignSubjectKeyID: a certificate whose subject key
+// identifier is not the SHA-1 of its own subjectPublicKeyInfo is refused —
+// verdicts are keyed by that identifier, so one carried over to a new key
+// would vouch for signatures the new key never made. Every identifier Issue
+// writes is the one Parse recomputes.
+func TestParseRejectsForeignSubjectKeyID(t *testing.T) {
+	ta, taKey := newTestTA(t, "63.0.0.0/8")
+	child, childKey := issueChild(t, ta, taKey, "child", "63.1.0.0/16", 2, true)
+	if !bytes.Equal(child.Cert.SubjectKeyId, skiForSPKI(child.Cert.RawSubjectPublicKeyInfo)) ||
+		!bytes.Equal(child.Cert.SubjectKeyId, childKey.SKI()) {
+		t.Fatal("Issue wrote an identifier Parse does not recompute")
+	}
+
+	// The parent reissues the child for a new key under the old identifier.
+	tmpl := *child.Cert
+	tmpl.SerialNumber = big.NewInt(3)
+	tmpl.ExtraExtensions = child.Cert.Extensions // the SKI extension included
+	newKey := MustGenerateKeyPair()
+	der, err := x509.CreateCertificate(rand.Reader, &tmpl, ta.Cert, newKey.Public(), taKey.Private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(x.SubjectKeyId, child.Cert.SubjectKeyId) {
+		t.Fatal("the reissue did not keep the old identifier")
+	}
+	if _, err := Parse(der); err == nil || !strings.Contains(err.Error(), "subject key identifier") {
+		t.Fatalf("a certificate naming another key's identifier parsed: %v", err)
 	}
 }

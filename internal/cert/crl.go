@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"crypto/sha256"
 	"crypto/x509"
 	"fmt"
 	"math/big"
@@ -16,6 +17,8 @@ type CRL struct {
 	Raw []byte
 	// List is the parsed revocation list.
 	List *x509.RevocationList
+	// digest is SHA-256 of Raw: the key of the CRL's signature verdict.
+	digest [32]byte
 }
 
 // IssueCRL creates and signs a CRL listing the given revoked serial numbers.
@@ -43,11 +46,17 @@ func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []
 
 // ParseCRL decodes a DER-encoded CRL.
 func ParseCRL(der []byte) (*CRL, error) {
+	return ParseHashedCRL(der, sha256.Sum256(der))
+}
+
+// ParseHashedCRL is ParseCRL for a caller that has already hashed der:
+// digest must be its SHA-256.
+func ParseHashedCRL(der []byte, digest [32]byte) (*CRL, error) {
 	list, err := x509.ParseRevocationList(der)
 	if err != nil {
 		return nil, fmt.Errorf("cert: parsing CRL: %w", err)
 	}
-	return &CRL{Raw: der, List: list}, nil
+	return &CRL{Raw: der, List: list, digest: digest}, nil
 }
 
 // VerifySignature checks that the CRL was signed by issuer.

@@ -104,6 +104,13 @@ func skiForPublicKey(pub *ecdsa.PublicKey) []byte {
 	if err != nil {
 		return nil
 	}
+	return skiForSPKI(spki)
+}
+
+// skiForSPKI is the subject key identifier of a DER subjectPublicKeyInfo.
+// RFC 6487 §4.8.2 hashes only the key's BIT STRING; every identifier this
+// repository issues and accepts hashes the whole SPKI instead.
+func skiForSPKI(spki []byte) []byte {
 	sum := sha1.Sum(spki)
 	return sum[:]
 }

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -70,11 +71,26 @@ func EffectiveResources(rc *ResourceCert, issuerEffective ipres.Set) ipres.Set {
 // with a shrunken resource set, every descendant object whose resources fall
 // outside the new set fails exactly this check.
 func ValidateChild(issuer *ResourceCert, issuerEffective ipres.Set, child *ResourceCert, ctx ValidationContext) (ipres.Set, error) {
+	var sig error
+	if ctx.Cache == nil { // only a cache needs the digest
+		sig = child.Cert.CheckSignatureFrom(issuer.Cert)
+	} else {
+		sig = ctx.Cache.CheckChildSignature(issuer, child, sha256.Sum256(child.Raw))
+	}
+	return ValidateIssued(issuer, issuerEffective, child, sig, ctx)
+}
+
+// ValidateIssued is ValidateChild with the signature check done by the
+// caller: sig is the outcome of checking child's signature by issuer — a
+// verdict from ctx.Cache, or the EE part of a signed object's verdict
+// (VerifyCache.CheckSigned). Every other check runs here, in ValidateChild's
+// order, and on every call.
+func ValidateIssued(issuer *ResourceCert, issuerEffective ipres.Set, child *ResourceCert, sig error, ctx ValidationContext) (ipres.Set, error) {
 	if !issuer.IsCA() {
 		return ipres.Set{}, fmt.Errorf("%w: %q", ErrNotCA, issuer.Subject())
 	}
-	if err := ctx.Cache.CheckChildSignature(issuer, child); err != nil {
-		return ipres.Set{}, fmt.Errorf("%w: %q: %v", ErrBadSignature, child.Subject(), err)
+	if sig != nil {
+		return ipres.Set{}, fmt.Errorf("%w: %q: %v", ErrBadSignature, child.Subject(), sig)
 	}
 	if ctx.Now.Before(child.Cert.NotBefore) {
 		return ipres.Set{}, fmt.Errorf("%w: %q (notBefore %v)", ErrNotYetValid, child.Subject(), child.Cert.NotBefore)

@@ -188,12 +188,36 @@ func Sign(contentType asn1.ObjectIdentifier, content []byte, ee *cert.ResourceCe
 	return ciDER, nil
 }
 
+// A SignatureCheck decides whether an envelope's signature holds. ee is the
+// embedded EE certificate and verify the ECDSA check of the signer's
+// signature by ee's key. ParseWith calls the check at most once, and only
+// once every structural check has passed; it returns no object unless the
+// check returns nil. A check may answer from an earlier verdict on the same
+// bytes instead of calling verify.
+type SignatureCheck func(ee *cert.ResourceCert, verify func() error) error
+
+// Verify is the SignatureCheck Parse uses: it runs verify.
+func Verify(_ *cert.ResourceCert, verify func() error) error { return verify() }
+
 // Parse decodes a CMS envelope and verifies its signature against the
 // embedded EE certificate. It does NOT validate the EE certificate's chain;
 // that is the relying party's job.
 func Parse(der []byte) (*SignedObject, error) {
 	if len(der) > MaxObjectSize {
-		return nil, fmt.Errorf("cms: object %d bytes exceeds limit %d", len(der), MaxObjectSize)
+		return nil, errTooLarge(len(der))
+	}
+	return ParseWith(der, Verify)
+}
+
+func errTooLarge(n int) error {
+	return fmt.Errorf("cms: object %d bytes exceeds limit %d", n, MaxObjectSize)
+}
+
+// ParseWith is Parse with check deciding the signature: a relying party
+// passes one that answers from its verdict cache.
+func ParseWith(der []byte, check SignatureCheck) (*SignedObject, error) {
+	if len(der) > MaxObjectSize {
+		return nil, errTooLarge(len(der))
 	}
 	var ci contentInfoSeq
 	rest, err := asn1.Unmarshal(der, &ci)
@@ -271,13 +295,19 @@ func Parse(der []byte) (*SignedObject, error) {
 	}
 
 	// Verify the signature over the explicit SET OF encoding of the attrs.
-	attrDigest := hashExplicitSetOf(si.SignedAttrs.Bytes)
 	pub, ok := ee.Cert.PublicKey.(*ecdsa.PublicKey)
 	if !ok {
 		return nil, fmt.Errorf("cms: EE key is not ECDSA")
 	}
-	if !ecdsa.VerifyASN1(pub, attrDigest[:], si.Signature) {
-		return nil, fmt.Errorf("cms: signature verification failed")
+	signedAttrs, signature := si.SignedAttrs.Bytes, si.Signature
+	if err := check(ee, func() error {
+		attrDigest := hashExplicitSetOf(signedAttrs)
+		if !ecdsa.VerifyASN1(pub, attrDigest[:], signature) {
+			return fmt.Errorf("cms: signature verification failed")
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	return &SignedObject{
@@ -291,9 +321,9 @@ func Parse(der []byte) (*SignedObject, error) {
 // hashExplicitSetOf computes SHA-256 over the explicit DER SET OF encoding
 // (tag 0x31, definite length, content) of an implicitly tagged attribute
 // set, without re-marshaling through encoding/asn1. This runs once per
-// signed-object parse — the relying party's hot path — so the header is
-// written by hand on the stack and hashed ahead of the content instead of
-// copying the attributes behind it.
+// envelope signature verified — the relying party's hot path — so the
+// header is written by hand on the stack and hashed ahead of the content
+// instead of copying the attributes behind it.
 func hashExplicitSetOf(content []byte) [32]byte {
 	var buf [5]byte
 	hdr := append(buf[:0], 0x31)

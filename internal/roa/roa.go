@@ -247,9 +247,22 @@ type Signed struct {
 // resolved later during path validation).
 func ParseSigned(der []byte) (*Signed, error) {
 	if len(der) > cms.MaxObjectSize {
-		return nil, fmt.Errorf("roa: object %d bytes exceeds limit %d", len(der), cms.MaxObjectSize)
+		return nil, errTooLarge(len(der))
 	}
-	obj, err := cms.Parse(der)
+	return ParseSignedWith(der, cms.Verify)
+}
+
+func errTooLarge(n int) error {
+	return fmt.Errorf("roa: object %d bytes exceeds limit %d", n, cms.MaxObjectSize)
+}
+
+// ParseSignedWith is ParseSigned with check deciding the envelope's
+// signature (see cms.ParseWith).
+func ParseSignedWith(der []byte, check cms.SignatureCheck) (*Signed, error) {
+	if len(der) > cms.MaxObjectSize {
+		return nil, errTooLarge(len(der))
+	}
+	obj, err := cms.ParseWith(der, check)
 	if err != nil {
 		return nil, err
 	}

@@ -11,3 +11,16 @@ func VerdictCount(v *RelyingParty) int {
 	}
 	return n
 }
+
+// Verifications returns the ECDSA verifications r's verdict misses ran.
+func Verifications(r *Result) int { return r.verifications }
+
+// PointVerdicts returns the signature verdicts v retains for module.
+func PointVerdicts(v *RelyingParty, module string) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if p := v.points[module]; p != nil {
+		return p.verdicts.Len()
+	}
+	return 0
+}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -221,5 +222,46 @@ func TestWarmUnchangedSyncAllocations(t *testing.T) {
 	t.Logf("warm unchanged sync: %.0f allocations", allocs)
 	if allocs > budget {
 		t.Errorf("warm unchanged sync: %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// TestColdSyncVerifications: a cold sync of the benchmark's 721-point world
+// verifies each signature once — two ECDSA verifications per manifest and
+// ROA (envelope, then EE certificate), one per CA certificate and CRL:
+// 5,483 for seed 1 — and takes one verdict per object, so every point holds
+// exactly as many verdicts as it has objects (the anchor's own
+// certificate, republished in its point, is skipped unverified).
+func TestColdSyncVerifications(t *testing.T) {
+	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: 2}, w.Anchor())
+	res := syncOnce(t, v)
+	verifications, objects := 0, 0
+	for module, store := range w.Stores {
+		held := 0
+		for name := range store.Snapshot() {
+			switch {
+			case strings.HasSuffix(name, ".mft"), strings.HasSuffix(name, ".roa"):
+				verifications += 2
+			case name == w.TA.CertFileName():
+				continue
+			default:
+				verifications++
+			}
+			held++
+		}
+		objects += held
+		if got := rp.PointVerdicts(v, module); got != held {
+			t.Errorf("%s holds %d verdicts for %d objects", module, got, held)
+		}
+	}
+	t.Logf("cold sync: %d verifications, %d verdict misses, %d objects", rp.Verifications(res), res.VerifyCacheMisses, objects)
+	if got := rp.Verifications(res); got != verifications {
+		t.Errorf("cold sync ran %d verifications, want %d", got, verifications)
+	}
+	if res.VerifyCacheMisses != objects {
+		t.Errorf("cold sync missed %d verdicts, want one per object (%d)", res.VerifyCacheMisses, objects)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/cms"
 	"repro/internal/ipres"
 	"repro/internal/manifest"
 	"repro/internal/obs"
@@ -292,12 +293,16 @@ type Result struct {
 	// relying party runs in incremental mode (zero otherwise).
 	ObjectsDownloaded, ObjectsReused int
 	// VerifyCacheHits and VerifyCacheMisses count signature-verdict lookups
-	// during this sync: a miss is a chain or CRL signature actually
-	// verified, a hit one answered from an earlier verdict on the same bytes
-	// within the same validation or kept from the point's previous one.
-	// Exact at any worker count. A sync that reuses every module does no
-	// lookups at all.
+	// during this sync, one verdict per object: a miss is an object's
+	// signatures actually verified — one ECDSA verification for a
+	// certificate or CRL, two for a signed object (its CMS envelope, then
+	// its EE certificate) — and a hit an object answered from an earlier
+	// verdict on the same bytes within the same validation or kept from the
+	// point's previous one. Exact at any worker count. A sync that reuses
+	// every module does no lookups at all.
 	VerifyCacheHits, VerifyCacheMisses int
+	// verifications counts the ECDSA verifications the misses ran.
+	verifications int
 	// Retries, BreakerTrips and BreakerFastFails count the fetcher's
 	// resilience events during this sync (zero unless the Fetcher reports
 	// degradation stats — *repo.Client does). Exact, so degradation is
@@ -685,30 +690,47 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		}
 	}
 
-	// Locate and validate the manifest named by the authority's SIA.
+	// Locate the manifest named by the authority's SIA and take its verdict.
 	mftName := manifestName(issuer, uri)
-	var mft *manifest.Manifest
+	var signedMft *manifest.Signed
+	var mftEESig error
 	if raw, ok := files[mftName]; ok {
 		st.run(func() {
-			signed, err := manifest.ParseSigned(raw)
+			var err error
+			signedMft, err = manifest.ParseSignedWith(raw, mb.signedCheck(mb.hashes[mftName], issuer, &mftEESig))
 			if err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
-			} else if _, err := cert.ValidateChild(issuer, effective, signed.EE, mb.vctx(now, nil)); err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
-			} else {
-				mft = signed.Manifest
-				mb.observeCert(signed.EE)
-				mb.observeNotAfter(mft.NextUpdate)
-				if mft.Stale(now) {
-					mb.diag(st, DiagStaleManifest, uri.Module, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
-					if st.rp.cfg.RequireFreshManifest {
-						mft = nil
-					}
-				}
 			}
 		})
 	} else {
 		mb.diag(st, DiagMissingManifest, uri.Module, mftName, fmt.Errorf("manifest absent"))
+	}
+
+	// The manifest and the CRL vouch for each other: a manifest whose
+	// signatures hold names the CRL, and that CRL then judges the manifest's
+	// EE like any other.
+	var listing *manifest.Manifest
+	if signedMft != nil && mftEESig == nil {
+		listing = signedMft.Manifest
+	}
+	crl := st.loadCRL(mb, issuer, uri, files, names, listing)
+	var mft *manifest.Manifest
+	if signedMft != nil {
+		st.run(func() {
+			if _, err := cert.ValidateIssued(issuer, effective, signedMft.EE, mftEESig, mb.vctx(now, crl)); err != nil {
+				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
+				return
+			}
+			mft = signedMft.Manifest
+			mb.observeCert(signedMft.EE)
+			mb.observeNotAfter(mft.NextUpdate)
+			if mft.Stale(now) {
+				mb.diag(st, DiagStaleManifest, uri.Module, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
+				if st.rp.cfg.RequireFreshManifest {
+					mft = nil
+				}
+			}
+		})
 	}
 	if mft == nil && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("no usable manifest"))
@@ -742,33 +764,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		return
 	}
 
-	// Load the CRL (best effort; nil CRL skips revocation checks). Sorted
-	// iteration makes the winner deterministic when several CRLs validate.
-	var crl *cert.CRL
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".crl") {
-			continue
-		}
-		raw := files[name]
-		st.run(func() {
-			parsed, err := cert.ParseCRL(raw)
-			if err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
-				return
-			}
-			if err := mb.sigs.VerifyCRL(issuer, parsed); err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
-				return
-			}
-			crl = parsed
-		})
-	}
-	if crl != nil {
-		// The winning CRL bounds the reuse epoch: past its nextUpdate a
-		// re-validation would flag it stale, so the cached verdicts expire.
-		mb.observeNotAfter(crl.List.NextUpdate)
-	}
-
 	// Validate ROAs and recurse into child certificates. Every object is
 	// an independent task on the worker pool; a validated child CA starts
 	// its own publication-point walk immediately.
@@ -793,6 +788,57 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		mb.wg.Wait()
 		st.commitModule(uri, auth.der, effective, mb, files)
 	})
+}
+
+// loadCRL picks the point's CRL (nil skips revocation checks, best effort).
+// With listing, the manifest whose signatures hold, a candidate is a .crl
+// it lists with a matching digest: an unlisted or altered one is never
+// trusted, whatever its signature (the cross-check and admission diagnose
+// it). With no such manifest every .crl served is a candidate. Of the
+// candidates whose signature by issuer holds, the last in name order wins,
+// so the choice is deterministic when several do.
+func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri repo.URI, files map[string][]byte, names []string, listing *manifest.Manifest) *cert.CRL {
+	var crl *cert.CRL
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".crl") {
+			continue
+		}
+		hash := mb.hashes[name]
+		if listing != nil && listing.VerifyHash(name, hash) != nil {
+			continue
+		}
+		raw := files[name]
+		st.run(func() {
+			parsed, err := cert.ParseHashedCRL(raw, hash)
+			if err != nil {
+				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+				return
+			}
+			if err := mb.sigs.VerifyCRL(issuer, parsed); err != nil {
+				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+				return
+			}
+			crl = parsed
+		})
+	}
+	if crl != nil {
+		// The winning CRL bounds the reuse epoch: past its nextUpdate a
+		// re-validation would flag it stale, so the cached verdicts expire.
+		mb.observeNotAfter(crl.List.NextUpdate)
+	}
+	return crl
+}
+
+// signedCheck is the signature check a signed object's parse runs under
+// issuer: the object's one verdict, keyed by hash, covering its envelope
+// signature and its EE certificate's signature by issuer. The envelope part
+// decides the parse; the EE part lands in *eeSig for the chain step.
+func (mb *moduleBuild) signedCheck(hash [32]byte, issuer *cert.ResourceCert, eeSig *error) cms.SignatureCheck {
+	return func(ee *cert.ResourceCert, verify func() error) error {
+		var envelope error
+		envelope, *eeSig = mb.sigs.CheckSigned(hash, issuer, ee, verify)
+		return envelope
+	}
 }
 
 // hashObjects hashes every fetched object exactly once, in parallel chunks,
@@ -881,6 +927,7 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	st.res.VRPs = append(st.res.VRPs, mb.vrps...)
 	st.res.VerifyCacheHits += int(hits)
 	st.res.VerifyCacheMisses += int(misses)
+	st.res.verifications += int(mb.sigs.Verified())
 	st.mu.Unlock()
 	st.rp.keepVerdicts(uri.Module, mb.sigs.Verdicts())
 	if !mb.memoizable {
@@ -948,12 +995,13 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 	ctxV := mb.vctx(now, crl)
 	switch {
 	case strings.HasSuffix(name, ".roa"):
-		signed, err := roa.ParseSigned(raw)
+		var eeSig error
+		signed, err := roa.ParseSignedWith(raw, mb.signedCheck(hash, issuer, &eeSig))
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
 		}
-		if _, err := cert.ValidateChild(issuer, effective, signed.EE, ctxV); err != nil {
+		if _, err := cert.ValidateIssued(issuer, effective, signed.EE, eeSig, ctxV); err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
 		}
@@ -973,7 +1021,7 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 			string(child.Cert.SubjectKeyId) == string(issuer.Cert.SubjectKeyId) {
 			return // the authority's own certificate republished
 		}
-		childEffective, err := cert.ValidateChild(issuer, effective, child, ctxV)
+		childEffective, err := cert.ValidateIssued(issuer, effective, child, mb.sigs.CheckChildSignature(issuer, child, hash), ctxV)
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
