@@ -8,8 +8,8 @@
 //	rpki-rp -tal arin.tal -server 127.0.0.1:8873 [-poll 30s] [-rtr 127.0.0.1:8282] [-policy best-effort|drop-pubpoint] [-workers N]
 //	        [-max-retries N] [-request-timeout D] [-stale-ttl D] [-breaker-threshold N] [-breaker-cooldown D]
 //	        [-ops-listen 127.0.0.1:9090] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	        [-rtr-max-clients N] [-rtr-send-queue N] [-rtr-write-timeout D] [-rtr-replication-listen addr]
-//	rpki-rp -rtr-replica-of primary:8283 -rtr 127.0.0.1:8282   (stateless RTR frontend, no TAL, no validation)
+//	        [-rtr-max-clients N] [-rtr-send-queue N] [-rtr-write-timeout D]
+//	rpki-rp -rtr-replica-of primary:8282 -rtr 127.0.0.1:8282   (stateless RTR frontend, no TAL, no validation)
 //
 // With -poll the daemon re-syncs on the given interval. Steady-state polls
 // are incremental: object snapshots are cached so unchanged objects are
@@ -30,12 +30,11 @@
 // -rtr-max-clients caps concurrent RTR connections, -rtr-send-queue bounds
 // each connection's response queue, and -rtr-write-timeout is the stall
 // deadline after which a slow consumer is evicted with a graceful Error
-// PDU. With -rtr-replication-listen the daemon additionally streams its
-// validated cache (snapshot + serial-numbered deltas) to replica
-// frontends; with -rtr-replica-of the daemon is such a frontend — it skips
-// the TAL and validation entirely and serves RTR from a cache mirrored off
-// the primary, byte-identical down to the session ID so routers can resume
-// sessions against any frontend.
+// PDU. With -rtr-replica-of the daemon is a stateless frontend: it skips
+// the TAL and validation entirely, follows the primary's -rtr address as an
+// RTR client, and serves RTR from a cache mirrored off it, byte-identical
+// down to the session ID so routers can resume sessions against any
+// frontend.
 //
 // With -ops-listen the daemon serves an operator HTTP surface: /metrics
 // (Prometheus text format), /healthz, /readyz (200 once a clean or
@@ -82,8 +81,7 @@ func main() {
 	rtrMaxClients := flag.Int("rtr-max-clients", 0, "max concurrent RTR connections; over-cap connections get an Error PDU (0: unlimited)")
 	rtrSendQueue := flag.Int("rtr-send-queue", 32, "per-RTR-connection response-queue capacity; a client that fills it is evicted")
 	rtrWriteTimeout := flag.Duration("rtr-write-timeout", 30*time.Second, "RTR write-stall deadline; a slow consumer exceeding it is evicted")
-	rtrReplicaOf := flag.String("rtr-replica-of", "", "follow this primary's replication stream and serve RTR from the mirrored cache (no TAL, no validation)")
-	rtrReplicationListen := flag.String("rtr-replication-listen", "", "stream the validated cache (snapshot + deltas) to replica frontends on this address (empty: disabled)")
+	rtrReplicaOf := flag.String("rtr-replica-of", "", "follow the primary's RTR server at this address and serve RTR from the mirrored cache (no TAL, no validation)")
 	flag.Parse()
 	// All flag validation happens up front, before the TAL is touched or
 	// any socket is opened, so a misconfigured daemon dies with a usage
@@ -91,7 +89,7 @@ func main() {
 	if err := validateFlags(*maxRetries, *requestTimeout, *breakerThreshold, *breakerCooldown); err != nil {
 		fatal(err)
 	}
-	if err := validateRTRFlags(*rtrAddr, *rtrMaxClients, *rtrSendQueue, *rtrWriteTimeout, *rtrReplicaOf, *rtrReplicationListen); err != nil {
+	if err := validateRTRFlags(*rtrAddr, *rtrMaxClients, *rtrSendQueue, *rtrWriteTimeout, *rtrReplicaOf); err != nil {
 		fatal(err)
 	}
 	// File profiles and /debug/pprof share the helper in internal/obs; files
@@ -209,31 +207,20 @@ func main() {
 	}
 
 	var updateCache func(*rp.Result)
-	if *rtrAddr != "" || *rtrReplicationListen != "" {
+	if *rtrAddr != "" {
 		cache := rtr.NewCache(uint16(os.Getpid())) //nolint:gosec // session id only
 		cache.SetVRPs(result.VRPs)
 		cache.Instrument(hub)
-		if *rtrAddr != "" {
-			srv := rtr.NewServer(cache)
-			srv.MaxClients = *rtrMaxClients
-			srv.SendQueue = *rtrSendQueue
-			srv.WriteTimeout = *rtrWriteTimeout
-			bound, err := srv.Listen(*rtrAddr)
-			if err != nil {
-				fatal(err)
-			}
-			defer func() { _ = srv.Close() }()
-			fmt.Printf("RTR server on %s (serial %d)\n", bound, cache.Serial())
+		srv := rtr.NewServer(cache)
+		srv.MaxClients = *rtrMaxClients
+		srv.SendQueue = *rtrSendQueue
+		srv.WriteTimeout = *rtrWriteTimeout
+		bound, err := srv.Listen(*rtrAddr)
+		if err != nil {
+			fatal(err)
 		}
-		if *rtrReplicationListen != "" {
-			rs := rtr.NewReplicationServer(cache)
-			bound, err := rs.Listen(*rtrReplicationListen)
-			if err != nil {
-				fatal(err)
-			}
-			defer func() { _ = rs.Close() }()
-			fmt.Printf("replication stream on %s\n", bound)
-		}
+		defer func() { _ = srv.Close() }()
+		fmt.Printf("RTR server on %s (serial %d)\n", bound, cache.Serial())
 		updateCache = func(r *rp.Result) { cache.SetVRPs(r.VRPs) }
 	}
 
@@ -284,7 +271,7 @@ func validateFlags(maxRetries int, requestTimeout time.Duration, breakerThreshol
 // non-positive write timeout would each disable a slow-consumer defense the
 // operator asked for; a replica with no RTR listener would follow a primary
 // to no purpose.
-func validateRTRFlags(rtrAddr string, maxClients, sendQueue int, writeTimeout time.Duration, replicaOf, replicationListen string) error {
+func validateRTRFlags(rtrAddr string, maxClients, sendQueue int, writeTimeout time.Duration, replicaOf string) error {
 	if maxClients < 0 {
 		return fmt.Errorf("-rtr-max-clients must be >= 0, got %d", maxClients)
 	}
@@ -294,20 +281,15 @@ func validateRTRFlags(rtrAddr string, maxClients, sendQueue int, writeTimeout ti
 	if writeTimeout <= 0 {
 		return fmt.Errorf("-rtr-write-timeout must be positive, got %v", writeTimeout)
 	}
-	if replicaOf != "" {
-		if rtrAddr == "" {
-			return fmt.Errorf("-rtr-replica-of requires -rtr: a replica exists to serve routers")
-		}
-		if replicationListen != "" {
-			return fmt.Errorf("-rtr-replica-of and -rtr-replication-listen are mutually exclusive: a frontend mirrors, a primary streams")
-		}
+	if replicaOf != "" && rtrAddr == "" {
+		return fmt.Errorf("-rtr-replica-of requires -rtr: a replica exists to serve routers")
 	}
 	return nil
 }
 
 // runReplica is the stateless-frontend main loop: mirror the primary's
-// cache over the replication stream and serve RTR from it, reconnecting
-// (and resuming from the mirrored serial) until interrupted.
+// cache as an RTR client of its -rtr address and serve RTR from it,
+// reconnecting (and resuming from the mirrored serial) until interrupted.
 func runReplica(primary, rtrAddr, opsListen string, maxClients, sendQueue int, writeTimeout time.Duration) {
 	cache := rtr.NewCache(0) // the first snapshot adopts the primary's session
 	rep := rtr.NewReplica(primary, cache)

@@ -11,35 +11,30 @@ import (
 // operator can fix the invocation.
 func TestValidateRTRFlags(t *testing.T) {
 	cases := []struct {
-		name              string
-		rtrAddr           string
-		maxClients        int
-		sendQueue         int
-		writeTimeout      time.Duration
-		replicaOf         string
-		replicationListen string
-		wantErr           string // empty: must pass
+		name         string
+		rtrAddr      string
+		maxClients   int
+		sendQueue    int
+		writeTimeout time.Duration
+		replicaOf    string
+		wantErr      string // empty: must pass
 	}{
 		{name: "defaults", sendQueue: 32, writeTimeout: 30 * time.Second},
 		{name: "full primary", rtrAddr: ":8282", maxClients: 10000, sendQueue: 64,
-			writeTimeout: 10 * time.Second, replicationListen: ":8283"},
+			writeTimeout: 10 * time.Second},
 		{name: "replica", rtrAddr: ":8282", sendQueue: 32, writeTimeout: 30 * time.Second,
-			replicaOf: "primary:8283"},
+			replicaOf: "primary:8282"},
 		{name: "negative max clients", maxClients: -1, sendQueue: 32,
 			writeTimeout: 30 * time.Second, wantErr: "-rtr-max-clients"},
 		{name: "zero send queue", sendQueue: 0, writeTimeout: 30 * time.Second,
 			wantErr: "-rtr-send-queue"},
 		{name: "zero write timeout", sendQueue: 32, wantErr: "-rtr-write-timeout"},
 		{name: "replica without rtr listener", sendQueue: 32, writeTimeout: 30 * time.Second,
-			replicaOf: "primary:8283", wantErr: "-rtr-replica-of requires -rtr"},
-		{name: "replica and primary at once", rtrAddr: ":8282", sendQueue: 32,
-			writeTimeout: 30 * time.Second, replicaOf: "primary:8283",
-			replicationListen: ":8284", wantErr: "mutually exclusive"},
+			replicaOf: "primary:8282", wantErr: "-rtr-replica-of requires -rtr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateRTRFlags(tc.rtrAddr, tc.maxClients, tc.sendQueue, tc.writeTimeout,
-				tc.replicaOf, tc.replicationListen)
+			err := validateRTRFlags(tc.rtrAddr, tc.maxClients, tc.sendQueue, tc.writeTimeout, tc.replicaOf)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -11,11 +11,13 @@ import (
 	"repro/internal/rov"
 )
 
-// delta records one cache update: the announce/withdraw sets plus their
-// precomputed wire encoding, shared read-only by every connection that
-// replays this delta.
+// delta records one cache update: the serial it starts from, the
+// announce/withdraw sets, and their precomputed wire encoding, shared
+// read-only by every connection that replays this delta. It ends where the
+// next entry starts (the last, at the cache's serial). A primary's entries
+// are one step each; a replica's span whatever its End of Data covered.
 type delta struct {
-	serial    uint32
+	from      uint32
 	announced []rov.VRP
 	withdrawn []rov.VRP
 	// frame is the delta's prefix PDUs (announces then withdraws),
@@ -207,8 +209,8 @@ func (c *Cache) Len() int {
 // serial, and the serialized snapshot (the chunk frames in order, so where
 // the set happens to be cut does not show). Two caches with equal digests
 // serve byte-identical snapshots under the same session and serial; the
-// bench equivalence gate compares a replica frontend against its primary
-// with exactly this.
+// replica tests compare a replica frontend against its primary with exactly
+// this.
 func (c *Cache) StateDigest() [32]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -370,9 +372,9 @@ func diffChunks(chunks []*chunk, in []rov.VRP) (announced, withdrawn []rov.VRP, 
 // it holds chunkVRPs/2 or more (several, cut evenly, if it outgrew one). A
 // shorter run takes in the following chunk as well, share or not, so small
 // chunks cannot accumulate. The cost is the chunks touched plus one pointer
-// per chunk, not the set. This is the one way a chunked set changes: the
-// primary's SetVRPs, a replica's applyDelta and a router's End of Data all
-// end here.
+// per chunk, not the set. This is the one way a chunked set changes: a
+// cache's commit (SetVRPs, or a replica's End of Data) and a router's End of
+// Data both end here.
 //
 // Framed chunks are immutable and the old list stays valid. Unframed chunks
 // belong to a router, which is their only holder: the storage of a chunk
@@ -460,8 +462,8 @@ func (c *Cache) SetVRPs(vrps []rov.VRP) {
 // encodable and owned by the cache. Callers hold c.mu; they must call
 // notifyAll(serial) after unlocking.
 func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint32 {
+	d := delta{from: c.serial, announced: announced, withdrawn: withdrawn, createdAt: time.Now()}
 	c.serial = serial
-	d := delta{serial: serial, announced: announced, withdrawn: withdrawn, createdAt: time.Now()}
 	if met := c.met.Load(); met != nil {
 		met.updates.Inc()
 	}
@@ -476,14 +478,20 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 	return serial
 }
 
-// applySnapshot installs a replicated full state: session and serial are
-// adopted verbatim from the primary (so routers can resume against any
-// frontend), the history is cleared (this cache cannot replay deltas that
-// predate its own snapshot — out-of-window routers get Cache Reset), and
-// subscribers are notified of the new serial.
-func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
-	chunks := appendChunks(nil, normalizeVRPs(vrps), true)
+// applySnapshot is a replica's reload: the set the primary sent, canonical
+// and encodable (a router's End of Data; see reduceOps), becomes the cache's
+// under the primary's session and serial verbatim, so routers can resume
+// against any frontend. The history is cleared: this cache cannot replay
+// deltas that predate its own snapshot, and out-of-window routers get Cache
+// Reset. A reload under the cache's own session that is not ahead of its
+// serial is dropped (ok=false). Subscribers are notified of the new serial.
+func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) bool {
+	chunks := appendChunks(nil, vrps, true)
 	c.mu.Lock()
+	if session == c.session && !serialAhead(serial, c.serial) {
+		c.mu.Unlock()
+		return false
+	}
 	c.session = session
 	c.serial = serial
 	c.chunks = chunks
@@ -491,29 +499,40 @@ func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
 	c.histVRPs, c.histBytes = 0, 0
 	c.mu.Unlock()
 	c.notifyAll(serial)
+	return true
 }
 
-// applyDelta installs one replicated delta, rebuilding only the chunks it
-// falls in. The serial must be exactly the next one (ok=false otherwise —
-// the follower missed a frame and must resynchronize); a serial at or below
-// the current one is a duplicate replay and is ignored (ok=true), which is
-// what makes reconnect replays harmless.
+// applyDelta is a replica's delta: the net effect of a response that
+// brought a router at the cache's base serial to serial, canonical and
+// disjoint (reduceOps). It is committed as one history entry from the
+// cache's current serial to serial — the primary's several steps, if the
+// response spanned several, become one. It keeps only what changes here (an
+// announce of a VRP held, or a withdraw of one not held, is left out), so
+// the entry's frame is exact and no router is sent a duplicate announce or
+// an unknown withdraw. An End of Data not ahead of the cache's serial is
+// dropped (ok=false): an overlapping connection already brought it there.
 func (c *Cache) applyDelta(serial uint32, announced, withdrawn []rov.VRP) bool {
-	announced = normalizeVRPs(announced)
-	withdrawn = normalizeVRPs(withdrawn)
 	c.mu.Lock()
-	switch {
-	case serial <= c.serial && c.serial-serial < 1<<31: // duplicate (serial-arithmetic tolerant)
-		c.mu.Unlock()
-		return true
-	case serial != c.serial+1:
+	if !serialAhead(serial, c.serial) {
 		c.mu.Unlock()
 		return false
 	}
+	announced = slices.DeleteFunc(announced, func(v rov.VRP) bool { return holds(c.chunks, v) })
+	withdrawn = slices.DeleteFunc(withdrawn, func(v rov.VRP) bool { return !holds(c.chunks, v) })
 	c.commitLocked(serial, announced, withdrawn)
 	c.mu.Unlock()
 	c.notifyAll(serial)
 	return true
+}
+
+// holds reports whether the chunked canonical set holds v.
+func holds(chunks []*chunk, v rov.VRP) bool {
+	k, _ := slices.BinarySearchFunc(chunks, v, func(ch *chunk, v rov.VRP) int { return ch.vrps[len(ch.vrps)-1].Compare(v) })
+	if k == len(chunks) {
+		return false
+	}
+	_, ok := slices.BinarySearchFunc(chunks[k].vrps, v, rov.VRP.Compare)
+	return ok
 }
 
 // mergeApply appends (base \ withdrawn) ∪ announced to dst. All three inputs
@@ -571,6 +590,7 @@ func (c *Cache) evictLocked() {
 		d := &c.history[0]
 		c.histVRPs -= d.vrpCount()
 		c.histBytes -= len(d.frame)
+		*d = delta{} // or the backing array keeps the evicted sets and frame alive
 		c.history = c.history[1:]
 	}
 }
@@ -583,9 +603,12 @@ func (c *Cache) snapshot() (chunks []*chunk, serial uint32, session uint16) {
 	return c.chunks, c.serial, c.session
 }
 
-// deltaFrames returns the shared serialized frames of every delta after
-// serial, oldest first, or ok=false if that serial has aged out of the
-// history window. The frames are immutable; callers write them as-is.
+// deltaFrames returns the shared serialized frames of the history entries
+// that run from serial to the current one, oldest first, or ok=false if no
+// entry starts at serial: it aged out of the window, or a replica's entry
+// spans it (a router there must reload; it is never sent a delta computed
+// from a base it does not hold). The frames are immutable; callers write
+// them as-is.
 func (c *Cache) deltaFrames(serial uint32) (frames [][]byte, current uint32, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -595,7 +618,7 @@ func (c *Cache) deltaFrames(serial uint32) (frames [][]byte, current uint32, ok 
 	found := false
 	for i := range c.history {
 		d := &c.history[i]
-		if found || d.serial == serial+1 {
+		if found || d.from == serial {
 			found = true
 			frames = append(frames, d.frame)
 		}
@@ -604,29 +627,6 @@ func (c *Cache) deltaFrames(serial uint32) (frames [][]byte, current uint32, ok 
 		return nil, c.serial, false
 	}
 	return frames, c.serial, true
-}
-
-// deltaEntries returns the deltas after serial, oldest first (slice headers
-// copied; the VRP slices are shared read-only), or ok=false if that serial
-// has aged out of the history window.
-func (c *Cache) deltaEntries(serial uint32) (entries []delta, current uint32, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if serial == c.serial {
-		return nil, c.serial, true
-	}
-	found := false
-	for i := range c.history {
-		d := &c.history[i]
-		if found || d.serial == serial+1 {
-			found = true
-			entries = append(entries, *d)
-		}
-	}
-	if !found {
-		return nil, c.serial, false
-	}
-	return entries, c.serial, true
 }
 
 // subscribe registers a notification handle for one connection.

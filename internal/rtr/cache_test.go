@@ -21,6 +21,23 @@ func (c *Cache) snapshotVRPs() (vrps []rov.VRP, serial uint32, session uint16) {
 	return flattenChunks(chunks), serial, session
 }
 
+// deltaEntries returns the history entries deltaFrames would answer a
+// Serial Query from serial with (slice headers copied; the VRP slices are
+// shared read-only), and the current serial.
+func (c *Cache) deltaEntries(serial uint32) (entries []delta, current uint32, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if serial == c.serial {
+		return nil, c.serial, true
+	}
+	for i, d := range c.history {
+		if d.from == serial {
+			return slices.Clone(c.history[i:]), c.serial, true
+		}
+	}
+	return nil, c.serial, false
+}
+
 // checkChunkSizes holds a chunk list, a cache's or a router's, to the size
 // invariant: none empty or above chunkVRPs, only the last below chunkVRPs/2.
 func checkChunkSizes(t testing.TB, chunks []*chunk) {

@@ -24,8 +24,15 @@ import (
 // response dropped unapplied and is sent a Reset Query (RFC 8210 §5.1).
 // Delta application is idempotent (announce = set, withdraw = delete), so a
 // delta replayed across a reconnect race can never skip or duplicate state.
+//
+// The protocol loop commits each End of Data to one of two stores: a
+// router's own unframed chunks, or — for a Replica — a Cache that serves
+// the set on to routers of its own.
 type Client struct {
 	addr string
+	// cache, when set, is the store End of Data commits to instead of
+	// chunks (a Replica's). Set before Run.
+	cache *Cache
 
 	mu sync.Mutex
 	// chunks is the local VRP copy, held the way Cache holds its set: the
@@ -34,15 +41,18 @@ type Client struct {
 	// chunks it replaces (rebuildChunks), so they are read and rebuilt under
 	// the lock and never handed out. guarded by mu.
 	chunks []*chunk
-	// Sync state. session and serial are those of the last End of Data.
-	// guarded by mu.
+	// Sync state. session and serial are those of the last End of Data
+	// committed. guarded by mu.
 	serial   uint32
 	session  uint16
 	synced   bool
 	resumes  uint64
 	reloads  uint64
+	deltas   uint64
 	onSync   func([]rov.VRP)
 	onSerial func(uint32)
+	// notified is the serial of the newest Serial Notify read. guarded by mu.
+	notified uint32
 	// mismatches counts serial-query responses dropped because the cache
 	// answered under another session (each also ends in a reload). guarded by mu.
 	mismatches uint64
@@ -133,41 +143,64 @@ func (c *Client) Run(ctx context.Context) error {
 		return fmt.Errorf("rtr: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
-	go func() {
-		<-ctx.Done()
-		conn.Close()
-	}()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	return c.sync(ctx, conn)
 }
+
+// serialAhead reports whether serial a is after b in RFC 1982 arithmetic.
+func serialAhead(a, b uint32) bool { return int32(a-b) > 0 }
 
 // sync speaks the router side of the protocol over conn until a fatal error
 // or until conn is closed; Run closes it when ctx is canceled.
 func (c *Client) sync(ctx context.Context, conn net.Conn) error {
-	// Each query the client sends is deadline-bounded so a stalled cache
+	r := pduReader{r: bufio.NewReader(conn)}
+	// asked lists the queries sent and not yet answered, oldest first (true:
+	// a Serial Query); the cache answers them in order. One Serial Query is
+	// out at a time: a notify read while it is out sets behind, and is asked
+	// about after the End of Data if it is still ahead of what was committed.
+	var asked []bool
+	behind := false
+	serialOut := func() bool { return slices.Contains(asked, true) }
+	answered := func() {
+		if len(asked) > 0 {
+			asked = asked[1:]
+		}
+	}
+	// query sends one query. Each is deadline-bounded so a stalled cache
 	// cannot wedge the writer; reads stay unbounded by design — the client
 	// legitimately idles until the cache pushes a notify.
-	armWrite := func() error {
-		return conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	query := func(p *PDU, what string) error {
+		if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+			return fmt.Errorf("rtr: arming write deadline: %w", err)
+		}
+		if err := WritePDU(conn, p); err != nil {
+			return fmt.Errorf("rtr: %s: %w", what, err)
+		}
+		asked = append(asked, p.Type == TypeSerialQuery)
+		return nil
 	}
-	r := pduReader{r: bufio.NewReader(conn)}
-	if err := armWrite(); err != nil {
-		return fmt.Errorf("rtr: arming write deadline: %w", err)
+	// askSerial asks for what followed the last End of Data committed.
+	askSerial := func() error {
+		c.mu.Lock()
+		q := PDU{Type: TypeSerialQuery, Session: c.session, Serial: c.serial}
+		c.mu.Unlock()
+		return query(&q, "serial query")
 	}
+	resetQuery := func() error { return query(&PDU{Type: TypeResetQuery}, "reset query") }
+
 	c.mu.Lock()
 	resume := c.synced
-	serial, session := c.serial, c.session
 	c.mu.Unlock()
+	// Session resumption asks only for what was missed. The server replies
+	// with the missed deltas, or Cache Reset if the serial aged out of its
+	// history window.
+	open := resetQuery
 	if resume {
-		// Session resumption: ask only for what we missed. The server
-		// replies with the missed deltas, or Cache Reset if our serial
-		// aged out of its history window.
-		if err := WritePDU(conn, &PDU{Type: TypeSerialQuery, Session: session, Serial: serial}); err != nil {
-			return fmt.Errorf("rtr: resume serial query: %w", err)
-		}
-	} else {
-		if err := WritePDU(conn, &PDU{Type: TypeResetQuery}); err != nil {
-			return fmt.Errorf("rtr: reset query: %w", err)
-		}
+		open = askSerial
+	}
+	if err := open(); err != nil {
+		return err
 	}
 	// pending holds the current response's prefix PDUs in arrival order.
 	// They reach the set only at End of Data, in one swap, so VRPs() never
@@ -207,11 +240,8 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 				c.mu.Lock()
 				c.mismatches++
 				c.mu.Unlock()
-				if err := armWrite(); err != nil {
-					return fmt.Errorf("rtr: arming write deadline: %w", err)
-				}
-				if err := WritePDU(conn, &PDU{Type: TypeResetQuery}); err != nil {
-					return fmt.Errorf("rtr: reset query: %w", err)
+				if err := resetQuery(); err != nil {
+					return err
 				}
 			}
 
@@ -232,65 +262,51 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 				return fmt.Errorf("rtr: end of data outside cache response")
 			}
 			inResponse = false
+			answered()
 			if discard {
 				discard = false
 				continue
 			}
 			announced, withdrawn := reduceOps(pending)
 			pending = nil // a snapshot's or a whacked subtree's worth of ops is not worth keeping
-			var reloaded []*chunk
-			if fullReload {
-				// Built before the lock is taken: readers keep the old set
-				// until the swap. Withdraws of a reload fall on the empty set.
-				reloaded = appendChunks(nil, announced, false)
-			}
-			// A delta is applied to the set held now, under the lock, not to a
-			// copy read earlier: a Run started while an earlier one was still
-			// draining its connection shares the table with it.
-			c.mu.Lock()
-			if fullReload {
-				c.chunks = reloaded
-				c.reloads++
-			} else {
-				c.chunks = rebuildChunks(c.chunks, announced, withdrawn, false)
-				if resume {
-					c.resumes++ // the resumption is counted once
-				}
-			}
-			c.serial, c.session, c.synced = p.Serial, respSession, true
-			cbSync := c.onSync
-			cbSerial := c.onSerial
-			c.mu.Unlock()
+			committed, ahead, cbSync, cbSerial := c.commit(fullReload, resume, respSession, p.Serial, announced, withdrawn)
 			fullReload, resume = false, false
-			if cbSerial != nil {
+			if committed && cbSerial != nil {
 				cbSerial(p.Serial)
 			}
-			if cbSync != nil {
+			if committed && cbSync != nil {
 				cbSync(c.VRPs())
+			}
+			if behind && !serialOut() {
+				behind = false
+				if ahead {
+					if err := askSerial(); err != nil {
+						return err
+					}
+				}
 			}
 
 		case TypeSerialNotify:
 			c.mu.Lock()
-			serial, session := c.serial, c.session
+			c.notified = p.Serial
+			serial := c.serial
 			c.mu.Unlock()
-			if p.Serial == serial {
-				continue
-			}
-			if err := armWrite(); err != nil {
-				return fmt.Errorf("rtr: arming write deadline: %w", err)
-			}
-			if err := WritePDU(conn, &PDU{Type: TypeSerialQuery, Session: session, Serial: serial}); err != nil {
-				return fmt.Errorf("rtr: serial query: %w", err)
+			switch {
+			case p.Serial == serial:
+			case serialOut():
+				behind = true
+			default:
+				if err := askSerial(); err != nil {
+					return err
+				}
 			}
 
 		case TypeCacheReset:
+			answered()
 			fullReload = true
 			resume = false
-			if err := armWrite(); err != nil {
-				return fmt.Errorf("rtr: arming write deadline: %w", err)
-			}
-			if err := WritePDU(conn, &PDU{Type: TypeResetQuery}); err != nil {
-				return fmt.Errorf("rtr: reset query: %w", err)
+			if err := resetQuery(); err != nil {
+				return err
 			}
 
 		case TypeErrorReport:
@@ -300,6 +316,51 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 			return fmt.Errorf("rtr: unexpected PDU type %d", p.Type)
 		}
 	}
+}
+
+// commit stores one response at its End of Data: a reload replaces the set
+// with announced, a delta is applied to the set held now, under the lock,
+// not to a copy read earlier — a Run started while an earlier one was still
+// draining its connection shares the store with it. A router's chunks take
+// every response; a replica's Cache drops one it is already past. commit
+// reports whether the store took it, whether the newest serial notified is
+// still ahead of the store, and the callbacks to run.
+func (c *Client) commit(reload, resume bool, session uint16, serial uint32, announced, withdrawn []rov.VRP) (committed, ahead bool, cbSync func([]rov.VRP), cbSerial func(uint32)) {
+	var reloaded []*chunk
+	if reload && c.cache == nil {
+		// Built before the lock is taken: readers keep the old set until the
+		// swap. Withdraws of a reload fall on the empty set.
+		reloaded = appendChunks(nil, announced, false)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	committed = true
+	switch {
+	case c.cache != nil && reload:
+		committed = c.cache.applySnapshot(session, serial, announced)
+	case c.cache != nil:
+		committed = c.cache.applyDelta(serial, announced, withdrawn)
+	case reload:
+		c.chunks = reloaded
+	default:
+		c.chunks = rebuildChunks(c.chunks, announced, withdrawn, false)
+	}
+	if committed {
+		switch {
+		case reload:
+			c.reloads++
+		case resume:
+			c.resumes++ // the resumption is counted once
+			fallthrough
+		default:
+			c.deltas++
+		}
+		if session != c.session || !serialAhead(c.notified, serial) {
+			c.notified = serial // a notify under another session says nothing of this one
+		}
+		c.serial, c.session, c.synced = serial, session, true
+	}
+	return committed, serialAhead(c.notified, c.serial), c.onSync, c.onSerial
 }
 
 // prefixOp is one staged prefix PDU: announce sets the VRP, withdraw deletes

@@ -42,6 +42,13 @@ type scriptedCache struct {
 	client *Client
 	// oracle is the table as a map, advanced by applyOps at each End of Data.
 	oracle map[rov.VRP]bool
+	// replica, when set, is played the same stream after the router, its
+	// store a Cache (a Replica's client). At each of its End of Data the
+	// Cache's digest must be digests', taken from the router's table at the
+	// same point: same session, same serial, and chunk frames concatenating
+	// to the prefix-PDU encoding of the router's set.
+	replica *Client
+	digests [][32]byte
 
 	stream  bytes.Buffer       // the PDUs not yet played
 	applied []scriptedResponse // the responses in stream that reach the table, in order
@@ -166,6 +173,10 @@ func (s *scriptedCache) play() {
 		open = PDU{Type: TypeSerialQuery, Session: s.client.session, Serial: s.client.serial}
 		s.client.mu.Unlock()
 	}
+	var stream []byte
+	if s.replica != nil {
+		stream = bytes.Clone(s.stream.Bytes())
+	}
 	conn := &scriptConn{in: &s.stream}
 	err := s.client.sync(context.Background(), conn)
 	if !errors.Is(err, io.EOF) {
@@ -173,6 +184,18 @@ func (s *scriptedCache) play() {
 	}
 	if len(s.applied) > 0 {
 		s.t.Fatalf("%d scripted responses never reached the router's table (next: serial %d)", len(s.applied), s.applied[0].serial)
+	}
+	if s.replica != nil {
+		replicaConn := &scriptConn{in: bytes.NewBuffer(stream)}
+		if err := s.replica.sync(context.Background(), replicaConn); !errors.Is(err, io.EOF) {
+			s.t.Fatalf("replica gave up on the script: %v", err)
+		}
+		if len(s.digests) > 0 {
+			s.t.Fatalf("%d End of Data the router took never reached the replica's cache", len(s.digests))
+		}
+		if !bytes.Equal(replicaConn.out.Bytes(), conn.out.Bytes()) {
+			s.t.Fatal("the replica's queries differ from the router's")
+		}
 	}
 	for i, want := range append([]PDU{open}, s.queries...) {
 		got, err := ReadPDU(&conn.out)
@@ -222,12 +245,37 @@ func (s *scriptedCache) endOfData(serial uint32) {
 	}
 	s.client.mu.Lock()
 	defer s.client.mu.Unlock()
+	if s.replica != nil {
+		s.digests = append(s.digests, oracleDigest(s.client.session, serial, oracleFrame(got)))
+	}
 	checkChunkSizes(s.t, s.client.chunks)
 	for k, ch := range s.client.chunks {
 		if ch.frame != nil {
 			s.t.Fatalf("serial %d: router chunk %d carries a frame", serial, k)
 		}
 	}
+}
+
+// replicaEndOfData is the replica's OnSerial: its Cache must now stand where
+// the router's table stood at the same End of Data.
+func (s *scriptedCache) replicaEndOfData(serial uint32) {
+	if len(s.digests) == 0 {
+		s.t.Fatalf("replica completed serial %d, which the router never took", serial)
+	}
+	want := s.digests[0]
+	s.digests = s.digests[1:]
+	chunks, _, _ := s.replica.cache.snapshot()
+	checkChunkSizes(s.t, chunks)
+	if got := s.replica.cache.StateDigest(); got != want || s.replica.cache.Serial() != serial {
+		s.t.Fatalf("serial %d: the replica's cache (digest %x, serial %d) is not the router's table (digest %x)", serial, got[:6], s.replica.cache.Serial(), want[:6])
+	}
+}
+
+// withReplica has the script played to a replica store as well.
+func (s *scriptedCache) withReplica() *scriptedCache {
+	s.replica = NewReplica("scripted", NewCache(0)).client
+	s.replica.OnSerial(s.replicaEndOfData)
+	return s
 }
 
 // TestClientSetMatchesMapOracle feeds a real Client seeded responses of every
@@ -278,7 +326,7 @@ func TestClientSetMatchesMapOracle(t *testing.T) {
 		return at
 	}
 
-	s := newScriptedCache(t)
+	s := newScriptedCache(t).withReplica()
 	const kinds = 13
 	var seen [kinds]int
 	for step := 0; step < steps; step++ {
@@ -509,7 +557,7 @@ func (c *feedConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestClientOverlappingRunsShareTheTable: callers cancel one Run and start the
 // next without waiting for the first to return (the reconnect tests of
-// scale_test.go and replication_test.go do), so for a moment two syncs feed
+// scale_test.go and replica_test.go do), so for a moment two syncs feed
 // one client, the old one draining what its connection had buffered. Each
 // must apply its delta to the table as it stands under the lock. A sync that
 // worked from the chunk list it read when it started would commit over the
@@ -673,5 +721,128 @@ func TestClientTableShapeAt200k(t *testing.T) {
 	}
 	if !slices.Equal(s.client.VRPs(), want) {
 		t.Error("writing to the slice VRPs() returned changed the router's table")
+	}
+}
+
+// TestClientRunLeavesNoGoroutine: a connection that ends on its own — the
+// cache hangs up — takes everything Run started with it. A Replica calls Run
+// again and again under one context, so a goroutine left waiting on that
+// context per call would pile up for the life of the process.
+func TestClientRunLeavesNoGoroutine(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client := NewClient(ln.Addr().String())
+	before := runtime.NumGoroutine()
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		if err := client.Run(ctx); err == nil {
+			t.Fatal("Run against a cache that hangs up returned no error")
+		}
+	}
+	if after := runtime.NumGoroutine(); after >= before+runs/2 {
+		t.Errorf("%d goroutines after %d Runs that ended on their own, %d before", after, runs, before)
+	}
+}
+
+// TestClientOneSerialQueryInFlight: notifies that arrive while a Serial
+// Query is out are not each answered with a query of their own from the
+// same serial (the cache would answer every one with overlapping deltas).
+// The newest is remembered and asked about once, after the End of Data, if
+// the cache is still ahead of it.
+func TestClientOneSerialQueryInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, b, c3 := vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 16, 2), vrp("10.2.0.0/16", 16, 3)
+	const session = 9
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			send := func(pdus ...*PDU) error {
+				for _, p := range pdus {
+					if err := WritePDU(conn, p); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			expect := func(serial uint32) error {
+				if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Session != session || q.Serial != serial {
+					return fmt.Errorf("want serial query %d/%d, got %+v, %v", session, serial, q, err)
+				}
+				return nil
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeResetQuery {
+				return fmt.Errorf("want reset query, got %+v, %v", q, err)
+			}
+			// Two notifies before the client could have asked about either:
+			// the second reaches it while the first one's query is out.
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: a},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 1},
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 2},
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 3}); err != nil {
+				return err
+			}
+			if err := expect(1); err != nil {
+				return err
+			}
+			// The cache answers as it stood at 2; serial 3 is still ahead.
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: b},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 2}); err != nil {
+				return err
+			}
+			if err := expect(2); err != nil {
+				return fmt.Errorf("after End of Data 2, with 3 notified: %w", err)
+			}
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: c3},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 3},
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 4}); err != nil {
+				return err
+			}
+			// Nothing was left to ask about at 3: the next query is the
+			// answer to notify 4.
+			if err := expect(3); err != nil {
+				return fmt.Errorf("after End of Data 3 and notify 4: %w", err)
+			}
+			return send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 4})
+		}()
+	}()
+
+	client := NewClient(ln.Addr().String())
+	connect(t, client)
+	if err := <-srvErr; err != nil {
+		t.Fatalf("scripted cache: %v", err)
+	}
+	if !client.WaitSerial(4, 5*time.Second) {
+		t.Fatal("client never reached serial 4")
+	}
+	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{a, b, c3}) {
+		t.Errorf("client holds %v, want %v", got, []rov.VRP{a, b, c3})
 	}
 }

@@ -147,7 +147,10 @@ func FuzzCacheSetVRPs(f *testing.F) {
 // delta, after a Cache Reset, or under a foreign session (dropped by the
 // router, which then reloads). A real Client that starts from a snapshot of
 // fuzzBase is played the script and held, after every End of Data, against
-// the map the chunked table replaced.
+// the map the chunked table replaced; a Replica's client, its store a Cache,
+// is played the same script and held against the router at each End of
+// Data: the same session and serial, and chunk frames that concatenate to
+// the prefix-PDU encoding of the router's set.
 func FuzzClientResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0, 0, 2, 0, 16, 0, 1, 0x00, 0, 0, 2, 0, 16, 0, 1})                                // withdraw then announce of one VRP
@@ -155,7 +158,7 @@ func FuzzClientResponse(f *testing.F) {
 	f.Add([]byte{0x09, 0, 0, 0, 0, 200, 0, 0, 0x0a, 0, 0, 0, 0, 0, 0, 0, 0x08, 0, 0, 0, 100, 255, 0, 0}) // a whack across chunks, then part of it back
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const delta, reload, foreign = 5, 6, 7 // the markers: how the next response arrives
-		s := newScriptedCache(t)
+		s := newScriptedCache(t).withReplica()
 		var ops []prefixOp
 		for _, v := range fuzzBase {
 			ops = append(ops, prefixOp{vrp: v, announce: true})

@@ -1,11 +1,11 @@
 package rtr
 
-// Observability wiring for the RTR cache, server, and replication plane:
-// connected-client and queue-depth gauges collected at scrape time (the
-// fan-out hot path is untouched), counters for updates, evictions,
-// rejections, resumptions, and cache resets, and a delta-propagation
-// latency histogram measuring SetVRPs-to-router-notified per client — the
-// metric a Stalloris victim would watch climb.
+// Observability wiring for the RTR cache and server (a replica adds its own
+// in replica.go): connected-client and queue-depth gauges collected at
+// scrape time (the fan-out hot path is untouched), counters for updates,
+// evictions, rejections, resumptions, and cache resets, and a
+// delta-propagation latency histogram measuring SetVRPs-to-router-notified
+// per client — the metric a Stalloris victim would watch climb.
 
 import (
 	"repro/internal/obs"
@@ -23,9 +23,6 @@ type rtrMetrics struct {
 	rejections  *obs.Counter
 	resumptions *obs.Counter
 	cacheResets *obs.Counter
-	// Replication-plane counters (primary side).
-	replSnapshots   *obs.Counter
-	replResumptions *obs.Counter
 }
 
 // Instrument registers the cache's metrics on the hub. Call once, before
@@ -49,10 +46,6 @@ func (c *Cache) Instrument(hub *obs.Hub) {
 			"Reconnecting clients that resumed their session from the delta history."),
 		cacheResets: r.Counter("rpki_rtr_cache_resets_total",
 			"Serial queries answered with Cache Reset (session mismatch or serial out of window)."),
-		replSnapshots: r.Counter("rpki_rtr_replication_snapshots_total",
-			"Full snapshots streamed to replica frontends."),
-		replResumptions: r.Counter("rpki_rtr_replication_resumptions_total",
-			"Replica frontends that resumed from their serial without a snapshot."),
 	}
 	r.GaugeFunc("rpki_rtr_connected_clients", "RTR connections currently served.",
 		func() float64 { return float64(c.subscriberCount()) })

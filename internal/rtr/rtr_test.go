@@ -283,20 +283,24 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
 				return fmt.Errorf("want serial query at 1, got %+v, %v", q, err)
 			}
-			// The delta, then a notify the client answers with a query: the
-			// client reads PDUs in order, so once that query is here it has
-			// consumed the withdraw and the announce.
+			// The delta, then a notify: the client reads PDUs in order, so
+			// once it has read the notify it has consumed the withdraw and
+			// the announce. With its Serial Query still out, it asks about
+			// serial 3 only after this response's End of Data, from 2.
 			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
 				prefix(old, 0), prefix(replacement, FlagAnnounce),
 				&PDU{Type: TypeSerialNotify, Session: session, Serial: 3}); err != nil {
 				return err
 			}
-			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
-				return fmt.Errorf("mid-response the client should still be at serial 1, got %+v, %v", q, err)
-			}
 			close(midResponse)
 			<-finish
-			return send(&PDU{Type: TypeEndOfData, Session: session, Serial: 2})
+			if err := send(&PDU{Type: TypeEndOfData, Session: session, Serial: 2}); err != nil {
+				return err
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 2 {
+				return fmt.Errorf("after End of Data the client should ask from serial 2, got %+v, %v", q, err)
+			}
+			return nil
 		}()
 	}()
 
@@ -309,6 +313,16 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 	case <-midResponse:
 	case err := <-srvErr:
 		t.Fatalf("scripted cache: %v", err)
+	}
+	readNotify := func() bool {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return client.notified == 3
+	}
+	for deadline := time.Now().Add(5 * time.Second); !readNotify(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the client never read the notify behind the delta")
+		}
 	}
 	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep, old}) || client.Serial() != 1 {
 		t.Errorf("mid-response: serial %d, VRPs %v; want the old set %v at serial 1", client.Serial(), got, []rov.VRP{keep, old})

@@ -109,11 +109,12 @@ func TestSlowConsumerEvicted(t *testing.T) {
 }
 
 // TestFleetScale1000 holds the piecewise guarantees together at fleet size:
-// 1,000 routers, a replica frontend and one stalled connection share a cache
-// while ten single-announcement deltas go out, each awaited on every router
-// so no two serials coalesce. At the end the stalled connection has been
-// evicted, every router holds exactly the cache's set, the replica's state
-// digest is the primary's, and the whole fleet, still connected, fits the
+// 1,000 routers, a replica frontend and one stalled connection share a
+// cache's listener while ten single-announcement deltas go out, each awaited
+// on every router so no two serials coalesce. At the end the stalled
+// connection has been evicted, every router holds exactly the cache's set,
+// the replica's state digest is the primary's, and the whole fleet, still
+// connected, fits the
 // heap budget — clients included, so the server's share is less (measured:
 // 262 MiB, almost all of it the routers' own VRP maps).
 func TestFleetScale1000(t *testing.T) {
@@ -132,12 +133,11 @@ func TestFleetScale1000(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	_, raddr := startReplication(t, cache)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	replica := NewReplica(raddr, NewCache(0))
-	go func() { _ = replica.Run(ctx) }()
+	replica := NewReplica(addr, NewCache(0)) // to the primary, one more router
+	follow(t, replica)
 	fleet := make([]*Client, 0, routers)
 	awaitFleet := func() {
 		t.Helper()
