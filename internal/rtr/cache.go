@@ -483,15 +483,13 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 // under the primary's session and serial verbatim, so routers can resume
 // against any frontend. The history is cleared: this cache cannot replay
 // deltas that predate its own snapshot, and out-of-window routers get Cache
-// Reset. A reload under the cache's own session that is not ahead of its
-// serial is dropped (ok=false). Subscribers are notified of the new serial.
-func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) bool {
+// Reset. A reload is taken whatever its serial: it answers this
+// connection's Reset Query, so it is the primary's set now — a primary that
+// restarted under the same session (its ID is its PID) counts from 1 again.
+// Subscribers are notified of the new serial.
+func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
 	chunks := appendChunks(nil, vrps, true)
 	c.mu.Lock()
-	if session == c.session && !serialAhead(serial, c.serial) {
-		c.mu.Unlock()
-		return false
-	}
 	c.session = session
 	c.serial = serial
 	c.chunks = chunks
@@ -499,7 +497,6 @@ func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) boo
 	c.histVRPs, c.histBytes = 0, 0
 	c.mu.Unlock()
 	c.notifyAll(serial)
-	return true
 }
 
 // applyDelta is a replica's delta: the net effect of a response that

@@ -157,10 +157,14 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 	r := pduReader{r: bufio.NewReader(conn)}
 	// asked lists the queries sent and not yet answered, oldest first (true:
 	// a Serial Query); the cache answers them in order. One Serial Query is
-	// out at a time: a notify read while it is out sets behind, and is asked
-	// about after the End of Data if it is still ahead of what was committed.
+	// out at a time: a notify read while it is out, or before the first End of
+	// Data, sets behind, and is asked about after the End of Data if it is
+	// still ahead of what was committed.
+	// heard: a notify has been read on this connection, under notifySession
+	// (see commit).
 	var asked []bool
-	behind := false
+	behind, heard := false, false
+	var notifySession uint16
 	serialOut := func() bool { return slices.Contains(asked, true) }
 	answered := func() {
 		if len(asked) > 0 {
@@ -269,7 +273,7 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 			}
 			announced, withdrawn := reduceOps(pending)
 			pending = nil // a snapshot's or a whacked subtree's worth of ops is not worth keeping
-			committed, ahead, cbSync, cbSerial := c.commit(fullReload, resume, respSession, p.Serial, announced, withdrawn)
+			committed, ahead, cbSync, cbSerial := c.commit(fullReload, resume, heard && notifySession == respSession, respSession, p.Serial, announced, withdrawn)
 			fullReload, resume = false, false
 			if committed && cbSerial != nil {
 				cbSerial(p.Serial)
@@ -287,15 +291,17 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 			}
 
 		case TypeSerialNotify:
+			heard, notifySession = true, p.Session
 			c.mu.Lock()
 			c.notified = p.Serial
-			serial := c.serial
+			serial, synced := c.serial, c.synced
 			c.mu.Unlock()
 			switch {
-			case p.Serial == serial:
-			case serialOut():
+			case serialOut() || !synced:
+				// Asked about after the End of Data, if still ahead. A router
+				// not yet synced has no session or serial to ask from.
 				behind = true
-			default:
+			case p.Serial != serial:
 				if err := askSerial(); err != nil {
 					return err
 				}
@@ -322,10 +328,15 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 // with announced, a delta is applied to the set held now, under the lock,
 // not to a copy read earlier — a Run started while an earlier one was still
 // draining its connection shares the store with it. A router's chunks take
-// every response; a replica's Cache drops one it is already past. commit
-// reports whether the store took it, whether the newest serial notified is
-// still ahead of the store, and the callbacks to run.
-func (c *Client) commit(reload, resume bool, session uint16, serial uint32, announced, withdrawn []rov.VRP) (committed, ahead bool, cbSync func([]rov.VRP), cbSerial func(uint32)) {
+// every response; a replica's Cache takes every reload and drops a delta it
+// is already past. heard reports whether a Serial Notify under this
+// response's session was read on this connection: one read on an earlier
+// connection is superseded by this one's answer, which is at least as new —
+// unless the cache restarted and counts from 1 again — and one under another
+// session says nothing of this one. commit reports whether the store took the response, whether
+// the newest serial notified is still ahead of the store, and the callbacks
+// to run.
+func (c *Client) commit(reload, resume, heard bool, session uint16, serial uint32, announced, withdrawn []rov.VRP) (committed, ahead bool, cbSync func([]rov.VRP), cbSerial func(uint32)) {
 	var reloaded []*chunk
 	if reload && c.cache == nil {
 		// Built before the lock is taken: readers keep the old set until the
@@ -337,7 +348,7 @@ func (c *Client) commit(reload, resume bool, session uint16, serial uint32, anno
 	committed = true
 	switch {
 	case c.cache != nil && reload:
-		committed = c.cache.applySnapshot(session, serial, announced)
+		c.cache.applySnapshot(session, serial, announced)
 	case c.cache != nil:
 		committed = c.cache.applyDelta(serial, announced, withdrawn)
 	case reload:
@@ -355,8 +366,8 @@ func (c *Client) commit(reload, resume bool, session uint16, serial uint32, anno
 		default:
 			c.deltas++
 		}
-		if session != c.session || !serialAhead(c.notified, serial) {
-			c.notified = serial // a notify under another session says nothing of this one
+		if !heard || !serialAhead(c.notified, serial) {
+			c.notified = serial
 		}
 		c.serial, c.session, c.synced = serial, session, true
 	}

@@ -846,3 +846,64 @@ func TestClientOneSerialQueryInFlight(t *testing.T) {
 		t.Errorf("client holds %v, want %v", got, []rov.VRP{a, b, c3})
 	}
 }
+
+// TestClientHoldsNotifyUntilFirstSync: a notify read during a router's first
+// reload is asked about after its End of Data, from the serial it brought.
+// Asked about at once, it went out as a Serial Query under session 0, which
+// the cache answers with Cache Reset and a second full reload.
+func TestClientHoldsNotifyUntilFirstSync(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, b := vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 16, 2)
+	const session = 9
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			send := func(pdus ...*PDU) error {
+				for _, p := range pdus {
+					if err := WritePDU(conn, p); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeResetQuery {
+				return fmt.Errorf("want reset query, got %+v, %v", q, err)
+			}
+			// The cache moved on to 2 while it wrote the reload at 1.
+			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: a},
+				&PDU{Type: TypeSerialNotify, Session: session, Serial: 2},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 1}); err != nil {
+				return err
+			}
+			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Session != session || q.Serial != 1 {
+				return fmt.Errorf("want serial query %d/1 after the first End of Data, got %+v, %v", session, q, err)
+			}
+			return send(&PDU{Type: TypeCacheResponse, Session: session},
+				&PDU{Type: TypeIPv4Prefix, Flags: FlagAnnounce, VRP: b},
+				&PDU{Type: TypeEndOfData, Session: session, Serial: 2})
+		}()
+	}()
+
+	client := NewClient(ln.Addr().String())
+	connect(t, client)
+	if err := <-srvErr; err != nil {
+		t.Fatalf("scripted cache: %v", err)
+	}
+	if !client.WaitSerial(2, 5*time.Second) {
+		t.Fatal("client never reached serial 2")
+	}
+	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{a, b}) || client.Reloads() != 1 {
+		t.Errorf("client holds %v after %d reloads, want %v after 1", got, client.Reloads(), []rov.VRP{a, b})
+	}
+}

@@ -12,21 +12,27 @@ import (
 	"repro/internal/rov"
 )
 
-// waitSerial blocks until the cache reaches at least serial (RFC 1982). It
-// waits on a subscription, as a router connection does, not on a clock: the
-// cache rings every subscriber after each commit.
-func waitSerial(t *testing.T, c *Cache, serial uint32, timeout time.Duration) {
+// waitCache blocks until done reports true. It waits on a subscription, as a
+// router connection does, not on a clock: the cache rings every subscriber
+// after each commit.
+func waitCache(t *testing.T, c *Cache, timeout time.Duration, done func() bool) {
 	t.Helper()
-	sub := c.subscribe("waitSerial", nil)
+	sub := c.subscribe("waitCache", nil)
 	defer c.unsubscribe(sub)
 	deadline := time.After(timeout)
-	for serialAhead(serial, c.Serial()) {
+	for !done() {
 		select {
 		case <-sub.wake:
 		case <-deadline:
-			t.Fatalf("cache stuck at serial %d, want >= %d", c.Serial(), serial)
+			t.Fatalf("cache stuck at session %d, serial %d", c.Session(), c.Serial())
 		}
 	}
+}
+
+// waitSerial blocks until the cache reaches at least serial (RFC 1982).
+func waitSerial(t *testing.T, c *Cache, serial uint32, timeout time.Duration) {
+	t.Helper()
+	waitCache(t, c, timeout, func() bool { return !serialAhead(serial, c.Serial()) })
 }
 
 // startPrimary serves cache over RTR and returns the server and its address.
@@ -148,6 +154,44 @@ func TestReplicaOutOfWindowGetsSnapshot(t *testing.T) {
 	}
 	if srv.Resumptions() != 0 {
 		t.Errorf("primary resumptions = %d, want 0", srv.Resumptions())
+	}
+}
+
+// TestReplicaFollowsRestartedPrimary: the daemon's session ID is its PID,
+// the same again when it restarts as PID 1 in a container, and a restarted
+// primary counts from serial 1. The replica, ahead of it under the same
+// session, asks from its own serial, is answered Cache Reset, and must take
+// the reload at the lower serial: refusing it would leave the replica
+// serving the old set for good, with every later notify ending the same way.
+func TestReplicaFollowsRestartedPrimary(t *testing.T) {
+	primary := NewCache(7)
+	for i := 0; i < 3; i++ {
+		primary.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, ipres.ASN(1+i))})
+	}
+	srv, addr := startPrimary(t, primary)
+	rep := NewReplica(addr, NewCache(0))
+	follow(t, rep)
+	waitSerial(t, rep.Cache(), 3, 5*time.Second)
+	_ = srv.Close() // the replica reconnects with backoff
+
+	restarted := NewCache(7)
+	restarted.SetVRPs([]rov.VRP{vrp("10.9.0.0/16", 16, 9)}) // serial 1, under the same session
+	srv = NewServer(restarted)
+	if _, err := srv.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+
+	want := restarted.StateDigest()
+	waitCache(t, rep.Cache(), 10*time.Second, func() bool { return rep.Cache().StateDigest() == want })
+	if srv.CacheResets() != 1 || srv.Resumptions() != 0 {
+		t.Errorf("restarted primary: cache resets %d, resumptions %d; want 1 and 0 (the replica asks from serial 3)", srv.CacheResets(), srv.Resumptions())
+	}
+	if rep.Snapshots() != 2 {
+		t.Errorf("replica snapshots = %d, want 2", rep.Snapshots())
+	}
+	if rep.Lag() != 0 {
+		t.Errorf("Lag() = %d after the reload, want 0: no notify of the restarted primary is ahead", rep.Lag())
 	}
 }
 

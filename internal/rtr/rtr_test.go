@@ -241,13 +241,12 @@ func TestPDUQuickRoundTrip(t *testing.T) {
 // Serial() are the state before the response. A scripted cache withdraws one
 // VRP and announces its replacement, then stalls: a router reading its table
 // in that gap must not see the withdrawn route's ROA gone with nothing in
-// its place (a transient Invalid of the Side Effect 6 kind).
+// its place (a transient Invalid of the Side Effect 6 kind). The cache's end
+// is a synchronous pipe: a write returns only once the client has read it,
+// and the client reads on only after it has handled every PDU before.
 func TestClientAppliesResponseAtEndOfData(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	conn, routerEnd := net.Pipe()
+	defer routerEnd.Close()
 	keep, old, replacement := vrp("10.0.0.0/8", 8, 1), vrp("10.1.0.0/16", 16, 2), vrp("10.1.0.0/16", 24, 2)
 	const session = 9
 	prefix := func(v rov.VRP, flags uint8) *PDU { return &PDU{Type: TypeIPv4Prefix, Flags: flags, VRP: v} }
@@ -257,10 +256,6 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 	srvErr := make(chan error, 1)
 	go func() {
 		srvErr <- func() error {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
 			defer conn.Close()
 			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 			send := func(pdus ...*PDU) error {
@@ -283,10 +278,10 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 			if q, err := ReadPDU(conn); err != nil || q.Type != TypeSerialQuery || q.Serial != 1 {
 				return fmt.Errorf("want serial query at 1, got %+v, %v", q, err)
 			}
-			// The delta, then a notify: the client reads PDUs in order, so
-			// once it has read the notify it has consumed the withdraw and
-			// the announce. With its Serial Query still out, it asks about
-			// serial 3 only after this response's End of Data, from 2.
+			// The delta, then a notify: once the notify is written the
+			// client has staged the withdraw and the announce. With its
+			// Serial Query still out, it asks about serial 3 only after this
+			// response's End of Data, from 2.
 			if err := send(&PDU{Type: TypeCacheResponse, Session: session},
 				prefix(old, 0), prefix(replacement, FlagAnnounce),
 				&PDU{Type: TypeSerialNotify, Session: session, Serial: 3}); err != nil {
@@ -304,25 +299,13 @@ func TestClientAppliesResponseAtEndOfData(t *testing.T) {
 		}()
 	}()
 
-	client := NewClient(ln.Addr().String())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = client.Run(ctx) }()
+	client := NewClient("")
+	go func() { _ = client.sync(context.Background(), routerEnd) }()
 
 	select {
 	case <-midResponse:
 	case err := <-srvErr:
 		t.Fatalf("scripted cache: %v", err)
-	}
-	readNotify := func() bool {
-		client.mu.Lock()
-		defer client.mu.Unlock()
-		return client.notified == 3
-	}
-	for deadline := time.Now().Add(5 * time.Second); !readNotify(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the client never read the notify behind the delta")
-		}
 	}
 	if got := client.VRPs(); !slices.Equal(got, []rov.VRP{keep, old}) || client.Serial() != 1 {
 		t.Errorf("mid-response: serial %d, VRPs %v; want the old set %v at serial 1", client.Serial(), got, []rov.VRP{keep, old})
