@@ -295,11 +295,13 @@ func (pc *pointConn) release() {
 // answered, the connection is kept, and what the rejection means is read's to
 // record) or a transport error. A transport failure drops the connection,
 // counts against the breaker and spends one retry of the first unanswered
-// request, where a fresh dial resumes; every answered request counts a
-// breaker success and resets the retry budget. The deadline is armed before
-// the window's write and again before each reply, so Timeout bounds one
-// request/response, never a window; a conn that refuses a deadline is dropped
-// unused — unbounded I/O is exactly the slow-loris surface deadlines close.
+// request, where a fresh dial resumes after the backoff — at once if the
+// breaker is open, whose Allow then decides without a wait; every answered
+// request counts a breaker success and resets the retry budget. The
+// deadline is armed before the window's write and again before each reply,
+// so Timeout bounds one request/response, never a window; a conn that
+// refuses a deadline is dropped unused — unbounded I/O is exactly the
+// slow-loris surface deadlines close.
 // The error is non-nil iff names[answered] could not be asked: retries
 // exhausted, or — failing fast, without backoff — circuit open or context dead.
 func (pc *pointConn) pipeline(ctx context.Context, v verb, names []string, read func(r *bufio.Reader, name string) error) (int, error) {
@@ -363,7 +365,9 @@ func (pc *pointConn) pipeline(ctx context.Context, v verb, names []string, read 
 		}
 		pc.c.retries.Add(1)
 		pc.c.recordRetry(pc.key, err)
-		if policy.wait(ctx, attempt) != nil {
+		// An open breaker — this failure's trip, most often — refuses the
+		// retry before it dials: the backoff would only delay the refusal.
+		if pc.c.Breakers.State(pc.key) != BreakerOpen && policy.wait(ctx, attempt) != nil {
 			return answered, err
 		}
 		attempt++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 )
@@ -170,6 +171,56 @@ func TestBreakerTripsOnDeadPoint(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("fast-fail took %v", elapsed)
+	}
+}
+
+// TestBreakerTripSkipsRetryBackoff: a retry that the breaker refuses is
+// counted but not waited for. A stalled point trips a threshold-1 breaker
+// on its first timeout; the retry that failure spends then fails fast on
+// the open breaker at once, not after its backoff.
+func TestBreakerTripSkipsRetryBackoff(t *testing.T) {
+	const backoff = 10 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn) // accepted, never answered
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepted
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+	uri := URI{Host: ln.Addr().String(), Module: "stalled"}
+	c := &Client{
+		Timeout:  50 * time.Millisecond,
+		Retry:    RetryPolicy{MaxRetries: 3, BaseDelay: backoff, MaxDelay: backoff, Jitter: -1},
+		Breakers: NewBreakerSet(BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}),
+	}
+	start := time.Now()
+	_, err = c.FetchAll(context.Background(), uri)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("stalled point behind a threshold-1 breaker: got %v, want ErrCircuitOpen", err)
+	}
+	if elapsed >= backoff/4 {
+		t.Errorf("fetch took %v: the refused retry waited out its %v backoff", elapsed, backoff)
+	}
+	st := c.Stats()
+	if st.Retries != 1 || st.BreakerTrips != 1 || st.BreakerFastFails != 1 {
+		t.Errorf("retries / trips / fast-fails = %d / %d / %d, want 1 / 1 / 1", st.Retries, st.BreakerTrips, st.BreakerFastFails)
 	}
 }
 

@@ -87,7 +87,7 @@ type authority struct {
 }
 
 // childLink records one validated child CA discovered in a module, enough
-// to re-spawn its publication-point walk on reuse: the child's certificate
+// to queue its publication point again on reuse: the child's certificate
 // as the DER the module validated, not parsed.
 type childLink struct {
 	der       []byte
@@ -156,7 +156,7 @@ func sameDigests(hashes, digests map[string][32]byte) bool {
 
 // moduleBuild accumulates one walk's per-module outputs so they can be
 // merged into the sync result and, when clean, committed to the memo. Its
-// WaitGroup tracks the module's own object tasks (not child walks); the
+// WaitGroup tracks the module's own object tasks (not child points); the
 // committer goroutine waits on it before merging.
 type moduleBuild struct {
 	// memoizable is false when the files came from a degraded source (LKG

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,26 +47,8 @@ func TestRetainedHeapProductionSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := liveHeapMiB()
-	srv := repo.NewServer()
-	for module, store := range w.Stores {
-		srv.AddModule(module, store, nil)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := &repo.Client{
-		Dial: func(ctx context.Context, network, _ string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, network, addr)
-		},
-		Concurrency: 2,
-		Retry:       repo.RetryPolicy{MaxRetries: 3},
-		Breakers:    repo.NewBreakerSet(repo.BreakerConfig{}),
-	}
 	v := rp.New(rp.Config{
-		Fetcher:        client,
+		Fetcher:        loopbackClient(t, w.Stores),
 		Clock:          w.Clock,
 		Workers:        2,
 		CacheSnapshots: true,
@@ -83,6 +66,32 @@ func TestRetainedHeapProductionSized(t *testing.T) {
 	}
 }
 
+// loopbackClient serves stores from a repo.Server on a loopback port, closed
+// when tb ends, and returns a client wired to it as the benchmark wires
+// one: every host dials the server, two connections per point, three
+// retries, breakers on.
+func loopbackClient(tb testing.TB, stores rp.StoreFetcher) *repo.Client {
+	tb.Helper()
+	srv := repo.NewServer()
+	for module, store := range stores {
+		srv.AddModule(module, store, nil)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Close() })
+	return &repo.Client{
+		Dial: func(ctx context.Context, network, _ string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, network, addr)
+		},
+		Concurrency: 2,
+		Retry:       repo.RetryPolicy{MaxRetries: 3},
+		Breakers:    repo.NewBreakerSet(repo.BreakerConfig{}),
+	}
+}
+
 // TestVerdictsStayWithTheirPoints: signature verdicts live with the point
 // that computed them, so authority churn cannot grow them. A thousand
 // publish/withdraw steps of one ROA each at random authorities reissue a
@@ -93,9 +102,8 @@ func TestRetainedHeapProductionSized(t *testing.T) {
 func TestVerdictsStayWithTheirPoints(t *testing.T) {
 	steps := 1000
 	if testing.Short() || raceEnabled {
-		// Each step's sync spawns a walk per point, 721 goroutines: a
-		// thousand of them under the race detector would take this
-		// package's peak RSS past TestStreamingEquivalence10k's budget.
+		// Under the race detector 150 steps take ≈ 9 s on 2 vCPU: a
+		// thousand would add about a minute to this package's run.
 		steps = 150
 	}
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(3))
@@ -197,12 +205,13 @@ func (f unchangedFetcher) SyncIncremental(ctx context.Context, uri repo.URI, pre
 
 // TestWarmUnchangedSyncAllocations is the exact gate on a warm poll that
 // proves every point unchanged without a version (reuse tier 2, the
-// steady state over TCP): about three allocations per point — the walk's
-// goroutine, the fetcher's result — or 2,255 over the 721-point world.
-// Allocating each point's validation build before knowing it would be
-// reused, and a heap cell for its fetched snapshot, cost 3,705.
+// steady state over TCP): little more than one allocation per point — the
+// fetcher's result — or 819 over the 721-point world. A goroutine per
+// point's walk cost 2,255; allocating each point's validation build before
+// knowing it would be reused, and a heap cell for its fetched snapshot,
+// cost 3,705.
 func TestWarmUnchangedSyncAllocations(t *testing.T) {
-	const budget = 2600
+	const budget = 900
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +231,63 @@ func TestWarmUnchangedSyncAllocations(t *testing.T) {
 	t.Logf("warm unchanged sync: %.0f allocations", allocs)
 	if allocs > budget {
 		t.Errorf("warm unchanged sync: %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// goroutineProbe wraps an incremental fetcher, sampling the live goroutines
+// at every incremental fetch, while the points around it are in flight.
+type goroutineProbe struct {
+	rp.IncrementalFetcher
+
+	mu sync.Mutex
+	// peak is the most goroutines seen since the last take. guarded by mu.
+	peak int
+}
+
+func (p *goroutineProbe) SyncIncremental(ctx context.Context, uri repo.URI, prev map[string][]byte) (*repo.SyncResult, error) {
+	n := runtime.NumGoroutine()
+	p.mu.Lock()
+	p.peak = max(p.peak, n)
+	p.mu.Unlock()
+	return p.IncrementalFetcher.SyncIncremental(ctx, uri, prev)
+}
+
+// take returns the peak seen so far and starts a new one.
+func (p *goroutineProbe) take() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	peak := p.peak
+	p.peak = 0
+	return peak
+}
+
+// TestWarmSyncGoroutines: a warm poll of the 721-point world walks its
+// points on 2×Workers walkers, so the goroutines alive during it stay
+// within that many of the count before it, plus a few for the runtime. A
+// goroutine per point's walk peaked at ≈ 675.
+func TestWarmSyncGoroutines(t *testing.T) {
+	const workers, slack = 2, 8
+	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &goroutineProbe{IncrementalFetcher: unchangedFetcher{stores: w.Stores}}
+	v := rp.New(rp.Config{
+		Fetcher:        probe,
+		Clock:          w.Clock,
+		Workers:        workers,
+		CacheSnapshots: true,
+	}, w.Anchor())
+	syncOnce(t, v)
+	probe.take()
+	baseline := runtime.NumGoroutine()
+	if res := syncOnce(t, v); res.ModulesReused != len(w.Stores) {
+		t.Fatalf("warm sync reused %d of %d modules", res.ModulesReused, len(w.Stores))
+	}
+	peak := probe.take()
+	t.Logf("warm sync: %d goroutines at the peak, %d before", peak, baseline)
+	if limit := baseline + 2*workers + slack; peak > limit {
+		t.Errorf("warm sync peaked at %d goroutines, limit %d (%d before + 2×%d walkers + %d)", peak, limit, baseline, workers, slack)
 	}
 }
 

@@ -238,10 +238,12 @@ type RelyingParty struct {
 	// fetcher, clean with StaleTTL): a memo link may then alias them instead
 	// of copying its child's certificate.
 	keepsSnapshots bool
-	// vrpHint is the previous sync's VRP count, the next result's capacity.
+	// vrpHint and pointHint are the previous sync's VRP and publication
+	// point counts: the capacities of the next result and point queue.
 	// Touched only by Sync.
-	vrpHint int
-	mu      sync.Mutex
+	vrpHint, pointHint int
+
+	mu sync.Mutex
 	// points is everything retained per publication point between Sync
 	// calls (see state.go). guarded by mu.
 	points map[string]*pointState
@@ -398,8 +400,9 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		sem:      make(chan struct{}, rp.cfg.workers()),
 		fetchSem: make(chan struct{}, 2*rp.cfg.workers()),
 		span:     trace.Root(),
+		points:   make([]pointItem, 0, rp.pointHint+rp.pointHint/64),
 	}
-	var walks []func()
+	st.queued.L = &st.qmu
 	for _, ta := range rp.anchors {
 		anchor, err := cert.Parse(ta.CertDER)
 		if err != nil {
@@ -412,21 +415,29 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 			continue
 		}
 		res.CertsAccepted++
-		uri := ta.URI
-		walks = append(walks, func() { st.walk(authority{der: anchor.Raw, cert: anchor}, resources, uri, rp.cfg.MaxDepth) })
+		st.enqueue(pointItem{authority{der: anchor.Raw, cert: anchor}, resources, ta.URI, rp.cfg.MaxDepth})
 	}
-	// Start walking only once every anchor is accounted for: from here on
-	// res belongs to the walks, under st.mu.
-	for _, walk := range walks {
-		st.spawn(walk)
+	// Start the walkers only once every anchor is accounted for: from here
+	// on res belongs to them, under st.mu. There are as many walkers as
+	// module slots, so every slot can have a fetch in flight; they exit once
+	// every queued point and every task it spawned is done.
+	var walkers sync.WaitGroup
+	for range cap(st.fetchSem) {
+		walkers.Add(1)
+		go func() {
+			defer walkers.Done()
+			st.walker()
+		}()
 	}
 	st.wg.Wait()
+	st.closeQueue()
+	walkers.Wait()
 	if err := st.firstErr(); err != nil {
 		trace.Finish()
 		return nil, err
 	}
 	rp.dropDeparted()
-	rp.vrpHint = len(res.VRPs)
+	rp.vrpHint, rp.pointHint = len(res.VRPs), res.PubPointsVisited
 	rov.SortVRPs(res.VRPs)
 	sortDiagnostics(res.Diagnostics)
 	if reporter != nil {
@@ -469,8 +480,9 @@ func sortDiagnostics(diags []Diagnostic) {
 }
 
 // syncState is the shared state of one Sync pass: the accumulating result,
-// the worker-slot semaphore bounding CPU-heavy work, and the WaitGroup
-// tracking every outstanding publication-point walk and object task.
+// the worker-slot semaphore bounding CPU-heavy work, the queue of
+// publication points waiting for a walker, and the WaitGroup tracking every
+// outstanding point, validation and object task.
 type syncState struct {
 	rp  *RelyingParty
 	ctx context.Context
@@ -482,10 +494,12 @@ type syncState struct {
 	// module's fetch until its commit releases the bytes, so it bounds both
 	// the fetches in flight and the raw bytes resident. Holders always make
 	// progress — a module's commit waits only on its own object tasks
-	// (worker slots, never fetch slots), not on child walks — so the bound
-	// cannot deadlock.
+	// (worker slots, never fetch slots), and a child point is queued, never
+	// waited for — so the bound cannot deadlock.
 	fetchSem chan struct{}
-	wg       sync.WaitGroup
+	// wg counts every queued or walking point, validation goroutine,
+	// committer and object task; its Wait is the end of the walk.
+	wg sync.WaitGroup
 	// span is the sync's root trace span (nil when tracing is off); each
 	// walk hangs its module span off it. Spans are internally synchronized.
 	span *obs.Span
@@ -496,6 +510,81 @@ type syncState struct {
 	// err is the first hard failure (context cancellation); it aborts the
 	// sync instead of becoming a diagnostic. guarded by mu.
 	err error
+
+	// qmu guards the point queue alone and is never held while taking
+	// another lock; queued wakes a walker waiting on an empty queue.
+	qmu    sync.Mutex
+	queued sync.Cond
+	// points holds the points discovered and not yet taken by a walker, in
+	// discovery order from index head on. Enqueueing never blocks, so a
+	// point's walk or validation can queue its children while every walker
+	// waits for a module slot. guarded by qmu.
+	points []pointItem
+	// head is the index of the next point to walk. guarded by qmu.
+	head int
+	// drained is set once the walk is over: walkers then exit. guarded by
+	// qmu.
+	drained bool
+}
+
+// pointItem is one publication point waiting for a walker, with what its
+// walk validates it under. A value, so queueing a point allocates nothing.
+type pointItem struct {
+	auth      authority
+	effective ipres.Set
+	uri       repo.URI
+	depth     int
+}
+
+// enqueue counts a point as outstanding and queues it for a walker.
+func (st *syncState) enqueue(it pointItem) {
+	st.wg.Add(1)
+	st.qmu.Lock()
+	st.points = append(st.points, it)
+	st.qmu.Unlock()
+	st.queued.Signal()
+}
+
+// pop takes the next queued point, waiting while the queue is empty; false
+// means the walk is over.
+func (st *syncState) pop() (pointItem, bool) {
+	st.qmu.Lock()
+	defer st.qmu.Unlock()
+	for st.head == len(st.points) && !st.drained {
+		st.queued.Wait()
+	}
+	if st.head == len(st.points) {
+		return pointItem{}, false
+	}
+	it := st.points[st.head]
+	st.points[st.head] = pointItem{}
+	if st.head++; st.head == len(st.points) {
+		st.points, st.head = st.points[:0], 0
+	}
+	return it, true
+}
+
+// closeQueue ends the walk: every waiting walker wakes and exits.
+func (st *syncState) closeQueue() {
+	st.qmu.Lock()
+	st.drained = true
+	st.qmu.Unlock()
+	st.queued.Broadcast()
+}
+
+// walker walks queued points one at a time until the walk is over. A point
+// that needs no validation is finished here, on the walker's own stack; one
+// that does is handed to its own goroutine, so a walker waits only for a
+// module slot, its fetch and its hashing, never for a validation.
+func (st *syncState) walker() {
+	for {
+		it, ok := st.pop()
+		if !ok {
+			return
+		}
+		st.walk(it.auth, it.effective, it.uri, it.depth)
+		st.wg.Done()
+	}
 }
 
 func (st *syncState) setErr(err error) {
@@ -513,8 +602,8 @@ func (st *syncState) firstErr() error {
 }
 
 // spawn tracks f with the WaitGroup and runs it on its own goroutine.
-// Structural goroutines (walks, object tasks) never hold a worker slot while
-// blocked, so spawning from inside a slot cannot deadlock.
+// Structural goroutines (validations, object tasks, committers) never hold a
+// worker slot while blocked, so spawning from inside a slot cannot deadlock.
 func (st *syncState) spawn(f func()) {
 	st.wg.Add(1)
 	go func() {
@@ -553,12 +642,13 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 	st.obsDiag(kind, module, object, err)
 }
 
-// walk validates one authority's publication point, fanning its objects out
-// across the worker pool, and spawns child-authority walks as soon as each
-// child certificate validates. A point provably unchanged since its last
-// clean validation (and still inside that validation's temporal epoch) is
-// not validated at all: its cached outputs are merged wholesale (see
-// modmemo.go), and its authority is never parsed.
+// walk takes one authority's publication point to its reuse decision on the
+// calling walker. A point provably unchanged since its last clean
+// validation (and still inside that validation's temporal epoch) is not
+// validated at all: its cached outputs are merged wholesale (see
+// modmemo.go), its children are queued, and its authority is never parsed.
+// Any other point is validated on its own goroutine, which keeps the
+// point's module slot until its commit.
 func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, depth int) {
 	if depth <= 0 {
 		st.diag(DiagInvalidObject, uri.Module, "", fmt.Errorf("hierarchy too deep"))
@@ -669,13 +759,13 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		st.reuseRejection(e, auth.der, effective, uri.Module)
 	}
 	mb.verifySpan = wsp.Child("verify", uri.Module)
-	st.validate(mb, auth, effective, uri, depth, now, files, names)
+	st.spawn(func() { st.validate(mb, auth, effective, uri, depth, now, files, names) })
 }
 
 // validate checks a fetched point's objects under its authority — manifest,
-// CRL, then every object as its own task — and spawns the committer. It is
-// walk's second half, split off so that the fetch, which is the whole of a
-// warm walk, runs on a small stack frame.
+// CRL, then every object as its own task, each validated child CA queued
+// for a walker — and spawns the committer. It is walk's second half, on its
+// own goroutine, so that no walker waits for a worker slot to validate.
 func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte, names []string) {
 	issuer := auth.cert
 	if issuer == nil {
@@ -765,8 +855,8 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	}
 
 	// Validate ROAs and recurse into child certificates. Every object is
-	// an independent task on the worker pool; a validated child CA starts
-	// its own publication-point walk immediately.
+	// an independent task on the worker pool; a validated child CA queues
+	// its publication point immediately.
 	for _, name := range names {
 		if badObject[name] {
 			continue // mismatch already diagnosed by the cross-check
@@ -781,7 +871,7 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		})
 	}
 	// The committer merges the module's outputs once its own object tasks
-	// are done (child walks are independent), then commits or deletes the
+	// are done (child points are independent), then commits or deletes the
 	// memo entry. It holds no worker slot while waiting, so it cannot
 	// deadlock the pool.
 	st.spawn(func() {
@@ -883,8 +973,8 @@ func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string]
 
 // reuseModule merges a cached module entry's outputs into the sync result
 // without re-validating anything, records that the point was just proven
-// unchanged (at version, when the fetcher reports one), and re-spawns the
-// module's child walks (each child decides reuse for itself).
+// unchanged (at version, when the fetcher reports one), and queues the
+// module's child points (each child decides reuse for itself).
 func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, version uint64, hasVersion bool) {
 	st.mu.Lock()
 	st.res.ModulesReused++
@@ -894,8 +984,7 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, versio
 	st.mu.Unlock()
 	st.rp.markReused(uri.Module, version, hasVersion, st.now)
 	for _, ch := range e.children {
-		ch := ch
-		st.spawn(func() { st.walk(authority{der: ch.der}, ch.effective, ch.uri, depth-1) })
+		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
 	}
 }
 
@@ -1042,7 +1131,7 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 			der = bytes.Clone(der)
 		}
 		mb.addChild(childLink{der: der, effective: childEffective, uri: childURI})
-		st.spawn(func() { st.walk(authority{der: der, cert: child}, childEffective, childURI, depth-1) })
+		st.enqueue(pointItem{authority{der: der, cert: child}, childEffective, childURI, depth - 1})
 	}
 }
 

@@ -267,7 +267,11 @@ func (p *windowProbe) FetchAll(ctx context.Context, uri repo.URI) (map[string][]
 // TestModuleWindowBoundsInflight: on a hierarchy both wider and deeper than
 // the window, a single-worker sync still completes — a module waiting for a
 // slot never holds one, so parents cannot starve their children — and no
-// more than 2×Workers modules are ever between fetch and commit.
+// more than 2×Workers modules are ever between fetch and commit. A warm
+// second sync in which every spine point changed revalidates the spine
+// while the walkers reuse its leaves: each revalidation holds its slot
+// until its commit and queues its children without waiting for a walker,
+// so this sync completes under the same bound too.
 func TestModuleWindowBoundsInflight(t *testing.T) {
 	const width, depth, workers = 50, 10, 1
 	epoch := time.Date(2013, 11, 21, 0, 0, 0, 0, time.UTC)
@@ -284,6 +288,7 @@ func TestModuleWindowBoundsInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	spine := ta
+	var spines []*ca.Authority
 	for d := 0; d < depth; d++ {
 		for i := 0; i < width; i++ {
 			prefix := fmt.Sprintf("10.%d.%d.0/24", d, i)
@@ -300,6 +305,7 @@ func TestModuleWindowBoundsInflight(t *testing.T) {
 		if spine, err = spine.CreateChild(uri.Module, ipres.MustParseSet("10.0.0.0/8"), store, uri); err != nil {
 			t.Fatal(err)
 		}
+		spines = append(spines, spine)
 	}
 
 	hub := obs.NewHub(clock)
@@ -309,20 +315,35 @@ func TestModuleWindowBoundsInflight(t *testing.T) {
 	}
 	v := rp.New(rp.Config{Fetcher: probe, Clock: clock, Workers: workers, Obs: hub},
 		rp.TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI})
-	res := syncOnce(t, v)
-	if want := width * depth; res.ROAsAccepted != want {
-		t.Fatalf("accepted %d ROAs, want %d", res.ROAsAccepted, want)
+	check := func(label string, roas, revalidated int) {
+		t.Helper()
+		res := syncOnce(t, v)
+		if res.ROAsAccepted != roas {
+			t.Fatalf("%s: accepted %d ROAs, want %d", label, res.ROAsAccepted, roas)
+		}
+		if res.PubPointsVisited != len(stores) {
+			t.Fatalf("%s: visited %d points, want %d", label, res.PubPointsVisited, len(stores))
+		}
+		if res.ModulesRevalidated != revalidated {
+			t.Fatalf("%s: revalidated %d modules, want %d", label, res.ModulesRevalidated, revalidated)
+		}
+		probe.mu.Lock()
+		peak := probe.peak
+		probe.peak = 0
+		probe.mu.Unlock()
+		if peak < 1 || peak > 2*workers {
+			t.Fatalf("%s: peak modules in flight = %v, want within [1, %d]", label, peak, 2*workers)
+		}
+		if now := probe.inflight.Value(); now != 0 {
+			t.Fatalf("%s: %v module slots still held after the sync", label, now)
+		}
 	}
-	if res.PubPointsVisited != len(stores) {
-		t.Fatalf("visited %d points, want %d", res.PubPointsVisited, len(stores))
+	check("cold", width*depth, len(stores))
+	for d, s := range spines {
+		prefix := fmt.Sprintf("10.%d.255.0/24", d)
+		if _, err := s.IssueROA("extra", ipres.ASN(65000), roa.MustParsePrefix(prefix)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	probe.mu.Lock()
-	peak := probe.peak
-	probe.mu.Unlock()
-	if peak < 1 || peak > 2*workers {
-		t.Fatalf("peak modules in flight = %v, want within [1, %d]", peak, 2*workers)
-	}
-	if now := probe.inflight.Value(); now != 0 {
-		t.Fatalf("%v module slots still held after the sync", now)
-	}
+	check("warm, every spine point changed", width*depth+depth, depth)
 }
