@@ -273,12 +273,13 @@ func (b *BreakerSet) FastFails() int64 {
 	return b.fastFails.Load()
 }
 
-// Reset forgets all per-point state (counters are kept).
-func (b *BreakerSet) Reset() {
+// forget drops key's breaker, whatever its state: the point has left the
+// tree (Client.Forget). Counters are kept.
+func (b *BreakerSet) forget(key string) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.points = make(map[string]*breaker)
+	delete(b.points, key)
 }

@@ -27,12 +27,9 @@ type Client struct {
 	// the write of one window of pipelined request lines, or the wait for
 	// and transfer of one reply. It is re-armed for every reply, so it is
 	// a per-request deadline — never window × Timeout — and one slow object
-	// cannot starve the rest of a fetch; FetchAll and SyncIncremental layer
-	// SyncTimeout on top.
+	// cannot starve the rest of a fetch. A whole List, Get, FetchAll or
+	// SyncIncremental call, retries included, is bounded by 10 × Timeout.
 	Timeout time.Duration
-	// SyncTimeout bounds a whole FetchAll or SyncIncremental call,
-	// retries included (default 10× Timeout).
-	SyncTimeout time.Duration
 	// Dial overrides the dialer: the seam where a URI's host name becomes a
 	// peer. rpkirisk.ClientFor and the benchmark hang on it to reach every
 	// publication point of a world at one listener, whatever host the
@@ -94,11 +91,9 @@ type Client struct {
 	// guarded by mu.
 	idle []idleConn
 	// points remembers, per point (by URI), the snapshot SyncIncremental last
-	// returned under WithPoll and the token its listing carried, until a poll
-	// passes that does not fetch the point (feed.go). guarded by mu.
+	// returned under WithPoll and the token its listing carried, until Forget
+	// (feed.go). guarded by mu.
 	points map[string]pointMemo
-	// poll is the newest WithPoll context that fetched here. guarded by mu.
-	poll uint64
 	// noReuse is the test hook that forces the pool empty: nothing is parked,
 	// so every fetch dials. Set before the client serves requests.
 	noReuse bool
@@ -142,10 +137,7 @@ func (c *Client) timeout() time.Duration {
 }
 
 func (c *Client) syncTimeout() time.Duration {
-	if c == nil || c.SyncTimeout == 0 {
-		return 10 * c.timeout()
-	}
-	return c.SyncTimeout
+	return 10 * c.timeout()
 }
 
 func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
@@ -458,8 +450,8 @@ func readBody(r *bufio.Reader) ([]byte, error) {
 	return content, nil
 }
 
-// single runs one exchange on a connection it holds alone, under the overall
-// SyncTimeout.
+// single runs one exchange on a connection it holds alone, under the
+// whole-call bound.
 func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
@@ -695,7 +687,7 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 		c.feedLied(pc.key, listedBy)
 	}
 	if p != nil {
-		c.remember(pc.key, pointMemo{files: res.Files, token: listed.token, peer: listedBy, seen: p.id})
+		c.remember(pc.key, pointMemo{files: res.Files, token: listed.token, peer: listedBy})
 	}
 	return res, nil
 }

@@ -96,7 +96,7 @@ func TestBreakerNilSetIsNoop(t *testing.T) {
 	}
 	b.Success("x")
 	b.Failure("x")
-	b.Reset()
+	b.forget("x")
 	if b.State("x") != BreakerClosed || b.Trips() != 0 || b.FastFails() != 0 {
 		t.Error("nil set must read as empty")
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -23,10 +22,11 @@ import (
 //
 //   - What is remembered. Per point fetched under WithPoll, the snapshot
 //     SyncIncremental last returned, the token its LIST header carried and the
-//     peer that LIST came from — until a whole poll passes that does not fetch
-//     the point: what left the tree is neither held nor counted for its peer.
-//     A skip needs the caller's prev to be that snapshot — the same names over
-//     the same backing arrays — so a caller that fell back to a full fetch, or
+//     peer that LIST came from — until the caller says the point is gone
+//     (Forget; rp does at the end of every completed sync that did not reach
+//     it), and not a poll less: the client keeps no clock of its own. A skip
+//     needs the caller's prev to be that snapshot — the same names over the
+//     same backing arrays — so a caller that fell back to a full fetch, or
 //     holds another client's snapshot, is listed as before.
 //   - Who is believed. Only the peer the point's host reached on its last real
 //     dial, and only about a token that same peer handed out. A peer vouching
@@ -64,19 +64,12 @@ type pointMemo struct {
 	peer  peerID
 	// skips counts the fetches since that listing that did not ask.
 	skips uint32
-	// seen is the newest poll that fetched the point.
-	seen uint64
 }
 
 type pollKey struct{}
 
-// polls numbers the WithPoll contexts of the process, so that "newer" means
-// the same to every client.
-var polls atomic.Uint64
-
 // poll holds the feeds fetched under one WithPoll context.
 type poll struct {
-	id uint64
 	mu sync.Mutex
 	// feeds has one entry per client and peer asked so far. guarded by mu.
 	feeds map[feedKey]*feed
@@ -97,10 +90,10 @@ type feed struct {
 // WithPoll scopes one polling pass over many points — one rp.Sync: under the
 // returned context SyncIncremental remembers what it returns and may ask each
 // peer for its VERSIONS feed, once, and return the points it vouches for
-// without listing them. No feed outlives the context that fetched it, and no
-// memo the next poll that does not fetch its point.
+// without listing them. No feed outlives the context that fetched it; a memo
+// lives until Forget.
 func WithPoll(ctx context.Context) context.Context {
-	return context.WithValue(ctx, pollKey{}, &poll{id: polls.Add(1), feeds: make(map[feedKey]*feed)})
+	return context.WithValue(ctx, pollKey{}, &poll{feeds: make(map[feedKey]*feed)})
 }
 
 // tokens returns peer's feed, fetching it on first use; host is a name known
@@ -118,40 +111,17 @@ func (p *poll) tokens(ctx context.Context, c *Client, peer peerID, host string) 
 	return f.tokens
 }
 
-// enterLocked notes that a fetch under p reached the client. The first fetch
-// of a newer poll forgets every point the poll before it did not fetch: a
-// point that left the tree is not held, nor counted towards its peer's two,
-// for longer than that. The caller holds c.mu.
-func (c *Client) enterLocked(p *poll) {
-	if p.id <= c.poll {
-		return
-	}
-	for key, memo := range c.points {
-		if memo.seen < c.poll {
-			c.peers[memo.peer].points--
-			delete(c.points, key)
-		}
-	}
-	c.poll = p.id
-}
-
 // vouched reports whether the fetch may take prev for the point's current
 // content on its peer's word: prev is the snapshot remembered for the point,
 // and the peer its host reaches — the one that listed that snapshot — vouches,
-// in this poll's feed, for the token it was listed under. It notes that the
-// poll fetched the point, spends nothing and touches no breaker; trust does
-// the spending.
+// in this poll's feed, for the token it was listed under. It spends nothing
+// and touches no breaker; trust does the spending.
 func (c *Client) vouched(ctx context.Context, p *poll, pc *pointConn, prev map[string][]byte) (pointMemo, bool) {
 	if p == nil {
 		return pointMemo{}, false
 	}
 	c.mu.Lock()
-	c.enterLocked(p)
 	memo, remembered := c.points[pc.key]
-	if remembered && memo.seen < p.id {
-		memo.seen = p.id
-		c.points[pc.key] = memo
-	}
 	hp, known := c.hosts[pc.uri.Host]
 	ask := remembered && known && hp.peer == memo.peer && c.peers[memo.peer].points >= 2
 	c.mu.Unlock()
@@ -199,6 +169,19 @@ func (c *Client) remember(key string, memo pointMemo) {
 	}
 	c.points[key] = memo
 	c.peers[memo.peer].points++
+}
+
+// Forget drops what the client keeps about the point at uri, once its caller
+// knows the point has left the tree: its memo (and its count towards its
+// peer's two), its host's peer proof — so the host's next fetch dials for
+// real — and its breaker.
+func (c *Client) Forget(uri URI) {
+	key := uri.String()
+	c.remember(key, pointMemo{})
+	c.mu.Lock()
+	delete(c.hosts, uri.Host)
+	c.mu.Unlock()
+	c.Breakers.forget(key)
 }
 
 // sameSnapshot reports whether a and b are one snapshot: the same names over

@@ -448,52 +448,76 @@ func (c *chattyConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestFeedForgetsPointsNoLongerPolled: a memo lives as long as polls keep
-// fetching its point. One poll after a point left the tree its snapshot is
-// dropped and no longer counts towards its peer's two — a client must not hold
-// a revoked CA's objects for life, nor keep asking a peer about one point.
-func TestFeedForgetsPointsNoLongerPolled(t *testing.T) {
+// TestFeedForgetsWhatItIsTold: the client keeps no clock of its own. A memo
+// outlives any number of polls that skip its point, and goes — with its count
+// towards its peer's two, its host's peer proof and its breaker — when the
+// caller says the point left the tree (rp does, after every completed sync).
+func TestFeedForgetsWhatItIsTold(t *testing.T) {
 	h := newVouched(t, 4)
-	c := &Client{Timeout: time.Second, Dial: h.dial}
-	remembered := func() (points, served int) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.points), c.peers[0].points
-	}
-	want := func(what string, n int) {
+	c := &Client{Timeout: time.Second, Dial: h.dial, Breakers: NewBreakerSet(BreakerConfig{})}
+	want := func(what string, memos, hosts, breakers int) {
 		t.Helper()
-		if points, served := remembered(); points != n || served != n {
-			t.Fatalf("%s: %d points remembered, %d counted for the peer; want %d", what, points, served, n)
+		c.mu.Lock()
+		got := [...]int{len(c.points), c.peers[0].points, len(c.hosts)}
+		c.mu.Unlock()
+		if n := len(c.Breakers.States()); got != [...]int{memos, memos, hosts} || n != breakers {
+			t.Fatalf("%s: %d memos, %d counted for the peer, %d host proofs, %d breakers; want %d, %d, %d, %d",
+				what, got[0], got[1], got[2], n, memos, memos, hosts, breakers)
 		}
 	}
 	held := pollRound(t, c, h.uris, make([]map[string][]byte, 4))
 	held = pollRound(t, c, h.uris, held)
-	want("whole tree", 4)
+	want("whole tree", 4, 4, 4)
 
-	// Point 3 leaves: the first poll without it may be a partial one, the
-	// second says it is gone.
-	held = pollRound(t, c, h.uris[:3], held[:3])
-	want("first poll without the point", 4)
-	held = pollRound(t, c, h.uris[:3], held)
-	want("second poll without the point", 3)
+	// Point 3 is skipped by poll after poll: nothing but its caller decides
+	// that it is gone.
+	for i := 0; i < 3; i++ {
+		held = pollRound(t, c, h.uris[:3], held[:3])
+	}
+	want("three polls without the point", 4, 4, 4)
+	c.Forget(h.uris[3])
+	want("point 3 forgotten", 3, 3, 3)
 
 	// Down to one point the peer is no longer worth asking.
-	held = pollRound(t, c, h.uris[:1], held[:1])
-	held = pollRound(t, c, h.uris[:1], held)
-	want("one point left", 1)
+	c.Forget(h.uris[1])
+	c.Forget(h.uris[2])
+	want("one point left", 1, 1, 1)
 	asked, lists := c.requests[verbVersions].Load(), c.requests[verbList].Load()
-	held = pollRound(t, c, h.uris[:1], held)
+	held = pollRound(t, c, h.uris[:1], held[:1])
 	if v, l := c.requests[verbVersions].Load()-asked, c.requests[verbList].Load()-lists; v != 0 || l != 1 {
 		t.Errorf("%d VERSIONS, %d LIST for a peer serving one remembered point; want 0, 1", v, l)
 	}
 
 	// A point that comes back is listed, and remembered again.
 	back := pollRound(t, c, h.uris, append(held, nil, nil, nil))
-	want("tree restored", 4)
+	want("tree restored", 4, 4, 4)
 	checkWorld(t, "tree restored", h, back)
 	// A fetch outside any poll neither remembers nor forgets.
-	fetchRound(t, c, h.uris[:1], back[:1])
-	want("after an unpolled fetch", 4)
+	c.Forget(h.uris[3])
+	fetchRound(t, c, h.uris, back)
+	want("after an unpolled fetch", 3, 4, 4)
+
+	t.Run("a sibling on the departed point's host pays one dial and one LIST", func(t *testing.T) {
+		h := newVouched(t, 3)
+		const host = "shared.example:873"
+		if stagger(host)+2 >= reproveEvery {
+			t.Fatalf("%s is due for re-proving within two fetches: pick another host name", host)
+		}
+		var uris []URI
+		for i := 0; i < 3; i++ {
+			uris = append(uris, URI{Host: host, Module: fmt.Sprintf("m%d", i)})
+		}
+		c := &Client{Timeout: time.Second, Dial: h.dial}
+		held := pollRound(t, c, uris, make([]map[string][]byte, 3))
+		held = pollRound(t, c, uris, held)
+		c.Forget(uris[2])
+		dials, lists, skips := c.dials.Load(), c.requests[verbList].Load(), c.feedSkips.Load()
+		pollRound(t, c, uris[:2], held[:2])
+		d, l, s := c.dials.Load()-dials, c.requests[verbList].Load()-lists, c.feedSkips.Load()-skips
+		if d != 1 || l != 1 || s != 1 {
+			t.Errorf("the poll after a departure: %d dials, %d LISTs, %d skips; want 1, 1, 1", d, l, s)
+		}
+	})
 }
 
 // garbledPeer lists two objects and answers every GET with a line that is

@@ -15,12 +15,22 @@ func VerdictCount(v *RelyingParty) int {
 // Verifications returns the ECDSA verifications r's verdict misses ran.
 func Verifications(r *Result) int { return r.verifications }
 
-// PointVerdicts returns the signature verdicts v retains for module.
+// PointVerdicts returns the signature verdicts v retains for module, on
+// whichever host it was fetched from.
 func PointVerdicts(v *RelyingParty, module string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if p := v.points[module]; p != nil {
-		return p.verdicts.Len()
+	for uri, p := range v.points {
+		if uri.Module == module {
+			return p.verdicts.Len()
+		}
 	}
 	return 0
+}
+
+// PointCount returns the publication points v retains state for.
+func PointCount(v *RelyingParty) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.points)
 }

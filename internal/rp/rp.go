@@ -245,8 +245,8 @@ type RelyingParty struct {
 
 	mu sync.Mutex
 	// points is everything retained per publication point between Sync
-	// calls (see state.go). guarded by mu.
-	points map[string]*pointState
+	// calls, by the URI its walk fetched (see state.go). guarded by mu.
+	points map[repo.URI]*pointState
 	// syncs numbers the syncs begun, so a completed one can tell the points
 	// it walked from those that left the tree. guarded by mu.
 	syncs uint64
@@ -265,7 +265,7 @@ func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
 		cfg:            cfg,
 		anchors:        anchors,
 		keepsSnapshots: cfg.StaleTTL > 0 || (cfg.CacheSnapshots && incremental),
-		points:         make(map[string]*pointState),
+		points:         make(map[repo.URI]*pointState),
 		met:            newRPMetrics(cfg.Obs),
 	}
 }
@@ -666,7 +666,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// What the last syncs left behind for this point. The memo entry is
 	// usable only under the same authority and effective set and inside its
 	// epoch — the guard every reuse tier below sits behind.
-	p := st.rp.point(uri.Module)
+	p := st.rp.point(uri)
 	e := p.memo
 	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
@@ -982,7 +982,7 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, versio
 	st.res.CertsAccepted += e.certs
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
-	st.rp.markReused(uri.Module, version, hasVersion, st.now)
+	st.rp.markReused(uri, version, hasVersion, st.now)
 	for _, ch := range e.children {
 		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
 	}
@@ -1018,7 +1018,7 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	st.res.VerifyCacheMisses += int(misses)
 	st.res.verifications += int(mb.sigs.Verified())
 	st.mu.Unlock()
-	st.rp.keepVerdicts(uri.Module, mb.sigs.Verdicts())
+	st.rp.keepVerdicts(uri, mb.sigs.Verdicts())
 	if !mb.memoizable {
 		return
 	}
@@ -1038,7 +1038,7 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 			children:   mb.children,
 		}
 	}
-	st.rp.commitPoint(uri.Module, entry, files, st.now)
+	st.rp.commitPoint(uri, entry, files, st.now)
 }
 
 // lkgFallback handles a publication point that could not be fetched at all.
@@ -1166,7 +1166,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 		if ferr != nil {
 			return nil, false, ferr
 		}
-		rp.setLast(uri.Module, files)
+		rp.setLast(uri, files)
 		st.mu.Lock()
 		st.res.IncrementalFallbacks++
 		st.res.ObjectsDownloaded += len(files)
@@ -1175,7 +1175,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 			"incremental sync failed (%v); recovered with a full fetch", err)
 		return files, false, nil
 	}
-	rp.setLast(uri.Module, sync.Files)
+	rp.setLast(uri, sync.Files)
 	st.mu.Lock()
 	st.res.ObjectsDownloaded += sync.Downloaded
 	st.res.ObjectsReused += sync.Reused

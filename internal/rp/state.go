@@ -26,9 +26,13 @@
 //   - verdicts are the signature verdicts the point's latest validation
 //     used (cert.Verdicts), whatever its outcome: the next revalidation
 //     answers unchanged objects from them. Replaced at every validation, so
-//     they never outgrow the point's objects, and dropped when a completed
-//     sync did not reach the point — a point that leaves the tree takes its
-//     verdicts with it.
+//     they never outgrow the point's objects.
+//
+// A point is keyed by the URI its walk fetched and has one lifetime: when a
+// completed sync did not reach it, the point is dropped whole and the fetcher
+// is told to forget the URI (*repo.Client's memo, host proof and breaker go
+// too); an aborted sync forgets nothing. So retiring child CAs grows nothing
+// beyond the live tree, and a child moved to another host is a new point.
 //
 // clean and memo are committed together, at module commit, and only for a
 // faithfully fetched snapshot that validated clean — "verified objects" —
@@ -54,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/repo"
 )
 
 // pointState is what the relying party retains about one publication point
@@ -71,34 +76,39 @@ type pointState struct {
 	seen uint64
 }
 
-// pointLocked returns module's state, creating it on first use.
-func (rp *RelyingParty) pointLocked(module string) *pointState {
-	p := rp.points[module]
+// forgetter is optionally implemented by fetchers that keep per-point state
+// of their own (*repo.Client does): dropDeparted tells them each point gone.
+type forgetter interface {
+	Forget(uri repo.URI)
+}
+
+// pointLocked returns uri's state, creating it on first use.
+func (rp *RelyingParty) pointLocked(uri repo.URI) *pointState {
+	p := rp.points[uri]
 	if p == nil {
 		p = &pointState{seen: rp.syncs}
-		rp.points[module] = p
+		rp.points[uri] = p
 	}
 	return p
 }
 
-// point records that the current sync walks module and returns a copy of
-// its state (zero when nothing is retained).
-func (rp *RelyingParty) point(module string) pointState {
+// point records that the current sync walks uri and returns a copy of its
+// state (zero when nothing is retained).
+func (rp *RelyingParty) point(uri repo.URI) pointState {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	if p := rp.points[module]; p != nil {
+	if p := rp.points[uri]; p != nil {
 		p.seen = rp.syncs
 		return *p
 	}
 	return pointState{}
 }
 
-// keepVerdicts replaces module's verdicts with those its latest validation
-// used.
-func (rp *RelyingParty) keepVerdicts(module string, v cert.Verdicts) {
+// keepVerdicts replaces uri's verdicts with those its latest validation used.
+func (rp *RelyingParty) keepVerdicts(uri repo.URI, v cert.Verdicts) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.pointLocked(module).verdicts = v
+	rp.pointLocked(uri).verdicts = v
 }
 
 // beginSync numbers a new sync; the walks it reaches stamp their points.
@@ -109,23 +119,31 @@ func (rp *RelyingParty) beginSync() {
 }
 
 // dropDeparted ends a completed sync: a point it did not reach has left the
-// tree (or is unreachable through it), and its verdicts go.
+// tree (or is unreachable through it), and is dropped whole. The fetcher is
+// told outside rp.mu, which is never held across a call into it.
 func (rp *RelyingParty) dropDeparted() {
+	var gone []repo.URI
 	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for _, p := range rp.points {
+	for uri, p := range rp.points {
 		if p.seen != rp.syncs {
-			p.verdicts = cert.Verdicts{}
+			delete(rp.points, uri)
+			gone = append(gone, uri)
+		}
+	}
+	rp.mu.Unlock()
+	if f, ok := rp.cfg.Fetcher.(forgetter); ok {
+		for _, uri := range gone {
+			f.Forget(uri)
 		}
 	}
 }
 
 // setLast records the snapshot an incremental-capable fetch just returned,
 // validated or not: the next fetch diffs against it.
-func (rp *RelyingParty) setLast(module string, files map[string][]byte) {
+func (rp *RelyingParty) setLast(uri repo.URI, files map[string][]byte) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.pointLocked(module).last = files
+	rp.pointLocked(uri).last = files
 }
 
 // commitPoint records the validation of a faithfully fetched snapshot. A
@@ -135,24 +153,24 @@ func (rp *RelyingParty) setLast(module string, files map[string][]byte) {
 // memo entry goes, the last clean snapshot stays. Both outlive the sync:
 // memoized verdicts are reused across runs, and last-known-good snapshots
 // are served during authority outages.
-func (rp *RelyingParty) commitPoint(module string, e *moduleEntry, files map[string][]byte, at time.Time) {
+func (rp *RelyingParty) commitPoint(uri repo.URI, e *moduleEntry, files map[string][]byte, at time.Time) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	p := rp.pointLocked(module)
+	p := rp.pointLocked(uri)
 	p.memo = e
 	if e != nil && rp.cfg.StaleTTL > 0 {
 		p.clean, p.cleanAt = files, at
 	}
 }
 
-// markReused records that module's memo entry was just proven current: the
+// markReused records that uri's memo entry was just proven current: the
 // clean snapshot it was validated from is the point's content as of at, and
 // a fetcher-reported version lets the next sync take the cheaper tier-1
 // path.
-func (rp *RelyingParty) markReused(module string, version uint64, hasVersion bool, at time.Time) {
+func (rp *RelyingParty) markReused(uri repo.URI, version uint64, hasVersion bool, at time.Time) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	p := rp.points[module]
+	p := rp.points[uri]
 	if p == nil || p.memo == nil {
 		return
 	}
