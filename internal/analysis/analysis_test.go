@@ -89,6 +89,8 @@ func TestGuardedBy(t *testing.T) {
 	checkGolden(t, findingStrings(rep), []string{
 		"guardedby/guardedby.go:13: [guardedby] 'guarded by lock' names no field of this struct: the guard contract protects nothing",
 		"guardedby/guardedby.go:23: [guardedby] c.n is guarded by mu but racy contains no preceding c.mu.Lock()",
+		"guardedby/guardedby.go:40: [guardedby] 'guarded by nobody.mu' names no field of a struct of this package: the guard contract protects nothing",
+		"guardedby/guardedby.go:50: [guardedby] p.points is guarded by owner.mu but bump contains no preceding <x>.mu.Lock()",
 	})
 }
 

@@ -17,19 +17,22 @@ import (
 // (<base>.<mu>.Lock() or .RLock() textually preceding the access — the
 // stdlib-only approximation of dominance), or in a function whose name
 // ends in "Locked" (the repo's convention for "caller holds the lock").
-// An annotation naming a mutex field that does not exist in the struct is
-// itself a finding — a guard contract pointing at nothing protects
-// nothing.
+// A field of a struct that has no mutex of its own, shared by an owner that
+// does, is annotated with a qualified guard, "guarded by Owner.mu": any
+// <x>.mu.Lock() preceding the access then holds it, since the value does
+// not know which owner's mutex is its own. An annotation naming a mutex
+// field that does not exist in the struct (or in Owner) is itself a
+// finding — a guard contract pointing at nothing protects nothing.
 var guardedByRule = &Rule{
 	Name: "guardedby",
 	Doc:  "field annotated '// guarded by <mu>' accessed without locking <mu>",
 	Run:  runGuardedBy,
 }
 
-var guardedByPattern = regexp.MustCompile(`guarded by (\w+)`)
+var guardedByPattern = regexp.MustCompile(`guarded by (\w+(?:\.\w+)?)`)
 
 // guardedField records one annotation: the field object and the name of
-// the mutex field guarding it.
+// the mutex field guarding it, "mu" or "Owner.mu".
 type guardedField struct {
 	mu string
 }
@@ -70,16 +73,19 @@ func runGuardedBy(pass *Pass) {
 			}
 			base := types.ExprString(sel.X)
 			root := base + "." + guard.mu
+			_, mu, qualified := strings.Cut(guard.mu, ".")
+			if qualified {
+				root = "<x>." + mu
+			}
 			events, ok := lockEvents[fd]
 			if !ok {
 				events = collectLockEvents(fd)
 				lockEvents[fd] = events
 			}
 			held := false
-			for _, p := range events[root] {
-				if p < sel.Pos() {
+			for locked, ps := range events {
+				if (locked == root || qualified && strings.HasSuffix(locked, "."+mu)) && ps[0] < sel.Pos() {
 					held = true
-					break
 				}
 			}
 			if !held {
@@ -134,7 +140,13 @@ func collectGuardedFields(pass *Pass) map[*types.Var]guardedField {
 				if mu == "" {
 					continue
 				}
-				if !siblings[mu] {
+				if owner, ownerMu, qualified := strings.Cut(mu, "."); qualified {
+					if !hasField(pass.Pkg.Types, owner, ownerMu) {
+						pass.Reportf(field.Pos(),
+							"'guarded by %s' names no field of a struct of this package: the guard contract protects nothing", mu)
+						continue
+					}
+				} else if !siblings[mu] {
 					pass.Reportf(field.Pos(),
 						"'guarded by %s' names no field of this struct: the guard contract protects nothing", mu)
 					continue
@@ -152,6 +164,17 @@ func collectGuardedFields(pass *Pass) map[*types.Var]guardedField {
 		})
 	}
 	return out
+}
+
+// hasField reports whether pkg declares a type owner with a field name.
+func hasField(pkg *types.Package, owner, name string) bool {
+	tn, ok := pkg.Scope().Lookup(owner).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	field, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, name)
+	_, ok = field.(*types.Var)
+	return ok
 }
 
 // collectLockEvents finds every "<root>.Lock()" / "<root>.RLock()" call in

@@ -26,3 +26,26 @@ func (c *counter) racy() int {
 func (c *counter) readLocked() int {
 	return c.n // caller holds the lock by convention
 }
+
+// owner shares peers, which have no mutex of their own: their counters are
+// guarded by the owner's, whichever owner's <x>.mu the accessor locks.
+type owner struct {
+	mu sync.Mutex
+}
+
+type peer struct {
+	// points counts users. guarded by owner.mu.
+	points int
+	// stray names an owner that does not exist. guarded by nobody.mu.
+	stray int
+}
+
+func (o *owner) add(p *peer) {
+	o.mu.Lock()
+	p.points++
+	o.mu.Unlock()
+}
+
+func bump(p *peer) {
+	p.points++ // want: no preceding <x>.mu.Lock()
+}

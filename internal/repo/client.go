@@ -27,8 +27,8 @@ type Client struct {
 	// the write of one window of pipelined request lines, or the wait for
 	// and transfer of one reply. It is re-armed for every reply, so it is
 	// a per-request deadline — never window × Timeout — and one slow object
-	// cannot starve the rest of a fetch. A whole List, Get, FetchAll or
-	// SyncIncremental call, retries included, is bounded by 10 × Timeout.
+	// cannot starve the rest of a fetch. A whole FetchAll or SyncIncremental
+	// call, retries included, is bounded by 10 × Timeout.
 	Timeout time.Duration
 	// Dial overrides the dialer: the seam where a URI's host name becomes a
 	// peer. rpkirisk.ClientFor and the benchmark hang on it to reach every
@@ -80,10 +80,9 @@ type Client struct {
 	// mu guards the connection-reuse state (pool.go). It is a leaf: never
 	// held across I/O, a Breakers call or a Close.
 	mu sync.Mutex
-	// peerIDs interns the peer addresses real dials reached, and peers holds
-	// what is kept about each, indexed by peerID. guarded by mu.
-	peerIDs map[string]peerID
-	peers   []peerState
+	// peers holds one value per peer address real dials reached, until no
+	// host proof and no memo names it (pool.go). guarded by mu.
+	peers map[string]*peer
 	// hosts remembers, per URI host, the peer its last real dial reached and
 	// how many fetches have trusted that since. guarded by mu.
 	hosts map[string]hostPeer
@@ -179,7 +178,7 @@ type pointConn struct {
 	key  string // breaker key: uri.String(), rendered once
 	conn net.Conn
 	r    *bufio.Reader
-	peer peerID
+	peer *peer
 	stop func() bool // cancels the ctx→Close watcher
 	// failed records a transport failure on this fetch: what follows dials,
 	// it does not try another parked connection.
@@ -448,28 +447,6 @@ func readBody(r *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("repo: reading object body: %w", err)
 	}
 	return content, nil
-}
-
-// single runs one exchange on a connection it holds alone, under the
-// whole-call bound.
-func single[T any](ctx context.Context, c *Client, uri URI, v verb, name string, read func(*bufio.Reader) (T, error)) (T, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
-	defer cancel()
-	pc := c.pointConn(uri)
-	defer pc.release()
-	return one(ctx, pc, v, name, read)
-}
-
-// List returns the size and SHA-256 of every object available in the module.
-func (c *Client) List(ctx context.Context, uri URI) (map[string]ObjectInfo, error) {
-	return single(ctx, c, uri, verbList, "", readList)
-}
-
-// Get fetches one object from the module.
-func (c *Client) Get(ctx context.Context, uri URI, name string) ([]byte, error) {
-	content, err := single(ctx, c, uri, verbGet, name, readBody)
-	c.countBytes(len(content))
-	return content, err
 }
 
 // sortedNames returns the keys of a listing in name order.

@@ -61,7 +61,7 @@ type pointMemo struct {
 	files map[string][]byte
 	// token is the one the listing behind files carried, peer who sent it.
 	token string
-	peer  peerID
+	peer  *peer
 	// skips counts the fetches since that listing that did not ask.
 	skips uint32
 }
@@ -71,13 +71,9 @@ type pollKey struct{}
 // poll holds the feeds fetched under one WithPoll context.
 type poll struct {
 	mu sync.Mutex
-	// feeds has one entry per client and peer asked so far. guarded by mu.
-	feeds map[feedKey]*feed
-}
-
-type feedKey struct {
-	c    *Client
-	peer peerID
+	// feeds has one entry per peer asked so far; each Client has peers of its
+	// own. guarded by mu.
+	feeds map[*peer]*feed
 }
 
 // feed is one peer's VERSIONS reply: module → token, nil when the exchange
@@ -93,21 +89,20 @@ type feed struct {
 // without listing them. No feed outlives the context that fetched it; a memo
 // lives until Forget.
 func WithPoll(ctx context.Context) context.Context {
-	return context.WithValue(ctx, pollKey{}, &poll{feeds: make(map[feedKey]*feed)})
+	return context.WithValue(ctx, pollKey{}, &poll{feeds: make(map[*peer]*feed)})
 }
 
-// tokens returns peer's feed, fetching it on first use; host is a name known
-// to reach peer, should the exchange have to dial.
-func (p *poll) tokens(ctx context.Context, c *Client, peer peerID, host string) map[string]string {
-	key := feedKey{c: c, peer: peer}
+// tokens returns pr's feed, fetching it on first use; host is a name known
+// to reach pr, should the exchange have to dial.
+func (p *poll) tokens(ctx context.Context, c *Client, pr *peer, host string) map[string]string {
 	p.mu.Lock()
-	f := p.feeds[key]
+	f := p.feeds[pr]
 	if f == nil {
 		f = new(feed)
-		p.feeds[key] = f
+		p.feeds[pr] = f
 	}
 	p.mu.Unlock()
-	f.once.Do(func() { f.tokens = c.fetchFeed(ctx, peer, host) })
+	f.once.Do(func() { f.tokens = c.fetchFeed(ctx, pr, host) })
 	return f.tokens
 }
 
@@ -122,8 +117,7 @@ func (c *Client) vouched(ctx context.Context, p *poll, pc *pointConn, prev map[s
 	}
 	c.mu.Lock()
 	memo, remembered := c.points[pc.key]
-	hp, known := c.hosts[pc.uri.Host]
-	ask := remembered && known && hp.peer == memo.peer && c.peers[memo.peer].points >= 2
+	ask := remembered && c.hosts[pc.uri.Host].peer == memo.peer && memo.peer.points >= 2
 	c.mu.Unlock()
 	if !ask || prev == nil || !sameSnapshot(prev, memo.files) {
 		return pointMemo{}, false
@@ -144,7 +138,7 @@ func (c *Client) trust(pc *pointConn, memo pointMemo) bool {
 	if now.token != memo.token || now.peer != memo.peer || c.hosts[pc.uri.Host].peer != now.peer || now.skips+1 >= reproveEvery {
 		return false
 	}
-	if _, ok := c.trustLocked(pc.uri.Host); !ok {
+	if c.trustLocked(pc.uri.Host) == nil {
 		return false
 	}
 	now.skips++
@@ -157,29 +151,35 @@ func (c *Client) trust(pc *pointConn, memo pointMemo) bool {
 func (c *Client) remember(key string, memo pointMemo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, had := c.points[key]; had {
-		c.peers[old.peer].points--
-	}
+	old, had := c.points[key]
 	if memo.token == "" {
 		delete(c.points, key)
-		return
+	} else {
+		if c.points == nil {
+			c.points = make(map[string]pointMemo)
+		}
+		c.points[key] = memo
+		memo.peer.points++
 	}
-	if c.points == nil {
-		c.points = make(map[string]pointMemo)
+	if had {
+		old.peer.points--
+		c.departLocked(old.peer)
 	}
-	c.points[key] = memo
-	c.peers[memo.peer].points++
 }
 
 // Forget drops what the client keeps about the point at uri, once its caller
 // knows the point has left the tree: its memo (and its count towards its
 // peer's two), its host's peer proof — so the host's next fetch dials for
-// real — and its breaker.
+// real — its peer, if nothing else names that, and its breaker.
 func (c *Client) Forget(uri URI) {
 	key := uri.String()
 	c.remember(key, pointMemo{})
 	c.mu.Lock()
-	delete(c.hosts, uri.Host)
+	if hp, known := c.hosts[uri.Host]; known {
+		delete(c.hosts, uri.Host)
+		hp.peer.hosts--
+		c.departLocked(hp.peer)
+	}
 	c.mu.Unlock()
 	c.Breakers.forget(key)
 }
@@ -199,39 +199,35 @@ func sameSnapshot(a, b map[string][]byte) bool {
 	return true
 }
 
-// feedLied counts an audit that found other content under the token peer was
+// feedLied counts an audit that found other content under the token p was
 // vouching for, and names the peer in the flight recorder.
-func (c *Client) feedLied(key string, peer peerID) {
+func (c *Client) feedLied(key string, p *peer) {
 	c.feedLies.Add(1)
-	if c.rec == nil {
-		return
+	if c.rec != nil {
+		c.rec.Recordf(obs.EventFeedLie, key, "peer %s vouched for a token whose listing changed", p.addr)
 	}
-	c.mu.Lock()
-	addr := c.peers[peer].addr
-	c.mu.Unlock()
-	c.rec.Recordf(obs.EventFeedLie, key, "peer %s vouched for a token whose listing changed", addr)
 }
 
-// fetchFeed runs one VERSIONS exchange with peer, on a parked connection if
+// fetchFeed runs one VERSIONS exchange with p, on a parked connection if
 // one is live and else on a dial of host, and returns the reply — nil on any
 // failure, and nil unless the connection settles clean (pool.go): a peer that
 // says more than the reply, or a context that died under it, is not believed
 // for the poll.
-func (c *Client) fetchFeed(ctx context.Context, peer peerID, host string) map[string]string {
+func (c *Client) fetchFeed(ctx context.Context, p *peer, host string) map[string]string {
 	c.mu.Lock()
-	if st := &c.peers[peer]; st.muted > 0 {
-		st.muted--
+	if p.muted > 0 {
+		p.muted--
 		c.mu.Unlock()
 		return nil
 	}
-	ic := c.takeLocked(peer)
+	ic := c.takeLocked(p)
 	c.mu.Unlock()
 	ic, err := c.open(ctx, host, ic)
 	if err != nil {
 		return nil
 	}
 	conn := ic.conn
-	if ic.peer != peer {
+	if ic.peer != p {
 		// The name moved: whoever answered the dial is not the peer being asked.
 		_ = conn.Close()
 		return nil
@@ -248,14 +244,14 @@ func (c *Client) fetchFeed(ctx context.Context, peer peerID, host string) map[st
 	if err == nil {
 		tokens, err = readVersions(ic.r)
 	}
-	if !c.settle(peer, conn, ic.r, stop, err == nil) {
+	if !c.settle(p, conn, ic.r, stop, err == nil) {
 		tokens = nil
 	}
 	if errors.Is(err, errRejected) {
 		// The peer does not speak the verb (and hung up, as a server does on
 		// any unknown command): one exchange per re-prove period, not per poll.
 		c.mu.Lock()
-		c.peers[peer].muted = reproveEvery - 1
+		p.muted = reproveEvery - 1
 		c.mu.Unlock()
 	}
 	return tokens

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -458,7 +459,7 @@ func TestFeedForgetsWhatItIsTold(t *testing.T) {
 	want := func(what string, memos, hosts, breakers int) {
 		t.Helper()
 		c.mu.Lock()
-		got := [...]int{len(c.points), c.peers[0].points, len(c.hosts)}
+		got := [...]int{len(c.points), c.peers[h.addr].points, len(c.hosts)}
 		c.mu.Unlock()
 		if n := len(c.Breakers.States()); got != [...]int{memos, memos, hosts} || n != breakers {
 			t.Fatalf("%s: %d memos, %d counted for the peer, %d host proofs, %d breakers; want %d, %d, %d, %d",
@@ -518,6 +519,119 @@ func TestFeedForgetsWhatItIsTold(t *testing.T) {
 			t.Errorf("the poll after a departure: %d dials, %d LISTs, %d skips; want 1, 1, 1", d, l, s)
 		}
 	})
+}
+
+// TestForgetEmptiesThePeerTable: a peer is kept while a host proof or a
+// point's memo names it, and not a moment longer. Points on listeners of
+// their own leave no peer behind once each is forgotten, and a host that
+// moves from address to address leaves only the one it reaches now.
+func TestForgetEmptiesThePeerTable(t *testing.T) {
+	retained := func(c *Client) [3]int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return [...]int{len(c.peers), len(c.hosts), len(c.points)}
+	}
+
+	t.Run("every point forgotten", func(t *testing.T) {
+		const n = 8
+		addrs := make(map[string]string)
+		uris := make([]URI, n)
+		for i := range uris {
+			h := newVouched(t, 1)
+			uris[i] = URI{Host: fmt.Sprintf("pp%d.example:873", i), Module: h.uris[0].Module}
+			addrs[uris[i].Host] = h.addr
+		}
+		c := &Client{Timeout: time.Second, Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, network, addrs[addr])
+		}}
+		held := pollRound(t, c, uris, make([]map[string][]byte, n))
+		pollRound(t, c, uris, held)
+		if got := retained(c); got != [...]int{n, n, n} {
+			t.Fatalf("after two polls: %d peers, %d host proofs, %d memos; want %d of each", got[0], got[1], got[2], n)
+		}
+		for _, uri := range uris {
+			c.Forget(uri)
+		}
+		if got := retained(c); got != [3]int{} {
+			t.Errorf("every point forgotten: %d peers, %d host proofs, %d memos; want none", got[0], got[1], got[2])
+		}
+	})
+
+	t.Run("one host moved across addresses", func(t *testing.T) {
+		const k = 4
+		var addrs []string
+		for i := 0; i < k; i++ {
+			addrs = append(addrs, newVouched(t, 1).addr)
+		}
+		dials := 0
+		c := &Client{Timeout: time.Second, noReuse: true, Dial: func(ctx context.Context, network, _ string) (net.Conn, error) {
+			var d net.Dialer
+			dials++
+			return d.DialContext(ctx, network, addrs[(dials-1)%k])
+		}}
+		uri := []URI{{Host: "moving.example:873", Module: "m0"}}
+		held := make([]map[string][]byte, 1)
+		for i := 0; i < 2*k; i++ {
+			held = pollRound(t, c, uri, held)
+		}
+		if got := retained(c); got != [...]int{1, 1, 1} {
+			t.Errorf("after %d dials over %d addresses: %d peers, %d host proofs, %d memos; want 1 of each", dials, k, got[0], got[1], got[2])
+		}
+		if moves := c.peerMoves.Load(); moves != 2*k-1 {
+			t.Errorf("%d peer moves, want %d", moves, 2*k-1)
+		}
+	})
+
+	t.Run("a fetch in flight across Forget", func(t *testing.T) {
+		// The fetch learns its peer, Forget drops that peer, and the fetch
+		// then remembers the point under the departed value. When the next
+		// listing replaces that memo, the address's new value keeps its entry.
+		h := newVouched(t, 1)
+		uri := h.uris[0]
+		reading, gate := make(chan struct{}), make(chan struct{})
+		dials := 0
+		c := &Client{Timeout: time.Second, noReuse: true, Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := h.dial(ctx, network, addr)
+			if dials++; err != nil || dials > 1 {
+				return conn, err
+			}
+			return &gatedConn{Conn: conn, reading: reading, gate: gate}, nil
+		}}
+		errc := make(chan error)
+		go func() {
+			_, err := c.SyncIncremental(WithPoll(context.Background()), uri, nil)
+			errc <- err
+		}()
+		<-reading
+		c.Forget(uri)
+		close(gate)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		pollRound(t, c, []URI{uri}, make([]map[string][]byte, 1))
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if p := c.hosts[uri.Host].peer; len(c.peers) != 1 || c.peers[h.addr] != p || len(c.points) != 1 {
+			t.Errorf("%d peers, %d memos, the host's peer in the table: %t; want 1, 1, true", len(c.peers), len(c.points), c.peers[h.addr] == p)
+		}
+	})
+}
+
+// gatedConn holds its first read until gate closes, after telling reading.
+type gatedConn struct {
+	net.Conn
+	once    sync.Once
+	reading chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	c.once.Do(func() {
+		c.reading <- struct{}{}
+		<-c.gate
+	})
+	return c.Conn.Read(p)
 }
 
 // garbledPeer lists two objects and answers every GET with a line that is

@@ -176,11 +176,11 @@ func TestVerdictsStayWithTheirPoints(t *testing.T) {
 // benchmark's wiring (a repo.Client over loopback, snapshot cache,
 // last-known-good, breakers, two workers) Sprint gains and loses n children
 // of Figure 2, each created with one ROA, synced, revoked and synced again.
-// After every completed sync rp's points, the client's feed memos and host
-// proofs and the breaker set each hold at most the live tree; and the heap
-// retained over the churn exceeds that of the same churn with no relying
-// party by under 0.5 KiB per retired CA, plus 64 KiB for the collector's
-// noise. (While each structure forgot by a
+// After every completed sync rp's points, the client's feed memos, host
+// proofs and peers, and the breaker set each hold at most the live tree; and
+// the heap retained over the churn exceeds that of the same churn with no
+// relying party by under 0.5 KiB per retired CA, plus 64 KiB for the
+// collector's noise. (While each structure forgot by a
 // rule of its own, or never, 400 retired CAs left 404 points, host proofs
 // and breakers behind: ≈ 4.7 KiB each, for the life of the process.)
 func TestChildChurnStaysBounded(t *testing.T) {
@@ -227,11 +227,11 @@ func childChurn(t *testing.T, n int, relying bool) float64 {
 		}
 		t.Helper()
 		syncOnce(t, v)
-		memos, hosts := clientRetained(client)
+		memos, hosts, peers := clientRetained(client)
 		points, breakers := rp.PointCount(v), len(client.Breakers.States())
-		if points > live || memos > live || hosts > live || breakers > live {
-			t.Fatalf("%s: %d points, %d feed memos, %d host proofs, %d breakers retained for a live tree of %d",
-				what, points, memos, hosts, breakers, live)
+		if points > live || memos > live || hosts > live || peers > live || breakers > live {
+			t.Fatalf("%s: %d points, %d feed memos, %d host proofs, %d peers, %d breakers retained for a live tree of %d",
+				what, points, memos, hosts, peers, breakers, live)
 		}
 	}
 	sync("cold", len(w.Stores))
@@ -261,13 +261,13 @@ func childChurn(t *testing.T, n int, relying bool) float64 {
 	return grown
 }
 
-// clientRetained reads how many feed memos and host → peer proofs c holds.
-// Both are unexported, and another package's export_test.go is out of this
-// test binary's reach; between syncs no fetch is in flight, so the unlocked
-// reads race nothing.
-func clientRetained(c *repo.Client) (memos, hosts int) {
+// clientRetained reads how many feed memos, host → peer proofs and peers c
+// holds. All three are unexported, and another package's export_test.go is
+// out of this test binary's reach; between syncs no fetch is in flight, so
+// the unlocked reads race nothing.
+func clientRetained(c *repo.Client) (memos, hosts, peers int) {
 	fields := reflect.ValueOf(c).Elem()
-	return fields.FieldByName("points").Len(), fields.FieldByName("hosts").Len()
+	return fields.FieldByName("points").Len(), fields.FieldByName("hosts").Len(), fields.FieldByName("peers").Len()
 }
 
 // checkVerdicts requires v to hold no more verdicts than the objects
