@@ -44,14 +44,14 @@ func stallScenarios() []Scenario {
 			Name:  "stalloris/multipoint-stall",
 			Paper: "Stalloris (arXiv:2205.06064) §7",
 			Layer: "LKG store",
-			Doc:   "coordinated stall of every publication point at once; the RP must serve last-known-good data for all of them (stale, not down)",
+			Doc:   "coordinated stall of every publication point at once; the RP must serve last-known-good data for all of them (stale, not down), from the memo without revalidating",
 			Run:   runMultipointStall,
 		},
 		{
 			Name:  "stalloris/downgrade-to-stale",
 			Paper: "Stalloris (arXiv:2205.06064) §7 + paper §4 (Side Effect 7)",
 			Layer: "LKG StaleTTL",
-			Doc:   "attacker keeps a point down to pin the RP on stale data; StaleTTL must bound the pin — past it the subtree drops and the RP reports degraded",
+			Doc:   "attacker keeps a point down to pin the RP on stale data; StaleTTL must bound the pin, however often the point is served stale — past it the subtree drops and the RP reports degraded",
 			Run:   runDowngradeToStale,
 		},
 	}
@@ -176,6 +176,18 @@ func runMultipointStall(e *Env) {
 	if stalled.StaleFallbacks < 2 {
 		e.Failf("StaleFallbacks = %d, want both points served from LKG", stalled.StaleFallbacks)
 	}
+
+	// The stall costs freshness, not work: the memo already holds what the
+	// snapshots validate to, so a stalled sync revalidates nothing.
+	e.Clock.Advance(10 * time.Minute)
+	again := w.Sync(relying)
+	e.AssertTerminal(again, obs.HealthStale)
+	if !reflect.DeepEqual(again.VRPs, baseline.VRPs) {
+		e.Failf("second stalled sync's VRPs diverge from last-known-good:\n%v\n%v", again.VRPs, baseline.VRPs)
+	}
+	if again.ModulesRevalidated != 0 {
+		e.Failf("second stalled sync revalidated %d modules, want 0 (served from the memo)", again.ModulesRevalidated)
+	}
 	e.RequireEvent(obs.EventStaleFallback)
 }
 
@@ -193,20 +205,24 @@ func runDowngradeToStale(e *Env) {
 	}
 
 	// The attacker takes the child point down and keeps it down, counting
-	// on the RP to keep serving yesterday's data forever.
+	// on the RP to keep serving yesterday's data forever. Each stale sync
+	// inside the TTL serves the snapshot; none may restart its age.
 	w.ChildFaults.Refuse(true)
-	e.Clock.Advance(10 * time.Minute)
-	stale := w.Sync(relying)
-	if got := stale.Health(); got != obs.HealthStale {
-		e.Failf("inside TTL: health = %s, want stale (diags: %v)", got, stale.Diagnostics)
-	}
-	if !reflect.DeepEqual(stale.VRPs, baseline.VRPs) {
-		e.Failf("inside TTL the LKG set must match the baseline")
+	for _, step := range []time.Duration{10 * time.Minute, 10 * time.Minute, 9 * time.Minute} {
+		e.Clock.Advance(step)
+		stale := w.Sync(relying)
+		if got := stale.Health(); got != obs.HealthStale {
+			e.Failf("inside TTL: health = %s, want stale (diags: %v)", got, stale.Diagnostics)
+		}
+		if !reflect.DeepEqual(stale.VRPs, baseline.VRPs) {
+			e.Failf("inside TTL the LKG set must match the baseline")
+		}
 	}
 
 	// Past the TTL the pin must break: the subtree drops from the cache
 	// and the RP reports degraded — bounded staleness, never unbounded.
-	e.Clock.Advance(31 * time.Minute)
+	// +31 min from the baseline, the last sync that reached the point.
+	e.Clock.Advance(2 * time.Minute)
 	expired := w.Sync(relying)
 	e.AssertTerminal(expired, obs.HealthDegraded)
 	if len(expired.VRPs) != 0 {

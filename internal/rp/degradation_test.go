@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ca"
 	"repro/internal/ipres"
+	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/roa"
 	"repro/internal/rov"
@@ -19,7 +20,7 @@ import (
 type tcpWorld struct {
 	addr        string
 	anchor      TrustAnchor
-	child       *ca.Authority
+	ta, child   *ca.Authority
 	taFaults    *repo.Faults
 	childFaults *repo.Faults
 }
@@ -58,6 +59,7 @@ func buildTCPWorld(t *testing.T) *tcpWorld {
 	return &tcpWorld{
 		addr:        addr,
 		anchor:      TrustAnchor{CertDER: ta.Cert.Raw, URI: taURI},
+		ta:          ta,
 		child:       child,
 		taFaults:    taFaults,
 		childFaults: childFaults,
@@ -477,5 +479,141 @@ func TestLKGAgeRefreshedByVersionReuse(t *testing.T) {
 	}
 	if len(fourth.VRPs) >= len(first.VRPs) {
 		t.Errorf("expired point's VRPs must drop: %d -> %d", len(first.VRPs), len(fourth.VRPs))
+	}
+}
+
+// lkgRelyingParty is a relying party over w whose clock reads *now, with
+// the snapshot cache and an hour's (or ttl's) last-known-good store, and
+// the clean baseline sync it has already run.
+func lkgRelyingParty(t *testing.T, w *tcpWorld, now *time.Time, ttl time.Duration) (*RelyingParty, *Result) {
+	t.Helper()
+	relying := New(Config{
+		Fetcher:        resilientClient(1),
+		Clock:          func() time.Time { return *now },
+		CacheSnapshots: true,
+		StaleTTL:       ttl,
+	}, w.anchor)
+	baseline := syncReuse(t, relying)
+	if baseline.Incomplete() {
+		t.Fatalf("clean sync: %v", baseline.Diagnostics)
+	}
+	return relying, baseline
+}
+
+// TestLKGServedFromMemo: an unreachable point whose memo entry answers for
+// its last-known-good snapshot is served from the entry — nothing hashed,
+// parsed or looked up, sync after sync — with exactly the two diagnostics
+// a fallback carries.
+func TestLKGServedFromMemo(t *testing.T) {
+	w := buildTCPWorld(t)
+	now := testEpoch
+	relying, baseline := lkgRelyingParty(t, w, &now, time.Hour)
+	w.childFaults.Refuse(true)
+	for i := 1; i <= 3; i++ {
+		now = testEpoch.Add(time.Duration(i) * 10 * time.Minute)
+		res := syncReuse(t, relying)
+		if res.ModulesRevalidated != 0 || res.VerifyCacheHits+res.VerifyCacheMisses != 0 {
+			t.Errorf("LKG sync %d: %d modules revalidated, %d verdict lookups; want 0, 0",
+				i, res.ModulesRevalidated, res.VerifyCacheHits+res.VerifyCacheMisses)
+		}
+		if res.ModulesReused != 2 || res.StaleFallbacks != 1 || res.Health() != obs.HealthStale {
+			t.Errorf("LKG sync %d: %d modules reused, %d stale fallbacks, health %s; want 2, 1, stale",
+				i, res.ModulesReused, res.StaleFallbacks, res.Health())
+		}
+		if !reflect.DeepEqual(res.VRPs, baseline.VRPs) {
+			t.Errorf("LKG sync %d: VRPs %v, want the baseline's %v", i, res.VRPs, baseline.VRPs)
+		}
+		if len(res.Diagnostics) != 2 || !hasDiag(res, DiagPointUnreachable, "child") || !hasDiag(res, DiagStaleFallback, "child") {
+			t.Errorf("LKG sync %d: diagnostics %v, want the child's point-unreachable and stale-fallback only", i, res.Diagnostics)
+		}
+	}
+}
+
+// TestLKGAgeNotRefreshedByFallback: serving a snapshot proves nothing about
+// the point's current content, so however often it is served — from the
+// memo or revalidated — its age counts from the last sync that reached the
+// point, and StaleTTL past that it expires.
+func TestLKGAgeNotRefreshedByFallback(t *testing.T) {
+	w := buildTCPWorld(t)
+	now := testEpoch
+	relying, baseline := lkgRelyingParty(t, w, &now, time.Hour)
+	w.childFaults.Refuse(true)
+	for _, at := range []time.Duration{10 * time.Minute, 30 * time.Minute, 50 * time.Minute} {
+		now = testEpoch.Add(at)
+		if res := syncReuse(t, relying); res.StaleFallbacks != 1 || !reflect.DeepEqual(res.VRPs, baseline.VRPs) {
+			t.Fatalf("+%v: %d stale fallbacks, VRPs %v; want the snapshot served", at, res.StaleFallbacks, res.VRPs)
+		}
+	}
+	now = testEpoch.Add(61 * time.Minute)
+	expired := syncReuse(t, relying)
+	if expired.StaleFallbacks != 0 || !hasDiag(expired, DiagFetchFailure, "child") {
+		t.Fatalf("+61m: %d stale fallbacks, diagnostics %v; want the snapshot expired", expired.StaleFallbacks, expired.Diagnostics)
+	}
+	if len(expired.VRPs) != 0 {
+		t.Errorf("+61m: the expired point's VRPs %v must drop", expired.VRPs)
+	}
+}
+
+// TestLKGRevalidatedUnderShrunkAuthority: while the point is down its
+// parent re-issues its certificate over fewer resources. The memo entry
+// was validated under the old certificate, so the snapshot is revalidated
+// under the new one and what the new one does not cover is gone.
+func TestLKGRevalidatedUnderShrunkAuthority(t *testing.T) {
+	w := buildTCPWorld(t)
+	shrunk := ipres.MustParseSet("63.160.0.0/13")
+	if _, err := w.child.IssueROA("kept", 1239, roa.MustParsePrefix("63.160.0.0/13")); err != nil {
+		t.Fatal(err)
+	}
+	now := testEpoch
+	relying, baseline := lkgRelyingParty(t, w, &now, time.Hour)
+	if len(baseline.VRPs) != 2 {
+		t.Fatalf("baseline VRPs %v, want 2", baseline.VRPs)
+	}
+	w.childFaults.Refuse(true)
+	now = testEpoch.Add(10 * time.Minute)
+	if res := syncReuse(t, relying); res.ModulesRevalidated != 0 || res.StaleFallbacks != 1 {
+		t.Fatalf("first LKG sync: %d revalidated, %d stale fallbacks; want 0, 1", res.ModulesRevalidated, res.StaleFallbacks)
+	}
+
+	if err := w.ta.ShrinkChild("child", shrunk); err != nil {
+		t.Fatal(err)
+	}
+	now = testEpoch.Add(20 * time.Minute)
+	res := syncReuse(t, relying)
+	if res.ModulesRevalidated != 2 || res.StaleFallbacks != 1 {
+		t.Fatalf("after the shrink: %d revalidated, %d stale fallbacks; want 2 (parent and snapshot), 1", res.ModulesRevalidated, res.StaleFallbacks)
+	}
+	if !hasDiag(res, DiagInvalidObject, "child") {
+		t.Errorf("the ROA beyond the shrunk certificate must be diagnosed, got %v", res.Diagnostics)
+	}
+	for _, v := range res.VRPs {
+		if !shrunk.ContainsPrefix(v.Prefix) {
+			t.Errorf("VRP %v outside the shrunk certificate's %v survived", v, shrunk)
+		}
+	}
+	if len(res.VRPs) != 1 {
+		t.Errorf("after the shrink: VRPs %v, want the one inside %v", res.VRPs, shrunk)
+	}
+}
+
+// TestLKGRevalidatedPastNextUpdate: past the snapshot's manifest nextUpdate
+// the memo entry's epoch is over, so a snapshot still inside StaleTTL is
+// revalidated, and says its manifest is stale, as a cold sync would.
+func TestLKGRevalidatedPastNextUpdate(t *testing.T) {
+	w := buildTCPWorld(t)
+	now := testEpoch
+	relying, _ := lkgRelyingParty(t, w, &now, 48*time.Hour)
+	w.childFaults.Refuse(true)
+	now = testEpoch.Add(10 * time.Minute)
+	if res := syncReuse(t, relying); res.ModulesRevalidated != 0 || hasDiag(res, DiagStaleManifest, "child") {
+		t.Fatalf("inside the epoch: %d revalidated, diagnostics %v; want 0 and no stale manifest", res.ModulesRevalidated, res.Diagnostics)
+	}
+	now = testEpoch.Add(25 * time.Hour) // manifests were issued for 24 h
+	res := syncReuse(t, relying)
+	if res.StaleFallbacks != 1 || res.ModulesRevalidated != 2 {
+		t.Fatalf("past nextUpdate: %d stale fallbacks, %d revalidated; want 1, 2", res.StaleFallbacks, res.ModulesRevalidated)
+	}
+	if !hasDiag(res, DiagStaleManifest, "child") {
+		t.Errorf("past nextUpdate the snapshot's manifest must be reported stale, got %v", res.Diagnostics)
 	}
 }

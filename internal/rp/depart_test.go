@@ -6,6 +6,7 @@ package rp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -225,37 +226,44 @@ func TestDepartMovedHost(t *testing.T) {
 
 // TestDepartUnreachableStillWalked: a point its parent still names is
 // reached, however unreachable its repository: its state stays, and so does
-// its open breaker, which keeps failing it fast instead of re-tripping.
+// its open breaker, which keeps failing it fast instead of re-tripping. The
+// breaker refuses the point once per sync, whether or not the relying party
+// fetches incrementally: a refused incremental fetch is not retried as a
+// full one.
 func TestDepartUnreachableStillWalked(t *testing.T) {
-	w := buildTCPWorld(t)
-	client := resilientClient(1)
-	client.Breakers = repo.NewBreakerSet(repo.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
-	v := New(Config{Fetcher: client, Clock: clock, StaleTTL: time.Hour}, w.anchor)
-	if _, err := v.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, snapshots := range []bool{false, true} {
+		t.Run(fmt.Sprintf("CacheSnapshots=%v", snapshots), func(t *testing.T) {
+			w := buildTCPWorld(t)
+			client := resilientClient(1)
+			client.Breakers = repo.NewBreakerSet(repo.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
+			v := New(Config{Fetcher: client, Clock: clock, StaleTTL: time.Hour, CacheSnapshots: snapshots}, w.anchor)
+			if _, err := v.Sync(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 
-	w.childFaults.Refuse(true)
-	key := w.child.URI.String()
-	for i := 0; i < 4; i++ {
-		res, err := v.Sync(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first sync trips the breaker, whose refusal ends its retry.
-		trips, fastFails := 0, 1
-		if i == 0 {
-			trips = 1
-		}
-		if res.BreakerTrips != trips || res.BreakerFastFails != fastFails || res.StaleFallbacks != 1 {
-			t.Fatalf("sync %d with the child down: %d trips, %d fast-fails, %d stale fallbacks; want %d, %d, 1",
-				i, res.BreakerTrips, res.BreakerFastFails, res.StaleFallbacks, trips, fastFails)
-		}
-		if got := client.Breakers.State(key); got != repo.BreakerOpen {
-			t.Fatalf("sync %d: the unreachable child's breaker is %v, want open", i, got)
-		}
-		if got := retained(v); len(got) != 2 {
-			t.Fatalf("sync %d: %v retained, want the anchor and the child", i, got)
-		}
+			w.childFaults.Refuse(true)
+			key := w.child.URI.String()
+			for i := 0; i < 4; i++ {
+				res, err := v.Sync(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first sync trips the breaker, whose refusal ends its retry.
+				trips, fastFails := 0, 1
+				if i == 0 {
+					trips = 1
+				}
+				if res.BreakerTrips != trips || res.BreakerFastFails != fastFails || res.StaleFallbacks != 1 {
+					t.Fatalf("sync %d with the child down: %d trips, %d fast-fails, %d stale fallbacks; want %d, %d, 1",
+						i, res.BreakerTrips, res.BreakerFastFails, res.StaleFallbacks, trips, fastFails)
+				}
+				if got := client.Breakers.State(key); got != repo.BreakerOpen {
+					t.Fatalf("sync %d: the unreachable child's breaker is %v, want open", i, got)
+				}
+				if got := retained(v); len(got) != 2 {
+					t.Fatalf("sync %d: %v retained, want the anchor and the child", i, got)
+				}
+			}
+		})
 	}
 }

@@ -45,6 +45,13 @@
 // or StaleTTL); otherwise it is one private copy, shared by the link and
 // the child's own entry, so a memo never pins a fetch buffer.
 //
+// The same entry serves an unreachable point's last-known-good snapshot:
+// the snapshot is the bytes the entry was validated from (state.go), so
+// under the same guard — authority, effective set, epoch — revalidating it
+// would reproduce the entry. Only tiers 1–3 prove the point current; a
+// last-known-good reuse leaves the snapshot's age alone, so StaleTTL still
+// counts from the last proof.
+//
 // Only clean validations are cached — a module that produced any diagnostic
 // deletes its entry — so reuse can never replay a degraded result. Entries
 // live in the per-point state (state.go), next to the snapshot they were

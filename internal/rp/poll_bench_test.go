@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/modelgen"
+	"repro/internal/repo"
 	"repro/internal/rp"
 )
 
@@ -30,12 +31,33 @@ func cpuTime(tb testing.TB) time.Duration {
 // at a fetch (goroutines).
 //
 //	go test -run '^$' -bench WarmPoll -benchtime 300x ./internal/rp
-func BenchmarkWarmPoll(b *testing.B) {
+func BenchmarkWarmPoll(b *testing.B) { benchmarkWarmPoll(b, false) }
+
+// BenchmarkWarmPollStalled is BenchmarkWarmPoll with the largest ISP-tier
+// point refusing every request once the world is cached — the
+// stalled_point workload's poll between its probes. The point's breaker is
+// open before the measured polls, so each one fails it fast and serves it
+// from last-known-good.
+func BenchmarkWarmPollStalled(b *testing.B) { benchmarkWarmPoll(b, true) }
+
+func benchmarkWarmPoll(b *testing.B, stalled bool) {
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe := &goroutineProbe{IncrementalFetcher: loopbackClient(b, w.Stores)}
+	victim, faults := "", repo.NewFaults()
+	if stalled {
+		victim = largestISP(w.Stores)
+	}
+	srv := repo.NewServer()
+	for module, store := range w.Stores {
+		if module == victim {
+			srv.AddModule(module, store, faults)
+		} else {
+			srv.AddModule(module, store, nil)
+		}
+	}
+	probe := &goroutineProbe{IncrementalFetcher: serverClient(b, srv)}
 	v := rp.New(rp.Config{
 		Fetcher:        probe,
 		Clock:          w.Clock,
@@ -43,19 +65,25 @@ func BenchmarkWarmPoll(b *testing.B) {
 		CacheSnapshots: true,
 		StaleTTL:       time.Hour,
 	}, w.Anchor())
+	wantDiags := 0
+	if stalled {
+		wantDiags = 2 // point-unreachable and stale-fallback
+	}
 	poll := func() {
 		res, err := v.Sync(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Diagnostics) > 0 || res.ModulesReused != len(w.Stores) {
-			b.Fatalf("warm poll reused %d of %d modules, %d diagnostics", res.ModulesReused, len(w.Stores), len(res.Diagnostics))
+		if len(res.Diagnostics) != wantDiags || res.ModulesReused != len(w.Stores) {
+			b.Fatalf("warm poll reused %d of %d modules, %d diagnostics (want %d)", res.ModulesReused, len(w.Stores), len(res.Diagnostics), wantDiags)
 		}
 	}
-	// The cold sync, then one warm poll, so the measured ones start warm.
+	// The cold sync, then one warm poll, so the measured ones start warm;
+	// a stalled point's first poll trips its breaker.
 	if _, err := v.Sync(context.Background()); err != nil {
 		b.Fatal(err)
 	}
+	faults.Refuse(stalled)
 	poll()
 	probe.take()
 	b.ReportAllocs()

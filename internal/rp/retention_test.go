@@ -7,6 +7,7 @@ package rp_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -295,13 +296,26 @@ func checkVerdicts(t *testing.T, w *modelgen.World, v *rp.RelyingParty, label st
 // peer's feed vouches for every point: the first fetch of a point returns
 // its bytes, every later incremental sync returns the held snapshot as
 // unchanged. It offers no store version, so every point takes reuse tier 2.
-type unchangedFetcher struct{ stores rp.StoreFetcher }
+// A module in down fails every fetch, as a stalled point does once its
+// breaker is open.
+type unchangedFetcher struct {
+	stores rp.StoreFetcher
+	down   map[string]bool
+}
+
+var errStalled = errors.New("point stalled")
 
 func (f unchangedFetcher) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
+	if f.down[uri.Module] {
+		return nil, errStalled
+	}
 	return f.stores.FetchAll(ctx, uri)
 }
 
 func (f unchangedFetcher) SyncIncremental(ctx context.Context, uri repo.URI, prev map[string][]byte) (*repo.SyncResult, error) {
+	if f.down[uri.Module] {
+		return nil, errStalled
+	}
 	if prev != nil {
 		return &repo.SyncResult{Files: prev, Reused: len(prev), Unchanged: true}, nil
 	}
@@ -312,34 +326,68 @@ func (f unchangedFetcher) SyncIncremental(ctx context.Context, uri repo.URI, pre
 	return &repo.SyncResult{Files: files, Downloaded: len(files)}, nil
 }
 
+// largestISP names the ISP-tier point (rir-N-isp-M) holding the most
+// objects.
+func largestISP(stores rp.StoreFetcher) string {
+	largest, size := "", -1
+	for module, store := range stores {
+		if strings.Count(module, "-") != 3 || !strings.Contains(module, "-isp-") {
+			continue
+		}
+		if n := store.Len(); n > size || n == size && module < largest {
+			largest, size = module, n
+		}
+	}
+	return largest
+}
+
 // TestWarmUnchangedSyncAllocations is the exact gate on a warm poll that
 // proves every point unchanged without a version (reuse tier 2, the
 // steady state over TCP): little more than one allocation per point — the
 // fetcher's result — or 819 over the 721-point world. A goroutine per
 // point's walk cost 2,255; allocating each point's validation build before
 // knowing it would be reused, and a heap cell for its fetched snapshot,
-// cost 3,705.
+// cost 3,705. A stalled point served from last-known-good costs its two
+// diagnostics on top; revalidating its snapshot every poll cost ≈ 2,700.
 func TestWarmUnchangedSyncAllocations(t *testing.T) {
-	const budget = 900
+	const budget, diagnostics = 900, 40
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := rp.New(rp.Config{
-		Fetcher:        unchangedFetcher{stores: w.Stores},
-		Clock:          w.Clock,
-		Workers:        2,
-		CacheSnapshots: true,
-	}, w.Anchor())
-	syncOnce(t, v)
-	allocs := testing.AllocsPerRun(5, func() {
-		if res := syncOnce(t, v); res.ModulesReused != len(w.Stores) {
-			t.Fatalf("warm sync reused %d of %d modules", res.ModulesReused, len(w.Stores))
-		}
-	})
-	t.Logf("warm unchanged sync: %.0f allocations", allocs)
-	if allocs > budget {
-		t.Errorf("warm unchanged sync: %.0f allocations, budget %d", allocs, budget)
+	for _, stalled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stalled=%v", stalled), func(t *testing.T) {
+			fetcher := unchangedFetcher{stores: w.Stores, down: map[string]bool{}}
+			v := rp.New(rp.Config{
+				Fetcher:        fetcher,
+				Clock:          w.Clock,
+				Workers:        2,
+				CacheSnapshots: true,
+				StaleTTL:       time.Hour,
+			}, w.Anchor())
+			syncOnce(t, v)
+			limit, wantDiags, wantStale := budget, 0, 0
+			if stalled {
+				victim := largestISP(w.Stores)
+				t.Logf("stalling %s (%d objects)", victim, w.Stores[victim].Len())
+				fetcher.down[victim] = true
+				limit, wantDiags, wantStale = budget+diagnostics, 2, 1
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				res, err := v.Sync(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.ModulesReused != len(w.Stores) || len(res.Diagnostics) != wantDiags || res.StaleFallbacks != wantStale {
+					t.Fatalf("warm sync reused %d of %d modules, %d diagnostics, %d stale fallbacks; want all, %d, %d",
+						res.ModulesReused, len(w.Stores), len(res.Diagnostics), res.StaleFallbacks, wantDiags, wantStale)
+				}
+			})
+			t.Logf("warm unchanged sync: %.0f allocations", allocs)
+			if allocs > float64(limit) {
+				t.Errorf("warm unchanged sync: %.0f allocations, budget %d", allocs, limit)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -647,8 +648,9 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 // validation (and still inside that validation's temporal epoch) is not
 // validated at all: its cached outputs are merged wholesale (see
 // modmemo.go), its children are queued, and its authority is never parsed.
-// Any other point is validated on its own goroutine, which keeps the
-// point's module slot until its commit.
+// So is an unreachable point whose last-known-good snapshot that same
+// memo entry answers for. Any other point is validated on its own
+// goroutine, which keeps the point's module slot until its commit.
 func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, depth int) {
 	if depth <= 0 {
 		st.diag(DiagInvalidObject, uri.Module, "", fmt.Errorf("hierarchy too deep"))
@@ -682,7 +684,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		storeVersion, hasVersion = vf.SnapshotVersion(uri)
 	}
 	if usable && hasVersion && e.hasVersion && e.version == storeVersion {
-		st.reuseModule(e, uri, depth, storeVersion, hasVersion)
+		st.reuseModule(e, uri, depth, storeVersion, hasVersion, true)
 		return
 	}
 
@@ -699,13 +701,14 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		wsp.End()
 		return
 	}
-	// reuseFetched ends a walk whose fetched bytes were proven identical to
-	// the ones the memo entry was validated from: the bytes are dropped.
-	reuseFetched := func(detail string) {
+	// reuse ends a walk the memo entry answers for, dropping whatever bytes
+	// it holds. current says whether those bytes were the point's current
+	// content (reuse tiers 2 and 3) or its last-known-good snapshot.
+	reuse := func(detail string, current bool) {
 		st.releaseModule()
 		wsp.SetDetail(detail)
 		wsp.End()
-		st.reuseModule(e, uri, depth, storeVersion, hasVersion)
+		st.reuseModule(e, uri, depth, storeVersion, hasVersion, current)
 	}
 	// A fetch error with bytes in hand is a partial fetch: validated, but
 	// diagnosed and never memoized. With no bytes the point is served from
@@ -719,10 +722,17 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 			wsp.End()
 			return
 		}
+		if usable {
+			// The snapshot is the bytes e was validated from (state.go), so
+			// revalidating it under the same authority inside the epoch
+			// would reproduce e. Its age still counts from the last proof.
+			reuse("serving last-known-good (memo)", false)
+			return
+		}
 		wsp.SetDetail("serving last-known-good")
 	case usable && unchanged && faithful:
 		// Reuse tier 2: listed, and every listed digest matched the held copy.
-		reuseFetched("reused: bytes unchanged")
+		reuse("reused: bytes unchanged", true)
 		return
 	}
 
@@ -733,7 +743,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// re-hashed but nothing is re-parsed or re-verified. Only a faithful
 	// fetch consults the memo; degraded sources never do.
 	if faithful && usable && sameDigests(hashes, e.digests) {
-		reuseFetched("reused: digests unchanged")
+		reuse("reused: digests unchanged", true)
 		return
 	}
 
@@ -972,17 +982,20 @@ func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string]
 }
 
 // reuseModule merges a cached module entry's outputs into the sync result
-// without re-validating anything, records that the point was just proven
-// unchanged (at version, when the fetcher reports one), and queues the
-// module's child points (each child decides reuse for itself).
-func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, version uint64, hasVersion bool) {
+// without re-validating anything and queues the module's child points (each
+// child decides reuse for itself). When the reuse proved the point current
+// it records so (at version, when the fetcher reports one); a last-known-good
+// reuse proves nothing, and leaves the snapshot's age alone.
+func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, version uint64, hasVersion, current bool) {
 	st.mu.Lock()
 	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
 	st.res.CertsAccepted += e.certs
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
-	st.rp.markReused(uri, version, hasVersion, st.now)
+	if current {
+		st.rp.markReused(uri, version, hasVersion, st.now)
+	}
 	for _, ch := range e.children {
 		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
 	}
@@ -1154,7 +1167,9 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 	}
 	sync, err := inc.SyncIncremental(ctx, uri, prev)
 	if err != nil {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || errors.Is(err, repo.ErrCircuitOpen) {
+			// An abort, or a breaker that refuses the point: a full fetch
+			// would be refused too, and counted a second time.
 			return nil, false, err
 		}
 		// The incremental protocol failed mid-flight — a malformed

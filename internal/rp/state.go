@@ -13,13 +13,15 @@
 //     diagnostic, and cleanAt when it was last known to be the point's
 //     current content. When a later sync finds the point unreachable
 //     (dead, refusing, circuit-broken, or gated by the very routes it
-//     should be validating), clean is revalidated in its place — for at
-//     most Config.StaleTTL past cleanAt. Deployed validators (Routinator,
-//     rpki-client) survive flaky repositories exactly this way; bounding
-//     the staleness is the paper's §4 tradeoff: an unreachable repository
-//     must degrade service eventually, or a coerced authority could freeze
-//     the relying party's world state forever by taking its repository
-//     offline. Kept only with StaleTTL > 0.
+//     should be validating), clean is served in its place — for at most
+//     Config.StaleTTL past cleanAt: from memo when memo is usable under the
+//     walk's authority, effective set and clock, revalidated otherwise.
+//     Deployed validators (Routinator, rpki-client) survive flaky
+//     repositories exactly this way; bounding the staleness is the paper's
+//     §4 tradeoff: an unreachable repository must degrade service
+//     eventually, or a coerced authority could freeze the relying party's
+//     world state forever by taking its repository offline. Kept only with
+//     StaleTTL > 0.
 //   - memo is the validated outcome of that same clean snapshot (see
 //     modmemo.go), holding per-object digests rather than bytes, and each
 //     child CA as its certificate's DER, never parsed.
@@ -40,11 +42,14 @@
 // snapshot its own fallback would need (Side Effect 7 recovery depends on
 // this). A tainted validation clears memo, so the degraded verdict is
 // recomputed every sync, and leaves clean alone. Whenever memo is set and
-// StaleTTL > 0, clean holds the bytes memo was validated from; proving memo
-// current by any reuse tier therefore proves clean current, and re-stamps
-// cleanAt. Every successful fetch ends in a commit or a reuse, so whenever
-// memo is set it was validated from last — which is what lets reuse tier 2
-// trust a server that says nothing changed since last.
+// StaleTTL > 0, clean holds the bytes memo was validated from; so serving
+// clean from memo yields what revalidating it would, and proving memo
+// current by reuse tiers 1–3 proves clean current, and re-stamps cleanAt.
+// Serving clean, either way, proves nothing about the point's current
+// content and never re-stamps it. Every successful fetch ends in a commit
+// or a reuse, so whenever memo is set it was validated from last — which is
+// what lets reuse tier 2 trust a server that says nothing changed since
+// last.
 //
 // Snapshots are never mutated once stored, and the incremental fetch hands
 // back prev's own slices for unchanged objects, so last and clean share
