@@ -1,9 +1,51 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestExperimentsGolden pins every experiment's rendering, exactly as
+// `rpki-experiments -run all` prints it, to testdata/all.golden: a change of
+// substrate under an experiment (how its relying party fetches, say) must
+// leave every artifact byte-identical. Regenerate with -update only for a
+// change that is meant to alter an artifact.
+func TestExperimentsGolden(t *testing.T) {
+	results, err := Run("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	passed := 0
+	for _, r := range results {
+		fmt.Fprintln(&sb, r)
+		if r.Passed() {
+			passed++
+		}
+	}
+	fmt.Fprintf(&sb, "%d/%d experiments passed all shape checks\n", passed, len(results))
+	got := sb.String()
+
+	golden := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("experiment output mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
 
 // TestEveryExperimentPasses runs the full harness: every paper artifact
 // must regenerate with all shape checks green. This is the repository's
