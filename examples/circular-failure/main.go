@@ -34,10 +34,12 @@ func main() {
 	check(network.ProviderOf(3356, 17054))
 	check(network.Originate(17054, rpkirisk.MustParsePrefix("63.174.16.0/20")))
 
-	corrupting := core.NewCorruptingFetcher(world.Stores)
+	// The sim serves every publication point over TCP and fetches it with a
+	// real repository client; the repository's fault plan and the route gate
+	// both act on that connection.
 	sim := &core.CircularSim{
 		Anchors: []rp.TrustAnchor{world.Anchor()},
-		Fetch:   corrupting,
+		Stores:  world.Stores,
 		Sites: map[string]core.RepoSite{
 			"continental": {
 				Module:      "continental",
@@ -50,6 +52,7 @@ func main() {
 		RPAS:    64999,
 		Clock:   experiments.Clock,
 	}
+	defer sim.Close()
 
 	step := func(label string) {
 		rep, err := sim.Step(context.Background())
@@ -61,9 +64,9 @@ func main() {
 	}
 
 	step("t0: bootstrap")
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	step("t1: transient corruption")
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	step("t2: fault FIXED")
 	step("t3: ...still broken")
 	step("t4: ...still broken")

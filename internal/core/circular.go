@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/bgp"
@@ -109,102 +109,18 @@ func canonicalCycleKey(cycle []string) string {
 	return key
 }
 
-// CorruptingFetcher wraps a Fetcher with per-object corruption faults,
-// modeling the transient delivery errors of Side Effect 6/7 for in-process
-// experiments. It is safe for concurrent use.
-type CorruptingFetcher struct {
-	Inner rp.Fetcher
-
-	mu      sync.Mutex
-	corrupt map[string]map[string]bool
-	drop    map[string]map[string]bool
-}
-
-// NewCorruptingFetcher wraps inner with no faults.
-func NewCorruptingFetcher(inner rp.Fetcher) *CorruptingFetcher {
-	return &CorruptingFetcher{
-		Inner:   inner,
-		corrupt: make(map[string]map[string]bool),
-		drop:    make(map[string]map[string]bool),
-	}
-}
-
-// Corrupt makes the named object arrive bit-flipped.
-func (f *CorruptingFetcher) Corrupt(module, name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.corrupt[module] == nil {
-		f.corrupt[module] = make(map[string]bool)
-	}
-	f.corrupt[module][name] = true
-}
-
-// Drop makes the named object vanish from fetches.
-func (f *CorruptingFetcher) Drop(module, name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.drop[module] == nil {
-		f.drop[module] = make(map[string]bool)
-	}
-	f.drop[module][name] = true
-}
-
-// Heal clears all faults for a module ("" clears everything).
-func (f *CorruptingFetcher) Heal(module string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if module == "" {
-		f.corrupt = make(map[string]map[string]bool)
-		f.drop = make(map[string]map[string]bool)
-		return
-	}
-	delete(f.corrupt, module)
-	delete(f.drop, module)
-}
-
-// FetchAll implements rp.Fetcher, applying the configured faults.
-func (f *CorruptingFetcher) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
-	files, err := f.Inner.FetchAll(ctx, uri)
-	if err != nil {
-		return files, err
-	}
-	f.mu.Lock()
-	corrupt := f.corrupt[uri.Module]
-	drop := f.drop[uri.Module]
-	f.mu.Unlock()
-	if len(corrupt) == 0 && len(drop) == 0 {
-		return files, nil
-	}
-	out := make(map[string][]byte, len(files))
-	for name, content := range files {
-		if drop[name] {
-			continue
-		}
-		if corrupt[name] {
-			bad := append([]byte(nil), content...)
-			for i := range bad {
-				if i%13 == 5 {
-					bad[i] ^= 0x5A
-				}
-			}
-			out[name] = bad
-			continue
-		}
-		out[name] = content
-	}
-	return out, nil
-}
-
 // CircularSim couples a relying party, the repositories it fetches, and a
 // BGP data plane whose validation state gates those very fetches — the
-// full Figure 1 loop. Each Step performs one relying-party sync against the
-// network state left by the previous step.
+// full Figure 1 loop. The repositories are served over TCP by one loopback
+// repo.Server and fetched with a repo.Client, so a delivery fault and a
+// missing route both reach the relying party as they would in deployment:
+// through the client's failure path. Each Step performs one relying-party
+// sync against the network state left by the previous step.
 type CircularSim struct {
 	// Anchors seed validation.
 	Anchors []rp.TrustAnchor
-	// Fetch retrieves repository contents (typically a CorruptingFetcher
-	// over a StoreFetcher).
-	Fetch rp.Fetcher
+	// Stores holds the publication points the sim serves, by module.
+	Stores rp.StoreFetcher
 	// Sites places each module in the network.
 	Sites map[string]RepoSite
 	// Network is the BGP topology (must already contain the originations
@@ -227,20 +143,21 @@ type CircularSim struct {
 	// longer latches permanently. 0 keeps the brittle paper behavior.
 	StaleTTL time.Duration
 
+	// server serves Stores from the first Step until Close; faults holds
+	// each module's fault plan, which the route gate also drives.
+	server *repo.Server
+	faults map[string]*repo.Faults
 	// relying is the persistent relying party driving every step (created on
 	// the first Step). Persistence is what lets the LKG store survive from
 	// one sync to the next.
 	relying *rp.RelyingParty
-	// report is the CURRENT step's report, written by the gated fetcher.
-	report *StepReport
 
 	// lastVRPs is the validated cache from the previous step; it
 	// determines reachability during the CURRENT step.
 	lastVRPs []rov.VRP
 	// started flips after the first sync; the bootstrap sync is ungated
 	// (an RP with an empty cache treats every route as unknown).
-	started   bool
-	bootstrap bool
+	started bool
 	// overrides lists modules manually whitelisted by the operator (the
 	// paper notes recovery "can be fixed manually, but there are no
 	// recommended procedures").
@@ -272,27 +189,80 @@ func (s *CircularSim) ManualOverride(module string, on bool) {
 // VRPs returns the current validated cache.
 func (s *CircularSim) VRPs() []rov.VRP { return s.lastVRPs }
 
-// gatedFetcher blocks fetches to modules whose route the relying party's
-// router cannot currently use. It records unreachable modules on the sim's
-// current step report (safe: the sim pins Workers to 1).
-type gatedFetcher struct {
-	sim *CircularSim
+// Faults returns the fault plan the served module is delivered through:
+// Corrupt or Drop an object to inject a transient fault, Restore("") to fix
+// it. The route gate owns the plan's Refuse switch for every site.
+func (s *CircularSim) Faults(module string) *repo.Faults {
+	if s.faults == nil {
+		s.faults = make(map[string]*repo.Faults)
+	}
+	f := s.faults[module]
+	if f == nil {
+		f = repo.NewFaults()
+		s.faults[module] = f
+	}
+	return f
 }
 
-// FetchAll implements rp.Fetcher.
-func (g gatedFetcher) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
-	site, known := g.sim.Sites[uri.Module]
-	if known && !g.sim.bootstrap && !g.sim.overrides[uri.Module] {
-		ok, err := g.sim.Network.CanReach(g.sim.RPAS, site.Addr, site.OriginAS)
-		if err != nil {
-			return nil, err
+// Close stops the repository server. The sim cannot Step after Close.
+func (s *CircularSim) Close() error {
+	if s.server == nil {
+		return nil
+	}
+	return s.server.Close()
+}
+
+// serve starts the repository server and the relying party that fetches
+// from it: every module behind one loopback listener, dialed whatever host
+// the certificates name. The relying party persists across steps — required
+// for the last-known-good store (and the verification cache) to carry state
+// from one sync to the next.
+func (s *CircularSim) serve() error {
+	srv := repo.NewServer()
+	for module, store := range s.Stores {
+		srv.AddModule(module, store, s.Faults(module))
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	s.server = srv
+	client := &repo.Client{
+		Dial: func(ctx context.Context, network, _ string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, network, addr)
+		},
+	}
+	s.relying = rp.New(rp.Config{
+		Fetcher:  client,
+		Clock:    s.Clock,
+		Policy:   s.Policy,
+		StaleTTL: s.StaleTTL,
+	}, s.Anchors...)
+	return nil
+}
+
+// gate refuses every site the relying party's router has no usable route
+// to, returning the refused modules. The bootstrap step and manually
+// overridden sites are never refused. The network does not change during a
+// sync, so the gate set here is the one every fetch of the sync meets.
+func (s *CircularSim) gate() (map[string]bool, error) {
+	refused := make(map[string]bool)
+	for module, site := range s.Sites {
+		reachable := !s.started || s.overrides[module]
+		if !reachable {
+			ok, err := s.Network.CanReach(s.RPAS, site.Addr, site.OriginAS)
+			if err != nil {
+				return nil, err
+			}
+			reachable = ok
 		}
-		if !ok {
-			g.sim.report.Unreachable = append(g.sim.report.Unreachable, uri.Module)
-			return nil, fmt.Errorf("core: repository %s at %v unreachable (no usable route)", uri.Module, site.Addr)
+		s.Faults(module).Refuse(!reachable)
+		if !reachable {
+			refused[module] = true
 		}
 	}
-	return g.sim.Fetch.FetchAll(ctx, uri)
+	return refused, nil
 }
 
 // Step runs one relying-party sync with reachability gated on the previous
@@ -300,9 +270,10 @@ func (g gatedFetcher) FetchAll(ctx context.Context, uri repo.URI) (map[string][]
 // The first Step bootstraps ungated (a fresh relying party with an empty
 // cache treats every route as unknown, hence usable).
 func (s *CircularSim) Step(ctx context.Context) (*StepReport, error) {
-	report := &StepReport{}
-	if !s.started {
-		s.bootstrap = true
+	if s.relying == nil {
+		if err := s.serve(); err != nil {
+			return nil, err
+		}
 	}
 	// Install the previous cache into the network so reachability during
 	// this step reflects the router's current validation state.
@@ -310,43 +281,48 @@ func (s *CircularSim) Step(ctx context.Context) (*StepReport, error) {
 	if err := s.Network.Converge(); err != nil {
 		return nil, err
 	}
-	// The relying party persists across steps — required for the
-	// last-known-good store (and the verification cache) to carry state from
-	// one sync to the next. Workers is pinned to 1: the gated fetcher
-	// consults the BGP network and records unreachable modules on the step
-	// report, neither of which is synchronized for concurrent fetches — and
-	// the timeline experiment models one sequential sync per tick anyway.
-	if s.relying == nil {
-		s.relying = rp.New(rp.Config{
-			Fetcher:  gatedFetcher{sim: s},
-			Clock:    s.Clock,
-			Policy:   s.Policy,
-			Workers:  1,
-			StaleTTL: s.StaleTTL,
-		}, s.Anchors...)
+	refused, err := s.gate()
+	if err != nil {
+		return nil, err
 	}
-	s.report = report
 	result, err := s.relying.Sync(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s.bootstrap = false
 	s.started = true
 	vrps := result.VRPs
 	if s.PostSync != nil {
 		vrps = s.PostSync(vrps)
 	}
 	s.lastVRPs = vrps
-	report.VRPCount = len(s.lastVRPs)
-	report.StaleFallbacks = result.StaleFallbacks
-	report.Diagnostics = result.Diagnostics
+	report := &StepReport{
+		Unreachable:    unreachable(refused, result.Diagnostics),
+		VRPCount:       len(s.lastVRPs),
+		StaleFallbacks: result.StaleFallbacks,
+		Diagnostics:    result.Diagnostics,
+	}
 	// The new cache takes effect for the data plane going forward.
 	s.Network.SetSharedIndex(rov.NewIndex(s.lastVRPs...))
 	if err := s.Network.Converge(); err != nil {
 		return nil, err
 	}
-	sort.Strings(report.Unreachable)
 	return report, nil
+}
+
+// unreachable lists, once each and sorted, the refused modules the sync
+// reported it could not fetch: a refused site the walk never reached (its
+// parent dropped out) was not blocked by its route.
+func unreachable(refused map[string]bool, diags []rp.Diagnostic) []string {
+	var out []string
+	for _, d := range diags {
+		point := d.Object == "" && (d.Kind == rp.DiagFetchFailure || d.Kind == rp.DiagPointUnreachable)
+		if point && refused[d.Module] {
+			out = append(out, d.Module)
+			delete(refused, d.Module)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // RouteState reports the current validation state of a site's route under

@@ -339,7 +339,7 @@ func TestFindCircularDependencies(t *testing.T) {
 // buildCircularWorld wires the Figure 2 hierarchy (with Sprint's covering
 // ROA) into a BGP topology where Continental self-hosts its repository at
 // 63.174.23.0 — the paper's Side Effect 7 configuration.
-func buildCircularWorld(t *testing.T) (*fixture, *CircularSim, *CorruptingFetcher) {
+func buildCircularWorld(t *testing.T) (*fixture, *CircularSim) {
 	t.Helper()
 	f := newFigure2(t, true)
 
@@ -362,10 +362,9 @@ func buildCircularWorld(t *testing.T) (*fixture, *CircularSim, *CorruptingFetche
 		t.Fatal(err)
 	}
 
-	corrupting := NewCorruptingFetcher(f.stores)
 	sim := &CircularSim{
 		Anchors: []rp.TrustAnchor{{CertDER: f.arin.Cert.Raw, URI: f.arin.URI}},
-		Fetch:   corrupting,
+		Stores:  f.stores,
 		Sites: map[string]RepoSite{
 			"continental": {
 				Module:      "continental",
@@ -378,11 +377,12 @@ func buildCircularWorld(t *testing.T) (*fixture, *CircularSim, *CorruptingFetche
 		RPAS:    rpAS,
 		Clock:   clock,
 	}
-	return f, sim, corrupting
+	t.Cleanup(func() { _ = sim.Close() })
+	return f, sim
 }
 
 func TestSideEffect7TransientFaultPersists(t *testing.T) {
-	_, sim, corrupting := buildCircularWorld(t)
+	_, sim := buildCircularWorld(t)
 	ctx := context.Background()
 
 	// Step 1: bootstrap — everything reachable, full cache.
@@ -400,7 +400,7 @@ func TestSideEffect7TransientFaultPersists(t *testing.T) {
 
 	// Step 2: transient fault — the ROA for the repo's own route arrives
 	// corrupted. The corrupted ROA is a missing ROA (Side Effect 6).
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	if _, err := sim.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestSideEffect7TransientFaultPersists(t *testing.T) {
 
 	// Step 3: the fault is FIXED — but the relying party can no longer
 	// reach the repository to learn that. The failure persists.
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	rep, err = sim.Step(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestSideEffect7DeprefAvoidsPersistence(t *testing.T) {
 	// The same fault under depref-invalid routers: the repository stays
 	// reachable (invalid routes are still usable), so the fault heals on
 	// the next sync — the other side of the paper's Table 6 tradeoff.
-	_, sim, corrupting := buildCircularWorld(t)
+	_, sim := buildCircularWorld(t)
 	for _, asn := range sim.Network.ASes() {
 		if err := sim.Network.SetPolicy(asn, bgp.PolicyDeprefInvalid); err != nil {
 			t.Fatal(err)
@@ -467,7 +467,7 @@ func TestSideEffect7DeprefAvoidsPersistence(t *testing.T) {
 	if _, err := sim.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	if _, err := sim.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestSideEffect7DeprefAvoidsPersistence(t *testing.T) {
 	if s != rov.Invalid {
 		t.Fatalf("route should be invalid after fault, got %v", s)
 	}
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	rep, err := sim.Step(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -531,29 +531,37 @@ func TestCollateralOfHole(t *testing.T) {
 	}
 }
 
-func TestCorruptingFetcherDrop(t *testing.T) {
-	f := newFigure2(t, false)
-	cf := NewCorruptingFetcher(f.stores)
-	cf.Drop("continental", "cont-22.roa")
-	files, err := cf.FetchAll(context.Background(), repo.URI{Module: "continental"})
+func TestCircularSimDrop(t *testing.T) {
+	// An object withheld by the served repository reaches the relying party
+	// as a missing object, and Restore brings it back.
+	_, sim := buildCircularWorld(t)
+	ctx := context.Background()
+	sim.Faults("continental").Drop("cont-22.roa")
+	rep, err := sim.Step(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := files["cont-22.roa"]; ok {
-		t.Error("dropped object should vanish")
+	missing := false
+	for _, d := range rep.Diagnostics {
+		if d.Kind == rp.DiagMissingObject && d.Module == "continental" && d.Object == "cont-22.roa" {
+			missing = true
+		}
 	}
-	if _, ok := files["cont-20.roa"]; !ok {
-		t.Error("other objects should remain")
+	if !missing {
+		t.Fatalf("dropped object should be diagnosed missing, got %v", rep.Diagnostics)
 	}
-	cf.Heal("")
-	files, _ = cf.FetchAll(context.Background(), repo.URI{Module: "continental"})
-	if _, ok := files["cont-22.roa"]; !ok {
-		t.Error("healed object should return")
+	sim.Faults("continental").Restore("")
+	rep, err = sim.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Diagnostics) != 0 {
+		t.Fatalf("restored object should return, got %v", rep.Diagnostics)
 	}
 }
 
 func TestCircularSimVRPsAccessorAndErrors(t *testing.T) {
-	_, sim, _ := buildCircularWorld(t)
+	_, sim := buildCircularWorld(t)
 	if _, err := sim.RouteState("nope"); err == nil {
 		t.Error("unknown module must error")
 	}
@@ -638,7 +646,7 @@ func TestCircularSimLKGBreaksFaultLatch(t *testing.T) {
 	// last-known-good snapshots: when the healed repository is gated off by
 	// its own invalid route, the stale snapshot revalidates the route and
 	// the loop self-heals — no manual override needed.
-	_, sim, corrupting := buildCircularWorld(t)
+	_, sim := buildCircularWorld(t)
 	step := 0
 	sim.Clock = func() time.Time { return testEpoch.Add(time.Duration(step) * 10 * time.Minute) }
 	sim.StaleTTL = time.Hour
@@ -654,7 +662,7 @@ func TestCircularSimLKGBreaksFaultLatch(t *testing.T) {
 	}
 
 	advance() // bootstrap: clean snapshot committed
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	advance()
 	if s, _ := sim.RouteState("continental"); s != rov.Invalid {
 		t.Fatalf("after corruption, route = %v, want invalid", s)
@@ -662,7 +670,7 @@ func TestCircularSimLKGBreaksFaultLatch(t *testing.T) {
 
 	// Fault fixed, repository unreachable — LKG bridges the gap with the
 	// PRE-corruption snapshot (the dirty sync never overwrote it).
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	rep := advance()
 	if len(rep.Unreachable) != 1 || rep.Unreachable[0] != "continental" {
 		t.Fatalf("repo should be unreachable this step, got %v", rep.Unreachable)
@@ -689,7 +697,7 @@ func TestCircularSimLKGBoundedStaleness(t *testing.T) {
 	// A TTL shorter than the outage: the snapshot expires mid-latch and the
 	// failure persists — bounded staleness means LKG is a bridge, not a
 	// permanent override (a coerced-offline authority cannot pin the cache).
-	_, sim, corrupting := buildCircularWorld(t)
+	_, sim := buildCircularWorld(t)
 	step := 0
 	sim.Clock = func() time.Time { return testEpoch.Add(time.Duration(step) * 10 * time.Minute) }
 	sim.StaleTTL = 5 * time.Minute
@@ -705,12 +713,17 @@ func TestCircularSimLKGBoundedStaleness(t *testing.T) {
 	}
 
 	advance()
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	advance()
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	rep := advance() // snapshot is 20 minutes old > 5 minute TTL
 	if rep.StaleFallbacks != 0 {
 		t.Fatalf("expired snapshot must not serve, fallbacks = %d", rep.StaleFallbacks)
+	}
+	// The point is diagnosed twice (unreachable, then snapshot expired) but
+	// listed once.
+	if len(rep.Unreachable) != 1 || rep.Unreachable[0] != "continental" {
+		t.Fatalf("Unreachable = %v, want [continental] (diags %v)", rep.Unreachable, rep.Diagnostics)
 	}
 	if s, _ := sim.RouteState("continental"); s == rov.Valid {
 		t.Fatal("with an expired snapshot the latch should persist")

@@ -6,14 +6,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/core"
-	"repro/internal/ipres"
 	"repro/internal/modelgen"
 	"repro/internal/monitor"
 	"repro/internal/roa"
 	"repro/internal/rov"
-	"repro/internal/rp"
 	"repro/internal/suspenders"
 )
 
@@ -27,50 +24,18 @@ func ExtSuspenders() (*Result, error) {
 	r := &Result{ID: "ext-suspenders", Title: "Ablation: Suspenders-style grace cache vs Side Effect 7"}
 
 	run := func(grace time.Duration) (persisted bool, timeline []string, err error) {
-		w, err := modelgen.Figure2(Clock, true)
+		sim, _, err := circularLoop(Clock)
 		if err != nil {
 			return false, nil, err
 		}
-		n := bgp.NewNetwork()
-		for _, asn := range []ipres.ASN{64999, 3356, 17054} {
-			n.AddAS(asn, bgp.PolicyDropInvalid)
-		}
-		steps := []error{
-			n.ProviderOf(3356, 64999),
-			n.ProviderOf(3356, 17054),
-			n.Originate(17054, ipres.MustParsePrefix("63.174.16.0/20")),
-		}
-		for _, err := range steps {
-			if err != nil {
-				return false, nil, err
-			}
-		}
-		corrupting := core.NewCorruptingFetcher(w.Stores)
-		var cache *suspenders.Cache
+		defer sim.Close()
 		step := 0
-		var post func([]rov.VRP) []rov.VRP
 		if grace > 0 {
-			cache = suspenders.NewCache(grace)
-			post = func(vrps []rov.VRP) []rov.VRP {
+			cache := suspenders.NewCache(grace)
+			sim.PostSync = func(vrps []rov.VRP) []rov.VRP {
 				// One simulator step = ten minutes of wall time.
 				return cache.Update(Epoch.Add(time.Duration(step)*10*time.Minute), vrps)
 			}
-		}
-		sim := &core.CircularSim{
-			Anchors: []rp.TrustAnchor{w.Anchor()},
-			Fetch:   corrupting,
-			Sites: map[string]core.RepoSite{
-				"continental": {
-					Module:      "continental",
-					Addr:        ipres.MustParseAddr("63.174.23.0"),
-					RoutePrefix: ipres.MustParsePrefix("63.174.16.0/20"),
-					OriginAS:    17054,
-				},
-			},
-			Network:  n,
-			RPAS:     64999,
-			Clock:    Clock,
-			PostSync: post,
 		}
 		ctx := context.Background()
 		advance := func(label string) error {
@@ -86,11 +51,11 @@ func ExtSuspenders() (*Result, error) {
 		if err := advance("t0 bootstrap"); err != nil {
 			return false, nil, err
 		}
-		corrupting.Corrupt("continental", "cont-20.roa")
+		sim.Faults("continental").Corrupt("cont-20.roa")
 		if err := advance("t1 corruption"); err != nil {
 			return false, nil, err
 		}
-		corrupting.Heal("continental")
+		sim.Faults("continental").Restore("")
 		if err := advance("t2 fault fixed"); err != nil {
 			return false, nil, err
 		}
@@ -133,44 +98,15 @@ func ExtLKG() (*Result, error) {
 	r := &Result{ID: "ext-lkg", Title: "Ablation: last-known-good fallback vs Side Effect 7"}
 
 	run := func(ttl time.Duration) (healed bool, fallbacks int, timeline []string, err error) {
-		w, err := modelgen.Figure2(Clock, true)
-		if err != nil {
-			return false, 0, nil, err
-		}
-		n := bgp.NewNetwork()
-		for _, asn := range []ipres.ASN{64999, 3356, 17054} {
-			n.AddAS(asn, bgp.PolicyDropInvalid)
-		}
-		steps := []error{
-			n.ProviderOf(3356, 64999),
-			n.ProviderOf(3356, 17054),
-			n.Originate(17054, ipres.MustParsePrefix("63.174.16.0/20")),
-		}
-		for _, err := range steps {
-			if err != nil {
-				return false, 0, nil, err
-			}
-		}
-		corrupting := core.NewCorruptingFetcher(w.Stores)
 		// One simulator step = ten minutes of wall time; the relying
 		// party's clock (and with it LKG snapshot ages) advances in step.
 		step := 0
-		sim := &core.CircularSim{
-			Anchors: []rp.TrustAnchor{w.Anchor()},
-			Fetch:   corrupting,
-			Sites: map[string]core.RepoSite{
-				"continental": {
-					Module:      "continental",
-					Addr:        ipres.MustParseAddr("63.174.23.0"),
-					RoutePrefix: ipres.MustParsePrefix("63.174.16.0/20"),
-					OriginAS:    17054,
-				},
-			},
-			Network:  n,
-			RPAS:     64999,
-			Clock:    func() time.Time { return Epoch.Add(time.Duration(step) * 10 * time.Minute) },
-			StaleTTL: ttl,
+		sim, _, err := circularLoop(func() time.Time { return Epoch.Add(time.Duration(step) * 10 * time.Minute) })
+		if err != nil {
+			return false, 0, nil, err
 		}
+		defer sim.Close()
+		sim.StaleTTL = ttl
 		ctx := context.Background()
 		advance := func(label string) error {
 			rep, err := sim.Step(ctx)
@@ -187,11 +123,11 @@ func ExtLKG() (*Result, error) {
 		if err := advance("t0 bootstrap"); err != nil {
 			return false, 0, nil, err
 		}
-		corrupting.Corrupt("continental", "cont-20.roa")
+		sim.Faults("continental").Corrupt("cont-20.roa")
 		if err := advance("t1 corruption"); err != nil {
 			return false, 0, nil, err
 		}
-		corrupting.Heal("continental")
+		sim.Faults("continental").Restore("")
 		if err := advance("t2 fault fixed"); err != nil {
 			return false, 0, nil, err
 		}

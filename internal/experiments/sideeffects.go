@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/core"
@@ -240,49 +241,63 @@ func SideEffect6() (*Result, error) {
 	return r, nil
 }
 
-// SideEffect7 runs the transient-fault-to-persistent-failure timeline on
-// the full Figure 1 loop.
-func SideEffect7() (*Result, error) {
-	r := &Result{ID: "se7", Title: "Transient faults cause long-term failures (Side Effect 7)"}
+// circularLoop builds the Side Effect 7 loop every circular-dependency
+// experiment runs: the Figure 2 world with Sprint's covering ROA, served to
+// a relying party in AS 64999 behind provider AS 3356, and Continental
+// (AS 17054) self-hosting its repository at 63.174.23.0 inside the /20 its
+// own ROA authorizes. Every AS drops invalid routes. The caller sets any
+// fail-safe (PostSync, StaleTTL) before the first Step and closes the sim.
+func circularLoop(clock func() time.Time) (*core.CircularSim, *modelgen.World, error) {
 	w, err := modelgen.Figure2(Clock, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := bgp.NewNetwork()
 	const (
 		rpAS       = ipres.ASN(64999)
 		providerAS = ipres.ASN(3356)
 		contAS     = ipres.ASN(17054)
 	)
+	route := ipres.MustParsePrefix("63.174.16.0/20")
+	n := bgp.NewNetwork()
 	for _, asn := range []ipres.ASN{rpAS, providerAS, contAS} {
 		n.AddAS(asn, bgp.PolicyDropInvalid)
 	}
-	steps := []error{
+	for _, err := range []error{
 		n.ProviderOf(providerAS, rpAS),
 		n.ProviderOf(providerAS, contAS),
-		n.Originate(contAS, ipres.MustParsePrefix("63.174.16.0/20")),
-	}
-	for _, err := range steps {
+		n.Originate(contAS, route),
+	} {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	corrupting := core.NewCorruptingFetcher(w.Stores)
 	sim := &core.CircularSim{
 		Anchors: []rp.TrustAnchor{w.Anchor()},
-		Fetch:   corrupting,
+		Stores:  w.Stores,
 		Sites: map[string]core.RepoSite{
 			"continental": {
 				Module:      "continental",
 				Addr:        ipres.MustParseAddr("63.174.23.0"),
-				RoutePrefix: ipres.MustParsePrefix("63.174.16.0/20"),
+				RoutePrefix: route,
 				OriginAS:    contAS,
 			},
 		},
 		Network: n,
 		RPAS:    rpAS,
-		Clock:   Clock,
+		Clock:   clock,
 	}
+	return sim, w, nil
+}
+
+// SideEffect7 runs the transient-fault-to-persistent-failure timeline on
+// the full Figure 1 loop.
+func SideEffect7() (*Result, error) {
+	r := &Result{ID: "se7", Title: "Transient faults cause long-term failures (Side Effect 7)"}
+	sim, w, err := circularLoop(Clock)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.Close()
 
 	// The circular dependency is statically detectable.
 	cont20, _ := w.MustAuthority("continental").ROA("cont-20")
@@ -305,11 +320,11 @@ func SideEffect7() (*Result, error) {
 	if err := record("t0 bootstrap"); err != nil {
 		return nil, err
 	}
-	corrupting.Corrupt("continental", "cont-20.roa")
+	sim.Faults("continental").Corrupt("cont-20.roa")
 	if err := record("t1 transient corruption"); err != nil {
 		return nil, err
 	}
-	corrupting.Heal("continental")
+	sim.Faults("continental").Restore("")
 	if err := record("t2 fault fixed"); err != nil {
 		return nil, err
 	}

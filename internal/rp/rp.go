@@ -54,8 +54,7 @@ type TrustAnchor struct {
 }
 
 // Fetcher retrieves the full contents of a publication point. *repo.Client
-// implements it over TCP; StoreFetcher implements it in-process; the
-// circular-dependency experiments implement it with reachability gating.
+// implements it over TCP; StoreFetcher implements it in-process.
 // When the relying party runs with Workers > 1, FetchAll is called from
 // multiple goroutines concurrently and implementations must tolerate that.
 type Fetcher interface {
