@@ -361,15 +361,6 @@ func Run(parent context.Context, s Scenario) Verdict {
 	return v
 }
 
-// RunAll executes every scenario in order and returns the verdicts.
-func RunAll(ctx context.Context, scenarios []Scenario) []Verdict {
-	verdicts := make([]Verdict, 0, len(scenarios))
-	for _, s := range scenarios {
-		verdicts = append(verdicts, Run(ctx, s))
-	}
-	return verdicts
-}
-
 // Scenarios returns the full registered campaign, ordered by name within
 // each campaign group (stall games first, then exhaustion, then mutation,
 // then the RTR, listing, coalescing and feed campaigns).

@@ -32,7 +32,6 @@ import (
 	"crypto/elliptic"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"math/big"
 )
 
@@ -82,18 +81,4 @@ func DeterministicKeyPair(seed []byte) (*KeyPair, error) {
 		kp.det = true
 		return kp, nil
 	}
-}
-
-// DeterministicKeyPairString is DeterministicKeyPair for a string seed.
-func DeterministicKeyPairString(seed string) (*KeyPair, error) {
-	return DeterministicKeyPair([]byte(seed))
-}
-
-// MustDeterministicKeyPair is DeterministicKeyPair that panics on error.
-func MustDeterministicKeyPair(seed []byte) *KeyPair {
-	kp, err := DeterministicKeyPair(seed)
-	if err != nil {
-		panic(fmt.Errorf("cert: deterministic key: %w", err))
-	}
-	return kp
 }

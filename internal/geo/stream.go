@@ -89,14 +89,3 @@ func (a *StreamAnalyzer) Stats() Stats {
 	s.Countries = len(a.distinct)
 	return s
 }
-
-// AnalyzeSynthetic runs the full streaming pipeline: generate cfg's holdings
-// and analyze them without ever holding more than one in memory.
-func AnalyzeSynthetic(cfg SyntheticConfig) Stats {
-	a := NewStreamAnalyzer()
-	SyntheticStream(cfg, func(h Holding) bool {
-		a.Add(h)
-		return true
-	})
-	return a.Stats()
-}

@@ -149,17 +149,6 @@ func (a Addr) Prev() (Addr, bool) {
 	return Addr{value: v, family: a.family}, true
 }
 
-// familyMax returns the maximum address of family f.
-func familyMax(f Family) Addr {
-	if f == IPv4 {
-		return Addr{value: u128FromUint64(0xFFFFFFFF), family: IPv4}
-	}
-	return Addr{value: u128{^uint64(0), ^uint64(0)}, family: IPv6}
-}
-
-// familyMin returns the minimum (all-zero) address of family f.
-func familyMin(f Family) Addr { return Addr{family: f} }
-
 // String formats the address in conventional dotted-quad or RFC 5952 form.
 func (a Addr) String() string {
 	switch a.family {

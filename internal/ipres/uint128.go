@@ -28,7 +28,6 @@ func (u u128) cmp(v u128) int {
 
 func (u u128) and(v u128) u128 { return u128{u.hi & v.hi, u.lo & v.lo} }
 func (u u128) or(v u128) u128  { return u128{u.hi | v.hi, u.lo | v.lo} }
-func (u u128) xor(v u128) u128 { return u128{u.hi ^ v.hi, u.lo ^ v.lo} }
 func (u u128) not() u128       { return u128{^u.hi, ^u.lo} }
 
 // add returns u+v and a carry-out flag.

@@ -187,12 +187,6 @@ func DurationBuckets() []float64 {
 		0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 }
 
-// SizeBuckets is the default byte-size bucket ladder: 256 B to 256 MiB in
-// powers of 16.
-func SizeBuckets() []float64 {
-	return []float64{256, 4096, 65536, 1 << 20, 16 << 20, 256 << 20}
-}
-
 // CounterVec is a family of counters sharing a name, distinguished by label
 // values. With allocates on first use of a label combination; hot paths
 // call it once and hold the returned handle.

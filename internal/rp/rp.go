@@ -104,7 +104,7 @@ const (
 	// is what makes Side Effect 6 bite.
 	BestEffort MissingPolicy = iota
 	// DropPublicationPoint discards ALL products of a publication point
-	// whose manifest is missing, stale, or inconsistent. Conservative
+	// whose manifest is missing or inconsistent. Conservative
 	// against tampering, but turns any partial fault into a total outage
 	// of that authority's subtree.
 	DropPublicationPoint
@@ -186,8 +186,6 @@ type Config struct {
 	Clock func() time.Time
 	// Policy selects the missing-information behavior.
 	Policy MissingPolicy
-	// RequireFreshManifest treats a stale manifest like a missing one.
-	RequireFreshManifest bool
 	// MaxDepth bounds hierarchy recursion (default 32).
 	MaxDepth int
 	// CacheSnapshots keeps per-publication-point snapshots between Sync
@@ -825,9 +823,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 			mb.observeNotAfter(mft.NextUpdate)
 			if mft.Stale(now) {
 				mb.diag(st, DiagStaleManifest, uri.Module, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
-				if st.rp.cfg.RequireFreshManifest {
-					mft = nil
-				}
 			}
 		})
 	}

@@ -344,7 +344,7 @@ func TestSyncStaleManifest(t *testing.T) {
 	}
 	later := func() time.Time { return testEpoch.Add(2 * time.Hour) }
 
-	// Lenient: stale manifest diagnosed, ROA still used.
+	// A stale manifest is diagnosed and the ROA still used.
 	rpLenient := New(Config{Fetcher: stores, Clock: later}, TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI})
 	result, err := rpLenient.Sync(context.Background())
 	if err != nil {
@@ -361,19 +361,6 @@ func TestSyncStaleManifest(t *testing.T) {
 	}
 	if !sawStale {
 		t.Error("stale manifest should be diagnosed")
-	}
-
-	// Strict + drop: the whole publication point is discarded.
-	rpStrict := New(Config{
-		Fetcher: stores, Clock: later,
-		Policy: DropPublicationPoint, RequireFreshManifest: true,
-	}, TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI})
-	result, err = rpStrict.Sync(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(result.VRPs) != 0 {
-		t.Errorf("strict: VRPs = %d, want 0", len(result.VRPs))
 	}
 }
 

@@ -89,9 +89,6 @@ func (s *Server) Resumptions() uint64 { return s.resumptions.Load() }
 // mismatch or serial out of the retained window).
 func (s *Server) CacheResets() uint64 { return s.cacheResets.Load() }
 
-// ActiveClients reports currently served connections.
-func (s *Server) ActiveClients() int64 { return s.active.Load() }
-
 func (s *Server) sendQueue() int {
 	if s.SendQueue > 0 {
 		return s.SendQueue
