@@ -7,6 +7,7 @@ package rp
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"crypto/x509"
 	"errors"
@@ -44,16 +45,76 @@ func findDiag(res *Result, kind DiagKind, module, object string) (Diagnostic, bo
 	return Diagnostic{}, false
 }
 
-// TestSteadyChurnPointVerifications pins the signature work of one
-// revalidation of a point shaped like the steady_churn workload's ISP (10
-// ROAs, 10 child CAs): a ROA added costs 3 verdict misses (manifest, CRL,
-// the new ROA) and 5 ECDSA verifications; a ROA removed 2 misses and 3
+// withholding is a StoreFetcher that, while name is set, serves module
+// without that object and with an error: a partial fetch. It reports no
+// store version for the module meanwhile, so the fetch happens.
+type withholding struct {
+	StoreFetcher
+	module, name string
+}
+
+func (f *withholding) FetchAll(ctx context.Context, uri repo.URI) (map[string][]byte, error) {
+	files, err := f.StoreFetcher.FetchAll(ctx, uri)
+	if err != nil || f.name == "" || uri.Module != f.module {
+		return files, err
+	}
+	delete(files, f.name)
+	return files, fmt.Errorf("connection reset after %d objects", len(files))
+}
+
+func (f *withholding) SnapshotVersion(uri repo.URI) (uint64, bool) {
+	if f.name != "" && uri.Module == f.module {
+		return 0, false
+	}
+	return f.StoreFetcher.SnapshotVersion(uri)
+}
+
+// signManifestOver publishes a manifest that a signs over files, with a
+// fresh EE certificate of serial: a manifest the authority's own
+// publication would not produce.
+func signManifestOver(t *testing.T, a *ca.Authority, at time.Time, serial int64, files map[string][]byte) {
+	t.Helper()
+	eeKey := cert.MustGenerateKeyPair()
+	ee, err := cert.Issue(cert.Template{
+		Subject:   fmt.Sprintf("%s-mft-ee-%d", a.Name, serial),
+		Serial:    serial,
+		NotBefore: at.Add(-time.Minute),
+		NotAfter:  at.Add(48 * time.Hour),
+		InheritIP: true,
+		SIA:       cert.InfoAccess{SignedObject: a.URI.ObjectURI(a.ManifestFileName())},
+	}, a.Cert, a.Key, eeKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mft, err := manifest.New(serial, at, at.Add(24*time.Hour), files).Sign(ee, eeKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Store.Put(a.ManifestFileName(), mft)
+}
+
+// listed is what a's manifest covers: every object but the manifest.
+func listed(a *ca.Authority) map[string][]byte {
+	files := a.Store.Snapshot()
+	delete(files, a.ManifestFileName())
+	return files
+}
+
+// TestSteadyChurnPointVerifications walks one warm relying party through
+// the changes a point shaped like the steady_churn workload's ISP (10
+// ROAs, 10 child CAs) goes through, and pins what each revalidation of it
+// costs: the ECDSA verifications and verdict misses. After every step the
+// warm outcome is a fresh cold relying party's, and the point holds one
+// verdict per object (but an object admission rejects before its parse).
+// A ROA added costs 3 misses (manifest, CRL, the new ROA) and 5
+// verifications; a ROA removed or a re-signing 2 misses and 3
 // verifications. Every other object is a verdict hit and verifies nothing.
-// (While the CMS envelope was checked outside the cache, the same changes
-// cost 15 and 13 verifications: one more per ROA and for the manifest.)
-// Verdicts held equal the point's objects before and after.
+// (While the CMS envelope was checked outside the cache, the add and
+// remove cost 15 and 13 verifications: one more per ROA and for the
+// manifest.)
 func TestSteadyChurnPointVerifications(t *testing.T) {
-	cfg := ca.Config{Clock: clock}
+	caNow, rpNow := testEpoch, testEpoch
+	cfg := ca.Config{Clock: func() time.Time { return caNow }}
 	stores := StoreFetcher{}
 	newStore := func(module string) (*repo.Store, repo.URI) {
 		stores[module] = repo.NewStore()
@@ -80,38 +141,90 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 	if err := isp.EndBulk(); err != nil {
 		t.Fatal(err)
 	}
+	// One ROA signed a year less 12 hours ago: its EE expires 12 hours
+	// into the test, long before anything else.
+	caNow = testEpoch.Add(-365*24*time.Hour + 12*time.Hour)
+	mustROA(t, isp, "short", 64600, "10.20.0.0/16")
+	caNow = testEpoch
+	republish(t, isp)
 
-	v := New(Config{Fetcher: stores, Clock: clock, Workers: 2}, TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI})
+	fetcher := &withholding{StoreFetcher: stores, module: "isp"}
+	anchor := TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI}
+	v := New(Config{Fetcher: fetcher, Clock: func() time.Time { return rpNow }, Workers: 2}, anchor)
 	cold := syncReuse(t, v)
 	// Each manifest and ROA is two verifications, each certificate and CRL
-	// one: 12 manifests, 10 ROAs, 11 CAs under the anchor, 12 CRLs.
-	if got, want := Verifications(cold), 2*(12+10)+11+12; got != want {
+	// one: 12 manifests, 11 ROAs, 11 CAs under the anchor, 12 CRLs.
+	if got, want := Verifications(cold), 2*(12+11)+11+12; got != want {
 		t.Errorf("cold sync: %d verifications, want %d", got, want)
 	}
 	if got, want := PointVerdicts(v, "isp"), ispStore.Len(); got != want {
 		t.Errorf("cold: isp holds %d verdicts for %d objects", got, want)
 	}
 	for _, step := range []struct {
-		name                  string
-		change                func() error
-		verifications, misses int
+		name   string
+		change func()
+		// verifications and misses are the sync's; unverdicted counts the
+		// point's objects its validation holds no verdict for.
+		verifications, misses, unverdicted int
 	}{
-		{"add", func() error { _, err := isp.IssueROA("churn", 64999, roa.MustParsePrefix("10.25.0.0/16")); return err }, 5, 3},
-		{"remove", func() error { return isp.DeleteROA("churn") }, 3, 2},
+		{"add", func() { mustROA(t, isp, "churn", 64999, "10.25.0.0/16") }, 5, 3, 0},
+		{"remove", func() {
+			if err := isp.DeleteROA("churn"); err != nil {
+				t.Fatal(err)
+			}
+		}, 3, 2, 0},
+		{"re-sign", func() { republish(t, isp) }, 3, 2, 0},
+		{"clock past a ROA's EE notAfter", func() { rpNow = testEpoch.Add(13 * time.Hour) }, 0, 0, 0},
+		{"withdraw the expired ROA", func() {
+			if err := isp.DeleteROA("short"); err != nil {
+				t.Fatal(err)
+			}
+		}, 3, 2, 0},
+		{"revoke a ROA, still served", func() { revokedROA(t, isp, ispStore, "r9") }, 3, 2, 0},
+		{"withdraw the revoked ROA", func() { ispStore.Delete("r9.roa"); republish(t, isp) }, 3, 2, 0},
+		{"roll the point's key", func() {
+			if err := isp.RollKey(); err != nil {
+				t.Fatal(err)
+			}
+		}, 35, 24, 0},
+		{"shrink the point", func() {
+			if err := ta.ShrinkChild("isp", ipres.MustParseSet("10.0.0.0/11").Subtract(ipres.MustParseSet("10.18.0.0/16"))); err != nil {
+				t.Fatal(err)
+			}
+		}, 4, 3, 0},
+		{"withdraw the whacked ROA", func() {
+			if err := isp.DeleteROA("r8"); err != nil {
+				t.Fatal(err)
+			}
+		}, 3, 2, 0},
+		{"manifest omits an unchanged ROA", func() {
+			files := listed(isp)
+			delete(files, "r0.roa")
+			signManifestOver(t, isp, caNow, 1<<40, files)
+		}, 2, 1, 1},
+		{"re-sign after the omission", func() { republish(t, isp) }, 5, 3, 0},
+		{"manifest lists an unchanged ROA under another digest", func() {
+			files := listed(isp)
+			files["r1.roa"] = []byte("other bytes")
+			signManifestOver(t, isp, caNow, 1<<40+1, files)
+		}, 2, 1, 1},
+		{"re-sign after the misdigest", func() { republish(t, isp) }, 5, 3, 0},
+		{"partial fetch", func() { fetcher.name = "r2.roa" }, 0, 0, 1},
+		{"re-sign after the partial fetch", func() { fetcher.name = ""; republish(t, isp) }, 5, 3, 0},
 	} {
-		if err := step.change(); err != nil {
-			t.Fatal(err)
-		}
+		step.change()
 		res := syncReuse(t, v)
-		if res.ModulesRevalidated != 1 || Verifications(res) != step.verifications || res.VerifyCacheMisses != step.misses {
-			t.Errorf("%s: %d revalidated, %d verifications, %d misses; want 1, %d, %d", step.name,
-				res.ModulesRevalidated, Verifications(res), res.VerifyCacheMisses, step.verifications, step.misses)
+		t.Logf("%s: %d revalidated, %d verifications, %d misses, %d hits", step.name,
+			res.ModulesRevalidated, Verifications(res), res.VerifyCacheMisses, res.VerifyCacheHits)
+		if Verifications(res) != step.verifications || res.VerifyCacheMisses != step.misses {
+			t.Errorf("%s: %d verifications, %d misses; want %d, %d", step.name,
+				Verifications(res), res.VerifyCacheMisses, step.verifications, step.misses)
 		}
-		if got, want := PointVerdicts(v, "isp"), ispStore.Len(); got != want {
-			t.Errorf("%s: isp holds %d verdicts for %d objects", step.name, got, want)
+		if got, want := PointVerdicts(v, "isp"), ispStore.Len()-step.unverdicted; got != want {
+			t.Errorf("%s: isp holds %d verdicts for %d objects, %d of them unverdicted", step.name, got, ispStore.Len(), step.unverdicted)
 		}
-		if got, want := fingerprint(res), fingerprint(syncReuse(t, New(Config{Fetcher: stores, Clock: clock},
-			TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI}))); got != want {
+		coldRP := New(Config{Fetcher: fetcher, Clock: func() time.Time { return rpNow }}, anchor)
+		if got, want := fingerprint(res), fingerprint(syncReuse(t, coldRP)); got != want {
 			t.Errorf("%s: warm sync diverged from cold:\n--- warm ---\n%s--- cold ---\n%s", step.name, got, want)
 		}
 	}
@@ -325,17 +438,17 @@ func TestRekeyUnderOldSKI(t *testing.T) {
 	}
 }
 
-// revokedROA has cont revoke cont-22 and then list it again on a re-signed
-// manifest: a listed object whose EE the point's CRL revokes.
-func revokedROA(t *testing.T, cont *ca.Authority, store *repo.Store) {
+// revokedROA has a revoke its ROA name and then list it again on a
+// re-signed manifest: a listed object whose EE the point's CRL revokes.
+func revokedROA(t *testing.T, a *ca.Authority, store *repo.Store, name string) {
 	t.Helper()
-	raw, _ := store.Get("cont-22.roa")
+	raw, _ := store.Get(name + ".roa")
 	raw = bytes.Clone(raw)
-	if err := cont.RevokeROA("cont-22"); err != nil {
+	if err := a.RevokeROA(name); err != nil {
 		t.Fatal(err)
 	}
-	store.Put("cont-22.roa", raw)
-	republish(t, cont)
+	store.Put(name+".roa", raw)
+	republish(t, a)
 }
 
 // TestCRLMustBeListedWithItsDigest: with a manifest whose signatures hold,
@@ -354,7 +467,7 @@ func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 			name: "older CRL served unlisted",
 			serve: func(t *testing.T, cont *ca.Authority, store *repo.Store) {
 				old, _ := store.Get("continental.crl")
-				revokedROA(t, cont, store)
+				revokedROA(t, cont, store, "cont-22")
 				store.Put("zzz.crl", old)
 			},
 			revoked: true,
@@ -366,7 +479,7 @@ func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 				republish(t, cont)
 				other, _ := store.Get("continental.crl")
 				store.Put("zzz.crl", listed)
-				revokedROA(t, cont, store) // the manifest now lists zzz.crl too
+				revokedROA(t, cont, store, "cont-22") // the manifest now lists zzz.crl too
 				store.Put("zzz.crl", other)
 			},
 			revoked: true,
@@ -375,7 +488,7 @@ func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 			name: "no manifest",
 			serve: func(t *testing.T, cont *ca.Authority, store *repo.Store) {
 				old, _ := store.Get("continental.crl")
-				revokedROA(t, cont, store)
+				revokedROA(t, cont, store, "cont-22")
 				store.Put("zzz.crl", old)
 				store.Delete(cont.ManifestFileName())
 			},
