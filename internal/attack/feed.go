@@ -23,7 +23,7 @@ import (
 // bounded and named. Out of scope here, by design: a repository that replays
 // an old token together with the old, validly signed objects it stood for
 // tells no lie the transport can catch — that is the manifest-number floor of
-// ROADMAP item 4.
+// ROADMAP item 2.
 
 func feedScenarios() []Scenario {
 	return []Scenario{
@@ -46,7 +46,7 @@ func feedScenarios() []Scenario {
 			Name:  "feed/rollback",
 			Paper: "The Fault in Our Drafts (arXiv:2605.26986) (serial regression)",
 			Layer: "tokens compared for equality only",
-			Doc:   "the peer vouches for an older token than the one the relying party remembers: a token is opaque, so older is just different — the point costs one listing, what is held matches it, nothing moves (replaying the old objects with it is ROADMAP item 4's floor, not the transport's)",
+			Doc:   "the peer vouches for an older token than the one the relying party remembers: a token is opaque, so older is just different — the point costs one listing, what is held matches it, nothing moves (replaying the old objects with it is ROADMAP item 2's floor, not the transport's)",
 			Run:   runFeedRollback,
 		},
 	}

@@ -26,7 +26,8 @@ import (
 // CMS envelope signature and its EE certificate's signature by the issuer,
 // so a miss on one costs two ECDSA verifications and a hit none.
 //
-// A cache holds exactly the verdicts looked up through it. It is created
+// A cache holds exactly the verdicts looked up or carried (Carry) through
+// it. It is created
 // over the Verdicts of the scope's previous validation (NewVerifyCache): a
 // lookup that misses consults those before verifying, and a verdict found
 // there is carried over, so a scope that keeps only its latest Verdicts
@@ -94,7 +95,8 @@ func NewVerifyCache(prev Verdicts) *VerifyCache {
 	return &VerifyCache{prev: prev, verdicts: make(map[verifyKey]*verdictEntry)}
 }
 
-// Verdicts returns the verdicts looked up through c, and only those. Call
+// Verdicts returns the verdicts looked up or carried through c, and only
+// those. Call
 // it once every lookup through c has returned.
 func (c *VerifyCache) Verdicts() Verdicts {
 	if c == nil {
@@ -138,6 +140,33 @@ func (c *VerifyCache) Memoize(objectHash [32]byte, issuer *ResourceCert, verify 
 	}
 	e.once.Do(func() { e.err = verify() })
 	return e.err
+}
+
+// Carry keeps the previous validation's verdict on (objectHash, issuer) for
+// an object the caller admits without checking it again, so the verdict is
+// in Verdicts and a later validation of the same bytes still hits. It
+// counts neither a hit nor a miss. False means the previous validation
+// holds no such verdict, or holds a failed one: the caller must check the
+// object.
+func (c *VerifyCache) Carry(objectHash [32]byte, issuer *ResourceCert) bool {
+	if c == nil {
+		return false
+	}
+	key := verifyKey{object: objectHash, issuer: issuer.SKIKey()}
+	held, found := c.prev.lookup(key)
+	if !found || held.err != nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.verdicts[key]; !ok {
+		// A lookup through Memoize settles an entry it finds in prev before
+		// anyone else can see it, so one already present holds this verdict.
+		e := &verdictEntry{}
+		e.once.Do(func() {})
+		c.verdicts[key] = e
+	}
+	return true
 }
 
 // CheckChildSignature is child.Cert.CheckSignatureFrom(issuer.Cert) with
@@ -194,7 +223,7 @@ func (c *VerifyCache) count() {
 	}
 }
 
-// Len returns the number of verdicts looked up through c so far.
+// Len returns the number of verdicts looked up or carried through c so far.
 func (c *VerifyCache) Len() int {
 	if c == nil {
 		return 0

@@ -26,6 +26,48 @@ func TestVerifyCacheMemoizesChildSignature(t *testing.T) {
 	}
 }
 
+// TestVerifyCacheCarry: a carried verdict counts neither a hit nor a miss,
+// is in the next Verdicts, and answers the validation after that as a hit.
+// Only a held, successful verdict carries.
+func TestVerifyCacheCarry(t *testing.T) {
+	ta, taKey := newTestTA(t, "10.0.0.0/8")
+	other, _ := newTestTA(t, "10.0.0.0/8")
+	good, _ := issueChild(t, ta, taKey, "good", "10.1.0.0/16", 2, true)
+	unseen, _ := issueChild(t, ta, taKey, "unseen", "10.2.0.0/16", 3, true)
+	first := NewVerifyCache(Verdicts{})
+	if err := first.CheckChildSignature(ta, good, sha256.Sum256(good.Raw)); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CheckChildSignature(other, good, sha256.Sum256(good.Raw)); err == nil {
+		t.Fatal("signature from the wrong issuer verified")
+	}
+
+	second := NewVerifyCache(first.Verdicts())
+	if !second.Carry(sha256.Sum256(good.Raw), ta) {
+		t.Error("a held, successful verdict did not carry")
+	}
+	if second.Carry(sha256.Sum256(good.Raw), other) {
+		t.Error("a held failure carried")
+	}
+	if second.Carry(sha256.Sum256(unseen.Raw), ta) {
+		t.Error("a verdict never held carried")
+	}
+	if hits, misses := second.Stats(); hits != 0 || misses != 0 || second.Verified() != 0 {
+		t.Errorf("carrying counted %d hits, %d misses, %d verifications; want none", hits, misses, second.Verified())
+	}
+	if second.Len() != 1 {
+		t.Errorf("Len = %d, want 1: the carried verdict alone", second.Len())
+	}
+
+	third := NewVerifyCache(second.Verdicts())
+	if err := third.CheckChildSignature(ta, good, sha256.Sum256(good.Raw)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := third.Stats(); hits != 1 || misses != 0 {
+		t.Errorf("after a carry: hits=%d misses=%d, want 1/0", hits, misses)
+	}
+}
+
 func TestVerifyCacheCachesFailures(t *testing.T) {
 	ta, taKey := newTestTA(t, "10.0.0.0/8")
 	other, _ := newTestTA(t, "10.0.0.0/8") // different key, same subject

@@ -42,6 +42,7 @@ var costSeries = []string{
 	"rpki_modules_revalidated_total",
 	"rpki_objects_downloaded_total",
 	"rpki_objects_reused_total",
+	"rpki_objects_from_memo_total",
 }
 
 // churnTargets returns the authorities the steady_churn workload publishes

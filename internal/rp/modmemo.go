@@ -5,12 +5,15 @@
 // re-walked — which is exactly the cost Stalloris-style adversaries inflate.
 // This file caches, per publication point ("module"), the complete validated
 // outputs of the last clean validation: VRPs, accepted-object counters, and
-// the child CAs whose walks the module spawns. A later sync that can prove
-// the module's bytes are unchanged AND that the cached verdicts are still
-// within their temporal epoch reuses those outputs wholesale, skipping
-// hashing, manifest cross-checks, and chain validation entirely.
+// the child CAs whose walks the module spawns, each output tagged with the
+// object that produced it. A later sync that can prove the module's bytes
+// are unchanged AND that the cached verdicts are still within their
+// temporal epoch reuses those outputs wholesale, skipping hashing, manifest
+// cross-checks, and chain validation entirely; one that finds some bytes
+// changed keeps the outputs of every object that did not.
 //
-// Unchanged-ness is established by one of three tiers, cheapest first:
+// Reuse comes in four tiers, cheapest first. The first three prove the
+// whole module unchanged:
 //
 //  1. the fetcher reports a store version (VersionedFetcher) equal to the
 //     one recorded when the entry was validated — no fetch at all;
@@ -22,13 +25,34 @@
 //     signature re-verified. The entry keeps digests, never bytes, so the
 //     memo's size does not grow with object size.
 //
+// The fourth revalidates the module but reads only what changed:
+//
+//  4. the new manifest and CRL are parsed and verified as on any
+//     revalidation. Then, if the manifest holds and the winning CRL revokes
+//     exactly the serials the entry's did, each object whose digest equals
+//     the entry's, and which the new manifest lists under that digest, is
+//     admitted with the outputs the entry recorded for it: its VRPs, or its
+//     child link, and its signature verdict carried over unlooked-up
+//     (cert.VerifyCache.Carry). Every other object is validated in full.
+//     A re-signed manifest then costs the manifest and the CRL, and a
+//     changed ROA those and the ROA.
+//
+// An entry keeps, per object, its name, its digest and which outputs are
+// its own, in one name-sorted slice; per entry, a digest of the winning
+// CRL's revoked serials and the validity window of the objects other than
+// the manifest and CRL. A tier-4 entry has the outputs a full revalidation
+// of the same bytes would have, and an epoch no longer than its: the
+// objects admitted from the old entry bring its whole object window, which
+// covers theirs.
+//
 // Reuse is safe only inside the entry's temporal epoch: the intersection of
 // every validated certificate's validity window, the manifest's nextUpdate,
 // and the winning CRL's nextUpdate. Outside that window a re-validation
 // could flip verdicts even though no byte changed, so the entry is ignored
-// and the module is re-validated. Revocation and resource-containment
-// verdicts cannot drift inside the epoch when the bytes (including the CRL)
-// are unchanged and the issuing authority is unchanged.
+// and the module is re-validated in full. Revocation and
+// resource-containment verdicts cannot drift inside the epoch when the
+// bytes and the revoked serials are unchanged and the issuing authority is
+// unchanged.
 //
 // The authority matters as much as the bytes: a grandparent re-issuing a
 // shrunken child certificate (the paper's certificate-whacking, Side Effect
@@ -43,7 +67,9 @@
 // parses). The DER aliases the parent's snapshot when the per-point state
 // keeps that snapshot anyway (CacheSnapshots over an incremental fetcher,
 // or StaleTTL); otherwise it is one private copy, shared by the link and
-// the child's own entry, so a memo never pins a fetch buffer.
+// the child's own entry, so a memo never pins a fetch buffer. A link a
+// tier-4 revalidation keeps is re-pointed at the new snapshot's identical
+// bytes in the first case and keeps its copy in the second.
 //
 // The same entry serves an unreachable point's last-known-good snapshot:
 // the snapshot is the bytes the entry was validated from (state.go), so
@@ -60,11 +86,17 @@ package rp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/big"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cert"
 	"repro/internal/ipres"
+	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/rov"
@@ -102,6 +134,77 @@ type childLink struct {
 	uri       repo.URI
 }
 
+// ownership says which of an entry's outputs an object produced.
+type ownership uint8
+
+const (
+	ownsNothing ownership = iota // manifest, CRL, or an object that adds nothing
+	ownsROA                      // the VRPs vrps[lo:hi]
+	ownsChild                    // the child link children[lo]
+)
+
+// memoObject is one object of the snapshot an entry was validated from: its
+// name, its SHA-256, and the outputs that are its own.
+type memoObject struct {
+	name   string
+	digest [32]byte
+	own    ownership
+	lo, hi uint32
+}
+
+// findObject returns the index of name in objects, which are sorted by
+// name.
+func findObject(objects []memoObject, name string) (int, bool) {
+	return slices.BinarySearchFunc(objects, name, func(o memoObject, name string) int {
+		return strings.Compare(o.name, name)
+	})
+}
+
+// window is a validity interval; a zero bound leaves that side open.
+type window struct {
+	notBefore, notAfter time.Time
+}
+
+// narrow shrinks w to its intersection with [notBefore, notAfter]; a zero
+// bound narrows nothing.
+func (w *window) narrow(notBefore, notAfter time.Time) {
+	if !notBefore.IsZero() && (w.notBefore.IsZero() || notBefore.After(w.notBefore)) {
+		w.notBefore = notBefore
+	}
+	if !notAfter.IsZero() && (w.notAfter.IsZero() || notAfter.Before(w.notAfter)) {
+		w.notAfter = notAfter
+	}
+}
+
+// contains reports whether now falls inside w.
+func (w window) contains(now time.Time) bool {
+	return (w.notBefore.IsZero() || !now.Before(w.notBefore)) &&
+		(w.notAfter.IsZero() || !now.After(w.notAfter))
+}
+
+// revokedDigest is the SHA-256 of crl's revoked serials in ascending order,
+// each as its sign and its length-prefixed magnitude: two CRLs revoke the
+// same serials exactly when their digests agree. No CRL at all is the zero
+// digest, distinct from an empty CRL's.
+func revokedDigest(crl *cert.CRL) [32]byte {
+	if crl == nil {
+		return [32]byte{}
+	}
+	serials := make([]*big.Int, len(crl.List.RevokedCertificateEntries))
+	for i, e := range crl.List.RevokedCertificateEntries {
+		serials[i] = e.SerialNumber
+	}
+	slices.SortFunc(serials, (*big.Int).Cmp)
+	var enc []byte
+	for _, s := range serials {
+		enc = append(enc, byte(s.Sign()+1))
+		magnitude := s.Bytes()
+		enc = binary.AppendUvarint(enc, uint64(len(magnitude)))
+		enc = append(enc, magnitude...)
+	}
+	return sha256.Sum256(enc)
+}
+
 // moduleEntry is one module's cached validation outcome.
 type moduleEntry struct {
 	// authority and effective identify the validation context: the issuing
@@ -114,14 +217,16 @@ type moduleEntry struct {
 	// (valid only when hasVersion).
 	version    uint64
 	hasVersion bool
-	// digests is the per-object SHA-256 of the exact snapshot the entry was
-	// validated from.
-	digests map[string][32]byte
-	// notBefore/notAfter bound the epoch inside which the cached verdicts
-	// are time-invariant: max of all validated certs' notBefore, and min of
-	// cert notAfters, manifest nextUpdate, and winning CRL nextUpdate.
-	// Zero values mean unbounded on that side.
-	notBefore, notAfter time.Time
+	// objects is the snapshot the entry was validated from, sorted by name.
+	objects []memoObject
+	// revoked is revokedDigest of the CRL the objects were judged by.
+	revoked [32]byte
+	// epoch bounds the window inside which the cached verdicts are
+	// time-invariant: the latest notBefore of every validated certificate,
+	// and the earliest of their notAfters, the manifest's nextUpdate and the
+	// winning CRL's. objEpoch is the same over the ROAs' EE certificates and
+	// the child CAs alone, the part tier 4 carries over.
+	epoch, objEpoch window
 	// Validated outputs.
 	vrps     []rov.VRP
 	roas     int
@@ -136,25 +241,16 @@ func (e *moduleEntry) matches(authority []byte, effective ipres.Set) bool {
 }
 
 // within reports whether now falls inside the entry's temporal epoch.
-func (e *moduleEntry) within(now time.Time) bool {
-	if !e.notBefore.IsZero() && now.Before(e.notBefore) {
-		return false
-	}
-	if !e.notAfter.IsZero() && now.After(e.notAfter) {
-		return false
-	}
-	return true
-}
+func (e *moduleEntry) within(now time.Time) bool { return e.epoch.contains(now) }
 
-// sameDigests reports whether a snapshot's per-object hashes match a memo
-// entry's (tier 3).
-func sameDigests(hashes, digests map[string][32]byte) bool {
-	if len(hashes) != len(digests) {
+// sameDigests reports whether a snapshot's objects are an entry's, name for
+// name and digest for digest (tier 3).
+func sameDigests(objects, memo []memoObject) bool {
+	if len(objects) != len(memo) {
 		return false
 	}
-	for name, h := range hashes {
-		d, ok := digests[name]
-		if !ok || d != h {
+	for i := range objects {
+		if objects[i].name != memo[i].name || objects[i].digest != memo[i].digest {
 			return false
 		}
 	}
@@ -173,9 +269,20 @@ type moduleBuild struct {
 	memoizable bool
 	version    uint64
 	hasVersion bool
-	// hashes is the per-object digest map computed by the walk's hashing
-	// pass; a clean commit keeps it as the memo entry's digest snapshot.
-	hashes map[string][32]byte
+	// memo is the point's entry when it is usable for this walk: tier 4
+	// admits unchanged objects from it. Nil otherwise.
+	memo *moduleEntry
+	// objects is the snapshot's objects, sorted by name, as the walk's
+	// hashing pass digested them; admission records in each which outputs
+	// are its own, and a clean commit keeps them as the memo entry's.
+	// Element i's ownership is written under mu by its admission alone.
+	objects []memoObject
+	// revoked is revokedDigest of the winning CRL. Written by validate
+	// before any object is admitted.
+	revoked [32]byte
+	// fromMemo counts the objects admitted from memo. Written by validate
+	// before the committer is spawned.
+	fromMemo int
 	// sigs memoizes this validation's signature checks over the verdicts
 	// the point's previous validation used; the commit keeps what it holds.
 	sigs *cert.VerifyCache
@@ -187,36 +294,39 @@ type moduleBuild struct {
 	wg sync.WaitGroup
 
 	mu sync.Mutex
-	// Taint count, accumulated outputs and epoch bounds. guarded by mu.
-	diags               int
-	vrps                []rov.VRP
-	roas                int
-	certs               int
-	children            []childLink
-	notBefore, notAfter time.Time
+	// Taint count, accumulated outputs and epoch bounds: epoch from the
+	// manifest and CRL, objEpoch from every other object. guarded by mu.
+	diags           int
+	vrps            []rov.VRP
+	roas            int
+	certs           int
+	children        []childLink
+	epoch, objEpoch window
 }
 
-// observeCert folds a validated certificate's validity window into the
-// epoch accumulators.
-func (mb *moduleBuild) observeCert(c *cert.ResourceCert) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if nb := c.NotBefore(); mb.notBefore.IsZero() || nb.After(mb.notBefore) {
-		mb.notBefore = nb
+// digest returns the SHA-256 of the snapshot's object name.
+func (mb *moduleBuild) digest(name string) ([32]byte, bool) {
+	i, ok := findObject(mb.objects, name)
+	if !ok {
+		return [32]byte{}, false
 	}
-	if na := c.NotAfter(); mb.notAfter.IsZero() || na.Before(mb.notAfter) {
-		mb.notAfter = na
-	}
+	return mb.objects[i].digest, true
 }
 
-// observeNotAfter folds a freshness deadline (manifest or CRL nextUpdate)
-// into the epoch's upper bound.
-func (mb *moduleBuild) observeNotAfter(t time.Time) {
+// observePoint folds a bound set by the manifest or the CRL — its EE
+// certificate's window, or a nextUpdate — into the epoch.
+func (mb *moduleBuild) observePoint(notBefore, notAfter time.Time) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if !t.IsZero() && (mb.notAfter.IsZero() || t.Before(mb.notAfter)) {
-		mb.notAfter = t
-	}
+	mb.epoch.narrow(notBefore, notAfter)
+}
+
+// observeObject folds the validity window of an admitted object's
+// certificate — a ROA's EE, or a child CA — into the epoch.
+func (mb *moduleBuild) observeObject(c *cert.ResourceCert) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	mb.objEpoch.narrow(c.NotBefore(), c.NotAfter())
 }
 
 // diag emits a module diagnostic and taints the build: a tainted module
@@ -228,11 +338,15 @@ func (mb *moduleBuild) diag(st *syncState, kind DiagKind, module, object string,
 	st.diag(kind, module, object, err)
 }
 
-func (mb *moduleBuild) addROA(vrps []rov.VRP) {
+// addROA records object i's VRPs as a ROA's.
+func (mb *moduleBuild) addROA(i int, vrps []rov.VRP) {
 	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	lo := len(mb.vrps)
 	mb.roas++
 	mb.vrps = append(mb.vrps, vrps...)
-	mb.mu.Unlock()
+	o := &mb.objects[i]
+	o.own, o.lo, o.hi = ownsROA, uint32(lo), uint32(len(mb.vrps))
 }
 
 func (mb *moduleBuild) addCert() {
@@ -241,8 +355,43 @@ func (mb *moduleBuild) addCert() {
 	mb.mu.Unlock()
 }
 
-func (mb *moduleBuild) addChild(link childLink) {
+// addChild records object i's child link.
+func (mb *moduleBuild) addChild(i int, link childLink) {
 	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	o := &mb.objects[i]
+	o.own, o.lo = ownsChild, uint32(len(mb.children))
 	mb.children = append(mb.children, link)
-	mb.mu.Unlock()
+}
+
+// admitFromMemo is reuse tier 4 for the snapshot's object i: when memo
+// holds the same bytes under the same name, listed by mft under that
+// digest, and their signature verdict is held, it admits the object with
+// memo's outputs for it and reports true. Otherwise it does nothing: the
+// object must be validated in full. The caller has checked that memo is
+// usable for this walk and that the winning CRL revokes what memo's did.
+func (st *syncState) admitFromMemo(mb *moduleBuild, memo *moduleEntry, issuer *cert.ResourceCert, mft *manifest.Manifest, i, depth int, files map[string][]byte) bool {
+	o := mb.objects[i]
+	j, ok := findObject(memo.objects, o.name)
+	if !ok || memo.objects[j].digest != o.digest || mft.VerifyHash(o.name, o.digest) != nil {
+		return false
+	}
+	old := memo.objects[j]
+	if old.own != ownsNothing && !mb.sigs.Carry(o.digest, issuer) {
+		return false
+	}
+	switch old.own {
+	case ownsROA:
+		mb.addROA(i, memo.vrps[old.lo:old.hi])
+	case ownsChild:
+		link := memo.children[old.lo]
+		if st.rp.keepsSnapshots {
+			link.der = files[o.name]
+		}
+		mb.addCert()
+		mb.addChild(i, link)
+		st.enqueue(pointItem{authority{der: link.der}, link.effective, link.uri, depth - 1})
+	}
+	mb.fromMemo++
+	return true
 }

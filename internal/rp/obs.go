@@ -48,6 +48,7 @@ type rpMetrics struct {
 	incrFallbacks    *obs.Counter
 	objectsDown      *obs.Counter
 	objectsReused    *obs.Counter
+	objectsFromMemo  *obs.Counter
 	inflightModules  *obs.Gauge
 	lastSyncUnixtime *obs.Gauge
 }
@@ -81,6 +82,8 @@ func newRPMetrics(hub *obs.Hub) *rpMetrics {
 			"Incremental syncs replaced by a clean full fetch after a mid-protocol failure."),
 		objectsDown:   r.Counter("rpki_objects_downloaded_total", "Objects transferred by incremental syncs."),
 		objectsReused: r.Counter("rpki_objects_reused_total", "Objects kept from previous snapshots by incremental syncs."),
+		objectsFromMemo: r.Counter("rpki_objects_from_memo_total",
+			"Objects of revalidated publication points admitted with the outputs their memo entry recorded for the same bytes, neither parsed nor verified."),
 		inflightModules: r.Gauge("rpki_streaming_modules_inflight",
 			"Module-window slots taken: publication points between the start of their fetch and their commit."),
 		lastSyncUnixtime: r.Gauge("rpki_last_sync_unixtime", "Injected-clock time the last sync finished."),
@@ -107,6 +110,7 @@ func (m *rpMetrics) recordResult(res *Result, seconds float64) {
 	m.incrFallbacks.Add(uint64(res.IncrementalFallbacks))
 	m.objectsDown.Add(uint64(res.ObjectsDownloaded))
 	m.objectsReused.Add(uint64(res.ObjectsReused))
+	m.objectsFromMemo.Add(uint64(res.ObjectsFromMemo))
 }
 
 // obsDiag records one diagnostic's flight-recorder event. Degraded path

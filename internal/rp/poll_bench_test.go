@@ -96,3 +96,68 @@ func benchmarkWarmPoll(b *testing.B, stalled bool) {
 	b.ReportMetric(float64(cpuTime(b)-cpu)/float64(b.N), "cpu-ns/op")
 	b.ReportMetric(float64(probe.take()), "goroutines")
 }
+
+// BenchmarkRevalidateRegion is the steady_churn workload's slow op in
+// process, without its timers: the 721-point world served as in
+// BenchmarkWarmPoll, and per iteration one ROA toggled at each of the 13
+// sibling ISP points the benchmark picks for seed 1, then one sync. Only
+// the sync is timed. Beside ns/op and allocs/op it reports the process's
+// CPU per sync (cpu-ns/op, server included) and the objects the 13
+// revalidations admitted from their memo entries (memo-objects/op).
+//
+//	go test -run '^$' -bench RevalidateRegion -benchtime 100x ./internal/rp
+func BenchmarkRevalidateRegion(b *testing.B) {
+	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, region := churnTargets(w, 1)
+	srv := repo.NewServer()
+	for module, store := range w.Stores {
+		srv.AddModule(module, store, nil)
+	}
+	v := rp.New(rp.Config{
+		Fetcher:        serverClient(b, srv),
+		Clock:          w.Clock,
+		Workers:        2,
+		CacheSnapshots: true,
+		StaleTTL:       time.Hour,
+	}, w.Anchor())
+	sync := func() *rp.Result {
+		res, err := v.Sync(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Diagnostics) != 0 {
+			b.Fatalf("sync: %d diagnostics, first %v", len(res.Diagnostics), res.Diagnostics[0])
+		}
+		return res
+	}
+	sync()
+	sync()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cpu time.Duration
+	fromMemo := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, a := range region {
+			if err := toggleChurnROA(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		start := cpuTime(b)
+		b.StartTimer()
+		res := sync()
+		b.StopTimer()
+		cpu += cpuTime(b) - start
+		if res.ModulesRevalidated != len(region) {
+			b.Fatalf("revalidated %d points, want the %d toggled", res.ModulesRevalidated, len(region))
+		}
+		fromMemo += res.ObjectsFromMemo
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
+	b.ReportMetric(float64(fromMemo)/float64(b.N), "memo-objects/op")
+}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -299,7 +300,8 @@ type Result struct {
 	// its EE certificate) — and a hit an object answered from an earlier
 	// verdict on the same bytes within the same validation or kept from the
 	// point's previous one. Exact at any worker count. A sync that reuses
-	// every module does no lookups at all.
+	// every module does no lookups at all, and an object a revalidation
+	// admits from the memo (ObjectsFromMemo) none either.
 	VerifyCacheHits, VerifyCacheMisses int
 	// verifications counts the ECDSA verifications the misses ran.
 	verifications int
@@ -317,6 +319,10 @@ type Result struct {
 	// that went through full validation. Exact at any worker count, so a
 	// steady-state poll of an unchanged world shows ModulesRevalidated==0.
 	ModulesReused, ModulesRevalidated int
+	// ObjectsFromMemo counts the objects revalidated points admitted from
+	// their memo entries (reuse tier 4, see modmemo.go): byte-identical to
+	// what the entry was validated from, so neither parsed nor looked up.
+	ObjectsFromMemo int
 	// IncrementalFallbacks counts publication points whose incremental
 	// (digest-listing) sync failed mid-protocol and was replaced by a clean
 	// full fetch — the never-silently-stale escape hatch.
@@ -733,26 +739,30 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		return
 	}
 
-	names, hashes := st.hashObjects(files)
+	objects := st.hashObjects(files)
 
 	// Reuse tier 3: the memo keeps per-object digests, not bytes, so
 	// unchanged-ness is decided here, after hashing — the module's bytes are
 	// re-hashed but nothing is re-parsed or re-verified. Only a faithful
 	// fetch consults the memo; degraded sources never do.
-	if faithful && usable && sameDigests(hashes, e.digests) {
+	if faithful && usable && sameDigests(objects, e.objects) {
 		reuse("reused: digests unchanged", true)
 		return
 	}
 
 	// From here on the point is validated: its build, its verdict cache and
-	// its parsed authority exist only on this path.
+	// its parsed authority exist only on this path. A usable entry still
+	// answers for every object whose bytes it was validated from (tier 4).
 	mb := &moduleBuild{
 		memoizable: faithful,
 		version:    storeVersion,
 		hasVersion: hasVersion,
-		hashes:     hashes,
+		objects:    objects,
 		sigs:       cert.NewVerifyCache(p.verdicts),
 		span:       wsp,
+	}
+	if usable {
+		mb.memo = e
 	}
 	st.mu.Lock()
 	st.res.ModulesRevalidated++
@@ -766,14 +776,15 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		st.reuseRejection(e, auth.der, effective, uri.Module)
 	}
 	mb.verifySpan = wsp.Child("verify", uri.Module)
-	st.spawn(func() { st.validate(mb, auth, effective, uri, depth, now, files, names) })
+	st.spawn(func() { st.validate(mb, auth, effective, uri, depth, now, files) })
 }
 
 // validate checks a fetched point's objects under its authority — manifest,
-// CRL, then every object as its own task, each validated child CA queued
-// for a walker — and spawns the committer. It is walk's second half, on its
-// own goroutine, so that no walker waits for a worker slot to validate.
-func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte, names []string) {
+// CRL, then every object the memo cannot answer for as its own task, each
+// validated child CA queued for a walker — and spawns the committer. It is
+// walk's second half, on its own goroutine, so that no walker waits for a
+// worker slot to validate.
+func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte) {
 	issuer := auth.cert
 	if issuer == nil {
 		// Reached through a memo link: the DER its parent validated, parsed
@@ -792,9 +803,10 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	var signedMft *manifest.Signed
 	var mftEESig error
 	if raw, ok := files[mftName]; ok {
+		hash, _ := mb.digest(mftName)
 		st.run(func() {
 			var err error
-			signedMft, err = manifest.ParseSignedWith(raw, mb.signedCheck(mb.hashes[mftName], issuer, &mftEESig))
+			signedMft, err = manifest.ParseSignedWith(raw, mb.signedCheck(hash, issuer, &mftEESig))
 			if err != nil {
 				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
 			}
@@ -810,7 +822,8 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	if signedMft != nil && mftEESig == nil {
 		listing = signedMft.Manifest
 	}
-	crl := st.loadCRL(mb, issuer, uri, files, names, listing)
+	crl := st.loadCRL(mb, issuer, uri, files, listing)
+	mb.revoked = revokedDigest(crl)
 	var mft *manifest.Manifest
 	if signedMft != nil {
 		st.run(func() {
@@ -819,8 +832,8 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 				return
 			}
 			mft = signedMft.Manifest
-			mb.observeCert(signedMft.EE)
-			mb.observeNotAfter(mft.NextUpdate)
+			mb.observePoint(signedMft.EE.NotBefore(), signedMft.EE.NotAfter())
+			mb.observePoint(time.Time{}, mft.NextUpdate)
 			if mft.Stale(now) {
 				mb.diag(st, DiagStaleManifest, uri.Module, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
 			}
@@ -839,7 +852,7 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	badObject := make(map[string]bool)
 	if mft != nil {
 		for _, name := range mft.Names() {
-			hash, ok := mb.hashes[name]
+			hash, ok := mb.digest(name)
 			if !ok {
 				mb.diag(st, DiagMissingObject, uri.Module, name, fmt.Errorf("listed on manifest, not served"))
 				manifestOK = false
@@ -858,21 +871,37 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		return
 	}
 
-	// Validate ROAs and recurse into child certificates. Every object is
-	// an independent task on the worker pool; a validated child CA queues
-	// its publication point immediately.
-	for _, name := range names {
-		if badObject[name] {
+	// Reuse tier 4: with a valid manifest, and a winning CRL that revokes
+	// exactly what the entry's did, every object the entry was validated
+	// from keeps its outputs (modmemo.go). The objects admitted bring the
+	// entry's whole object window into the epoch, so it is never longer
+	// than a full revalidation's.
+	memo := mb.memo
+	if mft == nil || memo == nil || memo.revoked != mb.revoked {
+		memo = nil
+	}
+	// Validate ROAs and recurse into child certificates. Every object the
+	// memo does not answer for is an independent task on the worker pool; a
+	// validated child CA queues its publication point immediately.
+	for i, o := range mb.objects {
+		if badObject[o.name] {
 			continue // mismatch already diagnosed by the cross-check
 		}
-		name := name
+		if memo != nil && st.admitFromMemo(mb, memo, issuer, mft, i, depth, files) {
+			continue
+		}
 		mb.wg.Add(1)
 		st.spawn(func() {
 			defer mb.wg.Done()
 			st.run(func() {
-				st.processObject(mb, issuer, effective, uri, depth, now, crl, mft, mftName, name, files[name], mb.hashes[name])
+				st.processObject(mb, issuer, effective, uri, depth, now, crl, mft, mftName, i, files[o.name])
 			})
 		})
+	}
+	if mb.fromMemo > 0 {
+		mb.mu.Lock()
+		mb.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
+		mb.mu.Unlock()
 	}
 	// The committer merges the module's outputs once its own object tasks
 	// are done (child points are independent), then commits or deletes the
@@ -891,13 +920,13 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 // it). With no such manifest every .crl served is a candidate. Of the
 // candidates whose signature by issuer holds, the last in name order wins,
 // so the choice is deterministic when several do.
-func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri repo.URI, files map[string][]byte, names []string, listing *manifest.Manifest) *cert.CRL {
+func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri repo.URI, files map[string][]byte, listing *manifest.Manifest) *cert.CRL {
 	var crl *cert.CRL
-	for _, name := range names {
+	for _, o := range mb.objects {
+		name, hash := o.name, o.digest
 		if !strings.HasSuffix(name, ".crl") {
 			continue
 		}
-		hash := mb.hashes[name]
 		if listing != nil && listing.VerifyHash(name, hash) != nil {
 			continue
 		}
@@ -918,7 +947,7 @@ func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri rep
 	if crl != nil {
 		// The winning CRL bounds the reuse epoch: past its nextUpdate a
 		// re-validation would flag it stale, so the cached verdicts expire.
-		mb.observeNotAfter(crl.List.NextUpdate)
+		mb.observePoint(time.Time{}, crl.List.NextUpdate)
 	}
 	return crl
 }
@@ -936,43 +965,38 @@ func (mb *moduleBuild) signedCheck(hash [32]byte, issuer *cert.ResourceCert, eeS
 }
 
 // hashObjects hashes every fetched object exactly once, in parallel chunks,
-// and returns the sorted names with their digests. The digests drive the
-// manifest cross-check, per-object admission and the digest-level reuse
-// check, and a clean commit keeps them as the memo entry's snapshot.
-func (st *syncState) hashObjects(files map[string][]byte) ([]string, map[string][32]byte) {
-	names := make([]string, 0, len(files))
+// and returns the objects sorted by name with their digests. The digests
+// drive the manifest cross-check, per-object admission and the digest-level
+// reuse checks, and a clean commit keeps them as the memo entry's snapshot.
+func (st *syncState) hashObjects(files map[string][]byte) []memoObject {
+	objects := make([]memoObject, 0, len(files))
 	for name := range files {
-		names = append(names, name)
+		objects = append(objects, memoObject{name: name})
 	}
-	sort.Strings(names)
-	sums := make([][32]byte, len(names))
+	slices.SortFunc(objects, func(a, b memoObject) int { return strings.Compare(a.name, b.name) })
 	var hwg sync.WaitGroup
 	workers := cap(st.sem)
-	chunk := (len(names) + workers - 1) / workers
+	chunk := (len(objects) + workers - 1) / workers
 	if chunk < 1 {
 		chunk = 1
 	}
-	for start := 0; start < len(names); start += chunk {
+	for start := 0; start < len(objects); start += chunk {
 		end := start + chunk
-		if end > len(names) {
-			end = len(names)
+		if end > len(objects) {
+			end = len(objects)
 		}
 		hwg.Add(1)
 		go func(lo, hi int) {
 			defer hwg.Done()
 			st.run(func() {
 				for i := lo; i < hi; i++ {
-					sums[i] = sha256.Sum256(files[names[i]])
+					objects[i].digest = sha256.Sum256(files[objects[i].name])
 				}
 			})
 		}(start, end)
 	}
 	hwg.Wait()
-	hashes := make(map[string][32]byte, len(names))
-	for i, name := range names {
-		hashes[name] = sums[i]
-	}
-	return names, hashes
+	return objects
 }
 
 // reuseModule merges a cached module entry's outputs into the sync result
@@ -1024,6 +1048,7 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	st.res.VerifyCacheHits += int(hits)
 	st.res.VerifyCacheMisses += int(misses)
 	st.res.verifications += int(mb.sigs.Verified())
+	st.res.ObjectsFromMemo += mb.fromMemo
 	st.mu.Unlock()
 	st.rp.keepVerdicts(uri, mb.sigs.Verdicts())
 	if !mb.memoizable {
@@ -1031,14 +1056,17 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	}
 	var entry *moduleEntry
 	if clean {
+		epoch := mb.epoch
+		epoch.narrow(mb.objEpoch.notBefore, mb.objEpoch.notAfter)
 		entry = &moduleEntry{
 			authority:  authority,
 			effective:  effective,
 			version:    mb.version,
 			hasVersion: mb.hasVersion,
-			digests:    mb.hashes,
-			notBefore:  mb.notBefore,
-			notAfter:   mb.notAfter,
+			objects:    mb.objects,
+			revoked:    mb.revoked,
+			epoch:      epoch,
+			objEpoch:   mb.objEpoch,
 			vrps:       mb.vrps,
 			roas:       mb.roas,
 			certs:      mb.certs,
@@ -1076,10 +1104,12 @@ func (st *syncState) lkgFallback(uri repo.URI, p pointState, ferr error) map[str
 	return p.clean
 }
 
-// processObject admits one fetched object: manifest admission, then ROA
-// validation or child-CA chain validation. Runs under a worker slot. Its
-// outputs accumulate on the moduleBuild; the committer merges them.
-func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName, name string, raw []byte, hash [32]byte) {
+// processObject admits the snapshot's object i, whose bytes are raw:
+// manifest admission, then ROA validation or child-CA chain validation.
+// Runs under a worker slot. Its outputs accumulate on the moduleBuild; the
+// committer merges them.
+func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName string, i int, raw []byte) {
+	name, hash := mb.objects[i].name, mb.objects[i].digest
 	if mft != nil && name != mftName {
 		if err := mft.VerifyHash(name, hash); err != nil {
 			// Unlisted object: reject it outright; a repository must not
@@ -1101,8 +1131,8 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
 			return
 		}
-		mb.observeCert(signed.EE)
-		mb.addROA(rov.FromROA(signed.ROA))
+		mb.observeObject(signed.EE)
+		mb.addROA(i, rov.FromROA(signed.ROA))
 
 	case strings.HasSuffix(name, ".cer"):
 		child, err := cert.Parse(raw)
@@ -1123,7 +1153,7 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 			return
 		}
 		mb.addCert()
-		mb.observeCert(child)
+		mb.observeObject(child)
 		childURI, _, err := repo.ParseURI(strings.TrimSuffix(child.SIA.CARepository, "/"))
 		if err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, name, fmt.Errorf("bad SIA: %w", err))
@@ -1137,7 +1167,7 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 		if !st.rp.keepsSnapshots {
 			der = bytes.Clone(der)
 		}
-		mb.addChild(childLink{der: der, effective: childEffective, uri: childURI})
+		mb.addChild(i, childLink{der: der, effective: childEffective, uri: childURI})
 		st.enqueue(pointItem{authority{der: der, cert: child}, childEffective, childURI, depth - 1})
 	}
 }

@@ -113,8 +113,8 @@ func TestParallelDeterministic(t *testing.T) {
 // per-sync counters: a cold sync verifies (misses), a warm sync of an
 // unchanged world reuses every module and looks nothing up, and a warm sync
 // after one ROA is replaced re-validates that one module — verifying only
-// the objects whose bytes changed and answering its unchanged siblings from
-// the cache.
+// the objects whose bytes changed and admitting its unchanged siblings from
+// the module's memo entry, with no lookup.
 func TestWarmCacheResync(t *testing.T) {
 	arin, _, continental, stores := buildFigure2(t)
 	relying := New(Config{Fetcher: stores, Clock: clock, Workers: 4},
@@ -156,8 +156,8 @@ func TestWarmCacheResync(t *testing.T) {
 	if warm.VerifyCacheMisses != changed {
 		t.Errorf("warm sync verified %d signatures, want %d (one per changed object)", warm.VerifyCacheMisses, changed)
 	}
-	if warm.VerifyCacheHits < unchanged {
-		t.Errorf("warm sync hit the cache %d times, want at least %d (one per unchanged sibling)", warm.VerifyCacheHits, unchanged)
+	if warm.ObjectsFromMemo != unchanged {
+		t.Errorf("warm sync admitted %d objects from the memo, want %d (every unchanged sibling)", warm.ObjectsFromMemo, unchanged)
 	}
 	if got, want := fingerprint(warm), fingerprint(syncWithWorkers(t, arin, stores, 4)); got != want {
 		t.Errorf("warm sync after replacement diverged from fresh:\n--- warm ---\n%s--- fresh ---\n%s", got, want)

@@ -23,12 +23,16 @@
 //     world state forever by taking its repository offline. Kept only with
 //     StaleTTL > 0.
 //   - memo is the validated outcome of that same clean snapshot (see
-//     modmemo.go), holding per-object digests rather than bytes, and each
-//     child CA as its certificate's DER, never parsed.
+//     modmemo.go): per object its name, its digest rather than its bytes,
+//     and which outputs are its own; per entry a digest of the revoked
+//     serials, the objects' validity window, and each child CA as its
+//     certificate's DER, never parsed. It answers for the whole point
+//     (reuse tiers 1–3) or, when the point changed, for each object that
+//     did not (tier 4).
 //   - verdicts are the signature verdicts the point's latest validation
-//     used (cert.Verdicts), whatever its outcome: the next revalidation
-//     answers unchanged objects from them. Replaced at every validation, so
-//     they never outgrow the point's objects.
+//     used or carried over (cert.Verdicts), whatever its outcome: the next
+//     revalidation answers unchanged objects from them. Replaced at every
+//     validation, so they never outgrow the point's objects.
 //
 // A point is keyed by the URI its walk fetched and has one lifetime: when a
 // completed sync did not reach it, the point is dropped whole and the fetcher

@@ -11,11 +11,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -136,9 +137,55 @@ func digestVRPs(vrps []rov.VRP) string {
 // 10k tier without snapshots (see TestStreamingEquivalence10k).
 const retained10kBudgetMiB = 5.2
 
+// tier10kChildEnv marks the process TestStreamingEquivalence10k re-executes
+// to run the tier alone.
+const tier10kChildEnv = "RP_TEST_10K_TIER_CHILD"
+
+// peakRSSKiB returns the peak resident set of this process's own address
+// space (VmHWM, KiB), and false where /proc/self/status does not report
+// it. Unlike getrusage's Maxrss it starts afresh at exec: the kernel
+// carries the exec-ing image's high-water mark into Maxrss, and a child
+// that os/exec starts from a large test binary would report the parent's.
+func peakRSSKiB() (int64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			var kib int64
+			if _, err := fmt.Sscanf(strings.TrimSpace(v), "%d kB", &kib); err == nil {
+				return kib, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// TestStreamingEquivalence10k validates the 10k tier cold and warm at 1 and
+// 4 workers against its ground truth and golden digest, and holds the tier
+// to a memory budget: 512 MiB of peak RSS. The tier runs in the test
+// binary re-executed with only this test selected, which gates its own
+// peak, so the budget is the tier's alone: the test binary's peak includes
+// every test that ran before, and under -race -count=20 it grew past the
+// budget with the tier unchanged.
 func TestStreamingEquivalence10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k tier generation in -short mode")
+	}
+	if os.Getenv(tier10kChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStreamingEquivalence10k$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), tier10kChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("the 10k tier, run alone: %v\n%s", err, out)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if _, msg, ok := strings.Cut(line, ": "); ok && (strings.Contains(msg, "retained heap") || strings.Contains(msg, "peak RSS")) {
+				t.Log(msg)
+			}
+		}
+		return
 	}
 	w, err := modelgen.GenerateScaled(modelgen.ScaleConfig{
 		Seed: 1, ROAs: modelgen.Tier10k, Dir: t.TempDir(),
@@ -189,16 +236,14 @@ func TestStreamingEquivalence10k(t *testing.T) {
 	if got := digestVRPs(g.vrps); got != golden10kDigest {
 		t.Fatalf("10k tier vrp_digest = %s, golden %s", got, golden10kDigest)
 	}
-	// The memory budget of the tier. Maxrss is the high-water mark of the
-	// whole test binary (KiB on Linux), every test that ran before this one
-	// included: 58 MiB plain, 291 MiB under -race.
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		t.Fatal(err)
+	peak, ok := peakRSSKiB()
+	if !ok {
+		t.Log("no VmHWM in /proc/self/status: the peak RSS budget is not checked here")
+		return
 	}
-	t.Logf("peak RSS %d MiB", ru.Maxrss>>10)
-	if ru.Maxrss > 512<<10 {
-		t.Errorf("peak RSS %d MiB after the 10k tier, budget 512 MiB", ru.Maxrss>>10)
+	t.Logf("peak RSS of the tier alone: %d MiB", peak>>10)
+	if peak > 512<<10 {
+		t.Errorf("peak RSS %d MiB running the 10k tier alone, budget 512 MiB", peak>>10)
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/repo"
 	"repro/internal/roa"
+	"repro/internal/rov"
 )
 
 // republish re-signs a's manifest and CRL over whatever its store now
@@ -103,15 +106,16 @@ func listed(a *ca.Authority) map[string][]byte {
 // TestSteadyChurnPointVerifications walks one warm relying party through
 // the changes a point shaped like the steady_churn workload's ISP (10
 // ROAs, 10 child CAs) goes through, and pins what each revalidation of it
-// costs: the ECDSA verifications and verdict misses. After every step the
-// warm outcome is a fresh cold relying party's, and the point holds one
-// verdict per object (but an object admission rejects before its parse).
-// A ROA added costs 3 misses (manifest, CRL, the new ROA) and 5
-// verifications; a ROA removed or a re-signing 2 misses and 3
-// verifications. Every other object is a verdict hit and verifies nothing.
-// (While the CMS envelope was checked outside the cache, the add and
-// remove cost 15 and 13 verifications: one more per ROA and for the
-// manifest.)
+// costs: the ECDSA verifications and verdict misses, and the objects reuse
+// tier 4 admits from the memo. A ROA added costs 3 misses (manifest, CRL,
+// the new ROA) and 5 verifications; a ROA removed or a re-signing 2 misses
+// and 3 verifications. Every other object comes from the memo, neither
+// parsed nor looked up, unless a step sends it, or the whole point, the
+// full way. After every step the warm outcome is a fresh cold relying
+// party's, the point holds one verdict per object (but an object admission
+// rejects before its parse), and each memo entry has a full
+// revalidation's outputs and an epoch no longer than its (checkEntries).
+// Each tier-4 guard, deleted, fails at least one step.
 func TestSteadyChurnPointVerifications(t *testing.T) {
 	caNow, rpNow := testEpoch, testEpoch
 	cfg := ca.Config{Clock: func() time.Time { return caNow }}
@@ -163,62 +167,84 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 	for _, step := range []struct {
 		name   string
 		change func()
-		// verifications and misses are the sync's; unverdicted counts the
-		// point's objects its validation holds no verdict for.
-		verifications, misses, unverdicted int
+		// verifications and misses are the sync's, as they were before tier
+		// 4; fromMemo counts the objects it admitted from the memo;
+		// unverdicted counts the point's objects its validation holds no
+		// verdict for.
+		verifications, misses, fromMemo, unverdicted int
 	}{
-		{"add", func() { mustROA(t, isp, "churn", 64999, "10.25.0.0/16") }, 5, 3, 0},
+		// Tier 4: everything but the manifest, the CRL and a new ROA.
+		{"add", func() { mustROA(t, isp, "churn", 64999, "10.25.0.0/16") }, 5, 3, 21, 0},
 		{"remove", func() {
 			if err := isp.DeleteROA("churn"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 0},
-		{"re-sign", func() { republish(t, isp) }, 3, 2, 0},
-		{"clock past a ROA's EE notAfter", func() { rpNow = testEpoch.Add(13 * time.Hour) }, 0, 0, 0},
+		}, 3, 2, 21, 0},
+		{"re-sign", func() { republish(t, isp) }, 3, 2, 21, 0},
+		{"replace a ROA under its name", func() {
+			isp.BeginBulk()
+			if err := isp.DeleteROA("r3"); err != nil {
+				t.Fatal(err)
+			}
+			mustROA(t, isp, "r3", 64998, "10.13.0.0/16")
+			if err := isp.EndBulk(); err != nil {
+				t.Fatal(err)
+			}
+		}, 5, 3, 20, 0},
+		// Past the entry's epoch, and then after a tainted validation, the
+		// point takes the full path.
+		{"clock past a ROA's EE notAfter", func() { rpNow = testEpoch.Add(13 * time.Hour) }, 0, 0, 0, 0},
 		{"withdraw the expired ROA", func() {
 			if err := isp.DeleteROA("short"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 0},
-		{"revoke a ROA, still served", func() { revokedROA(t, isp, ispStore, "r9") }, 3, 2, 0},
-		{"withdraw the revoked ROA", func() { ispStore.Delete("r9.roa"); republish(t, isp) }, 3, 2, 0},
+		}, 3, 2, 0, 0},
+		// A changed revoked set sends the whole point the full way.
+		{"revoke a ROA, still served", func() { revokedROA(t, isp, ispStore, "r9") }, 3, 2, 0, 0},
+		{"withdraw the revoked ROA", func() { ispStore.Delete("r9.roa"); republish(t, isp) }, 3, 2, 0, 0},
+		// A changed authority too: only the anchor's own certificate, in
+		// the anchor's point, is admitted from the memo.
 		{"roll the point's key", func() {
 			if err := isp.RollKey(); err != nil {
 				t.Fatal(err)
 			}
-		}, 35, 24, 0},
+		}, 35, 24, 1, 0},
 		{"shrink the point", func() {
 			if err := ta.ShrinkChild("isp", ipres.MustParseSet("10.0.0.0/11").Subtract(ipres.MustParseSet("10.18.0.0/16"))); err != nil {
 				t.Fatal(err)
 			}
-		}, 4, 3, 0},
+		}, 4, 3, 1, 0},
 		{"withdraw the whacked ROA", func() {
 			if err := isp.DeleteROA("r8"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 0},
+		}, 3, 2, 0, 0},
+		// Single objects take the full path: one unlisted, one listed under
+		// other bytes' digest, one whose verdict a partial fetch dropped.
+		// The unchanged CRL is admitted from the memo.
 		{"manifest omits an unchanged ROA", func() {
 			files := listed(isp)
 			delete(files, "r0.roa")
 			signManifestOver(t, isp, caNow, 1<<40, files)
-		}, 2, 1, 1},
-		{"re-sign after the omission", func() { republish(t, isp) }, 5, 3, 0},
+		}, 2, 1, 18, 1},
+		{"re-sign after the omission", func() { republish(t, isp) }, 5, 3, 0, 0},
 		{"manifest lists an unchanged ROA under another digest", func() {
 			files := listed(isp)
 			files["r1.roa"] = []byte("other bytes")
 			signManifestOver(t, isp, caNow, 1<<40+1, files)
-		}, 2, 1, 1},
-		{"re-sign after the misdigest", func() { republish(t, isp) }, 5, 3, 0},
-		{"partial fetch", func() { fetcher.name = "r2.roa" }, 0, 0, 1},
-		{"re-sign after the partial fetch", func() { fetcher.name = ""; republish(t, isp) }, 5, 3, 0},
+		}, 2, 1, 18, 1},
+		{"re-sign after the misdigest", func() { republish(t, isp) }, 5, 3, 0, 0},
+		{"partial fetch", func() { fetcher.name = "r2.roa" }, 0, 0, 18, 1},
+		{"re-sign after the partial fetch", func() { fetcher.name = ""; republish(t, isp) }, 5, 3, 17, 0},
+		// Without a manifest the whole point takes the full path.
+		{"withdraw the manifest", func() { ispStore.Delete(isp.ManifestFileName()) }, 0, 0, 0, 0},
+		{"re-sign after the withdrawal", func() { republish(t, isp) }, 3, 2, 0, 0},
 	} {
 		step.change()
 		res := syncReuse(t, v)
-		t.Logf("%s: %d revalidated, %d verifications, %d misses, %d hits", step.name,
-			res.ModulesRevalidated, Verifications(res), res.VerifyCacheMisses, res.VerifyCacheHits)
-		if Verifications(res) != step.verifications || res.VerifyCacheMisses != step.misses {
-			t.Errorf("%s: %d verifications, %d misses; want %d, %d", step.name,
-				Verifications(res), res.VerifyCacheMisses, step.verifications, step.misses)
+		if Verifications(res) != step.verifications || res.VerifyCacheMisses != step.misses || res.ObjectsFromMemo != step.fromMemo {
+			t.Errorf("%s: %d verifications, %d misses, %d objects from memo; want %d, %d, %d", step.name,
+				Verifications(res), res.VerifyCacheMisses, res.ObjectsFromMemo, step.verifications, step.misses, step.fromMemo)
 		}
 		if got, want := PointVerdicts(v, "isp"), ispStore.Len()-step.unverdicted; got != want {
 			t.Errorf("%s: isp holds %d verdicts for %d objects, %d of them unverdicted", step.name, got, ispStore.Len(), step.unverdicted)
@@ -226,6 +252,80 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 		coldRP := New(Config{Fetcher: fetcher, Clock: func() time.Time { return rpNow }}, anchor)
 		if got, want := fingerprint(res), fingerprint(syncReuse(t, coldRP)); got != want {
 			t.Errorf("%s: warm sync diverged from cold:\n--- warm ---\n%s--- cold ---\n%s", step.name, got, want)
+		}
+		checkEntries(t, step.name, v, coldRP)
+	}
+}
+
+// checkEntries: every memo entry warm holds for a point cold also
+// validated clean from the same bytes has cold's outputs, and an epoch no
+// longer than cold's.
+func checkEntries(t *testing.T, step string, warm, cold *RelyingParty) {
+	t.Helper()
+	for uri, c := range cold.points {
+		w := warm.points[uri]
+		if c.memo == nil || w == nil || w.memo == nil || !sameDigests(w.memo.objects, c.memo.objects) {
+			continue
+		}
+		we, ce := w.memo, c.memo
+		owned := func(e *moduleEntry) string {
+			var b strings.Builder
+			for _, o := range e.objects {
+				switch o.own {
+				case ownsROA:
+					v := slices.Clone(e.vrps[o.lo:o.hi])
+					rov.SortVRPs(v)
+					fmt.Fprintf(&b, "%s roa %v\n", o.name, v)
+				case ownsChild:
+					ch := e.children[o.lo]
+					fmt.Fprintf(&b, "%s child %v %v %x\n", o.name, ch.uri, ch.effective, sha256.Sum256(ch.der))
+				default:
+					fmt.Fprintf(&b, "%s nothing\n", o.name)
+				}
+			}
+			fmt.Fprintf(&b, "roas=%d certs=%d vrps=%d children=%d revoked=%x", e.roas, e.certs, len(e.vrps), len(e.children), e.revoked)
+			return b.String()
+		}
+		if got, want := owned(we), owned(ce); got != want {
+			t.Errorf("%s: %s: warm entry's outputs\n%s\nare not a full revalidation's\n%s", step, uri.Module, got, want)
+		}
+		for _, pair := range [][2]window{{we.epoch, ce.epoch}, {we.objEpoch, ce.objEpoch}} {
+			w, c := pair[0], pair[1]
+			earlier := !c.notBefore.IsZero() && (w.notBefore.IsZero() || w.notBefore.Before(c.notBefore))
+			later := !c.notAfter.IsZero() && (w.notAfter.IsZero() || w.notAfter.After(c.notAfter))
+			if earlier || later {
+				t.Errorf("%s: %s: warm epoch %v–%v is longer than a full revalidation's %v–%v", step, uri.Module,
+					w.notBefore, w.notAfter, c.notBefore, c.notAfter)
+			}
+		}
+	}
+}
+
+// TestRevokedDigest: the digest tier 4 compares CRLs by depends on the set
+// of revoked serials alone — not their order, not the CRL's other fields —
+// and tells no CRL from an empty one.
+func TestRevokedDigest(t *testing.T) {
+	arin, _, _, _ := buildFigure2(t)
+	crl := func(number int64, serials ...int64) *cert.CRL {
+		revoked := make([]*big.Int, len(serials))
+		for i, s := range serials {
+			revoked[i] = big.NewInt(s)
+		}
+		c, err := cert.IssueCRL(arin.Cert, arin.Key, number, revoked, testEpoch, testEpoch.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if revokedDigest(nil) == revokedDigest(crl(1)) {
+		t.Error("no CRL and an empty CRL share a digest")
+	}
+	if revokedDigest(crl(1, 5, 300, 7)) != revokedDigest(crl(2, 300, 7, 5)) {
+		t.Error("the same serials in another order, on another CRL, digest differently")
+	}
+	for _, other := range [][]int64{{5, 300}, {5, 300, 7, 8}, {5, 301, 7}, {1<<16 + 5, 300, 7}} {
+		if revokedDigest(crl(1, 5, 300, 7)) == revokedDigest(crl(1, other...)) {
+			t.Errorf("serials %v digest like 5, 300, 7", other)
 		}
 	}
 }
