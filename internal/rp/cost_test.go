@@ -96,14 +96,18 @@ func toggleChurnROA(a *ca.Authority) error {
 // metric exports, are read off the Result.
 //
 // Every count kept repeated exactly over 20 runs, with and without the race
-// detector. LISTs, dials and connection reuses are exact for a fixed op
-// sequence: a host re-proves its peer on every 32nd fetch, its first
-// re-proof staggered by a hash of its name, so how many hosts re-prove in
-// a poll depends only on the poll's place in that 32-poll cycle (20 LISTs
-// for this sequence's unchanged poll). The benchmark's "23 or 24 LISTs"
-// per sync is a median over whichever places its ops fell on, which the
-// run's length decides. Dials and reuses also assume each op starts within
-// a second of the last, while the connections it parked are still live.
+// detector, and over 20 more under it with two other race-built test
+// packages running beside it on 2 vCPUs, as `go test -race ./...` runs.
+// LISTs, dials and connection reuses are exact for a fixed op sequence: a
+// host re-proves its peer on every 32nd fetch, its first re-proof staggered
+// by a hash of its name, so how many hosts re-prove in a poll depends only
+// on the poll's place in that 32-poll cycle (20 LISTs for this sequence's
+// unchanged poll). The benchmark's "23 or 24 LISTs" per sync is a median
+// over whichever places its ops fell on, which the run's length decides.
+// Dials and reuses also assume each op starts within a second of the last,
+// while the connections it parked are still live: a runner that takes over
+// a second to publish the region's 13 ROAs would dial where the golden
+// reuses.
 // Left out: the bytes fetched, because every run signs with fresh keys and
 // an ECDSA signature's DER length varies.
 //

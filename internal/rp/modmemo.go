@@ -35,7 +35,9 @@
 //     child link, and its signature verdict carried over unlooked-up
 //     (cert.VerifyCache.Carry). Every other object is validated in full.
 //     A re-signed manifest then costs the manifest and the CRL, and a
-//     changed ROA those and the ROA.
+//     changed ROA those and the ROA. Tiers 1–3 need a faithful fetch; tier
+//     4 also runs on a partial one, since it proves each object it admits
+//     on its own.
 //
 // An entry keeps, per object, its name, its digest and which outputs are
 // its own, in one name-sorted slice; per entry, a digest of the winning

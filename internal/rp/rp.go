@@ -743,8 +743,11 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 
 	// Reuse tier 3: the memo keeps per-object digests, not bytes, so
 	// unchanged-ness is decided here, after hashing — the module's bytes are
-	// re-hashed but nothing is re-parsed or re-verified. Only a faithful
-	// fetch consults the memo; degraded sources never do.
+	// re-hashed but nothing is re-parsed or re-verified. Tiers 1–3 reuse
+	// the whole point and need a faithful fetch. Tier 4 (validate) also
+	// runs on a partial fetch, since it proves each object it admits by its
+	// digest and the new manifest's listing; a last-known-good fallback
+	// never reaches it.
 	if faithful && usable && sameDigests(objects, e.objects) {
 		reuse("reused: digests unchanged", true)
 		return
@@ -752,7 +755,8 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 
 	// From here on the point is validated: its build, its verdict cache and
 	// its parsed authority exist only on this path. A usable entry still
-	// answers for every object whose bytes it was validated from (tier 4).
+	// answers for every object whose bytes it was validated from (tier 4),
+	// on a faithful or a partial fetch.
 	mb := &moduleBuild{
 		memoizable: faithful,
 		version:    storeVersion,

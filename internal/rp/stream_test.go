@@ -180,6 +180,17 @@ func TestStreamingEquivalence10k(t *testing.T) {
 		if err != nil {
 			t.Fatalf("the 10k tier, run alone: %v\n%s", err, out)
 		}
+		// A child that selected no test, or did not gate its peak, exits 0
+		// too.
+		want := []string{"--- PASS: TestStreamingEquivalence10k"}
+		if runtime.GOOS == "linux" {
+			want = append(want, "peak RSS of the tier alone")
+		}
+		for _, w := range want {
+			if !strings.Contains(string(out), w) {
+				t.Fatalf("the 10k tier, run alone, printed no %q:\n%s", w, out)
+			}
+		}
 		for _, line := range strings.Split(string(out), "\n") {
 			if _, msg, ok := strings.Cut(line, ": "); ok && (strings.Contains(msg, "retained heap") || strings.Contains(msg, "peak RSS")) {
 				t.Log(msg)
@@ -238,6 +249,9 @@ func TestStreamingEquivalence10k(t *testing.T) {
 	}
 	peak, ok := peakRSSKiB()
 	if !ok {
+		if runtime.GOOS == "linux" {
+			t.Fatal("no VmHWM in /proc/self/status: the peak RSS budget cannot be checked")
+		}
 		t.Log("no VmHWM in /proc/self/status: the peak RSS budget is not checked here")
 		return
 	}

@@ -106,10 +106,10 @@ func listed(a *ca.Authority) map[string][]byte {
 // TestSteadyChurnPointVerifications walks one warm relying party through
 // the changes a point shaped like the steady_churn workload's ISP (10
 // ROAs, 10 child CAs) goes through, and pins what each revalidation of it
-// costs: the ECDSA verifications and verdict misses, and the objects reuse
-// tier 4 admits from the memo. A ROA added costs 3 misses (manifest, CRL,
-// the new ROA) and 5 verifications; a ROA removed or a re-signing 2 misses
-// and 3 verifications. Every other object comes from the memo, neither
+// costs: the points it revalidates, the ECDSA verifications and verdict
+// misses, and the objects reuse tier 4 admits from the memo. A ROA added
+// costs 3 misses (manifest, CRL, the new ROA) and 5 verifications; a ROA
+// removed or a re-signing 2 misses and 3 verifications. Every other object comes from the memo, neither
 // parsed nor looked up, unless a step sends it, or the whole point, the
 // full way. After every step the warm outcome is a fresh cold relying
 // party's, the point holds one verdict per object (but an object admission
@@ -167,20 +167,20 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 	for _, step := range []struct {
 		name   string
 		change func()
-		// verifications and misses are the sync's, as they were before tier
-		// 4; fromMemo counts the objects it admitted from the memo;
-		// unverdicted counts the point's objects its validation holds no
-		// verdict for.
-		verifications, misses, fromMemo, unverdicted int
+		// revalidated counts the points the sync revalidated; verifications
+		// and misses are the sync's, as they were before tier 4; fromMemo
+		// counts the objects it admitted from the memo; unverdicted counts
+		// the point's objects its validation holds no verdict for.
+		revalidated, verifications, misses, fromMemo, unverdicted int
 	}{
 		// Tier 4: everything but the manifest, the CRL and a new ROA.
-		{"add", func() { mustROA(t, isp, "churn", 64999, "10.25.0.0/16") }, 5, 3, 21, 0},
+		{"add", func() { mustROA(t, isp, "churn", 64999, "10.25.0.0/16") }, 1, 5, 3, 21, 0},
 		{"remove", func() {
 			if err := isp.DeleteROA("churn"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 21, 0},
-		{"re-sign", func() { republish(t, isp) }, 3, 2, 21, 0},
+		}, 1, 3, 2, 21, 0},
+		{"re-sign", func() { republish(t, isp) }, 1, 3, 2, 21, 0},
 		{"replace a ROA under its name", func() {
 			isp.BeginBulk()
 			if err := isp.DeleteROA("r3"); err != nil {
@@ -190,35 +190,37 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 			if err := isp.EndBulk(); err != nil {
 				t.Fatal(err)
 			}
-		}, 5, 3, 20, 0},
+		}, 1, 5, 3, 20, 0},
 		// Past the entry's epoch, and then after a tainted validation, the
 		// point takes the full path.
-		{"clock past a ROA's EE notAfter", func() { rpNow = testEpoch.Add(13 * time.Hour) }, 0, 0, 0, 0},
+		{"clock past a ROA's EE notAfter", func() { rpNow = testEpoch.Add(13 * time.Hour) }, 1, 0, 0, 0, 0},
 		{"withdraw the expired ROA", func() {
 			if err := isp.DeleteROA("short"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 0, 0},
+		}, 1, 3, 2, 0, 0},
 		// A changed revoked set sends the whole point the full way.
-		{"revoke a ROA, still served", func() { revokedROA(t, isp, ispStore, "r9") }, 3, 2, 0, 0},
-		{"withdraw the revoked ROA", func() { ispStore.Delete("r9.roa"); republish(t, isp) }, 3, 2, 0, 0},
+		{"revoke a ROA, still served", func() { revokedROA(t, isp, ispStore, "r9") }, 1, 3, 2, 0, 0},
+		{"withdraw the revoked ROA", func() { ispStore.Delete("r9.roa"); republish(t, isp) }, 1, 3, 2, 0, 0},
 		// A changed authority too: only the anchor's own certificate, in
-		// the anchor's point, is admitted from the memo.
+		// the anchor's point, is admitted from the memo. A key roll
+		// revalidates the anchor, the point and its 10 children; a shrink
+		// the anchor and the point.
 		{"roll the point's key", func() {
 			if err := isp.RollKey(); err != nil {
 				t.Fatal(err)
 			}
-		}, 35, 24, 1, 0},
+		}, 12, 35, 24, 1, 0},
 		{"shrink the point", func() {
 			if err := ta.ShrinkChild("isp", ipres.MustParseSet("10.0.0.0/11").Subtract(ipres.MustParseSet("10.18.0.0/16"))); err != nil {
 				t.Fatal(err)
 			}
-		}, 4, 3, 1, 0},
+		}, 2, 4, 3, 1, 0},
 		{"withdraw the whacked ROA", func() {
 			if err := isp.DeleteROA("r8"); err != nil {
 				t.Fatal(err)
 			}
-		}, 3, 2, 0, 0},
+		}, 1, 3, 2, 0, 0},
 		// Single objects take the full path: one unlisted, one listed under
 		// other bytes' digest, one whose verdict a partial fetch dropped.
 		// The unchanged CRL is admitted from the memo.
@@ -226,25 +228,27 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 			files := listed(isp)
 			delete(files, "r0.roa")
 			signManifestOver(t, isp, caNow, 1<<40, files)
-		}, 2, 1, 18, 1},
-		{"re-sign after the omission", func() { republish(t, isp) }, 5, 3, 0, 0},
+		}, 1, 2, 1, 18, 1},
+		{"re-sign after the omission", func() { republish(t, isp) }, 1, 5, 3, 0, 0},
 		{"manifest lists an unchanged ROA under another digest", func() {
 			files := listed(isp)
 			files["r1.roa"] = []byte("other bytes")
 			signManifestOver(t, isp, caNow, 1<<40+1, files)
-		}, 2, 1, 18, 1},
-		{"re-sign after the misdigest", func() { republish(t, isp) }, 5, 3, 0, 0},
-		{"partial fetch", func() { fetcher.name = "r2.roa" }, 0, 0, 18, 1},
-		{"re-sign after the partial fetch", func() { fetcher.name = ""; republish(t, isp) }, 5, 3, 17, 0},
+		}, 1, 2, 1, 18, 1},
+		{"re-sign after the misdigest", func() { republish(t, isp) }, 1, 5, 3, 0, 0},
+		{"partial fetch", func() { fetcher.name = "r2.roa" }, 1, 0, 0, 18, 1},
+		{"re-sign after the partial fetch", func() { fetcher.name = ""; republish(t, isp) }, 1, 5, 3, 17, 0},
 		// Without a manifest the whole point takes the full path.
-		{"withdraw the manifest", func() { ispStore.Delete(isp.ManifestFileName()) }, 0, 0, 0, 0},
-		{"re-sign after the withdrawal", func() { republish(t, isp) }, 3, 2, 0, 0},
+		{"withdraw the manifest", func() { ispStore.Delete(isp.ManifestFileName()) }, 1, 0, 0, 0, 0},
+		{"re-sign after the withdrawal", func() { republish(t, isp) }, 1, 3, 2, 0, 0},
 	} {
 		step.change()
 		res := syncReuse(t, v)
-		if Verifications(res) != step.verifications || res.VerifyCacheMisses != step.misses || res.ObjectsFromMemo != step.fromMemo {
-			t.Errorf("%s: %d verifications, %d misses, %d objects from memo; want %d, %d, %d", step.name,
-				Verifications(res), res.VerifyCacheMisses, res.ObjectsFromMemo, step.verifications, step.misses, step.fromMemo)
+		if res.ModulesRevalidated != step.revalidated || Verifications(res) != step.verifications ||
+			res.VerifyCacheMisses != step.misses || res.ObjectsFromMemo != step.fromMemo {
+			t.Errorf("%s: %d revalidated, %d verifications, %d misses, %d objects from memo; want %d, %d, %d, %d", step.name,
+				res.ModulesRevalidated, Verifications(res), res.VerifyCacheMisses, res.ObjectsFromMemo,
+				step.revalidated, step.verifications, step.misses, step.fromMemo)
 		}
 		if got, want := PointVerdicts(v, "isp"), ispStore.Len()-step.unverdicted; got != want {
 			t.Errorf("%s: isp holds %d verdicts for %d objects, %d of them unverdicted", step.name, got, ispStore.Len(), step.unverdicted)
