@@ -32,8 +32,8 @@ func exhaustScenarios() []Scenario {
 		{
 			Name:  "exhaust/delegation-depth",
 			Paper: "CURE (arXiv:2312.01872) §4; paper §4 (delegation chains)",
-			Layer: "rp.Config.MaxDepth",
-			Doc:   "authority publishes a delegation chain deeper than MaxDepth; the walk must stop at the bound with a diagnostic, not recurse unboundedly",
+			Layer: "rp.maxDepth",
+			Doc:   "authority publishes a delegation chain deeper than the relying party's depth bound (32 points); the walk must stop at the bound with a diagnostic, not recurse unboundedly",
 			Run:   runDelegationDepth,
 		},
 		{
@@ -69,7 +69,9 @@ func exhaustScenarios() []Scenario {
 
 // memChain builds an in-process delegation chain ta -> c1 -> ... -> cN with
 // one ROA at the leaf, returning the anchor and a StoreFetcher over every
-// module. In-process because the attack is about walk depth, not transport.
+// module. Every level holds the anchor's whole resource set, so a chain can
+// be as deep as the scenario needs. In-process because the attack is about
+// walk depth, not transport.
 func memChain(e *Env, depth int) (rp.TrustAnchor, rp.StoreFetcher) {
 	cfg := ca.Config{Clock: e.Clock.Now}
 	stores := make(rp.StoreFetcher)
@@ -85,33 +87,34 @@ func memChain(e *Env, depth int) (rp.TrustAnchor, rp.StoreFetcher) {
 		name := fmt.Sprintf("c%d", i)
 		st := repo.NewStore()
 		stores[name] = st
-		child, err := parent.CreateChild(name, ipres.MustParseSet(fmt.Sprintf("10.0.0.0/%d", 8+i)),
-			st, repo.URI{Host: "mem", Module: name})
+		child, err := parent.CreateChild(name, ipres.MustParseSet("10.0.0.0/8"), st, repo.URI{Host: "mem", Module: name})
 		if err != nil {
 			e.Fatalf("chain: child %d: %v", i, err)
 		}
 		parent = child
 	}
-	if _, err := parent.IssueROA("leaf", 64512, roa.MustParsePrefix(fmt.Sprintf("10.0.0.0/%d", 8+depth))); err != nil {
+	if _, err := parent.IssueROA("leaf", 64512, roa.MustParsePrefix("10.0.0.0/24")); err != nil {
 		e.Fatalf("chain: leaf roa: %v", err)
 	}
 	return rp.TrustAnchor{CertDER: ta.Cert.Raw, URI: taURI}, stores
 }
 
 func runDelegationDepth(e *Env) {
-	const maxDepth, chainDepth = 4, 8
+	// maxDepth is the relying party's bound on the points one chain walks,
+	// the trust anchor's included; the chain's chainDepth+1 points exceed it.
+	const maxDepth, chainDepth = 32, 40
 	anchor, fetcher := memChain(e, chainDepth)
 	hub := obs.NewHub(e.Clock.Now)
 	e.SetHub(hub)
-	relying := rp.New(rp.Config{Fetcher: fetcher, Clock: e.Clock.Now, MaxDepth: maxDepth, Obs: hub}, anchor)
+	relying := rp.New(rp.Config{Fetcher: fetcher, Clock: e.Clock.Now, Obs: hub}, anchor)
 	res, err := relying.Sync(e.Ctx)
 	if err != nil {
 		e.Fatalf("sync: %v", err)
 	}
 
 	e.AssertTerminal(res, obs.HealthDegraded)
-	if res.PubPointsVisited > maxDepth {
-		e.Failf("walk visited %d points, MaxDepth %d must bound it", res.PubPointsVisited, maxDepth)
+	if res.PubPointsVisited != maxDepth {
+		e.Failf("walk visited %d points of a %d-point chain, want the bound, %d", res.PubPointsVisited, chainDepth+1, maxDepth)
 	}
 	if len(res.VRPs) != 0 {
 		e.Failf("ROA beyond the depth bound must not validate, got %d VRPs", len(res.VRPs))

@@ -53,7 +53,8 @@ const (
 const roasPerCA = 8
 
 // maxCADepth clamps delegation-chain length below the relying party's
-// default MaxDepth (32), leaving headroom for the trust anchor itself.
+// depth bound (32 points, rp's maxDepth), leaving headroom for the trust
+// anchor itself.
 const maxCADepth = 26
 
 // scaleHost is the synthetic host all scaled-world modules live on.

@@ -14,12 +14,15 @@
 //
 // Design constraints, in order:
 //
-//  1. The hot path must be provably free: a counter/gauge update is one
+//  1. Metric updates must be provably free: a counter/gauge update is one
 //     atomic RMW, a histogram observation is two — zero allocations, no
 //     locks, no map lookups. Callers obtain handles once at construction
-//     and hold them. TestZeroAllocUpdates holds the handles to that, and
-//     rp's TestWarmSyncInstrumentationCost holds a fully instrumented warm
-//     re-sync to 8 allocations more than a bare one.
+//     and hold them; TestZeroAllocUpdates holds the handles to that. Trace
+//     spans are not free: each is a heap allocation, and a relying party's
+//     warm poll opens two per publication point, reused or not. rp's
+//     TestWarmUnchangedSyncAllocations/instrumented pins that poll's cost
+//     exactly — 1 + 2 × points spans, and at most 3 allocations per point
+//     + 16 more than a bare poll — so any further per-point cost fails it.
 //  2. Uninstrumented use must cost nothing: every handle method is
 //     nil-receiver safe, so a component without a registry skips the work
 //     on one predictable branch.

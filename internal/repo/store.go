@@ -159,8 +159,11 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Version returns a counter incremented on every mutation, for cheap
-// change detection by monitors.
+// Version returns a counter incremented on every mutation: what the
+// server's LIST and VERSIONS tokens are built from, and cheap change
+// detection for monitors. A version read before a snapshot or a listing
+// counts every mutation that snapshot or listing holds (see Store.version),
+// so an unchanged token never stands for changed content.
 func (s *Store) Version() uint64 {
 	return s.version.Load()
 }

@@ -413,9 +413,8 @@ func TestSyncIncrementalLKGDegradation(t *testing.T) {
 	}
 }
 
-// flakyStores is an in-process VersionedFetcher whose named points can be
-// taken offline between syncs: an offline point fails its fetch and reports
-// no store version.
+// flakyStores is an in-process fetcher whose named points can be taken
+// offline between syncs: an offline point fails its fetch.
 type flakyStores struct {
 	StoreFetcher
 	offline map[string]bool
@@ -428,19 +427,12 @@ func (f *flakyStores) FetchAll(ctx context.Context, uri repo.URI) (map[string][]
 	return f.StoreFetcher.FetchAll(ctx, uri)
 }
 
-func (f *flakyStores) SnapshotVersion(uri repo.URI) (uint64, bool) {
-	if f.offline[uri.Module] {
-		return 0, false
-	}
-	return f.StoreFetcher.SnapshotVersion(uri)
-}
-
-func TestLKGAgeRefreshedByVersionReuse(t *testing.T) {
+func TestLKGAgeRefreshedByReuse(t *testing.T) {
 	// A snapshot's age counts from the last sync that proved it current, by
-	// whatever reuse tier — here the cheapest, the store version, which
-	// never touches the bytes. Ageing it from its first validation instead
-	// would drop a point minutes after it was last seen healthy: the
-	// Stalloris downgrade, self-inflicted.
+	// whatever reuse tier — here tier 2, the fetched bytes' digests, which
+	// prove the point without validating it. Ageing it from its first
+	// validation instead would drop a point minutes after it was last seen
+	// healthy: the Stalloris downgrade, self-inflicted.
 	arin, _, _, stores := buildFigure2(t)
 	fetcher := &flakyStores{StoreFetcher: stores, offline: map[string]bool{}}
 	now := testEpoch

@@ -12,22 +12,21 @@
 // cross-checks, and chain validation entirely; one that finds some bytes
 // changed keeps the outputs of every object that did not.
 //
-// Reuse comes in four tiers, cheapest first. The first three prove the
+// Reuse comes in three tiers, cheapest first. The first two prove the
 // whole module unchanged:
 //
-//  1. the fetcher reports a store version (VersionedFetcher) equal to the
-//     one recorded when the entry was validated — no fetch at all;
-//  2. the incremental fetch protocol finds every object's listed digest
+//  1. the incremental fetch protocol finds every object's listed digest
 //     equal to the held copy's (repo.SyncResult.Unchanged) — one network
-//     round trip but no object transfer and no local re-validation;
-//  3. the fetched bytes hash to the per-object SHA-256 digests the entry
+//     round trip at most (none when the peer's VERSIONS feed vouches for
+//     the point), no object transfer and no local re-validation;
+//  2. the fetched bytes hash to the per-object SHA-256 digests the entry
 //     recorded — every byte re-hashed, but nothing re-parsed and no
 //     signature re-verified. The entry keeps digests, never bytes, so the
 //     memo's size does not grow with object size.
 //
-// The fourth revalidates the module but reads only what changed:
+// The third revalidates the module but reads only what changed:
 //
-//  4. the new manifest and CRL are parsed and verified as on any
+//  3. the new manifest and CRL are parsed and verified as on any
 //     revalidation. Then, if the manifest holds and the winning CRL revokes
 //     exactly the serials the entry's did, each object whose digest equals
 //     the entry's, and which the new manifest lists under that digest, is
@@ -35,14 +34,14 @@
 //     child link, and its signature verdict carried over unlooked-up
 //     (cert.VerifyCache.Carry). Every other object is validated in full.
 //     A re-signed manifest then costs the manifest and the CRL, and a
-//     changed ROA those and the ROA. Tiers 1–3 need a faithful fetch; tier
-//     4 also runs on a partial one, since it proves each object it admits
-//     on its own.
+//     changed ROA those and the ROA. Tiers 1 and 2 need a faithful fetch;
+//     tier 3 also runs on a partial one, since it proves each object it
+//     admits on its own.
 //
 // An entry keeps, per object, its name, its digest and which outputs are
 // its own, in one name-sorted slice; per entry, a digest of the winning
 // CRL's revoked serials and the validity window of the objects other than
-// the manifest and CRL. A tier-4 entry has the outputs a full revalidation
+// the manifest and CRL. A tier-3 entry has the outputs a full revalidation
 // of the same bytes would have, and an epoch no longer than its: the
 // objects admitted from the old entry bring its whole object window, which
 // covers theirs.
@@ -70,13 +69,13 @@
 // keeps that snapshot anyway (CacheSnapshots over an incremental fetcher,
 // or StaleTTL); otherwise it is one private copy, shared by the link and
 // the child's own entry, so a memo never pins a fetch buffer. A link a
-// tier-4 revalidation keeps is re-pointed at the new snapshot's identical
+// tier-3 revalidation keeps is re-pointed at the new snapshot's identical
 // bytes in the first case and keeps its copy in the second.
 //
 // The same entry serves an unreachable point's last-known-good snapshot:
 // the snapshot is the bytes the entry was validated from (state.go), so
 // under the same guard — authority, effective set, epoch — revalidating it
-// would reproduce the entry. Only tiers 1–3 prove the point current; a
+// would reproduce the entry. Only tiers 1 and 2 prove the point current; a
 // last-known-good reuse leaves the snapshot's age alone, so StaleTTL still
 // counts from the last proof.
 //
@@ -103,19 +102,6 @@ import (
 	"repro/internal/repo"
 	"repro/internal/rov"
 )
-
-// VersionedFetcher is optionally implemented by fetchers that can report a
-// cheap monotonic version for a publication point's backing store
-// (StoreFetcher does, via repo.Store.Version). A version equal to the one
-// recorded at validation time proves the module unchanged without fetching.
-// The version is read BEFORE any fetch, so a store mutating mid-sync can
-// only cause a spurious re-validation, never a false reuse.
-type VersionedFetcher interface {
-	Fetcher
-	// SnapshotVersion returns the current version of the point's store and
-	// whether a version is available for it.
-	SnapshotVersion(uri repo.URI) (uint64, bool)
-}
 
 // authority is the certificate a walk validates its publication point
 // under: the DER its parent validated, and the parsed form when the caller
@@ -215,10 +201,6 @@ type moduleEntry struct {
 	// if its own bytes are unchanged.
 	authority []byte
 	effective ipres.Set
-	// version is the fetcher-reported store version at validation time
-	// (valid only when hasVersion).
-	version    uint64
-	hasVersion bool
 	// objects is the snapshot the entry was validated from, sorted by name.
 	objects []memoObject
 	// revoked is revokedDigest of the CRL the objects were judged by.
@@ -227,7 +209,7 @@ type moduleEntry struct {
 	// time-invariant: the latest notBefore of every validated certificate,
 	// and the earliest of their notAfters, the manifest's nextUpdate and the
 	// winning CRL's. objEpoch is the same over the ROAs' EE certificates and
-	// the child CAs alone, the part tier 4 carries over.
+	// the child CAs alone, the part tier 3 carries over.
 	epoch, objEpoch window
 	// Validated outputs.
 	vrps     []rov.VRP
@@ -246,7 +228,7 @@ func (e *moduleEntry) matches(authority []byte, effective ipres.Set) bool {
 func (e *moduleEntry) within(now time.Time) bool { return e.epoch.contains(now) }
 
 // sameDigests reports whether a snapshot's objects are an entry's, name for
-// name and digest for digest (tier 3).
+// name and digest for digest (tier 2).
 func sameDigests(objects, memo []memoObject) bool {
 	if len(objects) != len(memo) {
 		return false
@@ -269,9 +251,7 @@ type moduleBuild struct {
 	// neither commits nor deletes a memo entry, because the bytes validated
 	// do not correspond to the point's current snapshot.
 	memoizable bool
-	version    uint64
-	hasVersion bool
-	// memo is the point's entry when it is usable for this walk: tier 4
+	// memo is the point's entry when it is usable for this walk: tier 3
 	// admits unchanged objects from it. Nil otherwise.
 	memo *moduleEntry
 	// objects is the snapshot's objects, sorted by name, as the walk's
@@ -366,7 +346,7 @@ func (mb *moduleBuild) addChild(i int, link childLink) {
 	mb.children = append(mb.children, link)
 }
 
-// admitFromMemo is reuse tier 4 for the snapshot's object i: when memo
+// admitFromMemo is reuse tier 3 for the snapshot's object i: when memo
 // holds the same bytes under the same name, listed by mft under that
 // digest, and their signature verdict is held, it admits the object with
 // memo's outputs for it and reports true. Otherwise it does nothing: the

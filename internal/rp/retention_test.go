@@ -7,6 +7,7 @@ package rp_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/ca"
 	"repro/internal/ipres"
 	"repro/internal/modelgen"
+	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/roa"
 	"repro/internal/rp"
@@ -295,9 +297,9 @@ func checkVerdicts(t *testing.T, w *modelgen.World, v *rp.RelyingParty, label st
 // unchangedFetcher serves a world the way a warm repo.Client does once the
 // peer's feed vouches for every point: the first fetch of a point returns
 // its bytes, every later incremental sync returns the held snapshot as
-// unchanged. It offers no store version, so every point takes reuse tier 2.
-// A module in down fails every fetch, as a stalled point does once its
-// breaker is open.
+// unchanged, so every point takes reuse tier 1 — the warm poll cmd/rpki-rp
+// runs. A module in down fails every fetch, as a stalled point does once
+// its breaker is open.
 type unchangedFetcher struct {
 	stores rp.StoreFetcher
 	down   map[string]bool
@@ -342,53 +344,104 @@ func largestISP(stores rp.StoreFetcher) string {
 }
 
 // TestWarmUnchangedSyncAllocations is the exact gate on a warm poll that
-// proves every point unchanged without a version (reuse tier 2, the
-// steady state over TCP): little more than one allocation per point — the
-// fetcher's result — or 819 over the 721-point world. A goroutine per
+// proves every point unchanged by its listing (reuse tier 1, the steady
+// state over TCP): little more than one allocation per point — the
+// fetcher's result — or 818 over the 721-point world. A goroutine per
 // point's walk cost 2,255; allocating each point's validation build before
 // knowing it would be reused, and a heap cell for its fetched snapshot,
 // cost 3,705. A stalled point served from last-known-good costs its two
 // diagnostics on top; revalidating its snapshot every poll cost ≈ 2,700.
+//
+// The instrumented case is the same poll with the observability hub
+// attached, as cmd/rpki-rp runs it. Its trace holds exactly the root and,
+// per point, a walk span and a fetch span: 1 + 2 × 721 = 1,443. Those cost
+// three allocations per point — the two spans and the walk span's child
+// slice — plus the root's child slice growing, 2,178 more than bare when
+// measured. A third span per point, or a metric update that allocates,
+// costs at least 721 more.
 func TestWarmUnchangedSyncAllocations(t *testing.T) {
-	const budget, diagnostics = 900, 40
+	const budget, diagnostics, rootGrowth = 900, 40, 16
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := len(w.Stores)
+	// warmPoll measures the allocations of a warm poll of the world by a
+	// relying party configured as cmd/rpki-rp's, with stalled (if named)
+	// refused from the second sync on.
+	warmPoll := func(t *testing.T, stalled string, hub *obs.Hub) float64 {
+		t.Helper()
+		fetcher := unchangedFetcher{stores: w.Stores, down: map[string]bool{}}
+		v := rp.New(rp.Config{
+			Fetcher:        fetcher,
+			Clock:          w.Clock,
+			Workers:        2,
+			CacheSnapshots: true,
+			StaleTTL:       time.Hour,
+			Obs:            hub,
+		}, w.Anchor())
+		syncOnce(t, v)
+		wantDiags, wantStale := 0, 0
+		if stalled != "" {
+			t.Logf("stalling %s (%d objects)", stalled, w.Stores[stalled].Len())
+			fetcher.down[stalled] = true
+			wantDiags, wantStale = 2, 1
+		}
+		return testing.AllocsPerRun(5, func() {
+			res, err := v.Sync(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ModulesReused != points || len(res.Diagnostics) != wantDiags || res.StaleFallbacks != wantStale {
+				t.Fatalf("warm sync reused %d of %d modules, %d diagnostics, %d stale fallbacks; want all, %d, %d",
+					res.ModulesReused, points, len(res.Diagnostics), res.StaleFallbacks, wantDiags, wantStale)
+			}
+		})
+	}
 	for _, stalled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("stalled=%v", stalled), func(t *testing.T) {
-			fetcher := unchangedFetcher{stores: w.Stores, down: map[string]bool{}}
-			v := rp.New(rp.Config{
-				Fetcher:        fetcher,
-				Clock:          w.Clock,
-				Workers:        2,
-				CacheSnapshots: true,
-				StaleTTL:       time.Hour,
-			}, w.Anchor())
-			syncOnce(t, v)
-			limit, wantDiags, wantStale := budget, 0, 0
+			victim, limit := "", budget
 			if stalled {
-				victim := largestISP(w.Stores)
-				t.Logf("stalling %s (%d objects)", victim, w.Stores[victim].Len())
-				fetcher.down[victim] = true
-				limit, wantDiags, wantStale = budget+diagnostics, 2, 1
+				victim, limit = largestISP(w.Stores), budget+diagnostics
 			}
-			allocs := testing.AllocsPerRun(5, func() {
-				res, err := v.Sync(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.ModulesReused != len(w.Stores) || len(res.Diagnostics) != wantDiags || res.StaleFallbacks != wantStale {
-					t.Fatalf("warm sync reused %d of %d modules, %d diagnostics, %d stale fallbacks; want all, %d, %d",
-						res.ModulesReused, len(w.Stores), len(res.Diagnostics), res.StaleFallbacks, wantDiags, wantStale)
-				}
-			})
+			allocs := warmPoll(t, victim, nil)
 			t.Logf("warm unchanged sync: %.0f allocations", allocs)
 			if allocs > float64(limit) {
 				t.Errorf("warm unchanged sync: %.0f allocations, budget %d", allocs, limit)
 			}
 		})
 	}
+	t.Run("instrumented", func(t *testing.T) {
+		hub := obs.NewHub(w.Clock)
+		bare, instrumented := warmPoll(t, "", nil), warmPoll(t, "", hub)
+		limit := 3*points + rootGrowth
+		if raceEnabled {
+			// -race drops a quarter of sync.Pool puts, so the root span's
+			// summary, one fmt.Sprintf per sync, may allocate its printer
+			// afresh: up to 4 more per sync, none of them per point.
+			limit += 4
+		}
+		t.Logf("warm unchanged sync: bare %.0f allocations, instrumented %.0f (%.0f more, budget %d)",
+			bare, instrumented, instrumented-bare, limit)
+		if instrumented-bare > float64(limit) {
+			t.Errorf("instrumented warm sync: %.0f allocations more than bare, budget %d", instrumented-bare, limit)
+		}
+		raw, err := json.Marshal(hub.Tracer().Last())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			Spans        int `json:"spans"`
+			DroppedSpans int `json:"dropped_spans"`
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + 2*points; trace.Spans != want || trace.DroppedSpans != 0 {
+			t.Errorf("warm sync trace: %d spans, %d dropped; want %d (the root, and a walk and a fetch span per point), 0",
+				trace.Spans, trace.DroppedSpans, want)
+		}
+	})
 }
 
 // goroutineProbe wraps an incremental fetcher, sampling the live goroutines

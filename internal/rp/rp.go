@@ -84,16 +84,6 @@ func (s StoreFetcher) FetchAll(_ context.Context, uri repo.URI) (map[string][]by
 	return store.Snapshot(), nil
 }
 
-// SnapshotVersion implements VersionedFetcher: the store's mutation counter
-// proves a point unchanged without copying a byte.
-func (s StoreFetcher) SnapshotVersion(uri repo.URI) (uint64, bool) {
-	store, ok := s[uri.Module]
-	if !ok {
-		return 0, false
-	}
-	return store.Version(), true
-}
-
 // MissingPolicy selects the relying party's reaction to manifest trouble —
 // the open problem the paper highlights ("what to do about incomplete
 // information?").
@@ -187,8 +177,6 @@ type Config struct {
 	Clock func() time.Time
 	// Policy selects the missing-information behavior.
 	Policy MissingPolicy
-	// MaxDepth bounds hierarchy recursion (default 32).
-	MaxDepth int
 	// CacheSnapshots keeps per-publication-point snapshots between Sync
 	// calls and uses the Fetcher's incremental mode when available.
 	// Without it (and without StaleTTL) a point's bytes are released the
@@ -219,6 +207,12 @@ type Config struct {
 	// the hot path then pays one predictable branch per event.
 	Obs *obs.Hub
 }
+
+// maxDepth bounds the delegation chains a sync follows: a trust anchor's
+// point is walked at depth maxDepth and each child CA's point one lower, so
+// a point that would be walked at depth 0 is cut with "hierarchy too deep"
+// — an authority cannot make the walk recurse without bound.
+const maxDepth = 32
 
 func (c Config) workers() int {
 	if c.Workers > 0 {
@@ -256,9 +250,6 @@ type RelyingParty struct {
 
 // New creates a relying party over the given trust anchors.
 func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 32
-	}
 	_, incremental := cfg.Fetcher.(IncrementalFetcher)
 	return &RelyingParty{
 		cfg:            cfg,
@@ -320,7 +311,7 @@ type Result struct {
 	// steady-state poll of an unchanged world shows ModulesRevalidated==0.
 	ModulesReused, ModulesRevalidated int
 	// ObjectsFromMemo counts the objects revalidated points admitted from
-	// their memo entries (reuse tier 4, see modmemo.go): byte-identical to
+	// their memo entries (reuse tier 3, see modmemo.go): byte-identical to
 	// what the entry was validated from, so neither parsed nor looked up.
 	ObjectsFromMemo int
 	// IncrementalFallbacks counts publication points whose incremental
@@ -419,7 +410,7 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 			continue
 		}
 		res.CertsAccepted++
-		st.enqueue(pointItem{authority{der: anchor.Raw, cert: anchor}, resources, ta.URI, rp.cfg.MaxDepth})
+		st.enqueue(pointItem{authority{der: anchor.Raw, cert: anchor}, resources, ta.URI, maxDepth})
 	}
 	// Start the walkers only once every anchor is accounted for: from here
 	// on res belongs to them, under st.mu. There are as many walkers as
@@ -675,22 +666,6 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	e := p.memo
 	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
-	// Reuse tier 1: the fetcher can prove the backing store unchanged, so
-	// the fetch itself is skipped. The version is read before any fetch: a
-	// store mutating concurrently costs a re-validation, never a stale reuse.
-	// This path is the entire warm steady state, so it stays span-free —
-	// tier-1 reuses are summarized on the root span and counted by the
-	// rpki_modules_reused_total metric instead of traced one by one.
-	var storeVersion uint64
-	var hasVersion bool
-	if vf, ok := st.rp.cfg.Fetcher.(VersionedFetcher); ok {
-		storeVersion, hasVersion = vf.SnapshotVersion(uri)
-	}
-	if usable && hasVersion && e.hasVersion && e.version == storeVersion {
-		st.reuseModule(e, uri, depth, storeVersion, hasVersion, true)
-		return
-	}
-
 	wsp := st.span.Child("walk", uri.Module)
 	st.acquireModule()
 	fsp := wsp.Child("fetch", uri.Module)
@@ -706,12 +681,12 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	}
 	// reuse ends a walk the memo entry answers for, dropping whatever bytes
 	// it holds. current says whether those bytes were the point's current
-	// content (reuse tiers 2 and 3) or its last-known-good snapshot.
+	// content (reuse tiers 1 and 2) or its last-known-good snapshot.
 	reuse := func(detail string, current bool) {
 		st.releaseModule()
 		wsp.SetDetail(detail)
 		wsp.End()
-		st.reuseModule(e, uri, depth, storeVersion, hasVersion, current)
+		st.reuseModule(e, uri, depth, current)
 	}
 	// A fetch error with bytes in hand is a partial fetch: validated, but
 	// diagnosed and never memoized. With no bytes the point is served from
@@ -734,17 +709,17 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		}
 		wsp.SetDetail("serving last-known-good")
 	case usable && unchanged && faithful:
-		// Reuse tier 2: listed, and every listed digest matched the held copy.
+		// Reuse tier 1: listed, and every listed digest matched the held copy.
 		reuse("reused: bytes unchanged", true)
 		return
 	}
 
 	objects := st.hashObjects(files)
 
-	// Reuse tier 3: the memo keeps per-object digests, not bytes, so
+	// Reuse tier 2: the memo keeps per-object digests, not bytes, so
 	// unchanged-ness is decided here, after hashing — the module's bytes are
-	// re-hashed but nothing is re-parsed or re-verified. Tiers 1–3 reuse
-	// the whole point and need a faithful fetch. Tier 4 (validate) also
+	// re-hashed but nothing is re-parsed or re-verified. Tiers 1 and 2 reuse
+	// the whole point and need a faithful fetch. Tier 3 (validate) also
 	// runs on a partial fetch, since it proves each object it admits by its
 	// digest and the new manifest's listing; a last-known-good fallback
 	// never reaches it.
@@ -755,12 +730,10 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 
 	// From here on the point is validated: its build, its verdict cache and
 	// its parsed authority exist only on this path. A usable entry still
-	// answers for every object whose bytes it was validated from (tier 4),
+	// answers for every object whose bytes it was validated from (tier 3),
 	// on a faithful or a partial fetch.
 	mb := &moduleBuild{
 		memoizable: faithful,
-		version:    storeVersion,
-		hasVersion: hasVersion,
 		objects:    objects,
 		sigs:       cert.NewVerifyCache(p.verdicts),
 		span:       wsp,
@@ -875,7 +848,7 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		return
 	}
 
-	// Reuse tier 4: with a valid manifest, and a winning CRL that revokes
+	// Reuse tier 3: with a valid manifest, and a winning CRL that revokes
 	// exactly what the entry's did, every object the entry was validated
 	// from keeps its outputs (modmemo.go). The objects admitted bring the
 	// entry's whole object window into the epoch, so it is never longer
@@ -1006,9 +979,9 @@ func (st *syncState) hashObjects(files map[string][]byte) []memoObject {
 // reuseModule merges a cached module entry's outputs into the sync result
 // without re-validating anything and queues the module's child points (each
 // child decides reuse for itself). When the reuse proved the point current
-// it records so (at version, when the fetcher reports one); a last-known-good
-// reuse proves nothing, and leaves the snapshot's age alone.
-func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, version uint64, hasVersion, current bool) {
+// it records so; a last-known-good reuse proves nothing, and leaves the
+// snapshot's age alone.
+func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, current bool) {
 	st.mu.Lock()
 	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
@@ -1016,7 +989,7 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, versio
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
 	if current {
-		st.rp.markReused(uri, version, hasVersion, st.now)
+		st.rp.markReused(uri, st.now)
 	}
 	for _, ch := range e.children {
 		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
@@ -1063,18 +1036,16 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 		epoch := mb.epoch
 		epoch.narrow(mb.objEpoch.notBefore, mb.objEpoch.notAfter)
 		entry = &moduleEntry{
-			authority:  authority,
-			effective:  effective,
-			version:    mb.version,
-			hasVersion: mb.hasVersion,
-			objects:    mb.objects,
-			revoked:    mb.revoked,
-			epoch:      epoch,
-			objEpoch:   mb.objEpoch,
-			vrps:       mb.vrps,
-			roas:       mb.roas,
-			certs:      mb.certs,
-			children:   mb.children,
+			authority: authority,
+			effective: effective,
+			objects:   mb.objects,
+			revoked:   mb.revoked,
+			epoch:     epoch,
+			objEpoch:  mb.objEpoch,
+			vrps:      mb.vrps,
+			roas:      mb.roas,
+			certs:     mb.certs,
+			children:  mb.children,
 		}
 	}
 	st.rp.commitPoint(uri, entry, files, st.now)
@@ -1186,7 +1157,7 @@ func (mb *moduleBuild) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext
 // mode against prev — the point's previous snapshot — when snapshot caching
 // is enabled and supported. The second return reports whether the
 // incremental protocol proved every object's hash unchanged since prev
-// (reuse tier 2).
+// (reuse tier 1).
 func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, prev map[string][]byte) (map[string][]byte, bool, error) {
 	inc, ok := rp.cfg.Fetcher.(IncrementalFetcher)
 	if !rp.cfg.CacheSnapshots || !ok {

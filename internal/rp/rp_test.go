@@ -2,7 +2,7 @@ package rp
 
 import (
 	"context"
-	"strings"
+	"fmt"
 	"testing"
 	"time"
 
@@ -371,36 +371,81 @@ func TestSyncNoFetcher(t *testing.T) {
 	}
 }
 
+// TestDiagnosticStrings: every kind has a name of its own; none falls
+// through to the numeric default.
 func TestDiagnosticStrings(t *testing.T) {
 	kinds := []DiagKind{DiagFetchFailure, DiagMissingObject, DiagHashMismatch,
-		DiagInvalidObject, DiagStaleManifest, DiagMissingManifest, DiagDroppedPubPoint}
+		DiagInvalidObject, DiagStaleManifest, DiagMissingManifest, DiagDroppedPubPoint,
+		DiagPointUnreachable, DiagStaleFallback}
+	seen := map[string]DiagKind{}
 	for _, k := range kinds {
-		if k.String() == "" {
-			t.Errorf("kind %d has empty string", k)
+		name := k.String()
+		if name == "" || name == fmt.Sprintf("DiagKind(%d)", uint8(k)) {
+			t.Errorf("kind %d has no name: %q", uint8(k), name)
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both %q", uint8(prev), uint8(k), name)
+		}
+		seen[name] = k
+	}
+	if next := DiagStaleFallback + 1; next.String() != fmt.Sprintf("DiagKind(%d)", uint8(next)) {
+		t.Errorf("kind %d past the last is %q: a kind is missing from this list", uint8(next), next.String())
 	}
 }
 
-func TestSyncDepthLimit(t *testing.T) {
-	arin, _, _, stores := buildFigure2(t)
-	shallow := New(Config{Fetcher: stores, Clock: clock, MaxDepth: 1},
-		TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
-	result, err := shallow.Sync(context.Background())
+// depthChain builds a delegation chain of points: a trust anchor and
+// points-1 child CAs below it, each holding the anchor's resources, with one
+// ROA at the deepest. It returns the anchor and the stores.
+func depthChain(t *testing.T, points int) (TrustAnchor, StoreFetcher) {
+	t.Helper()
+	stores := StoreFetcher{}
+	newStore := func(module string) (*repo.Store, repo.URI) {
+		s := repo.NewStore()
+		stores[module] = s
+		return s, repo.URI{Host: "chain.example:8873", Module: module}
+	}
+	resources := ipres.MustParseSet("10.0.0.0/8")
+	store, uri := newStore("c0")
+	ta, err := ca.NewTrustAnchor("c0", resources, store, uri, ca.Config{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Depth 1 covers only ARIN's own pub point: sprint's subtree is cut.
-	if result.ROAsAccepted != 0 {
-		t.Errorf("depth-limited sync accepted %d ROAs", result.ROAsAccepted)
-	}
-	deep := false
-	for _, d := range result.Diagnostics {
-		if strings.Contains(d.Err.Error(), "too deep") {
-			deep = true
+	deepest := ta
+	for i := 1; i < points; i++ {
+		store, uri := newStore(fmt.Sprintf("c%d", i))
+		if deepest, err = deepest.CreateChild(uri.Module, resources, store, uri); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !deep {
-		t.Errorf("depth exhaustion should be diagnosed: %v", result.Diagnostics)
+	mustROA(t, deepest, "leaf", 64512, "10.0.0.0/24")
+	return TrustAnchor{CertDER: ta.Cert.Raw, URI: ta.URI}, stores
+}
+
+// TestSyncDepthLimit pins the depth bound at its edge: a chain of maxDepth
+// points, whose deepest is walked at depth 1, validates whole; one point
+// more is cut there with "hierarchy too deep", and its ROA is lost.
+func TestSyncDepthLimit(t *testing.T) {
+	for _, points := range []int{maxDepth, maxDepth + 1} {
+		anchor, stores := depthChain(t, points)
+		result, err := New(Config{Fetcher: stores, Clock: clock}, anchor).Sync(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if points == maxDepth {
+			if result.Incomplete() || result.ROAsAccepted != 1 || result.PubPointsVisited != points {
+				t.Errorf("%d-point chain: %d ROAs, %d points visited, diagnostics %v; want 1, %d, none",
+					points, result.ROAsAccepted, result.PubPointsVisited, result.Diagnostics, points)
+			}
+			continue
+		}
+		deepest := fmt.Sprintf("c%d", points-1)
+		d, ok := findDiag(result, DiagInvalidObject, deepest, "")
+		if !ok || d.Err.Error() != "hierarchy too deep" || len(result.Diagnostics) != 1 {
+			t.Errorf("%d-point chain: want one \"hierarchy too deep\" diagnostic on %s, got %v", points, deepest, result.Diagnostics)
+		}
+		if result.ROAsAccepted != 0 || result.PubPointsVisited != maxDepth {
+			t.Errorf("%d-point chain: %d ROAs, %d points visited; want 0, %d", points, result.ROAsAccepted, result.PubPointsVisited, maxDepth)
+		}
 	}
 }
 

@@ -27,8 +27,8 @@
 //     and which outputs are its own; per entry a digest of the revoked
 //     serials, the objects' validity window, and each child CA as its
 //     certificate's DER, never parsed. It answers for the whole point
-//     (reuse tiers 1–3) or, when the point changed, for each object that
-//     did not (tier 4).
+//     (reuse tiers 1 and 2) or, when the point changed, for each object
+//     that did not (tier 3).
 //   - verdicts are the signature verdicts the point's latest validation
 //     used or carried over (cert.Verdicts), whatever its outcome: the next
 //     revalidation answers unchanged objects from them. Replaced at every
@@ -48,12 +48,12 @@
 // recomputed every sync, and leaves clean alone. Whenever memo is set and
 // StaleTTL > 0, clean holds the bytes memo was validated from; so serving
 // clean from memo yields what revalidating it would, and proving memo
-// current by reuse tiers 1–3 proves clean current, and re-stamps cleanAt.
-// Serving clean, either way, proves nothing about the point's current
-// content and never re-stamps it. Every successful fetch ends in a commit
-// or a reuse, so whenever memo is set it was validated from last — which is
-// what lets reuse tier 2 trust a server that says nothing changed since
-// last.
+// current by reuse tiers 1 and 2 proves clean current, and re-stamps
+// cleanAt. Serving clean, either way, proves nothing about the point's
+// current content and never re-stamps it. Every successful fetch ends in a
+// commit or a reuse, so whenever memo is set it was validated from last —
+// which is what lets reuse tier 1 trust a server that says nothing changed
+// since last.
 //
 // Snapshots are never mutated once stored, and the incremental fetch hands
 // back prev's own slices for unchanged objects, so last and clean share
@@ -72,9 +72,7 @@ import (
 
 // pointState is what the relying party retains about one publication point
 // between syncs. Every field is read and written only with
-// RelyingParty.mu held; the values they point at are immutable once stored
-// (a memo entry's recorded version excepted — markReused rewrites it under
-// the same lock).
+// RelyingParty.mu held; the values they point at are immutable once stored.
 type pointState struct {
 	last     map[string][]byte
 	clean    map[string][]byte
@@ -173,20 +171,11 @@ func (rp *RelyingParty) commitPoint(uri repo.URI, e *moduleEntry, files map[stri
 }
 
 // markReused records that uri's memo entry was just proven current: the
-// clean snapshot it was validated from is the point's content as of at, and
-// a fetcher-reported version lets the next sync take the cheaper tier-1
-// path.
-func (rp *RelyingParty) markReused(uri repo.URI, version uint64, hasVersion bool, at time.Time) {
+// clean snapshot it was validated from is the point's content as of at.
+func (rp *RelyingParty) markReused(uri repo.URI, at time.Time) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	p := rp.points[uri]
-	if p == nil || p.memo == nil {
-		return
-	}
-	if p.clean != nil {
+	if p := rp.points[uri]; p != nil && p.memo != nil && p.clean != nil {
 		p.cleanAt = at
-	}
-	if hasVersion {
-		p.memo.version, p.memo.hasVersion = version, true
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -258,47 +257,6 @@ func TestStreamingEquivalence10k(t *testing.T) {
 	t.Logf("peak RSS of the tier alone: %d MiB", peak>>10)
 	if peak > 512<<10 {
 		t.Errorf("peak RSS %d MiB running the 10k tier alone, budget 512 MiB", peak>>10)
-	}
-}
-
-// TestWarmSyncInstrumentationCost is the exact gate on what observability
-// costs the steady state. A warm re-sync of the unchanged synthetic world
-// with metrics, tracer and flight recorder attached may allocate at most 8
-// times more than the bare one (measured: 4, once per sync), and its trace
-// is the root span alone: tier-1 reuse emits no span. A per-module span or a
-// heap-allocating metric update on the warm path costs at least one
-// allocation per module, 721 here.
-func TestWarmSyncInstrumentationCost(t *testing.T) {
-	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmAllocs := func(hub *obs.Hub) float64 {
-		v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Obs: hub}, w.Anchor())
-		syncOnce(t, v)
-		return testing.AllocsPerRun(5, func() {
-			if res := syncOnce(t, v); res.ModulesRevalidated != 0 {
-				t.Fatalf("warm re-sync revalidated %d modules", res.ModulesRevalidated)
-			}
-		})
-	}
-	hub := obs.NewHub(w.Clock)
-	bare, instrumented := warmAllocs(nil), warmAllocs(hub)
-	t.Logf("warm sync allocations: bare %.0f, instrumented %.0f", bare, instrumented)
-	if instrumented-bare > 8 {
-		t.Errorf("instrumented warm sync: %.0f allocations, bare %.0f: %.0f more, budget 8",
-			instrumented, bare, instrumented-bare)
-	}
-	raw, err := json.Marshal(hub.Tracer().Last())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct{ Spans int }
-	if err := json.Unmarshal(raw, &trace); err != nil {
-		t.Fatal(err)
-	}
-	if trace.Spans != 1 {
-		t.Errorf("warm sync trace holds %d spans, want 1 (the root)", trace.Spans)
 	}
 }
 

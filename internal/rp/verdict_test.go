@@ -49,8 +49,7 @@ func findDiag(res *Result, kind DiagKind, module, object string) (Diagnostic, bo
 }
 
 // withholding is a StoreFetcher that, while name is set, serves module
-// without that object and with an error: a partial fetch. It reports no
-// store version for the module meanwhile, so the fetch happens.
+// without that object and with an error: a partial fetch.
 type withholding struct {
 	StoreFetcher
 	module, name string
@@ -63,13 +62,6 @@ func (f *withholding) FetchAll(ctx context.Context, uri repo.URI) (map[string][]
 	}
 	delete(files, f.name)
 	return files, fmt.Errorf("connection reset after %d objects", len(files))
-}
-
-func (f *withholding) SnapshotVersion(uri repo.URI) (uint64, bool) {
-	if f.name != "" && uri.Module == f.module {
-		return 0, false
-	}
-	return f.StoreFetcher.SnapshotVersion(uri)
 }
 
 // signManifestOver publishes a manifest that a signs over files, with a
