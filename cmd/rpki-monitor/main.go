@@ -29,7 +29,6 @@ func main() {
 	interval := flag.Duration("interval", 2*time.Second, "polling interval")
 	minSev := flag.String("min-severity", "info", "minimum severity to report: info, notice, warning, alert")
 	once := flag.Bool("once", false, "take one baseline snapshot pass and exit")
-	workers := flag.Int("workers", 0, "parse workers per snapshot (0: GOMAXPROCS)")
 	flag.Parse()
 
 	var min monitor.Severity
@@ -50,7 +49,6 @@ func main() {
 	names := strings.Split(*modules, ",")
 	client := &repo.Client{Timeout: 10 * time.Second}
 	watcher := monitor.NewWatcher()
-	watcher.Workers = *workers
 
 	poll := func() {
 		for _, module := range names {

@@ -44,9 +44,6 @@ func (rc *ResourceCert) IsCA() bool { return rc.Cert.IsCA }
 // Subject returns the subject common name.
 func (rc *ResourceCert) Subject() string { return rc.Cert.Subject.CommonName }
 
-// Issuer returns the issuer common name.
-func (rc *ResourceCert) Issuer() string { return rc.Cert.Issuer.CommonName }
-
 // SerialNumber returns the certificate serial.
 func (rc *ResourceCert) SerialNumber() *big.Int { return rc.Cert.SerialNumber }
 

@@ -24,10 +24,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cert"
 	"repro/internal/ipres"
@@ -167,18 +165,10 @@ type moduleState struct {
 	revoked map[string]bool // serials on the module's CRL
 }
 
-// Watcher correlates snapshots across repositories over time.
-//
-// Observe itself must be called from one goroutine at a time (it mutates
-// cross-repository correlation state), but the per-object parsing it does —
-// the hot path when polling production-sized repositories — fans out across
-// Workers goroutines.
+// Watcher correlates snapshots across repositories over time. Observe
+// must be called from one goroutine at a time: it mutates cross-repository
+// correlation state.
 type Watcher struct {
-	// Workers bounds the parse fan-out inside Observe. 0 means
-	// runtime.GOMAXPROCS(0); 1 disables parallelism. Classification is
-	// sequential and deterministic at any setting.
-	Workers int
-
 	modules map[string]*moduleState
 	// lostVRPs remembers VRPs that disappeared recently (by epoch), for
 	// cross-repository reissue correlation.
@@ -206,7 +196,7 @@ func NewWatcher() *Watcher {
 // relative to the previous snapshot. The first observation of a module
 // baselines it silently (only replacement-RC correlation fires).
 func (w *Watcher) Observe(module string, snapshot map[string][]byte) []Event {
-	parsed := w.parseSnapshot(snapshot)
+	parsed := parseSnapshot(snapshot)
 	revoked := extractRevocations(snapshot)
 
 	prev, seen := w.modules[module]
@@ -312,48 +302,11 @@ func (w *Watcher) Observe(module string, snapshot map[string][]byte) []Event {
 	return events
 }
 
-// parseSnapshot parses every object of a snapshot, fanning the work out
-// across the watcher's worker pool. Each object parses independently, so
-// the resulting map is identical at any worker count.
-func (w *Watcher) parseSnapshot(snapshot map[string][]byte) map[string]objectInfo {
-	workers := w.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	names := make([]string, 0, len(snapshot))
-	for name := range snapshot {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]objectInfo, len(names))
-	if workers <= 1 || len(names) < 2 {
-		for i, name := range names {
-			infos[i] = parseObject(name, snapshot[name])
-		}
-	} else {
-		if workers > len(names) {
-			workers = len(names)
-		}
-		chunk := (len(names) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for start := 0; start < len(names); start += chunk {
-			end := start + chunk
-			if end > len(names) {
-				end = len(names)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					infos[i] = parseObject(names[i], snapshot[names[i]])
-				}
-			}(start, end)
-		}
-		wg.Wait()
-	}
-	parsed := make(map[string]objectInfo, len(names))
-	for i, name := range names {
-		parsed[name] = infos[i]
+// parseSnapshot parses every object of a snapshot.
+func parseSnapshot(snapshot map[string][]byte) map[string]objectInfo {
+	parsed := make(map[string]objectInfo, len(snapshot))
+	for name, content := range snapshot {
+		parsed[name] = parseObject(name, content)
 	}
 	return parsed
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -192,44 +191,5 @@ func TestFilterAndMaxSeverity(t *testing.T) {
 	}
 	if MaxSeverity(nil) != Info {
 		t.Error("empty max severity wrong")
-	}
-}
-
-// TestParallelObserveParity runs the same observation sequence through a
-// sequential watcher and a parallel-parsing watcher and requires identical
-// event streams — including on a mutated world where deletions, shrinks and
-// reissues are in play.
-func TestParallelObserveParity(t *testing.T) {
-	observe := func(workers int) [][]Event {
-		w := world(t)
-		watcher := NewWatcher()
-		watcher.Workers = workers
-		var rounds [][]Event
-		modules := []string{"arin", "sprint", "etb", "continental"}
-		snap := func() {
-			for _, m := range modules {
-				rounds = append(rounds, watcher.Observe(m, w.Stores[m].Snapshot()))
-			}
-		}
-		snap() // baseline
-		// Mutations: stealthy delete + transparent revocation.
-		if err := w.MustAuthority("continental").DeleteROA("cont-22"); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.MustAuthority("sprint").RevokeROA("sprint-170"); err != nil {
-			t.Fatal(err)
-		}
-		snap()
-		return rounds
-	}
-	seq := observe(1)
-	par := observe(8)
-	if len(seq) != len(par) {
-		t.Fatalf("round counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if fmt.Sprint(seq[i]) != fmt.Sprint(par[i]) {
-			t.Errorf("round %d differs:\nseq: %v\npar: %v", i, seq[i], par[i])
-		}
 	}
 }

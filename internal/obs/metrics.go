@@ -18,11 +18,12 @@
 //     atomic RMW, a histogram observation is two — zero allocations, no
 //     locks, no map lookups. Callers obtain handles once at construction
 //     and hold them; TestZeroAllocUpdates holds the handles to that. Trace
-//     spans are not free: each is a heap allocation, and a relying party's
-//     warm poll opens two per publication point, reused or not. rp's
-//     TestWarmUnchangedSyncAllocations/instrumented pins that poll's cost
-//     exactly — 1 + 2 × points spans, and at most 3 allocations per point
-//     + 16 more than a bare poll — so any further per-point cost fails it.
+//     spans are not free: each is a heap allocation, so a relying party
+//     opens them only for publication points that did work, back-dated
+//     (Span.ChildAt) once it knows. rp's
+//     TestWarmUnchangedSyncAllocations/instrumented pins a warm unchanged
+//     poll at the root span alone and at most 16 allocations more than a
+//     bare poll, so any per-point cost fails it.
 //  2. Uninstrumented use must cost nothing: every handle method is
 //     nil-receiver safe, so a component without a registry skips the work
 //     on one predictable branch.
@@ -206,20 +207,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.fam.child(values).(*Counter)
 }
 
-// GaugeVec is a family of gauges sharing a name, distinguished by label
-// values.
-type GaugeVec struct {
-	fam *family
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.child(values).(*Gauge)
-}
-
 // Emit publishes one series of a collect-on-scrape family: the value plus
 // one label value per declared label name.
 type Emit func(value float64, labelValues ...string)
@@ -360,14 +347,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 		return nil
 	}
 	return &CounterVec{fam: r.register(name, help, kindCounter, nil, labelNames)}
-}
-
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{fam: r.register(name, help, kindGauge, nil, labelNames)}
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape time

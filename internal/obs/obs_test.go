@@ -54,8 +54,8 @@ func TestExpositionGolden(t *testing.T) {
 			emit(1, "beta.example", "open")
 			emit(0, "alpha.example", "closed")
 		})
-	esc := r.GaugeVec("rpki_label_escape_check", "Label escaping.", "path")
-	esc.With("a\\b\"c\nd").Set(1)
+	esc := r.CounterVec("rpki_label_escape_check_total", "Label escaping.", "path")
+	esc.With("a\\b\"c\nd").Inc()
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -159,7 +159,6 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("b", "").Set(1)
 	r.Histogram("c", "", nil).Observe(1)
 	r.CounterVec("d", "", "l").With("v").Inc()
-	r.GaugeVec("e", "", "l").With("v").Dec()
 	r.GaugeFunc("f", "", nil)
 	r.CollectGauges("g", "", nil, nil)
 	if err := r.WriteText(io.Discard); err != nil {
@@ -329,6 +328,48 @@ func TestTraceSpans(t *testing.T) {
 	}
 	if got.Root.DurationNs != (5 * time.Second).Nanoseconds() {
 		t.Errorf("root duration %d, want 5s", got.Root.DurationNs)
+	}
+}
+
+// TestTraceChildAt: a span opened after the fact keeps the times read while
+// the region ran, and one opened ended stays ended.
+func TestTraceChildAt(t *testing.T) {
+	clock := newStepClock(time.Second)
+	trace := NewTracer(clock.Now, 0).StartTrace("sync") // root at t0
+	root := trace.Root()
+	start, end := root.Now(), root.Now() // t0+1s, t0+2s
+	walk := root.ChildAt("walk", "m", start, time.Time{})
+	walk.ChildAt("fetch", "m", start, end).End()
+	walk.End() // t0+3s
+	trace.Finish()
+	b, err := json.Marshal(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Root struct {
+			Children []struct {
+				Start      time.Time `json:"start"`
+				DurationNs int64     `json:"duration_ns"`
+				Children   []struct {
+					Start      time.Time `json:"start"`
+					DurationNs int64     `json:"duration_ns"`
+				} `json:"children"`
+			} `json:"children"`
+		} `json:"root"`
+	}
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Root.Children) != 1 || len(got.Root.Children[0].Children) != 1 {
+		t.Fatalf("want one walk with one fetch, got %s", b)
+	}
+	w, f := got.Root.Children[0], got.Root.Children[0].Children[0]
+	if !w.Start.Equal(start) || w.DurationNs != (2*time.Second).Nanoseconds() {
+		t.Errorf("walk starts %v and lasts %dns, want %v and 2s", w.Start, w.DurationNs, start)
+	}
+	if !f.Start.Equal(start) || f.DurationNs != time.Second.Nanoseconds() {
+		t.Errorf("fetch starts %v and lasts %dns, want %v and 1s", f.Start, f.DurationNs, start)
 	}
 }
 

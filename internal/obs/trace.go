@@ -109,6 +109,13 @@ type Span struct {
 // Child starts a sub-span (nil-safe; returns nil past the trace's span
 // bound, which downstream calls tolerate).
 func (sp *Span) Child(name, module string) *Span {
+	return sp.ChildAt(name, module, sp.Now(), time.Time{})
+}
+
+// ChildAt is Child for a region that began at start and, unless end is
+// zero, has already ended at end — both read from Now. It lets a caller
+// open a span only once the region has proved worth one.
+func (sp *Span) ChildAt(name, module string, start, end time.Time) *Span {
 	if sp == nil || sp.tr == nil {
 		return nil
 	}
@@ -120,10 +127,19 @@ func (sp *Span) Child(name, module string) *Span {
 		return nil
 	}
 	tr.spans++
-	child := &Span{tr: tr, Name: name, Module: module, Start: tr.tracer.clock()}
+	child := &Span{tr: tr, Name: name, Module: module, Start: start, Ended: end}
 	sp.children = append(sp.children, child)
 	tr.mu.Unlock()
 	return child
+}
+
+// Now reads the trace's clock (nil-safe: the zero time, with no clock
+// read).
+func (sp *Span) Now() time.Time {
+	if sp == nil || sp.tr == nil {
+		return time.Time{}
+	}
+	return sp.tr.tracer.clock()
 }
 
 // End seals the span (nil-safe, idempotent).

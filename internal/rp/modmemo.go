@@ -244,7 +244,7 @@ func sameDigests(objects, memo []memoObject) bool {
 // moduleBuild accumulates one walk's per-module outputs so they can be
 // merged into the sync result and, when clean, committed to the memo. Its
 // WaitGroup tracks the module's own object tasks (not child points); the
-// committer goroutine waits on it before merging.
+// walker waits on it before merging.
 type moduleBuild struct {
 	// memoizable is false when the files came from a degraded source (LKG
 	// fallback or a partial fetch): the walk still validates and merges, but
@@ -263,14 +263,14 @@ type moduleBuild struct {
 	// before any object is admitted.
 	revoked [32]byte
 	// fromMemo counts the objects admitted from memo. Written by validate
-	// before the committer is spawned.
+	// on the walker.
 	fromMemo int
 	// sigs memoizes this validation's signature checks over the verdicts
 	// the point's previous validation used; the commit keeps what it holds.
 	sigs *cert.VerifyCache
 	// span is the module's walk trace span and verifySpan its verify child
-	// (nil when tracing is off); the committer ends both. Written by the
-	// walk goroutine before the committer is spawned.
+	// (nil when tracing is off); the commit ends both. Written and read by
+	// the walker alone.
 	span, verifySpan *obs.Span
 
 	wg sync.WaitGroup

@@ -353,14 +353,16 @@ func largestISP(stores rp.StoreFetcher) string {
 // diagnostics on top; revalidating its snapshot every poll cost ≈ 2,700.
 //
 // The instrumented case is the same poll with the observability hub
-// attached, as cmd/rpki-rp runs it. Its trace holds exactly the root and,
-// per point, a walk span and a fetch span: 1 + 2 × 721 = 1,443. Those cost
-// three allocations per point — the two spans and the walk span's child
-// slice — plus the root's child slice growing, 2,178 more than bare when
-// measured. A third span per point, or a metric update that allocates,
-// costs at least 721 more.
+// attached, as cmd/rpki-rp runs it. A point proven current opens no span,
+// so the trace holds the root alone and instrumentation costs a few
+// allocations per sync, none per point: 4 when measured. A walk and a fetch
+// span per reused point cost three allocations per point, 2,178 more than
+// bare, and filled 1,443 of the trace's 2,048 spans, so a world of 1,024
+// points or more dropped the spans of the point that changed. The one-ROA
+// change case shows the trace keeps exactly that point: its walk span with
+// fetch, verify and commit under it.
 func TestWarmUnchangedSyncAllocations(t *testing.T) {
-	const budget, diagnostics, rootGrowth = 900, 40, 16
+	const budget, diagnostics, instrumentation = 900, 40, 16
 	w, err := modelgen.Synthetic(modelgen.ProductionSized(1))
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +416,7 @@ func TestWarmUnchangedSyncAllocations(t *testing.T) {
 	t.Run("instrumented", func(t *testing.T) {
 		hub := obs.NewHub(w.Clock)
 		bare, instrumented := warmPoll(t, "", nil), warmPoll(t, "", hub)
-		limit := 3*points + rootGrowth
+		limit := instrumentation
 		if raceEnabled {
 			// -race drops a quarter of sync.Pool puts, so the root span's
 			// summary, one fmt.Sprintf per sync, may allocate its printer
@@ -426,22 +428,66 @@ func TestWarmUnchangedSyncAllocations(t *testing.T) {
 		if instrumented-bare > float64(limit) {
 			t.Errorf("instrumented warm sync: %.0f allocations more than bare, budget %d", instrumented-bare, limit)
 		}
-		raw, err := json.Marshal(hub.Tracer().Last())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace struct {
-			Spans        int `json:"spans"`
-			DroppedSpans int `json:"dropped_spans"`
-		}
-		if err := json.Unmarshal(raw, &trace); err != nil {
-			t.Fatal(err)
-		}
-		if want := 1 + 2*points; trace.Spans != want || trace.DroppedSpans != 0 {
-			t.Errorf("warm sync trace: %d spans, %d dropped; want %d (the root, and a walk and a fetch span per point), 0",
-				trace.Spans, trace.DroppedSpans, want)
+		if tr := lastTrace(t, hub); tr.Spans != 1 || tr.DroppedSpans != 0 {
+			t.Errorf("warm sync trace: %d spans, %d dropped; want 1 (the root alone), 0", tr.Spans, tr.DroppedSpans)
 		}
 	})
+	// Last: it changes the world.
+	t.Run("one ROA changed", func(t *testing.T) {
+		hub := obs.NewHub(w.Clock)
+		v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: 2, Obs: hub}, w.Anchor())
+		syncOnce(t, v)
+		tier, _ := churnTargets(w, 1)
+		if err := toggleChurnROA(tier[0]); err != nil {
+			t.Fatal(err)
+		}
+		if res := syncOnce(t, v); res.ModulesRevalidated != 1 {
+			t.Fatalf("revalidated %d modules, want 1", res.ModulesRevalidated)
+		}
+		tr := lastTrace(t, hub)
+		if tr.Spans != 1+4 || tr.DroppedSpans != 0 {
+			t.Errorf("trace: %d spans, %d dropped; want 5 (the root, and the changed point's walk, fetch, verify and commit), 0",
+				tr.Spans, tr.DroppedSpans)
+		}
+		module := tier[0].URI.Module
+		if len(tr.Root.Children) != 1 || tr.Root.Children[0].Name != "walk" || tr.Root.Children[0].Module != module {
+			t.Fatalf("root's children %+v, want the walk of %s alone", tr.Root.Children, module)
+		}
+		var names []string
+		for _, c := range tr.Root.Children[0].Children {
+			names = append(names, c.Name)
+		}
+		if want := []string{"fetch", "verify", "commit"}; !reflect.DeepEqual(names, want) {
+			t.Errorf("walk of %s has children %v, want %v", module, names, want)
+		}
+	})
+}
+
+// traceJSON is the shape of a finished trace, as /debug/lasttrace serves it.
+type traceJSON struct {
+	Spans        int      `json:"spans"`
+	DroppedSpans int      `json:"dropped_spans"`
+	Root         spanJSON `json:"root"`
+}
+
+type spanJSON struct {
+	Name     string     `json:"name"`
+	Module   string     `json:"module"`
+	Children []spanJSON `json:"children"`
+}
+
+// lastTrace decodes hub's last finished trace.
+func lastTrace(t *testing.T, hub *obs.Hub) traceJSON {
+	t.Helper()
+	raw, err := json.Marshal(hub.Tracer().Last())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr traceJSON
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // goroutineProbe wraps an incremental fetcher, sampling the live goroutines

@@ -16,10 +16,10 @@
 // (Routinator, rpki-client): sibling publication points are fetched in
 // parallel as the tree is discovered — a child CA found at one point
 // enqueues its publication point immediately, with no per-level barrier —
-// and within each point object hashing and certificate-chain validation fan
-// out across a bounded worker pool (Config.Workers). Results are
-// deterministic at any worker count: VRPs are sorted, diagnostics are
-// canonically ordered, and all counters are exact.
+// and within each point object validation fans out across a bounded worker
+// pool (Config.Workers). Results are deterministic at any worker count: VRPs
+// are sorted, diagnostics are canonically ordered, and all counters are
+// exact.
 package rp
 
 import (
@@ -185,11 +185,11 @@ type Config struct {
 	// over an incremental fetcher, the memo's certificates are slices of the
 	// kept snapshots and cost nothing extra.
 	CacheSnapshots bool
-	// Workers bounds the validation worker pool: object hashing and chain
-	// validation fan out across this many goroutines, and at most
-	// 2×Workers publication points are between the start of their fetch
-	// and their commit — a fetch in flight, or raw bytes held for
-	// validation — at a time. 0 means runtime.GOMAXPROCS(0); 1 is the
+	// Workers bounds the validation worker pool: hashing, parsing and
+	// signature verification run on at most this many goroutines at once,
+	// and at most 2×Workers publication points are between the start of
+	// their fetch and their commit — a fetch in flight, or raw bytes held
+	// for validation — at a time. 0 means runtime.GOMAXPROCS(0); 1 is the
 	// sequential baseline. Results are identical at any setting.
 	Workers int
 	// StaleTTL enables last-known-good fallback: when a publication point
@@ -388,14 +388,13 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	}
 	rp.beginSync()
 	st := &syncState{
-		rp:       rp,
-		ctx:      ctx,
-		now:      now,
-		res:      res,
-		sem:      make(chan struct{}, rp.cfg.workers()),
-		fetchSem: make(chan struct{}, 2*rp.cfg.workers()),
-		span:     trace.Root(),
-		points:   make([]pointItem, 0, rp.pointHint+rp.pointHint/64),
+		rp:     rp,
+		ctx:    ctx,
+		now:    now,
+		res:    res,
+		sem:    make(chan struct{}, rp.cfg.workers()),
+		span:   trace.Root(),
+		points: make([]pointItem, 0, rp.pointHint+rp.pointHint/64),
 	}
 	st.queued.L = &st.qmu
 	for _, ta := range rp.anchors {
@@ -413,11 +412,11 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		st.enqueue(pointItem{authority{der: anchor.Raw, cert: anchor}, resources, ta.URI, maxDepth})
 	}
 	// Start the walkers only once every anchor is accounted for: from here
-	// on res belongs to them, under st.mu. There are as many walkers as
-	// module slots, so every slot can have a fetch in flight; they exit once
-	// every queued point and every task it spawned is done.
+	// on res belongs to them, under st.mu. A walker carries one point from
+	// its fetch to its commit, so the 2×Workers walkers are the module
+	// window; they exit once every queued point is done.
 	var walkers sync.WaitGroup
-	for range cap(st.fetchSem) {
+	for range 2 * cap(st.sem) {
 		walkers.Add(1)
 		go func() {
 			defer walkers.Done()
@@ -477,23 +476,19 @@ func sortDiagnostics(diags []Diagnostic) {
 // syncState is the shared state of one Sync pass: the accumulating result,
 // the worker-slot semaphore bounding CPU-heavy work, the queue of
 // publication points waiting for a walker, and the WaitGroup tracking every
-// outstanding point, validation and object task.
+// outstanding point.
 type syncState struct {
 	rp  *RelyingParty
 	ctx context.Context
 	// now is the sync's start time on the injected clock: the stamp every
 	// last-known-good commit and refresh of this pass carries.
 	now time.Time
+	// sem holds the Workers worker slots. It is the walk's one semaphore:
+	// the module window is the walkers themselves, each holding at most one
+	// point from its fetch to its commit.
 	sem chan struct{}
-	// fetchSem is the module window: a slot is held from just before a
-	// module's fetch until its commit releases the bytes, so it bounds both
-	// the fetches in flight and the raw bytes resident. Holders always make
-	// progress — a module's commit waits only on its own object tasks
-	// (worker slots, never fetch slots), and a child point is queued, never
-	// waited for — so the bound cannot deadlock.
-	fetchSem chan struct{}
-	// wg counts every queued or walking point, validation goroutine,
-	// committer and object task; its Wait is the end of the walk.
+	// wg counts every queued or walking point; its Wait is the end of the
+	// walk. A point's object tasks end before its walk does.
 	wg sync.WaitGroup
 	// span is the sync's root trace span (nil when tracing is off); each
 	// walk hangs its module span off it. Spans are internally synchronized.
@@ -512,8 +507,8 @@ type syncState struct {
 	queued sync.Cond
 	// points holds the points discovered and not yet taken by a walker, in
 	// discovery order from index head on. Enqueueing never blocks, so a
-	// point's walk or validation can queue its children while every walker
-	// waits for a module slot. guarded by qmu.
+	// point's validation can queue its children while every walker is busy.
+	// guarded by qmu.
 	points []pointItem
 	// head is the index of the next point to walk. guarded by qmu.
 	head int
@@ -567,10 +562,8 @@ func (st *syncState) closeQueue() {
 	st.queued.Broadcast()
 }
 
-// walker walks queued points one at a time until the walk is over. A point
-// that needs no validation is finished here, on the walker's own stack; one
-// that does is handed to its own goroutine, so a walker waits only for a
-// module slot, its fetch and its hashing, never for a validation.
+// walker walks queued points one at a time until the walk is over, each
+// from its fetch to its reuse or its commit.
 func (st *syncState) walker() {
 	for {
 		it, ok := st.pop()
@@ -596,17 +589,6 @@ func (st *syncState) firstErr() error {
 	return st.err
 }
 
-// spawn tracks f with the WaitGroup and runs it on its own goroutine.
-// Structural goroutines (validations, object tasks, committers) never hold a
-// worker slot while blocked, so spawning from inside a slot cannot deadlock.
-func (st *syncState) spawn(f func()) {
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		f()
-	}()
-}
-
 // run executes f under a worker slot; CPU-heavy work (hashing, parsing,
 // signature verification) goes through here so at most Workers of it runs
 // at once. f must not block on the semaphore or the WaitGroup.
@@ -616,20 +598,6 @@ func (st *syncState) run(f func()) {
 	<-st.sem
 }
 
-// acquireModule takes an in-flight-module slot. Callers must pair it with
-// exactly one releaseModule, reached either directly on an early walk exit
-// or via the module's commit.
-func (st *syncState) acquireModule() {
-	st.fetchSem <- struct{}{}
-	st.rp.met.inflightModules.Inc()
-}
-
-// releaseModule returns an in-flight-module slot.
-func (st *syncState) releaseModule() {
-	st.rp.met.inflightModules.Dec()
-	<-st.fetchSem
-}
-
 func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 	st.mu.Lock()
 	st.res.diag(kind, module, object, err)
@@ -637,14 +605,19 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 	st.obsDiag(kind, module, object, err)
 }
 
-// walk takes one authority's publication point to its reuse decision on the
-// calling walker. A point provably unchanged since its last clean
-// validation (and still inside that validation's temporal epoch) is not
-// validated at all: its cached outputs are merged wholesale (see
+// walk takes one authority's publication point from its fetch to its reuse
+// or its commit, on the calling walker. A point provably unchanged since its
+// last clean validation (and still inside that validation's temporal epoch)
+// is not validated at all: its cached outputs are merged wholesale (see
 // modmemo.go), its children are queued, and its authority is never parsed.
-// So is an unreachable point whose last-known-good snapshot that same
-// memo entry answers for. Any other point is validated on its own
-// goroutine, which keeps the point's module slot until its commit.
+// So is an unreachable point whose last-known-good snapshot that same memo
+// entry answers for. Any other point is validated here too, its objects
+// fanning out as worker tasks.
+//
+// Only work is traced: a point proven current (reuse tiers 1 and 2) opens
+// no span, so an unchanged poll cannot crowd the changed point out of the
+// trace's bounded span count. Any other point opens its walk and fetch
+// spans once that is known, back-dated to the fetch.
 func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, depth int) {
 	if depth <= 0 {
 		st.diag(DiagInvalidObject, uri.Module, "", fmt.Errorf("hierarchy too deep"))
@@ -666,51 +639,49 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	e := p.memo
 	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
-	wsp := st.span.Child("walk", uri.Module)
-	st.acquireModule()
-	fsp := wsp.Child("fetch", uri.Module)
+	st.rp.met.inflightModules.Inc()
+	defer st.rp.met.inflightModules.Dec()
+	start := st.span.Now()
 	files, unchanged, err := st.rp.fetch(st.ctx, st, uri, p.last)
-	fsp.End()
+	fetched := st.span.Now()
+	// span opens the point's walk span, with its fetch child, and notes why
+	// the point is traced.
+	span := func(detail string) *obs.Span {
+		wsp := st.span.ChildAt("walk", uri.Module, start, time.Time{})
+		wsp.ChildAt("fetch", uri.Module, start, fetched)
+		wsp.SetDetail(detail)
+		return wsp
+	}
 	if err != nil && st.ctx.Err() != nil {
 		// Cancellation is an abort, not incompleteness: no diagnostic.
 		st.setErr(st.ctx.Err())
-		st.releaseModule()
-		wsp.SetDetail("aborted")
-		wsp.End()
+		span("aborted").End()
 		return
-	}
-	// reuse ends a walk the memo entry answers for, dropping whatever bytes
-	// it holds. current says whether those bytes were the point's current
-	// content (reuse tiers 1 and 2) or its last-known-good snapshot.
-	reuse := func(detail string, current bool) {
-		st.releaseModule()
-		wsp.SetDetail(detail)
-		wsp.End()
-		st.reuseModule(e, uri, depth, current)
 	}
 	// A fetch error with bytes in hand is a partial fetch: validated, but
 	// diagnosed and never memoized. With no bytes the point is served from
 	// last-known-good or not at all.
 	faithful, partial := err == nil, err != nil && len(files) > 0
+	detail := ""
 	switch {
 	case err != nil && !partial:
 		if files = st.lkgFallback(uri, p, err); files == nil {
-			st.releaseModule()
-			wsp.SetDetail("unreachable, no fallback")
-			wsp.End()
+			span("unreachable, no fallback").End()
 			return
 		}
 		if usable {
 			// The snapshot is the bytes e was validated from (state.go), so
 			// revalidating it under the same authority inside the epoch
-			// would reproduce e. Its age still counts from the last proof.
-			reuse("serving last-known-good (memo)", false)
+			// would reproduce e. It proves nothing current, so its age
+			// still counts from the last proof.
+			span("serving last-known-good (memo)").End()
+			st.reuseModule(e, uri, depth, false)
 			return
 		}
-		wsp.SetDetail("serving last-known-good")
+		detail = "serving last-known-good"
 	case usable && unchanged && faithful:
 		// Reuse tier 1: listed, and every listed digest matched the held copy.
-		reuse("reused: bytes unchanged", true)
+		st.reuseModule(e, uri, depth, true)
 		return
 	}
 
@@ -724,7 +695,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// digest and the new manifest's listing; a last-known-good fallback
 	// never reaches it.
 	if faithful && usable && sameDigests(objects, e.objects) {
-		reuse("reused: digests unchanged", true)
+		st.reuseModule(e, uri, depth, true)
 		return
 	}
 
@@ -736,7 +707,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		memoizable: faithful,
 		objects:    objects,
 		sigs:       cert.NewVerifyCache(p.verdicts),
-		span:       wsp,
+		span:       span(detail),
 	}
 	if usable {
 		mb.memo = e
@@ -752,15 +723,14 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	if faithful && e != nil {
 		st.reuseRejection(e, auth.der, effective, uri.Module)
 	}
-	mb.verifySpan = wsp.Child("verify", uri.Module)
-	st.spawn(func() { st.validate(mb, auth, effective, uri, depth, now, files) })
+	mb.verifySpan = mb.span.Child("verify", uri.Module)
+	st.validate(mb, auth, effective, uri, depth, now, files)
 }
 
 // validate checks a fetched point's objects under its authority — manifest,
 // CRL, then every object the memo cannot answer for as its own task, each
-// validated child CA queued for a walker — and spawns the committer. It is
-// walk's second half, on its own goroutine, so that no walker waits for a
-// worker slot to validate.
+// validated child CA queued for a walker — and commits the point once its
+// tasks are done. It is walk's second half, on the same walker.
 func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte) {
 	issuer := auth.cert
 	if issuer == nil {
@@ -868,26 +838,24 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 			continue
 		}
 		mb.wg.Add(1)
-		st.spawn(func() {
+		go func() {
 			defer mb.wg.Done()
 			st.run(func() {
 				st.processObject(mb, issuer, effective, uri, depth, now, crl, mft, mftName, i, files[o.name])
 			})
-		})
+		}()
 	}
 	if mb.fromMemo > 0 {
 		mb.mu.Lock()
 		mb.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
 		mb.mu.Unlock()
 	}
-	// The committer merges the module's outputs once its own object tasks
-	// are done (child points are independent), then commits or deletes the
-	// memo entry. It holds no worker slot while waiting, so it cannot
-	// deadlock the pool.
-	st.spawn(func() {
-		mb.wg.Wait()
-		st.commitModule(uri, auth.der, effective, mb, files)
-	})
+	// The walker merges the module's outputs once its own object tasks are
+	// done (child points are independent), then commits or deletes the memo
+	// entry. It waits holding no worker slot, and no object task waits on a
+	// walker, so the walk cannot deadlock.
+	mb.wg.Wait()
+	st.commitModule(uri, auth.der, effective, mb, files)
 }
 
 // loadCRL picks the point's CRL (nil skips revocation checks, best effort).
@@ -941,38 +909,22 @@ func (mb *moduleBuild) signedCheck(hash [32]byte, issuer *cert.ResourceCert, eeS
 	}
 }
 
-// hashObjects hashes every fetched object exactly once, in parallel chunks,
-// and returns the objects sorted by name with their digests. The digests
-// drive the manifest cross-check, per-object admission and the digest-level
-// reuse checks, and a clean commit keeps them as the memo entry's snapshot.
+// hashObjects hashes every fetched object exactly once, on the walker under
+// one worker slot, and returns the objects sorted by name with their
+// digests. The digests drive the manifest cross-check, per-object admission
+// and the digest-level reuse checks, and a clean commit keeps them as the
+// memo entry's snapshot.
 func (st *syncState) hashObjects(files map[string][]byte) []memoObject {
 	objects := make([]memoObject, 0, len(files))
 	for name := range files {
 		objects = append(objects, memoObject{name: name})
 	}
 	slices.SortFunc(objects, func(a, b memoObject) int { return strings.Compare(a.name, b.name) })
-	var hwg sync.WaitGroup
-	workers := cap(st.sem)
-	chunk := (len(objects) + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for start := 0; start < len(objects); start += chunk {
-		end := start + chunk
-		if end > len(objects) {
-			end = len(objects)
+	st.run(func() {
+		for i := range objects {
+			objects[i].digest = sha256.Sum256(files[objects[i].name])
 		}
-		hwg.Add(1)
-		go func(lo, hi int) {
-			defer hwg.Done()
-			st.run(func() {
-				for i := lo; i < hi; i++ {
-					objects[i].digest = sha256.Sum256(files[objects[i].name])
-				}
-			})
-		}(start, end)
-	}
-	hwg.Wait()
+	})
 	return objects
 }
 
@@ -997,17 +949,15 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, curren
 }
 
 // commitModule merges a fully-validated module's outputs into the sync
-// result, commits the point's retained state and releases the module's
-// in-flight slot — after it returns nothing but that state references the
-// module's raw bytes. Every validation hands on the signature verdicts it
-// used. A clean validation of a faithfully-fetched snapshot commits a memo
-// entry, recorded under the authority's DER, and the last-known-good
-// snapshot; any diagnostic deletes the stale entry and leaves the snapshot
-// alone. Degraded sources (LKG fallback, partial fetch) merge without
+// result and commits the point's retained state — after it returns nothing
+// but that state references the module's raw bytes. Every validation hands
+// on the signature verdicts it used. A clean validation of a
+// faithfully-fetched snapshot commits a memo entry, recorded under the
+// authority's DER, and the last-known-good snapshot; any diagnostic deletes
+// the stale entry and leaves the snapshot alone. Degraded sources (LKG fallback, partial fetch) merge without
 // touching either — their bytes do not correspond to the point's current
 // snapshot.
 func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
-	defer st.releaseModule()
 	mb.verifySpan.End()
 	csp := mb.span.Child("commit", uri.Module)
 	defer func() {
@@ -1081,8 +1031,8 @@ func (st *syncState) lkgFallback(uri repo.URI, p pointState, ferr error) map[str
 
 // processObject admits the snapshot's object i, whose bytes are raw:
 // manifest admission, then ROA validation or child-CA chain validation.
-// Runs under a worker slot. Its outputs accumulate on the moduleBuild; the
-// committer merges them.
+// Runs under a worker slot. Its outputs accumulate on the moduleBuild; its
+// walker merges them once every task of the point is done.
 func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName string, i int, raw []byte) {
 	name, hash := mb.objects[i].name, mb.objects[i].digest
 	if mft != nil && name != mftName {

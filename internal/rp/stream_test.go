@@ -261,7 +261,7 @@ func TestStreamingEquivalence10k(t *testing.T) {
 }
 
 // windowProbe is a fetcher that samples the in-flight-module gauge on every
-// fetch — the moment a walk has just taken its slot.
+// fetch — the moment a walker has just counted its point in flight.
 type windowProbe struct {
 	rp.StoreFetcher
 	inflight *obs.Gauge
@@ -282,15 +282,24 @@ func (p *windowProbe) FetchAll(ctx context.Context, uri repo.URI) (map[string][]
 }
 
 // TestModuleWindowBoundsInflight: on a hierarchy both wider and deeper than
-// the window, a single-worker sync still completes — a module waiting for a
-// slot never holds one, so parents cannot starve their children — and no
-// more than 2×Workers modules are ever between fetch and commit. A warm
-// second sync in which every spine point changed revalidates the spine
-// while the walkers reuse its leaves: each revalidation holds its slot
-// until its commit and queues its children without waiting for a walker,
-// so this sync completes under the same bound too.
+// the window, a sync completes at one worker and at four — a walker waits
+// only on its own point's object tasks, which never wait on a walker, so
+// parents cannot starve their children — and no more than 2×Workers modules
+// are ever between fetch and commit. A warm second sync in which every
+// spine point changed revalidates the spine while the walkers reuse its
+// leaves: each revalidation holds its walker until its commit and queues
+// its children without waiting for one, so this sync completes under the
+// same bound too.
 func TestModuleWindowBoundsInflight(t *testing.T) {
-	const width, depth, workers = 50, 10, 1
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkModuleWindow(t, workers)
+		})
+	}
+}
+
+func checkModuleWindow(t *testing.T, workers int) {
+	const width, depth = 50, 10
 	epoch := time.Date(2013, 11, 21, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return epoch }
 	stores := rp.StoreFetcher{}
@@ -348,11 +357,11 @@ func TestModuleWindowBoundsInflight(t *testing.T) {
 		peak := probe.peak
 		probe.peak = 0
 		probe.mu.Unlock()
-		if peak < 1 || peak > 2*workers {
+		if peak < 1 || peak > float64(2*workers) {
 			t.Fatalf("%s: peak modules in flight = %v, want within [1, %d]", label, peak, 2*workers)
 		}
 		if now := probe.inflight.Value(); now != 0 {
-			t.Fatalf("%s: %v module slots still held after the sync", label, now)
+			t.Fatalf("%s: %v modules still in flight after the sync", label, now)
 		}
 	}
 	check("cold", width*depth, len(stores))

@@ -49,7 +49,6 @@ type Client struct {
 	resumes  uint64
 	reloads  uint64
 	deltas   uint64
-	onSync   func([]rov.VRP)
 	onSerial func(uint32)
 	// notified is the serial of the newest Serial Notify read. guarded by mu.
 	notified uint32
@@ -69,16 +68,6 @@ const maxResponsePDUs = 1 << 22
 // NewClient creates a client for the RTR server at addr.
 func NewClient(addr string) *Client {
 	return &Client{addr: addr, responseCap: maxResponsePDUs}
-}
-
-// OnSync registers a callback invoked with the full VRP set after every
-// completed update. The set is a fresh copy (see VRPs), O(n) per update
-// however small; at fleet-scale fan-out prefer OnSerial and read VRPs() when
-// needed.
-func (c *Client) OnSync(fn func([]rov.VRP)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onSync = fn
 }
 
 // OnSerial registers a callback invoked with the new serial after every
@@ -273,13 +262,10 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 			}
 			announced, withdrawn := reduceOps(pending)
 			pending = nil // a snapshot's or a whacked subtree's worth of ops is not worth keeping
-			committed, ahead, cbSync, cbSerial := c.commit(fullReload, resume, heard && notifySession == respSession, respSession, p.Serial, announced, withdrawn)
+			committed, ahead, cbSerial := c.commit(fullReload, resume, heard && notifySession == respSession, respSession, p.Serial, announced, withdrawn)
 			fullReload, resume = false, false
 			if committed && cbSerial != nil {
 				cbSerial(p.Serial)
-			}
-			if committed && cbSync != nil {
-				cbSync(c.VRPs())
 			}
 			if behind && !serialOut() {
 				behind = false
@@ -334,9 +320,9 @@ func (c *Client) sync(ctx context.Context, conn net.Conn) error {
 // connection is superseded by this one's answer, which is at least as new —
 // unless the cache restarted and counts from 1 again — and one under another
 // session says nothing of this one. commit reports whether the store took the response, whether
-// the newest serial notified is still ahead of the store, and the callbacks
+// the newest serial notified is still ahead of the store, and the callback
 // to run.
-func (c *Client) commit(reload, resume, heard bool, session uint16, serial uint32, announced, withdrawn []rov.VRP) (committed, ahead bool, cbSync func([]rov.VRP), cbSerial func(uint32)) {
+func (c *Client) commit(reload, resume, heard bool, session uint16, serial uint32, announced, withdrawn []rov.VRP) (committed, ahead bool, cbSerial func(uint32)) {
 	var reloaded []*chunk
 	if reload && c.cache == nil {
 		// Built before the lock is taken: readers keep the old set until the
@@ -371,7 +357,7 @@ func (c *Client) commit(reload, resume, heard bool, session uint16, serial uint3
 		}
 		c.serial, c.session, c.synced = serial, session, true
 	}
-	return committed, serialAhead(c.notified, c.serial), c.onSync, c.onSerial
+	return committed, serialAhead(c.notified, c.serial), c.onSerial
 }
 
 // prefixOp is one staged prefix PDU: announce sets the VRP, withdraw deletes

@@ -168,28 +168,6 @@ func TestClientIncrementalUpdate(t *testing.T) {
 	}
 }
 
-func TestClientOnSyncCallback(t *testing.T) {
-	cache := NewCache(1)
-	cache.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, 1)})
-	addr := startServer(t, cache)
-
-	client := NewClient(addr)
-	syncs := make(chan int, 10)
-	client.OnSync(func(vrps []rov.VRP) { syncs <- len(vrps) })
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = client.Run(ctx) }()
-
-	select {
-	case n := <-syncs:
-		if n != 1 {
-			t.Errorf("first sync had %d VRPs", n)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("no sync callback")
-	}
-}
-
 func TestManyVRPsOverRTR(t *testing.T) {
 	cache := NewCache(3)
 	var vrps []rov.VRP
