@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// lockorder audits how the repository's mutexes compose: PR 9's sharded
-// subscriber table, the RTR cache's main/propagation locks, and the
+// lockorder audits how the repository's mutexes compose: the RTR cache's
+// state and subscriber-table locks, the publication point stores, and the
 // relying party's memo/LKG stores each hold their own lock correctly in
 // isolation (guardedby checks that), but a deadlock is a property of the
 // *composition* — lock A taken while holding B in one call chain and B
@@ -30,19 +30,18 @@ import (
 //     lock-order graph; cycles in that graph are reported as potential
 //     deadlocks;
 //   - acquiring (or calling a function that may acquire) a lock already
-//     held is reported: sync mutexes are not reentrant, and for sharded
-//     locks the same static identity means a possible same-shard
-//     re-entry;
+//     held is reported: sync mutexes are not reentrant, and for instances
+//     of one type the same static identity means a possible re-entry of
+//     the same instance;
 //   - blocking — directly or via a callee that may block — while holding
 //     any lock is reported: a stalled router or repository must never
 //     extend its stall into a lock everyone else needs.
 //
 // Locks are identified statically as pkg.Type.field (or pkg.var); two
-// shard instances of one field share an identity, which errs toward
-// reporting. Events on goroutines spawned inside the function (go
-// statements, deferred or stored closures) are not attributed to the
-// caller's goroutine and are analyzed only through the functions they
-// call.
+// instances of one field share an identity, which errs toward reporting.
+// Events on goroutines spawned inside the function (go statements,
+// deferred or stored closures) are not attributed to the caller's
+// goroutine and are analyzed only through the functions they call.
 var lockOrderRule = &Rule{
 	Name:       "lockorder",
 	Doc:        "lock-order cycles, same-lock re-entry, and locks held across blocking operations, over the whole-program call graph",

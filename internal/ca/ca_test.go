@@ -41,9 +41,8 @@ func addChild(t *testing.T, parent *Authority, name, resources string) *Authorit
 
 func TestTrustAnchorPublishes(t *testing.T) {
 	ta := newTA(t, "0.0.0.0/0")
-	names := ta.Store.List()
 	want := map[string]bool{"ta.cer": true, "ta.crl": true, "ta.mft": true}
-	for _, n := range names {
+	for n := range ta.Store.Infos() {
 		if !want[n] {
 			t.Errorf("unexpected object %q", n)
 		}

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"maps"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -75,6 +77,79 @@ func TestReadListRejectsAmbiguousListings(t *testing.T) {
 	}
 	if listing, err := readList(r); err != nil || len(listing) != 0 {
 		t.Errorf("second of two replies: %v, %v", listing, err)
+	}
+}
+
+// TestListingTokenPromiseUnderPuts: a fault-free LIST reply always carries
+// a token, and two replies under one token list the same objects, however
+// the authority's publications interleave with the listing.
+func TestListingTokenPromiseUnderPuts(t *testing.T) {
+	store := NewStore()
+	for i := 0; i < 20; i++ {
+		store.Put(fmt.Sprintf("obj-%02d.roa", i), []byte("0"))
+	}
+	uri, stop, err := Serve(nil, "m", store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	// Every tenth LIST asks for one republish: twenty Puts, one per object,
+	// that race the LISTs after it, while the LISTs between republishes
+	// share a token.
+	more := make(chan struct{}, 1)
+	done := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for round := 1; ; round++ {
+			select {
+			case <-done:
+				return
+			case <-more:
+			}
+			for i := 0; i < 20; i++ {
+				store.Put(fmt.Sprintf("obj-%02d.roa", i), []byte(fmt.Sprint(round)))
+			}
+		}
+	}()
+	defer func() { close(done); <-published }()
+
+	conn, err := net.Dial("tcp", uri.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	seen := make(map[string]map[string]ObjectInfo)
+	repeats := 0
+	for i := 0; i < 2000; i++ {
+		if i%10 == 0 {
+			select {
+			case more <- struct{}{}:
+			default:
+			}
+		}
+		if _, err := w.WriteString("LIST m\n"); err != nil || w.Flush() != nil {
+			t.Fatalf("LIST %d: write failed", i)
+		}
+		l, err := readListing(r)
+		if err != nil {
+			t.Fatalf("LIST %d: %v", i, err)
+		}
+		if l.token == "" {
+			t.Fatalf("LIST %d: a fault-free reply carries no token", i)
+		}
+		if prev, ok := seen[l.token]; ok {
+			repeats++
+			if !maps.Equal(prev, l.objects) {
+				t.Fatalf("LIST %d: token %s listed two different point states", i, l.token)
+			}
+		}
+		seen[l.token] = l.objects
+	}
+	if repeats == 0 {
+		t.Error("no two replies shared a token: the promise was never compared")
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
+	"maps"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +45,11 @@ func TestStoreBasics(t *testing.T) {
 	if s.Len() != 1 {
 		t.Error("spurious entries")
 	}
-	names := s.List()
+	var names []string
+	for name := range s.Infos() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	if len(names) != 1 || names[0] != "a.cer" {
 		t.Errorf("list = %v", names)
 	}
@@ -62,6 +69,62 @@ func TestStoreSnapshotAndReplace(t *testing.T) {
 	}
 	if got, _ := s.Get("y"); string(got) != "3" {
 		t.Error("replace content wrong")
+	}
+}
+
+// TestStoreReplaceIsAtomic: a republish swaps the whole namespace, so a
+// reader sees the old point or the new one, never a mix of the two, and a
+// listing carries the version of the namespace it shows.
+func TestStoreReplaceIsAtomic(t *testing.T) {
+	namespace := func(tag string, from int) map[string][]byte {
+		ns := make(map[string][]byte, 20)
+		for i := from; i < from+20; i++ {
+			ns[fmt.Sprintf("obj-%02d.roa", i)] = []byte(fmt.Sprintf("%s-%d", tag, i))
+		}
+		return ns
+	}
+	// The two namespaces share ten names, held with different content.
+	spaces := [2]map[string][]byte{namespace("b", 10), namespace("a", 0)}
+	var infos [2]map[string]ObjectInfo
+	for i, ns := range spaces {
+		infos[i] = make(map[string]ObjectInfo, len(ns))
+		for name, content := range ns {
+			infos[i][name] = ObjectInfo{Size: len(content), Hash: sha256.Sum256(content)}
+		}
+	}
+	s := NewStore()
+	s.Replace(spaces[1]) // each Replace bumps the version once: spaces[v%2] is at version v
+
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for v := 2; ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Replace(spaces[v%2])
+			}
+		}
+	}()
+	const reads = 10000
+	mixedSnapshots, badListings := 0, 0
+	for i := 0; i < reads; i++ {
+		snap := s.Snapshot()
+		if !maps.EqualFunc(snap, spaces[0], bytes.Equal) && !maps.EqualFunc(snap, spaces[1], bytes.Equal) {
+			mixedSnapshots++
+		}
+		listing, v := s.listing()
+		if !maps.Equal(listing, infos[v%2]) {
+			badListings++
+		}
+	}
+	close(stop)
+	<-flipped
+	if mixedSnapshots > 0 || badListings > 0 {
+		t.Errorf("of %d reads under a flipping Replace, %d snapshots mixed the namespaces and %d listings were not their version's",
+			reads, mixedSnapshots, badListings)
 	}
 }
 

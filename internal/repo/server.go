@@ -318,15 +318,18 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 }
 
 // writeListing writes one LIST reply for the module as its fault plan shows
-// it. The version is read before the listing is taken (store.go: version
-// equality then proves listing equality) and again after: a store that moved
-// in between may have shown the listing more than the first version counts, so
-// that reply goes out without a token rather than break the token's promise.
+// it. The listing and its version come from one read of the store, so the
+// token always goes out and equal tokens list equal objects; a fault plan's
+// frozen version and listing then stand in for them.
 func writeListing(w *bufio.Writer, m *Module) bool {
-	version, _ := m.version()
-	infos := m.Faults.frozenListing()
-	if infos == nil {
-		infos = m.Store.Infos()
+	infos, version := m.Store.listing()
+	if m.Faults != nil {
+		if v, frozen := m.Faults.frozenVersion(); frozen {
+			version = v
+		}
+		if frozen := m.Faults.frozenListing(); frozen != nil {
+			infos = frozen
+		}
 	}
 	entries := make([]string, 0, len(infos))
 	for name := range infos {
@@ -336,9 +339,7 @@ func writeListing(w *bufio.Writer, m *Module) bool {
 	}
 	sort.Strings(entries)
 	line := strconv.AppendInt([]byte("OK "), int64(len(entries)), 10)
-	if after, _ := m.version(); after == version {
-		line = m.appendToken(append(line, ' '), version)
-	}
+	line = m.appendToken(append(line, ' '), version)
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/ca"
 	"repro/internal/ipres"
 	"repro/internal/repo"
+	"repro/internal/roa"
+	"repro/internal/rov"
 )
 
 // fingerprint renders everything a Result promises to make deterministic:
@@ -30,6 +33,41 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
+// storeTruth is what a sync of stores must produce, read with no relying
+// party involved: every .roa the stores hold but the names in skip, parsed,
+// and their VRPs canonically sorted (not deduplicated: Result.VRPs is a
+// multiset).
+func storeTruth(t *testing.T, stores StoreFetcher, skip ...string) (vrps []rov.VRP, roas int) {
+	t.Helper()
+	for _, store := range stores {
+		for name, raw := range store.Snapshot() {
+			if !strings.HasSuffix(name, ".roa") || slices.Contains(skip, name) {
+				continue
+			}
+			signed, err := roa.ParseSigned(raw)
+			if err != nil {
+				t.Fatalf("ground truth: %s: %v", name, err)
+			}
+			vrps = append(vrps, rov.FromROA(signed.ROA)...)
+			roas++
+		}
+	}
+	rov.SortVRPs(vrps)
+	return vrps, roas
+}
+
+// checkTruth compares a result's VRPs and accepted-ROA count with the
+// ground truth, so a defect every worker count shares still shows.
+func checkTruth(t *testing.T, r *Result, vrps []rov.VRP, roas int, label string) {
+	t.Helper()
+	if r.ROAsAccepted != roas {
+		t.Errorf("%s: accepted %d ROAs, the stores hold %d", label, r.ROAsAccepted, roas)
+	}
+	if !slices.Equal(r.VRPs, vrps) {
+		t.Errorf("%s: VRPs %v, ground truth %v", label, r.VRPs, vrps)
+	}
+}
+
 func syncWithWorkers(t *testing.T, arin *ca.Authority, stores StoreFetcher, workers int) *Result {
 	t.Helper()
 	relying := New(Config{
@@ -45,12 +83,16 @@ func syncWithWorkers(t *testing.T, arin *ca.Authority, stores StoreFetcher, work
 }
 
 // TestParallelMatchesSequentialClean checks that a parallel sync of the
-// clean model world is byte-for-byte identical to the sequential baseline.
+// clean model world is byte-for-byte identical to the sequential baseline,
+// and that both hold every ROA the stores publish.
 func TestParallelMatchesSequentialClean(t *testing.T) {
 	arin, _, _, stores := buildFigure2(t)
+	vrps, roas := storeTruth(t, stores)
 	seq := syncWithWorkers(t, arin, stores, 1)
+	checkTruth(t, seq, vrps, roas, "workers=1")
 	for _, workers := range []int{2, 4, 8} {
 		par := syncWithWorkers(t, arin, stores, workers)
+		checkTruth(t, par, vrps, roas, fmt.Sprintf("workers=%d", workers))
 		if got, want := fingerprint(par), fingerprint(seq); got != want {
 			t.Errorf("workers=%d diverged from sequential:\n--- parallel ---\n%s--- sequential ---\n%s", workers, got, want)
 		}
@@ -59,7 +101,9 @@ func TestParallelMatchesSequentialClean(t *testing.T) {
 
 // TestParallelMatchesSequentialFaults repeats the equivalence check on a
 // world with injected faults: a third-party-deleted object, a corrupted
-// object, and a dead publication point.
+// object, and a dead publication point. Against the ground truth, the
+// faulted objects and everything under the dead point are gone and every
+// other ROA stays.
 func TestParallelMatchesSequentialFaults(t *testing.T) {
 	build := func(t *testing.T) (*ca.Authority, StoreFetcher) {
 		arin, _, _, stores := buildFigure2(t)
@@ -74,7 +118,9 @@ func TestParallelMatchesSequentialFaults(t *testing.T) {
 		return arin, stores
 	}
 	arin, stores := build(t)
+	vrps, roas := storeTruth(t, stores, "cont-22.roa", "cont-25.roa")
 	seq := syncWithWorkers(t, arin, stores, 1)
+	checkTruth(t, seq, vrps, roas, "workers=1")
 	if !seq.Incomplete() {
 		t.Fatal("fault world should be incomplete")
 	}
@@ -89,6 +135,7 @@ func TestParallelMatchesSequentialFaults(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		par := syncWithWorkers(t, arin, stores, workers)
+		checkTruth(t, par, vrps, roas, fmt.Sprintf("workers=%d", workers))
 		if got, want := fingerprint(par), fingerprint(seq); got != want {
 			t.Errorf("workers=%d diverged on fault world:\n--- parallel ---\n%s--- sequential ---\n%s", workers, got, want)
 		}

@@ -23,29 +23,29 @@ type delta struct {
 	// frame is the delta's prefix PDUs (announces then withdraws),
 	// serialized once at update time. Immutable after creation.
 	frame []byte
-	// createdAt stamps when the delta entered the cache, anchoring the
-	// delta-propagation latency histogram. Immutable after creation.
-	createdAt time.Time
 }
 
 func (d *delta) vrpCount() int { return len(d.announced) + len(d.withdrawn) }
 
-// numSubShards splits the subscriber table N ways so a cache update fans
-// out over N short critical sections instead of one walk of a giant map
-// under one lock. 32 shards keep the per-shard walk under ~350 entries
-// even at 10k clients.
-const numSubShards = 32
+// notice is one commit's serial notify, allocated once per commit and shared
+// by every subscriber. at is when the commit entered the cache, anchoring the
+// delta-propagation histogram; it is zero for a replica's reload, which is
+// not a delta.
+type notice struct {
+	serial uint32
+	at     time.Time
+}
 
 // subscriber is one connection's notification handle. Serial notifies are
-// coalesced: pending always holds the latest serial and wake is a 1-slot
+// coalesced: pending always holds the latest notice and wake is a 1-slot
 // doorbell, so a subscriber that has not drained yet absorbs any number of
 // updates at zero queue growth — a slow consumer can never make the cache
 // buffer per-client notify backlogs.
 type subscriber struct {
 	peer string
-	// pending is the latest serial to announce (read with Load after a
+	// pending is the latest notice to announce (read with Load after a
 	// wake). Writing pending then ringing wake is the only publish order.
-	pending atomic.Uint32
+	pending atomic.Pointer[notice]
 	// wake is the 1-slot doorbell; a failed send means the subscriber is
 	// already scheduled to look at pending.
 	wake chan struct{}
@@ -54,31 +54,14 @@ type subscriber struct {
 	queueDepth func() int
 }
 
-// offer publishes serial to the subscriber, coalescing with any
-// not-yet-consumed notify.
-func (s *subscriber) offer(serial uint32) {
-	s.pending.Store(serial)
+// offer publishes n to the subscriber, coalescing with any not-yet-consumed
+// notify.
+func (s *subscriber) offer(n *notice) {
+	s.pending.Store(n)
 	select {
 	case s.wake <- struct{}{}:
-	default: // doorbell already rung; the pending serial is the newest
+	default: // doorbell already rung; the pending notice is the newest
 	}
-}
-
-// subShard is one slice of the subscriber table with its own lock.
-type subShard struct {
-	mu sync.Mutex
-	// subs holds this shard's live subscribers. guarded by mu.
-	subs map[*subscriber]struct{}
-}
-
-// propRingSize bounds the serial→creation-time ring used by the
-// propagation-latency histogram; lookups are O(1) under a read lock so 10k
-// clients observing one delta never contend on the cache's main mutex.
-const propRingSize = 256
-
-type propEntry struct {
-	serial uint32
-	at     time.Time
 }
 
 // Cache is the server-side VRP database with serial-numbered history.
@@ -93,10 +76,9 @@ type propEntry struct {
 // has seen; a client whose serial predates the retained window gets a Cache
 // Reset and reloads the snapshot.
 //
-// The subscriber table is sharded numSubShards ways: SetVRPs walks N small
-// maps under N short locks instead of one giant map under the cache lock,
-// so notify fan-out to 10k+ connections never serializes behind state
-// updates (and vice versa).
+// The subscriber table has its own lock, so a notify sweep never holds mu:
+// fan-out to 10k connections never serializes behind state updates (and
+// vice versa).
 type Cache struct {
 	mu sync.Mutex
 	// Session and serial state. guarded by mu.
@@ -116,14 +98,11 @@ type Cache struct {
 	maxHistVRPs  int
 	maxHistBytes int
 
-	// Subscriber table, sharded; each shard carries its own lock.
-	shards    [numSubShards]subShard
-	nextShard atomic.Uint32
-
-	// propMu guards propRing: the fixed serial→createdAt ring feeding the
-	// propagation histogram without touching mu on the per-client path.
-	propMu   sync.RWMutex
-	propRing [propRingSize]propEntry
+	// subMu is a leaf lock: nothing else is taken while it is held, and it
+	// is never taken under mu.
+	subMu sync.Mutex
+	// subs holds the live subscribers. guarded by subMu.
+	subs map[*subscriber]struct{}
 
 	// met holds metric handles registered by Instrument (nil pointer when
 	// uninstrumented); atomic so hot paths never lock to reach a counter.
@@ -140,17 +119,13 @@ const (
 
 // NewCache creates an empty cache with the given session ID.
 func NewCache(session uint16) *Cache {
-	c := &Cache{
+	return &Cache{
 		session:      session,
 		maxHist:      defaultMaxHist,
 		maxHistVRPs:  defaultMaxHistVRPs,
 		maxHistBytes: defaultMaxHistBytes,
+		subs:         make(map[*subscriber]struct{}),
 	}
-	for i := range c.shards {
-		//lint:ignore guardedby the cache is not yet published to any other goroutine
-		c.shards[i].subs = make(map[*subscriber]struct{})
-	}
-	return c
 }
 
 // SetHistoryLimits bounds the retained delta history by entry count, total
@@ -452,17 +427,18 @@ func (c *Cache) SetVRPs(vrps []rov.VRP) {
 		c.mu.Unlock()
 		return
 	}
-	serial := c.commitLocked(c.serial+1, announced, withdrawn)
+	n := c.commitLocked(c.serial+1, announced, withdrawn)
 	c.mu.Unlock()
-	c.notifyAll(serial)
+	c.notifyAll(n)
 }
 
 // commitLocked applies the delta to the chunks at the given serial and
 // appends it to the bounded history. announced and withdrawn are canonical,
-// encodable and owned by the cache. Callers hold c.mu; they must call
-// notifyAll(serial) after unlocking.
-func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint32 {
-	d := delta{from: c.serial, announced: announced, withdrawn: withdrawn, createdAt: time.Now()}
+// encodable and owned by the cache. Callers hold c.mu; they must pass the
+// returned notice to notifyAll after unlocking.
+func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) *notice {
+	n := &notice{serial: serial, at: time.Now()}
+	d := delta{from: c.serial, announced: announced, withdrawn: withdrawn}
 	c.serial = serial
 	if met := c.met.Load(); met != nil {
 		met.updates.Inc()
@@ -474,8 +450,7 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 	c.histVRPs += d.vrpCount()
 	c.histBytes += len(d.frame)
 	c.evictLocked()
-	c.recordPropTime(serial, d.createdAt)
-	return serial
+	return n
 }
 
 // applySnapshot is a replica's reload: the set the primary sent, canonical
@@ -486,7 +461,8 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) uint
 // Reset. A reload is taken whatever its serial: it answers this
 // connection's Reset Query, so it is the primary's set now — a primary that
 // restarted under the same session (its ID is its PID) counts from 1 again.
-// Subscribers are notified of the new serial.
+// Subscribers are notified of the new serial; a reload is no delta, so its
+// notice carries no propagation sample.
 func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
 	chunks := appendChunks(nil, vrps, true)
 	c.mu.Lock()
@@ -496,7 +472,7 @@ func (c *Cache) applySnapshot(session uint16, serial uint32, vrps []rov.VRP) {
 	c.history = nil
 	c.histVRPs, c.histBytes = 0, 0
 	c.mu.Unlock()
-	c.notifyAll(serial)
+	c.notifyAll(&notice{serial: serial})
 }
 
 // applyDelta is a replica's delta: the net effect of a response that
@@ -516,9 +492,9 @@ func (c *Cache) applyDelta(serial uint32, announced, withdrawn []rov.VRP) bool {
 	}
 	announced = slices.DeleteFunc(announced, func(v rov.VRP) bool { return holds(c.chunks, v) })
 	withdrawn = slices.DeleteFunc(withdrawn, func(v rov.VRP) bool { return !holds(c.chunks, v) })
-	c.commitLocked(serial, announced, withdrawn)
+	n := c.commitLocked(serial, announced, withdrawn)
 	c.mu.Unlock()
-	c.notifyAll(serial)
+	c.notifyAll(n)
 	return true
 }
 
@@ -628,105 +604,62 @@ func (c *Cache) deltaFrames(serial uint32) (frames [][]byte, current uint32, ok 
 
 // subscribe registers a notification handle for one connection.
 // queueDepth, when non-nil, reports the connection's send-queue depth to
-// the scrape-time gauges. Subscribers are spread round-robin over the
-// shards.
+// the scrape-time gauges.
 func (c *Cache) subscribe(peer string, queueDepth func() int) *subscriber {
 	sub := &subscriber{peer: peer, wake: make(chan struct{}, 1), queueDepth: queueDepth}
-	shard := &c.shards[c.nextShard.Add(1)%numSubShards]
-	shard.mu.Lock()
-	shard.subs[sub] = struct{}{}
-	shard.mu.Unlock()
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	c.subs[sub] = struct{}{}
 	return sub
 }
 
 // unsubscribe removes a notification handle.
 func (c *Cache) unsubscribe(sub *subscriber) {
-	for i := range c.shards {
-		shard := &c.shards[i]
-		shard.mu.Lock()
-		if _, ok := shard.subs[sub]; ok {
-			delete(shard.subs, sub)
-			shard.mu.Unlock()
-			return
-		}
-		shard.mu.Unlock()
-	}
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	delete(c.subs, sub)
 }
 
-// notifyAll publishes serial to every subscriber, shard by shard. Each
-// offer is a store plus a non-blocking doorbell ring, so the walk holds
-// each shard lock only briefly and a wedged connection costs nothing.
-func (c *Cache) notifyAll(serial uint32) {
-	for i := range c.shards {
-		shard := &c.shards[i]
-		shard.mu.Lock()
-		for sub := range shard.subs {
-			sub.offer(serial)
-		}
-		shard.mu.Unlock()
+// notifyAll publishes n to every subscriber. Each offer is a pointer store
+// plus a non-blocking doorbell ring, so a wedged connection costs nothing.
+func (c *Cache) notifyAll(n *notice) {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	for sub := range c.subs {
+		sub.offer(n)
 	}
 }
 
 // subscriberCount returns the number of registered subscribers.
 func (c *Cache) subscriberCount() int {
-	n := 0
-	for i := range c.shards {
-		shard := &c.shards[i]
-		shard.mu.Lock()
-		n += len(shard.subs)
-		shard.mu.Unlock()
-	}
-	return n
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	return len(c.subs)
 }
 
 // queueDepthStats sums and maxes the per-connection send-queue depths.
 func (c *Cache) queueDepthStats() (total, maxDepth int) {
-	for i := range c.shards {
-		shard := &c.shards[i]
-		shard.mu.Lock()
-		for sub := range shard.subs {
-			if sub.queueDepth == nil {
-				continue
-			}
-			d := sub.queueDepth()
-			total += d
-			if d > maxDepth {
-				maxDepth = d
-			}
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	for sub := range c.subs {
+		if sub.queueDepth == nil {
+			continue
 		}
-		shard.mu.Unlock()
+		d := sub.queueDepth()
+		total += d
+		if d > maxDepth {
+			maxDepth = d
+		}
 	}
 	return total, maxDepth
 }
 
-// recordPropTime stamps a serial's creation time in the fixed ring.
-// Callers hold c.mu; the ring has its own lock so readers never touch mu.
-func (c *Cache) recordPropTime(serial uint32, at time.Time) {
-	c.propMu.Lock()
-	c.propRing[serial%propRingSize] = propEntry{serial: serial, at: at}
-	c.propMu.Unlock()
-}
-
-// deltaCreatedAt returns when the delta with the given serial entered the
-// cache (ok=false if it aged out of the ring).
-func (c *Cache) deltaCreatedAt(serial uint32) (time.Time, bool) {
-	c.propMu.RLock()
-	e := c.propRing[serial%propRingSize]
-	c.propMu.RUnlock()
-	if e.serial != serial || e.at.IsZero() {
-		return time.Time{}, false
-	}
-	return e.at, true
-}
-
-// observePropagation records one client's notify latency for the delta
-// with the given serial (no-op when uninstrumented or aged out).
-func (c *Cache) observePropagation(serial uint32) {
+// observePropagation records one client's notify latency for n (no-op when
+// uninstrumented, or for a reload's notice, which is not a delta).
+func (c *Cache) observePropagation(n *notice) {
 	met := c.met.Load()
-	if met == nil {
+	if met == nil || n.at.IsZero() {
 		return
 	}
-	if at, ok := c.deltaCreatedAt(serial); ok {
-		met.propagation.Observe(time.Since(at).Seconds())
-	}
+	met.propagation.Observe(time.Since(n.at).Seconds())
 }

@@ -438,7 +438,7 @@ func TestCacheSubscribeNotify(t *testing.T) {
 	cache.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, 1)})
 	select {
 	case <-sub.wake:
-		if serial := sub.pending.Load(); serial != 1 {
+		if serial := sub.pending.Load().serial; serial != 1 {
 			t.Errorf("serial = %d", serial)
 		}
 	case <-time.After(time.Second):

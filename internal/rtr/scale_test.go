@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ipres"
+	"repro/internal/obs"
 	"repro/internal/rov"
 )
 
@@ -476,30 +477,51 @@ func TestResumeAcrossSetVRPsRace(t *testing.T) {
 	assertVRPsEqual(t, client, cache)
 }
 
-// TestShardDistribution: round-robin placement spreads subscribers evenly
-// over the shards, so no SetVRPs walk serializes behind one giant map.
-func TestShardDistribution(t *testing.T) {
-	c := NewCache(1)
-	const n = 8 * numSubShards
-	subs := make([]*subscriber, 0, n)
-	for i := 0; i < n; i++ {
-		subs = append(subs, c.subscribe(fmt.Sprintf("peer-%d", i), nil))
+// TestPropagationSamplesPerNotify: the delta-propagation histogram takes one
+// sample per router per commit, when that router's notify is flushed, and
+// none for a replica's reload, which is not a delta.
+func TestPropagationSamplesPerNotify(t *testing.T) {
+	cache := NewCache(7)
+	hub := obs.NewHub(nil)
+	cache.Instrument(hub)
+	cache.SetVRPs(manyVRPs(10)) // serial 1, before any router: no sample
+	_, addr := startPrimary(t, cache)
+	routers := []*Client{NewClient(addr), NewClient(addr)}
+	for _, r := range routers {
+		connect(t, r)
 	}
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		got := len(c.shards[i].subs)
-		c.shards[i].mu.Unlock()
-		if got != n/numSubShards {
-			t.Errorf("shard %d has %d subscribers, want %d", i, got, n/numSubShards)
+	// A router at serial s has been sent every notify up to s: the writer
+	// samples a notify before it writes the answer to the query it prompts.
+	await := func(serial uint32) {
+		t.Helper()
+		for i, r := range routers {
+			if !r.WaitSerial(serial, 5*time.Second) {
+				t.Fatalf("router %d stuck at serial %d, want %d", i, r.Serial(), serial)
+			}
 		}
 	}
-	if c.subscriberCount() != n {
-		t.Errorf("subscriberCount = %d, want %d", c.subscriberCount(), n)
+	samples := func() float64 {
+		n, ok := hub.Registry().Sample("rpki_rtr_delta_propagation_seconds_count")
+		if !ok {
+			t.Fatal("no rpki_rtr_delta_propagation_seconds_count series")
+		}
+		return n
 	}
-	for _, s := range subs {
-		c.unsubscribe(s)
+	await(1)
+	if n := cache.subscriberCount(); n != len(routers) {
+		t.Fatalf("subscriberCount = %d, want %d", n, len(routers))
 	}
-	if c.subscriberCount() != 0 {
-		t.Errorf("subscriberCount after unsubscribe = %d, want 0", c.subscriberCount())
+	before := samples()
+
+	cache.SetVRPs(manyVRPs(11))
+	await(2)
+	if got := samples() - before; got != float64(len(routers)) {
+		t.Errorf("one SetVRPs with %d routers added %v propagation samples, want %d", len(routers), got, len(routers))
+	}
+
+	cache.applySnapshot(7, 3, manyVRPs(12))
+	await(3)
+	if got := samples() - before; got != float64(len(routers)) {
+		t.Errorf("a replica reload added %v propagation samples, want 0", got-float64(len(routers)))
 	}
 }

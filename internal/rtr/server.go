@@ -299,14 +299,14 @@ func (s *Server) writeLoop(conn net.Conn, sub *subscriber, sendq chan response, 
 			s.evict(conn, w, err)
 			return
 		case <-sub.wake:
-			serial := sub.pending.Load()
+			n := sub.pending.Load()
 			if !writeBatch([][]byte{mustMarshal(&PDU{
-				Type: TypeSerialNotify, Session: s.cache.Session(), Serial: serial})}) {
+				Type: TypeSerialNotify, Session: s.cache.Session(), Serial: n.serial})}) {
 				return
 			}
 			// The notify reached the client's socket: one propagation
 			// latency sample for this delta.
-			s.cache.observePropagation(serial)
+			s.cache.observePropagation(n)
 		case resp := <-sendq:
 			if !writeBatch(resp.segs) {
 				return
