@@ -28,79 +28,131 @@ const (
 // slow-loris trickle, and scripted schedules. The zero Faults injects
 // nothing.
 //
+// The plan is the module-level settings plus one entry per faulted object
+// name, so Restore(name) deletes one entry and Restore("") zeroes the plan.
+// The server reads it once per request, when the request arrives, and reads
+// the store in the same step: that one locked read settles everything the
+// plan does to the request and advances exactly the FailRate, CorruptRate
+// and SetScript counters the request reaches, and the server acts on the
+// value it got back. A reply therefore never mixes two states of the plan,
+// and a request sees the plan as it stood when the request arrived. An
+// injected delay only postpones a reply already decided: a change made while
+// the request sleeps through it, a Restore or a publication, takes effect
+// from the next request.
+//
 // Faults model *transport-level* failures as seen by the relying party;
 // the authority's own misbehavior (deleting, shrinking, overwriting) is
 // modeled by mutating the Store itself via the ca package.
 type Faults struct {
 	mu sync.Mutex
-	// drop hides named objects from both LIST and GET.
-	drop map[string]bool
-	// corrupt serves named objects with flipped bits.
-	corrupt map[string]bool
-	// refuse rejects all connections to the module.
+	// plan is everything injected; Restore("") zeroes it. guarded by mu.
+	plan
+}
+
+// plan is a module's fault plan: its module-level settings, then one entry
+// per faulted object name.
+type plan struct {
+	// refuse rejects all connections to the module. guarded by Faults.mu.
 	refuse bool
-	// delay postpones every response.
+	// delay postpones every response. guarded by Faults.mu.
 	delay time.Duration
-	// objDelay postpones responses for specific objects.
-	objDelay map[string]time.Duration
-	// truncate serves named objects with half their body, then drops the
-	// connection.
-	truncate map[string]bool
 	// frozen, when set, is the listing LIST serves in the store's place.
+	// guarded by Faults.mu.
 	frozen map[string]ObjectInfo
 	// version, while versionFrozen, is the store version the module's tokens
-	// are rendered from in the live store's place.
+	// are rendered from in the live store's place. guarded by Faults.mu.
 	version       uint64
 	versionFrozen bool
 	// echo, when positive, repeats every LIST reply unasked after this long.
+	// guarded by Faults.mu.
 	echo time.Duration
-	// failN/failM: fail the first failN of every failM requests touching
-	// a name ("" keys module-level request faults). reqCount is the
-	// per-name request counter driving the cycle.
-	failN, failM map[string]int
-	reqCount     map[string]int
-	// slowLoris throttles body writes to one byte per interval.
+	// slowLoris throttles GET body writes to one byte per interval.
+	// guarded by Faults.mu.
 	slowLoris time.Duration
 	// bandwidth caps GET body writes to this many bytes per second.
+	// guarded by Faults.mu.
 	bandwidth int
-	// corruptN/corruptM: serve the first corruptN of every corruptM requests
-	// touching a name with flipped bits. corruptCount drives the cycle.
-	corruptN, corruptM map[string]int
-	corruptCount       map[string]int
-	// script, when set, is consulted per request with a 1-based counter —
-	// arbitrary flaky-then-healthy schedules in one closure.
+	// script, when set, is consulted per request with the 1-based counter
+	// scriptN — arbitrary flaky-then-healthy schedules in one closure.
+	// guarded by Faults.mu.
 	script  func(requestN int) FaultAction
 	scriptN int
+	// objects holds one entry per faulted object name; "" holds the
+	// module-level FailRate. guarded by Faults.mu.
+	objects map[string]*objectFaults
+}
+
+// objectFaults is the plan for one object name.
+type objectFaults struct {
+	// drop hides the object from both LIST and GET, corrupt serves it with
+	// flipped bits, and truncate serves half its body, then drops the
+	// connection. guarded by Faults.mu.
+	drop, corrupt, truncate bool
+	// delay postpones the object's GETs. guarded by Faults.mu.
+	delay time.Duration
+	// fail is the FailRate cycle of the requests touching the name, damage
+	// the CorruptRate cycle of its GETs. guarded by Faults.mu.
+	fail, damage cycle
+}
+
+// cycle is a FailRate or CorruptRate schedule: of every m requests it counts,
+// the first n hit. The zero cycle never hits.
+type cycle struct {
+	// n and m are the rate, count the requests counted so far.
+	// guarded by Faults.mu.
+	n, m, count int
+}
+
+// newCycle is the cycle hitting the first n of every m requests; n<=0 or
+// m<=0 gives the zero cycle.
+func newCycle(n, m int) cycle {
+	if n <= 0 || m <= 0 {
+		return cycle{}
+	}
+	return cycle{n: n, m: m}
+}
+
+// hitLocked counts one request and reports whether it falls in the hitting
+// part of the cycle.
+func (c *cycle) hitLocked() bool {
+	if c.m <= 0 {
+		return false
+	}
+	k := c.count
+	c.count++
+	return k%c.m < c.n
 }
 
 // NewFaults returns a fault plan injecting nothing.
 func NewFaults() *Faults {
-	return &Faults{
-		drop:         make(map[string]bool),
-		corrupt:      make(map[string]bool),
-		objDelay:     make(map[string]time.Duration),
-		truncate:     make(map[string]bool),
-		failN:        make(map[string]int),
-		failM:        make(map[string]int),
-		reqCount:     make(map[string]int),
-		corruptN:     make(map[string]int),
-		corruptM:     make(map[string]int),
-		corruptCount: make(map[string]int),
+	return &Faults{}
+}
+
+// objectLocked returns name's entry, adding one if the plan has none.
+func (f *Faults) objectLocked(name string) *objectFaults {
+	o := f.objects[name]
+	if o == nil {
+		if f.objects == nil {
+			f.objects = make(map[string]*objectFaults)
+		}
+		o = new(objectFaults)
+		f.objects[name] = o
 	}
+	return o
 }
 
 // Drop hides name from the served module until Restore is called.
 func (f *Faults) Drop(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.drop[name] = true
+	f.objectLocked(name).drop = true
 }
 
 // Corrupt serves name with its content corrupted.
 func (f *Faults) Corrupt(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.corrupt[name] = true
+	f.objectLocked(name).corrupt = true
 }
 
 // Refuse makes the module reject all connections (server unreachable).
@@ -123,11 +175,7 @@ func (f *Faults) SetDelay(d time.Duration) {
 func (f *Faults) DelayObject(name string, d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if d <= 0 {
-		delete(f.objDelay, name)
-		return
-	}
-	f.objDelay[name] = d
+	f.objectLocked(name).delay = max(d, 0)
 }
 
 // FailRate makes the first n of every m requests touching name fail by
@@ -138,15 +186,7 @@ func (f *Faults) DelayObject(name string, d time.Duration) {
 func (f *Faults) FailRate(name string, n, m int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n <= 0 || m <= 0 {
-		delete(f.failN, name)
-		delete(f.failM, name)
-		delete(f.reqCount, name)
-		return
-	}
-	f.failN[name] = n
-	f.failM[name] = m
-	f.reqCount[name] = 0
+	f.objectLocked(name).fail = newCycle(n, m)
 }
 
 // Truncate serves name's GET with the correct size header but only half the
@@ -155,7 +195,7 @@ func (f *Faults) FailRate(name string, n, m int) {
 func (f *Faults) Truncate(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.truncate[name] = true
+	f.objectLocked(name).truncate = true
 }
 
 // FreezeListing makes LIST keep answering with listing (typically the
@@ -222,21 +262,15 @@ func (f *Faults) SetBandwidth(bytesPerSec int) {
 func (f *Faults) CorruptRate(name string, n, m int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n <= 0 || m <= 0 {
-		delete(f.corruptN, name)
-		delete(f.corruptM, name)
-		delete(f.corruptCount, name)
-		return
-	}
-	f.corruptN[name] = n
-	f.corruptM[name] = m
-	f.corruptCount[name] = 0
+	f.objectLocked(name).damage = newCycle(n, m)
 }
 
 // SetScript installs a scripted fault schedule: fn is consulted once per
 // request with a 1-based request counter and its action applied before any
 // other fault. nil clears the script. Use it to express flaky-then-healthy
-// timelines ("drop the first 4 requests, then recover").
+// timelines ("drop the first 4 requests, then recover"). fn runs inside the
+// request's one read of the plan, so it must not call f's methods; what it
+// publishes to the store, the request already serves.
 func (f *Faults) SetScript(fn func(requestN int) FaultAction) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -252,183 +286,129 @@ func (f *Faults) Restore(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if name == "" {
-		f.drop = make(map[string]bool)
-		f.corrupt = make(map[string]bool)
-		f.refuse = false
-		f.delay = 0
-		f.objDelay = make(map[string]time.Duration)
-		f.truncate = make(map[string]bool)
-		f.frozen = nil
-		f.version, f.versionFrozen = 0, false
-		f.echo = 0
-		f.failN = make(map[string]int)
-		f.failM = make(map[string]int)
-		f.reqCount = make(map[string]int)
-		f.slowLoris = 0
-		f.bandwidth = 0
-		f.corruptN = make(map[string]int)
-		f.corruptM = make(map[string]int)
-		f.corruptCount = make(map[string]int)
-		f.script = nil
-		f.scriptN = 0
+		f.plan = plan{}
 		return
 	}
-	delete(f.drop, name)
-	delete(f.corrupt, name)
-	delete(f.objDelay, name)
-	delete(f.truncate, name)
-	delete(f.failN, name)
-	delete(f.failM, name)
-	delete(f.reqCount, name)
-	delete(f.corruptN, name)
-	delete(f.corruptM, name)
-	delete(f.corruptCount, name)
+	delete(f.objects, name)
 }
 
-func (f *Faults) dropped(name string) bool {
+// verdict is one request as a module's fault plan settles it, with what it
+// serves from the store, read in the same step (Faults.decide).
+type verdict struct {
+	// delay postpones the request; act then drops its connection
+	// (ActDropConn: Refuse, which skips the delay, the script, or the
+	// module-level FailRate) or answers it ERR (ActErr: the script).
+	delay time.Duration
+	act   FaultAction
+	// version is what the module's tokens are rendered from (VERSIONS and
+	// LIST): the store's, or the one FreezeVersion pinned.
+	version uint64
+	pinned  bool
+	// LIST: listing is the store's, or the frozen one; the hidden names are
+	// left out and the damaged ones listed with the digest of the bytes a GET
+	// serves; echo repeats the reply that long after.
+	listing         map[string]ObjectInfo
+	hidden, damaged map[string]bool
+	echo            time.Duration
+	// GET: content is the object, if stored. wait postpones it; then fail
+	// drops the connection or hide answers that there is no such object;
+	// corrupt flips bits, truncate tears the body, and slowLoris and
+	// bandwidth pace it.
+	content                       []byte
+	stored                        bool
+	wait                          time.Duration
+	fail, hide, corrupt, truncate bool
+	slowLoris                     time.Duration
+	bandwidth                     int
+}
+
+// read takes what a request serves from s: VERSIONS' version, a LIST's
+// listing with its version, a GET's object.
+func (v *verdict) read(verb, name string, s *Store) {
+	switch verb {
+	case "VERSIONS":
+		v.version = s.Version()
+	case "LIST":
+		v.listing, v.version = s.listing()
+	case "GET":
+		v.content, v.stored = s.Get(name)
+	}
+}
+
+// decide settles one request, verb "VERSIONS", "LIST" or "GET" of object
+// name, in one read of the plan, and reads the store s in the same step. It
+// decides in the order the server acts and advances exactly the counters the
+// request reaches: Refuse ends a LIST or GET at once; then come the module
+// delay, the script and the module-level FailRate; then, for a GET of a valid
+// name, the object's delay, its FailRate and, for an object that is stored
+// and neither dropped nor Corrupted, its CorruptRate. The store is read after
+// the script, which may publish. A nil plan injects nothing.
+func (f *Faults) decide(verb, name string, s *Store) (v verdict) {
 	if f == nil {
+		v.read(verb, name, s)
+		return v
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if verb != "VERSIONS" && !f.admitLocked(&v) {
+		return v
+	}
+	v.read(verb, name, s)
+	if f.versionFrozen {
+		v.version, v.pinned = f.version, true
+	}
+	switch verb {
+	case "LIST":
+		if f.frozen != nil {
+			v.listing = f.frozen
+		}
+		v.echo = f.echo
+		for obj, o := range f.objects {
+			if o.drop || o.corrupt {
+				if v.hidden == nil {
+					v.hidden, v.damaged = make(map[string]bool), make(map[string]bool)
+				}
+				v.hidden[obj], v.damaged[obj] = o.drop, o.corrupt
+			}
+		}
+	case "GET":
+		v.slowLoris, v.bandwidth = f.slowLoris, f.bandwidth
+		o := f.objects[name]
+		if o == nil || !validName(name) {
+			return v
+		}
+		v.wait = o.delay
+		if v.fail = o.fail.hitLocked(); v.fail {
+			return v
+		}
+		if v.hide = o.drop; v.stored && !v.hide {
+			v.corrupt = o.corrupt || o.damage.hitLocked()
+			v.truncate = o.truncate
+		}
+	}
+	return v
+}
+
+// admitLocked settles the module-level part of a LIST or GET — refusal, the
+// module delay, the script, the module-level FailRate — and reports whether
+// the request gets past it.
+func (f *Faults) admitLocked(v *verdict) bool {
+	if f.refuse {
+		v.act = ActDropConn
 		return false
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.drop[name]
-}
-
-func (f *Faults) corrupted(name string) bool {
-	if f == nil {
+	v.delay = f.delay
+	if f.script != nil {
+		f.scriptN++
+		if v.act = f.script(f.scriptN); v.act == ActDropConn || v.act == ActErr {
+			return false
+		}
+	}
+	if o := f.objects[""]; o != nil && o.fail.hitLocked() {
+		v.act = ActDropConn
 		return false
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.corrupt[name]
-}
-
-func (f *Faults) refusing() bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.refuse
-}
-
-func (f *Faults) currentDelay() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.delay
-}
-
-func (f *Faults) objectDelay(name string) time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.objDelay[name]
-}
-
-func (f *Faults) truncated(name string) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.truncate[name]
-}
-
-func (f *Faults) frozenListing() map[string]ObjectInfo {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.frozen
-}
-
-// frozenVersion is the version FreezeVersion pinned, if any. f is non-nil.
-func (f *Faults) frozenVersion() (uint64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.version, f.versionFrozen
-}
-
-func (f *Faults) echoDelay() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.echo
-}
-
-func (f *Faults) slowLorisDelay() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.slowLoris
-}
-
-// shouldFail advances name's request counter and reports whether this
-// request falls in the failing part of its FailRate cycle.
-func (f *Faults) shouldFail(name string) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.failM[name]
-	if m <= 0 {
-		return false
-	}
-	k := f.reqCount[name]
-	f.reqCount[name] = k + 1
-	return k%m < f.failN[name]
-}
-
-func (f *Faults) bandwidthLimit() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bandwidth
-}
-
-// shouldCorrupt advances name's corruption counter and reports whether this
-// request falls in the corrupting part of its CorruptRate cycle.
-func (f *Faults) shouldCorrupt(name string) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.corruptM[name]
-	if m <= 0 {
-		return false
-	}
-	k := f.corruptCount[name]
-	f.corruptCount[name] = k + 1
-	return k%m < f.corruptN[name]
-}
-
-// scriptAction advances the script's request counter and returns its verdict
-// for this request.
-func (f *Faults) scriptAction() FaultAction {
-	if f == nil {
-		return ActNone
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.script == nil {
-		return ActNone
-	}
-	f.scriptN++
-	return f.script(f.scriptN)
+	return true
 }
 
 // corruptBytes deterministically flips bits so corruption is reproducible.

@@ -13,7 +13,7 @@ import (
 // failures.
 func TestFaultBandwidthThrottle(t *testing.T) {
 	content := bytes.Repeat([]byte("y"), 400)
-	uri, _, faults := startTestServer(t, map[string][]byte{"big.roa": content})
+	uri, store, faults := startTestServer(t, map[string][]byte{"big.roa": content})
 	faults.SetBandwidth(1000) // 100B per 100ms tick: ~400ms for the body
 
 	tight := &Client{Timeout: 120 * time.Millisecond, Retry: fastRetry(0)}
@@ -34,7 +34,7 @@ func TestFaultBandwidthThrottle(t *testing.T) {
 		t.Errorf("transfer took %v; throttle should have paced it", elapsed)
 	}
 	faults.Restore("")
-	if limit := faults.bandwidthLimit(); limit != 0 {
+	if limit := faults.decide("GET", "big.roa", store).bandwidth; limit != 0 {
 		t.Errorf("Restore left bandwidth = %d", limit)
 	}
 }

@@ -179,7 +179,7 @@ func TestFeedExactCounts(t *testing.T) {
 		for i := 0; i < peers; i++ {
 			store := NewStore()
 			store.Put("o.roa", []byte(fmt.Sprint("server ", i)))
-			uri, stop, err := Serve(nil, fmt.Sprintf("m%d", i), store, nil)
+			uri, stop, err := Serve(fmt.Sprintf("m%d", i), store, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func TestListingTokenPromiseUnderPuts(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		store.Put(fmt.Sprintf("obj-%02d.roa", i), []byte("0"))
 	}
-	uri, stop, err := Serve(nil, "m", store, nil)
+	uri, stop, err := Serve("m", store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestCoalesceDistinctPeersNeverShare(t *testing.T) {
 	for i := 0; i < n; i++ {
 		store := NewStore()
 		store.Put("o.roa", []byte(fmt.Sprint("server ", i)))
-		uri, stop, err := Serve(nil, fmt.Sprintf("m%d", i), store, nil)
+		uri, stop, err := Serve(fmt.Sprintf("m%d", i), store, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

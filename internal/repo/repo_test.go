@@ -160,6 +160,18 @@ func TestValidName(t *testing.T) {
 	}
 }
 
+// Serve starts a server for a single module on an ephemeral port and returns
+// its URI and a shutdown func.
+func Serve(module string, store *Store, faults *Faults) (URI, func(), error) {
+	srv := NewServer()
+	srv.AddModule(module, store, faults)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return URI{}, nil, err
+	}
+	return URI{Host: addr, Module: module}, func() { _ = srv.Close() }, nil
+}
+
 func startTestServer(t *testing.T, files map[string][]byte) (URI, *Store, *Faults) {
 	t.Helper()
 	store := NewStore()
@@ -167,7 +179,7 @@ func startTestServer(t *testing.T, files map[string][]byte) (URI, *Store, *Fault
 		store.Put(name, content)
 	}
 	faults := NewFaults()
-	uri, stop, err := Serve(nil, "test", store, faults)
+	uri, stop, err := Serve("test", store, faults)
 	if err != nil {
 		t.Fatal(err)
 	}

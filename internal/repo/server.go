@@ -2,7 +2,6 @@ package repo
 
 import (
 	"bufio"
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -30,13 +29,8 @@ type Module struct {
 // plan says what to vouch (Faults.FreezeVersion), so every other fault is met
 // on the listing path it was written for.
 func (m *Module) version() (v uint64, vouched bool) {
-	if m.Faults == nil {
-		return m.Store.Version(), true
-	}
-	if v, frozen := m.Faults.frozenVersion(); frozen {
-		return v, true
-	}
-	return m.Store.Version(), false
+	p := m.Faults.decide("VERSIONS", "", m.Store)
+	return p.version, m.Faults == nil || p.pinned
 }
 
 // appendToken appends the module's token for store version v.
@@ -266,86 +260,72 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// moduleFor resolves a module, applying connection-level faults: refusal,
-// global delay, the scripted schedule, and the module-level ("") fail rate.
-// ok=false means the connection should be dropped as if the server were
+// admit acts on the module-level part of a LIST's or GET's verdict: the
+// module delay, then the script's or the module FailRate's action. It reports
+// whether the request is served on and, when it is not, whether handle keeps
+// the connection (after an ERR reply) or drops it as if the server were
 // unreachable.
-func (s *Server) moduleFor(name string) (*Module, bool, error) {
-	m, found := s.Module(name)
-	if !found {
-		return nil, true, fmt.Errorf("no such module %q", name)
+func admit(w *bufio.Writer, v *verdict) (serve, keep bool) {
+	if v.delay > 0 {
+		time.Sleep(v.delay)
 	}
-	if m.Faults.refusing() {
-		return nil, false, nil
-	}
-	if d := m.Faults.currentDelay(); d > 0 {
-		time.Sleep(d)
-	}
-	switch m.Faults.scriptAction() {
+	switch v.act {
 	case ActDropConn:
-		return nil, false, nil
+		return false, false
 	case ActErr:
-		return nil, true, fmt.Errorf("scripted fault")
+		_ = writeLine(w, "ERR scripted fault")
+		return false, true
 	}
-	if m.Faults.shouldFail("") {
-		return nil, false, nil
-	}
-	return m, true, nil
+	return true, true
 }
 
 // serveList answers a LIST with every object's size and SHA-256 as the store
 // recorded them at publication, after applying the fault plan: a dropped
 // object is absent, a frozen listing is served in the store's place, and a
 // Corrupted object is listed with the digest of the bytes a GET would serve —
-// the client must not be able to detect that fault for free.
+// the client must not be able to detect that fault for free. The listing and
+// its version come from one read of the store, taken with the plan's when the
+// request arrives, so the token always goes out and equal tokens list equal
+// objects; an echo repeats the same listing.
 func (s *Server) serveList(w *bufio.Writer, module string) bool {
-	m, keep, err := s.moduleFor(module)
-	if !keep {
-		return false
-	}
-	if err != nil {
-		_ = writeLine(w, "ERR %v", err)
+	m, found := s.Module(module)
+	if !found {
+		_ = writeLine(w, "ERR no such module %q", module)
 		return true
 	}
-	if d := m.Faults.echoDelay(); d > 0 {
+	v := m.Faults.decide("LIST", "", m.Store)
+	if serve, keep := admit(w, &v); !serve {
+		return keep
+	}
+	if v.echo > 0 {
 		// The reply, then the same reply again, late and unasked.
-		if !writeListing(w, m) || w.Flush() != nil {
+		if !writeListing(w, m, &v) || w.Flush() != nil {
 			return false
 		}
-		time.Sleep(d)
+		time.Sleep(v.echo)
 	}
-	return writeListing(w, m)
+	return writeListing(w, m, &v)
 }
 
-// writeListing writes one LIST reply for the module as its fault plan shows
-// it. The listing and its version come from one read of the store, so the
-// token always goes out and equal tokens list equal objects; a fault plan's
-// frozen version and listing then stand in for them.
-func writeListing(w *bufio.Writer, m *Module) bool {
-	infos, version := m.Store.listing()
-	if m.Faults != nil {
-		if v, frozen := m.Faults.frozenVersion(); frozen {
-			version = v
-		}
-		if frozen := m.Faults.frozenListing(); frozen != nil {
-			infos = frozen
-		}
-	}
-	entries := make([]string, 0, len(infos))
-	for name := range infos {
-		if !m.Faults.dropped(name) {
+// writeListing writes one LIST reply as v settled it: v's listing under the
+// token for v's version, less the names v hides, with the ones it damages
+// listed as a GET serves them.
+func writeListing(w *bufio.Writer, m *Module, v *verdict) bool {
+	entries := make([]string, 0, len(v.listing))
+	for name := range v.listing {
+		if !v.hidden[name] {
 			entries = append(entries, name)
 		}
 	}
 	sort.Strings(entries)
 	line := strconv.AppendInt([]byte("OK "), int64(len(entries)), 10)
-	line = m.appendToken(append(line, ' '), version)
+	line = m.appendToken(append(line, ' '), v.version)
 	if _, err := w.Write(append(line, '\n')); err != nil {
 		return false
 	}
 	for _, name := range entries {
-		info := infos[name]
-		if m.Faults.corrupted(name) {
+		info := v.listing[name]
+		if v.damaged[name] {
 			// Only this path hashes per request: the digest must be that of
 			// the bytes a GET would serve, not of what the store holds.
 			content, _ := m.Store.Get(name)
@@ -380,43 +360,46 @@ func (s *Server) serveVersions(w *bufio.Writer) bool {
 	return err == nil
 }
 
+// serveGet answers a GET with the object as the store held it when the
+// request arrived, after applying the fault plan read then.
 func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
-	m, keep, err := s.moduleFor(module)
-	if !keep {
-		return false
-	}
-	if err != nil {
-		_ = writeLine(w, "ERR %v", err)
+	m, found := s.Module(module)
+	if !found {
+		_ = writeLine(w, "ERR no such module %q", module)
 		return true
+	}
+	v := m.Faults.decide("GET", name, m.Store)
+	if serve, keep := admit(w, &v); !serve {
+		return keep
 	}
 	if !validName(name) {
 		_ = writeLine(w, "ERR invalid object name")
 		return true
 	}
-	if d := m.Faults.objectDelay(name); d > 0 {
-		time.Sleep(d)
+	if v.wait > 0 {
+		time.Sleep(v.wait)
 	}
-	if m.Faults.shouldFail(name) {
+	if v.fail {
 		return false
 	}
-	content, ok := m.Store.Get(name)
-	if !ok || m.Faults.dropped(name) {
+	if !v.stored || v.hide {
 		_ = writeLine(w, "ERR no such object %q", name)
 		return true
 	}
-	if m.Faults.corrupted(name) || m.Faults.shouldCorrupt(name) {
+	content := v.content
+	if v.corrupt {
 		content = corruptBytes(content)
 	}
 	if err := writeLine(w, "OK %d", len(content)); err != nil {
 		return false
 	}
-	if m.Faults.truncated(name) {
+	if v.truncate {
 		// Correct header, half the body, dead connection: a torn transfer.
 		_, _ = w.Write(content[:len(content)/2])
 		_ = w.Flush()
 		return false
 	}
-	if d := m.Faults.slowLorisDelay(); d > 0 {
+	if d := v.slowLoris; d > 0 {
 		// Trickle one byte per interval: the connection is alive, progress
 		// is nearly zero — only a per-request deadline (and the breaker
 		// above it) defends against this.
@@ -431,7 +414,7 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 		}
 		return true
 	}
-	if bw := m.Faults.bandwidthLimit(); bw > 0 {
+	if bw := v.bandwidth; bw > 0 {
 		// Sustained byte-rate cap: ship the body in ticks of bw/10 bytes per
 		// 100ms (at least 1 byte per tick), so the transfer progresses at
 		// roughly bytesPerSec and a deadline budget — not a first-byte
@@ -459,23 +442,4 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 		return false
 	}
 	return true
-}
-
-// Serve is a convenience for tests: start a server for a single module on
-// an ephemeral port and return its URI and a shutdown func.
-func Serve(ctx context.Context, module string, store *Store, faults *Faults) (URI, func(), error) {
-	srv := NewServer()
-	srv.AddModule(module, store, faults)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return URI{}, nil, err
-	}
-	stop := func() { _ = srv.Close() }
-	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			stop()
-		}()
-	}
-	return URI{Host: addr, Module: module}, stop, nil
 }
