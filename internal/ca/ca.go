@@ -76,7 +76,7 @@ type childRecord struct {
 type roaRecord struct {
 	name     string
 	roa      *roa.ROA
-	eeCert   *cert.ResourceCert
+	eeSerial *big.Int // the EE certificate's serial: all RevokeROA needs of it
 	fileName string
 }
 
@@ -293,11 +293,11 @@ func (a *Authority) IssueROA(name string, asid ipres.ASN, prefixes ...roa.Prefix
 		return nil, fmt.Errorf("ca: %s cannot authorize %v beyond its resources", a.Name, r.ResourceSet().Subtract(a.Cert.IPSet()))
 	}
 	fileName := name + ".roa"
-	signedROA, eeCert, err := a.signROALocked(r, fileName)
+	signedROA, eeSerial, err := a.signROALocked(r, fileName)
 	if err != nil {
 		return nil, err
 	}
-	a.roas[name] = &roaRecord{name: name, roa: r, eeCert: eeCert, fileName: fileName}
+	a.roas[name] = &roaRecord{name: name, roa: r, eeSerial: eeSerial, fileName: fileName}
 	a.Store.Put(fileName, signedROA)
 	if err := a.republishLocked(); err != nil {
 		return nil, err
@@ -305,7 +305,7 @@ func (a *Authority) IssueROA(name string, asid ipres.ASN, prefixes ...roa.Prefix
 	return r, nil
 }
 
-func (a *Authority) signROALocked(r *roa.ROA, fileName string) ([]byte, *cert.ResourceCert, error) {
+func (a *Authority) signROALocked(r *roa.ROA, fileName string) ([]byte, *big.Int, error) {
 	eeKey, err := cert.GenerateKeyPair(nil)
 	if err != nil {
 		return nil, nil, err
@@ -328,7 +328,7 @@ func (a *Authority) signROALocked(r *roa.ROA, fileName string) ([]byte, *cert.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	return signed, eeCert, nil
+	return signed, eeCert.SerialNumber(), nil
 }
 
 // republish regenerates this authority's CRL and manifest.

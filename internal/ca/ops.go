@@ -126,7 +126,7 @@ func (a *Authority) RevokeROA(name string) error {
 	if !ok {
 		return fmt.Errorf("ca: %s has no ROA %q", a.Name, name)
 	}
-	a.revoked = append(a.revoked, rec.eeCert.SerialNumber())
+	a.revoked = append(a.revoked, rec.eeSerial)
 	a.Store.Delete(rec.fileName)
 	delete(a.roas, name)
 	return a.republishLocked()
@@ -225,11 +225,11 @@ func (a *Authority) rollKeyLocked() ([]certUpdate, error) {
 		a.Store.Put(rec.fileName, newCert.Raw)
 	}
 	for _, rec := range a.roas {
-		signed, eeCert, err := a.signROALocked(rec.roa, rec.fileName)
+		signed, eeSerial, err := a.signROALocked(rec.roa, rec.fileName)
 		if err != nil {
 			return nil, err
 		}
-		rec.eeCert = eeCert
+		rec.eeSerial = eeSerial
 		a.Store.Put(rec.fileName, signed)
 	}
 	return updates, a.republishLocked()

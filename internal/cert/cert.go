@@ -179,7 +179,7 @@ func IssueForKey(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, subjec
 		parent = issuer.Cert
 		x.AuthorityKeyId = issuer.Cert.SubjectKeyId
 	}
-	der, err := x509.CreateCertificate(issuerKey.x509Rand(), x, parent, subjectPub, issuerKey.Private)
+	der, err := x509.CreateCertificate(nil, x, parent, subjectPub, issuerKey.Private)
 	if err != nil {
 		return nil, fmt.Errorf("cert: creating certificate: %w", err)
 	}

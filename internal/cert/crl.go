@@ -37,7 +37,7 @@ func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []
 		RevokedCertificateEntries: entries,
 		SignatureAlgorithm:        x509.ECDSAWithSHA256,
 	}
-	der, err := x509.CreateRevocationList(issuerKey.x509Rand(), tmpl, issuer.Cert, issuerKey.Private)
+	der, err := x509.CreateRevocationList(nil, tmpl, issuer.Cert, issuerKey.Private)
 	if err != nil {
 		return nil, fmt.Errorf("cert: creating CRL: %w", err)
 	}

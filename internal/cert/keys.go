@@ -25,9 +25,6 @@ import (
 type KeyPair struct {
 	Private *ecdsa.PrivateKey
 	ski     [20]byte
-	// det marks a key derived by DeterministicKeyPair: it signs with the
-	// constant random stream, making every signature reproducible.
-	det bool
 }
 
 // GenerateKeyPair creates a fresh ECDSA P-256 key pair. If rng is nil,
@@ -65,29 +62,10 @@ func newKeyPair(priv *ecdsa.PrivateKey) (*KeyPair, error) {
 // Public returns the public key.
 func (k *KeyPair) Public() *ecdsa.PublicKey { return &k.Private.PublicKey }
 
-// signRand returns the random stream signatures draw nonces from: the
-// constant stream for deterministic keys (derandomized signing), the
-// system CSPRNG otherwise.
-func (k *KeyPair) signRand() io.Reader {
-	if k.det {
-		return zeroReader{}
-	}
-	return rand.Reader
-}
-
-// x509Rand is signRand for the x509 creation APIs, which accept nil and
-// substitute the system CSPRNG themselves.
-func (k *KeyPair) x509Rand() io.Reader {
-	if k.det {
-		return zeroReader{}
-	}
-	return nil
-}
-
 // SignDigest signs a precomputed digest with the private key, producing an
-// ASN.1 DER signature. Deterministic keys yield deterministic signatures.
+// ASN.1 DER signature.
 func (k *KeyPair) SignDigest(digest []byte) ([]byte, error) {
-	return ecdsa.SignASN1(k.signRand(), k.Private, digest)
+	return ecdsa.SignASN1(rand.Reader, k.Private, digest)
 }
 
 // SKI returns the subject key identifier bytes.

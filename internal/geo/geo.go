@@ -13,6 +13,7 @@ package geo
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 
@@ -153,15 +154,40 @@ var allCountries = func() []Country {
 
 var allRIRs = []RIR{ARIN, RIPE, APNIC, LACNIC, AFRINIC}
 
-// Synthetic generates a deterministic synthetic holding set. It materializes
-// the whole set; at rate-measurement scale, prefer SyntheticStream.
+// Synthetic generates a deterministic synthetic holding set.
 func Synthetic(cfg SyntheticConfig) []Holding {
-	cfg = cfg.normalized()
+	if cfg.Holdings == 0 {
+		cfg.Holdings = 100
+	}
+	if cfg.SubAllocationsPerHolding == 0 {
+		cfg.SubAllocationsPerHolding = 5
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	holdings := make([]Holding, 0, cfg.Holdings)
-	SyntheticStream(cfg, func(h Holding) bool {
+	for i := 0; i < cfg.Holdings; i++ {
+		rir := allRIRs[rng.Intn(len(allRIRs))]
+		inRegion := membersOf(rir)
+		h := Holding{
+			Holder:    fmt.Sprintf("org-%03d", i),
+			RC:        ipres.MustPrefixFrom(ipres.AddrFromUint32(uint32(i)<<16), 16),
+			ParentRIR: rir,
+		}
+		for j := 0; j < cfg.SubAllocationsPerHolding; j++ {
+			if rng.Float64() < cfg.CrossBorderProb {
+				// Pick a country outside the region.
+				for {
+					c := allCountries[rng.Intn(len(allCountries))]
+					if !InRegion(rir, c) {
+						h.Countries = append(h.Countries, c)
+						break
+					}
+				}
+			} else if len(inRegion) > 0 {
+				h.Countries = append(h.Countries, inRegion[rng.Intn(len(inRegion))])
+			}
+		}
 		holdings = append(holdings, h)
-		return true
-	})
+	}
 	return holdings
 }
 
@@ -195,9 +221,17 @@ func (s Stats) Rate() float64 {
 
 // Analyze computes cross-border statistics over holdings.
 func Analyze(holdings []Holding) Stats {
-	a := NewStreamAnalyzer()
+	s := Stats{Holdings: len(holdings)}
+	distinct := make(map[Country]bool)
 	for _, h := range holdings {
-		a.Add(h)
+		outside := h.OutsideJurisdiction()
+		if len(outside) > 0 {
+			s.CrossBorder++
+		}
+		for _, c := range outside {
+			distinct[c] = true
+		}
 	}
-	return a.Stats()
+	s.Countries = len(distinct)
+	return s
 }

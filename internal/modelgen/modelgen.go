@@ -1,7 +1,7 @@
 // Package modelgen constructs RPKI deployments: the paper's exact model
 // hierarchy (Figure 2) and measurement-driven synthetic deployments sized
 // like the production RPKI of 2013 (≈1200–1400 ROAs, the paper's footnote 4)
-// or like projected full deployment.
+// or larger.
 package modelgen
 
 import (
@@ -189,21 +189,6 @@ func ProductionSized(seed int64) SyntheticConfig {
 	}
 }
 
-// FullDeploymentSized returns a deployment an order of magnitude beyond
-// production (5 RIRs × 50 ISPs × (10 ROAs + 40 customers) = 12,500 ROAs).
-// The paper projects full deployment at 100× production; this tier is the
-// largest that builds in seconds with real per-object crypto, and scaling
-// behavior is already visible at 10×.
-func FullDeploymentSized(seed int64) SyntheticConfig {
-	return SyntheticConfig{
-		Seed:            seed,
-		RIRs:            5,
-		ISPsPerRIR:      50,
-		ROAsPerISP:      10,
-		CustomersPerISP: 40,
-	}
-}
-
 // Synthetic builds a randomized deployment of the given size. Address
 // space is carved deterministically: RIR r gets (8+r).0.0.0/8, each ISP a
 // /16 within it, each customer a /24 within its ISP. Generation uses the
@@ -240,7 +225,6 @@ func Synthetic(cfg SyntheticConfig) (*World, error) {
 		return asnCounter
 	}
 	ta.BeginBulk()
-	defer func() { _ = ta.EndBulk() }()
 	for r := 0; r < cfg.RIRs; r++ {
 		rirName := fmt.Sprintf("rir-%d", r)
 		rirPrefix := fmt.Sprintf("%d.0.0.0/8", 8+r)
@@ -289,6 +273,9 @@ func Synthetic(cfg SyntheticConfig) (*World, error) {
 		if err := rir.EndBulk(); err != nil {
 			return nil, err
 		}
+	}
+	if err := ta.EndBulk(); err != nil {
+		return nil, err
 	}
 	return b.w, nil
 }

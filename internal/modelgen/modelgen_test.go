@@ -156,11 +156,3 @@ func TestBulkModeProducesConsistentWorld(t *testing.T) {
 		t.Errorf("ROAs = %d, want %d", res.ROAsAccepted, want)
 	}
 }
-
-func TestFullDeploymentSizedShape(t *testing.T) {
-	cfg := FullDeploymentSized(1)
-	total := cfg.RIRs * cfg.ISPsPerRIR * (cfg.ROAsPerISP + cfg.CustomersPerISP)
-	if total < 10000 {
-		t.Errorf("full-deployment tier = %d ROAs, want ≥ 10000", total)
-	}
-}

@@ -1,18 +1,16 @@
 package repo
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
-// Pack files serialize one publication point to disk as a single flat file,
-// so that Internet-scale synthetic worlds (millions of objects across
-// thousands of publication points) can be generated once, streamed to disk,
-// and validated later without ever holding the whole world in RAM.
+// Pack files serialize one publication point to disk as a single flat file.
+// Nothing in production reads or writes them yet: the format is kept for a
+// relying party's restart state (ROADMAP item 5), which will write the
+// points it last validated and read them back on start.
 //
 // Format ("RPP1"):
 //
@@ -21,9 +19,8 @@ import (
 //	entry*  uvarint name length, name bytes,
 //	        uvarint content length, content bytes
 //
-// Entries are written in sorted name order, so packing the same store twice
-// yields byte-identical files — the property the seeded-generation
-// determinism tests assert.
+// Entries are written in sorted name order, so packing the same files twice
+// yields byte-identical output.
 
 const packMagic = "RPP1"
 
@@ -71,7 +68,7 @@ func WritePackFile(path string, files map[string][]byte) error {
 }
 
 // ReadPackFile deserializes a pack file, whose bytes may come from a
-// generator or a hostile disk image. The returned map's values are
+// hostile disk image. The returned map's values are
 // zero-copy subslices of one backing buffer; callers must treat them as
 // read-only.
 func ReadPackFile(path string) (map[string][]byte, error) {
@@ -111,41 +108,6 @@ func parsePack(buf []byte) (map[string][]byte, error) {
 		}
 		files[name] = rest[n : n+int(contentLen) : n+int(contentLen)]
 		rest = rest[n+int(contentLen):]
-	}
-	return files, nil
-}
-
-// PackFileName returns the on-disk file name for a module's pack file, or an
-// error if the module name could not safely be used as a file name.
-func PackFileName(module string) (string, error) {
-	if !validName(module) {
-		return "", fmt.Errorf("repo: pack: invalid module name %q", module)
-	}
-	return module + ".pp", nil
-}
-
-// DirFetcher serves publication points from a directory of pack files, one
-// "<module>.pp" per module. It reads exactly one module's bytes per fetch,
-// which is what lets a streaming relying party bound its resident set by the
-// number of in-flight modules rather than the size of the world.
-//
-// DirFetcher structurally implements rp.Fetcher (declared there; this
-// package cannot import rp).
-type DirFetcher struct {
-	// Root is the directory holding the pack files.
-	Root string
-}
-
-// FetchAll reads the module's pack file. The returned byte slices alias one
-// backing buffer per call and must be treated as read-only.
-func (d DirFetcher) FetchAll(_ context.Context, uri URI) (map[string][]byte, error) {
-	name, err := PackFileName(uri.Module)
-	if err != nil {
-		return nil, err
-	}
-	files, err := ReadPackFile(filepath.Join(d.Root, name))
-	if err != nil {
-		return nil, fmt.Errorf("repo: fetching module %q: %w", uri.Module, err)
 	}
 	return files, nil
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -67,7 +66,7 @@ func (g *truth) add(files map[string][]byte) {
 
 // check compares a result against the accumulated truth in canonical order.
 // Result.VRPs is a multiset — two ROAs authorizing the same payload yield
-// it twice (the 10k tier: 10,000 entries, 5,976 distinct) — so the truth is
+// it twice (the 10k tier: 10,000 entries, 9,500 distinct) — so the truth is
 // sorted, not deduplicated.
 func (g *truth) check(res *rp.Result, label string) {
 	g.t.Helper()
@@ -118,9 +117,43 @@ func TestStreamingEquivalenceSynthetic(t *testing.T) {
 	}
 }
 
-// golden10kDigest is the 10k tier's VRP digest at seed 1, first recorded at
-// PR 6 and reproduced by every walk this repository has had.
-const golden10kDigest = "3ab6f62e1a143b4c51b8a8654ed96601493ffb06de74229fcb378d2698fe85dc"
+// tier10k builds the 10k tier: 5 RIRs × 200 ISPs × 10 ROAs, 1,006
+// publication points. Every second ISP then replaces its last ROA with one
+// that re-issues its first ROA's payload, so 500 payloads are authorized
+// twice: 10,000 VRPs, 9,500 distinct.
+func tier10k(t *testing.T) *modelgen.World {
+	t.Helper()
+	const rirs, isps = 5, 200
+	w, err := modelgen.Synthetic(modelgen.SyntheticConfig{Seed: 1, RIRs: rirs, ISPsPerRIR: isps, ROAsPerISP: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rirs; r++ {
+		for i := 0; i < isps; i += 2 {
+			name := fmt.Sprintf("rir-%d-isp-%d", r, i)
+			isp := w.MustAuthority(name)
+			first, ok := isp.ROA(name + "-roa-0")
+			if !ok {
+				t.Fatalf("%s has no first ROA", name)
+			}
+			isp.BeginBulk()
+			if err := isp.DeleteROA(name + "-roa-9"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := isp.IssueROA(name+"-roa-9", first.ASID, first.Prefixes...); err != nil {
+				t.Fatal(err)
+			}
+			if err := isp.EndBulk(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return w
+}
+
+// golden10kDigest is the 10k tier's VRP digest, recorded once the tier
+// matched its ground truth.
+const golden10kDigest = "196cdd7cdd993070b597b1ae7c9ffc41daabd6356ec10c608744896de6c35df0"
 
 // digestVRPs is the vrp_digest the golden was recorded with: SHA-256 over
 // one "prefix|maxlen|asn" line per VRP of the canonically sorted set.
@@ -197,44 +230,29 @@ func TestStreamingEquivalence10k(t *testing.T) {
 		}
 		return
 	}
-	w, err := modelgen.GenerateScaled(modelgen.ScaleConfig{
-		Seed: 1, ROAs: modelgen.Tier10k, Dir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchor, err := w.Anchor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	packs, err := filepath.Glob(filepath.Join(w.Dir, "*.pp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packs) != w.Meta.Modules {
-		t.Fatalf("%d pack files, world.json says %d modules", len(packs), w.Meta.Modules)
-	}
+	w := tier10k(t)
 	g := &truth{t: t}
-	for _, pack := range packs {
-		files, err := repo.ReadPackFile(pack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.add(files)
+	for _, store := range w.Stores {
+		g.add(store.Snapshot())
 	}
-	if g.roas != modelgen.Tier10k {
-		t.Fatalf("the packs hold %d ROAs, want %d", g.roas, modelgen.Tier10k)
+	if g.roas != 10000 || len(w.Stores) != 1006 {
+		t.Fatalf("the stores hold %d ROAs at %d points, want 10000 at 1006", g.roas, len(w.Stores))
+	}
+	distinct := map[rov.VRP]bool{}
+	for _, v := range g.vrps {
+		distinct[v] = true
+	}
+	if len(distinct) != 9500 {
+		t.Fatalf("%d distinct VRPs among %d, want 9500", len(distinct), len(g.vrps))
 	}
 	for _, workers := range []int{1, 4} {
 		base := liveHeapMiB()
-		v := rp.New(rp.Config{Fetcher: w.Fetcher(), Clock: w.Clock(), Workers: workers}, anchor)
-		g.checkColdAndWarm(v, w.Meta.Modules, fmt.Sprintf("10k workers=%d", workers))
+		v := rp.New(rp.Config{Fetcher: w.Stores, Clock: w.Clock, Workers: workers}, w.Anchor())
+		g.checkColdAndWarm(v, len(w.Stores), fmt.Sprintf("10k workers=%d", workers))
 		// What the warm relying party keeps, read as the benchmark reads
-		// it. Without snapshots no fetched byte may stay: 15.3 MiB when
-		// memo links held parsed certificates aliasing the zero-copy pack
-		// buffers and every verdict ever computed was kept, 4.5 MiB with
-		// the links held as private DER copies and each point's verdicts
-		// as one sorted slice.
+		// it. Without snapshots no fetched byte may stay: the memo holds
+		// digests, child links as private DER copies and each point's
+		// verdicts as one sorted slice (3.9–4.0 MiB).
 		retained := liveHeapMiB() - base
 		runtime.KeepAlive(v)
 		t.Logf("workers=%d: retained heap %.2f MiB", workers, retained)
