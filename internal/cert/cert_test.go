@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/x509"
+	"errors"
 	"math/big"
 	"strings"
 	"testing"
@@ -79,15 +80,18 @@ func TestIssueAndParseRoundTrip(t *testing.T) {
 
 func TestValidateTrustAnchor(t *testing.T) {
 	ta, _ := newTestTA(t, "0.0.0.0/0")
-	res, err := ValidateTrustAnchor(ta, testEpoch)
+	res, err := ValidateTrustAnchor(ta, ta.Cert.CheckSignatureFrom(ta.Cert), testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Equal(ipres.MustParseSet("0.0.0.0/0")) {
 		t.Errorf("got %v", res)
 	}
-	if _, err := ValidateTrustAnchor(ta, testEpoch.Add(400*24*time.Hour)); err == nil {
+	if _, err := ValidateTrustAnchor(ta, ta.Cert.CheckSignatureFrom(ta.Cert), testEpoch.Add(400*24*time.Hour)); err == nil {
 		t.Error("expired TA should fail")
+	}
+	if _, err := ValidateTrustAnchor(ta, errors.New("bad"), testEpoch); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("failed self-signature: %v, want %v", err, ErrBadSignature)
 	}
 }
 
@@ -97,7 +101,7 @@ func TestValidateChildChain(t *testing.T) {
 	sprint, _ := issueChild(t, arin, arinKey, "Sprint", "63.160.0.0/12", 3, true)
 
 	ctx := ValidationContext{Now: testEpoch}
-	taRes, err := ValidateTrustAnchor(ta, testEpoch)
+	taRes, err := ValidateTrustAnchor(ta, ta.Cert.CheckSignatureFrom(ta.Cert), testEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +204,7 @@ func TestInheritAtAnchorRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateTrustAnchor(ta, testEpoch); err == nil {
+	if _, err := ValidateTrustAnchor(ta, ta.Cert.CheckSignatureFrom(ta.Cert), testEpoch); err == nil {
 		t.Error("inherit at anchor must be rejected")
 	}
 }

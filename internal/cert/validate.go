@@ -123,10 +123,15 @@ func ValidateIssued(issuer *ResourceCert, issuerEffective ipres.Set, child *Reso
 }
 
 // ValidateTrustAnchor checks a self-signed trust-anchor certificate and
-// returns its effective resources.
-func ValidateTrustAnchor(ta *ResourceCert, now time.Time) (ipres.Set, error) {
-	if err := ta.Cert.CheckSignatureFrom(ta.Cert); err != nil {
-		return ipres.Set{}, fmt.Errorf("%w: trust anchor %q: %v", ErrBadSignature, ta.Subject(), err)
+// returns its effective resources. sig is the outcome of checking ta's
+// signature by its own key, ta.Cert.CheckSignatureFrom(ta.Cert), done by the
+// caller as for ValidateIssued: a signature over fixed bytes is a pure
+// function of them, so a caller that holds the same DER may keep its
+// verdict. Every other check — validity window, CA bit, no inherit, resources
+// — runs here, on every call.
+func ValidateTrustAnchor(ta *ResourceCert, sig error, now time.Time) (ipres.Set, error) {
+	if sig != nil {
+		return ipres.Set{}, fmt.Errorf("%w: trust anchor %q: %v", ErrBadSignature, ta.Subject(), sig)
 	}
 	if now.Before(ta.Cert.NotBefore) {
 		return ipres.Set{}, fmt.Errorf("%w: trust anchor %q", ErrNotYetValid, ta.Subject())

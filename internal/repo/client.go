@@ -84,15 +84,16 @@ type Client struct {
 	// host proof and no memo names it (pool.go). guarded by mu.
 	peers map[string]*peer
 	// hosts remembers, per URI host, the peer its last real dial reached and
-	// how many fetches have trusted that since. guarded by mu.
-	hosts map[string]hostPeer
+	// how many fetches have trusted that since. guarded by mu, and so is every
+	// value it points at.
+	hosts map[string]*hostPeer
 	// idle holds the parked connections, oldest first, at most poolSize.
 	// guarded by mu.
 	idle []idleConn
-	// points remembers, per point (by URI), the snapshot SyncIncremental last
-	// returned under WithPoll and the token its listing carried, until Forget
-	// (feed.go). guarded by mu.
-	points map[string]pointMemo
+	// points remembers, per point, the snapshot SyncIncremental last returned
+	// under WithPoll and the token its listing carried, until Forget
+	// (feed.go). guarded by mu, and so is every value it points at.
+	points map[URI]*pointMemo
 	// noReuse is the test hook that forces the pool empty: nothing is parked,
 	// so every fetch dials. Set before the client serves requests.
 	noReuse bool
@@ -584,16 +585,17 @@ type SyncResult struct {
 // failure fails the sync so the caller can fall back to a full fetch or its
 // previous snapshot.
 func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][]byte) (*SyncResult, error) {
-	pc := c.pointConn(uri)
-	// The skip consults neither the breaker nor the pool: Allow has side
-	// effects (a counted fast-fail, the half-open probe) that belong to
-	// fetches that touch the point.
+	// The skip is decided before the fetch builds anything, and consults
+	// neither the breaker nor the pool: Allow has side effects (a counted
+	// fast-fail, the half-open probe) that belong to fetches that touch the
+	// point.
 	p, _ := ctx.Value(pollKey{}).(*poll)
-	memo, vouched := c.vouched(ctx, p, pc, prev)
-	if vouched && c.trust(pc, memo) {
+	memo, vouched := c.vouched(ctx, p, uri, prev)
+	if vouched && c.trust(uri, memo) {
 		c.feedSkips.Add(1)
 		return &SyncResult{Files: prev, Reused: len(prev), Unchanged: true}, nil
 	}
+	pc := c.pointConn(uri)
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
 	defer pc.release()
@@ -664,7 +666,7 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 		c.feedLied(pc.key, listedBy)
 	}
 	if p != nil {
-		c.remember(pc.key, pointMemo{files: res.Files, token: listed.token, peer: listedBy})
+		c.remember(uri, pointMemo{files: res.Files, token: listed.token, peer: listedBy})
 	}
 	return res, nil
 }

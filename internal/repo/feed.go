@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -27,7 +29,14 @@ import (
 //     it), and not a poll less: the client keeps no clock of its own. A skip
 //     needs the caller's prev to be that snapshot — the same names over the
 //     same backing arrays — so a caller that fell back to a full fetch, or
-//     holds another client's snapshot, is listed as before.
+//     holds another client's snapshot, is listed as before. The very map
+//     the client remembered is that snapshot at once (sameSnapshot).
+//   - What a skip costs. One lookup per layer: the point's memo and its
+//     host's proof under one hold of Client.mu, the feed's entry outside it,
+//     and the same two lookups again under the hold that spends the budgets.
+//     Nothing is allocated but the SyncResult, and no connection state is
+//     built until the skip is refused. The feed is one map over a block or
+//     two of the reply's bytes.
 //   - Who is believed. Only the peer the point's host reached on its last real
 //     dial, and only about a token that same peer handed out. A peer vouching
 //     for a module whose host reaches someone else is never even asked about it.
@@ -63,6 +72,7 @@ type pointMemo struct {
 	token string
 	peer  *peer
 	// skips counts the fetches since that listing that did not ask.
+	// guarded by Client.mu.
 	skips uint32
 }
 
@@ -110,19 +120,25 @@ func (p *poll) tokens(ctx context.Context, c *Client, pr *peer, host string) map
 // content on its peer's word: prev is the snapshot remembered for the point,
 // and the peer its host reaches — the one that listed that snapshot — vouches,
 // in this poll's feed, for the token it was listed under. It spends nothing
-// and touches no breaker; trust does the spending.
-func (c *Client) vouched(ctx context.Context, p *poll, pc *pointConn, prev map[string][]byte) (pointMemo, bool) {
-	if p == nil {
+// and touches no breaker; trust does the spending. An unchanged point costs
+// one lookup in each of c.points and c.hosts, the identity test of
+// sameSnapshot and one in the feed, and allocates nothing.
+func (c *Client) vouched(ctx context.Context, p *poll, uri URI, prev map[string][]byte) (pointMemo, bool) {
+	if p == nil || prev == nil {
 		return pointMemo{}, false
 	}
+	var memo pointMemo
 	c.mu.Lock()
-	memo, remembered := c.points[pc.key]
-	ask := remembered && c.hosts[pc.uri.Host].peer == memo.peer && memo.peer.points >= 2
+	m, hp := c.points[uri], c.hosts[uri.Host]
+	ask := m != nil && hp != nil && hp.peer == m.peer && m.peer.points >= 2
+	if ask {
+		memo = *m
+	}
 	c.mu.Unlock()
-	if !ask || prev == nil || !sameSnapshot(prev, memo.files) {
+	if !ask || !sameSnapshot(prev, memo.files) {
 		return pointMemo{}, false
 	}
-	token, listed := p.tokens(ctx, c, memo.peer, pc.uri.Host)[pc.uri.Module]
+	token, listed := p.tokens(ctx, c, memo.peer, uri.Host)[uri.Module]
 	return memo, listed && token == memo.token
 }
 
@@ -130,38 +146,37 @@ func (c *Client) vouched(ctx context.Context, p *poll, pc *pointConn, prev map[s
 // the point's own. It refuses when the host's next fetch must dial for real,
 // the host no longer reaches the peer that vouched, or the point has gone
 // reproveEvery-1 fetches unlisted.
-func (c *Client) trust(pc *pointConn, memo pointMemo) bool {
+func (c *Client) trust(uri URI, memo pointMemo) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// memo was read under an earlier hold of the lock: it must still stand.
-	now := c.points[pc.key]
-	if now.token != memo.token || now.peer != memo.peer || c.hosts[pc.uri.Host].peer != now.peer || now.skips+1 >= reproveEvery {
+	now, hp := c.points[uri], c.hosts[uri.Host]
+	if now == nil || hp == nil || now.token != memo.token || now.peer != memo.peer || hp.peer != now.peer || now.skips+1 >= reproveEvery {
 		return false
 	}
-	if c.trustLocked(pc.uri.Host) == nil {
+	if c.trustLocked(hp) == nil {
 		return false
 	}
 	now.skips++
-	c.points[pc.key] = now
 	return true
 }
 
 // remember records what a successful listing of the point returned. A listing
 // without a token leaves nothing to vouch for.
-func (c *Client) remember(key string, memo pointMemo) {
+func (c *Client) remember(uri URI, memo pointMemo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old, had := c.points[key]
+	old := c.points[uri]
 	if memo.token == "" {
-		delete(c.points, key)
+		delete(c.points, uri)
 	} else {
 		if c.points == nil {
-			c.points = make(map[string]pointMemo)
+			c.points = make(map[URI]*pointMemo)
 		}
-		c.points[key] = memo
+		c.points[uri] = &memo
 		memo.peer.points++
 	}
-	if had {
+	if old != nil {
 		old.peer.points--
 		c.departLocked(old.peer)
 	}
@@ -172,21 +187,27 @@ func (c *Client) remember(key string, memo pointMemo) {
 // peer's two), its host's peer proof — so the host's next fetch dials for
 // real — its peer, if nothing else names that, and its breaker.
 func (c *Client) Forget(uri URI) {
-	key := uri.String()
-	c.remember(key, pointMemo{})
+	c.remember(uri, pointMemo{})
 	c.mu.Lock()
-	if hp, known := c.hosts[uri.Host]; known {
+	if hp := c.hosts[uri.Host]; hp != nil {
 		delete(c.hosts, uri.Host)
 		hp.peer.hosts--
 		c.departLocked(hp.peer)
 	}
 	c.mu.Unlock()
-	c.Breakers.forget(key)
+	c.Breakers.forget(uri.String())
 }
 
 // sameSnapshot reports whether a and b are one snapshot: the same names over
 // the same backing arrays, the identity rp's retained state already relies on.
+// One map object is one snapshot by that rule whatever it holds, so a caller
+// handing back the map the client remembered — every caller that stores what
+// SyncIncremental returns — is answered without a walk; any other map is
+// compared entry by entry.
 func sameSnapshot(a, b map[string][]byte) bool {
+	if reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() {
+		return true
+	}
 	if len(a) != len(b) {
 		return false
 	}
@@ -257,8 +278,16 @@ func (c *Client) fetchFeed(ctx context.Context, p *peer, host string) map[string
 	return tokens
 }
 
+// feedEntryBytes is what readVersions sets aside per announced entry for a
+// module name and its token, before it has read them: the synthetic world's
+// run 36–40 bytes. Entries that outgrow it take another block, never a copy.
+const feedEntryBytes = 40
+
 // readVersions parses a VERSIONS reply: exactly the announced number of
-// "<module> <token>" lines, no module twice.
+// "<module> <token>" lines, no module twice. Every module and token is a
+// slice of a few blocks the reply is copied into as it is read, not two
+// strings of its own: the feed of a 721-point world is 721 map entries over
+// one allocation.
 func readVersions(r *bufio.Reader) (map[string]string, error) {
 	header, err := readLine(r)
 	if err != nil {
@@ -268,15 +297,26 @@ func readVersions(r *bufio.Reader) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// As for a listing: a lying count must not size the map.
+	// As for a listing: a lying count must not size the map, nor the block.
 	out := make(map[string]string, min(n, 1024))
+	var block strings.Builder
 	for i := 0; i < n; i++ {
 		line, err := readLineBytes(r)
 		if err != nil {
 			return nil, fmt.Errorf("repo: reading VERSIONS entry: %w", err)
 		}
 		moduleB, tokenB, _ := bytes.Cut(line, []byte{' '})
-		module, token := string(moduleB), string(tokenB)
+		if size := len(moduleB) + len(tokenB); block.Cap()-block.Len() < size {
+			// The strings already sliced out of the block keep it: a full
+			// one is left to them, not grown.
+			block = strings.Builder{}
+			block.Grow(max(size, min(n-i, 1024)*feedEntryBytes))
+		}
+		at := block.Len()
+		block.Write(moduleB)
+		block.Write(tokenB)
+		entry := block.String()[at:]
+		module, token := entry[:len(moduleB)], entry[len(moduleB):]
 		if !validName(module) || !validToken(token) {
 			return nil, permanent(fmt.Errorf("repo: malformed VERSIONS entry %q", line))
 		}

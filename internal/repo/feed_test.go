@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"reflect"
@@ -795,6 +796,34 @@ func TestFeedEquivalenceUnderMutationAndFaults(t *testing.T) {
 				t.Errorf("%d lies counted against an honest server", clients[0].feedLies.Load())
 			}
 		})
+	}
+}
+
+// TestSameSnapshot: a skip needs the caller's prev to be the snapshot the
+// client remembered — the same names over the same backing arrays. The map
+// the client remembered is that at once; any other map only entry by entry.
+func TestSameSnapshot(t *testing.T) {
+	held := map[string][]byte{"a.roa": []byte("a"), "b.cer": []byte("bb"), "empty.crl": {}}
+	with := func(edit func(m map[string][]byte)) map[string][]byte {
+		m := maps.Clone(held) // the same arrays under another map
+		edit(m)
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		prev map[string][]byte
+		want bool
+	}{
+		{"the same map object", held, true},
+		{"another map, same names over the same arrays", with(func(map[string][]byte) {}), true},
+		{"one array replaced by equal bytes held elsewhere", with(func(m map[string][]byte) { m["b.cer"] = bytes.Clone(m["b.cer"]) }), false},
+		{"a name added", with(func(m map[string][]byte) { m["c.roa"] = held["a.roa"] }), false},
+		{"a name removed", with(func(m map[string][]byte) { delete(m, "a.roa") }), false},
+		{"a name renamed over the same array", with(func(m map[string][]byte) { m["c.roa"] = m["a.roa"]; delete(m, "a.roa") }), false},
+	} {
+		if got := sameSnapshot(tc.prev, held); got != tc.want {
+			t.Errorf("%s: sameSnapshot = %t, want %t", tc.name, got, tc.want)
+		}
 	}
 }
 

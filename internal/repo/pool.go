@@ -50,8 +50,9 @@ type peer struct {
 
 // hostPeer is what the client remembers about one URI host.
 type hostPeer struct {
+	// peer is the peer the host's last real dial reached. guarded by Client.mu.
 	peer *peer
-	// fetches counts the fetches served since the last real dial.
+	// fetches counts the fetches served since that dial. guarded by Client.mu.
 	fetches uint32
 }
 
@@ -76,19 +77,17 @@ func stagger(host string) uint32 {
 	return h % reproveEvery
 }
 
-// trustLocked spends one fetch of host's re-proving budget and returns the
-// peer host is known to reach, or nil when the fetch must dial for real:
-// the host is unknown, or its memo is due for re-proving. Every fetch that
-// takes the memo's word — by riding a parked connection or by not asking at
-// all (feed.go) — goes through here, so every reproveEvery-th is a real dial.
-// The caller holds c.mu.
-func (c *Client) trustLocked(host string) *peer {
-	hp, known := c.hosts[host]
-	if !known || hp.fetches+1 >= reproveEvery {
+// trustLocked spends one fetch of the re-proving budget of hp — a host's
+// proof, nil when the host is unknown — and returns the peer the host is known
+// to reach, or nil when the fetch must dial for real: the host is unknown, or
+// its memo is due for re-proving. Every fetch that takes the memo's word — by
+// riding a parked connection or by not asking at all (feed.go) — goes through
+// here, so every reproveEvery-th is a real dial. The caller holds c.mu.
+func (c *Client) trustLocked(hp *hostPeer) *peer {
+	if hp == nil || hp.fetches+1 >= reproveEvery {
 		return nil
 	}
 	hp.fetches++
-	c.hosts[host] = hp
 	return hp.peer
 }
 
@@ -116,7 +115,7 @@ func (c *Client) takeLocked(p *peer) idleConn {
 func (c *Client) checkout(host string) idleConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.trustLocked(host); p != nil {
+	if p := c.trustLocked(c.hosts[host]); p != nil {
 		return c.takeLocked(p)
 	}
 	return idleConn{}
@@ -132,18 +131,20 @@ func (c *Client) learn(host string, addr net.Addr) *peer {
 	p := c.peers[name]
 	if p == nil {
 		if c.peers == nil {
-			c.peers, c.hosts = make(map[string]*peer), make(map[string]hostPeer)
+			c.peers, c.hosts = make(map[string]*peer), make(map[string]*hostPeer)
 		}
 		p = &peer{addr: name}
 		c.peers[name] = p
 	}
-	hp, known := c.hosts[host]
-	hp.fetches = 0
-	if !known {
-		hp.fetches = stagger(host)
+	hp := c.hosts[host]
+	if hp == nil {
+		hp = &hostPeer{fetches: stagger(host)}
+		c.hosts[host] = hp
+	} else {
+		hp.fetches = 0
 	}
 	if hp.peer != p {
-		if known {
+		if hp.peer != nil {
 			c.peerMoves.Add(1)
 			hp.peer.hosts--
 			c.departLocked(hp.peer)
@@ -151,7 +152,6 @@ func (c *Client) learn(host string, addr net.Addr) *peer {
 		hp.peer = p
 		p.hosts++
 	}
-	c.hosts[host] = hp
 	return p
 }
 

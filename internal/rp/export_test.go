@@ -12,7 +12,8 @@ func VerdictCount(v *RelyingParty) int {
 	return n
 }
 
-// Verifications returns the ECDSA verifications r's verdict misses ran.
+// Verifications returns the ECDSA verifications r's sync ran: its verdict
+// misses' and its trust anchors' self-signatures.
 func Verifications(r *Result) int { return r.verifications }
 
 // PointVerdicts returns the signature verdicts v retains for module, on

@@ -235,6 +235,10 @@ type RelyingParty struct {
 	// point counts: the capacities of the next result and point queue.
 	// Touched only by Sync.
 	vrpHint, pointHint int
+	// verified holds, per trust anchor, the certificate whose self-signature
+	// a sync verified, parsed from a private copy of its DER; nil until one
+	// did. Touched only by Sync.
+	verified []*cert.ResourceCert
 
 	mu sync.Mutex
 	// points is everything retained per publication point between Sync
@@ -255,6 +259,7 @@ func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
 		cfg:            cfg,
 		anchors:        anchors,
 		keepsSnapshots: cfg.StaleTTL > 0 || (cfg.CacheSnapshots && incremental),
+		verified:       make([]*cert.ResourceCert, len(anchors)),
 		points:         make(map[repo.URI]*pointState),
 		met:            newRPMetrics(cfg.Obs),
 	}
@@ -294,7 +299,8 @@ type Result struct {
 	// every module does no lookups at all, and an object a revalidation
 	// admits from the memo (ObjectsFromMemo) none either.
 	VerifyCacheHits, VerifyCacheMisses int
-	// verifications counts the ECDSA verifications the misses ran.
+	// verifications counts the ECDSA verifications the sync ran: those its
+	// verdict misses ran, and each trust anchor's self-signature it checked.
 	verifications int
 	// Retries, BreakerTrips and BreakerFastFails count the fetcher's
 	// resilience events during this sync (zero unless the Fetcher reports
@@ -397,13 +403,13 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		points: make([]pointItem, 0, rp.pointHint+rp.pointHint/64),
 	}
 	st.queued.L = &st.qmu
-	for _, ta := range rp.anchors {
-		anchor, err := cert.Parse(ta.CertDER)
+	for i, ta := range rp.anchors {
+		anchor, sig, err := rp.trustAnchor(i, res)
 		if err != nil {
 			res.diag(DiagInvalidObject, ta.URI.Module, "", fmt.Errorf("trust anchor: %w", err))
 			continue
 		}
-		resources, err := cert.ValidateTrustAnchor(anchor, now)
+		resources, err := cert.ValidateTrustAnchor(anchor, sig, now)
 		if err != nil {
 			res.diag(DiagInvalidObject, ta.URI.Module, "", err)
 			continue
@@ -448,6 +454,30 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	rp.met.recordResult(res, end.Sub(now).Seconds())
 	rp.met.lastSyncUnixtime.Set(float64(end.Unix()))
 	return res, nil
+}
+
+// trustAnchor returns the i'th trust anchor's certificate and the verdict on
+// its self-signature. That signature is verified once per RelyingParty, not
+// once per sync: a DER equal to the one a sync verified is answered with the
+// certificate parsed then, and counts no verification. Any other DER — a new
+// anchor, or one whose signature failed — is parsed and verified again, so a
+// bad signature is diagnosed on every sync. The time, CA, inherit and
+// resource checks are ValidateTrustAnchor's, run by the caller every sync.
+func (rp *RelyingParty) trustAnchor(i int, res *Result) (anchor *cert.ResourceCert, sig, err error) {
+	der := rp.anchors[i].CertDER
+	if v := rp.verified[i]; v != nil && bytes.Equal(v.Raw, der) {
+		return v, nil, nil
+	}
+	rp.verified[i] = nil
+	// A kept certificate must not alias bytes its caller may rewrite.
+	if anchor, err = cert.Parse(bytes.Clone(der)); err != nil {
+		return nil, nil, err
+	}
+	res.verifications++
+	if sig = anchor.Cert.CheckSignatureFrom(anchor.Cert); sig == nil {
+		rp.verified[i] = anchor
+	}
+	return anchor, sig, nil
 }
 
 // sortDiagnostics puts diagnostics into canonical order so the result is
@@ -1139,7 +1169,10 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 			"incremental sync failed (%v); recovered with a full fetch", err)
 		return files, false, nil
 	}
-	rp.setLast(uri, sync.Files)
+	if !sameMap(sync.Files, prev) {
+		// A fetcher that hands prev back (a feed skip) leaves last as it is.
+		rp.setLast(uri, sync.Files)
+	}
 	st.mu.Lock()
 	st.res.ObjectsDownloaded += sync.Downloaded
 	st.res.ObjectsReused += sync.Reused

@@ -1,12 +1,15 @@
 package rp
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/ca"
+	"repro/internal/cert"
 	"repro/internal/ipres"
 	"repro/internal/repo"
 	"repro/internal/roa"
@@ -460,6 +463,71 @@ func TestSyncBadTrustAnchor(t *testing.T) {
 	if len(result.VRPs) != 0 || !result.Incomplete() {
 		t.Error("garbage TA should yield diagnostics and nothing else")
 	}
+}
+
+// TestTrustAnchorSignatureVerifiedOnce: a relying party verifies a trust
+// anchor's self-signature once while the anchor's DER stays the same, and
+// runs every other anchor check on every sync. An anchor that expires between
+// two syncs is refused at the second; a bad signature, or a DER rewritten in
+// place under the relying party, is diagnosed on every sync; and a second
+// relying party over the same bytes verifies again.
+func TestTrustAnchorSignatureVerifiedOnce(t *testing.T) {
+	arin, _, _, stores := buildFigure2(t)
+	anchor := TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI}
+	// anchorErr returns the diagnostic on the anchor itself, if any.
+	anchorErr := func(res *Result) error {
+		for _, d := range res.Diagnostics {
+			if d.Module == anchor.URI.Module && d.Object == "" {
+				return d.Err
+			}
+		}
+		return nil
+	}
+
+	t.Run("once per relying party", func(t *testing.T) {
+		first := New(Config{Fetcher: stores, Clock: clock}, anchor)
+		cold := syncReuse(t, first)
+		if warm := syncReuse(t, first); Verifications(warm) != 0 || warm.ModulesReused != 4 {
+			t.Errorf("unchanged second sync: %d verifications, %d modules reused; want 0, 4", Verifications(warm), warm.ModulesReused)
+		}
+		second := New(Config{Fetcher: stores, Clock: clock}, anchor)
+		if got, want := Verifications(syncReuse(t, second)), Verifications(cold); got != want {
+			t.Errorf("a second relying party's cold sync ran %d verifications, want the first's %d", got, want)
+		}
+	})
+
+	t.Run("expired between two syncs", func(t *testing.T) {
+		now := testEpoch
+		v := New(Config{Fetcher: stores, Clock: func() time.Time { return now }}, anchor)
+		if res := syncReuse(t, v); res.Incomplete() || len(res.VRPs) == 0 {
+			t.Fatalf("first sync: %d VRPs, diagnostics %v", len(res.VRPs), res.Diagnostics)
+		}
+		now = arin.Cert.NotAfter().Add(time.Second)
+		res := syncReuse(t, v)
+		if err := anchorErr(res); !errors.Is(err, cert.ErrExpired) || len(res.VRPs) != 0 {
+			t.Errorf("past the anchor's notAfter: %d VRPs, anchor diagnostic %v; want 0, %v", len(res.VRPs), err, cert.ErrExpired)
+		}
+	})
+
+	t.Run("bad signature, every sync", func(t *testing.T) {
+		der := bytes.Clone(anchor.CertDER)
+		v := New(Config{Fetcher: stores, Clock: clock}, TrustAnchor{CertDER: der, URI: anchor.URI})
+		if res := syncReuse(t, v); res.Incomplete() {
+			t.Fatalf("first sync: %v", res.Diagnostics)
+		}
+		// The last byte of the DER is the last of the signature's s: the
+		// certificate still parses, and its signature no longer holds.
+		der[len(der)-1] ^= 1
+		for sync := 2; sync <= 4; sync++ {
+			res := syncReuse(t, v)
+			if err := anchorErr(res); !errors.Is(err, cert.ErrBadSignature) || len(res.VRPs) != 0 {
+				t.Errorf("sync %d: %d VRPs, anchor diagnostic %v; want 0, %v", sync, len(res.VRPs), err, cert.ErrBadSignature)
+			}
+			if got := Verifications(res); got != 1 {
+				t.Errorf("sync %d ran %d verifications, want 1: a failed signature is checked again", sync, got)
+			}
+		}
+	})
 }
 
 func TestSyncMultipleTrustAnchors(t *testing.T) {

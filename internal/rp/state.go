@@ -64,6 +64,7 @@
 package rp
 
 import (
+	"reflect"
 	"time"
 
 	"repro/internal/cert"
@@ -151,6 +152,11 @@ func (rp *RelyingParty) setLast(uri repo.URI, files map[string][]byte) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	rp.pointLocked(uri).last = files
+}
+
+// sameMap reports whether a and b are one map object.
+func sameMap(a, b map[string][]byte) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // commitPoint records the validation of a faithfully fetched snapshot. A

@@ -149,8 +149,9 @@ func TestSteadyChurnPointVerifications(t *testing.T) {
 	v := New(Config{Fetcher: fetcher, Clock: func() time.Time { return rpNow }, Workers: 2}, anchor)
 	cold := syncReuse(t, v)
 	// Each manifest and ROA is two verifications, each certificate and CRL
-	// one: 12 manifests, 11 ROAs, 11 CAs under the anchor, 12 CRLs.
-	if got, want := Verifications(cold), 2*(12+11)+11+12; got != want {
+	// one: 12 manifests, 11 ROAs, 11 CAs under the anchor, 12 CRLs; and the
+	// anchor's self-signature.
+	if got, want := Verifications(cold), 2*(12+11)+11+12+1; got != want {
 		t.Errorf("cold sync: %d verifications, want %d", got, want)
 	}
 	if got, want := PointVerdicts(v, "isp"), ispStore.Len(); got != want {
