@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -129,10 +128,6 @@ func main() {
 	}
 
 	client := rpkirisk.ClientFor(*server, *requestTimeout)
-	client.Concurrency = *workers
-	if client.Concurrency == 0 {
-		client.Concurrency = runtime.GOMAXPROCS(0)
-	}
 	client.Retry = repo.RetryPolicy{MaxRetries: *maxRetries}
 	if *breakerThreshold > 0 {
 		client.Breakers = repo.NewBreakerSet(repo.BreakerConfig{

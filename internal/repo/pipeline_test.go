@@ -28,6 +28,22 @@ type wire struct {
 	dials  int // connections dialed since the last reset
 	writes int
 	sent   []wireLine
+	// gate, when set, holds the first GET window written on each connection
+	// until gate.n connections have written one.
+	gate *getGate
+}
+
+// getGate is a barrier on the first GET window of each connection: it opens
+// once n distinct connections have reached it, so none of them can be
+// handed on before the others have taken one of their own.
+type getGate struct {
+	n       int
+	arrived map[int]bool
+	open    chan struct{}
+}
+
+func newGetGate(n int) *getGate {
+	return &getGate{n: n, arrived: map[int]bool{}, open: make(chan struct{})}
 }
 
 type wireLine struct {
@@ -60,7 +76,22 @@ func (c *wireConn) Write(p []byte) (int, error) {
 	for _, line := range strings.Split(strings.TrimSuffix(string(p), "\n"), "\n") {
 		c.w.sent = append(c.w.sent, wireLine{c.id, line})
 	}
+	var wait chan struct{}
+	if g := c.w.gate; g != nil && strings.HasPrefix(string(p), "GET ") && !g.arrived[c.id] {
+		g.arrived[c.id] = true
+		if len(g.arrived) == g.n {
+			close(g.open)
+		}
+		wait = g.open
+	}
 	c.w.mu.Unlock()
+	if wait != nil {
+		// A gate that never opens fails the caller's count, not the run.
+		select {
+		case <-wait:
+		case <-time.After(10 * time.Second):
+		}
+	}
 	return c.Conn.Write(p)
 }
 
@@ -207,20 +238,24 @@ func TestPipelinedSyncWireShape(t *testing.T) {
 	if dials, _, _, _ := w.counts(); dials != 3 {
 		t.Errorf("FetchAll dialed %d times with nothing parked, want 3", dials)
 	}
-	// With the pool, a shard that is done before another starts hands its
-	// connection on: the same lines on two or three connections (a single one
-	// would mean the shards ran in turn).
+	// With the pool, a shard's connection may come out of the pool, or go
+	// back to it for another shard once its own is done. Holding each
+	// connection's first GET window until all three shards have written one
+	// keeps every shard on a connection of its own, however the scheduler
+	// runs them: the same lines on exactly three connections.
 	w.reset()
+	w.mu.Lock()
+	w.gate = newGetGate(3)
+	w.mu.Unlock()
 	c.Concurrency = 3
 	all, err = c.FetchAll(ctx, uri)
+	w.mu.Lock()
+	w.gate = nil
+	w.mu.Unlock()
 	if err != nil || len(all) != k+1 {
 		t.Fatalf("pooled FetchAll: %d objects, err %v", len(all), err)
 	}
-	_, used, _, _ := w.counts()
-	if used < 2 || used > 3 {
-		t.Errorf("pooled FetchAll used %d connections, want 2 or 3", used)
-	}
-	wantWire(t, w, used, 1+3*windows, 1, k+1)
+	wantWire(t, w, 3, 1+3*windows, 1, k+1)
 
 	// The single-shot calls are pipelines of one.
 	w.reset()

@@ -18,6 +18,7 @@ import (
 // tcpWorld is a two-point hierarchy (TA → child with one ROA) served over a
 // real rsynclite server, with independent fault plans per publication point.
 type tcpWorld struct {
+	srv         *repo.Server
 	addr        string
 	anchor      TrustAnchor
 	ta, child   *ca.Authority
@@ -57,6 +58,7 @@ func buildTCPWorld(t *testing.T) *tcpWorld {
 	srv.AddModule("ta", taStore, taFaults)
 	srv.AddModule("child", childStore, childFaults)
 	return &tcpWorld{
+		srv:         srv,
 		addr:        addr,
 		anchor:      TrustAnchor{CertDER: ta.Cert.Raw, URI: taURI},
 		ta:          ta,

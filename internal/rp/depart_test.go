@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -266,4 +267,68 @@ func TestDepartUnreachableStillWalked(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDepartUnreachableFromFirstWalk: a point that has never once been
+// fetched still leaves like any other. The trust anchor names children one
+// sync at a time, each on its own host and on a module the server refuses
+// from birth, and retires each after the sync that found it unreachable.
+// Every such walk settles the point's state, so the next completed sync
+// forgets the point and the client drops its breaker and host proof: after
+// each retirement the client holds no more breakers or host proofs than the
+// live tree has.
+func TestDepartUnreachableFromFirstWalk(t *testing.T) {
+	const n = 50
+	w := buildTCPWorld(t)
+	client := resilientClient(1)
+	client.Breakers = repo.NewBreakerSet(repo.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
+	// Every host is the one server: the children's distinct host names reach
+	// it through Dial.
+	client.Dial = func(ctx context.Context, network, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, network, w.addr)
+	}
+	v := New(Config{Fetcher: client, Clock: clock, Workers: 2, CacheSnapshots: true, StaleTTL: time.Hour}, w.anchor)
+	sync := func(what string) *Result {
+		t.Helper()
+		res, err := v.Sync(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return res
+	}
+	if res := sync("cold"); res.Incomplete() {
+		t.Fatalf("cold sync: %v", res.Diagnostics)
+	}
+	_, liveHosts, _ := ClientRetained(client)
+	livePoints := PointCount(v)
+	if livePoints != 2 || liveHosts != 1 {
+		t.Fatalf("cold sync retained %d points and %d host proofs, want 2 and 1", livePoints, liveHosts)
+	}
+
+	for i := range n {
+		name := fmt.Sprintf("dead-%d", i)
+		faults := repo.NewFaults()
+		faults.Refuse(true)
+		store := repo.NewStore()
+		w.srv.AddModule(name, store, faults)
+		if _, err := w.ta.CreateChild(name, ipres.MustParseSet("63.1.0.0/16"), store, departURI(name)); err != nil {
+			t.Fatal(err)
+		}
+		if res := sync(name + " created"); !hasDiag(res, DiagPointUnreachable, name) {
+			t.Fatalf("%s, refused from birth, was not diagnosed unreachable: %v", name, res.Diagnostics)
+		}
+		if err := w.ta.RevokeChild(name); err != nil {
+			t.Fatal(err)
+		}
+		sync(name + " retired")
+		_, hosts, _ := ClientRetained(client)
+		points, breakers := PointCount(v), len(client.Breakers.States())
+		if points != livePoints || breakers > livePoints || hosts != liveHosts {
+			t.Fatalf("%s retired: %d points, %d breakers, %d host proofs retained; the live tree has %d points on %d host",
+				name, points, breakers, hosts, livePoints, liveHosts)
+		}
+	}
+	t.Logf("%d children unreachable from their first walk and retired: %d breakers, %d points retained",
+		n, len(client.Breakers.States()), PointCount(v))
 }

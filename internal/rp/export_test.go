@@ -1,5 +1,11 @@
 package rp
 
+import (
+	"reflect"
+
+	"repro/internal/repo"
+)
+
 // VerdictCount returns the signature verdicts v retains across all
 // publication points, for the external tests' retention gates.
 func VerdictCount(v *RelyingParty) int {
@@ -34,4 +40,13 @@ func PointCount(v *RelyingParty) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return len(v.points)
+}
+
+// ClientRetained reads how many feed memos, host → peer proofs and peers c
+// holds. All three are unexported, and another package's export_test.go is
+// out of this test binary's reach; between syncs no fetch is in flight, so
+// the unlocked reads race nothing.
+func ClientRetained(c *repo.Client) (memos, hosts, peers int) {
+	fields := reflect.ValueOf(c).Elem()
+	return fields.FieldByName("points").Len(), fields.FieldByName("hosts").Len(), fields.FieldByName("peers").Len()
 }

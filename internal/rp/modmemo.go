@@ -65,12 +65,12 @@
 // No parsed certificate is kept: an entry's child links hold each child CA
 // as the DER its parent validated, and a walk reached through a link parses
 // that DER only if its own point must be re-validated (a reused point never
-// parses). The DER aliases the parent's snapshot when the per-point state
-// keeps that snapshot anyway (CacheSnapshots over an incremental fetcher,
-// or StaleTTL); otherwise it is one private copy, shared by the link and
-// the child's own entry, so a memo never pins a fetch buffer. A link a
+// parses). The DER always aliases the parent's snapshot, kept or not: every
+// fetcher returns one buffer per object, and a certificate parses only from
+// its whole buffer (it keeps all of it as Raw, and trailing data is
+// rejected), so a link retains exactly the certificate's bytes. A link a
 // tier-3 revalidation keeps is re-pointed at the new snapshot's identical
-// bytes in the first case and keeps its copy in the second.
+// bytes, so a memo never pins an old snapshot.
 //
 // The same entry serves an unreachable point's last-known-good snapshot:
 // the snapshot is the bytes the entry was validated from (state.go), so
@@ -366,10 +366,10 @@ func (st *syncState) admitFromMemo(mb *moduleBuild, memo *moduleEntry, issuer *c
 	case ownsROA:
 		mb.addROA(i, memo.vrps[old.lo:old.hi])
 	case ownsChild:
+		// The link is re-pointed at the new snapshot's identical bytes, so
+		// the memo never pins an old snapshot's.
 		link := memo.children[old.lo]
-		if st.rp.keepsSnapshots {
-			link.der = files[o.name]
-		}
+		link.der = files[o.name]
 		mb.addCert()
 		mb.addChild(i, link)
 		st.enqueue(pointItem{authority{der: link.der}, link.effective, link.uri, depth - 1})

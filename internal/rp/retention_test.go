@@ -230,7 +230,7 @@ func childChurn(t *testing.T, n int, relying bool) float64 {
 		}
 		t.Helper()
 		syncOnce(t, v)
-		memos, hosts, peers := clientRetained(client)
+		memos, hosts, peers := rp.ClientRetained(client)
 		points, breakers := rp.PointCount(v), len(client.Breakers.States())
 		if points > live || memos > live || hosts > live || peers > live || breakers > live {
 			t.Fatalf("%s: %d points, %d feed memos, %d host proofs, %d peers, %d breakers retained for a live tree of %d",
@@ -262,15 +262,6 @@ func childChurn(t *testing.T, n int, relying bool) float64 {
 	runtime.KeepAlive(v)
 	runtime.KeepAlive(w)
 	return grown
-}
-
-// clientRetained reads how many feed memos, host → peer proofs and peers c
-// holds. All three are unexported, and another package's export_test.go is
-// out of this test binary's reach; between syncs no fetch is in flight, so
-// the unlocked reads race nothing.
-func clientRetained(c *repo.Client) (memos, hosts, peers int) {
-	fields := reflect.ValueOf(c).Elem()
-	return fields.FieldByName("points").Len(), fields.FieldByName("hosts").Len(), fields.FieldByName("peers").Len()
 }
 
 // checkVerdicts requires v to hold no more verdicts than the objects

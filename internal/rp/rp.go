@@ -180,10 +180,10 @@ type Config struct {
 	// CacheSnapshots keeps per-publication-point snapshots between Sync
 	// calls and uses the Fetcher's incremental mode when available.
 	// Without it (and without StaleTTL) a point's bytes are released the
-	// moment its module commits: what is kept is digests, VRPs, signature
-	// verdicts and a private copy of each child CA's certificate. With it,
-	// over an incremental fetcher, the memo's certificates are slices of the
-	// kept snapshots and cost nothing extra.
+	// moment its walk ends: what is kept is digests, VRPs, signature
+	// verdicts and each child CA's certificate. With it, over an
+	// incremental fetcher, the memo's certificates are slices of the kept
+	// snapshots and cost nothing extra.
 	CacheSnapshots bool
 	// Workers bounds the validation worker pool: hashing, parsing and
 	// signature verification run on at most this many goroutines at once,
@@ -226,11 +226,6 @@ func (c Config) workers() int {
 type RelyingParty struct {
 	cfg     Config
 	anchors []TrustAnchor
-	// keepsSnapshots is whether the per-point state keeps every point's
-	// fetched bytes anyway (last with CacheSnapshots over an incremental
-	// fetcher, clean with StaleTTL): a memo link may then alias them instead
-	// of copying its child's certificate.
-	keepsSnapshots bool
 	// vrpHint and pointHint are the previous sync's VRP and publication
 	// point counts: the capacities of the next result and point queue.
 	// Touched only by Sync.
@@ -254,14 +249,12 @@ type RelyingParty struct {
 
 // New creates a relying party over the given trust anchors.
 func New(cfg Config, anchors ...TrustAnchor) *RelyingParty {
-	_, incremental := cfg.Fetcher.(IncrementalFetcher)
 	return &RelyingParty{
-		cfg:            cfg,
-		anchors:        anchors,
-		keepsSnapshots: cfg.StaleTTL > 0 || (cfg.CacheSnapshots && incremental),
-		verified:       make([]*cert.ResourceCert, len(anchors)),
-		points:         make(map[repo.URI]*pointState),
-		met:            newRPMetrics(cfg.Obs),
+		cfg:      cfg,
+		anchors:  anchors,
+		verified: make([]*cert.ResourceCert, len(anchors)),
+		points:   make(map[repo.URI]*pointState),
+		met:      newRPMetrics(cfg.Obs),
 	}
 }
 
@@ -662,17 +655,25 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	st.mu.Unlock()
 	now := st.rp.now()
 
-	// What the last syncs left behind for this point. The memo entry is
-	// usable only under the same authority and effective set and inside its
-	// epoch — the guard every reuse tier below sits behind.
+	// What the last syncs left behind for this point, read once: the walk
+	// fills in its own copy, and every way out of it but an abort writes the
+	// copy back once. The memo entry is usable only under the same authority
+	// and effective set and inside its epoch — the guard every reuse tier
+	// below sits behind.
 	p := st.rp.point(uri)
+	settle := true
+	defer func() {
+		if settle {
+			st.rp.settle(uri, &p)
+		}
+	}()
 	e := p.memo
 	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
 	st.rp.met.inflightModules.Inc()
 	defer st.rp.met.inflightModules.Dec()
 	start := st.span.Now()
-	files, unchanged, err := st.rp.fetch(st.ctx, st, uri, p.last)
+	files, unchanged, err := st.rp.fetch(st.ctx, st, uri, &p)
 	fetched := st.span.Now()
 	// span opens the point's walk span, with its fetch child, and notes why
 	// the point is traced.
@@ -683,7 +684,9 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		return wsp
 	}
 	if err != nil && st.ctx.Err() != nil {
-		// Cancellation is an abort, not incompleteness: no diagnostic.
+		// Cancellation is an abort, not incompleteness: no diagnostic, and
+		// the point's state is left as the sync found it.
+		settle = false
 		st.setErr(st.ctx.Err())
 		span("aborted").End()
 		return
@@ -705,13 +708,13 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 			// would reproduce e. It proves nothing current, so its age
 			// still counts from the last proof.
 			span("serving last-known-good (memo)").End()
-			st.reuseModule(e, uri, depth, false)
+			st.reuseModule(&p, depth, false)
 			return
 		}
 		detail = "serving last-known-good"
 	case usable && unchanged && faithful:
 		// Reuse tier 1: listed, and every listed digest matched the held copy.
-		st.reuseModule(e, uri, depth, true)
+		st.reuseModule(&p, depth, true)
 		return
 	}
 
@@ -725,7 +728,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// digest and the new manifest's listing; a last-known-good fallback
 	// never reaches it.
 	if faithful && usable && sameDigests(objects, e.objects) {
-		st.reuseModule(e, uri, depth, true)
+		st.reuseModule(&p, depth, true)
 		return
 	}
 
@@ -755,12 +758,14 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	}
 	mb.verifySpan = mb.span.Child("verify", uri.Module)
 	st.validate(mb, auth, effective, uri, depth, now, files)
+	st.commitModule(&p, uri, auth.der, effective, mb, files)
 }
 
 // validate checks a fetched point's objects under its authority — manifest,
 // CRL, then every object the memo cannot answer for as its own task, each
-// validated child CA queued for a walker — and commits the point once its
-// tasks are done. It is walk's second half, on the same walker.
+// validated child CA queued for a walker — and returns once those tasks are
+// done, or at the first failure that ends the validation. It is walk's
+// middle, on the same walker.
 func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte) {
 	issuer := auth.cert
 	if issuer == nil {
@@ -770,7 +775,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 		var err error
 		if issuer, err = cert.Parse(auth.der); err != nil {
 			mb.diag(st, DiagInvalidObject, uri.Module, "", fmt.Errorf("authority certificate: %w", err))
-			st.commitModule(uri, auth.der, effective, mb, files)
 			return
 		}
 	}
@@ -818,7 +822,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	}
 	if mft == nil && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("no usable manifest"))
-		st.commitModule(uri, auth.der, effective, mb, files)
 		return
 	}
 
@@ -844,7 +847,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	}
 	if !manifestOK && st.rp.cfg.Policy == DropPublicationPoint {
 		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("manifest inconsistency"))
-		st.commitModule(uri, auth.der, effective, mb, files)
 		return
 	}
 
@@ -885,7 +887,6 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	// entry. It waits holding no worker slot, and no object task waits on a
 	// walker, so the walk cannot deadlock.
 	mb.wg.Wait()
-	st.commitModule(uri, auth.der, effective, mb, files)
 }
 
 // loadCRL picks the point's CRL (nil skips revocation checks, best effort).
@@ -958,20 +959,21 @@ func (st *syncState) hashObjects(files map[string][]byte) []memoObject {
 	return objects
 }
 
-// reuseModule merges a cached module entry's outputs into the sync result
+// reuseModule merges the outputs of p's memo entry into the sync result
 // without re-validating anything and queues the module's child points (each
 // child decides reuse for itself). When the reuse proved the point current
-// it records so; a last-known-good reuse proves nothing, and leaves the
-// snapshot's age alone.
-func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, current bool) {
+// it re-stamps the clean snapshot the entry was validated from; a
+// last-known-good reuse proves nothing, and leaves the snapshot's age alone.
+func (st *syncState) reuseModule(p *pointState, depth int, current bool) {
+	e := p.memo
 	st.mu.Lock()
 	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
 	st.res.CertsAccepted += e.certs
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
-	if current {
-		st.rp.markReused(uri, st.now)
+	if current && p.clean != nil {
+		p.cleanAt = st.now
 	}
 	for _, ch := range e.children {
 		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
@@ -979,15 +981,16 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int, curren
 }
 
 // commitModule merges a fully-validated module's outputs into the sync
-// result and commits the point's retained state — after it returns nothing
-// but that state references the module's raw bytes. Every validation hands
-// on the signature verdicts it used. A clean validation of a
-// faithfully-fetched snapshot commits a memo entry, recorded under the
-// authority's DER, and the last-known-good snapshot; any diagnostic deletes
-// the stale entry and leaves the snapshot alone. Degraded sources (LKG fallback, partial fetch) merge without
-// touching either — their bytes do not correspond to the point's current
-// snapshot.
-func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
+// result and records in p, the walk's copy of the point's state, what the
+// validation leaves behind — after the walk settles p, nothing but that
+// state references the module's raw bytes. Every validation hands on the
+// signature verdicts it used. A clean validation of a faithfully-fetched
+// snapshot sets a memo entry, recorded under the authority's DER, and the
+// last-known-good snapshot; any diagnostic clears the stale entry and
+// leaves the snapshot alone. Degraded sources (LKG fallback, partial fetch)
+// merge without touching either — their bytes do not correspond to the
+// point's current snapshot.
+func (st *syncState) commitModule(p *pointState, uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
 	mb.verifySpan.End()
 	csp := mb.span.Child("commit", uri.Module)
 	defer func() {
@@ -1007,15 +1010,15 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	st.res.verifications += int(mb.sigs.Verified())
 	st.res.ObjectsFromMemo += mb.fromMemo
 	st.mu.Unlock()
-	st.rp.keepVerdicts(uri, mb.sigs.Verdicts())
+	p.verdicts = mb.sigs.Verdicts()
 	if !mb.memoizable {
 		return
 	}
-	var entry *moduleEntry
+	p.memo = nil
 	if clean {
 		epoch := mb.epoch
 		epoch.narrow(mb.objEpoch.notBefore, mb.objEpoch.notAfter)
-		entry = &moduleEntry{
+		p.memo = &moduleEntry{
 			authority: authority,
 			effective: effective,
 			objects:   mb.objects,
@@ -1027,8 +1030,10 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 			certs:     mb.certs,
 			children:  mb.children,
 		}
+		if st.rp.cfg.StaleTTL > 0 {
+			p.clean, p.cleanAt = files, st.now
+		}
 	}
-	st.rp.commitPoint(uri, entry, files, st.now)
 }
 
 // lkgFallback handles a publication point that could not be fetched at all.
@@ -1115,15 +1120,9 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 			return
 		}
 		// The memo keeps the certificate as the DER just validated: the
-		// point's snapshot when the per-point state keeps it anyway,
-		// otherwise one copy, shared with the child's own memo entry, that
-		// pins no fetch buffer.
-		der := child.Raw
-		if !st.rp.keepsSnapshots {
-			der = bytes.Clone(der)
-		}
-		mb.addChild(i, childLink{der: der, effective: childEffective, uri: childURI})
-		st.enqueue(pointItem{authority{der: der, cert: child}, childEffective, childURI, depth - 1})
+		// snapshot's own bytes for the object, which are exactly child.Raw.
+		mb.addChild(i, childLink{der: child.Raw, effective: childEffective, uri: childURI})
+		st.enqueue(pointItem{authority{der: child.Raw, cert: child}, childEffective, childURI, depth - 1})
 	}
 }
 
@@ -1134,17 +1133,18 @@ func (mb *moduleBuild) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext
 }
 
 // fetch retrieves a publication point, using the fetcher's incremental
-// mode against prev — the point's previous snapshot — when snapshot caching
-// is enabled and supported. The second return reports whether the
-// incremental protocol proved every object's hash unchanged since prev
-// (reuse tier 1).
-func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, prev map[string][]byte) (map[string][]byte, bool, error) {
+// mode against p.last — the point's previous snapshot — when snapshot
+// caching is enabled and supported, and records in p.last what that mode
+// returned, validated or not: the next fetch diffs against it. The second
+// return reports whether the incremental protocol proved every object's
+// hash unchanged since p.last (reuse tier 1).
+func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, p *pointState) (map[string][]byte, bool, error) {
 	inc, ok := rp.cfg.Fetcher.(IncrementalFetcher)
 	if !rp.cfg.CacheSnapshots || !ok {
 		files, err := rp.cfg.Fetcher.FetchAll(ctx, uri)
 		return files, false, err
 	}
-	sync, err := inc.SyncIncremental(ctx, uri, prev)
+	sync, err := inc.SyncIncremental(ctx, uri, p.last)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, repo.ErrCircuitOpen) {
 			// An abort, or a breaker that refuses the point: a full fetch
@@ -1160,7 +1160,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 		if ferr != nil {
 			return nil, false, ferr
 		}
-		rp.setLast(uri, files)
+		p.last = files
 		st.mu.Lock()
 		st.res.IncrementalFallbacks++
 		st.res.ObjectsDownloaded += len(files)
@@ -1169,10 +1169,7 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 			"incremental sync failed (%v); recovered with a full fetch", err)
 		return files, false, nil
 	}
-	if !sameMap(sync.Files, prev) {
-		// A fetcher that hands prev back (a feed skip) leaves last as it is.
-		rp.setLast(uri, sync.Files)
-	}
+	p.last = sync.Files
 	st.mu.Lock()
 	st.res.ObjectsDownloaded += sync.Downloaded
 	st.res.ObjectsReused += sync.Reused

@@ -3,11 +3,15 @@
 // keeps or drops when authorities misbehave (the paper's Side Effects 6–7).
 //
 // Four things are kept per publication point, each proving something
-// different and each written at exactly one moment:
+// different. A walk reads the point's state once, before its fetch, into a
+// copy of its own; the walk's steps fill in that copy, and the walk writes
+// it back once when it ends (settle), whichever way it ends but an aborted
+// sync. So the point's retained state changes at exactly one moment per
+// walk, which is where any floor or persisted copy of it is taken:
 //
 //   - last is the snapshot the most recent successful fetch returned. It
 //     proves nothing about validity; it is only the prev the incremental
-//     (digest-listing) fetch diffs against. Written by fetch, kept only with
+//     (digest-listing) fetch diffs against. Set by fetch, kept only with
 //     Config.CacheSnapshots.
 //   - clean is the last snapshot that validated without a single
 //     diagnostic, and cleanAt when it was last known to be the point's
@@ -34,13 +38,16 @@
 //     revalidation answers unchanged objects from them. Replaced at every
 //     validation, so they never outgrow the point's objects.
 //
-// A point is keyed by the URI its walk fetched and has one lifetime: when a
-// completed sync did not reach it, the point is dropped whole and the fetcher
-// is told to forget the URI (*repo.Client's memo, host proof and breaker go
-// too); an aborted sync forgets nothing. So retiring child CAs grows nothing
-// beyond the live tree, and a child moved to another host is a new point.
+// A point is keyed by the URI its walk fetched and has one lifetime: a sync
+// reaches it when a walk settles it, and when a completed sync did not, the
+// point is dropped whole and the fetcher is told to forget the URI
+// (*repo.Client's memo, host proof and breaker go too); an aborted sync
+// forgets nothing. A point never once fetched is reached and departs like
+// any other: its walk settles an empty state. So retiring child CAs, on dead
+// repositories or live ones, grows nothing beyond the live tree, and a child
+// moved to another host is a new point.
 //
-// clean and memo are committed together, at module commit, and only for a
+// clean and memo are set together, at module commit, and only for a
 // faithfully fetched snapshot that validated clean — "verified objects" —
 // so a corrupted or partially-served point never overwrites the good
 // snapshot its own fallback would need (Side Effect 7 recovery depends on
@@ -59,12 +66,12 @@
 // back prev's own slices for unchanged objects, so last and clean share
 // backing arrays: the bytes of an unchanged object are resident once, and
 // the garbage collector reclaims a replaced object when the last snapshot
-// naming it goes. A memo's child links alias those same slices when either
-// snapshot is kept, and hold a private copy of the certificate otherwise.
+// naming it goes. A memo's child links alias those same slices, whether or
+// not a snapshot is kept: every fetcher returns one buffer per object, so a
+// link retains its certificate's bytes and nothing more.
 package rp
 
 import (
-	"reflect"
 	"time"
 
 	"repro/internal/cert"
@@ -72,8 +79,9 @@ import (
 )
 
 // pointState is what the relying party retains about one publication point
-// between syncs. Every field is read and written only with
-// RelyingParty.mu held; the values they point at are immutable once stored.
+// between syncs. A stored state is read (point) and written (settle) whole,
+// only with RelyingParty.mu held; a walk works on its own copy in between.
+// The values its fields point at are immutable once stored.
 type pointState struct {
 	last     map[string][]byte
 	clean    map[string][]byte
@@ -90,33 +98,30 @@ type forgetter interface {
 	Forget(uri repo.URI)
 }
 
-// pointLocked returns uri's state, creating it on first use.
-func (rp *RelyingParty) pointLocked(uri repo.URI) *pointState {
-	p := rp.points[uri]
-	if p == nil {
-		p = &pointState{seen: rp.syncs}
-		rp.points[uri] = p
-	}
-	return p
-}
-
-// point records that the current sync walks uri and returns a copy of its
-// state (zero when nothing is retained).
+// point returns a copy of uri's state (zero when nothing is retained): the
+// walk's one read, before its fetch.
 func (rp *RelyingParty) point(uri repo.URI) pointState {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if p := rp.points[uri]; p != nil {
-		p.seen = rp.syncs
 		return *p
 	}
 	return pointState{}
 }
 
-// keepVerdicts replaces uri's verdicts with those its latest validation used.
-func (rp *RelyingParty) keepVerdicts(uri repo.URI, v cert.Verdicts) {
+// settle is the walk's one write: p, the walk's copy as its fetch, reuse or
+// commit left it, becomes uri's state, stamped as reached by the current
+// sync. Only a point seen for the first time allocates.
+func (rp *RelyingParty) settle(uri repo.URI, p *pointState) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	rp.pointLocked(uri).verdicts = v
+	p.seen = rp.syncs
+	if q := rp.points[uri]; q != nil {
+		*q = *p
+		return
+	}
+	q := *p
+	rp.points[uri] = &q
 }
 
 // beginSync numbers a new sync; the walks it reaches stamp their points.
@@ -143,45 +148,5 @@ func (rp *RelyingParty) dropDeparted() {
 		for _, uri := range gone {
 			f.Forget(uri)
 		}
-	}
-}
-
-// setLast records the snapshot an incremental-capable fetch just returned,
-// validated or not: the next fetch diffs against it.
-func (rp *RelyingParty) setLast(uri repo.URI, files map[string][]byte) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	rp.pointLocked(uri).last = files
-}
-
-// sameMap reports whether a and b are one map object.
-func sameMap(a, b map[string][]byte) bool {
-	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
-}
-
-// commitPoint records the validation of a faithfully fetched snapshot. A
-// clean one hands in its outcome e, which becomes the point's memo entry,
-// and, with last-known-good fallback enabled, its bytes become the snapshot
-// served if the point goes dark. One with diagnostics hands in a nil e: the
-// memo entry goes, the last clean snapshot stays. Both outlive the sync:
-// memoized verdicts are reused across runs, and last-known-good snapshots
-// are served during authority outages.
-func (rp *RelyingParty) commitPoint(uri repo.URI, e *moduleEntry, files map[string][]byte, at time.Time) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	p := rp.pointLocked(uri)
-	p.memo = e
-	if e != nil && rp.cfg.StaleTTL > 0 {
-		p.clean, p.cleanAt = files, at
-	}
-}
-
-// markReused records that uri's memo entry was just proven current: the
-// clean snapshot it was validated from is the point's content as of at.
-func (rp *RelyingParty) markReused(uri repo.URI, at time.Time) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if p := rp.points[uri]; p != nil && p.memo != nil && p.clean != nil {
-		p.cleanAt = at
 	}
 }

@@ -11,21 +11,18 @@ import (
 	"repro/internal/rov"
 )
 
-// delta records one cache update: the serial it starts from, the
-// announce/withdraw sets, and their precomputed wire encoding, shared
+// delta records one cache update: the serial it starts from, how many VRPs
+// it announces or withdraws, and their precomputed wire encoding, shared
 // read-only by every connection that replays this delta. It ends where the
 // next entry starts (the last, at the cache's serial). A primary's entries
 // are one step each; a replica's span whatever its End of Data covered.
 type delta struct {
-	from      uint32
-	announced []rov.VRP
-	withdrawn []rov.VRP
+	from uint32
+	vrps int
 	// frame is the delta's prefix PDUs (announces then withdraws),
 	// serialized once at update time. Immutable after creation.
 	frame []byte
 }
-
-func (d *delta) vrpCount() int { return len(d.announced) + len(d.withdrawn) }
 
 // notice is one commit's serial notify, allocated once per commit and shared
 // by every subscriber. at is when the commit entered the cache, anchoring the
@@ -71,10 +68,10 @@ func (s *subscriber) offer(n *notice) {
 // verbatim to every client — N routers asking for the same data cost N
 // writes, not N serializations. The set is held as chunks (see chunk), so an
 // update rebuilds and re-serializes only the chunks it touches. The delta
-// history is bounded by entry count, total VRP count, and total frame bytes,
-// so a long-lived server's memory stays flat no matter how many updates it
-// has seen; a client whose serial predates the retained window gets a Cache
-// Reset and reloads the snapshot.
+// history keeps each entry's frame and nothing else, and is bounded by entry
+// count and total frame bytes, so a long-lived server's memory stays flat no
+// matter how many updates it has seen; a client whose serial predates the
+// retained window gets a Cache Reset and reloads the snapshot.
 //
 // The subscriber table has its own lock, so a notify sweep never holds mu:
 // fan-out to 10k connections never serializes behind state updates (and
@@ -93,9 +90,8 @@ type Cache struct {
 	history   []delta
 	histVRPs  int
 	histBytes int
-	// History bounds: entries, total VRPs, total frame bytes. guarded by mu.
+	// History bounds: entries and total frame bytes. guarded by mu.
 	maxHist      int
-	maxHistVRPs  int
 	maxHistBytes int
 
 	// subMu is a leaf lock: nothing else is taken while it is held, and it
@@ -110,10 +106,11 @@ type Cache struct {
 }
 
 // Default history bounds: plenty for steady-state polling, small enough
-// that a churn storm cannot balloon a long-lived server.
+// that a churn storm cannot balloon a long-lived server. Every prefix PDU is
+// at least 20 bytes, so the byte bound also holds the history to at most
+// 52,428 VRPs.
 const (
 	defaultMaxHist      = 64
-	defaultMaxHistVRPs  = 1 << 16
 	defaultMaxHistBytes = 1 << 20
 )
 
@@ -122,24 +119,20 @@ func NewCache(session uint16) *Cache {
 	return &Cache{
 		session:      session,
 		maxHist:      defaultMaxHist,
-		maxHistVRPs:  defaultMaxHistVRPs,
 		maxHistBytes: defaultMaxHistBytes,
 		subs:         make(map[*subscriber]struct{}),
 	}
 }
 
-// SetHistoryLimits bounds the retained delta history by entry count, total
-// VRP count, and total precomputed frame bytes. Arguments <= 0 keep the
-// current value. Clients older than the retained window fall back to a full
-// snapshot reload via Cache Reset.
-func (c *Cache) SetHistoryLimits(entries, vrps, bytes int) {
+// SetHistoryLimits bounds the retained delta history by entry count and
+// total precomputed frame bytes. Arguments <= 0 keep the current value.
+// Clients older than the retained window fall back to a full snapshot
+// reload via Cache Reset.
+func (c *Cache) SetHistoryLimits(entries, bytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if entries > 0 {
 		c.maxHist = entries
-	}
-	if vrps > 0 {
-		c.maxHistVRPs = vrps
 	}
 	if bytes > 0 {
 		c.maxHistBytes = bytes
@@ -147,7 +140,8 @@ func (c *Cache) SetHistoryLimits(entries, vrps, bytes int) {
 	c.evictLocked()
 }
 
-// HistoryStats reports the retained history's size (for observability and
+// HistoryStats reports the retained history's size: its entries, the VRPs
+// they announce or withdraw, and their frame bytes (for observability and
 // tests of the memory bound).
 func (c *Cache) HistoryStats() (entries, vrps, bytes int) {
 	c.mu.Lock()
@@ -438,7 +432,7 @@ func (c *Cache) SetVRPs(vrps []rov.VRP) {
 // returned notice to notifyAll after unlocking.
 func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) *notice {
 	n := &notice{serial: serial, at: time.Now()}
-	d := delta{from: c.serial, announced: announced, withdrawn: withdrawn}
+	d := delta{from: c.serial, vrps: len(announced) + len(withdrawn)}
 	c.serial = serial
 	if met := c.met.Load(); met != nil {
 		met.updates.Inc()
@@ -447,7 +441,7 @@ func (c *Cache) commitLocked(serial uint32, announced, withdrawn []rov.VRP) *not
 	d.frame = encodeVRPs(encodeVRPs(frame, announced, FlagAnnounce), withdrawn, 0)
 	c.chunks = rebuildChunks(c.chunks, announced, withdrawn, true)
 	c.history = append(c.history, d)
-	c.histVRPs += d.vrpCount()
+	c.histVRPs += d.vrps
 	c.histBytes += len(d.frame)
 	c.evictLocked()
 	return n
@@ -559,11 +553,11 @@ func seek(vrps []rov.VRP, v rov.VRP) int {
 // Callers hold c.mu.
 func (c *Cache) evictLocked() {
 	for len(c.history) > 0 &&
-		(len(c.history) > c.maxHist || c.histVRPs > c.maxHistVRPs || c.histBytes > c.maxHistBytes) {
+		(len(c.history) > c.maxHist || c.histBytes > c.maxHistBytes) {
 		d := &c.history[0]
-		c.histVRPs -= d.vrpCount()
+		c.histVRPs -= d.vrps
 		c.histBytes -= len(d.frame)
-		*d = delta{} // or the backing array keeps the evicted sets and frame alive
+		*d = delta{} // or the backing array keeps the evicted frame alive
 		c.history = c.history[1:]
 	}
 }

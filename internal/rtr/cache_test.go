@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -22,7 +23,7 @@ func (c *Cache) snapshotVRPs() (vrps []rov.VRP, serial uint32, session uint16) {
 }
 
 // deltaEntries returns the history entries deltaFrames would answer a
-// Serial Query from serial with (slice headers copied; the VRP slices are
+// Serial Query from serial with (slice headers copied; the frames are
 // shared read-only), and the current serial.
 func (c *Cache) deltaEntries(serial uint32) (entries []delta, current uint32, ok bool) {
 	c.mu.Lock()
@@ -36,6 +37,29 @@ func (c *Cache) deltaEntries(serial uint32) (entries []delta, current uint32, ok
 		}
 	}
 	return nil, c.serial, false
+}
+
+// ops decodes the entry's frame, what routers are sent, into the VRPs it
+// announces and those it withdraws, in frame order, and holds the entry's
+// VRP count to the frame's.
+func (d delta) ops(t testing.TB) (announced, withdrawn []rov.VRP) {
+	t.Helper()
+	r := bytes.NewReader(d.frame)
+	for r.Len() > 0 {
+		p, err := ReadPDU(r)
+		if err != nil {
+			t.Fatalf("delta frame: %v", err)
+		}
+		if p.Flags&FlagAnnounce != 0 {
+			announced = append(announced, p.VRP)
+		} else {
+			withdrawn = append(withdrawn, p.VRP)
+		}
+	}
+	if n := len(announced) + len(withdrawn); n != d.vrps {
+		t.Fatalf("delta counts %d VRPs, its frame holds %d", d.vrps, n)
+	}
+	return announced, withdrawn
 }
 
 // checkChunkSizes holds a chunk list, a cache's or a router's, to the size
@@ -121,9 +145,10 @@ func checkStep(t testing.TB, c *Cache, prev, next []rov.VRP, prevSerial uint32) 
 		if !ok || len(entries) != 1 {
 			t.Fatalf("history after serial %d: %d entries, ok=%v", prevSerial, len(entries), ok)
 		}
-		if !slices.Equal(entries[0].announced, announced) || !slices.Equal(entries[0].withdrawn, withdrawn) {
+		gotA, gotW := entries[0].ops(t)
+		if !slices.Equal(gotA, announced) || !slices.Equal(gotW, withdrawn) {
 			t.Fatalf("delta +%d −%d differs from rov.DiffVRPs +%d −%d",
-				len(entries[0].announced), len(entries[0].withdrawn), len(announced), len(withdrawn))
+				len(gotA), len(gotW), len(announced), len(withdrawn))
 		}
 	}
 	checkState(t, c, next, oracleFrame(next))
@@ -215,7 +240,7 @@ func TestChunkedCacheMatchesFlatOracle(t *testing.T) {
 	}
 
 	primary, replica := NewCache(9), NewCache(0)
-	primary.SetHistoryLimits(8, 1<<30, 1<<30)
+	primary.SetHistoryLimits(8, 1<<30)
 	replica.applySnapshot(primary.Session(), primary.Serial(), nil)
 	var prev []rov.VRP
 	for step := 0; step < steps; step++ {
@@ -276,7 +301,8 @@ func TestChunkedCacheMatchesFlatOracle(t *testing.T) {
 
 		if serial := primary.Serial(); serial != prevSerial {
 			entries, _, _ := primary.deltaEntries(prevSerial)
-			if !replica.applyDelta(serial, entries[0].announced, entries[0].withdrawn) {
+			announced, withdrawn := entries[0].ops(t)
+			if !replica.applyDelta(serial, announced, withdrawn) {
 				t.Fatalf("step %d: replica refused delta %d", step, serial)
 			}
 		}

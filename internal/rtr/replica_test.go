@@ -126,7 +126,7 @@ func TestReplicaResumesAfterReconnect(t *testing.T) {
 
 func TestReplicaOutOfWindowGetsSnapshot(t *testing.T) {
 	primary := NewCache(7)
-	primary.SetHistoryLimits(1, 0, 0)
+	primary.SetHistoryLimits(1, 0)
 	primary.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, 1)})
 	srv, addr := startPrimary(t, primary)
 
@@ -285,8 +285,8 @@ func TestReplicaCoalescedResume(t *testing.T) {
 	if !ok || len(entries) != 1 {
 		t.Fatalf("replica history from serial 1: %d entries (ok=%v), want one spanning 1 → 4", len(entries), ok)
 	}
-	if !slices.Equal(entries[0].announced, []rov.VRP{y, z}) || len(entries[0].withdrawn) != 0 {
-		t.Errorf("replica entry announces %v, withdraws %v; want the net delta +%v", entries[0].announced, entries[0].withdrawn, []rov.VRP{y, z})
+	if announced, withdrawn := entries[0].ops(t); !slices.Equal(announced, []rov.VRP{y, z}) || len(withdrawn) != 0 {
+		t.Errorf("replica entry announces %v, withdraws %v; want the net delta +%v", announced, withdrawn, []rov.VRP{y, z})
 	}
 
 	connect(t, atN)

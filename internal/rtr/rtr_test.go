@@ -87,11 +87,11 @@ func TestCacheDeltas(t *testing.T) {
 	}
 	c.SetVRPs([]rov.VRP{v2})
 	entries, serial, ok := c.deltaEntries(1)
-	if !ok || serial != 2 || len(entries) != 1 || len(entries[0].announced) != 1 || len(entries[0].withdrawn) != 1 {
+	if !ok || serial != 2 || len(entries) != 1 {
 		t.Fatalf("delta: %+v %d %v", entries, serial, ok)
 	}
-	if entries[0].announced[0] != v2 || entries[0].withdrawn[0] != v1 {
-		t.Error("delta content wrong")
+	if announced, withdrawn := entries[0].ops(t); !slices.Equal(announced, []rov.VRP{v2}) || !slices.Equal(withdrawn, []rov.VRP{v1}) {
+		t.Errorf("delta announces %v, withdraws %v; want %v, %v", announced, withdrawn, v2, v1)
 	}
 	// Current serial: empty delta, still ok.
 	entries, _, ok = c.deltaEntries(2)
@@ -510,16 +510,17 @@ func TestSetVRPsDoesNotAliasCaller(t *testing.T) {
 	}
 }
 
-// TestCacheHistoryBounds: the delta history stays inside every configured
-// bound no matter how many updates flow through, and out-of-window serial
+// TestCacheHistoryBounds: the delta history stays inside both configured
+// bounds no matter how many updates flow through, and out-of-window serial
 // queries fall back to Cache Reset.
 func TestCacheHistoryBounds(t *testing.T) {
 	c := NewCache(1)
-	c.SetHistoryLimits(8, 40, 1<<30)
+	c.SetHistoryLimits(8, 1<<30)
 	for i := 0; i < 100; i++ {
 		c.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, ipres.ASN(i+1))})
+		// Each update after the first announces one VRP and withdraws one.
 		entries, vrpsN, bytes := c.HistoryStats()
-		if entries > 8 || vrpsN > 40 {
+		if entries > 8 || vrpsN > 2*entries {
 			t.Fatalf("update %d: history entries=%d vrps=%d bytes=%d exceeds bounds", i, entries, vrpsN, bytes)
 		}
 	}
@@ -537,7 +538,7 @@ func TestCacheHistoryBounds(t *testing.T) {
 
 	// The byte budget alone must also bound the history.
 	cb := NewCache(2)
-	cb.SetHistoryLimits(1<<30, 1<<30, 200)
+	cb.SetHistoryLimits(1<<30, 200)
 	for i := 0; i < 50; i++ {
 		cb.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, ipres.ASN(i+1))})
 		if _, _, bytes := cb.HistoryStats(); bytes > 200 {

@@ -389,7 +389,7 @@ func TestSessionResumption(t *testing.T) {
 // partial replay.
 func TestResumeOutOfWindow(t *testing.T) {
 	cache := NewCache(7)
-	cache.SetHistoryLimits(1, 0, 0)
+	cache.SetHistoryLimits(1, 0)
 	cache.SetVRPs([]rov.VRP{vrp("10.0.0.0/8", 8, 1)})
 	srv := NewServer(cache)
 	addr, err := srv.Listen("127.0.0.1:0")
