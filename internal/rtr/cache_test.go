@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"net"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/ipres"
 	"repro/internal/rov"
@@ -410,4 +412,271 @@ func TestSetVRPsSmallChangeAllocatesOrderDelta(t *testing.T) {
 		t.Errorf("withdrawing 10 scattered VRPs of %d allocated %d KiB, want < 1024", len(full), got>>10)
 	}
 	checkStep(t, c, full, scattered, 3)
+}
+
+// TestSplitDiffMatchesOnePass: at every seam, the two-half diff returns what
+// the one-pass diff does — the delta rov.DiffVRPs computes for a canonical
+// input, and a refusal for one that is not — over chunk lists cut every few
+// VRPs, so that cuts fall at every chunk boundary. The refused inputs each
+// have one defect, at the middle of the set, where some seams cut: a
+// duplicate pair, a descending pair, and an unencodable entry right after
+// the cut. Through SetVRPs, at seams that cut right at a chunk's head,
+// those inputs reach the normalized set as they do in one pass.
+func TestSplitDiffMatchesOnePass(t *testing.T) {
+	universe := testUniverse(rand.New(rand.NewSource(50)), 60)
+	var cached, fresh []rov.VRP // fresh: every third VRP, never cached
+	for i, v := range universe {
+		if i%3 == 2 {
+			fresh = append(fresh, v)
+		} else {
+			cached = append(cached, v)
+		}
+	}
+	mid, fmid := len(cached)/2, len(fresh)/2
+	apply := func(withdraw []int, announce ...rov.VRP) []rov.VRP {
+		out := slices.Clone(cached)
+		for k := len(withdraw) - 1; k >= 0; k-- {
+			out = slices.Delete(out, withdraw[k], withdraw[k]+1)
+		}
+		out = append(out, announce...)
+		rov.SortVRPs(out)
+		return out
+	}
+	below, above := vrp("0.0.0.0/0", 0, 1), vrp("ffff::/16", 16, 1)
+	canonical := map[string][]rov.VRP{
+		"none":            cached,
+		"one half":        apply([]int{2, 5}, fresh[1]),
+		"straddling":      apply([]int{mid - 1, mid}, fresh[fmid-1], fresh[fmid]),
+		"first and last":  apply([]int{0, len(cached) - 1}),
+		"new first, last": apply(nil, below, above),
+		"first half gone": cached[mid:],
+		"last half gone":  cached[:mid],
+		"all gone":        nil,
+	}
+	unencodable := cached[mid]
+	unencodable.MaxLength = 200 // orders right after cached[mid], which it replaces
+	defective := map[string][]rov.VRP{
+		"duplicate pair":  slices.Insert(slices.Clone(cached), mid, cached[mid]),
+		"descending pair": slices.Concat(cached[:mid-1], []rov.VRP{cached[mid], cached[mid-1]}, cached[mid+1:]),
+		"unencodable":     slices.Concat(cached[:mid], []rov.VRP{unencodable}, cached[mid+1:]),
+	}
+	for _, size := range []int{1, 3, 4, 7} {
+		var chunks []*chunk
+		for i := 0; i < len(cached); i += size {
+			chunks = append(chunks, newChunk(slices.Clone(cached[i:min(i+size, len(cached))]), false))
+		}
+		check := func(name string, in []rov.VRP, canonical bool) {
+			wantA, wantW, wantOK := diffPass(chunks, in)
+			if wantOK != canonical {
+				t.Fatalf("chunks of %d, %s: one pass ok=%v", size, name, wantOK)
+			}
+			if canonical {
+				a, w := rov.DiffVRPs(cached, in)
+				if !slices.Equal(wantA, a) || !slices.Equal(wantW, w) {
+					t.Fatalf("chunks of %d, %s: one pass differs from rov.DiffVRPs", size, name)
+				}
+			}
+			for seam := 0; seam <= len(in); seam++ {
+				a, w, ok := diffChunks(chunks, in, seam)
+				if ok != wantOK || !slices.Equal(a, wantA) || !slices.Equal(w, wantW) {
+					t.Fatalf("chunks of %d, %s, seam %d: split +%d −%d ok=%v, one pass +%d −%d ok=%v",
+						size, name, seam, len(a), len(w), ok, len(wantA), len(wantW), wantOK)
+				}
+			}
+		}
+		for name, in := range canonical {
+			check(name, in, true)
+		}
+		for name, in := range defective {
+			check(name, in, false)
+		}
+	}
+
+	// The same defects at the head of a real cache's second chunk.
+	set := testUniverse(rand.New(rand.NewSource(51)), 2*chunkVRPs+chunkVRPs/2)
+	c := NewCache(1)
+	c.SetVRPs(set)
+	chunks, _, _ := c.snapshot()
+	if len(chunks) < 2 {
+		t.Fatalf("%d VRPs make %d chunks", len(set), len(chunks))
+	}
+	m, _ := slices.BinarySearchFunc(set, chunks[1].vrps[0], rov.VRP.Compare)
+	bad := set[m]
+	bad.MaxLength = 200
+	for name, in := range map[string][]rov.VRP{
+		"duplicate pair":  slices.Insert(slices.Clone(set), m, set[m]),
+		"descending pair": slices.Concat(set[:m-1], []rov.VRP{set[m], set[m-1]}, set[m+1:]),
+		"unencodable":     slices.Concat(set[:m], []rov.VRP{bad}, set[m+1:]),
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := oracleNormalize(in)
+			for _, seam := range []int{0, m - 2, m - 1, m, m + 1, m + 2, len(in) / 2} {
+				serial := c.Serial()
+				c.setVRPs(in, seam)
+				checkStep(t, c, set, want, serial)
+				c.SetVRPs(set)
+			}
+		})
+	}
+}
+
+// TestSetVRPsUnchangedBulkAllocations: above splitDiffMin an unchanged set
+// allocates what the second half's goroutine needs (its channel and its
+// closure), a constant, however large the set.
+func TestSetVRPsUnchangedBulkAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(2 * splitDiffMin))
+	for _, n := range []int{2 * splitDiffMin, 4 * splitDiffMin} {
+		set := testUniverse(rng, n)
+		c := NewCache(1)
+		c.SetVRPs(set)
+		if got := testing.AllocsPerRun(20, func() { c.SetVRPs(set) }); got > 2 {
+			t.Errorf("SetVRPs of an unchanged set of %d VRPs allocates %v times, want at most 2", n, got)
+		}
+		if c.Serial() != 1 {
+			t.Errorf("%d VRPs: serial = %d, want 1", n, c.Serial())
+		}
+	}
+}
+
+// TestSetVRPsOversizedDeltaIsNotEncoded: a delta whose frame alone exceeds
+// the history's byte bound leaves the history empty, as eviction would, so
+// a router at an older serial gets Cache Reset; and a first load of a
+// live-RPKI-sized set no longer encodes the 4.5 MB frame it would evict.
+func TestSetVRPsOversizedDeltaIsNotEncoded(t *testing.T) {
+	set := testUniverse(rand.New(rand.NewSource(52)), 100)
+	c := NewCache(1)
+	c.SetHistoryLimits(0, prefixPDUsLen(set[:10]))
+	c.SetVRPs(set[:5])
+	if entries, _, _ := c.HistoryStats(); entries != 1 {
+		t.Fatalf("history holds %d entries after a small load, want 1", entries)
+	}
+	c.SetVRPs(set)
+	if e, v, b := c.HistoryStats(); e != 0 || v != 0 || b != 0 {
+		t.Errorf("HistoryStats after an oversized delta = (%d, %d, %d), want (0, 0, 0)", e, v, b)
+	}
+	checkState(t, c, set, oracleFrame(set))
+	conn, err := net.Dial("tcp", startServer(t, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WritePDU(conn, &PDU{Type: TypeSerialQuery, Session: c.Session(), Serial: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := ReadPDU(conn); err != nil || p.Type != TypeCacheReset {
+		t.Errorf("serial query at serial 1 answered %+v, %v; want Cache Reset", p, err)
+	}
+
+	if testing.Short() {
+		return
+	}
+	full := testUniverse(rand.New(rand.NewSource(200_000)), 200_000)
+	big := NewCache(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	big.SetVRPs(full)
+	runtime.ReadMemStats(&after)
+	if e, v, b := big.HistoryStats(); e != 0 || v != 0 || b != 0 {
+		t.Errorf("HistoryStats after a first load of %d VRPs = (%d, %d, %d), want (0, 0, 0)", len(full), e, v, b)
+	}
+	// What the load needs: the announced slice, the chunks' copy of it and
+	// their frames. Encoding the delta frame as well, with the announced
+	// slice grown by doubling, came to 48 MB.
+	frame := prefixPDUsLen(full)
+	need := 2*len(full)*int(unsafe.Sizeof(rov.VRP{})) + frame
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(need+frame/4) {
+		t.Errorf("first load of %d VRPs allocated %d KiB, want at most %d (the %d KiB frame is evicted unencoded)",
+			len(full), got>>10, (need+frame/4)>>10, frame>>10)
+	}
+}
+
+// BenchmarkSetVRPsBulk is SetVRPs at live-RPKI size, the three rows of the
+// cost table in DESIGN.md §7: an unchanged set (splitDiffMin's evidence), ten
+// VRPs spread over the set, and a contiguous run of 20,000. A changing op
+// alternates between the two sets, so every iteration commits a delta of
+// that size.
+func BenchmarkSetVRPsBulk(b *testing.B) {
+	full := testUniverse(rand.New(rand.NewSource(200_000)), 200_000)
+	var scattered []rov.VRP
+	for i, v := range full {
+		if i%(len(full)/10) != 7 {
+			scattered = append(scattered, v)
+		}
+	}
+	at := len(full) / 3
+	contiguous := slices.Delete(slices.Clone(full), at, at+20_000)
+	for _, bc := range []struct {
+		name  string
+		other []rov.VRP
+	}{{"unchanged", full}, {"scattered10", scattered}, {"contiguous20000", contiguous}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewCache(1)
+			c.SetVRPs(full)
+			sets := [2][]rov.VRP{bc.other, full}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.SetVRPs(sets[i%2])
+			}
+		})
+	}
+}
+
+// TestSplitDiffConcurrentSetVRPs: SetVRPs diffs outside the cache lock, so
+// callers race. Four goroutines set four sets above splitDiffMin in turn;
+// replayed from the first, the history must step from one of those sets to
+// another, each entry exact (it announces only what the state lacks and
+// withdraws only what it holds), and end on the cache's set: an update
+// diffed against a list another caller had already replaced would commit a
+// delta from the wrong base.
+func TestSplitDiffConcurrentSetVRPs(t *testing.T) {
+	universe := testUniverse(rand.New(rand.NewSource(53)), 2*splitDiffMin+400)
+	var sets [4][]rov.VRP
+	for i := range sets {
+		at := (i + 1) * len(universe) / 5
+		sets[i] = slices.Delete(slices.Clone(universe), at, at+100)
+	}
+	c := NewCache(1)
+	c.SetHistoryLimits(1<<20, 1<<30)
+	c.SetVRPs(sets[0])
+	done := make(chan struct{})
+	for g := 0; g < len(sets); g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for k := 0; k < 8; k++ {
+				c.SetVRPs(sets[(g+k)%len(sets)])
+			}
+		}()
+	}
+	for range sets {
+		<-done
+	}
+	entries, _, ok := c.deltaEntries(1)
+	if !ok {
+		t.Fatal("history lost serial 1")
+	}
+	state := sets[0]
+	for k, e := range entries {
+		announced, withdrawn := e.ops(t)
+		next := slices.Clone(state)
+		for _, v := range withdrawn {
+			at, found := slices.BinarySearchFunc(next, v, rov.VRP.Compare)
+			if !found {
+				t.Fatalf("entry %d withdraws a VRP the state does not hold", k)
+			}
+			next = slices.Delete(next, at, at+1)
+		}
+		for _, v := range announced {
+			at, found := slices.BinarySearchFunc(next, v, rov.VRP.Compare)
+			if found {
+				t.Fatalf("entry %d announces a VRP the state holds", k)
+			}
+			next = slices.Insert(next, at, v)
+		}
+		if !slices.ContainsFunc(sets[:], func(s []rov.VRP) bool { return slices.Equal(s, next) }) {
+			t.Fatalf("entry %d leads to a set no caller gave", k)
+		}
+		state = next
+	}
+	checkState(t, c, state, oracleFrame(state))
 }

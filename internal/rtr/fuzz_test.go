@@ -97,14 +97,22 @@ func decodeFuzzVRP(b []byte) rov.VRP {
 // it against the flat oracle after each. The first byte's top bit chooses
 // whether the sets arrive as built (unsorted: the normalizing path) or
 // sorted with their unencodable entries left in (the fused check's path).
+// Both are diffed split (diffChunks) at a seam the input chooses: its
+// trailing partial record, if two bytes or more, read as a position in the
+// set, and otherwise the set's middle. The sets are far below splitDiffMin.
 func FuzzCacheSetVRPs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0, 0, 2, 0, 16, 0, 1})                                         // one /24 into the first set, inside chunk 0
 	f.Add([]byte{0x82, 0, 0x0f, 0x77, 0, 16, 0, 2, 0x82, 0, 0x0f, 0x79, 0, 16, 0, 3}) // sorted; announces either side of the first chunk boundary
 	f.Add([]byte{0x06, 0, 0, 0, 200, 255, 0, 0, 0x06, 0, 0, 3, 0, 255, 0, 0})         // two whacks, one across chunks
 	f.Add([]byte{0xa4, 0, 1, 2, 0, 16, 150, 1, 0xC4, 0, 0, 0, 0, 0, 0, 0})            // sorted; a maxLength of 300 and an invalid prefix in both sets
+	f.Add([]byte{0x82, 0, 0x0f, 0x77, 0, 16, 0, 2, 0x03, 0xde})                       // sorted; an announce just below the second chunk's head, split there
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sorted := len(data) > 0 && data[0]&0x80 != 0
+		seam := -1
+		if rest := data[len(data)/fuzzRecord*fuzzRecord:]; len(rest) >= 2 {
+			seam = int(rest[0])<<8 | int(rest[1])
+		}
 		first := slices.Clone(fuzzBase)
 		var second []rov.VRP
 		whacked := make([]bool, len(fuzzBase))
@@ -132,11 +140,17 @@ func FuzzCacheSetVRPs(f *testing.F) {
 			slices.SortFunc(first, rov.VRP.Compare)
 			slices.SortFunc(second, rov.VRP.Compare)
 		}
+		at := func(set []rov.VRP) int {
+			if seam < 0 {
+				return len(set) / 2
+			}
+			return seam % (len(set) + 1)
+		}
 		c := NewCache(1)
-		c.SetVRPs(first)
+		c.setVRPs(first, at(first))
 		checkStep(t, c, nil, oracleNormalize(first), 0)
 		serial := c.Serial()
-		c.SetVRPs(second)
+		c.setVRPs(second, at(second))
 		checkStep(t, c, oracleNormalize(first), oracleNormalize(second), serial)
 	})
 }
