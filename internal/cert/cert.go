@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/asn1"
 	"fmt"
 	"math/big"
 	"time"
@@ -88,7 +89,9 @@ type Template struct {
 
 // Issue creates and signs a resource certificate for subjectKey's public key
 // using issuerKey. If issuer is nil the certificate is self-signed (a trust
-// anchor). The returned certificate is parsed and ready for use.
+// anchor). issuerKey must be the key the issuer's certificate names, or
+// subjectKey itself for a trust anchor. The returned certificate is parsed
+// and ready for use.
 func Issue(tmpl Template, issuer *ResourceCert, issuerKey, subjectKey *KeyPair) (*ResourceCert, error) {
 	if subjectKey == nil {
 		return nil, fmt.Errorf("cert: nil subject key")
@@ -109,6 +112,26 @@ func IssueForKey(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, subjec
 	if tmpl.NotAfter.Before(tmpl.NotBefore) {
 		return nil, fmt.Errorf("cert: inverted validity window")
 	}
+	if tmpl.Serial < 0 {
+		return nil, fmt.Errorf("cert: negative serial %d", tmpl.Serial)
+	}
+	spki, err := x509.MarshalPKIXPublicKey(subjectPub)
+	if err != nil {
+		return nil, fmt.Errorf("cert: encoding subject key: %w", err)
+	}
+	subject, err := asn1.Marshal(pkix.Name{CommonName: tmpl.Subject}.ToRDNSequence())
+	if err != nil {
+		return nil, fmt.Errorf("cert: encoding subject: %w", err)
+	}
+	// The key that signs must be the one the issuer's certificate names:
+	// the subject's own key for a trust anchor.
+	issuerName, issuerPub := subject, any(subjectPub)
+	if issuer != nil {
+		issuerName, issuerPub = issuer.Cert.RawSubject, issuer.Cert.PublicKey
+	}
+	if !issuerKey.Public().Equal(issuerPub) {
+		return nil, fmt.Errorf("cert: issuer key does not match the issuer's certificate")
+	}
 
 	var ipb rfc3779.IPAddrBlocks
 	if tmpl.InheritIP {
@@ -123,11 +146,42 @@ func IssueForKey(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, subjec
 	if err != nil {
 		return nil, fmt.Errorf("cert: encoding IP resources: %w", err)
 	}
-	extensions := []pkix.Extension{{
+	ski, err := asn1.Marshal(skiForSPKI(spki))
+	if err != nil {
+		return nil, err
+	}
+	// Extensions in crypto/x509's order: the ones it builds from its own
+	// template fields, then the RPKI ones it would append.
+	keyUsage, basic := eeKeyUsage, eeBasicConstraints
+	if tmpl.CA {
+		keyUsage, basic = caKeyUsage, caBasicConstraints
+	}
+	extensions := []pkix.Extension{
+		{Id: oidExtKeyUsage, Critical: true, Value: keyUsage},
+		{Id: oidExtBasicConstraints, Critical: true, Value: basic},
+		{Id: oidExtSubjectKeyID, Value: ski},
+	}
+	if issuer != nil {
+		aki, err := asn1.Marshal(authKeyID{ID: issuer.Cert.SubjectKeyId})
+		if err != nil {
+			return nil, err
+		}
+		extensions = append(extensions, pkix.Extension{Id: oidExtAuthorityKeyID, Value: aki})
+	}
+	if tmpl.CRLDistributionPoint != "" {
+		dp, err := asn1.Marshal([]distributionPoint{{Name: distributionPointName{
+			FullName: []asn1.RawValue{uriGeneralName(tmpl.CRLDistributionPoint)},
+		}}})
+		if err != nil {
+			return nil, err
+		}
+		extensions = append(extensions, pkix.Extension{Id: oidExtCRLDistributionPoints, Value: dp})
+	}
+	extensions = append(extensions, pkix.Extension{
 		Id:       rfc3779.OIDIPAddrBlocks,
 		Critical: true,
 		Value:    ipDER,
-	}}
+	})
 	if tmpl.InheritAS || !tmpl.ASNs.IsEmpty() {
 		asDER, err := rfc3779.MarshalASIdentifiers(rfc3779.ASChoice{Inherit: tmpl.InheritAS, Set: tmpl.ASNs})
 		if err != nil {
@@ -154,34 +208,18 @@ func IssueForKey(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, subjec
 		extensions = append(extensions, pkix.Extension{Id: oidAIA, Value: aiaDER})
 	}
 
-	x := &x509.Certificate{
-		SerialNumber:          big.NewInt(tmpl.Serial),
-		Subject:               pkix.Name{CommonName: tmpl.Subject},
-		NotBefore:             tmpl.NotBefore,
-		NotAfter:              tmpl.NotAfter,
-		BasicConstraintsValid: true,
-		IsCA:                  tmpl.CA,
-		SubjectKeyId:          skiForPublicKey(subjectPub),
-		ExtraExtensions:       extensions,
-		SignatureAlgorithm:    x509.ECDSAWithSHA256,
-	}
-	if tmpl.CA {
-		x.KeyUsage = x509.KeyUsageCertSign | x509.KeyUsageCRLSign
-	} else {
-		x.KeyUsage = x509.KeyUsageDigitalSignature
-	}
-	if tmpl.CRLDistributionPoint != "" {
-		x.CRLDistributionPoints = []string{tmpl.CRLDistributionPoint}
-	}
-
-	parent := x
-	if issuer != nil {
-		parent = issuer.Cert
-		x.AuthorityKeyId = issuer.Cert.SubjectKeyId
-	}
-	der, err := x509.CreateCertificate(nil, x, parent, subjectPub, issuerKey.Private)
+	der, err := signTBS(tbsCertificate{
+		Version:      2, // v3
+		SerialNumber: tmpl.Serial,
+		Signature:    ecdsaWithSHA256,
+		Issuer:       asn1.RawValue{FullBytes: issuerName},
+		Validity:     validity{tmpl.NotBefore.UTC(), tmpl.NotAfter.UTC()},
+		Subject:      asn1.RawValue{FullBytes: subject},
+		PublicKey:    asn1.RawValue{FullBytes: spki},
+		Extensions:   extensions,
+	}, issuerKey)
 	if err != nil {
-		return nil, fmt.Errorf("cert: creating certificate: %w", err)
+		return nil, fmt.Errorf("cert: signing certificate: %w", err)
 	}
 	return Parse(der)
 }

@@ -3,6 +3,8 @@ package cert
 import (
 	"crypto/sha256"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"fmt"
 	"math/big"
 	"time"
@@ -22,24 +24,53 @@ type CRL struct {
 }
 
 // IssueCRL creates and signs a CRL listing the given revoked serial numbers.
+// issuerKey must be the key issuer's certificate names, and that
+// certificate must allow CRL signing and carry a subject key identifier.
 func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []*big.Int, thisUpdate, nextUpdate time.Time) (*CRL, error) {
-	entries := make([]x509.RevocationListEntry, len(revoked))
-	for i, serial := range revoked {
-		entries[i] = x509.RevocationListEntry{
-			SerialNumber:   serial,
-			RevocationTime: thisUpdate,
+	switch {
+	case issuer == nil || issuerKey == nil:
+		return nil, fmt.Errorf("cert: nil CRL issuer")
+	case issuer.Cert.KeyUsage&x509.KeyUsageCRLSign == 0:
+		return nil, fmt.Errorf("cert: %q may not sign CRLs", issuer.Subject())
+	case len(issuer.Cert.SubjectKeyId) == 0:
+		return nil, fmt.Errorf("cert: %q has no subject key identifier", issuer.Subject())
+	case nextUpdate.Before(thisUpdate):
+		return nil, fmt.Errorf("cert: CRL thisUpdate after nextUpdate")
+	case !issuerKey.Public().Equal(issuer.Cert.PublicKey):
+		return nil, fmt.Errorf("cert: CRL key does not match %q's certificate", issuer.Subject())
+	}
+	var entries []pkix.RevokedCertificate
+	if len(revoked) > 0 {
+		if thisUpdate.IsZero() {
+			return nil, fmt.Errorf("cert: zero revocation time")
+		}
+		entries = make([]pkix.RevokedCertificate, len(revoked))
+		for i, serial := range revoked {
+			entries[i] = pkix.RevokedCertificate{SerialNumber: serial, RevocationTime: thisUpdate.UTC()}
 		}
 	}
-	tmpl := &x509.RevocationList{
-		Number:                    big.NewInt(number),
-		ThisUpdate:                thisUpdate,
-		NextUpdate:                nextUpdate,
-		RevokedCertificateEntries: entries,
-		SignatureAlgorithm:        x509.ECDSAWithSHA256,
-	}
-	der, err := x509.CreateRevocationList(nil, tmpl, issuer.Cert, issuerKey.Private)
+	aki, err := asn1.Marshal(authKeyID{ID: issuer.Cert.SubjectKeyId})
 	if err != nil {
-		return nil, fmt.Errorf("cert: creating CRL: %w", err)
+		return nil, err
+	}
+	crlNumber, err := asn1.Marshal(number)
+	if err != nil {
+		return nil, err
+	}
+	der, err := signTBS(tbsCertList{
+		Version:    1, // v2
+		Signature:  ecdsaWithSHA256,
+		Issuer:     asn1.RawValue{FullBytes: issuer.Cert.RawSubject},
+		ThisUpdate: thisUpdate.UTC(),
+		NextUpdate: nextUpdate.UTC(),
+		Revoked:    entries,
+		Extensions: []pkix.Extension{
+			{Id: oidExtAuthorityKeyID, Value: aki},
+			{Id: oidExtCRLNumber, Value: crlNumber},
+		},
+	}, issuerKey)
+	if err != nil {
+		return nil, fmt.Errorf("cert: signing CRL: %w", err)
 	}
 	return ParseCRL(der)
 }

@@ -1,7 +1,8 @@
 // Package cert implements RPKI resource certificates per the RFC 6487
-// profile on top of the standard library's crypto/x509: CA and end-entity
-// issuance carrying RFC 3779 resource extensions, SIA/AIA repository
-// pointers, CRLs, and resource-aware path validation.
+// profile: CA and end-entity issuance carrying RFC 3779 resource
+// extensions, SIA/AIA repository pointers, CRLs, and resource-aware path
+// validation. Issuance encodes and signs its own DER with encoding/asn1;
+// parsing and signature checks use the standard library's crypto/x509.
 //
 // Every certificate in the RPKI binds a public key to a set of Internet
 // number resources. A certificate is valid only if its resources are covered
@@ -74,16 +75,6 @@ func (k *KeyPair) SKI() []byte { return k.ski[:] }
 // SKIString returns the subject key identifier as lowercase hex, the
 // conventional RPKI subject name.
 func (k *KeyPair) SKIString() string { return hex.EncodeToString(k.ski[:]) }
-
-// skiForPublicKey computes the RFC 6487 subject key identifier (SHA-1 of
-// the subjectPublicKeyInfo) for an arbitrary public key.
-func skiForPublicKey(pub *ecdsa.PublicKey) []byte {
-	spki, err := x509.MarshalPKIXPublicKey(pub)
-	if err != nil {
-		return nil
-	}
-	return skiForSPKI(spki)
-}
 
 // skiForSPKI is the subject key identifier of a DER subjectPublicKeyInfo.
 // RFC 6487 §4.8.2 hashes only the key's BIT STRING; every identifier this
