@@ -19,6 +19,7 @@
 package ca
 
 import (
+	"crypto/x509/pkix"
 	"fmt"
 	"math/big"
 	"sort"
@@ -105,7 +106,7 @@ type Authority struct {
 	mftNumber int64
 	children  map[string]*childRecord
 	roas      map[string]*roaRecord
-	revoked   []*big.Int
+	revoked   []pkix.RevokedCertificate
 	// childHandles links child records to their live Authority handles so
 	// the parent can reissue against the child's existing key (ShrinkChild,
 	// key rollover).

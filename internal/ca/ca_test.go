@@ -273,6 +273,47 @@ func TestDeleteAndRevokeROA(t *testing.T) {
 	}
 }
 
+// TestRevocationDateSurvivesRepublish: a CRL entry's revocation date is
+// when the serial was revoked (RFC 5280 §5.3.1), so every later CRL repeats
+// it, however often the authority republishes and however far its clock
+// has moved.
+func TestRevocationDateSurvivesRepublish(t *testing.T) {
+	now := testEpoch
+	ta, err := NewTrustAnchor("ta", ipres.MustParseSet("63.0.0.0/8"), repo.NewStore(),
+		repo.URI{Host: "ta.example:8873", Module: "ta"}, Config{Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ta.IssueROA("r1", 1, roa.MustParsePrefix("63.1.0.0/16")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ta.RevokeROA("r1"); err != nil {
+		t.Fatal(err)
+	}
+	revokedAt := now
+	for i := 1; i <= 2; i++ {
+		now = testEpoch.Add(time.Duration(i) * time.Hour)
+		if err := ta.republish(); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := ta.Store.Get(ta.CRLFileName())
+		crl, err := cert.ParseCRL(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !crl.List.ThisUpdate.Equal(now) {
+			t.Fatalf("republish %d: CRL thisUpdate %v, want %v", i, crl.List.ThisUpdate, now)
+		}
+		entries := crl.List.RevokedCertificateEntries
+		if len(entries) != 1 || entries[0].SerialNumber.String() != ta.RevokedSerials()[0] {
+			t.Fatalf("republish %d: entries %v, want the revoked ROA's serial alone", i, entries)
+		}
+		if !entries[0].RevocationTime.Equal(revokedAt) {
+			t.Errorf("republish %d: revocation date moved to %v, want %v", i, entries[0].RevocationTime, revokedAt)
+		}
+	}
+}
+
 func TestRollKeyReissuesEverything(t *testing.T) {
 	ta := newTA(t, "63.0.0.0/8")
 	sprint := addChild(t, ta, "sprint", "63.160.0.0/12")

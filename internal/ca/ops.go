@@ -1,6 +1,7 @@
 package ca
 
 import (
+	"crypto/x509/pkix"
 	"fmt"
 	"time"
 
@@ -23,7 +24,7 @@ func (a *Authority) RevokeChild(name string) error {
 	if !ok {
 		return fmt.Errorf("ca: %s has no child %q", a.Name, name)
 	}
-	a.revoked = append(a.revoked, rec.cert.SerialNumber())
+	a.revoked = append(a.revoked, pkix.RevokedCertificate{SerialNumber: rec.cert.SerialNumber(), RevocationTime: a.cfg.now()})
 	a.Store.Delete(rec.fileName)
 	delete(a.children, name)
 	delete(a.childHandles, name)
@@ -126,7 +127,7 @@ func (a *Authority) RevokeROA(name string) error {
 	if !ok {
 		return fmt.Errorf("ca: %s has no ROA %q", a.Name, name)
 	}
-	a.revoked = append(a.revoked, rec.eeSerial)
+	a.revoked = append(a.revoked, pkix.RevokedCertificate{SerialNumber: rec.eeSerial, RevocationTime: a.cfg.now()})
 	a.Store.Delete(rec.fileName)
 	delete(a.roas, name)
 	return a.republishLocked()
@@ -138,8 +139,8 @@ func (a *Authority) RevokedSerials() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]string, len(a.revoked))
-	for i, s := range a.revoked {
-		out[i] = s.String()
+	for i, r := range a.revoked {
+		out[i] = r.SerialNumber.String()
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package cert
 
 import (
 	"crypto/sha256"
+	"crypto/x509/pkix"
 	"errors"
 	"math/big"
 	"sync"
@@ -92,7 +93,7 @@ func TestVerifyCacheCachesFailures(t *testing.T) {
 func TestVerifyCacheCRL(t *testing.T) {
 	ta, taKey := newTestTA(t, "10.0.0.0/8")
 	nb, na := testValidity()
-	crl, err := IssueCRL(ta, taKey, 1, []*big.Int{big.NewInt(7)}, nb, na)
+	crl, err := IssueCRL(ta, taKey, 1, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(7), RevocationTime: nb}}, nb, na)
 	if err != nil {
 		t.Fatal(err)
 	}

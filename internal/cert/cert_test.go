@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/x509"
+	"crypto/x509/pkix"
 	"errors"
 	"math/big"
 	"strings"
@@ -212,7 +213,7 @@ func TestInheritAtAnchorRejected(t *testing.T) {
 func TestCRLRevocation(t *testing.T) {
 	ta, taKey := newTestTA(t, "63.0.0.0/8")
 	child, _ := issueChild(t, ta, taKey, "child", "63.1.0.0/16", 7, true)
-	crl, err := IssueCRL(ta, taKey, 1, []*big.Int{big.NewInt(7)}, testEpoch, testEpoch.Add(24*time.Hour))
+	crl, err := IssueCRL(ta, taKey, 1, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(7), RevocationTime: testEpoch}}, testEpoch, testEpoch.Add(24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

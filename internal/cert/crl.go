@@ -7,6 +7,7 @@ import (
 	"encoding/asn1"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 )
 
@@ -23,10 +24,12 @@ type CRL struct {
 	digest [32]byte
 }
 
-// IssueCRL creates and signs a CRL listing the given revoked serial numbers.
-// issuerKey must be the key issuer's certificate names, and that
-// certificate must allow CRL signing and carry a subject key identifier.
-func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []*big.Int, thisUpdate, nextUpdate time.Time) (*CRL, error) {
+// IssueCRL creates and signs a CRL listing the given revoked certificates,
+// each with the time it was revoked (RFC 5280 §5.3.1's revocationDate,
+// which every later CRL of the issuer repeats unchanged). issuerKey must be
+// the key issuer's certificate names, and that certificate must allow CRL
+// signing and carry a subject key identifier.
+func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []pkix.RevokedCertificate, thisUpdate, nextUpdate time.Time) (*CRL, error) {
 	switch {
 	case issuer == nil || issuerKey == nil:
 		return nil, fmt.Errorf("cert: nil CRL issuer")
@@ -39,15 +42,12 @@ func IssueCRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []
 	case !issuerKey.Public().Equal(issuer.Cert.PublicKey):
 		return nil, fmt.Errorf("cert: CRL key does not match %q's certificate", issuer.Subject())
 	}
-	var entries []pkix.RevokedCertificate
-	if len(revoked) > 0 {
-		if thisUpdate.IsZero() {
+	entries := slices.Clone(revoked)
+	for i, e := range entries {
+		if e.RevocationTime.IsZero() {
 			return nil, fmt.Errorf("cert: zero revocation time")
 		}
-		entries = make([]pkix.RevokedCertificate, len(revoked))
-		for i, serial := range revoked {
-			entries[i] = pkix.RevokedCertificate{SerialNumber: serial, RevocationTime: thisUpdate.UTC()}
-		}
+		entries[i].RevocationTime = e.RevocationTime.UTC()
 	}
 	aki, err := asn1.Marshal(authKeyID{ID: issuer.Cert.SubjectKeyId})
 	if err != nil {

@@ -89,10 +89,10 @@ func x509Certificate(tmpl Template, issuer *ResourceCert, issuerKey *KeyPair, su
 }
 
 // x509CRL is the oracle for IssueCRL.
-func x509CRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []*big.Int, thisUpdate, nextUpdate time.Time) ([]byte, error) {
+func x509CRL(issuer *ResourceCert, issuerKey *KeyPair, number int64, revoked []pkix.RevokedCertificate, thisUpdate, nextUpdate time.Time) ([]byte, error) {
 	entries := make([]x509.RevocationListEntry, len(revoked))
-	for i, serial := range revoked {
-		entries[i] = x509.RevocationListEntry{SerialNumber: serial, RevocationTime: thisUpdate}
+	for i, r := range revoked {
+		entries[i] = x509.RevocationListEntry{SerialNumber: r.SerialNumber, RevocationTime: r.RevocationTime}
 	}
 	return x509.CreateRevocationList(nil, &x509.RevocationList{
 		Number:                    big.NewInt(number),
@@ -222,22 +222,26 @@ func TestIssueMatchesX509(t *testing.T) {
 		})
 	}
 
-	many := make([]*big.Int, 300)
+	// Each entry keeps the time its serial was revoked, before the CRL's
+	// thisUpdate, in UTCTime and in GeneralizedTime.
+	many := make([]pkix.RevokedCertificate, 300)
 	for i := range many {
-		many[i] = big.NewInt(int64(i)*7919 + 1)
+		many[i] = pkix.RevokedCertificate{SerialNumber: big.NewInt(int64(i)*7919 + 1), RevocationTime: testEpoch.Add(-time.Duration(300-i) * time.Hour)}
 	}
-	many[150] = big.NewInt(math.MaxInt64)
-	many[299] = new(big.Int).Lsh(big.NewInt(1), 64) // beyond any int64 serial
+	many[150].SerialNumber = big.NewInt(math.MaxInt64)
+	many[299].SerialNumber = new(big.Int).Lsh(big.NewInt(1), 64) // beyond any int64 serial
+	many[42].RevocationTime = many[42].RevocationTime.In(time.FixedZone("UTC+9", 9*3600))
+	many[7].RevocationTime = time.Date(1949, 12, 31, 23, 59, 59, 0, time.UTC) // GeneralizedTime
 	crls := []struct {
 		name    string
 		issuer  *ResourceCert
 		key     *KeyPair
 		number  int64
-		revoked []*big.Int
+		revoked []pkix.RevokedCertificate
 		this    time.Time
 	}{
 		{"trust anchor, 0 serials", f.ta, f.taKey, 1, nil, testEpoch},
-		{"CA, 1 serial", f.ca, f.caKey, 2, []*big.Int{big.NewInt(7)}, testEpoch},
+		{"CA, 1 serial", f.ca, f.caKey, 2, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(7), RevocationTime: testEpoch.Add(-36 * time.Hour)}}, testEpoch},
 		{"CA, 300 serials", f.ca, f.caKey, math.MaxInt64, many, testEpoch.In(time.FixedZone("UTC-3", -3*3600))},
 	}
 	for _, c := range crls {
@@ -258,7 +262,12 @@ func TestIssueMatchesX509(t *testing.T) {
 				t.Errorf("does not verify under its issuer: %v", err)
 			}
 			if n := len(got.List.RevokedCertificateEntries); n != len(c.revoked) {
-				t.Errorf("%d entries, want %d", n, len(c.revoked))
+				t.Fatalf("%d entries, want %d", n, len(c.revoked))
+			}
+			for i, e := range got.List.RevokedCertificateEntries {
+				if !e.RevocationTime.Equal(c.revoked[i].RevocationTime) {
+					t.Errorf("entry %d revoked at %v, want %v", i, e.RevocationTime, c.revoked[i].RevocationTime)
+				}
 			}
 		})
 	}
@@ -298,14 +307,14 @@ func TestIssueRefusesWhatX509Refuses(t *testing.T) {
 		name       string
 		issuer     *ResourceCert
 		key        *KeyPair
-		revoked    []*big.Int
+		revoked    []pkix.RevokedCertificate
 		this, next time.Time
 	}{
 		{"issuer without cRLSign", f.ee, f.eeKey, nil, testEpoch, next},
 		{"issuer without a subject key identifier", &ResourceCert{Cert: &noSKI}, f.caKey, nil, testEpoch, next},
 		{"thisUpdate after nextUpdate", f.ca, f.caKey, nil, next, testEpoch},
-		{"nil revoked serial", f.ca, f.caKey, []*big.Int{big.NewInt(1), nil}, testEpoch, next},
-		{"zero revocation time", f.ca, f.caKey, []*big.Int{big.NewInt(1)}, time.Time{}, next},
+		{"nil revoked serial", f.ca, f.caKey, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(1), RevocationTime: testEpoch}, {RevocationTime: testEpoch}}, testEpoch, next},
+		{"zero revocation time", f.ca, f.caKey, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(1), RevocationTime: testEpoch}, {SerialNumber: big.NewInt(2)}}, testEpoch, next},
 	}
 	for _, c := range crls {
 		if _, err := x509CRL(c.issuer, c.key, 1, c.revoked, c.this, c.next); err == nil {

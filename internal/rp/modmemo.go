@@ -72,17 +72,13 @@
 // tier-3 revalidation keeps is re-pointed at the new snapshot's identical
 // bytes, so a memo never pins an old snapshot.
 //
-// The same entry serves an unreachable point's last-known-good snapshot:
-// the snapshot is the bytes the entry was validated from (state.go), so
-// under the same guard — authority, effective set, epoch — revalidating it
-// would reproduce the entry. Only tiers 1 and 2 prove the point current; a
-// last-known-good reuse leaves the snapshot's age alone, so StaleTTL still
-// counts from the last proof.
-//
-// Only clean validations are cached — a module that produced any diagnostic
-// deletes its entry — so reuse can never replay a degraded result. Entries
-// live in the per-point state (state.go), next to the snapshot they were
-// validated from.
+// The same entry serves an unreachable point's last-known-good snapshot
+// (plan's lkgMemo row, state.go): the snapshot is the bytes the entry was
+// validated from, so under the same guard — authority, effective set, epoch
+// — revalidating it would reproduce the entry. Which walks set, keep or
+// clear an entry, and which re-stamp the snapshot's age, is next's table:
+// only a clean validation of a faithful fetch is cached, so reuse can never
+// replay a degraded result.
 package rp
 
 import (
@@ -230,27 +226,16 @@ func (e *moduleEntry) within(now time.Time) bool { return e.epoch.contains(now) 
 // sameDigests reports whether a snapshot's objects are an entry's, name for
 // name and digest for digest (tier 2).
 func sameDigests(objects, memo []memoObject) bool {
-	if len(objects) != len(memo) {
-		return false
-	}
-	for i := range objects {
-		if objects[i].name != memo[i].name || objects[i].digest != memo[i].digest {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(objects, memo, func(a, b memoObject) bool {
+		return a.name == b.name && a.digest == b.digest
+	})
 }
 
 // moduleBuild accumulates one walk's per-module outputs so they can be
-// merged into the sync result and, when clean, committed to the memo. Its
-// WaitGroup tracks the module's own object tasks (not child points); the
-// walker waits on it before merging.
+// merged into the sync result and, when clean, handed to next as the memo
+// entry. Its WaitGroup tracks the module's own object tasks (not child
+// points); the walker waits on it before merging.
 type moduleBuild struct {
-	// memoizable is false when the files came from a degraded source (LKG
-	// fallback or a partial fetch): the walk still validates and merges, but
-	// neither commits nor deletes a memo entry, because the bytes validated
-	// do not correspond to the point's current snapshot.
-	memoizable bool
 	// memo is the point's entry when it is usable for this walk: tier 3
 	// admits unchanged objects from it. Nil otherwise.
 	memo *moduleEntry
@@ -276,14 +261,14 @@ type moduleBuild struct {
 	wg sync.WaitGroup
 
 	mu sync.Mutex
-	// Taint count, accumulated outputs and epoch bounds: epoch from the
-	// manifest and CRL, objEpoch from every other object. guarded by mu.
-	diags           int
-	vrps            []rov.VRP
-	roas            int
-	certs           int
-	children        []childLink
-	epoch, objEpoch window
+	// diags counts the build's diagnostics: any one taints it. guarded by
+	// mu.
+	diags int
+	// out is the entry a clean build hands to next, as far as validation
+	// has built it: the outputs of the objects admitted so far, and their
+	// bounds — out.epoch from the manifest and CRL, which commitModule
+	// narrows by out.objEpoch, from every other object. guarded by mu.
+	out moduleEntry
 }
 
 // digest returns the SHA-256 of the snapshot's object name.
@@ -300,7 +285,7 @@ func (mb *moduleBuild) digest(name string) ([32]byte, bool) {
 func (mb *moduleBuild) observePoint(notBefore, notAfter time.Time) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	mb.epoch.narrow(notBefore, notAfter)
+	mb.out.epoch.narrow(notBefore, notAfter)
 }
 
 // observeObject folds the validity window of an admitted object's
@@ -308,11 +293,11 @@ func (mb *moduleBuild) observePoint(notBefore, notAfter time.Time) {
 func (mb *moduleBuild) observeObject(c *cert.ResourceCert) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	mb.objEpoch.narrow(c.NotBefore(), c.NotAfter())
+	mb.out.objEpoch.narrow(c.NotBefore(), c.NotAfter())
 }
 
 // diag emits a module diagnostic and taints the build: a tainted module
-// merges its outputs normally but never commits a memo entry.
+// merges its outputs normally but yields no memo entry.
 func (mb *moduleBuild) diag(st *syncState, kind DiagKind, module, object string, err error) {
 	mb.mu.Lock()
 	mb.diags++
@@ -324,16 +309,16 @@ func (mb *moduleBuild) diag(st *syncState, kind DiagKind, module, object string,
 func (mb *moduleBuild) addROA(i int, vrps []rov.VRP) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	lo := len(mb.vrps)
-	mb.roas++
-	mb.vrps = append(mb.vrps, vrps...)
+	lo := len(mb.out.vrps)
+	mb.out.roas++
+	mb.out.vrps = append(mb.out.vrps, vrps...)
 	o := &mb.objects[i]
-	o.own, o.lo, o.hi = ownsROA, uint32(lo), uint32(len(mb.vrps))
+	o.own, o.lo, o.hi = ownsROA, uint32(lo), uint32(len(mb.out.vrps))
 }
 
 func (mb *moduleBuild) addCert() {
 	mb.mu.Lock()
-	mb.certs++
+	mb.out.certs++
 	mb.mu.Unlock()
 }
 
@@ -342,8 +327,8 @@ func (mb *moduleBuild) addChild(i int, link childLink) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	o := &mb.objects[i]
-	o.own, o.lo = ownsChild, uint32(len(mb.children))
-	mb.children = append(mb.children, link)
+	o.own, o.lo = ownsChild, uint32(len(mb.out.children))
+	mb.out.children = append(mb.out.children, link)
 }
 
 // admitFromMemo is reuse tier 3 for the snapshot's object i: when memo

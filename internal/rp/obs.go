@@ -6,10 +6,7 @@ package rp
 // nil-safe, so a RelyingParty built without Config.Obs pays one predictable
 // branch per event and allocates nothing.
 
-import (
-	"repro/internal/ipres"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // diagEventKinds maps every diagnostic kind to the flight-recorder event
 // kind that records it — the rpki-lint diagexhaustive rule keeps this
@@ -128,21 +125,4 @@ func (st *syncState) obsDiag(kind DiagKind, module, object string, err error) {
 		detail = object + ": " + detail
 	}
 	rec.Record(diagEventKinds[kind], module, detail)
-}
-
-// reuseRejection explains why an existing memo entry could not be reused
-// for this walk — the unsafe-reuse guard's verdict, recorded so operators
-// can tell a benign byte change from an authority swap or epoch expiry.
-func (st *syncState) reuseRejection(e *moduleEntry, authority []byte, effective ipres.Set, module string) {
-	var reason string
-	switch {
-	case !e.matches(authority, effective):
-		reason = "authority-changed"
-	case !e.within(st.rp.now()):
-		reason = "epoch-expired"
-	default:
-		reason = "bytes-changed"
-	}
-	st.rp.met.reuseRejected.With(reason).Inc()
-	st.rp.cfg.Obs.Recorder().Record(obs.EventReuseRejected, module, reason)
 }

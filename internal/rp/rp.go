@@ -24,13 +24,13 @@ package rp
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -130,26 +130,22 @@ const (
 	DiagStaleFallback
 )
 
+// diagKindNames is each diagnostic kind's name.
+var diagKindNames = map[DiagKind]string{
+	DiagFetchFailure:     "fetch-failure",
+	DiagMissingObject:    "missing-object",
+	DiagHashMismatch:     "hash-mismatch",
+	DiagInvalidObject:    "invalid-object",
+	DiagStaleManifest:    "stale-manifest",
+	DiagMissingManifest:  "missing-manifest",
+	DiagDroppedPubPoint:  "dropped-publication-point",
+	DiagPointUnreachable: "point-unreachable",
+	DiagStaleFallback:    "stale-fallback",
+}
+
 func (k DiagKind) String() string {
-	switch k {
-	case DiagFetchFailure:
-		return "fetch-failure"
-	case DiagMissingObject:
-		return "missing-object"
-	case DiagHashMismatch:
-		return "hash-mismatch"
-	case DiagInvalidObject:
-		return "invalid-object"
-	case DiagStaleManifest:
-		return "stale-manifest"
-	case DiagMissingManifest:
-		return "missing-manifest"
-	case DiagDroppedPubPoint:
-		return "dropped-publication-point"
-	case DiagPointUnreachable:
-		return "point-unreachable"
-	case DiagStaleFallback:
-		return "stale-fallback"
+	if name, ok := diagKindNames[k]; ok {
+		return name
 	}
 	return fmt.Sprintf("DiagKind(%d)", uint8(k))
 }
@@ -313,6 +309,9 @@ type Result struct {
 	// their memo entries (reuse tier 3, see modmemo.go): byte-identical to
 	// what the entry was validated from, so neither parsed nor looked up.
 	ObjectsFromMemo int
+	// served counts the walks by their action: what each served for its
+	// point (see plan).
+	served [validate + 1]int
 	// IncrementalFallbacks counts publication points whose incremental
 	// (digest-listing) sync failed mid-protocol and was replaced by a clean
 	// full fetch — the never-silently-stale escape hatch.
@@ -425,11 +424,14 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	st.wg.Wait()
 	st.closeQueue()
 	walkers.Wait()
-	if err := st.firstErr(); err != nil {
+	if st.err != nil {
 		trace.Finish()
-		return nil, err
+		return nil, st.err
 	}
 	rp.dropDeparted()
+	res.ModulesReused = res.served[reuse] + res.served[lkgMemo]
+	res.ModulesRevalidated = res.served[validate] + res.served[lkgRevalidate]
+	res.StaleFallbacks = res.served[lkgMemo] + res.served[lkgRevalidate]
 	rp.vrpHint, rp.pointHint = len(res.VRPs), res.PubPointsVisited
 	rov.SortVRPs(res.VRPs)
 	sortDiagnostics(res.Diagnostics)
@@ -482,17 +484,11 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return err.Error()
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].Module != diags[j].Module {
-			return diags[i].Module < diags[j].Module
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		if c := cmp.Or(strings.Compare(a.Module, b.Module), strings.Compare(a.Object, b.Object), cmp.Compare(a.Kind, b.Kind)); c != 0 {
+			return c
 		}
-		if diags[i].Object != diags[j].Object {
-			return diags[i].Object < diags[j].Object
-		}
-		if diags[i].Kind != diags[j].Kind {
-			return diags[i].Kind < diags[j].Kind
-		}
-		return errText(diags[i].Err) < errText(diags[j].Err)
+		return strings.Compare(errText(a.Err), errText(b.Err))
 	})
 }
 
@@ -503,8 +499,8 @@ func sortDiagnostics(diags []Diagnostic) {
 type syncState struct {
 	rp  *RelyingParty
 	ctx context.Context
-	// now is the sync's start time on the injected clock: the stamp every
-	// last-known-good commit and refresh of this pass carries.
+	// now is the sync's start time on the injected clock: the cleanAt stamp
+	// next gives every snapshot this pass proves current.
 	now time.Time
 	// sem holds the Workers worker slots. It is the walk's one semaphore:
 	// the module window is the walkers themselves, each holding at most one
@@ -521,8 +517,10 @@ type syncState struct {
 	// res is the accumulating result. guarded by mu.
 	res *Result
 	// err is the first hard failure (context cancellation); it aborts the
-	// sync instead of becoming a diagnostic. guarded by mu.
-	err error
+	// sync instead of becoming a diagnostic. Set once, by setErr; read once
+	// every walker has exited.
+	errOnce sync.Once
+	err     error
 
 	// qmu guards the point queue alone and is never held while taking
 	// another lock; queued wakes a walker waiting on an empty queue.
@@ -586,7 +584,7 @@ func (st *syncState) closeQueue() {
 }
 
 // walker walks queued points one at a time until the walk is over, each
-// from its fetch to its reuse or its commit.
+// from its fetch to its settle.
 func (st *syncState) walker() {
 	for {
 		it, ok := st.pop()
@@ -598,18 +596,9 @@ func (st *syncState) walker() {
 	}
 }
 
+// setErr records the sync's first hard failure.
 func (st *syncState) setErr(err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.mu.Unlock()
-}
-
-func (st *syncState) firstErr() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.err
+	st.errOnce.Do(func() { st.err = err })
 }
 
 // run executes f under a worker slot; CPU-heavy work (hashing, parsing,
@@ -628,14 +617,16 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 	st.obsDiag(kind, module, object, err)
 }
 
-// walk takes one authority's publication point from its fetch to its reuse
-// or its commit, on the calling walker. A point provably unchanged since its
-// last clean validation (and still inside that validation's temporal epoch)
-// is not validated at all: its cached outputs are merged wholesale (see
-// modmemo.go), its children are queued, and its authority is never parsed.
-// So is an unreachable point whose last-known-good snapshot that same memo
-// entry answers for. Any other point is validated here too, its objects
-// fanning out as worker tasks.
+// walk takes one authority's publication point from its fetch to its
+// settle, on the calling walker: it reads the point's state once, fetches,
+// plans (see plan), does what the plan says and writes next's state once.
+// A point provably unchanged since its last clean validation (and still
+// inside that validation's temporal epoch) is not validated at all: its
+// cached outputs are merged wholesale (see modmemo.go), its children are
+// queued, and its authority is never parsed. So is an unreachable point
+// whose last-known-good snapshot that same memo entry answers for. Any
+// other point is validated here too, its objects fanning out as worker
+// tasks.
 //
 // Only work is traced: a point proven current (reuse tiers 1 and 2) opens
 // no span, so an unchanged poll cannot crowd the changed point out of the
@@ -650,115 +641,104 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		st.setErr(err)
 		return
 	}
-	st.mu.Lock()
-	st.res.PubPointsVisited++
-	st.mu.Unlock()
+	// The walk's one clock reading: the memo's epoch, the snapshot's age
+	// and the validation are all judged at this instant.
 	now := st.rp.now()
-
-	// What the last syncs left behind for this point, read once: the walk
-	// fills in its own copy, and every way out of it but an abort writes the
-	// copy back once. The memo entry is usable only under the same authority
-	// and effective set and inside its epoch — the guard every reuse tier
-	// below sits behind.
 	p := st.rp.point(uri)
-	settle := true
-	defer func() {
-		if settle {
-			st.rp.settle(uri, &p)
-		}
-	}()
-	e := p.memo
-	usable := e != nil && e.matches(auth.der, effective) && e.within(now)
 
 	st.rp.met.inflightModules.Inc()
 	defer st.rp.met.inflightModules.Dec()
 	start := st.span.Now()
-	files, unchanged, err := st.rp.fetch(st.ctx, st, uri, &p)
-	fetched := st.span.Now()
+	r := result{fetched: st.rp.fetch(st.ctx, uri, p.last)}
+	fetchEnd := st.span.Now()
+	r.aborted = r.err != nil && st.ctx.Err() != nil
+	// What the protocol did not prove unchanged is hashed before the plan:
+	// reuse tier 2 compares these digests with the memo's, re-hashing the
+	// bytes but parsing and verifying nothing, and a validation reads them.
+	if len(r.files) > 0 && !r.unchanged && !r.aborted {
+		r.objects = st.hashObjects(r.files)
+	}
+	s := plan(p, r.fetched, auth.der, effective, now, st.rp.cfg.StaleTTL)
+	st.mu.Lock()
+	st.res.PubPointsVisited++
+	st.res.served[s.act]++
+	st.res.ObjectsDownloaded += r.downloaded
+	st.res.ObjectsReused += r.reused
+	st.res.IncrementalFallbacks += r.fallbacks
+	st.mu.Unlock()
 	// span opens the point's walk span, with its fetch child, and notes why
 	// the point is traced.
 	span := func(detail string) *obs.Span {
 		wsp := st.span.ChildAt("walk", uri.Module, start, time.Time{})
-		wsp.ChildAt("fetch", uri.Module, start, fetched)
+		wsp.ChildAt("fetch", uri.Module, start, fetchEnd)
 		wsp.SetDetail(detail)
 		return wsp
 	}
-	if err != nil && st.ctx.Err() != nil {
+	if s.act == abort {
 		// Cancellation is an abort, not incompleteness: no diagnostic, and
-		// the point's state is left as the sync found it.
-		settle = false
+		// nothing settled.
 		st.setErr(st.ctx.Err())
 		span("aborted").End()
 		return
 	}
-	// A fetch error with bytes in hand is a partial fetch: validated, but
-	// diagnosed and never memoized. With no bytes the point is served from
-	// last-known-good or not at all.
-	faithful, partial := err == nil, err != nil && len(files) > 0
-	detail := ""
-	switch {
-	case err != nil && !partial:
-		if files = st.lkgFallback(uri, p, err); files == nil {
-			span("unreachable, no fallback").End()
-			return
+	if r.err != nil && !s.partial {
+		st.unreachable(uri, s, len(p.clean), r.err)
+	}
+	switch s.act {
+	case absent:
+		span("unreachable, no fallback").End()
+	case lkgMemo:
+		span("serving last-known-good (memo)").End()
+		fallthrough
+	case reuse:
+		st.reuseModule(s.memo, depth)
+	default:
+		// validate or lkgRevalidate: the build, its verdict cache and the
+		// parsed authority exist only on this path.
+		files, objects, detail := r.files, r.objects, ""
+		if s.act == lkgRevalidate {
+			files, objects, detail = p.clean, nil, "serving last-known-good"
 		}
-		if usable {
-			// The snapshot is the bytes e was validated from (state.go), so
-			// revalidating it under the same authority inside the epoch
-			// would reproduce e. It proves nothing current, so its age
-			// still counts from the last proof.
-			span("serving last-known-good (memo)").End()
-			st.reuseModule(&p, depth, false)
-			return
+		if objects == nil {
+			objects = st.hashObjects(files)
 		}
-		detail = "serving last-known-good"
-	case usable && unchanged && faithful:
-		// Reuse tier 1: listed, and every listed digest matched the held copy.
-		st.reuseModule(&p, depth, true)
+		mb := &moduleBuild{
+			memo:    s.memo,
+			objects: objects,
+			sigs:    cert.NewVerifyCache(p.verdicts),
+			span:    span(detail),
+		}
+		if s.partial {
+			mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", r.err))
+		}
+		if s.why != "" {
+			// The memo was refused by the reuse guard: record why.
+			st.rp.met.reuseRejected.With(s.why).Inc()
+			st.rp.cfg.Obs.Recorder().Record(obs.EventReuseRejected, uri.Module, s.why)
+		}
+		mb.verifySpan = mb.span.Child("verify", uri.Module)
+		st.validate(mb, auth, effective, uri, depth, now, files)
+		r.verdicts, r.entry = st.commitModule(uri, auth.der, effective, mb)
+	}
+	st.rp.settle(uri, next(p, s, r, st.now))
+}
+
+// unreachable diagnoses a point whose fetch failed outright, and what plan
+// serves in its place: a snapshot of n objects, or nothing, and why.
+func (st *syncState) unreachable(uri repo.URI, s step, n int, ferr error) {
+	if s.ttl <= 0 {
+		st.diag(DiagFetchFailure, uri.Module, "", ferr)
 		return
 	}
-
-	objects := st.hashObjects(files)
-
-	// Reuse tier 2: the memo keeps per-object digests, not bytes, so
-	// unchanged-ness is decided here, after hashing — the module's bytes are
-	// re-hashed but nothing is re-parsed or re-verified. Tiers 1 and 2 reuse
-	// the whole point and need a faithful fetch. Tier 3 (validate) also
-	// runs on a partial fetch, since it proves each object it admits by its
-	// digest and the new manifest's listing; a last-known-good fallback
-	// never reaches it.
-	if faithful && usable && sameDigests(objects, e.objects) {
-		st.reuseModule(&p, depth, true)
-		return
+	st.diag(DiagPointUnreachable, uri.Module, "", ferr)
+	switch s.why {
+	case "":
+		st.diag(DiagStaleFallback, uri.Module, "", fmt.Errorf("serving %d objects from snapshot aged %v (stale-ttl %v)", n, s.age, s.ttl))
+	case lkgExpired:
+		st.diag(DiagFetchFailure, uri.Module, "", fmt.Errorf("%s (age %v > stale-ttl %v)", s.why, s.age, s.ttl))
+	default:
+		st.diag(DiagFetchFailure, uri.Module, "", errors.New(s.why))
 	}
-
-	// From here on the point is validated: its build, its verdict cache and
-	// its parsed authority exist only on this path. A usable entry still
-	// answers for every object whose bytes it was validated from (tier 3),
-	// on a faithful or a partial fetch.
-	mb := &moduleBuild{
-		memoizable: faithful,
-		objects:    objects,
-		sigs:       cert.NewVerifyCache(p.verdicts),
-		span:       span(detail),
-	}
-	if usable {
-		mb.memo = e
-	}
-	st.mu.Lock()
-	st.res.ModulesRevalidated++
-	st.mu.Unlock()
-	if partial {
-		mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", err))
-	}
-	// A memo entry that survives to this point was refused by the reuse
-	// guard: record why (authority swap, epoch expiry, or changed bytes).
-	if faithful && e != nil {
-		st.reuseRejection(e, auth.der, effective, uri.Module)
-	}
-	mb.verifySpan = mb.span.Child("verify", uri.Module)
-	st.validate(mb, auth, effective, uri, depth, now, files)
-	st.commitModule(&p, uri, auth.der, effective, mb, files)
 }
 
 // validate checks a fetched point's objects under its authority — manifest,
@@ -879,13 +859,12 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	}
 	if mb.fromMemo > 0 {
 		mb.mu.Lock()
-		mb.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
+		mb.out.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
 		mb.mu.Unlock()
 	}
 	// The walker merges the module's outputs once its own object tasks are
-	// done (child points are independent), then commits or deletes the memo
-	// entry. It waits holding no worker slot, and no object task waits on a
-	// walker, so the walk cannot deadlock.
+	// done (child points are independent). It waits holding no worker slot,
+	// and no object task waits on a walker, so the walk cannot deadlock.
 	mb.wg.Wait()
 }
 
@@ -900,10 +879,7 @@ func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri rep
 	var crl *cert.CRL
 	for _, o := range mb.objects {
 		name, hash := o.name, o.digest
-		if !strings.HasSuffix(name, ".crl") {
-			continue
-		}
-		if listing != nil && listing.VerifyHash(name, hash) != nil {
+		if !strings.HasSuffix(name, ".crl") || listing != nil && listing.VerifyHash(name, hash) != nil {
 			continue
 		}
 		raw := files[name]
@@ -947,121 +923,57 @@ func (mb *moduleBuild) signedCheck(hash [32]byte, issuer *cert.ResourceCert, eeS
 // memo entry's snapshot.
 func (st *syncState) hashObjects(files map[string][]byte) []memoObject {
 	objects := make([]memoObject, 0, len(files))
-	for name := range files {
-		objects = append(objects, memoObject{name: name})
-	}
-	slices.SortFunc(objects, func(a, b memoObject) int { return strings.Compare(a.name, b.name) })
 	st.run(func() {
-		for i := range objects {
-			objects[i].digest = sha256.Sum256(files[objects[i].name])
+		for name, raw := range files {
+			objects = append(objects, memoObject{name: name, digest: sha256.Sum256(raw)})
 		}
+		slices.SortFunc(objects, func(a, b memoObject) int { return strings.Compare(a.name, b.name) })
 	})
 	return objects
 }
 
-// reuseModule merges the outputs of p's memo entry into the sync result
-// without re-validating anything and queues the module's child points (each
-// child decides reuse for itself). When the reuse proved the point current
-// it re-stamps the clean snapshot the entry was validated from; a
-// last-known-good reuse proves nothing, and leaves the snapshot's age alone.
-func (st *syncState) reuseModule(p *pointState, depth int, current bool) {
-	e := p.memo
+// reuseModule merges the outputs of e, the point's usable memo, into the
+// sync result without re-validating anything and queues the module's child
+// points (each child decides reuse for itself).
+func (st *syncState) reuseModule(e *moduleEntry, depth int) {
 	st.mu.Lock()
-	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
 	st.res.CertsAccepted += e.certs
 	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.mu.Unlock()
-	if current && p.clean != nil {
-		p.cleanAt = st.now
-	}
 	for _, ch := range e.children {
 		st.enqueue(pointItem{authority{der: ch.der}, ch.effective, ch.uri, depth - 1})
 	}
 }
 
-// commitModule merges a fully-validated module's outputs into the sync
-// result and records in p, the walk's copy of the point's state, what the
-// validation leaves behind — after the walk settles p, nothing but that
-// state references the module's raw bytes. Every validation hands on the
-// signature verdicts it used. A clean validation of a faithfully-fetched
-// snapshot sets a memo entry, recorded under the authority's DER, and the
-// last-known-good snapshot; any diagnostic clears the stale entry and
-// leaves the snapshot alone. Degraded sources (LKG fallback, partial fetch)
-// merge without touching either — their bytes do not correspond to the
-// point's current snapshot.
-func (st *syncState) commitModule(p *pointState, uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild, files map[string][]byte) {
+// commitModule merges a validated module's outputs into the sync result and
+// returns what the validation leaves for next:
+// the signature verdicts it used and, when it was clean, its memo entry,
+// recorded under the authority's DER. After the walk settles, nothing but
+// the point's state references the module's raw bytes.
+func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild) (cert.Verdicts, *moduleEntry) {
 	mb.verifySpan.End()
-	csp := mb.span.Child("commit", uri.Module)
-	defer func() {
-		csp.End()
-		mb.span.End()
-	}()
+	defer mb.span.End()
+	defer mb.span.Child("commit", uri.Module).End()
 	mb.mu.Lock()
-	clean := mb.diags == 0
+	clean, e := mb.diags == 0, mb.out
 	mb.mu.Unlock()
 	hits, misses := mb.sigs.Stats()
 	st.mu.Lock()
-	st.res.ROAsAccepted += mb.roas
-	st.res.CertsAccepted += mb.certs
-	st.res.VRPs = append(st.res.VRPs, mb.vrps...)
+	st.res.ROAsAccepted += e.roas
+	st.res.CertsAccepted += e.certs
+	st.res.VRPs = append(st.res.VRPs, e.vrps...)
 	st.res.VerifyCacheHits += int(hits)
 	st.res.VerifyCacheMisses += int(misses)
 	st.res.verifications += int(mb.sigs.Verified())
 	st.res.ObjectsFromMemo += mb.fromMemo
 	st.mu.Unlock()
-	p.verdicts = mb.sigs.Verdicts()
-	if !mb.memoizable {
-		return
+	if !clean {
+		return mb.sigs.Verdicts(), nil
 	}
-	p.memo = nil
-	if clean {
-		epoch := mb.epoch
-		epoch.narrow(mb.objEpoch.notBefore, mb.objEpoch.notAfter)
-		p.memo = &moduleEntry{
-			authority: authority,
-			effective: effective,
-			objects:   mb.objects,
-			revoked:   mb.revoked,
-			epoch:     epoch,
-			objEpoch:  mb.objEpoch,
-			vrps:      mb.vrps,
-			roas:      mb.roas,
-			certs:     mb.certs,
-			children:  mb.children,
-		}
-		if st.rp.cfg.StaleTTL > 0 {
-			p.clean, p.cleanAt = files, st.now
-		}
-	}
-}
-
-// lkgFallback handles a publication point that could not be fetched at all.
-// With LKG enabled and a fresh-enough clean snapshot in the point's state p
-// it returns the snapshot's files (diagnosing the substitution); otherwise
-// it returns nil and the point's subtree drops out of the validated cache —
-// Side Effect 6.
-func (st *syncState) lkgFallback(uri repo.URI, p pointState, ferr error) map[string][]byte {
-	ttl := st.rp.cfg.StaleTTL
-	if ttl <= 0 {
-		st.diag(DiagFetchFailure, uri.Module, "", ferr)
-		return nil
-	}
-	st.diag(DiagPointUnreachable, uri.Module, "", ferr)
-	if p.clean == nil {
-		st.diag(DiagFetchFailure, uri.Module, "", fmt.Errorf("no last-known-good snapshot"))
-		return nil
-	}
-	age := st.rp.now().Sub(p.cleanAt)
-	if age > ttl {
-		st.diag(DiagFetchFailure, uri.Module, "", fmt.Errorf("last-known-good snapshot expired (age %v > stale-ttl %v)", age, ttl))
-		return nil
-	}
-	st.diag(DiagStaleFallback, uri.Module, "", fmt.Errorf("serving %d objects from snapshot aged %v (stale-ttl %v)", len(p.clean), age, ttl))
-	st.mu.Lock()
-	st.res.StaleFallbacks++
-	st.mu.Unlock()
-	return p.clean
+	e.authority, e.effective, e.objects, e.revoked = authority, effective, mb.objects, mb.revoked
+	e.epoch.narrow(e.objEpoch.notBefore, e.objEpoch.notAfter)
+	return mb.sigs.Verdicts(), &e
 }
 
 // processObject admits the snapshot's object i, whose bytes are raw:
@@ -1133,23 +1045,21 @@ func (mb *moduleBuild) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext
 }
 
 // fetch retrieves a publication point, using the fetcher's incremental
-// mode against p.last — the point's previous snapshot — when snapshot
-// caching is enabled and supported, and records in p.last what that mode
-// returned, validated or not: the next fetch diffs against it. The second
-// return reports whether the incremental protocol proved every object's
-// hash unchanged since p.last (reuse tier 1).
-func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, p *pointState) (map[string][]byte, bool, error) {
+// mode against prev — the point's last snapshot — when snapshot caching is
+// enabled and supported. It reports whether the incremental protocol proved
+// every object's hash unchanged since prev (reuse tier 1).
+func (rp *RelyingParty) fetch(ctx context.Context, uri repo.URI, prev map[string][]byte) fetched {
 	inc, ok := rp.cfg.Fetcher.(IncrementalFetcher)
 	if !rp.cfg.CacheSnapshots || !ok {
 		files, err := rp.cfg.Fetcher.FetchAll(ctx, uri)
-		return files, false, err
+		return fetched{files: files, err: err}
 	}
-	sync, err := inc.SyncIncremental(ctx, uri, p.last)
+	sync, err := inc.SyncIncremental(ctx, uri, prev)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, repo.ErrCircuitOpen) {
 			// An abort, or a breaker that refuses the point: a full fetch
 			// would be refused too, and counted a second time.
-			return nil, false, err
+			return fetched{err: err}
 		}
 		// The incremental protocol failed mid-flight — a malformed
 		// listing, an object whose bytes changed between LIST and GET, a
@@ -1158,23 +1068,13 @@ func (rp *RelyingParty) fetch(ctx context.Context, st *syncState, uri repo.URI, 
 		// report the point unreachable.
 		files, ferr := inc.FetchAll(ctx, uri)
 		if ferr != nil {
-			return nil, false, ferr
+			return fetched{err: ferr}
 		}
-		p.last = files
-		st.mu.Lock()
-		st.res.IncrementalFallbacks++
-		st.res.ObjectsDownloaded += len(files)
-		st.mu.Unlock()
 		rp.cfg.Obs.Recorder().Recordf(obs.EventIncrementalFallback, uri.Module,
 			"incremental sync failed (%v); recovered with a full fetch", err)
-		return files, false, nil
+		return fetched{files: files, last: files, downloaded: len(files), fallbacks: 1}
 	}
-	p.last = sync.Files
-	st.mu.Lock()
-	st.res.ObjectsDownloaded += sync.Downloaded
-	st.res.ObjectsReused += sync.Reused
-	st.mu.Unlock()
-	return sync.Files, sync.Unchanged, nil
+	return fetched{files: sync.Files, last: sync.Files, unchanged: sync.Unchanged, downloaded: sync.Downloaded, reused: sync.Reused}
 }
 
 // manifestName extracts the manifest object name from the authority's SIA,

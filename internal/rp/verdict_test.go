@@ -11,6 +11,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
+	"crypto/x509/pkix"
 	"errors"
 	"fmt"
 	"math/big"
@@ -304,9 +305,9 @@ func checkEntries(t *testing.T, step string, warm, cold *RelyingParty) {
 func TestRevokedDigest(t *testing.T) {
 	arin, _, _, _ := buildFigure2(t)
 	crl := func(number int64, serials ...int64) *cert.CRL {
-		revoked := make([]*big.Int, len(serials))
+		revoked := make([]pkix.RevokedCertificate, len(serials))
 		for i, s := range serials {
-			revoked[i] = big.NewInt(s)
+			revoked[i] = pkix.RevokedCertificate{SerialNumber: big.NewInt(s), RevocationTime: testEpoch}
 		}
 		c, err := cert.IssueCRL(arin.Cert, arin.Key, number, revoked, testEpoch, testEpoch.Add(time.Hour))
 		if err != nil {
@@ -612,7 +613,7 @@ func TestRevokedManifestEE(t *testing.T) {
 	arin, _, cont, stores := buildFigure2(t)
 	store := stores["continental"]
 	const serial = 1 << 40
-	crl, err := cert.IssueCRL(cont.Cert, cont.Key, 1<<20, []*big.Int{big.NewInt(serial)}, testEpoch, testEpoch.Add(24*time.Hour))
+	crl, err := cert.IssueCRL(cont.Cert, cont.Key, 1<<20, []pkix.RevokedCertificate{{SerialNumber: big.NewInt(serial), RevocationTime: testEpoch}}, testEpoch, testEpoch.Add(24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
