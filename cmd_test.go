@@ -288,12 +288,14 @@ func TestCmdRPOpsSurface(t *testing.T) {
 	}
 	base := "http://" + opsAddr
 
-	// Scrape until at least two poll cycles have completed.
+	// Scrape until at least two poll cycles have completed, then scrape
+	// afresh: a scrape reads the module series before the sync count, so the
+	// one that first shows two syncs may hold the first sync's modules only.
 	var metrics string
 	deadline = time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, body := httpGet(t, base+"/metrics"); metricValue(body, "rpki_syncs_total") >= 2 {
-			metrics = body
+			_, metrics = httpGet(t, base+"/metrics")
 			break
 		}
 		time.Sleep(100 * time.Millisecond)

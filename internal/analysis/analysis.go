@@ -12,8 +12,8 @@ import (
 
 // A Rule is one domain invariant checked over typed ASTs. Intraprocedural
 // rules set Run and are invoked once per package; whole-program rules set
-// RunProgram and are invoked once per Run with the shared call graph and
-// fact store. A rule may set both.
+// RunProgram and are invoked once per Run with the shared call graph. A
+// rule may set both.
 type Rule struct {
 	// Name is the rule identifier used in findings and //lint:ignore.
 	Name string
@@ -21,7 +21,7 @@ type Rule struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// RunProgram inspects the whole program (call graph + fact store).
+	// RunProgram inspects the whole program through its call graph.
 	RunProgram func(*ProgramPass)
 }
 

@@ -16,9 +16,7 @@ import (
 // A deadlock is a property of how functions compose — lock A taken in one
 // helper while a caller three frames up holds B — so per-function
 // syntactic rules cannot see it. The Program is the shared substrate: built
-// once per Run, handed to every rule with a RunProgram hook, with a
-// FactStore so rules publish and consume per-function summaries instead of
-// re-deriving them.
+// once per Run and handed to every rule with a RunProgram hook.
 
 // Program is the whole-program view over one Run's packages.
 type Program struct {
@@ -29,8 +27,6 @@ type Program struct {
 	// Funcs maps every declared function or method (with a body) in the
 	// analyzed packages to its info.
 	Funcs map[*types.Func]*FuncInfo
-	// Facts is the shared per-function fact store.
-	Facts *FactStore
 
 	order []*FuncInfo
 }
@@ -101,7 +97,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:  pkgs,
 		Funcs: make(map[*types.Func]*FuncInfo),
-		Facts: NewFactStore(),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset

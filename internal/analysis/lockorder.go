@@ -66,7 +66,7 @@ type lockEvent struct {
 	call  *types.Func
 }
 
-// lockOrderSummary is the per-function fact published to the store.
+// lockOrderSummary is one function's summary.
 type lockOrderSummary struct {
 	events []lockEvent
 	// mayAcquire maps every lock this function (or a transitive callee,
@@ -77,17 +77,13 @@ type lockOrderSummary struct {
 	mayBlock string
 }
 
-const lockOrderFactKey = "lockorder.summary"
-
 func runLockOrder(pp *ProgramPass) {
 	prog := pp.Prog
 
 	// Phase 1: intrinsic per-function summaries.
 	summaries := make(map[*types.Func]*lockOrderSummary)
 	for _, fi := range prog.Functions() {
-		s := collectLockOrderSummary(fi)
-		summaries[fi.Fn] = s
-		prog.Facts.Publish(fi.Fn, lockOrderFactKey, s)
+		summaries[fi.Fn] = collectLockOrderSummary(fi)
 	}
 
 	// Phase 2: transitive closure of mayAcquire/mayBlock over call edges.

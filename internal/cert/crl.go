@@ -104,8 +104,3 @@ func (c *CRL) IsRevoked(serial *big.Int) bool {
 	}
 	return false
 }
-
-// Stale reports whether the CRL's nextUpdate has passed at time now.
-func (c *CRL) Stale(now time.Time) bool {
-	return now.After(c.List.NextUpdate)
-}

@@ -1,7 +1,6 @@
 package cert
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -21,7 +20,6 @@ var (
 	ErrOverclaim        = errors.New("cert: resources not covered by issuer (overclaim)")
 	ErrNotCA            = errors.New("cert: issuer is not a CA")
 	ErrInheritAtAnchor  = errors.New("cert: trust anchor cannot inherit resources")
-	ErrStaleCRL         = errors.New("cert: issuer CRL is stale")
 	ErrMissingResources = errors.New("cert: no resources after inheritance")
 )
 
@@ -29,15 +27,10 @@ var (
 type ValidationContext struct {
 	// Now is the validation time.
 	Now time.Time
-	// CRL, if non-nil, is the issuer's current CRL; a child whose serial
-	// appears on it is rejected. A nil CRL skips revocation checking
-	// (trust-anchor level).
+	// CRL, if non-nil, is the issuer's current CRL, whose signature by the
+	// issuer the caller has verified; a child whose serial appears on it is
+	// rejected. A nil CRL skips revocation checking (trust-anchor level).
 	CRL *CRL
-	// RequireFreshCRL rejects the chain when the supplied CRL is stale.
-	RequireFreshCRL bool
-	// Cache, if non-nil, memoizes the signature verifications (and only
-	// those — freshness, revocation and containment are always re-checked).
-	Cache *VerifyCache
 }
 
 // EffectiveResources resolves the IP resources a certificate actually holds,
@@ -63,28 +56,24 @@ func EffectiveResources(rc *ResourceCert, issuerEffective ipres.Set) ipres.Set {
 
 // ValidateChild checks that child is currently a valid certificate issued by
 // issuer whose effective resources are issuerEffective: signature, validity
-// window, revocation, CA bit, and RFC 3779 resource containment. It returns
-// the child's effective resources on success.
+// window, revocation by ctx.CRL (see ValidateIssued), CA bit, and RFC 3779
+// resource containment. It returns the child's effective resources on
+// success.
 //
 // Resource containment is the heart of the RPKI's least-privilege design —
 // and of the targeted-whacking attacks: when a parent reissues a child RC
 // with a shrunken resource set, every descendant object whose resources fall
 // outside the new set fails exactly this check.
 func ValidateChild(issuer *ResourceCert, issuerEffective ipres.Set, child *ResourceCert, ctx ValidationContext) (ipres.Set, error) {
-	var sig error
-	if ctx.Cache == nil { // only a cache needs the digest
-		sig = child.Cert.CheckSignatureFrom(issuer.Cert)
-	} else {
-		sig = ctx.Cache.CheckChildSignature(issuer, child, sha256.Sum256(child.Raw))
-	}
-	return ValidateIssued(issuer, issuerEffective, child, sig, ctx)
+	return ValidateIssued(issuer, issuerEffective, child, child.Cert.CheckSignatureFrom(issuer.Cert), ctx)
 }
 
 // ValidateIssued is ValidateChild with the signature check done by the
 // caller: sig is the outcome of checking child's signature by issuer — a
-// verdict from ctx.Cache, or the EE part of a signed object's verdict
-// (VerifyCache.CheckSigned). Every other check runs here, in ValidateChild's
-// order, and on every call.
+// VerifyCache verdict, or the EE part of a signed object's verdict
+// (VerifyCache.CheckSigned). ctx.CRL is a CRL whose signature the caller
+// has already verified: it is consulted for revocation, not checked again.
+// Every other check runs here, in ValidateChild's order, and on every call.
 func ValidateIssued(issuer *ResourceCert, issuerEffective ipres.Set, child *ResourceCert, sig error, ctx ValidationContext) (ipres.Set, error) {
 	if !issuer.IsCA() {
 		return ipres.Set{}, fmt.Errorf("%w: %q", ErrNotCA, issuer.Subject())
@@ -98,16 +87,8 @@ func ValidateIssued(issuer *ResourceCert, issuerEffective ipres.Set, child *Reso
 	if ctx.Now.After(child.Cert.NotAfter) {
 		return ipres.Set{}, fmt.Errorf("%w: %q (notAfter %v)", ErrExpired, child.Subject(), child.Cert.NotAfter)
 	}
-	if ctx.CRL != nil {
-		if err := ctx.Cache.VerifyCRL(issuer, ctx.CRL); err != nil {
-			return ipres.Set{}, fmt.Errorf("%w: CRL: %v", ErrBadSignature, err)
-		}
-		if ctx.RequireFreshCRL && ctx.CRL.Stale(ctx.Now) {
-			return ipres.Set{}, fmt.Errorf("%w: nextUpdate %v", ErrStaleCRL, ctx.CRL.List.NextUpdate)
-		}
-		if ctx.CRL.IsRevoked(child.Cert.SerialNumber) {
-			return ipres.Set{}, fmt.Errorf("%w: %q serial %v", ErrRevoked, child.Subject(), child.Cert.SerialNumber)
-		}
+	if ctx.CRL != nil && ctx.CRL.IsRevoked(child.Cert.SerialNumber) {
+		return ipres.Set{}, fmt.Errorf("%w: %q serial %v", ErrRevoked, child.Subject(), child.Cert.SerialNumber)
 	}
 	effective := EffectiveResources(child, issuerEffective)
 	if effective.IsEmpty() {

@@ -79,19 +79,56 @@ func (m *Manifest) Verify(name string, content []byte) error {
 	return m.VerifyHash(name, sha256.Sum256(content))
 }
 
-// VerifyHash is Verify for a caller that already hashed the content — the
-// relying party hashes every fetched object exactly once and checks the
-// manifest (cross-check and per-object admission) against that digest.
+// VerifyHash is Verify for a caller that already hashed the content. A
+// caller judging a whole publication point's objects uses Merge, which gives
+// the same verdicts in one pass.
 func (m *Manifest) VerifyHash(name string, hash [32]byte) error {
 	e, ok := m.Lookup(name)
 	if !ok {
-		return fmt.Errorf("manifest: %q not listed", name)
+		return errNotListed(name)
 	}
 	if hash != e.Hash {
-		return fmt.Errorf("manifest: %q hash mismatch", name)
+		return errHashMismatch(name)
 	}
 	return nil
 }
+
+// Merge judges a publication point's served objects against the manifest in
+// one walk of both name-sorted lists: the n objects come in ascending name
+// order, object(i) giving the i'th one's name and SHA-256. verdicts[i] is
+// what VerifyHash says of object i: nil when the manifest lists it under
+// that digest, else VerifyHash's error. served[e] is the index of the object
+// entry e names, or -1 when no object of that name was served. A name listed
+// more than once is judged by the entry Lookup finds, and each of its
+// entries names the object.
+func (m *Manifest) Merge(n int, object func(i int) (name string, digest [32]byte)) (verdicts []error, served []int) {
+	verdicts, served = make([]error, n), make([]int, len(m.Entries))
+	e := 0
+	for i := range n {
+		name, digest := object(i)
+		for ; e < len(m.Entries) && m.Entries[e].Name < name; e++ {
+			served[e] = -1
+		}
+		if e == len(m.Entries) || m.Entries[e].Name != name {
+			verdicts[i] = errNotListed(name)
+			continue
+		}
+		if digest != m.Entries[e].Hash {
+			verdicts[i] = errHashMismatch(name)
+		}
+		for ; e < len(m.Entries) && m.Entries[e].Name == name; e++ {
+			served[e] = i
+		}
+	}
+	for ; e < len(m.Entries); e++ {
+		served[e] = -1
+	}
+	return verdicts, served
+}
+
+func errNotListed(name string) error { return fmt.Errorf("manifest: %q not listed", name) }
+
+func errHashMismatch(name string) error { return fmt.Errorf("manifest: %q hash mismatch", name) }
 
 // Stale reports whether the manifest's nextUpdate has passed.
 func (m *Manifest) Stale(now time.Time) bool { return now.After(m.NextUpdate) }

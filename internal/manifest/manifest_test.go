@@ -153,3 +153,41 @@ func TestManifestVerifyHash(t *testing.T) {
 		t.Errorf("Verify = %q, VerifyHash = %q", got, want)
 	}
 }
+
+// TestManifestMerge: one merge gives every served object VerifyHash's
+// verdict, and every entry the object it names — a name listed twice
+// included, whichever of its digests comes first.
+func TestManifestMerge(t *testing.T) {
+	digest := func(s string) [32]byte { return sha256.Sum256([]byte(s)) }
+	m := &Manifest{Entries: []Entry{
+		{"a.roa", digest("a")},
+		{"b.roa", digest("b")},
+		{"c.roa", digest("other")}, {"c.roa", digest("c")}, // Lookup finds the first
+		{"d.roa", digest("d")}, {"d.roa", digest("other")},
+		{"f.roa", digest("f")},
+	}}
+	type object struct {
+		name   string
+		digest [32]byte
+	}
+	served := []object{
+		{"a.roa", digest("a")},         // listed
+		{"b.roa", digest("tampered")},  // listed under another digest
+		{"bb.roa", digest("bb")},       // unlisted
+		{"c.roa", digest("c")},         // listed twice, first under another digest
+		{"d.roa", digest("d")},         // listed twice, first under its digest
+		{"zz.mft", digest("manifest")}, // unlisted; f.roa is not served
+	}
+	verdicts, byEntry := m.Merge(len(served), func(i int) (string, [32]byte) { return served[i].name, served[i].digest })
+	for i, o := range served {
+		if got, want := fmt.Sprint(verdicts[i]), fmt.Sprint(m.VerifyHash(o.name, o.digest)); got != want {
+			t.Errorf("%s: Merge says %q, VerifyHash %q", o.name, got, want)
+		}
+	}
+	if got, want := fmt.Sprint(byEntry), "[0 1 3 3 4 4 -1]"; got != want {
+		t.Errorf("objects named by entry = %s, want %s", got, want)
+	}
+	if verdicts, byEntry := (&Manifest{}).Merge(1, func(int) (string, [32]byte) { return "x.roa", [32]byte{} }); len(byEntry) != 0 || verdicts[0] == nil {
+		t.Errorf("empty manifest: verdicts %v, entries %v", verdicts, byEntry)
+	}
+}

@@ -204,7 +204,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.fam.child(values).(*Counter)
+	return v.fam.child(values)
 }
 
 // Emit publishes one series of a collect-on-scrape family: the value plus
@@ -212,7 +212,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 type Emit func(value float64, labelValues ...string)
 
 // family is one exposition family: a name, a TYPE, and either a single
-// metric, labeled children, or a scrape-time callback.
+// metric, labeled counters (CounterVec), or a scrape-time callback.
 type family struct {
 	name    string
 	help    string
@@ -225,13 +225,16 @@ type family struct {
 	collect func(emit Emit) // series callback (kind*Collect)
 
 	mu sync.Mutex
-	// children maps joined label values to the child metric. guarded by mu.
-	children map[string]any
+	// children maps joined label values to the child counter. guarded by
+	// mu.
+	children map[string]*Counter
 }
 
 const labelSep = "\x1f"
 
-func (f *family) child(values []string) any {
+// child returns the counter for the given label values, creating it on
+// first use.
+func (f *family) child(values []string) *Counter {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -240,16 +243,7 @@ func (f *family) child(values []string) any {
 	defer f.mu.Unlock()
 	m, ok := f.children[key]
 	if !ok {
-		switch f.kind {
-		case kindCounter:
-			m = &Counter{}
-		case kindGauge:
-			m = &Gauge{}
-		case kindHistogram:
-			m = newHistogram(f.buckets)
-		default:
-			panic("obs: family kind has no children")
-		}
+		m = &Counter{}
 		f.children[key] = m
 	}
 	return m
@@ -297,7 +291,7 @@ func (r *Registry) register(name, help string, kind metricKind, buckets []float6
 		return f
 	}
 	f := &family{name: name, help: help, kind: kind, labels: labelNames,
-		buckets: buckets, children: make(map[string]any)}
+		buckets: buckets, children: make(map[string]*Counter)}
 	r.families[name] = f
 	return f
 }
@@ -509,7 +503,7 @@ func writeFamily(b *strings.Builder, f *family) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		kids := make([]any, len(keys))
+		kids := make([]*Counter, len(keys))
 		for i, k := range keys {
 			kids[i] = f.children[k]
 		}

@@ -236,19 +236,36 @@ func sameDigests(objects, memo []memoObject) bool {
 // entry. Its WaitGroup tracks the module's own object tasks (not child
 // points); the walker waits on it before merging.
 type moduleBuild struct {
+	// st is the sync the walk belongs to: diag reports through it.
+	st *syncState
+	// pointItem is the point and what it is validated under: its authority,
+	// whose certificate validate parses first when the walk holds only its
+	// DER, the effective resources, the URI and the depth.
+	pointItem
+	// files is the snapshot's bytes by name.
+	files map[string][]byte
+	// chain is the one context every certificate of the point is validated
+	// in: the walk's clock reading, and the CRL loadCRL picked before any
+	// certificate is judged.
+	chain cert.ValidationContext
 	// memo is the point's entry when it is usable for this walk: tier 3
-	// admits unchanged objects from it. Nil otherwise.
+	// admits unchanged objects from it. Nil otherwise, and cleared by
+	// validate when the manifest or CRL rule tier 3 out.
 	memo *moduleEntry
 	// objects is the snapshot's objects, sorted by name, as the walk's
 	// hashing pass digested them; admission records in each which outputs
 	// are its own, and a clean commit keeps them as the memo entry's.
 	// Element i's ownership is written under mu by its admission alone.
 	objects []memoObject
-	// revoked is revokedDigest of the winning CRL. Written by validate
+	// listing is, per object, what the manifest whose signatures hold says
+	// of it (judge); nil when no manifest's signatures hold. Written by
+	// validate before any object is admitted.
+	listing []listing
+	// revoked is revokedDigest of the winning CRL. Written by loadCRL
 	// before any object is admitted.
 	revoked [32]byte
-	// fromMemo counts the objects admitted from memo. Written by validate
-	// on the walker.
+	// fromMemo counts the objects admitted from memo. Written by
+	// admitFromMemo on the walker.
 	fromMemo int
 	// sigs memoizes this validation's signature checks over the verdicts
 	// the point's previous validation used; the commit keeps what it holds.
@@ -271,13 +288,32 @@ type moduleBuild struct {
 	out moduleEntry
 }
 
-// digest returns the SHA-256 of the snapshot's object name.
-func (mb *moduleBuild) digest(name string) ([32]byte, bool) {
-	i, ok := findObject(mb.objects, name)
-	if !ok {
-		return [32]byte{}, false
+// listing is what a point's manifest says of one served object.
+type listing struct {
+	// err is manifest.Merge's verdict: nil when the manifest lists the
+	// object under its digest.
+	err error
+	// listed is whether an entry names the object, under whatever digest.
+	listed bool
+}
+
+// judge merges mft's entries with the snapshot's objects once
+// (manifest.Merge), keeps each object's verdict as mb.listing, and returns
+// which object each entry names, -1 for none served.
+func (mb *moduleBuild) judge(mft *manifest.Manifest) []int {
+	verdicts, served := mft.Merge(len(mb.objects), func(i int) (string, [32]byte) {
+		return mb.objects[i].name, mb.objects[i].digest
+	})
+	mb.listing = make([]listing, len(verdicts))
+	for i, err := range verdicts {
+		mb.listing[i].err = err
 	}
-	return mb.objects[i].digest, true
+	for _, i := range served {
+		if i >= 0 {
+			mb.listing[i].listed = true
+		}
+	}
+	return served
 }
 
 // observePoint folds a bound set by the manifest or the CRL — its EE
@@ -296,13 +332,13 @@ func (mb *moduleBuild) observeObject(c *cert.ResourceCert) {
 	mb.out.objEpoch.narrow(c.NotBefore(), c.NotAfter())
 }
 
-// diag emits a module diagnostic and taints the build: a tainted module
-// merges its outputs normally but yields no memo entry.
-func (mb *moduleBuild) diag(st *syncState, kind DiagKind, module, object string, err error) {
+// diag emits a diagnostic on the point's object and taints the build: a
+// tainted module merges its outputs normally but yields no memo entry.
+func (mb *moduleBuild) diag(kind DiagKind, object string, err error) {
 	mb.mu.Lock()
 	mb.diags++
 	mb.mu.Unlock()
-	st.diag(kind, module, object, err)
+	mb.st.diag(kind, mb.uri.Module, object, err)
 }
 
 // addROA records object i's VRPs as a ROA's.
@@ -331,20 +367,21 @@ func (mb *moduleBuild) addChild(i int, link childLink) {
 	mb.out.children = append(mb.out.children, link)
 }
 
-// admitFromMemo is reuse tier 3 for the snapshot's object i: when memo
-// holds the same bytes under the same name, listed by mft under that
-// digest, and their signature verdict is held, it admits the object with
-// memo's outputs for it and reports true. Otherwise it does nothing: the
-// object must be validated in full. The caller has checked that memo is
-// usable for this walk and that the winning CRL revokes what memo's did.
-func (st *syncState) admitFromMemo(mb *moduleBuild, memo *moduleEntry, issuer *cert.ResourceCert, mft *manifest.Manifest, i, depth int, files map[string][]byte) bool {
-	o := mb.objects[i]
+// admitFromMemo is reuse tier 3 for the snapshot's object i: when mb.memo
+// holds the same bytes under the same name, the manifest lists them under
+// that digest, and their signature verdict is held, it admits the object
+// with the memo's outputs for it and reports true. Otherwise it does
+// nothing: the object must be validated in full. The caller has checked
+// that the memo is usable for this walk and that the winning CRL revokes
+// what the memo's did.
+func (st *syncState) admitFromMemo(mb *moduleBuild, i int) bool {
+	o, memo := mb.objects[i], mb.memo
 	j, ok := findObject(memo.objects, o.name)
-	if !ok || memo.objects[j].digest != o.digest || mft.VerifyHash(o.name, o.digest) != nil {
+	if !ok || memo.objects[j].digest != o.digest || mb.listing[i].err != nil {
 		return false
 	}
 	old := memo.objects[j]
-	if old.own != ownsNothing && !mb.sigs.Carry(o.digest, issuer) {
+	if old.own != ownsNothing && !mb.sigs.Carry(o.digest, mb.auth.cert) {
 		return false
 	}
 	switch old.own {
@@ -354,11 +391,16 @@ func (st *syncState) admitFromMemo(mb *moduleBuild, memo *moduleEntry, issuer *c
 		// The link is re-pointed at the new snapshot's identical bytes, so
 		// the memo never pins an old snapshot's.
 		link := memo.children[old.lo]
-		link.der = files[o.name]
+		link.der = mb.files[o.name]
 		mb.addCert()
 		mb.addChild(i, link)
-		st.enqueue(pointItem{authority{der: link.der}, link.effective, link.uri, depth - 1})
+		st.enqueue(pointItem{authority{der: link.der}, link.effective, link.uri, mb.depth - 1})
 	}
+	// An admitted object brings the entry's whole object window into the
+	// epoch, so it is never longer than a full revalidation's.
+	mb.mu.Lock()
+	mb.out.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
+	mb.mu.Unlock()
 	mb.fromMemo++
 	return true
 }

@@ -66,7 +66,7 @@ func newRPMetrics(hub *obs.Hub) *rpMetrics {
 		vrps:         r.Gauge("rpki_vrps", "VRPs in the validated cache after the last sync."),
 		roas:         r.Gauge("rpki_roas_accepted", "ROAs accepted in the last sync."),
 		certs:        r.Gauge("rpki_certs_accepted", "CA certificates accepted in the last sync."),
-		verifyHits:   r.Counter("rpki_verify_cache_hits_total", "Signature-verdict cache hits."),
+		verifyHits:   r.Counter("rpki_verify_cache_hits_total", "Signature verdicts reused: kept from a point's previous validation, or duplicate bytes within one."),
 		verifyMisses: r.Counter("rpki_verify_cache_misses_total", "Signature-verdict cache misses: chain or CRL signatures actually verified."),
 		modulesReused: r.Counter("rpki_modules_reused_total",
 			"Publication points whose validated outputs were reused wholesale (provably unchanged)."),
@@ -88,9 +88,9 @@ func newRPMetrics(hub *obs.Hub) *rpMetrics {
 }
 
 // recordResult folds one completed sync into the continuously-scraped
-// series. Runs once per sync, off every hot path.
+// series. Runs once per sync, off every hot path. The sync count is its last
+// write, so a scrape that sees the count has every series it follows.
 func (m *rpMetrics) recordResult(res *Result, seconds float64) {
-	m.syncs.Inc()
 	m.syncDuration.Observe(seconds)
 	for _, d := range res.Diagnostics {
 		m.diagnostics.With(d.Kind.String()).Inc()
@@ -108,6 +108,7 @@ func (m *rpMetrics) recordResult(res *Result, seconds float64) {
 	m.objectsDown.Add(uint64(res.ObjectsDownloaded))
 	m.objectsReused.Add(uint64(res.ObjectsReused))
 	m.objectsFromMemo.Add(uint64(res.ObjectsFromMemo))
+	m.syncs.Inc()
 }
 
 // obsDiag records one diagnostic's flight-recorder event. Degraded path

@@ -279,14 +279,15 @@ type Result struct {
 	// relying party runs in incremental mode (zero otherwise).
 	ObjectsDownloaded, ObjectsReused int
 	// VerifyCacheHits and VerifyCacheMisses count signature-verdict lookups
-	// during this sync, one verdict per object: a miss is an object's
-	// signatures actually verified — one ECDSA verification for a
+	// during this sync, one lookup per object per validation: a miss is an
+	// object's signatures actually verified — one ECDSA verification for a
 	// certificate or CRL, two for a signed object (its CMS envelope, then
-	// its EE certificate) — and a hit an object answered from an earlier
-	// verdict on the same bytes within the same validation or kept from the
-	// point's previous one. Exact at any worker count. A sync that reuses
-	// every module does no lookups at all, and an object a revalidation
-	// admits from the memo (ObjectsFromMemo) none either.
+	// its EE certificate) — and a hit a verdict reused: kept from the
+	// point's previous validation, or given to an object whose bytes
+	// another object of the same validation already had. Exact at any
+	// worker count. A sync that reuses every module does no lookups at all,
+	// and an object a revalidation admits from the memo (ObjectsFromMemo)
+	// none either.
 	VerifyCacheHits, VerifyCacheMisses int
 	// verifications counts the ECDSA verifications the sync ran: those its
 	// verdict misses ran, and each trust anchor's self-signature it checked.
@@ -360,10 +361,6 @@ func (r *Result) Health() obs.HealthState {
 // classifying more than one route.
 func (r *Result) Index() *rov.Index { return rov.NewIndex(r.VRPs...) }
 
-func (r *Result) diag(kind DiagKind, module, object string, err error) {
-	r.Diagnostics = append(r.Diagnostics, Diagnostic{Kind: kind, Module: module, Object: object, Err: err})
-}
-
 // Sync walks every trust anchor's subtree and returns the validated cache.
 // A canceled context aborts the sync promptly — mid-fetch included — and
 // returns ctx.Err() rather than burying the cancellation in diagnostics.
@@ -398,12 +395,12 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	for i, ta := range rp.anchors {
 		anchor, sig, err := rp.trustAnchor(i, res)
 		if err != nil {
-			res.diag(DiagInvalidObject, ta.URI.Module, "", fmt.Errorf("trust anchor: %w", err))
+			st.diag(DiagInvalidObject, ta.URI.Module, "", fmt.Errorf("trust anchor: %w", err))
 			continue
 		}
 		resources, err := cert.ValidateTrustAnchor(anchor, sig, now)
 		if err != nil {
-			res.diag(DiagInvalidObject, ta.URI.Module, "", err)
+			st.diag(DiagInvalidObject, ta.URI.Module, "", err)
 			continue
 		}
 		res.CertsAccepted++
@@ -591,7 +588,7 @@ func (st *syncState) walker() {
 		if !ok {
 			return
 		}
-		st.walk(it.auth, it.effective, it.uri, it.depth)
+		st.walk(it)
 		st.wg.Done()
 	}
 }
@@ -610,9 +607,10 @@ func (st *syncState) run(f func()) {
 	<-st.sem
 }
 
+// diag records one diagnostic on the result and in the flight recorder.
 func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 	st.mu.Lock()
-	st.res.diag(kind, module, object, err)
+	st.res.Diagnostics = append(st.res.Diagnostics, Diagnostic{Kind: kind, Module: module, Object: object, Err: err})
 	st.mu.Unlock()
 	st.obsDiag(kind, module, object, err)
 }
@@ -632,9 +630,9 @@ func (st *syncState) diag(kind DiagKind, module, object string, err error) {
 // no span, so an unchanged poll cannot crowd the changed point out of the
 // trace's bounded span count. Any other point opens its walk and fetch
 // spans once that is known, back-dated to the fetch.
-func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, depth int) {
-	if depth <= 0 {
-		st.diag(DiagInvalidObject, uri.Module, "", fmt.Errorf("hierarchy too deep"))
+func (st *syncState) walk(it pointItem) {
+	if it.depth <= 0 {
+		st.diag(DiagInvalidObject, it.uri.Module, "", fmt.Errorf("hierarchy too deep"))
 		return
 	}
 	if err := st.ctx.Err(); err != nil {
@@ -644,12 +642,12 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// The walk's one clock reading: the memo's epoch, the snapshot's age
 	// and the validation are all judged at this instant.
 	now := st.rp.now()
-	p := st.rp.point(uri)
+	p := st.rp.point(it.uri)
 
 	st.rp.met.inflightModules.Inc()
 	defer st.rp.met.inflightModules.Dec()
 	start := st.span.Now()
-	r := result{fetched: st.rp.fetch(st.ctx, uri, p.last)}
+	r := result{fetched: st.rp.fetch(st.ctx, it.uri, p.last)}
 	fetchEnd := st.span.Now()
 	r.aborted = r.err != nil && st.ctx.Err() != nil
 	// What the protocol did not prove unchanged is hashed before the plan:
@@ -658,7 +656,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	if len(r.files) > 0 && !r.unchanged && !r.aborted {
 		r.objects = st.hashObjects(r.files)
 	}
-	s := plan(p, r.fetched, auth.der, effective, now, st.rp.cfg.StaleTTL)
+	s := plan(p, r.fetched, it.auth.der, it.effective, now, st.rp.cfg.StaleTTL)
 	st.mu.Lock()
 	st.res.PubPointsVisited++
 	st.res.served[s.act]++
@@ -669,8 +667,8 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 	// span opens the point's walk span, with its fetch child, and notes why
 	// the point is traced.
 	span := func(detail string) *obs.Span {
-		wsp := st.span.ChildAt("walk", uri.Module, start, time.Time{})
-		wsp.ChildAt("fetch", uri.Module, start, fetchEnd)
+		wsp := st.span.ChildAt("walk", it.uri.Module, start, time.Time{})
+		wsp.ChildAt("fetch", it.uri.Module, start, fetchEnd)
 		wsp.SetDetail(detail)
 		return wsp
 	}
@@ -682,7 +680,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		return
 	}
 	if r.err != nil && !s.partial {
-		st.unreachable(uri, s, len(p.clean), r.err)
+		st.unreachable(it.uri, s, len(p.clean), r.err)
 	}
 	switch s.act {
 	case absent:
@@ -691,7 +689,7 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 		span("serving last-known-good (memo)").End()
 		fallthrough
 	case reuse:
-		st.reuseModule(s.memo, depth)
+		st.reuseModule(s.memo, it.depth)
 	default:
 		// validate or lkgRevalidate: the build, its verdict cache and the
 		// parsed authority exist only on this path.
@@ -703,24 +701,28 @@ func (st *syncState) walk(auth authority, effective ipres.Set, uri repo.URI, dep
 			objects = st.hashObjects(files)
 		}
 		mb := &moduleBuild{
-			memo:    s.memo,
-			objects: objects,
-			sigs:    cert.NewVerifyCache(p.verdicts),
-			span:    span(detail),
+			st:        st,
+			pointItem: it,
+			files:     files,
+			chain:     cert.ValidationContext{Now: now},
+			memo:      s.memo,
+			objects:   objects,
+			sigs:      cert.NewVerifyCache(p.verdicts),
+			span:      span(detail),
 		}
 		if s.partial {
-			mb.diag(st, DiagFetchFailure, uri.Module, "", fmt.Errorf("partial fetch: %w", r.err))
+			mb.diag(DiagFetchFailure, "", fmt.Errorf("partial fetch: %w", r.err))
 		}
 		if s.why != "" {
 			// The memo was refused by the reuse guard: record why.
 			st.rp.met.reuseRejected.With(s.why).Inc()
-			st.rp.cfg.Obs.Recorder().Record(obs.EventReuseRejected, uri.Module, s.why)
+			st.rp.cfg.Obs.Recorder().Record(obs.EventReuseRejected, it.uri.Module, s.why)
 		}
-		mb.verifySpan = mb.span.Child("verify", uri.Module)
-		st.validate(mb, auth, effective, uri, depth, now, files)
-		r.verdicts, r.entry = st.commitModule(uri, auth.der, effective, mb)
+		mb.verifySpan = mb.span.Child("verify", it.uri.Module)
+		st.validate(mb)
+		r.verdicts, r.entry = st.commitModule(mb)
 	}
-	st.rp.settle(uri, next(p, s, r, st.now))
+	st.rp.settle(it.uri, next(p, s, r, st.now))
 }
 
 // unreachable diagnoses a point whose fetch failed outright, and what plan
@@ -746,121 +748,111 @@ func (st *syncState) unreachable(uri repo.URI, s step, n int, ferr error) {
 // validated child CA queued for a walker — and returns once those tasks are
 // done, or at the first failure that ends the validation. It is walk's
 // middle, on the same walker.
-func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.Set, uri repo.URI, depth int, now time.Time, files map[string][]byte) {
-	issuer := auth.cert
-	if issuer == nil {
+func (st *syncState) validate(mb *moduleBuild) {
+	if mb.auth.cert == nil {
 		// Reached through a memo link: the DER its parent validated, parsed
 		// only now that the point must be revalidated. A failure means the
 		// bytes changed under the relying party.
 		var err error
-		if issuer, err = cert.Parse(auth.der); err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, "", fmt.Errorf("authority certificate: %w", err))
+		if mb.auth.cert, err = cert.Parse(mb.auth.der); err != nil {
+			mb.diag(DiagInvalidObject, "", fmt.Errorf("authority certificate: %w", err))
 			return
 		}
 	}
 
 	// Locate the manifest named by the authority's SIA and take its verdict.
-	mftName := manifestName(issuer, uri)
+	mftName := manifestName(mb.auth.cert, mb.uri)
 	var signedMft *manifest.Signed
 	var mftEESig error
-	if raw, ok := files[mftName]; ok {
-		hash, _ := mb.digest(mftName)
+	if i, ok := findObject(mb.objects, mftName); ok {
 		st.run(func() {
 			var err error
-			signedMft, err = manifest.ParseSignedWith(raw, mb.signedCheck(hash, issuer, &mftEESig))
+			signedMft, err = manifest.ParseSignedWith(mb.files[mftName], mb.signedCheck(mb.objects[i].digest, &mftEESig))
 			if err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
+				mb.diag(DiagInvalidObject, mftName, err)
 			}
 		})
 	} else {
-		mb.diag(st, DiagMissingManifest, uri.Module, mftName, fmt.Errorf("manifest absent"))
+		mb.diag(DiagMissingManifest, mftName, fmt.Errorf("manifest absent"))
 	}
 
 	// The manifest and the CRL vouch for each other: a manifest whose
-	// signatures hold names the CRL, and that CRL then judges the manifest's
-	// EE like any other.
-	var listing *manifest.Manifest
+	// signatures hold is merged with the objects once and names the CRL, and
+	// that CRL then judges the manifest's EE like any other.
+	var served []int
 	if signedMft != nil && mftEESig == nil {
-		listing = signedMft.Manifest
+		served = mb.judge(signedMft.Manifest)
 	}
-	crl := st.loadCRL(mb, issuer, uri, files, listing)
-	mb.revoked = revokedDigest(crl)
+	st.loadCRL(mb)
 	var mft *manifest.Manifest
 	if signedMft != nil {
 		st.run(func() {
-			if _, err := cert.ValidateIssued(issuer, effective, signedMft.EE, mftEESig, mb.vctx(now, crl)); err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, mftName, err)
+			if _, err := cert.ValidateIssued(mb.auth.cert, mb.effective, signedMft.EE, mftEESig, mb.chain); err != nil {
+				mb.diag(DiagInvalidObject, mftName, err)
 				return
 			}
 			mft = signedMft.Manifest
 			mb.observePoint(signedMft.EE.NotBefore(), signedMft.EE.NotAfter())
 			mb.observePoint(time.Time{}, mft.NextUpdate)
-			if mft.Stale(now) {
-				mb.diag(st, DiagStaleManifest, uri.Module, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
+			if mft.Stale(mb.chain.Now) {
+				mb.diag(DiagStaleManifest, mftName, fmt.Errorf("nextUpdate %v", mft.NextUpdate))
 			}
 		})
 	}
 	if mft == nil && st.rp.cfg.Policy == DropPublicationPoint {
-		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("no usable manifest"))
+		mb.diag(DiagDroppedPubPoint, "", fmt.Errorf("no usable manifest"))
 		return
 	}
 
-	// Cross-check the manifest against the fetched files, remembering each
-	// verdict so the admission loop below never re-hashes or re-diagnoses
-	// an object.
+	// Cross-check the manifest against the fetched files, entry by entry:
+	// the merge's verdicts, diagnosed once here, are what the admission loop
+	// below reads.
 	manifestOK := true
-	badObject := make(map[string]bool)
 	if mft != nil {
-		for _, name := range mft.Names() {
-			hash, ok := mb.digest(name)
-			if !ok {
-				mb.diag(st, DiagMissingObject, uri.Module, name, fmt.Errorf("listed on manifest, not served"))
+		for e, i := range served {
+			switch {
+			case i < 0:
+				mb.diag(DiagMissingObject, mft.Entries[e].Name, fmt.Errorf("listed on manifest, not served"))
 				manifestOK = false
-				continue
-			}
-			if err := mft.VerifyHash(name, hash); err != nil {
-				mb.diag(st, DiagHashMismatch, uri.Module, name, err)
-				badObject[name] = true
+			case mb.listing[i].err != nil:
+				mb.diag(DiagHashMismatch, mb.objects[i].name, mb.listing[i].err)
 				manifestOK = false
 			}
 		}
 	}
 	if !manifestOK && st.rp.cfg.Policy == DropPublicationPoint {
-		mb.diag(st, DiagDroppedPubPoint, uri.Module, "", fmt.Errorf("manifest inconsistency"))
+		mb.diag(DiagDroppedPubPoint, "", fmt.Errorf("manifest inconsistency"))
 		return
 	}
 
 	// Reuse tier 3: with a valid manifest, and a winning CRL that revokes
 	// exactly what the entry's did, every object the entry was validated
-	// from keeps its outputs (modmemo.go). The objects admitted bring the
-	// entry's whole object window into the epoch, so it is never longer
-	// than a full revalidation's.
-	memo := mb.memo
-	if mft == nil || memo == nil || memo.revoked != mb.revoked {
-		memo = nil
+	// from keeps its outputs (modmemo.go).
+	if mft == nil || mb.memo != nil && mb.memo.revoked != mb.revoked {
+		mb.memo = nil
 	}
 	// Validate ROAs and recurse into child certificates. Every object the
-	// memo does not answer for is an independent task on the worker pool; a
-	// validated child CA queues its publication point immediately.
+	// manifest admits and the memo does not answer for is an independent
+	// task on the worker pool; a validated child CA queues its publication
+	// point immediately.
 	for i, o := range mb.objects {
-		if badObject[o.name] {
-			continue // mismatch already diagnosed by the cross-check
+		// A listed mismatch is diagnosed by the cross-check. An unlisted
+		// object other than the manifest itself is rejected outright: a
+		// repository must not smuggle objects past its manifest.
+		if l := mb.listing; mft != nil && l[i].err != nil && (l[i].listed || o.name != mftName) {
+			if !l[i].listed {
+				mb.diag(DiagHashMismatch, o.name, l[i].err)
+			}
+			continue
 		}
-		if memo != nil && st.admitFromMemo(mb, memo, issuer, mft, i, depth, files) {
+		if mb.memo != nil && st.admitFromMemo(mb, i) {
 			continue
 		}
 		mb.wg.Add(1)
 		go func() {
 			defer mb.wg.Done()
-			st.run(func() {
-				st.processObject(mb, issuer, effective, uri, depth, now, crl, mft, mftName, i, files[o.name])
-			})
+			st.run(func() { st.processObject(mb, i) })
 		}()
-	}
-	if mb.fromMemo > 0 {
-		mb.mu.Lock()
-		mb.out.objEpoch.narrow(memo.objEpoch.notBefore, memo.objEpoch.notAfter)
-		mb.mu.Unlock()
 	}
 	// The walker merges the module's outputs once its own object tasks are
 	// done (child points are independent). It waits holding no worker slot,
@@ -868,50 +860,50 @@ func (st *syncState) validate(mb *moduleBuild, auth authority, effective ipres.S
 	mb.wg.Wait()
 }
 
-// loadCRL picks the point's CRL (nil skips revocation checks, best effort).
-// With listing, the manifest whose signatures hold, a candidate is a .crl
-// it lists with a matching digest: an unlisted or altered one is never
-// trusted, whatever its signature (the cross-check and admission diagnose
-// it). With no such manifest every .crl served is a candidate. Of the
-// candidates whose signature by issuer holds, the last in name order wins,
-// so the choice is deterministic when several do.
-func (st *syncState) loadCRL(mb *moduleBuild, issuer *cert.ResourceCert, uri repo.URI, files map[string][]byte, listing *manifest.Manifest) *cert.CRL {
+// loadCRL picks the point's CRL into mb.chain (nil skips revocation
+// checks, best effort), with its revokedDigest. It is the only check of the
+// CRL's signature: chain validation consults the CRL without verifying it
+// again. With a manifest whose signatures hold, a candidate is a .crl the
+// merge found listed with a matching digest: an unlisted or altered one is
+// never trusted, whatever its signature (the cross-check and admission
+// diagnose it). With no such manifest every .crl served is a candidate. Of
+// the candidates whose signature by the issuer holds, the last in name
+// order wins, so the choice is deterministic when several do.
+func (st *syncState) loadCRL(mb *moduleBuild) {
 	var crl *cert.CRL
-	for _, o := range mb.objects {
-		name, hash := o.name, o.digest
-		if !strings.HasSuffix(name, ".crl") || listing != nil && listing.VerifyHash(name, hash) != nil {
+	for i, o := range mb.objects {
+		if !strings.HasSuffix(o.name, ".crl") || mb.listing != nil && mb.listing[i].err != nil {
 			continue
 		}
-		raw := files[name]
 		st.run(func() {
-			parsed, err := cert.ParseHashedCRL(raw, hash)
+			parsed, err := cert.ParseHashedCRL(mb.files[o.name], o.digest)
 			if err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+				mb.diag(DiagInvalidObject, o.name, err)
 				return
 			}
-			if err := mb.sigs.VerifyCRL(issuer, parsed); err != nil {
-				mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+			if err := mb.sigs.VerifyCRL(mb.auth.cert, parsed); err != nil {
+				mb.diag(DiagInvalidObject, o.name, err)
 				return
 			}
 			crl = parsed
 		})
 	}
 	if crl != nil {
-		// The winning CRL bounds the reuse epoch: past its nextUpdate a
-		// re-validation would flag it stale, so the cached verdicts expire.
+		// The winning CRL bounds the reuse epoch: past its nextUpdate the
+		// point is revalidated, never reused.
 		mb.observePoint(time.Time{}, crl.List.NextUpdate)
 	}
-	return crl
+	mb.chain.CRL, mb.revoked = crl, revokedDigest(crl)
 }
 
 // signedCheck is the signature check a signed object's parse runs under
 // issuer: the object's one verdict, keyed by hash, covering its envelope
 // signature and its EE certificate's signature by issuer. The envelope part
 // decides the parse; the EE part lands in *eeSig for the chain step.
-func (mb *moduleBuild) signedCheck(hash [32]byte, issuer *cert.ResourceCert, eeSig *error) cms.SignatureCheck {
+func (mb *moduleBuild) signedCheck(hash [32]byte, eeSig *error) cms.SignatureCheck {
 	return func(ee *cert.ResourceCert, verify func() error) error {
 		var envelope error
-		envelope, *eeSig = mb.sigs.CheckSigned(hash, issuer, ee, verify)
+		envelope, *eeSig = mb.sigs.CheckSigned(hash, mb.auth.cert, ee, verify)
 		return envelope
 	}
 }
@@ -951,10 +943,10 @@ func (st *syncState) reuseModule(e *moduleEntry, depth int) {
 // the signature verdicts it used and, when it was clean, its memo entry,
 // recorded under the authority's DER. After the walk settles, nothing but
 // the point's state references the module's raw bytes.
-func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipres.Set, mb *moduleBuild) (cert.Verdicts, *moduleEntry) {
+func (st *syncState) commitModule(mb *moduleBuild) (cert.Verdicts, *moduleEntry) {
 	mb.verifySpan.End()
 	defer mb.span.End()
-	defer mb.span.Child("commit", uri.Module).End()
+	defer mb.span.Child("commit", mb.uri.Module).End()
 	mb.mu.Lock()
 	clean, e := mb.diags == 0, mb.out
 	mb.mu.Unlock()
@@ -971,36 +963,28 @@ func (st *syncState) commitModule(uri repo.URI, authority []byte, effective ipre
 	if !clean {
 		return mb.sigs.Verdicts(), nil
 	}
-	e.authority, e.effective, e.objects, e.revoked = authority, effective, mb.objects, mb.revoked
+	e.authority, e.effective, e.objects, e.revoked = mb.auth.der, mb.effective, mb.objects, mb.revoked
 	e.epoch.narrow(e.objEpoch.notBefore, e.objEpoch.notAfter)
 	return mb.sigs.Verdicts(), &e
 }
 
-// processObject admits the snapshot's object i, whose bytes are raw:
-// manifest admission, then ROA validation or child-CA chain validation.
-// Runs under a worker slot. Its outputs accumulate on the moduleBuild; its
-// walker merges them once every task of the point is done.
-func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, effective ipres.Set, uri repo.URI, depth int, now time.Time, crl *cert.CRL, mft *manifest.Manifest, mftName string, i int, raw []byte) {
+// processObject validates the snapshot's object i, which the manifest
+// admitted: a ROA, or a child CA's certificate. Runs under a worker slot.
+// Its outputs accumulate on the moduleBuild; its walker merges them once
+// every task of the point is done.
+func (st *syncState) processObject(mb *moduleBuild, i int) {
 	name, hash := mb.objects[i].name, mb.objects[i].digest
-	if mft != nil && name != mftName {
-		if err := mft.VerifyHash(name, hash); err != nil {
-			// Unlisted object: reject it outright; a repository must not
-			// smuggle objects past its manifest.
-			mb.diag(st, DiagHashMismatch, uri.Module, name, err)
-			return
-		}
-	}
-	ctxV := mb.vctx(now, crl)
+	raw := mb.files[name]
 	switch {
 	case strings.HasSuffix(name, ".roa"):
 		var eeSig error
-		signed, err := roa.ParseSignedWith(raw, mb.signedCheck(hash, issuer, &eeSig))
+		signed, err := roa.ParseSignedWith(raw, mb.signedCheck(hash, &eeSig))
 		if err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+			mb.diag(DiagInvalidObject, name, err)
 			return
 		}
-		if _, err := cert.ValidateIssued(issuer, effective, signed.EE, eeSig, ctxV); err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+		if _, err := cert.ValidateIssued(mb.auth.cert, mb.effective, signed.EE, eeSig, mb.chain); err != nil {
+			mb.diag(DiagInvalidObject, name, err)
 			return
 		}
 		mb.observeObject(signed.EE)
@@ -1009,39 +993,34 @@ func (st *syncState) processObject(mb *moduleBuild, issuer *cert.ResourceCert, e
 	case strings.HasSuffix(name, ".cer"):
 		child, err := cert.Parse(raw)
 		if err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+			mb.diag(DiagInvalidObject, name, err)
 			return
 		}
 		if !child.IsCA() {
 			return // EE certs are embedded in signed objects
 		}
+		issuer := mb.auth.cert
 		if child.Cert.SubjectKeyId != nil && issuer.Cert.SubjectKeyId != nil &&
 			string(child.Cert.SubjectKeyId) == string(issuer.Cert.SubjectKeyId) {
 			return // the authority's own certificate republished
 		}
-		childEffective, err := cert.ValidateIssued(issuer, effective, child, mb.sigs.CheckChildSignature(issuer, child, hash), ctxV)
+		childEffective, err := cert.ValidateIssued(issuer, mb.effective, child, mb.sigs.CheckChildSignature(issuer, child, hash), mb.chain)
 		if err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, name, err)
+			mb.diag(DiagInvalidObject, name, err)
 			return
 		}
 		mb.addCert()
 		mb.observeObject(child)
 		childURI, _, err := repo.ParseURI(strings.TrimSuffix(child.SIA.CARepository, "/"))
 		if err != nil {
-			mb.diag(st, DiagInvalidObject, uri.Module, name, fmt.Errorf("bad SIA: %w", err))
+			mb.diag(DiagInvalidObject, name, fmt.Errorf("bad SIA: %w", err))
 			return
 		}
 		// The memo keeps the certificate as the DER just validated: the
 		// snapshot's own bytes for the object, which are exactly child.Raw.
 		mb.addChild(i, childLink{der: child.Raw, effective: childEffective, uri: childURI})
-		st.enqueue(pointItem{authority{der: child.Raw, cert: child}, childEffective, childURI, depth - 1})
+		st.enqueue(pointItem{authority{der: child.Raw, cert: child}, childEffective, childURI, mb.depth - 1})
 	}
-}
-
-// vctx builds a chain-validation context wired to the module's signature
-// cache.
-func (mb *moduleBuild) vctx(now time.Time, crl *cert.CRL) cert.ValidationContext {
-	return cert.ValidationContext{Now: now, CRL: crl, Cache: mb.sigs}
 }
 
 // fetch retrieves a publication point, using the fetcher's incremental

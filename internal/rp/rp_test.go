@@ -11,6 +11,7 @@ import (
 	"repro/internal/ca"
 	"repro/internal/cert"
 	"repro/internal/ipres"
+	"repro/internal/obs"
 	"repro/internal/repo"
 	"repro/internal/roa"
 	"repro/internal/rov"
@@ -530,6 +531,29 @@ func TestTrustAnchorSignatureVerifiedOnce(t *testing.T) {
 	})
 }
 
+// TestTrustAnchorDiagnosticsReachRecorder: a trust anchor's diagnostic goes
+// through the same writer as every other, so it drops an event into the
+// flight recorder as Config.Obs promises.
+func TestTrustAnchorDiagnosticsReachRecorder(t *testing.T) {
+	arin, _, _, stores := buildFigure2(t)
+	der := bytes.Clone(arin.Cert.Raw)
+	der[len(der)-1] ^= 1 // the signature's last byte: still parses, no longer verifies
+	hub := obs.NewHub(clock)
+	res := syncReuse(t, New(Config{Fetcher: stores, Clock: clock, Obs: hub}, TrustAnchor{CertDER: der, URI: arin.URI}))
+	if _, found := findDiag(res, DiagInvalidObject, "arin", ""); !found {
+		t.Fatalf("want the anchor's bad signature diagnosed, got %v", res.Diagnostics)
+	}
+	events := 0
+	for _, e := range hub.Recorder().Snapshot() {
+		if e.Kind == obs.EventDiagnostic && e.Module == "arin" {
+			events++
+		}
+	}
+	if events == 0 {
+		t.Errorf("flight recorder holds no diagnostic event for arin; recorded %v", hub.Recorder().Snapshot())
+	}
+}
+
 func TestSyncMultipleTrustAnchors(t *testing.T) {
 	arin, _, _, stores := buildFigure2(t)
 	// Second, disjoint anchor.
@@ -565,7 +589,7 @@ func TestResultIncompleteSemantics(t *testing.T) {
 	if r.Incomplete() {
 		t.Error("empty result should be complete")
 	}
-	r.diag(DiagFetchFailure, "m", "", context.Canceled)
+	r.Diagnostics = append(r.Diagnostics, Diagnostic{Kind: DiagFetchFailure, Module: "m", Err: context.Canceled})
 	if !r.Incomplete() {
 		t.Error("any diagnostic means incomplete")
 	}

@@ -554,12 +554,16 @@ func revokedROA(t *testing.T, a *ca.Authority, store *repo.Store, name string) {
 // older, validly signed CRL served unlisted, or served under a listed name
 // with other bytes, must not un-revoke a listed ROA. Without a manifest the
 // rule stays best effort: every validly signed CRL is a candidate and the
-// last in name order wins.
+// last in name order wins. Listed is not enough either: a listed CRL that
+// another key signed is an invalid object and revokes nothing — the CRL's
+// signature is checked where the CRL is picked, and nowhere after.
 func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		serve   func(t *testing.T, cont *ca.Authority, store *repo.Store)
 		revoked bool
+		// invalid names a CRL the point must diagnose as an invalid object.
+		invalid string
 	}{
 		{
 			name: "older CRL served unlisted",
@@ -592,6 +596,36 @@ func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 			},
 			revoked: false,
 		},
+		{
+			name: "listed CRL signed by another key",
+			serve: func(t *testing.T, cont *ca.Authority, store *repo.Store) {
+				raw, _ := store.Get("cont-22.roa")
+				signed, err := roa.ParseSigned(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A certificate in continental's name for another key: its
+				// CRL names continental as issuer, and its signature is not
+				// continental's.
+				key := cert.MustGenerateKeyPair()
+				impostor, err := cert.Issue(cert.Template{
+					Subject: "continental", Serial: 1 << 40, CA: true, InheritIP: true,
+					NotBefore: testEpoch.Add(-time.Minute), NotAfter: testEpoch.Add(48 * time.Hour),
+				}, cont.Cert, cont.Key, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				revoked := []pkix.RevokedCertificate{{SerialNumber: signed.EE.Cert.SerialNumber, RevocationTime: testEpoch}}
+				forged, err := cert.IssueCRL(impostor, key, 1<<20, revoked, testEpoch, testEpoch.Add(24*time.Hour))
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.Put("zzz.crl", forged.Raw)
+				republish(t, cont) // the manifest now lists zzz.crl with its digest
+			},
+			revoked: false,
+			invalid: "zzz.crl",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			arin, _, cont, stores := buildFigure2(t)
@@ -600,6 +634,9 @@ func TestCRLMustBeListedWithItsDigest(t *testing.T) {
 			d, found := findDiag(res, DiagInvalidObject, "continental", "cont-22.roa")
 			if revoked := found && errors.Is(d.Err, cert.ErrRevoked); revoked != tc.revoked {
 				t.Errorf("cont-22 revoked = %v, want %v (diagnostics %v)", revoked, tc.revoked, res.Diagnostics)
+			}
+			if _, found := findDiag(res, DiagInvalidObject, "continental", tc.invalid); tc.invalid != "" && !found {
+				t.Errorf("want %s diagnosed as an invalid object, got %v", tc.invalid, res.Diagnostics)
 			}
 		})
 	}
@@ -649,5 +686,77 @@ func TestRevokedManifestEE(t *testing.T) {
 	dropped := syncReuse(t, newRP(arin, stores, DropPublicationPoint))
 	if _, found := findDiag(dropped, DiagDroppedPubPoint, "continental", ""); !found {
 		t.Errorf("DropPublicationPoint kept a point with a revoked manifest: %v", dropped.Diagnostics)
+	}
+}
+
+// TestManifestListsNameTwice: a manifest that lists one name twice, under
+// two digests, is judged by the entry manifest.Lookup finds — the first in
+// its sorted entries — and each listing of a mismatched name is diagnosed.
+func TestManifestListsNameTwice(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		realFirst bool
+		wantROAs  int
+		wantDiags int
+	}{
+		{name: "listed first under its digest", realFirst: true, wantROAs: 8},
+		{name: "listed first under another digest", realFirst: false, wantROAs: 7, wantDiags: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arin, _, cont, stores := buildFigure2(t)
+			store := stores["continental"]
+			files := store.Snapshot()
+			delete(files, cont.ManifestFileName())
+			listed := manifest.New(1<<20, testEpoch, testEpoch.Add(24*time.Hour), files)
+			real, _ := listed.Lookup("cont-22.roa")
+			other := manifest.Entry{Name: real.Name, Hash: sha256.Sum256([]byte("other bytes"))}
+			var entries []manifest.Entry
+			for _, e := range listed.Entries {
+				if e.Name != real.Name {
+					entries = append(entries, e)
+				} else if tc.realFirst {
+					entries = append(entries, real, other)
+				} else {
+					entries = append(entries, other, real)
+				}
+			}
+			listed.Entries = entries
+			eeKey := cert.MustGenerateKeyPair()
+			ee, err := cert.Issue(cert.Template{
+				Subject:   "continental-mft-ee-twice",
+				Serial:    1 << 40,
+				NotBefore: testEpoch.Add(-time.Minute),
+				NotAfter:  testEpoch.Add(48 * time.Hour),
+				InheritIP: true,
+				SIA:       cert.InfoAccess{SignedObject: cont.URI.ObjectURI(cont.ManifestFileName())},
+			}, cont.Cert, cont.Key, eeKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			der, err := listed.Sign(ee, eeKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := manifest.ParseSigned(der)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found, _ := parsed.Manifest.Lookup(real.Name); (found.Hash == real.Hash) != tc.realFirst {
+				t.Fatalf("Lookup finds the digest listed second: the case does not test what it names")
+			}
+			store.Put(cont.ManifestFileName(), der)
+
+			for _, workers := range []int{1, 4} {
+				res := syncWithWorkers(t, arin, stores, workers)
+				if res.ROAsAccepted != tc.wantROAs || len(res.Diagnostics) != tc.wantDiags {
+					t.Fatalf("workers %d: %d ROAs, diagnostics %v; want %d ROAs, %d diagnostics", workers, res.ROAsAccepted, res.Diagnostics, tc.wantROAs, tc.wantDiags)
+				}
+				for _, d := range res.Diagnostics {
+					if d.Kind != DiagHashMismatch || d.Module != "continental" || d.Object != real.Name || d.Err.Error() != `manifest: "cont-22.roa" hash mismatch` {
+						t.Errorf("workers %d: unexpected diagnostic %v", workers, d)
+					}
+				}
+			}
+		})
 	}
 }
